@@ -199,7 +199,7 @@ func TestBlocksMatchFastPath(t *testing.T) {
 // identical observable machines: output, the whole Stats struct, the
 // final register file and physical memory, and the exact observer
 // event stream (memory, branch, exception, RFE, and stall events — the
-// compiled closures must deliver each with exact per-instruction
+// compiled trace ops must deliver each with exact per-instruction
 // arguments). TranslationStats is the one deliberately engine-specific
 // surface, so it is checked for non-vacuity instead of equality: the
 // corpus in aggregate must compile traces and dispatch through them,

@@ -148,7 +148,7 @@ type TranslationStats struct {
 
 	// TraceFormed counts hot-path recordings that finished with a
 	// formable multi-block path; TraceCompiled counts traces actually
-	// compiled to closures and installed (a formed path whose words
+	// compiled and installed (a formed path whose words
 	// cannot all be specialized truncates, and too-short truncations
 	// compile nothing).
 	TraceFormed   uint64
@@ -176,7 +176,7 @@ type TranslationStats struct {
 	//
 	// TraceDeoptEnvironment: the machine configuration was not quiet —
 	// address mapping, DMA in flight, ticking devices — which the
-	// compiled closures do not model. TraceDeoptInterrupt: an interrupt
+	// compiled ops do not model. TraceDeoptInterrupt: an interrupt
 	// line was pending and must be sampled at the exact engine's
 	// boundary. TraceDeoptChainBudget: a trace run returned with the
 	// next trace ready only because the chain-follow budget for the

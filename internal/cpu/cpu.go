@@ -136,14 +136,16 @@ type CPU struct {
 	// its direct-mapped cache of compiled traces, liveTraces the dense
 	// list the write barrier walks, heat the per-entry-PC hotness
 	// counters that trigger formation, trec the in-flight path
-	// recording, and trOvfOn the overflow-enable latch the dispatch
-	// loop sets for the compiled closures.
+	// recording. trOvfOn is the overflow-enable latch the dispatch loop
+	// sets for the compiled ops, and trCur the trace running them (whose
+	// valid flag a self-invalidating store checks).
 	traces     bool
 	tc         []*trace
 	liveTraces []*trace
 	heat       []heatEntry
 	trec       traceRec
 	trOvfOn    bool
+	trCur      *trace
 
 	// Trans counts translation-layer behavior (predecode and superblock
 	// caches). It lives outside Stats so the execution engines remain
@@ -154,7 +156,7 @@ type CPU struct {
 	intLine bool
 
 	// deopt carries the reason of the most recent trace guard exit:
-	// compiled closures set it immediately before returning false, and
+	// compiled ops set it immediately before returning false, and
 	// runTrace consumes it at its single guard-exit accounting site.
 	deopt DeoptReason
 

@@ -40,7 +40,7 @@ const (
 	DeoptIndirectTarget
 	// DeoptQueueShape: a packed word left the fetch queue in a shape
 	// the flattening did not bake in (the queue-shape guard of
-	// emitGeneral/emitGeneralTerm).
+	// trGeneral/trGeneralTerm).
 	DeoptQueueShape
 	// DeoptFault: the word raised an exception — memory fault,
 	// arithmetic overflow, trap — and the trace exited through the
@@ -174,7 +174,7 @@ const (
 	// JITFormed: a recording validated into a formable path (Len counts
 	// fused blocks).
 	JITFormed JITEventKind = iota
-	// JITCompiled: a trace compiled to closures and installed (Len
+	// JITCompiled: a trace compiled to op records and installed (Len
 	// counts compiled ops).
 	JITCompiled
 	// JITDispatchCold: the first dispatch of a compiled trace.
@@ -263,7 +263,7 @@ func (c *CPU) unlockTraces() {
 type TraceSite struct {
 	EntryPC  uint32
 	EndPC    uint32
-	Ops      int    // compiled closure count
+	Ops      int    // compiled op count (a nop run is one op)
 	Blocks   int    // superblocks fused
 	Words    uint32 // instruction-memory words covered (span total)
 	Side     bool   // a side stub (guard-exit continuation), not a heat-formed entry
@@ -286,7 +286,7 @@ func (c *CPU) TraceSites() []TraceSite {
 		s := TraceSite{
 			EntryPC:  tr.pa,
 			EndPC:    tr.endPC,
-			Ops:      len(tr.ops),
+			Ops:      len(tr.ins),
 			Blocks:   len(tr.spans),
 			Side:     tr.side,
 			Hits:     atomic.LoadUint64(&tr.hits),

@@ -34,7 +34,7 @@ const (
 	Blocks
 	// Traces is the trace JIT tier layered on the superblock engine:
 	// profile-guided multi-block traces, fused across taken branches,
-	// compiled to threaded Go closures. Falls back tier by tier
+	// compiled to flat arrays of op records. Falls back tier by tier
 	// (trace -> superblock -> fast path -> reference) on any guard
 	// failure, fault, or configuration the traces cannot prove quiet.
 	Traces

@@ -101,7 +101,7 @@ func RegisterTranslation(r *Registry, prefix string, ts *cpu.TranslationStats) e
 	c("block_invalidations", "superblocks dropped by the memory write barrier", &ts.BlockInvalidations)
 	c("block_bails", "mid-block falls back to the exact per-instruction engine", &ts.BlockBails)
 	c("trace.formed", "hot-path recordings that produced a formable multi-block trace", &ts.TraceFormed)
-	c("trace.compiled", "traces compiled to closure arrays and installed", &ts.TraceCompiled)
+	c("trace.compiled", "traces compiled to op record arrays and installed", &ts.TraceCompiled)
 	c("trace.guard_exits", "early trace exits: direction guards, faults, self-invalidating stores", &ts.TraceGuardExits)
 	c("trace.invalidations", "compiled traces dropped by the memory write barrier", &ts.TraceInvalidations)
 	c("trace.dispatch_hits", "trace executions started (cache entry and trace-to-trace chaining)", &ts.TraceDispatchHits)

@@ -16,6 +16,11 @@ go test ./internal/cpu/ -run TestSteadyStateZeroAlloc -count=1 -v
 echo "==> side-trace/inline-cache dispatch paths (must be 0 allocs/op)"
 go test ./internal/cpu/ -run TestSideTraceZeroAllocSteadyState -count=1 -v
 
+echo "==> trace formation: a constant allocation count per trace, whatever its length"
+go test ./internal/cpu/ -run TestTraceFormationAllocs -count=1 -v
+go test ./internal/cpu/ -run '^$' -bench BenchmarkTraceFormation \
+    -benchmem -benchtime 1s
+
 echo "==> job-service hot path without telemetry (must be 0 allocs/op)"
 go test ./internal/sim/ -run TestJobServiceNoTelemetryZeroAlloc -count=1 -v
 go test ./internal/sim/ -run '^$' -bench BenchmarkJobServiceNoTelemetry \

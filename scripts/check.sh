@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the repository's full verification gate: build, vet,
-# formatting, and the test suite. CI runs exactly this script, so a
-# clean local run means a clean CI run.
+# formatting, the test suite, and the benchmark module's vet and tests.
+# CI runs exactly this script, so a clean local run means a clean CI run.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -21,5 +21,10 @@ fi
 
 echo "==> go test ./..."
 go test ./...
+
+# bench/ is a module of its own (it builds against this checkout through
+# a replace directive), so ./... above does not reach it.
+echo "==> go -C bench vet ./... && go -C bench test ./..."
+go -C bench vet ./... && go -C bench test ./...
 
 echo "OK"
