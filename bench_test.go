@@ -211,7 +211,7 @@ func BenchmarkPipelineFastPath(b *testing.B) {
 	b.ResetTimer()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
-		res, err := codegen.RunMIPSWith(im, 100_000_000, codegen.RunOptions{NoBlocks: true})
+		res, err := codegen.RunMIPSWith(im, 100_000_000, codegen.RunOptions{Engine: sim.FastPath})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func BenchmarkPipelineReference(b *testing.B) {
 	b.ResetTimer()
 	var instrs uint64
 	for i := 0; i < b.N; i++ {
-		res, err := codegen.RunMIPSWith(im, 100_000_000, codegen.RunOptions{Reference: true})
+		res, err := codegen.RunMIPSWith(im, 100_000_000, codegen.RunOptions{Engine: sim.Reference})
 		if err != nil {
 			b.Fatal(err)
 		}

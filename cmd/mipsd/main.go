@@ -35,8 +35,8 @@
 //
 // Errors are a JSON envelope {"error": "...", "code": "..."} with
 // machine-readable codes (queue_full, closed, not_found, bad_spec,
-// template_missing). The unversioned /jobs paths remain as aliases for
-// one release and will be removed; new clients should use /v1.
+// template_missing). Only the /v1 paths serve jobs; unversioned /jobs
+// paths answer 404.
 //
 // Submittable programs are the built-in corpus; the telemetry surface
 // serves the job service's counters plus the fleet rollup:
@@ -167,8 +167,6 @@ func main() {
 	templates := sim.NewTemplatePool()
 	handler := svc.Handler(sim.HTTPConfig{Programs: corpusPrograms(), Templates: templates})
 	srv.Mount("/v1/", handler)
-	srv.Mount("/jobs", handler) // legacy unversioned aliases (one release)
-	srv.Mount("/jobs/", handler)
 	srv.Mount("/fleet/peers", fed.Handler())
 
 	bound, err := srv.Start(*addr)

@@ -17,8 +17,7 @@
 // fast (the per-instruction predecoded path), blocks (the superblock
 // translation engine), or traces (the trace JIT tier layered on the
 // superblock engine, the default). The engines are observably
-// identical; the choice changes only simulation speed. The old
-// -reference and -blocks flags remain as deprecated aliases.
+// identical; the choice changes only simulation speed.
 //
 // Observability (packages trace and telemetry):
 //
@@ -77,9 +76,7 @@ func main() {
 	stats := flag.Bool("stats", false, "print execution statistics")
 	useKernel := flag.Bool("kernel", false, "run under the kernel with demand paging")
 	timer := flag.Uint("timer", 0, "timer period in user instructions (0 = off; implies -kernel)")
-	engineFlag := flag.String("engine", "", "execution engine: reference | fast | blocks | traces (default traces)")
-	reference := flag.Bool("reference", false, "deprecated: use -engine=reference")
-	blocks := flag.Bool("blocks", true, "deprecated: use -engine=fast to disable superblocks")
+	engineFlag := flag.String("engine", "traces", "execution engine: reference | fast | blocks | traces")
 	traceN := flag.Uint64("trace", 0, "print the first N executed instructions to stderr")
 	traceJSON := flag.String("trace-json", "", "write Chrome trace_event JSON to this file")
 	traceBuf := flag.Int("trace-buf", trace.DefaultRingCap, "event ring capacity")
@@ -100,17 +97,6 @@ func main() {
 	engine, err := sim.ParseEngine(*engineFlag)
 	if err != nil {
 		fatal(err)
-	}
-	if engine == sim.Default {
-		// Honor the deprecated boolean knobs when -engine is absent.
-		switch {
-		case *reference:
-			engine = sim.Reference
-		case !*blocks:
-			engine = sim.FastPath
-		default:
-			engine = sim.Traces
-		}
 	}
 
 	var images []*isa.Image

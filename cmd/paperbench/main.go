@@ -48,15 +48,11 @@ func main() {
 	workers := flag.Int("j", 1, "experiment worker count (0 = one per CPU)")
 	serve := flag.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :9417)")
 	engineFlag := flag.String("engine", "", "execution engine: reference | fast | blocks | traces (default traces)")
-	blocks := flag.Bool("blocks", true, "deprecated: use -engine=fast to disable superblocks")
 	flag.Parse()
 	engine, err := sim.ParseEngine(*engineFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "paperbench:", err)
 		os.Exit(1)
-	}
-	if engine == sim.Default && !*blocks {
-		engine = sim.FastPath // deprecated -blocks=false alias
 	}
 	want := map[string]bool{}
 	for _, a := range flag.Args() {

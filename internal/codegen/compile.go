@@ -59,36 +59,10 @@ type RunOptions struct {
 	// Engine selects the execution engine; the zero value follows the
 	// process-wide default (sim.SetDefault).
 	Engine sim.Engine
-	// Reference runs the CPU's reference execution path instead of the
-	// predecoded fast path; the differential tests compare the two.
-	//
-	// Deprecated: set Engine to sim.Reference. When set it overrides
-	// Engine, preserving the old behavior for one release.
-	Reference bool
-	// NoBlocks disables the superblock translation engine, leaving the
-	// per-instruction predecoded fast path. The differential tests
-	// compare block execution against it.
-	//
-	// Deprecated: set Engine to sim.FastPath. When set it overrides
-	// Engine, preserving the old behavior for one release.
-	NoBlocks bool
 	// Attach, if non-nil, is called with the constructed CPU after the
 	// bare machine is assembled and before execution begins — the hook
 	// point for tracers, profilers, and metrics registries.
 	Attach func(c *cpu.CPU)
-}
-
-// engine resolves the deprecated boolean knobs against the Engine
-// field: the booleans win when set, so existing callers keep their
-// behavior until they migrate.
-func (opt RunOptions) engine() sim.Engine {
-	switch {
-	case opt.Reference:
-		return sim.Reference
-	case opt.NoBlocks:
-		return sim.FastPath
-	}
-	return opt.Engine
 }
 
 // RunMIPSWith is RunMIPS with the bare machine exposed: observers
@@ -96,7 +70,7 @@ func (opt RunOptions) engine() sim.Engine {
 // It is a thin veneer over the sim facade, kept for its compact result
 // shape; new code should use sim.New directly.
 func RunMIPSWith(im *isa.Image, maxSteps uint64, opt RunOptions) (RunResult, error) {
-	opts := []sim.Option{sim.WithEngine(opt.engine()), sim.WithInterlocked(opt.Interlocked)}
+	opts := []sim.Option{sim.WithEngine(opt.Engine), sim.WithInterlocked(opt.Interlocked)}
 	if opt.Attach != nil {
 		opts = append(opts, sim.WithAttach(opt.Attach))
 	}

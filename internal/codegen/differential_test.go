@@ -89,7 +89,7 @@ func runImage(t *testing.T, im *isa.Image, opt RunOptions, stepHook bool) machin
 	}
 	res, err := RunMIPSWith(im, 200_000_000, opt)
 	if err != nil {
-		t.Fatalf("run (reference=%v, noblocks=%v): %v", opt.Reference, opt.NoBlocks, err)
+		t.Fatalf("run (%s): %v", opt.Engine, err)
 	}
 	mh := fnv.New64a()
 	var word [4]byte
@@ -125,7 +125,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 				t.Fatalf("compile: %v", err)
 			}
 			fast := runImage(t, im, RunOptions{}, true)
-			ref := runImage(t, im, RunOptions{Reference: true}, true)
+			ref := runImage(t, im, RunOptions{Engine: sim.Reference}, true)
 			if fast.output != ref.output {
 				t.Errorf("output diverges:\n fast %q\n  ref %q", fast.output, ref.output)
 			}
@@ -164,7 +164,7 @@ func TestBlocksMatchFastPath(t *testing.T) {
 				t.Fatalf("compile: %v", err)
 			}
 			blk := runImage(t, im, RunOptions{Engine: sim.Blocks}, false)
-			fast := runImage(t, im, RunOptions{NoBlocks: true}, false)
+			fast := runImage(t, im, RunOptions{Engine: sim.FastPath}, false)
 			if blk.output != fast.output {
 				t.Errorf("output diverges:\n blocks %q\n   fast %q", blk.output, fast.output)
 			}
@@ -184,7 +184,7 @@ func TestBlocksMatchFastPath(t *testing.T) {
 				t.Error("block engine translated nothing; the comparison is vacuous")
 			}
 			if fast.trans.BlockTranslations != 0 {
-				t.Error("NoBlocks run built superblocks")
+				t.Error("fast-path run built superblocks")
 			}
 			chained += blk.trans.BlockChained
 		})
@@ -292,14 +292,12 @@ end.
 		switches uint32
 		stats    cpu.Stats
 	}
-	run := func(engine string) kernelImage {
+	run := func(engine cpu.Engine) kernelImage {
 		m, err := kernel.NewMachine(kernel.Config{TimerPeriod: 1000})
 		if err != nil {
 			t.Fatalf("machine: %v", err)
 		}
-		m.CPU.SetFastPath(engine != "reference")
-		m.CPU.SetBlocks(engine == "blocks" || engine == "traces")
-		m.CPU.SetTraces(engine == "traces")
+		m.CPU.SetEngine(engine)
 		if _, err := m.AddProcess(im, 16); err != nil {
 			t.Fatalf("add process: %v", err)
 		}
@@ -307,7 +305,7 @@ end.
 			t.Fatalf("add process: %v", err)
 		}
 		if _, err := m.Run(50_000_000); err != nil {
-			t.Fatalf("run (%s): %v", engine, err)
+			t.Fatalf("run (engine %d): %v", engine, err)
 		}
 		return kernelImage{
 			console:  m.ConsoleOutput(),
@@ -316,10 +314,10 @@ end.
 			stats:    m.CPU.Stats,
 		}
 	}
-	traces := run("traces")
-	blocks := run("blocks")
-	fast := run("fast")
-	ref := run("reference")
+	traces := run(cpu.EngineTraces)
+	blocks := run(cpu.EngineBlocks)
+	fast := run(cpu.EngineFast)
+	ref := run(cpu.EngineReference)
 	if fast != ref {
 		t.Errorf("kernel machines diverge:\n fast %+v\n  ref %+v", fast, ref)
 	}

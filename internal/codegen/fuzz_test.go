@@ -385,10 +385,10 @@ func TestFuzzSelfModifyDifferential(t *testing.T) {
 		// both engines see the identical store sequence: every few steps,
 		// rewrite a window of words around the current PC — including the
 		// word about to execute.
-		run := func(reference bool) RunResult {
+		run := func(engine sim.Engine) RunResult {
 			var steps uint64
 			res, err := RunMIPSWith(im, 200_000_000, RunOptions{
-				Reference: reference,
+				Engine: engine,
 				Attach: func(c *cpu.CPU) {
 					c.SetStepHook(func(pc uint32, in isa.Instr) {
 						steps++
@@ -405,12 +405,12 @@ func TestFuzzSelfModifyDifferential(t *testing.T) {
 				},
 			})
 			if err != nil {
-				t.Fatalf("seed %d (reference=%v): run: %v\n%s", seed, reference, err, src)
+				t.Fatalf("seed %d (%s): run: %v\n%s", seed, engine, err, src)
 			}
 			return res
 		}
-		fast := run(false)
-		ref := run(true)
+		fast := run(sim.FastPath)
+		ref := run(sim.Reference)
 		if fast.Output != want {
 			t.Fatalf("seed %d: fast path diverged under self-modification\n got %q\nwant %q\n%s",
 				seed, fast.Output, want, src)

@@ -401,7 +401,7 @@ func (c *CPU) runBlocks() (*block, bool) {
 	// 64-deep chain would otherwise starve it of both heat and
 	// dispatches (the chain's exit PCs cycle around a loop instead of
 	// revisiting one entry).
-	traceTier := c.traces && !c.trec.active && !dmaOn && !doTick &&
+	traceTier := c.engine == EngineTraces && !c.trec.active && !dmaOn && !doTick &&
 		!mapped && len(bus.devices) == 0
 
 	// Chained blocks execute back to back inside one Step while nothing

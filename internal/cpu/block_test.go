@@ -15,17 +15,15 @@ import (
 // exercising the tentpole.
 func TestBlocksLoopMatchesFastAndReference(t *testing.T) {
 	blk := loopCPU(200)
-	blk.SetTraces(false)
+	blk.SetEngine(EngineBlocks)
 	run(t, blk, 100_000)
 
 	fast := loopCPU(200)
-	fast.SetTraces(false)
-	fast.SetBlocks(false)
+	fast.SetEngine(EngineFast)
 	run(t, fast, 100_000)
 
 	ref := loopCPU(200)
-	ref.SetTraces(false)
-	ref.SetFastPath(false)
+	ref.SetEngine(EngineReference)
 	run(t, ref, 100_000)
 
 	if blk.Regs != fast.Regs || blk.Regs != ref.Regs {
@@ -91,12 +89,11 @@ func TestBlockSelfModifyStore(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const iters = 50
 			blk := selfModifyCPU(iters, tc.body, tc.storeTarget)
-			blk.SetTraces(false)
+			blk.SetEngine(EngineBlocks)
 			run(t, blk, 1_000_000)
 
 			fast := selfModifyCPU(iters, tc.body, tc.storeTarget)
-			fast.SetTraces(false)
-			fast.SetBlocks(false)
+			fast.SetEngine(EngineFast)
 			run(t, fast, 1_000_000)
 
 			if blk.Regs != fast.Regs {
@@ -134,7 +131,7 @@ func TestBlockSelfModifyStore(t *testing.T) {
 func TestBlockPatchBetweenSteps(t *testing.T) {
 	const iters = 1000
 	c := loopCPU(iters)
-	c.SetTraces(false)
+	c.SetEngine(EngineBlocks)
 	patched := false
 	var left uint32
 	for !c.Halted {
@@ -173,7 +170,7 @@ func TestBlockPatchBetweenSteps(t *testing.T) {
 func TestBlockDMAInvalidation(t *testing.T) {
 	build := func() *CPU {
 		c := loopCPU(5000)
-		c.SetTraces(false)
+		c.SetEngine(EngineBlocks)
 		dma := mem.NewDMA(c.Bus.MMU.Phys)
 		c.Bus.DMA = dma
 		// Dst 0 overwrites physical words 0..7: the loop's text range.
@@ -184,7 +181,7 @@ func TestBlockDMAInvalidation(t *testing.T) {
 	run(t, blk, 1_000_000)
 
 	fast := build()
-	fast.SetBlocks(false)
+	fast.SetEngine(EngineFast)
 	run(t, fast, 1_000_000)
 
 	if blk.Regs != fast.Regs {
@@ -212,14 +209,16 @@ func TestBlockDMAInvalidation(t *testing.T) {
 // execution must continue seamlessly from any Step boundary.
 func TestBlockEngineToggle(t *testing.T) {
 	c := loopCPU(300)
-	c.SetTraces(false)
-	on := true
+	c.SetEngine(EngineBlocks)
 	for !c.Halted {
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
 		}
-		on = !on
-		c.SetBlocks(on)
+		if c.Engine() == EngineBlocks {
+			c.SetEngine(EngineFast)
+		} else {
+			c.SetEngine(EngineBlocks)
+		}
 	}
 	if c.Regs[2] != 1500 {
 		t.Errorf("r2 = %d, want 1500", c.Regs[2])

@@ -20,14 +20,16 @@
 // auditor (SetAudit) records load-use violations so tests can prove
 // schedules legal.
 //
-// Execution has two observably identical engines: the reference
-// interpreter (execWord), which re-reads the instruction word's pieces
-// every cycle, and a predecoded fast path (predecode.go) that caches a
-// flat executable record per physical instruction address — the paper's
-// own move of hoisting work out of the dynamic hot path, applied to the
-// simulator itself. The fast path is the default; SetFastPath(false)
-// selects the reference engine, and the differential tests hold the two
-// to identical statistics, memory images, and trace event streams.
+// Execution has four observably identical engines, selected per CPU by
+// SetEngine: the reference interpreter (execWord), which re-reads the
+// instruction word's pieces every cycle; a predecoded fast path
+// (predecode.go) that caches a flat executable record per physical
+// instruction address — the paper's own move of hoisting work out of the
+// dynamic hot path, applied to the simulator itself; the superblock
+// engine (block.go) layered on it; and the trace tier (trace_form.go)
+// layered on that. New starts on the trace tier, and the differential
+// tests hold all four to identical statistics, memory images, and trace
+// event streams.
 package cpu
 
 import (
@@ -107,19 +109,19 @@ type CPU struct {
 	stage  [maxStagedWrites]regWrite
 	nstage int
 
-	// fastpath selects the predecoded execution engine; pd is its cache
-	// of flat executable records, direct-mapped by physical word address.
-	fastpath bool
-	pd       []decoded
-	pdMask   uint32
+	// engine selects the execution engine (SetEngine).
+	engine Engine
 
-	// blocks selects the superblock engine layered above the fast path
-	// (block.go). bc is its direct-mapped cache of translated blocks,
-	// liveBlocks the dense list the write barrier walks, codeBits the
-	// coverage bitmap the barrier prefilters with, lastBlk the chain
-	// source for the next block entry, and barrierOn records that the
-	// physical-memory write barrier has been installed.
-	blocks     bool
+	// pd is the fast path's cache of flat executable records,
+	// direct-mapped by physical word address.
+	pd     []decoded
+	pdMask uint32
+
+	// bc is the superblock engine's direct-mapped cache of translated
+	// blocks (block.go), liveBlocks the dense list the write barrier
+	// walks, codeBits the coverage bitmap the barrier prefilters with,
+	// lastBlk the chain source for the next block entry, and barrierOn
+	// records that the physical-memory write barrier has been installed.
 	bc         []*block
 	bcMask     uint32
 	liveBlocks []*block
@@ -131,15 +133,13 @@ type CPU struct {
 	// one Step may execute; see SetChainFollow.
 	chainFollow int
 
-	// traces selects the trace JIT tier layered above the superblock
-	// engine (trace_form.go, trace_compile.go, tracecache.go). tc is
-	// its direct-mapped cache of compiled traces, liveTraces the dense
-	// list the write barrier walks, heat the per-entry-PC hotness
+	// tc is the trace tier's direct-mapped cache of compiled traces
+	// (trace_form.go, trace_compile.go, tracecache.go), liveTraces the
+	// dense list the write barrier walks, heat the per-entry-PC hotness
 	// counters that trigger formation, trec the in-flight path
 	// recording. trOvfOn is the overflow-enable latch the dispatch loop
 	// sets for the compiled ops, and trCur the trace running them (whose
 	// valid flag a self-invalidating store checks).
-	traces     bool
 	tc         []*trace
 	liveTraces []*trace
 	heat       []heatEntry
@@ -148,8 +148,9 @@ type CPU struct {
 	trCur      *trace
 
 	// Trans counts translation-layer behavior (predecode and superblock
-	// caches). It lives outside Stats so the execution engines remain
-	// statistics-identical under the differential tests.
+	// caches) since the CPU was built or last restored. It lives outside
+	// Stats so the execution engines remain statistics-identical under
+	// the differential tests.
 	Trans TranslationStats
 
 	seq     uint64
@@ -183,33 +184,32 @@ type delayedWrite struct {
 	commitAt uint64
 }
 
-// defaultBlocks, defaultFastPath, and defaultTraces are the engine
-// settings newly built CPUs start with; the setters let command-line
-// tools apply an engine flag to machines they do not construct directly
-// (package sim's SetDefault drives all three).
-var (
-	defaultBlocks   = true
-	defaultFastPath = true
-	defaultTraces   = true
+// Engine selects how a CPU executes instructions. Each engine layers on
+// the one before it and falls back to it at an exact instruction
+// boundary; all four are observably identical.
+type Engine uint8
+
+const (
+	// EngineReference is the reference interpreter, the oracle the
+	// differential tests compare the others against.
+	EngineReference Engine = iota
+	// EngineFast is the predecoded per-instruction fast path.
+	EngineFast
+	// EngineBlocks adds the superblock engine above the fast path;
+	// per-step tracers (SetStepHook) and Interlocked mode suspend it.
+	EngineBlocks
+	// EngineTraces adds the trace tier above the superblock engine.
+	// Traces form only in the quiet machine configuration (unmapped, no
+	// devices, no DMA, no tickers) and every deviation bails tier by
+	// tier — trace to superblock to fast path to reference.
+	EngineTraces
 )
-
-// SetDefaultBlocks sets whether CPUs built by New start with the
-// superblock engine enabled.
-func SetDefaultBlocks(on bool) { defaultBlocks = on }
-
-// SetDefaultFastPath sets whether CPUs built by New start with the
-// predecoded fast path enabled.
-func SetDefaultFastPath(on bool) { defaultFastPath = on }
-
-// SetDefaultTraces sets whether CPUs built by New start with the trace
-// JIT tier enabled.
-func SetDefaultTraces(on bool) { defaultTraces = on }
 
 // New builds a CPU over the given bus, starting at word address 0 in
 // supervisor state with mapping and interrupts disabled — the power-up
-// reset condition. The predecoded fast path is enabled.
+// reset condition. It starts on EngineTraces.
 func New(bus *Bus) *CPU {
-	c := &CPU{Bus: bus, fastpath: defaultFastPath, blocks: defaultBlocks, traces: defaultTraces}
+	c := &CPU{Bus: bus, engine: EngineTraces}
 	c.Sur = c.Sur.SetSupervisor(true)
 	c.pcq[0], c.pcn = 0, 1
 	c.pd = make([]decoded, pdMinEntries)
@@ -231,33 +231,11 @@ func (c *CPU) Reset() {
 	c.intLine = false
 }
 
-// SetFastPath selects between the predecoded fast path (the default)
-// and the reference interpreter. The two engines are observably
-// identical; the reference path exists as the baseline the differential
-// tests compare against.
-func (c *CPU) SetFastPath(on bool) { c.fastpath = on }
+// SetEngine selects the execution engine. It may change between Steps.
+func (c *CPU) SetEngine(e Engine) { c.engine = e }
 
-// FastPath reports whether the predecoded fast path is active.
-func (c *CPU) FastPath() bool { return c.fastpath }
-
-// SetBlocks selects whether the superblock engine may run. It layers
-// on the fast path, so SetFastPath(false) also disables it; per-step
-// tracers (SetStepHook) and Interlocked mode suspend it automatically.
-func (c *CPU) SetBlocks(on bool) { c.blocks = on }
-
-// Blocks reports whether the superblock engine is enabled.
-func (c *CPU) Blocks() bool { return c.blocks }
-
-// SetTraces selects whether the trace JIT tier may run. It layers on
-// the superblock engine, so SetBlocks(false) or SetFastPath(false) also
-// disables it; traces form only in the quiet machine configuration
-// (unmapped, no devices, no DMA, no tickers) and every deviation bails
-// tier by tier — trace to superblock to fast path to reference — at an
-// exact instruction boundary.
-func (c *CPU) SetTraces(on bool) { c.traces = on }
-
-// Traces reports whether the trace JIT tier is enabled.
-func (c *CPU) Traces() bool { return c.traces }
+// Engine reports the execution engine.
+func (c *CPU) Engine() Engine { return c.engine }
 
 // SetChainFollow tunes how many chained blocks (or chained traces) one
 // Step may execute before returning, bounding how much work Run's step
@@ -557,9 +535,9 @@ func (c *CPU) Step() error {
 	// one tier up, a compiled multi-block trace. Per-step tracers and
 	// interlock mode need per-instruction stepping, and a false return
 	// (unresolvable entry) falls through tier by tier to the exact path.
-	if c.blocks && c.fastpath && !c.Interlocked && c.onStep == nil &&
+	if c.engine >= EngineBlocks && !c.Interlocked && c.onStep == nil &&
 		c.queueSequential() {
-		if c.traces && c.stepTraces() {
+		if c.engine == EngineTraces && c.stepTraces() {
 			return nil
 		}
 		i0 := c.Stats.Instructions
@@ -583,7 +561,7 @@ func (c *CPU) Step() error {
 	}
 
 	pc := c.pcq[0]
-	if c.fastpath {
+	if c.engine != EngineReference {
 		i0 := c.Stats.Instructions
 		c.stepFast(pc)
 		c.Trans.TierInstrs[TierFast] += c.Stats.Instructions - i0

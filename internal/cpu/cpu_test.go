@@ -507,7 +507,7 @@ func TestInterruptTakenBetweenInstructions(t *testing.T) {
 	// instructions, which needs per-instruction Step granularity; the
 	// superblock engine would run the whole straight-line block in the
 	// first Step, before the line rises.
-	c.SetBlocks(false)
+	c.SetEngine(EngineFast)
 	c.SetPC(3)
 	if err := c.Step(); err != nil { // executes instr 3
 		t.Fatal(err)

@@ -129,7 +129,7 @@ func TestDeoptTaxonomyPartition(t *testing.T) {
 // as an invalidation deopt, not any other reason.
 func TestDeoptInvalidationReason(t *testing.T) {
 	c := descendingStoreCPU(280, 286)
-	c.SetTraces(true)
+	c.SetEngine(EngineTraces)
 	c.SetChainFollow(1)
 	run(t, c, 1_000_000)
 	if c.Trans.TraceInvalidations == 0 {
@@ -160,8 +160,7 @@ func TestTierResidency(t *testing.T) {
 	}
 
 	fast := loopCPU(1000)
-	fast.SetTraces(false)
-	fast.SetBlocks(false)
+	fast.SetEngine(EngineFast)
 	run(t, fast, 1_000_000)
 	if fast.Trans.TierInstrs[TierFast] != fast.Stats.Instructions {
 		t.Errorf("fast-only run: tier fast %d, want all %d",
@@ -169,9 +168,7 @@ func TestTierResidency(t *testing.T) {
 	}
 
 	ref := loopCPU(1000)
-	ref.SetTraces(false)
-	ref.SetBlocks(false)
-	ref.SetFastPath(false)
+	ref.SetEngine(EngineReference)
 	run(t, ref, 1_000_000)
 	if ref.Trans.TierInstrs[TierReference] != ref.Stats.Instructions {
 		t.Errorf("reference run: tier reference %d, want all %d",
@@ -230,7 +227,7 @@ func TestJITEventHook(t *testing.T) {
 // hot loop block and its execs line up with residency being nonzero.
 func TestBlockSitesHeatmap(t *testing.T) {
 	c := loopCPU(2000)
-	c.SetTraces(false)
+	c.SetEngine(EngineBlocks)
 	run(t, c, 1_000_000)
 	sites := c.BlockSites()
 	if len(sites) == 0 {

@@ -28,7 +28,7 @@ func TestFastPathLoopMatchesReference(t *testing.T) {
 	fast := loopCPU(100)
 	run(t, fast, 10_000)
 	ref := loopCPU(100)
-	ref.SetFastPath(false)
+	ref.SetEngine(EngineReference)
 	run(t, ref, 10_000)
 	if fast.Regs != ref.Regs {
 		t.Errorf("registers diverge:\n fast %v\n  ref %v", fast.Regs, ref.Regs)
@@ -68,7 +68,7 @@ func TestPredecodeSeesInstructionRewrite(t *testing.T) {
 		t.Errorf("r2 = %d, want %d (stale predecode record executed)", c.Regs[2], want)
 	}
 	ref := loopCPU(100)
-	ref.SetFastPath(false)
+	ref.SetEngine(EngineReference)
 	patchLoop(ref)
 	run(t, ref, 10_000)
 	if ref.Regs != c.Regs || ref.Stats != c.Stats {
@@ -108,20 +108,16 @@ func TestPredecodeSurvivesLoadImageReuse(t *testing.T) {
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		fast   bool
-		blocks bool
-		traces bool
+		engine Engine
 	}{
-		{"traces", true, true, true},
-		{"blocks", true, true, false},
-		{"fast", true, false, false},
-		{"reference", false, false, false},
+		{"traces", EngineTraces},
+		{"blocks", EngineBlocks},
+		{"fast", EngineFast},
+		{"reference", EngineReference},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := loopCPU(2_000_000)
-			c.SetFastPath(tc.fast)
-			c.SetBlocks(tc.blocks)
-			c.SetTraces(tc.traces)
+			c.SetEngine(tc.engine)
 			// Warm up: caches filled, pending-write slices at capacity.
 			// 128 steps carries the traces case past heat-counter
 			// saturation, recording, and compilation, so measurement sees
@@ -131,7 +127,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if tc.traces && c.Trans.TraceCompiled == 0 {
+			if tc.engine == EngineTraces && c.Trans.TraceCompiled == 0 {
 				t.Fatal("warmup did not compile a trace; the measurement would be vacuous")
 			}
 			avg := testing.AllocsPerRun(1000, func() {
@@ -154,7 +150,11 @@ func TestFastPathToggle(t *testing.T) {
 	c.SetStepHook(func(pc uint32, in isa.Instr) {
 		n++
 		if n%7 == 0 {
-			c.SetFastPath(!c.FastPath())
+			if c.Engine() == EngineReference {
+				c.SetEngine(EngineFast)
+			} else {
+				c.SetEngine(EngineReference)
+			}
 		}
 	})
 	run(t, c, 10_000)

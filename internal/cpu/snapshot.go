@@ -10,10 +10,10 @@ import (
 // State is the complete architectural state of the processor at an
 // instruction boundary: everything a restored CPU needs to continue the
 // exact event stream of the original. The translation caches (predecode
-// records, superblocks, and the staging area) are deliberately absent —
-// they are derived state, rebuilt on demand, and dropping them cannot
-// change observable behavior (Trans counts live outside Stats for the
-// same reason).
+// records, superblocks, traces, and the staging area) are deliberately
+// absent — they are derived state, rebuilt on demand, and dropping them
+// cannot change observable behavior. So are the counters that describe
+// them (Trans).
 type State struct {
 	Regs [isa.NumRegs]uint32
 	Lo   uint32
@@ -36,7 +36,6 @@ type State struct {
 	Interlocked bool
 
 	Stats Stats
-	Trans TranslationStats
 
 	// IMem is the full instruction memory, physically indexed.
 	IMem []isa.Instr
@@ -70,7 +69,6 @@ func (c *CPU) CaptureState() State {
 		Halted:      c.Halted,
 		Interlocked: c.Interlocked,
 		Stats:       c.Stats,
-		Trans:       c.Trans,
 	}
 	for i := 0; i < c.pendN; i++ {
 		w := c.pend[i]
@@ -88,10 +86,11 @@ func (c *CPU) CaptureState() State {
 }
 
 // RestoreState replaces the processor's architectural state with a
-// previous capture. The predecode, superblock, and trace caches are dropped —
-// they rebuild against the restored instruction memory — so the restored
-// machine produces the exact event stream the original would have,
-// though its translation-layer counters (Trans) diverge by the warm-up.
+// previous capture. The predecode, superblock, and trace caches are
+// dropped — they rebuild against the restored instruction memory — so
+// the restored machine produces the exact event stream the original
+// would have. The translation-layer counters (Trans) restart from zero
+// with the caches they describe.
 func (c *CPU) RestoreState(st State) error {
 	if st.PCN < 1 || st.PCN > pcqCap {
 		return fmt.Errorf("cpu: restore: fetch queue depth %d out of range", st.PCN)
@@ -116,7 +115,6 @@ func (c *CPU) RestoreState(st State) error {
 	c.Halted = st.Halted
 	c.Interlocked = st.Interlocked
 	c.Stats = st.Stats
-	c.Trans = st.Trans
 	c.nstage = 0
 	c.IMem = make([]isa.Instr, len(st.IMem))
 	copy(c.IMem, st.IMem)
@@ -128,5 +126,6 @@ func (c *CPU) RestoreState(st State) error {
 	c.InvalidateDecoded()
 	c.InvalidateTraces()
 	c.InvalidateBlocks()
+	c.Trans = TranslationStats{}
 	return nil
 }

@@ -151,9 +151,9 @@ func cloneWord(in isa.Instr) isa.Instr {
 // wrong word somewhere along the way.
 func TestTraceReformAliasing(t *testing.T) {
 	const n = 20_000
-	run := func(traces bool) (*CPU, uint64, int) {
+	run := func(e Engine) (*CPU, uint64, int) {
 		c := lfsrIndirectCPU(n)
-		c.SetTraces(traces)
+		c.SetEngine(e)
 		h := attachEventHash(c)
 		sched := uint32(0x9E3779B9)
 		next := uint64(0)
@@ -176,8 +176,8 @@ func TestTraceReformAliasing(t *testing.T) {
 		}
 		return c, h.sum.Sum64(), patches
 	}
-	trc, trcHash, patches := run(true)
-	blk, blkHash, _ := run(false)
+	trc, trcHash, patches := run(EngineTraces)
+	blk, blkHash, _ := run(EngineBlocks)
 
 	if trc.Regs != blk.Regs {
 		t.Errorf("registers diverge:\n traces %v\n blocks %v", trc.Regs, blk.Regs)

@@ -84,18 +84,15 @@ func TestSideTraceLFSRBranch(t *testing.T) {
 	run(t, trc, 1_000_000)
 
 	blk := lfsrBranchCPU(n)
-	blk.SetTraces(false)
+	blk.SetEngine(EngineBlocks)
 	run(t, blk, 1_000_000)
 
 	fast := lfsrBranchCPU(n)
-	fast.SetTraces(false)
-	fast.SetBlocks(false)
+	fast.SetEngine(EngineFast)
 	run(t, fast, 1_000_000)
 
 	ref := lfsrBranchCPU(n)
-	ref.SetTraces(false)
-	ref.SetBlocks(false)
-	ref.SetFastPath(false)
+	ref.SetEngine(EngineReference)
 	run(t, ref, 1_000_000)
 
 	if trc.Regs != blk.Regs || trc.Regs != fast.Regs || trc.Regs != ref.Regs {
@@ -246,18 +243,15 @@ func TestInlineCacheLFSRIndirect(t *testing.T) {
 	run(t, trc, 1_000_000)
 
 	blk := lfsrIndirectCPU(n)
-	blk.SetTraces(false)
+	blk.SetEngine(EngineBlocks)
 	run(t, blk, 1_000_000)
 
 	fast := lfsrIndirectCPU(n)
-	fast.SetTraces(false)
-	fast.SetBlocks(false)
+	fast.SetEngine(EngineFast)
 	run(t, fast, 1_000_000)
 
 	ref := lfsrIndirectCPU(n)
-	ref.SetTraces(false)
-	ref.SetBlocks(false)
-	ref.SetFastPath(false)
+	ref.SetEngine(EngineReference)
 	run(t, ref, 1_000_000)
 
 	if trc.Regs != blk.Regs || trc.Regs != fast.Regs || trc.Regs != ref.Regs {

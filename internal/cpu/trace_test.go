@@ -12,7 +12,7 @@ import (
 // reads at the call site next to blocksCPU/fast/reference variants.
 func tracesCPU(n int32) *CPU {
 	c := loopCPU(n)
-	c.SetTraces(true)
+	c.SetEngine(EngineTraces)
 	return c
 }
 
@@ -27,18 +27,15 @@ func TestTracesLoopMatchesBlocks(t *testing.T) {
 	run(t, trc, 1_000_000)
 
 	blk := loopCPU(6000)
-	blk.SetTraces(false)
+	blk.SetEngine(EngineBlocks)
 	run(t, blk, 1_000_000)
 
 	fast := loopCPU(6000)
-	fast.SetTraces(false)
-	fast.SetBlocks(false)
+	fast.SetEngine(EngineFast)
 	run(t, fast, 1_000_000)
 
 	ref := loopCPU(6000)
-	ref.SetTraces(false)
-	ref.SetBlocks(false)
-	ref.SetFastPath(false)
+	ref.SetEngine(EngineReference)
 	run(t, ref, 1_000_000)
 
 	if trc.Regs != blk.Regs || trc.Regs != fast.Regs || trc.Regs != ref.Regs {
@@ -96,7 +93,7 @@ func descendingStoreCPU(iters, base int32) *CPU {
 func TestTraceSelfModifyStore(t *testing.T) {
 	const iters, base = 280, 286
 	trc := descendingStoreCPU(iters, base)
-	trc.SetTraces(true)
+	trc.SetEngine(EngineTraces)
 	// Chain depth 1 makes every loop iteration its own Step, so the
 	// heat counter warms in tens of iterations instead of thousands;
 	// chain depth is pure dispatch and never changes architecture.
@@ -104,8 +101,7 @@ func TestTraceSelfModifyStore(t *testing.T) {
 	run(t, trc, 1_000_000)
 
 	fast := descendingStoreCPU(iters, base)
-	fast.SetTraces(false)
-	fast.SetBlocks(false)
+	fast.SetEngine(EngineFast)
 	run(t, fast, 1_000_000)
 
 	if trc.Regs != fast.Regs {
@@ -137,7 +133,7 @@ func TestTraceSelfModifyStore(t *testing.T) {
 func TestTraceDMAQuietGuard(t *testing.T) {
 	build := func() *CPU {
 		c := loopCPU(5000)
-		c.SetTraces(true)
+		c.SetEngine(EngineTraces)
 		dma := mem.NewDMA(c.Bus.MMU.Phys)
 		c.Bus.DMA = dma
 		// Dst 0 overwrites physical words 0..7: the loop's text range.
@@ -148,8 +144,7 @@ func TestTraceDMAQuietGuard(t *testing.T) {
 	run(t, trc, 1_000_000)
 
 	fast := build()
-	fast.SetTraces(false)
-	fast.SetBlocks(false)
+	fast.SetEngine(EngineFast)
 	run(t, fast, 1_000_000)
 
 	if trc.Regs != fast.Regs {
@@ -213,13 +208,15 @@ func TestTracePatchBetweenSteps(t *testing.T) {
 // continue seamlessly from any Step boundary.
 func TestTraceEngineToggle(t *testing.T) {
 	c := tracesCPU(3000)
-	on := true
 	for !c.Halted {
 		if err := c.Step(); err != nil {
 			t.Fatal(err)
 		}
-		on = !on
-		c.SetTraces(on)
+		if c.Engine() == EngineTraces {
+			c.SetEngine(EngineBlocks)
+		} else {
+			c.SetEngine(EngineTraces)
+		}
 	}
 	if c.Regs[2] != 15000 {
 		t.Errorf("r2 = %d, want 15000", c.Regs[2])

@@ -8,11 +8,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"os"
 	"testing"
 
-	"mips/internal/codegen"
-	"mips/internal/corpus"
-	"mips/internal/reorg"
 	"mips/internal/sim"
 )
 
@@ -99,27 +97,11 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 	})
 }
 
-// FuzzRestore hammers Restore with arbitrary bytes (seeded with a real
-// snapshot and its truncations); it must return an error or a machine,
-// never panic.
+// FuzzRestore hammers Restore with arbitrary bytes (seeded with the
+// golden version-6 snapshot and its truncations); it must return an
+// error or a machine, never panic.
 func FuzzRestore(f *testing.F) {
-	p, err := corpus.Get("fib")
-	if err != nil {
-		f.Fatal(err)
-	}
-	im, _, err := codegen.CompileMIPS(p.Source, codegen.MIPSOptions{}, reorg.All())
-	if err != nil {
-		f.Fatal(err)
-	}
-	m, err := sim.New(sim.WithEngine(sim.FastPath))
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := m.Load(im); err != nil {
-		f.Fatal(err)
-	}
-	m.RunSteps(500)
-	snap, err := m.SnapshotBytes()
+	snap, err := os.ReadFile(fixturePath)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -78,17 +78,13 @@ func ParseEngine(s string) (Engine, error) {
 var defaultEngine = Traces
 
 // SetDefault sets the process-wide default engine: what Engine(0)
-// resolves to, and what CPUs constructed outside the facade start with.
-// Call it from main before building machines; it is not synchronized
-// against concurrent machine construction. Passing Default is a no-op.
+// resolves to. Call it from main before building machines; it is not
+// synchronized against concurrent machine construction. Passing Default
+// is a no-op.
 func SetDefault(e Engine) {
-	if e == Default {
-		return
+	if e != Default {
+		defaultEngine = e
 	}
-	defaultEngine = e
-	cpu.SetDefaultFastPath(e != Reference)
-	cpu.SetDefaultBlocks(e == Blocks || e == Traces)
-	cpu.SetDefaultTraces(e == Traces)
 }
 
 // resolve maps Default to the current process-wide default.
@@ -99,24 +95,6 @@ func (e Engine) resolve() Engine {
 	return e
 }
 
-// apply configures a CPU for the engine.
-func (e Engine) apply(c *cpu.CPU) {
-	switch e.resolve() {
-	case Reference:
-		c.SetFastPath(false)
-		c.SetBlocks(false)
-		c.SetTraces(false)
-	case FastPath:
-		c.SetFastPath(true)
-		c.SetBlocks(false)
-		c.SetTraces(false)
-	case Blocks:
-		c.SetFastPath(true)
-		c.SetBlocks(true)
-		c.SetTraces(false)
-	default:
-		c.SetFastPath(true)
-		c.SetBlocks(true)
-		c.SetTraces(true)
-	}
-}
+// apply configures a CPU for the engine. Reference through Traces list
+// the cpu engines in their order.
+func (e Engine) apply(c *cpu.CPU) { c.SetEngine(cpu.Engine(e.resolve() - Reference)) }

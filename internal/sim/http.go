@@ -30,9 +30,7 @@ import (
 //	GET    /v1/templates/{name}      one template's metadata
 //	DELETE /v1/templates/{name}      delete a template (live forks keep running)
 //
-// The legacy unversioned /jobs paths remain mounted as thin aliases for
-// one release (see the README deprecation note); new clients should use
-// /v1. Every error response is one JSON envelope:
+// Every error response is one JSON envelope:
 //
 //	{"error": "human-readable message", "code": "machine_readable_code"}
 //
@@ -102,7 +100,7 @@ type templateRequest struct {
 	Timer       uint32 `json:"timer"`        // kernel timer period (implies kernel)
 	Processes   int    `json:"processes"`    // kernel: copies of the program (default 1)
 	SpaceBits   uint8  `json:"space_bits"`   // kernel address-space size (default 16)
-	WarmupSteps uint64 `json:"warmup_steps"` // steps to run before capture (heat tables re-form fast in forks)
+	WarmupSteps uint64 `json:"warmup_steps"` // steps to run before capture
 }
 
 // jobListPage is the GET /v1/jobs response envelope.
@@ -117,8 +115,7 @@ type templateList struct {
 	Templates []TemplateInfo `json:"templates"`
 }
 
-// Handler returns the job service's HTTP API (both the /v1 surface and
-// the legacy unversioned aliases).
+// Handler returns the job service's HTTP API, the /v1 surface.
 func (s *Service) Handler(cfg HTTPConfig) http.Handler {
 	if cfg.Templates == nil {
 		cfg.Templates = NewTemplatePool()
@@ -126,7 +123,6 @@ func (s *Service) Handler(cfg HTTPConfig) http.Handler {
 	h := &jobHandler{svc: s, cfg: cfg}
 	mux := http.NewServeMux()
 
-	// Versioned surface.
 	mux.HandleFunc("POST /v1/jobs", h.submit)
 	mux.HandleFunc("POST /v1/jobs/{$}", h.submit)
 	mux.HandleFunc("GET /v1/jobs", h.list)
@@ -143,18 +139,6 @@ func (s *Service) Handler(cfg HTTPConfig) http.Handler {
 	mux.HandleFunc("GET /v1/templates/{name}", h.templateGet)
 	mux.HandleFunc("DELETE /v1/templates/{name}", h.templateDelete)
 
-	// Legacy unversioned aliases, kept for one release. The legacy list
-	// keeps its original bare-array shape; everything else shares the
-	// /v1 handlers.
-	mux.HandleFunc("POST /jobs", h.submit)
-	mux.HandleFunc("POST /jobs/{$}", h.submit)
-	mux.HandleFunc("GET /jobs", h.legacyList)
-	mux.HandleFunc("GET /jobs/{$}", h.legacyList)
-	mux.HandleFunc("GET /jobs/{id}", h.status)
-	mux.HandleFunc("GET /jobs/{id}/output", h.output)
-	mux.HandleFunc("GET /jobs/{id}/profile", h.profile)
-	mux.HandleFunc("GET /jobs/{id}/snapshot", h.snapshot)
-	mux.HandleFunc("POST /jobs/{id}/cancel", h.cancel)
 	return mux
 }
 
@@ -356,17 +340,6 @@ func (h *jobHandler) list(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, page)
-}
-
-// legacyList preserves the unversioned GET /jobs shape — a bare status
-// array, no filtering — for the deprecation window.
-func (h *jobHandler) legacyList(w http.ResponseWriter, r *http.Request) {
-	jobs := h.svc.Jobs()
-	out := make([]Status, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.Status())
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 func (h *jobHandler) job(w http.ResponseWriter, r *http.Request) *Job {

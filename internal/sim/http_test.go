@@ -99,7 +99,7 @@ func (h *httpHarness) get(path string) (*http.Response, []byte) {
 // submit posts a job and returns its status.
 func (h *httpHarness) submit(req map[string]any) sim.Status {
 	h.t.Helper()
-	resp, body := h.postJSON("/jobs", req)
+	resp, body := h.postJSON("/v1/jobs", req)
 	if resp.StatusCode != http.StatusAccepted {
 		h.t.Fatalf("submit: status %d: %s", resp.StatusCode, body)
 	}
@@ -115,7 +115,7 @@ func (h *httpHarness) waitDone(id string) sim.Status {
 	h.t.Helper()
 	deadline := time.Now().Add(2 * time.Minute)
 	for time.Now().Before(deadline) {
-		resp, body := h.get("/jobs/" + id)
+		resp, body := h.get("/v1/jobs/" + id)
 		if resp.StatusCode != http.StatusOK {
 			h.t.Fatalf("status %s: %d: %s", id, resp.StatusCode, body)
 		}
@@ -137,10 +137,10 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	h := newHTTPHarness(t, sim.ServiceConfig{Workers: 2, Quantum: 500})
 
 	// Unknown program and bad engine are rejected eagerly.
-	if resp, _ := h.postJSON("/jobs", map[string]any{"program": "nope"}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := h.postJSON("/v1/jobs", map[string]any{"program": "nope"}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown program: status %d", resp.StatusCode)
 	}
-	if resp, _ := h.postJSON("/jobs", map[string]any{"program": "fib", "engine": "warp"}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := h.postJSON("/v1/jobs", map[string]any{"program": "fib", "engine": "warp"}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad engine: status %d", resp.StatusCode)
 	}
 
@@ -150,7 +150,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	if final.State != "done" {
 		t.Fatalf("job state = %s (%s)", final.State, final.Error)
 	}
-	resp, out := h.get("/jobs/" + st.ID + "/output")
+	resp, out := h.get("/v1/jobs/" + st.ID + "/output")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("output: status %d", resp.StatusCode)
 	}
@@ -161,7 +161,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 
 	// The terminal job still snapshots; resubmitting the snapshot runs
 	// to the same output (it is already halted, so it finishes at once).
-	resp, snap := h.get("/jobs/" + st.ID + "/snapshot")
+	resp, snap := h.get("/v1/jobs/" + st.ID + "/snapshot")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot: status %d", resp.StatusCode)
 	}
@@ -175,20 +175,20 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	}
 
 	// The listing shows both jobs.
-	resp, body := h.get("/jobs")
+	resp, body := h.get("/v1/jobs")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("list: status %d", resp.StatusCode)
 	}
-	var list []sim.Status
+	var list struct{ Jobs []sim.Status }
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatal(err)
 	}
-	if len(list) != 2 {
-		t.Errorf("listing has %d jobs, want 2", len(list))
+	if len(list.Jobs) != 2 {
+		t.Errorf("listing has %d jobs, want 2", len(list.Jobs))
 	}
 
 	// Unknown job IDs 404.
-	if resp, _ := h.get("/jobs/job-999"); resp.StatusCode != http.StatusNotFound {
+	if resp, _ := h.get("/v1/jobs/job-999"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: status %d", resp.StatusCode)
 	}
 }
@@ -201,7 +201,7 @@ func TestHTTPSnapshotMidRunMigratesEngines(t *testing.T) {
 	var snap []byte
 	deadline := time.Now().Add(time.Minute)
 	for {
-		resp, body := h.get("/jobs/" + st.ID + "/snapshot")
+		resp, body := h.get("/v1/jobs/" + st.ID + "/snapshot")
 		if resp.StatusCode == http.StatusOK {
 			snap = body
 			break
@@ -232,7 +232,7 @@ func TestHTTPCancelAndBackpressure(t *testing.T) {
 	longjob := map[string]any{"program": "spin", "engine": "reference", "max_steps": uint64(200_000_000)}
 	a := h.submit(longjob)
 	b := h.submit(longjob)
-	resp, _ := h.postJSON("/jobs", longjob)
+	resp, _ := h.postJSON("/v1/jobs", longjob)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("overflow submit: status %d, want 429", resp.StatusCode)
 	}
@@ -242,7 +242,7 @@ func TestHTTPCancelAndBackpressure(t *testing.T) {
 
 	// Cancel both over the wire.
 	for _, id := range []string{a.ID, b.ID} {
-		resp, body := h.postJSON("/jobs/"+id+"/cancel", nil)
+		resp, body := h.postJSON("/v1/jobs/"+id+"/cancel", nil)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("cancel %s: status %d: %s", id, resp.StatusCode, body)
 		}
@@ -267,14 +267,14 @@ func TestHTTPKernelJob(t *testing.T) {
 	}
 
 	// processes > 1 without kernel is a 400.
-	if resp, _ := h.postJSON("/jobs", map[string]any{"program": "fib", "processes": 2}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := h.postJSON("/v1/jobs", map[string]any{"program": "fib", "processes": 2}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bare multi-process: status %d, want 400", resp.StatusCode)
 	}
 }
 
 // TestHTTPTenantAndProfile covers the fleet-facing request fields: a
 // tenant label that survives into status, a profiled job whose folded
-// stacks are served at /jobs/{id}/profile, and the 409 for jobs that
+// stacks are served at /v1/jobs/{id}/profile, and the 409 for jobs that
 // were not profiled.
 func TestHTTPTenantAndProfile(t *testing.T) {
 	h := newHTTPHarness(t, sim.ServiceConfig{Workers: 2, Quantum: 500})
@@ -291,7 +291,7 @@ func TestHTTPTenantAndProfile(t *testing.T) {
 		t.Errorf("final status tenant = %q, want acme", final.Tenant)
 	}
 
-	resp, body := h.get("/jobs/" + st.ID + "/profile")
+	resp, body := h.get("/v1/jobs/" + st.ID + "/profile")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("profile status = %d: %s", resp.StatusCode, body)
 	}
@@ -314,7 +314,7 @@ func TestHTTPTenantAndProfile(t *testing.T) {
 		t.Errorf("default tenant = %q, want %q", plain.Tenant, sim.DefaultTenant)
 	}
 	h.waitDone(plain.ID)
-	if resp, _ := h.get("/jobs/" + plain.ID + "/profile"); resp.StatusCode != http.StatusConflict {
+	if resp, _ := h.get("/v1/jobs/" + plain.ID + "/profile"); resp.StatusCode != http.StatusConflict {
 		t.Errorf("unprofiled job profile status = %d, want 409", resp.StatusCode)
 	}
 }

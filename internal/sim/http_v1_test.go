@@ -66,14 +66,12 @@ func TestHTTPErrorEnvelope(t *testing.T) {
 	h := newHTTPHarness(t, sim.ServiceConfig{Workers: 1, QueueDepth: 1, Quantum: 100})
 
 	// bad_spec: unknown program, bad engine, malformed body, conflicting
-	// sources — on both the /v1 and legacy paths.
-	for _, path := range []string{"/v1/jobs", "/jobs"} {
-		resp, body := h.postJSON(path, map[string]any{"program": "nope"})
-		if resp.StatusCode != http.StatusBadRequest || h.errCode(body) != sim.CodeBadSpec {
-			t.Errorf("%s unknown program: status %d code %q, want 400 %q", path, resp.StatusCode, h.errCode(body), sim.CodeBadSpec)
-		}
+	// sources.
+	resp, body := h.postJSON("/v1/jobs", map[string]any{"program": "nope"})
+	if resp.StatusCode != http.StatusBadRequest || h.errCode(body) != sim.CodeBadSpec {
+		t.Errorf("unknown program: status %d code %q, want 400 %q", resp.StatusCode, h.errCode(body), sim.CodeBadSpec)
 	}
-	resp, body := h.postJSON("/v1/jobs", map[string]any{"program": "fib", "engine": "warp"})
+	resp, body = h.postJSON("/v1/jobs", map[string]any{"program": "fib", "engine": "warp"})
 	if resp.StatusCode != http.StatusBadRequest || h.errCode(body) != sim.CodeBadSpec {
 		t.Errorf("bad engine: status %d code %q", resp.StatusCode, h.errCode(body))
 	}
@@ -216,8 +214,7 @@ func TestHTTPTemplateLifecycle(t *testing.T) {
 }
 
 // TestHTTPListFilterPagination covers ?state=, ?limit=, and ?after= on
-// GET /v1/jobs — and that the legacy GET /jobs keeps its bare-array
-// shape.
+// GET /v1/jobs.
 func TestHTTPListFilterPagination(t *testing.T) {
 	h := newHTTPHarness(t, sim.ServiceConfig{Workers: 2, Quantum: 500})
 
@@ -317,17 +314,11 @@ func TestHTTPListFilterPagination(t *testing.T) {
 		t.Errorf("bad limit: status %d code %q", resp.StatusCode, h.errCode(body))
 	}
 
-	// Legacy list: still the bare array.
-	_, body = h.get("/jobs")
-	var bare []sim.Status
-	if err := json.Unmarshal(body, &bare); err != nil {
-		t.Fatalf("legacy list is no longer a bare array: %v (%s)", err, body)
-	}
-	if len(bare) != 5 {
-		t.Errorf("legacy list: %d jobs, want 5", len(bare))
+	// The unversioned list is gone.
+	if resp, _ = h.get("/jobs"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /jobs: status %d, want 404", resp.StatusCode)
 	}
 
-	// /v1 job paths serve the same jobs as the legacy aliases.
 	resp, _ = h.get("/v1/jobs/" + ids[0] + "/status")
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/v1 status alias: status %d", resp.StatusCode)

@@ -13,7 +13,7 @@ import (
 	"mips/internal/mem"
 )
 
-// Snapshot wire format, version 5:
+// Snapshot wire format, version 6:
 //
 //	offset  size  field
 //	0       8     magic "MIPSSNAP"
@@ -27,18 +27,19 @@ import (
 // machines produce byte-identical snapshots. Version policy: the
 // version bumps on ANY change to snapshotWire or the captured state
 // structs — there is no in-place migration; Restore rejects versions it
-// was not built for (see DESIGN.md "Snapshot format").
+// was not built for (see DESIGN.md "Snapshot format"). A golden-bytes
+// fixture (testdata/fib.snap) fails the tests on any change to the
+// bytes, so a format change is always a deliberate version bump.
 
 const (
 	snapshotMagic = "MIPSSNAP"
-	// SnapshotVersion is the current snapshot format version. Version 2
-	// extended cpu.TranslationStats with the trace-tier counters;
-	// version 3 extended it again with the deopt/refusal taxonomy and
-	// tier-residency counters; version 4 added the side-trace, inline-
-	// cache, and heat-eviction counters; version 5 added the template
-	// provenance label (warm-fork admission). Each changes the gob
-	// payload.
-	SnapshotVersion = 5
+	// SnapshotVersion is the current snapshot format version. Versions
+	// 2-4 grew the translation-layer counters the capture then carried;
+	// version 5 added the template provenance label (warm-fork
+	// admission); version 6 dropped the translation-layer counters,
+	// which describe caches the capture never held. Each changes the
+	// gob payload.
+	SnapshotVersion = 6
 	snapshotHeader  = 24
 	// maxSnapshotPayload bounds how much Restore will read: a corrupt
 	// length field must not become an allocation bomb. 1 GiB is far
@@ -69,6 +70,12 @@ type snapshotWire struct {
 	DMA  *mem.DMAState
 	Kern *kernel.State
 }
+
+// gob numbers wire types process-wide in first-use order, so without
+// this the payload bytes would depend on what else the process had
+// gob-encoded first (an isa.Image, say). Encoding the payload type once
+// at init fixes its numbering in every process that links the package.
+func init() { gob.NewEncoder(io.Discard).Encode(&snapshotWire{}) }
 
 // Snapshot writes a deterministic, versioned checkpoint of the whole
 // machine. Call it only at an instruction boundary: between Step/Run

@@ -5,7 +5,7 @@ package sim_test
 // to one that never stopped — same console output, same Stats, same
 // final registers and memory, and the same observer event stream,
 // hashed event-for-event across the snapshot boundary. These tests pin
-// that on all three engines, on the kernel machine, and under an
+// that on all four engines, on the kernel machine, and under an
 // in-flight DMA transfer. (Translation-cache counters are exempt: a
 // restored machine re-predecodes and re-translates, warming its caches
 // afresh, which is exactly the derived state a snapshot must not
@@ -16,7 +16,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mips/internal/codegen"
@@ -310,11 +313,14 @@ func TestSnapshotRandomPreemptAcrossEngines(t *testing.T) {
 			// threshold within a quantum. Chain depth is pure dispatch
 			// and never changes architecture.
 			m.CPU().SetChainFollow(2)
+			var dispatches uint64 // summed per hop: a restore starts Trans at zero
 			for hop := 0; !m.Halted(); hop++ {
 				if hop > 100_000 {
 					t.Fatal("run did not finish; preemption made no progress")
 				}
-				if _, halted := m.RunSteps(uint64(1 + r.Intn(200))); halted {
+				_, halted := m.RunSteps(uint64(1 + r.Intn(200)))
+				dispatches += m.Trans().TraceDispatchHits
+				if halted {
 					break
 				}
 				snap, err := m.SnapshotBytes()
@@ -328,10 +334,7 @@ func TestSnapshotRandomPreemptAcrossEngines(t *testing.T) {
 				}
 				m.CPU().SetChainFollow(2)
 			}
-			// Trans counters ride the snapshot (unlike the caches they
-			// count, they are architectural history, not derived state),
-			// so the final machine reports the whole schedule.
-			if m.Trans().TraceDispatchHits == 0 {
+			if dispatches == 0 {
 				t.Error("no preemption quantum dispatched through a compiled trace; the schedule never checkpointed a warm trace tier")
 			}
 			diffImages(t, straight, capture(t, m, eh))
@@ -376,6 +379,63 @@ func TestSnapshotDeterministic(t *testing.T) {
 	if !bytes.Equal(s1, s3) {
 		t.Error("re-snapshot of a restored machine differs from the original")
 	}
+}
+
+// The committed golden snapshot: bare fib on the reference engine after
+// fixtureSteps steps (one instruction word each).
+const (
+	fixturePath  = "testdata/fib.snap"
+	fixtureSteps = 2000
+)
+
+// TestSnapshotGoldenBytes pins the wire format byte for byte, so a
+// format change is a deliberate act: Snapshot must reproduce the
+// committed fixture exactly, and restoring the fixture must finish with
+// the output and event stream of a run that never stopped.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	fixture, err := os.ReadFile(fixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	straight := coldRun(t, sim.Reference, true)
+
+	// Gob-encode an image first: the snapshot bytes must not depend on
+	// what else the process encoded.
+	im := compileCorpus(t, "fib", false)
+	if _, err := im.WriteTo(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	eh := newEventHasher()
+	m, err := sim.New(sim.WithEngine(sim.Reference), sim.WithHooks(eh.hooks(true)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Load(im); err != nil {
+		t.Fatal(err)
+	}
+	if _, halted := m.RunSteps(fixtureSteps); halted {
+		t.Fatal("program finished before the checkpoint")
+	}
+	got, err := m.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, fixture) {
+		path := filepath.Join(t.TempDir(), "fib.snap")
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Errorf("Snapshot no longer matches %s (new bytes: %s); a format change must bump SnapshotVersion and replace the fixture", fixturePath, path)
+	}
+
+	r, err := sim.Restore(bytes.NewReader(fixture), sim.WithHooks(eh.hooks(true)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(200_000_000); err != nil {
+		t.Fatal(err)
+	}
+	diffImages(t, straight, capture(t, r, eh))
 }
 
 // TestSnapshotRestoreKernel runs the full machine — demand paging,

@@ -15,8 +15,8 @@ import (
 // Warm-fork admission (paper §2: move work out of the repeated path
 // into one-time preparation). A Template is a named golden snapshot —
 // a machine captured after kernel boot and program load, optionally
-// after a warm-up step budget so heat tables re-form fast — held in a
-// form forks can be minted from without redoing any of that work:
+// after a warm-up step budget — held in a form forks can be minted from
+// without redoing any of that work:
 //
 //   - the snapshot payload is decoded once (gob decode is O(state));
 //   - the physical-memory capture is materialized once into an
@@ -132,9 +132,9 @@ func (p *TemplatePool) Put(name string, snapshot []byte) (*Template, error) {
 	return t, nil
 }
 
-// Capture boots the machine, optionally runs a warm-up step budget
-// (letting heat tables and translation caches form before the golden
-// image is frozen), snapshots it, and stores the result under name.
+// Capture boots the machine, optionally runs a warm-up step budget,
+// snapshots it, and stores the result under name. Translation caches
+// and their counters stay behind: forks start cold on both.
 // The machine is consumed as the template master and should not be
 // run afterwards.
 func (p *TemplatePool) Capture(name string, m *Machine, warmupSteps uint64) (*Template, error) {

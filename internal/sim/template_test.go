@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"mips/internal/cpu"
 	"mips/internal/kernel"
 	"mips/internal/mem"
 	"mips/internal/sim"
@@ -301,6 +302,59 @@ func TestTemplateForkNoCopiesUntilWrite(t *testing.T) {
 	}
 	if st := f.COWStats(); st.Faults == 0 {
 		t.Fatal("running fork never faulted a page copy")
+	}
+}
+
+// TestForkAndRestoreStartCold pins that translation counters describe
+// only a machine's own work, like the caches they count: a fork of a
+// template warmed on the trace tier, and a restore of the same
+// snapshot, start with zero Trans, and the fork then forms exactly the
+// traces a cold machine forms instead of adding them to the template's.
+func TestForkAndRestoreStartCold(t *testing.T) {
+	im := compileCorpus(t, "fib", false)
+	master, err := sim.New(sim.WithEngine(sim.Traces))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := master.Load(im); err != nil {
+		t.Fatal(err)
+	}
+	tpl, err := sim.NewTemplatePool().Capture("fib", master, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if master.Trans().TraceFormed == 0 {
+		t.Fatal("warm-up formed no trace; the test is vacuous")
+	}
+
+	f, err := tpl.Fork(sim.WithEngine(sim.Traces))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sim.Restore(bytes.NewReader(tpl.Snapshot()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*sim.Machine{"fork": f, "restore": r} {
+		if got := *m.Trans(); got != (cpu.TranslationStats{}) {
+			t.Errorf("%s starts with Trans %+v, want zero", name, got)
+		}
+	}
+
+	cold, err := sim.New(sim.WithEngine(sim.Traces))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Load(im); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*sim.Machine{f, cold} {
+		if _, err := m.Run(200_000_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := f.Trans().TraceFormed, cold.Trans().TraceFormed; got != want {
+		t.Errorf("fork formed %d traces, cold machine %d", got, want)
 	}
 }
 

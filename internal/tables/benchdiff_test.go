@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"mips/internal/sim"
 	"mips/internal/trace"
 )
 
@@ -257,16 +258,16 @@ func TestBenchDiffRoundTripsArtifact(t *testing.T) {
 	}
 }
 
-// TestCoreBenchParallelWithSink checks the telemetry hook: every
+// TestCoreBenchRunSink checks the telemetry hook: every
 // non-heavy corpus program's registry reaches the sink exactly once,
 // and the sink sees the same registry the entry was sampled from.
-func TestCoreBenchParallelWithSink(t *testing.T) {
+func TestCoreBenchRunSink(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full corpus")
 	}
 	var mu sync.Mutex
 	regs := map[string]*trace.Registry{}
-	bench, err := CoreBenchParallelWith(2, func(name string, reg *trace.Registry) {
+	bench, err := CoreBenchRun(2, sim.Default, func(name string, reg *trace.Registry) {
 		mu.Lock()
 		defer mu.Unlock()
 		if _, dup := regs[name]; dup {

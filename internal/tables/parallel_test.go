@@ -3,6 +3,8 @@ package tables
 import (
 	"sync/atomic"
 	"testing"
+
+	"mips/internal/sim"
 )
 
 // fakeExps builds cheap experiments whose tables record their own index,
@@ -87,15 +89,15 @@ func TestRunAllDeterministic(t *testing.T) {
 	}
 }
 
-func TestCoreBenchParallelMatchesSerial(t *testing.T) {
+func TestCoreBenchRunMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the corpus twice")
 	}
-	serial, err := CoreBenchParallel(1)
+	serial, err := CoreBenchRun(1, sim.Default, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := CoreBenchParallel(0)
+	parallel, err := CoreBenchRun(0, sim.Default, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,10 @@ import (
 	"mips/internal/asm"
 	"mips/internal/codegen"
 	"mips/internal/corpus"
-	"mips/internal/cpu"
 	"mips/internal/isa"
 	"mips/internal/kernel"
-	"mips/internal/mem"
 	"mips/internal/reorg"
+	"mips/internal/sim"
 )
 
 // FreeCycles regenerates the §3.1 bandwidth observation: "Dynamic
@@ -61,7 +60,7 @@ spin:	add r1, #1, r1
 	blt r1, r2, spin
 	trap #4
 `
-	m, err := kernel.NewMachine(kernel.Config{TimerPeriod: 150})
+	m, err := sim.New(sim.WithKernel(kernel.Config{TimerPeriod: 150}))
 	if err != nil {
 		return nil, err
 	}
@@ -77,19 +76,17 @@ spin:	add r1, #1, r1
 	if err != nil {
 		return nil, err
 	}
-	if _, err := m.AddProcess(im, 16); err != nil {
-		return nil, err
+	for i := 0; i < 2; i++ {
+		if err := m.Load(im); err != nil {
+			return nil, err
+		}
 	}
-	if _, err := m.AddProcess(im, 16); err != nil {
-		return nil, err
-	}
-	before := m.CPU.Stats
-	_ = before
 	if _, err := m.Run(10_000_000); err != nil {
 		return nil, err
 	}
-	st := m.CPU.Stats
-	switches := m.ContextSwitches()
+	st := m.Stats()
+	k := m.Kernel()
+	switches := k.ContextSwitches()
 
 	t := &Table{
 		ID:     "Context switch (§3.2)",
@@ -98,7 +95,7 @@ spin:	add r1, #1, r1
 	}
 	t.AddRow("context switches", num(switches))
 	t.AddRow("total instructions", num(st.Instructions))
-	t.AddRow("page faults (demand load)", num(m.PageFaults()))
+	t.AddRow("page faults (demand load)", num(k.PageFaults()))
 	if switches > 0 {
 		// User work: 2 processes x ~3 instructions x 2000 iterations.
 		userApprox := uint64(2 * 3 * 2000)
@@ -110,7 +107,7 @@ spin:	add r1, #1, r1
 		t.AddRow("data-port utilization of a 16-store save", pct(sat))
 	}
 	t.Note("register save/restore is a straight store/load sequence; with the dual instruction/data ports it issues one data reference per cycle — the bandwidth a microcoded move-multiple would get (paper §3.2)")
-	t.Note("the on-chip segmentation means the switch reloads only the PID register; the shared page map keeps both processes' translations resident (resident pages now: %d)", m.ResidentPages())
+	t.Note("the on-chip segmentation means the switch reloads only the PID register; the shared page map keeps both processes' translations resident (resident pages now: %d)", k.ResidentPages())
 	return t, nil
 }
 
@@ -122,14 +119,18 @@ func RegisterSaveSaturation() (utilization float64, err error) {
 		words = append(words, isa.Word(isa.StoreAbs(r, int32(100+r))))
 	}
 	words = append(words, isa.Word(isa.Trap(0)))
-	phys := mem.NewPhysical(1 << 12)
-	c := cpu.New(cpu.NewBus(phys))
-	c.IMem = words
-	c.SetTrapHook(func(code uint16) { c.Halt() })
-	if _, err := c.Run(100); err != nil {
+	m, err := sim.New(sim.WithPhysWords(1 << 12))
+	if err != nil {
+		return 0, err
+	}
+	im := &isa.Image{Words: words, TextBase: codegen.BareTextBase, Entry: codegen.BareTextBase}
+	if err := m.Load(im); err != nil {
+		return 0, err
+	}
+	if _, err := m.Run(100); err != nil {
 		return 0, err
 	}
 	// Exclude the trap word itself.
-	busy := float64(c.Stats.DataCycles)
-	return busy / float64(c.Stats.Instructions-1), nil
+	st := m.Stats()
+	return float64(st.DataCycles) / float64(st.Instructions-1), nil
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -62,30 +61,6 @@ func WriteFolded(w io.Writer, p *trace.Profiler) error {
 func foldedFrame(name string) string {
 	name = strings.ReplaceAll(name, ";", "_")
 	return strings.ReplaceAll(name, " ", "_")
-}
-
-// ParseFolded reads folded-stack text back into stack -> weight, the
-// inverse of WriteFolded (round-tripped in tests so the artifact CI
-// uploads stays loadable).
-func ParseFolded(r io.Reader) (map[string]uint64, error) {
-	out := map[string]uint64{}
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			return nil, fmt.Errorf("telemetry: folded line %q has no count", line)
-		}
-		n, err := strconv.ParseUint(line[i+1:], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: folded line %q: %w", line, err)
-		}
-		out[line[:i]] += n
-	}
-	return out, sc.Err()
 }
 
 // TopEntry is one /profile/top row, a JSON rendering of

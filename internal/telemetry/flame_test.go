@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"mips/internal/telemetry/fleet"
 )
 
 // TestFoldedRoundTrip pins the folded flamegraph format: rendering the
@@ -17,7 +19,7 @@ func TestFoldedRoundTrip(t *testing.T) {
 	if err := WriteFolded(&buf, profiler); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := ParseFolded(&buf)
+	parsed, err := fleet.ParseFolded(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +49,10 @@ func TestFoldedRoundTrip(t *testing.T) {
 }
 
 func TestParseFoldedRejectsGarbage(t *testing.T) {
-	if _, err := ParseFolded(strings.NewReader("nocount\n")); err == nil {
+	if _, err := fleet.ParseFolded(strings.NewReader("nocount\n")); err == nil {
 		t.Error("line without count accepted")
 	}
-	if _, err := ParseFolded(strings.NewReader("a;b notanumber\n")); err == nil {
+	if _, err := fleet.ParseFolded(strings.NewReader("a;b notanumber\n")); err == nil {
 		t.Error("non-numeric count accepted")
 	}
 }

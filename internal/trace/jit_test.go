@@ -99,8 +99,7 @@ func TestJITLogAttachObservesMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetBlocks(true)
-	c.SetTraces(true)
+	c.SetEngine(cpu.EngineTraces)
 	l := NewJITLog(0)
 	l.Attach(c)
 	for i := 0; i < 1_000_000 && !c.Halted; i++ {
@@ -176,8 +175,7 @@ func TestCollectJITSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetBlocks(true)
-	c.SetTraces(true)
+	c.SetEngine(cpu.EngineTraces)
 	for i := 0; i < 1_000_000 && !c.Halted; i++ {
 		if err := c.Step(); err != nil {
 			t.Fatal(err)

@@ -37,7 +37,7 @@ field() { # field <name> <file>
 
 wait_up() { # wait_up <addr>
     for i in $(seq 1 100); do
-        if curl -fsS "http://$1/jobs" >/dev/null 2>&1; then
+        if curl -fsS "http://$1/v1/jobs" >/dev/null 2>&1; then
             return 0
         fi
         sleep 0.1
@@ -48,7 +48,7 @@ wait_up() { # wait_up <addr>
 
 wait_done() { # wait_done <addr> <id>
     for i in $(seq 1 600); do
-        curl -fsS "http://$1/jobs/$2" >"$TMP/status.json"
+        curl -fsS "http://$1/v1/jobs/$2" >"$TMP/status.json"
         state=$(field state "$TMP/status.json")
         case "$state" in
         done | failed | cancelled)
@@ -65,7 +65,7 @@ wait_done() { # wait_done <addr> <id>
 run_job() { # run_job <addr> <tenant>
     curl -fsS -X POST -H 'Content-Type: application/json' \
         -d "{\"program\":\"fib\",\"engine\":\"fast\",\"tenant\":\"$2\",\"profile\":true}" \
-        "http://$1/jobs" >"$TMP/submit.json"
+        "http://$1/v1/jobs" >"$TMP/submit.json"
     id=$(field id "$TMP/submit.json")
     [ -n "$id" ] || { echo "no job id from $1" >&2; cat "$TMP/submit.json" >&2; return 1; }
     state=$(wait_done "$1" "$id")

@@ -38,7 +38,7 @@ echo "==> start mipsd on $ADDR"
 MIPSD_PID=$!
 
 for i in $(seq 1 100); do
-    if curl -fsS "$BASE/jobs" >/dev/null 2>&1; then
+    if curl -fsS "$BASE/v1/jobs" >/dev/null 2>&1; then
         break
     fi
     if [ "$i" -eq 100 ]; then
@@ -51,7 +51,7 @@ done
 wait_done() { # wait_done <id> -> prints final state
     id=$1
     for i in $(seq 1 600); do
-        curl -fsS "$BASE/jobs/$id" >"$TMP/status.json"
+        curl -fsS "$BASE/v1/jobs/$id" >"$TMP/status.json"
         state=$(field state "$TMP/status.json")
         case "$state" in
         done | failed | cancelled)
@@ -65,10 +65,14 @@ wait_done() { # wait_done <id> -> prints final state
     return 0
 }
 
+echo "==> unversioned /jobs is gone"
+CODE=$(curl -sS -o /dev/null -w '%{http_code}' "$BASE/jobs")
+[ "$CODE" = "404" ] || { echo "GET /jobs returned $CODE, want 404" >&2; exit 1; }
+
 echo "==> submit fib (blocks engine)"
 curl -fsS -X POST -H 'Content-Type: application/json' \
     -d '{"program":"fib","engine":"blocks"}' \
-    "$BASE/jobs" >"$TMP/submit.json"
+    "$BASE/v1/jobs" >"$TMP/submit.json"
 ID=$(field id "$TMP/submit.json")
 [ -n "$ID" ] || { echo "no job id in response" >&2; cat "$TMP/submit.json" >&2; exit 1; }
 echo "    job $ID"
@@ -81,8 +85,8 @@ if [ "$STATE" != "done" ]; then
 fi
 
 echo "==> fetch output and snapshot"
-curl -fsS "$BASE/jobs/$ID/output" >"$TMP/out1"
-curl -fsS "$BASE/jobs/$ID/snapshot" >"$TMP/snap.bin"
+curl -fsS "$BASE/v1/jobs/$ID/output" >"$TMP/out1"
+curl -fsS "$BASE/v1/jobs/$ID/snapshot" >"$TMP/snap.bin"
 [ -s "$TMP/out1" ] || { echo "job produced no output" >&2; exit 1; }
 [ -s "$TMP/snap.bin" ] || { echo "empty snapshot" >&2; exit 1; }
 
@@ -90,7 +94,7 @@ echo "==> resubmit snapshot on the fast engine"
 SNAP_B64=$(base64 "$TMP/snap.bin" | tr -d '\n')
 printf '{"snapshot":"%s","engine":"fast","name":"fib-resumed"}' "$SNAP_B64" >"$TMP/resubmit.json"
 curl -fsS -X POST -H 'Content-Type: application/json' \
-    --data @"$TMP/resubmit.json" "$BASE/jobs" >"$TMP/submit2.json"
+    --data @"$TMP/resubmit.json" "$BASE/v1/jobs" >"$TMP/submit2.json"
 ID2=$(field id "$TMP/submit2.json")
 [ -n "$ID2" ] || { echo "no job id in resubmit response" >&2; cat "$TMP/submit2.json" >&2; exit 1; }
 echo "    job $ID2"
@@ -101,7 +105,7 @@ if [ "$STATE2" != "done" ]; then
     cat "$TMP/status.json" >&2
     exit 1
 fi
-curl -fsS "$BASE/jobs/$ID2/output" >"$TMP/out2"
+curl -fsS "$BASE/v1/jobs/$ID2/output" >"$TMP/out2"
 
 echo "==> compare outputs"
 if ! cmp -s "$TMP/out1" "$TMP/out2"; then
@@ -110,7 +114,7 @@ if ! cmp -s "$TMP/out1" "$TMP/out2"; then
     exit 1
 fi
 
-echo "==> templates: create -> fork -> output -> delete (/v1 surface)"
+echo "==> templates: create -> fork -> output -> delete"
 curl -fsS -X PUT -H 'Content-Type: application/json' \
     -d '{"program":"fib","engine":"fast"}' \
     "$BASE/v1/templates/fib-golden" >"$TMP/tpl.json"
@@ -151,7 +155,7 @@ CODE=$(field code "$TMP/tpl_gone.json")
 echo "==> fleet observability: profiled tenant job"
 curl -fsS -X POST -H 'Content-Type: application/json' \
     -d '{"program":"fib","engine":"fast","tenant":"smoke","profile":true}' \
-    "$BASE/jobs" >"$TMP/submit3.json"
+    "$BASE/v1/jobs" >"$TMP/submit3.json"
 ID3=$(field id "$TMP/submit3.json")
 [ -n "$ID3" ] || { echo "no job id for profiled job" >&2; cat "$TMP/submit3.json" >&2; exit 1; }
 STATE3=$(wait_done "$ID3")
@@ -160,7 +164,7 @@ if [ "$STATE3" != "done" ]; then
     cat "$TMP/status.json" >&2
     exit 1
 fi
-curl -fsS "$BASE/jobs/$ID3/profile" >"$TMP/prof.folded"
+curl -fsS "$BASE/v1/jobs/$ID3/profile" >"$TMP/prof.folded"
 [ -s "$TMP/prof.folded" ] || { echo "empty per-job folded profile" >&2; exit 1; }
 grep -q '^user;' "$TMP/prof.folded" || {
     echo "per-job profile has no user-space stacks:" >&2
@@ -184,7 +188,7 @@ done
 echo "==> jit introspection: traces-engine job, tier heatmap, deopt families"
 curl -fsS -X POST -H 'Content-Type: application/json' \
     -d '{"program":"fib","engine":"traces","tenant":"smoke","name":"fib-traced"}' \
-    "$BASE/jobs" >"$TMP/submit4.json"
+    "$BASE/v1/jobs" >"$TMP/submit4.json"
 ID4=$(field id "$TMP/submit4.json")
 [ -n "$ID4" ] || { echo "no job id for traces-engine job" >&2; cat "$TMP/submit4.json" >&2; exit 1; }
 STATE4=$(wait_done "$ID4")
