@@ -8,6 +8,7 @@
 package mips
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -318,6 +319,41 @@ func BenchmarkKernelBoot(b *testing.B) {
 		}
 		if _, err := m.Run(10_000); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSnapshotRoundTripKernel measures the migrate path of the job
+// service in-process: fork a kernel machine from the fib template, run
+// it to completion, snapshot it, and restore the snapshot onto the
+// fast engine. Snapshot and restore cost the pages the job touched,
+// not the machine's 16 MB.
+func BenchmarkSnapshotRoundTripKernel(b *testing.B) {
+	p, err := corpus.Get("fib")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tpl := admissionTemplate(b, admissionImage(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := tpl.Fork()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Run(10_000_000); err != nil {
+			b.Fatal(err)
+		}
+		snap, err := m.SnapshotBytes()
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := sim.Restore(bytes.NewReader(snap), sim.WithEngine(sim.FastPath))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.Output() != p.Output {
+			b.Fatalf("restored output %q, want %q", r.Output(), p.Output)
 		}
 	}
 }

@@ -75,10 +75,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.PhysWords == 0 {
 		cfg.PhysWords = 1 << 22
 	}
-	if cfg.PhysWords > IOBase {
-		return nil, fmt.Errorf("kernel: physical memory (%d words) overlaps the device window at %d", cfg.PhysWords, IOBase)
+	if err := CheckPhysWords(cfg.PhysWords); err != nil {
+		return nil, err
 	}
-	m, err := newShell(mem.NewPhysical(cfg.PhysWords), cfg)
+	m, err := NewMachineShell(mem.NewPhysical(cfg.PhysWords), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -88,32 +88,35 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m.Phys.SealROM(ROMLimit)
 	m.Phys.Poke(kFrameNxt, FirstUserFrame)
 	m.Phys.Poke(kEvictPtr, FirstUserFrame)
-	if cfg.PhysWords < (FirstUserFrame+1)<<mem.PageBits {
-		return nil, fmt.Errorf("kernel: %d words leave no user frames", cfg.PhysWords)
-	}
 	return m, nil
+}
+
+// CheckPhysWords reports whether a kernel machine can run on a physical
+// memory of n words: one that leaves at least one user frame and stays
+// below the device window.
+func CheckPhysWords(n int) error {
+	if n > IOBase {
+		return fmt.Errorf("kernel: physical memory (%d words) overlaps the device window at %d", n, IOBase)
+	}
+	if n < (FirstUserFrame+1)<<mem.PageBits {
+		return fmt.Errorf("kernel: %d words leave no user frames", n)
+	}
+	return nil
 }
 
 // NewMachineShell builds a machine chassis — CPU, bus, devices, empty
 // backing store — around an existing physical memory WITHOUT writing a
 // single word of it: no kernel load into memory, no ROM seal, no
-// kernel-RAM pokes. It exists for the warm-fork admission path: the
-// supplied memory is a copy-on-write fork of a booted template, so the
-// kernel text, ROM seal, and scheduler RAM already sit in the shared
-// golden frames, and writing any of them here would both be redundant
-// and privatize pages the fork may never touch. The caller restores
-// CPU, MMU, and device state from the template's capture immediately
-// after.
+// kernel-RAM pokes. It serves the paths whose memory already holds a
+// booted machine: a copy-on-write fork of a template, where writing the
+// kernel text, ROM seal, or scheduler RAM would both be redundant and
+// privatize pages the fork may never touch, and a memory restored from
+// a capture. The caller restores CPU, MMU, and device state from the
+// capture immediately after.
 func NewMachineShell(phys *mem.Physical, cfg Config) (*Machine, error) {
-	if int(phys.Size()) > IOBase {
-		return nil, fmt.Errorf("kernel: physical memory (%d words) overlaps the device window at %d", phys.Size(), IOBase)
+	if err := CheckPhysWords(int(phys.Size())); err != nil {
+		return nil, err
 	}
-	return newShell(phys, cfg)
-}
-
-// newShell assembles the device complement and (cached) kernel image
-// around phys. It performs no memory writes.
-func newShell(phys *mem.Physical, cfg Config) (*Machine, error) {
 	im, err := kernelImage(phys.Size() >> mem.PageBits)
 	if err != nil {
 		return nil, err

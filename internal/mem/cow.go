@@ -1,127 +1,58 @@
 package mem
 
-// Copy-on-write forks over a golden frame set. A Golden is an immutable
-// flattened image of a physical memory — the frames of a pre-booted
-// machine — and Fork builds a Physical whose every page initially maps
-// read-only against those shared frames. The first store to a shared
-// page "faults" host-side: the frame is copied into a freshly allocated
-// private frame and the page is remapped writable, after which the
-// store lands and the write barrier fires exactly as for a normal
-// store. A fork therefore costs O(pages-touched), never O(memory): the
-// only per-fork allocations are one page-table of frame pointers and
-// one PageWords frame per page actually written.
+import "slices"
+
+// Copy-on-write forks over a golden frame set. A Golden is the frozen
+// page-frame table of a pre-booted machine's memory, and Fork builds a
+// Physical whose table starts as a reference to the golden's: every
+// page reads the golden frame until the first store to it, which copies
+// that one frame (mem.go, Physical.own) before the store lands and the
+// write barrier fires exactly as for any store. A fork therefore costs
+// O(pages-touched), never O(memory): its only allocations are its
+// 64-entry top level, one chunk per 64 pages it writes into, and one
+// frame per page it writes.
 //
-// Concurrency contract: a Golden's frames are never written after
-// construction, so any number of forks may read them from any number of
-// goroutines without synchronization. Each fork's private state
+// Concurrency contract: a Golden's chunks and frames are never written
+// after construction, so any number of forks may read them from any
+// number of goroutines without synchronization. Each fork's private state
 // (frames, fault counter) follows the Physical contract — one machine,
 // one goroutine at a time.
 
 // Golden is an immutable frame set shared copy-on-write by forks.
 type Golden struct {
-	words    []uint32
+	size     uint32
 	romLimit uint32
+	top      []*chunk // never written: forks copy a chunk or frame before storing
 }
 
 // GoldenFromState materializes a golden frame set from a physical-
-// memory capture (the snapshot payload's PhysState). The result shares
-// nothing with the capture.
+// memory capture (the snapshot payload's PhysState). Only the pages the
+// capture's runs cover get frames. The result shares nothing with the
+// capture. The capture must pass Validate.
 func GoldenFromState(st PhysState) *Golden {
-	g := &Golden{words: make([]uint32, st.Size), romLimit: st.ROMLimit}
-	for _, run := range st.Runs {
-		if int(run.Base)+len(run.Words) <= len(g.words) {
-			copy(g.words[run.Base:], run.Words)
-		}
-	}
-	return g
+	p := NewPhysical(int(st.Size))
+	p.load(st.Runs)
+	return &Golden{size: p.size, romLimit: st.ROMLimit, top: p.top}
 }
 
 // Size returns the frame set's size in words.
-func (g *Golden) Size() uint32 { return uint32(len(g.words)) }
+func (g *Golden) Size() uint32 { return g.size }
 
 // Pages returns the frame set's size in pages (the last page may be
 // partial on non-page-multiple memories).
-func (g *Golden) Pages() int { return (len(g.words) + PageWords - 1) / PageWords }
-
-// cowChunkBits sizes the second level of the fork's private-frame
-// table: each chunk covers 1<<cowChunkBits pages, and chunks are
-// allocated on demand. A 16 MB machine has 4096 pages, so the top
-// level is 64 pointers — the entire per-fork allocation besides the
-// frames actually copied.
-const cowChunkBits = 6
-
-type cowChunk [1 << cowChunkBits]*[PageWords]uint32
+func (g *Golden) Pages() int { return int((g.size + PageWords - 1) / PageWords) }
 
 // Fork returns a new Physical sharing the golden frames copy-on-write.
 // The fork starts with every page shared and no private frames at all;
 // the first store to each page copies that one frame.
 func (g *Golden) Fork() *Physical {
 	return &Physical{
-		size:     uint32(len(g.words)),
+		size:     g.size,
 		romLimit: g.romLimit,
-		shared:   g.words,
-		frames:   make([]*cowChunk, (g.Pages()+(1<<cowChunkBits)-1)>>cowChunkBits),
+		top:      slices.Clone(g.top),
+		base:     g.top,
+		forked:   true,
 	}
-}
-
-// frame returns the page's private frame, or nil while it is still
-// shared with the golden image.
-func (p *Physical) frame(page uint32) *[PageWords]uint32 {
-	if ch := p.frames[page>>cowChunkBits]; ch != nil {
-		return ch[page&(1<<cowChunkBits-1)]
-	}
-	return nil
-}
-
-// cowBreak copies one shared golden frame into a fresh private frame
-// and marks the page writable. Called on the first store to a shared
-// page; the caller then performs the store into the returned frame.
-func (p *Physical) cowBreak(page uint32) *[PageWords]uint32 {
-	fr := new([PageWords]uint32)
-	base := page << PageBits
-	end := base + PageWords
-	if end > p.size {
-		end = p.size
-	}
-	copy(fr[:end-base], p.shared[base:end])
-	ch := p.frames[page>>cowChunkBits]
-	if ch == nil {
-		ch = new(cowChunk)
-		p.frames[page>>cowChunkBits] = ch
-	}
-	ch[page&(1<<cowChunkBits-1)] = fr
-	p.cowFaults++
-	return fr
-}
-
-// flatten materializes the whole image into private flat storage and
-// drops the golden reference, turning the fork back into a plain
-// memory. Restoring a capture over a fork flattens implicitly.
-func (p *Physical) flatten() {
-	if p.shared == nil {
-		return
-	}
-	if p.words == nil {
-		p.words = make([]uint32, p.size)
-	}
-	copy(p.words, p.shared[:p.size])
-	for ci, ch := range p.frames {
-		if ch == nil {
-			continue
-		}
-		for pi, fr := range ch {
-			if fr == nil {
-				continue
-			}
-			base := uint32(ci<<cowChunkBits|pi) << PageBits
-			end := base + PageWords
-			if end > p.size {
-				end = p.size
-			}
-			copy(p.words[base:end], fr[:end-base])
-		}
-	}
-	p.shared, p.frames = nil, nil
 }
 
 // COWStats describes a memory's copy-on-write state.
@@ -132,21 +63,20 @@ type COWStats struct {
 	// PrivatePages is the number of pages privatized by stores.
 	PrivatePages int
 	// Faults is the number of COW frame copies performed (equals
-	// PrivatePages while the fork is live; survives flattening).
+	// PrivatePages while the fork is live; survives a restore).
 	Faults uint64
 }
 
 // COWStats returns the memory's copy-on-write counters. Zero-valued for
-// plain memories.
+// memories that were never forked.
 func (p *Physical) COWStats() COWStats {
-	st := COWStats{Forked: p.shared != nil, Faults: p.cowFaults}
-	for _, ch := range p.frames {
-		if ch == nil {
-			continue
-		}
-		for _, fr := range ch {
-			if fr != nil {
-				st.PrivatePages++
+	st := COWStats{Forked: p.forked, Faults: p.cowFaults}
+	if p.forked {
+		for ci, ch := range p.top {
+			for i, fr := range ch {
+				if fr != p.base[ci][i] {
+					st.PrivatePages++
+				}
 			}
 		}
 	}

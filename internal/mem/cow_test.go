@@ -42,8 +42,10 @@ func TestCOWForkReadsGolden(t *testing.T) {
 	if st := f.COWStats(); !st.Forked || st.PrivatePages != 0 || st.Faults != 0 {
 		t.Fatalf("fresh fork COWStats = %+v, want forked with no private pages", st)
 	}
-	if f.words != nil {
-		t.Fatalf("fresh fork allocated private backing before any write")
+	// A fork allocates at most its Physical and its top-level table: no
+	// frames before a write.
+	if n := testing.AllocsPerRun(10, func() { g.Fork() }); n > 2 {
+		t.Fatalf("Fork allocated %v objects, want at most 2", n)
 	}
 }
 
@@ -81,8 +83,8 @@ func TestCOWFirstWritePrivatizesOnePage(t *testing.T) {
 		}
 	}
 	// The golden image itself is untouched.
-	if g.words[addr] != addr*3+7 {
-		t.Fatalf("golden mutated by fork write")
+	if v := g.Fork().Peek(addr); v != addr*3+7 {
+		t.Fatalf("golden mutated by fork write: a new fork reads %d", v)
 	}
 
 	// A second write to the same page faults no further frame copies.
@@ -170,21 +172,30 @@ func TestCOWRestoreDropsSharing(t *testing.T) {
 	}
 }
 
+// TestCOWFlatten pins that a fork's capture is self-contained: restored
+// into a plain memory, it reproduces the fork's private writes and the
+// golden contents it still shares, with no tie to the golden left.
 func TestCOWFlatten(t *testing.T) {
 	const words = 3 * PageWords
 	g := goldenFixture(t, words, 4)
 	f := g.Fork()
 	f.Poke(PageWords, 9)
-	f.flatten()
-	if st := f.COWStats(); st.Forked {
-		t.Fatalf("flatten left sharing: %+v", st)
+	p := NewPhysical(words)
+	if err := p.RestoreState(f.CaptureState()); err != nil {
+		t.Fatal(err)
 	}
-	if v := f.Peek(PageWords); v != 9 {
-		t.Fatalf("flatten lost private write: %d", v)
+	if st := p.COWStats(); st.Forked {
+		t.Fatalf("restored capture still shares: %+v", st)
+	}
+	if p.ROMLimit() != 4 {
+		t.Fatalf("ROM limit = %d, want 4", p.ROMLimit())
+	}
+	if v := p.Peek(PageWords); v != 9 {
+		t.Fatalf("capture lost private write: %d", v)
 	}
 	for _, a := range []uint32{0, PageWords - 1, 2*PageWords + 7} {
-		if v := f.Peek(a); v != a*3+7 {
-			t.Fatalf("flatten lost golden word %#x: %d", a, v)
+		if v := p.Peek(a); v != a*3+7 {
+			t.Fatalf("capture lost golden word %#x: %d", a, v)
 		}
 	}
 }

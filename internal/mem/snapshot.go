@@ -28,72 +28,101 @@ type PhysState struct {
 
 // physRunGap is the number of consecutive zero words the capture scan
 // tolerates inside one run before closing it; merging nearby runs keeps
-// the run count (and per-run overhead) small.
+// the run count (and per-run overhead) small. A page with no frame is
+// longer than the gap, so skipping it closes an open run exactly as
+// scanning its zeros would.
 const physRunGap = 16
 
+var _ [PageWords - physRunGap - 1]struct{} // PageWords > physRunGap
+
+// Validate checks that the capture describes a memory of at most
+// MaxPhysWords with every run inside it.
+func (st *PhysState) Validate() error {
+	if st.Size > MaxPhysWords {
+		return fmt.Errorf("mem: capture of %d words exceeds the %d-word limit", st.Size, MaxPhysWords)
+	}
+	for _, run := range st.Runs {
+		if uint64(run.Base)+uint64(len(run.Words)) > uint64(st.Size) {
+			return fmt.Errorf("mem: run at %d (%d words) exceeds the %d-word memory", run.Base, len(run.Words), st.Size)
+		}
+	}
+	return nil
+}
+
 // CaptureState snapshots memory contents and the ROM seal. The result
-// shares no storage with the memory. On a COW fork the capture reads
-// through the golden frames — still-shared pages flatten into the
-// capture — so a fork's checkpoint is self-contained: it restores
+// shares no storage with the memory. It scans only pages that have a
+// frame, so it costs O(frames), and its runs are those of a word-by-word
+// scan of the whole memory. On a COW fork the capture reads through the
+// golden frames, so a fork's checkpoint is self-contained: it restores
 // anywhere with no reference to the template it forked from.
 func (p *Physical) CaptureState() PhysState {
-	at := func(i int) uint32 { return p.words[i] }
-	if p.shared != nil {
-		at = func(i int) uint32 {
-			if fr := p.frame(uint32(i) >> PageBits); fr != nil {
-				return fr[uint32(i)&(PageWords-1)]
-			}
-			return p.shared[i]
-		}
-	}
 	st := PhysState{Size: p.size, ROMLimit: p.romLimit}
-	i, n := 0, int(p.size)
-	for i < n {
-		if at(i) == 0 {
-			i++
-			continue
-		}
-		start, last := i, i
-		zeros := 0
-		for i++; i < n; i++ {
-			if at(i) != 0 {
-				last, zeros = i, 0
-				continue
-			}
-			if zeros++; zeros > physRunGap {
-				break
-			}
-		}
+	open := false // a run starts at start and its last nonzero word is at last
+	var start, last uint32
+	zeros := 0
+	closeRun := func() {
 		run := make([]uint32, last-start+1)
 		for k := range run {
-			run[k] = at(start + k)
+			run[k] = p.Peek(start + uint32(k))
 		}
-		st.Runs = append(st.Runs, PhysRun{Base: uint32(start), Words: run})
+		st.Runs = append(st.Runs, PhysRun{Base: start, Words: run})
+		open = false
+	}
+	for page := uint32(0); page<<PageBits < p.size; page++ {
+		fr := p.top[page>>chunkBits][page&(chunkPages-1)]
+		if fr == &zeroFrame {
+			if open {
+				closeRun()
+			}
+			continue
+		}
+		base := page << PageBits
+		n := min(p.size-base, PageWords)
+		for k, w := range fr[:n] {
+			switch addr := base + uint32(k); {
+			case w != 0 && !open:
+				open, start, last, zeros = true, addr, addr, 0
+			case w != 0:
+				last, zeros = addr, 0
+			case open:
+				if zeros++; zeros > physRunGap {
+					closeRun()
+				}
+			}
+		}
+	}
+	if open {
+		closeRun()
 	}
 	return st
+}
+
+// load stores the capture's runs, giving each page they cover a frame.
+// The runs must lie inside the memory (PhysState.Validate).
+func (p *Physical) load(runs []PhysRun) {
+	for _, run := range runs {
+		for addr, words := run.Base, run.Words; len(words) > 0; {
+			n := copy(p.writable(addr >> PageBits)[addr&(PageWords-1):], words)
+			addr, words = addr+uint32(n), words[n:]
+		}
+	}
 }
 
 // RestoreState replaces memory contents with a previous capture. The
 // memory must have been constructed at the captured size. The write
 // barrier is not invoked: restore accompanies a cache invalidation on
 // the CPU side, which is the only barrier consumer. Restoring over a
-// COW fork drops the golden sharing — every page becomes private, since
-// the capture replaces the whole contents anyway.
+// COW fork drops the golden sharing; only the pages the capture's runs
+// cover get frames.
 func (p *Physical) RestoreState(st PhysState) error {
 	if st.Size != p.size {
 		return fmt.Errorf("mem: restore: memory is %d words, capture is %d", p.size, st.Size)
 	}
-	p.shared, p.frames = nil, nil
-	if p.words == nil {
-		p.words = make([]uint32, p.size)
+	if err := st.Validate(); err != nil {
+		return fmt.Errorf("mem: restore: %w", err)
 	}
-	clear(p.words)
-	for _, run := range st.Runs {
-		if int(run.Base)+len(run.Words) > len(p.words) {
-			return fmt.Errorf("mem: restore: run at %d (%d words) exceeds memory", run.Base, len(run.Words))
-		}
-		copy(p.words[run.Base:], run.Words)
-	}
+	p.unback()
+	p.load(st.Runs)
 	p.romLimit = st.ROMLimit
 	return nil
 }

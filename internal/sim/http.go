@@ -191,7 +191,8 @@ func (h *jobHandler) submit(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildSpec validates a request eagerly (unknown program or template,
-// bad engine) but defers machine construction to the worker pool.
+// bad engine, malformed snapshot) but defers machine construction to
+// the worker pool.
 func (h *jobHandler) buildSpec(req jobRequest) (JobSpec, error) {
 	engine, err := ParseEngine(req.Engine)
 	if err != nil {
@@ -229,12 +230,15 @@ func (h *jobHandler) buildSpec(req jobRequest) (JobSpec, error) {
 		return spec, nil
 	}
 	if len(req.Snapshot) > 0 {
-		snap := req.Snapshot
+		wire, err := decodeWire(bytes.NewReader(req.Snapshot))
+		if err != nil {
+			return JobSpec{}, err
+		}
 		if spec.Name == "" {
 			spec.Name = "restore"
 		}
 		spec.Build = func() (*Machine, error) {
-			return Restore(bytes.NewReader(snap), WithEngine(engine))
+			return buildFromWire(wire, nil, []Option{WithEngine(engine)})
 		}
 		return spec, nil
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -63,7 +64,8 @@ func WithKernel(cfg kernel.Config) Option { return func(c *config) { c.kernelCfg
 func WithInterlocked(on bool) Option { return func(c *config) { c.interlocked = on } }
 
 // WithPhysWords sets the bare machine's physical memory size in words
-// (default 65536). Kernel machines size memory via kernel.Config.
+// (default 65536, at most mem.MaxPhysWords). Kernel machines size memory
+// via kernel.Config.
 func WithPhysWords(n int) Option { return func(c *config) { c.physWords = n } }
 
 // WithSpaceBits sets the address-space size (log2 words) processes are
@@ -133,6 +135,9 @@ func New(opts ...Option) (*Machine, error) {
 		words := cfg.physWords
 		if words <= 0 {
 			words = barePhysWords
+		}
+		if words > mem.MaxPhysWords {
+			return nil, fmt.Errorf("sim: %d words of physical memory exceed the %d-word limit", words, mem.MaxPhysWords)
 		}
 		phys := mem.NewPhysical(words)
 		bus := cpu.NewBus(phys)

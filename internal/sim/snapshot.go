@@ -102,8 +102,13 @@ func (m *Machine) Snapshot(w io.Writer) error {
 		st := m.kern.CaptureState()
 		wire.Kern = &st
 	}
+	return encodeWire(w, &wire)
+}
+
+// encodeWire writes the container around a gob-encoded payload.
+func encodeWire(w io.Writer, wire *snapshotWire) error {
 	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&wire); err != nil {
+	if err := gob.NewEncoder(&payload).Encode(wire); err != nil {
 		return fmt.Errorf("sim: snapshot encode: %w", err)
 	}
 	var hdr [snapshotHeader]byte
@@ -127,10 +132,14 @@ func (m *Machine) SnapshotBytes() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeWire validates the container and decodes the payload. Malformed
-// input of any kind — truncated, wrong magic or version, bad checksum,
-// corrupt gob — returns an error wrapping ErrSnapshotFormat; it never
-// panics (the fuzz tests pin this).
+// decodeWire validates the container, decodes the payload, and checks
+// the memory it describes: a size within mem.MaxPhysWords (and one a
+// kernel machine can run on, for kernel snapshots) with every run inside
+// it. Every path that builds from snapshot bytes comes through here, so
+// no later step allocates by a size the bytes claim. Malformed input of
+// any kind — truncated, wrong magic or version, bad checksum, corrupt
+// gob, impossible memory — returns an error wrapping ErrSnapshotFormat;
+// it never panics (the fuzz tests pin this).
 func decodeWire(r io.Reader) (*snapshotWire, error) {
 	var hdr [snapshotHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -156,6 +165,14 @@ func decodeWire(r io.Reader) (*snapshotWire, error) {
 	wire, err := decodeGob(payload)
 	if err != nil {
 		return nil, fmt.Errorf("%w: payload decode: %v", ErrSnapshotFormat, err)
+	}
+	if err := wire.Phys.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
+	}
+	if wire.Kernel {
+		if err := kernel.CheckPhysWords(int(wire.Phys.Size)); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
+		}
 	}
 	return wire, nil
 }
@@ -187,25 +204,24 @@ func Restore(r io.Reader, opts ...Option) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := config{spaceBits: wire.SpaceBits}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return buildFromWire(wire, &cfg, nil)
+	return buildFromWire(wire, nil, opts)
 }
 
 // buildFromWire materializes a machine from a decoded snapshot payload —
 // the tail shared by Restore and Template.Fork. With fork nil the
-// machine gets a fresh physical memory and the capture's contents are
-// copied in. With fork non-nil (a copy-on-write fork of the template's
-// golden frames, already holding the captured contents) the memory is
-// adopted as-is and the O(memory) physical restore is skipped — that
-// skip is what makes warm-fork admission O(pages-touched).
+// machine gets a fresh physical memory holding the capture's pages. With
+// fork non-nil (a copy-on-write fork of the template's golden frames,
+// already holding the captured contents) the memory is adopted as-is,
+// which is what makes warm-fork admission O(pages-touched).
 //
 // The wire may be shared by concurrent forks: this function and every
 // RestoreState it calls only read from it (slices are deep-copied into
 // the machine).
-func buildFromWire(wire *snapshotWire, cfg *config, fork *mem.Physical) (*Machine, error) {
+func buildFromWire(wire *snapshotWire, fork *mem.Physical, opts []Option) (*Machine, error) {
+	cfg := config{spaceBits: wire.SpaceBits}
+	for _, o := range opts {
+		o(&cfg)
+	}
 	if cfg.spaceBits == 0 {
 		cfg.spaceBits = 16
 	}
@@ -215,6 +231,16 @@ func buildFromWire(wire *snapshotWire, cfg *config, fork *mem.Physical) (*Machin
 	}
 	if engine < Reference || engine > Traces {
 		return nil, fmt.Errorf("%w: engine %d out of range", ErrSnapshotFormat, wire.Engine)
+	}
+	if wire.Kernel && wire.Kern == nil {
+		return nil, fmt.Errorf("%w: kernel snapshot without device state", ErrSnapshotFormat)
+	}
+	phys := fork
+	if phys == nil {
+		phys = mem.NewPhysical(int(wire.Phys.Size))
+		if err := phys.RestoreState(wire.Phys); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
+		}
 	}
 
 	m := &Machine{
@@ -227,16 +253,7 @@ func buildFromWire(wire *snapshotWire, cfg *config, fork *mem.Physical) (*Machin
 		template:    wire.Template,
 	}
 	if wire.Kernel {
-		if wire.Kern == nil {
-			return nil, fmt.Errorf("%w: kernel snapshot without device state", ErrSnapshotFormat)
-		}
-		var k *kernel.Machine
-		var err error
-		if fork != nil {
-			k, err = kernel.NewMachineShell(fork, kernel.Config{})
-		} else {
-			k, err = kernel.NewMachine(kernel.Config{PhysWords: int(wire.Phys.Size)})
-		}
+		k, err := kernel.NewMachineShell(phys, kernel.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("sim: restore: %w", err)
 		}
@@ -244,10 +261,6 @@ func buildFromWire(wire *snapshotWire, cfg *config, fork *mem.Physical) (*Machin
 		m.cpu = k.CPU
 		k.RestoreState(*wire.Kern)
 	} else {
-		phys := fork
-		if phys == nil {
-			phys = mem.NewPhysical(int(wire.Phys.Size))
-		}
 		bus := cpu.NewBus(phys)
 		if wire.DMA != nil || cfg.dma {
 			bus.DMA = mem.NewDMA(phys)
@@ -256,11 +269,6 @@ func buildFromWire(wire *snapshotWire, cfg *config, fork *mem.Physical) (*Machin
 		m.installBareTrap()
 		m.cpu.SetAudit(func(h cpu.Hazard) { m.hazards = append(m.hazards, h) })
 		m.out.WriteString(wire.Output)
-	}
-	if fork == nil {
-		if err := m.cpu.Bus.MMU.Phys.RestoreState(wire.Phys); err != nil {
-			return nil, fmt.Errorf("sim: restore: %w", err)
-		}
 	}
 	m.cpu.Bus.MMU.RestoreState(wire.MMU)
 	if err := m.cpu.RestoreState(wire.CPU); err != nil {
@@ -271,7 +279,7 @@ func buildFromWire(wire *snapshotWire, cfg *config, fork *mem.Physical) (*Machin
 	}
 	m.cpu.Interlocked = wire.Interlocked
 	m.engine.apply(m.cpu)
-	if err := m.attachObservers(cfg); err != nil {
+	if err := m.attachObservers(&cfg); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -20,7 +20,8 @@ import (
 //
 //   - the snapshot payload is decoded once (gob decode is O(state));
 //   - the physical-memory capture is materialized once into an
-//     immutable mem.Golden frame set;
+//     immutable mem.Golden frame set, with frames only for the pages
+//     the capture holds;
 //   - the kernel image, when the template is a kernel machine, comes
 //     from the per-size assembly cache (kernel.NewMachineShell).
 //
@@ -58,11 +59,7 @@ func (t *Template) Snapshot() []byte { return t.raw }
 // per-machine state. Options may re-attach observability and override
 // the engine, exactly as for Restore.
 func (t *Template) Fork(opts ...Option) (*Machine, error) {
-	cfg := config{spaceBits: t.wire.SpaceBits}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	m, err := buildFromWire(t.wire, &cfg, t.golden.Fork())
+	m, err := buildFromWire(t.wire, t.golden.Fork(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +107,8 @@ func NewTemplatePool() *TemplatePool {
 // Put stores a template under name from snapshot bytes (the Snapshot
 // wire format), replacing any previous template of that name. The
 // bytes are validated and pre-decoded so every later Fork skips the
-// decode entirely.
+// decode entirely; malformed bytes fail with ErrSnapshotFormat, as in
+// Restore.
 func (p *TemplatePool) Put(name string, snapshot []byte) (*Template, error) {
 	if name == "" {
 		return nil, errors.New("sim: template needs a name")
