@@ -212,8 +212,6 @@ func New(bus *Bus) *CPU {
 	c := &CPU{Bus: bus, engine: EngineTraces}
 	c.Sur = c.Sur.SetSupervisor(true)
 	c.pcq[0], c.pcn = 0, 1
-	c.pd = make([]decoded, pdMinEntries)
-	c.pdMask = pdMinEntries - 1
 	c.chainFollow = defaultChainFollow
 	return c
 }

@@ -26,9 +26,10 @@ import (
 )
 
 const (
-	// pdMinEntries is the predecode cache size a CPU starts with; the
-	// cache grows on demand up to pdMaxEntries and is then direct-mapped
-	// over the low address bits. Both are powers of two.
+	// pdMinEntries is the predecode cache size allocated on the first
+	// fast-path fetch; the cache grows on demand up to pdMaxEntries and
+	// is then direct-mapped over the low address bits. Both are powers
+	// of two.
 	pdMinEntries = 1 << 8
 	pdMaxEntries = 1 << 15
 )
@@ -159,15 +160,12 @@ func decodeWord(d *decoded, pa uint32, in isa.Instr) {
 	}
 }
 
-// InvalidateDecoded drops every predecoded record. Fetch validation
-// (comparing the cached source word against live instruction memory)
-// already keeps the cache coherent; this exists so whole-image reloads
-// release records eagerly instead of aging them out slot by slot.
-func (c *CPU) InvalidateDecoded() {
-	for i := range c.pd {
-		c.pd[i] = decoded{}
-	}
-}
+// InvalidateDecoded drops the predecode cache; the next fast-path fetch
+// allocates a fresh one. Fetch validation (comparing the cached source
+// word against live instruction memory) already keeps the cache
+// coherent; this exists so whole-image reloads release records eagerly
+// instead of aging them out slot by slot.
+func (c *CPU) InvalidateDecoded() { c.pd = nil }
 
 // pdSlot returns the cache slot for a physical address, growing the
 // direct-mapped cache (up to pdMaxEntries) when the program's footprint
@@ -175,7 +173,7 @@ func (c *CPU) InvalidateDecoded() {
 // conflict misses.
 func (c *CPU) pdSlot(pa uint32) *decoded {
 	if pa >= uint32(len(c.pd)) && len(c.pd) < pdMaxEntries {
-		size := len(c.pd)
+		size := max(len(c.pd), pdMinEntries)
 		for size < pdMaxEntries && uint32(size) <= pa {
 			size *= 2
 		}
