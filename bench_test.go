@@ -323,6 +323,49 @@ func BenchmarkKernelBoot(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelRun measures kernel-hosted programs end to end — boot,
+// demand paging, and the user program running mapped — on the blocks
+// engine and on the traces engine, where the trace tier runs the mapped
+// user code. It reports simulated ns per retired instruction.
+func BenchmarkKernelRun(b *testing.B) {
+	for _, name := range []string{"fib", "queens"} {
+		p, err := corpus.Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		im, _, err := codegen.CompileMIPS(p.Source,
+			codegen.MIPSOptions{StackTop: codegen.KernelStackTop}, reorg.All())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, e := range []struct {
+			name   string
+			engine cpu.Engine
+		}{{"blocks", cpu.EngineBlocks}, {"traces", cpu.EngineTraces}} {
+			b.Run(name+"/"+e.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var instrs uint64
+				for i := 0; i < b.N; i++ {
+					m, err := kernel.NewMachine(kernel.Config{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					m.CPU.SetEngine(e.engine)
+					if _, err := m.AddProcess(im, 16); err != nil {
+						b.Fatal(err)
+					}
+					n, err := m.Run(100_000_000)
+					if err != nil {
+						b.Fatal(err)
+					}
+					instrs += n
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+			})
+		}
+	}
+}
+
 // BenchmarkSnapshotRoundTripKernel measures the migrate path of the job
 // service in-process: fork a kernel machine from the fib template, run
 // it to completion, snapshot it, and restore the snapshot onto the

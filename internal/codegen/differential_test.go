@@ -2,13 +2,16 @@ package codegen
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
+	"reflect"
 	"testing"
 
 	"mips/internal/corpus"
 	"mips/internal/cpu"
 	"mips/internal/isa"
 	"mips/internal/kernel"
+	"mips/internal/mem"
 	"mips/internal/reorg"
 	"mips/internal/sim"
 )
@@ -265,11 +268,9 @@ func TestTracesMatchBlocks(t *testing.T) {
 	}
 }
 
-// TestFastPathMatchesReferenceKernel runs the same differential check
-// on the full kernel machine — demand paging, preemptive scheduling,
-// DMA, and the paging disk recycling frames under the predecode cache.
-func TestFastPathMatchesReferenceKernel(t *testing.T) {
-	src := `
+// kernelDiffArray is the array loop of the kernel differential: stores
+// then strided loads over a data page.
+const kernelDiffArray = `
 program diff;
 var i, acc: integer;
 var arr: array[0..63] of integer;
@@ -282,52 +283,169 @@ begin
   writeint(acc)
 end.
 `
-	im, _, err := CompileMIPS(src, MIPSOptions{}, reorg.All())
+
+// kernelDiffPages walks a 12-page array: with two processes it overruns
+// the eight user frames of kernelEvictWords, so eviction recycles frames
+// holding traced code.
+const kernelDiffPages = `
+program pages;
+var i, j, acc: integer;
+var big: array[0..12287] of integer;
+begin
+  acc := 0;
+  j := 0;
+  while j < 3 do begin
+    i := 0;
+    while i < 12288 do begin big[i] := i + j; i := i + 64 end;
+    i := 0;
+    while i < 12288 do begin acc := acc + big[i]; i := i + 64 end;
+    j := j + 1
+  end;
+  writeint(acc)
+end.
+`
+
+// kernelRun is everything observable about one finished kernel-machine
+// run: console, statistics, the observer event stream, the kernel's
+// paging and scheduling counters, and the MMU's architectural state
+// (segmentation registers, every PTE with its referenced and dirty bits,
+// the map generation).
+type kernelRun struct {
+	console                     string
+	stats                       cpu.Stats
+	events                      uint64
+	faults, switches, evictions uint32
+	diskReads, diskWrites       int
+	mmu                         mem.MMUState
+	trans                       cpu.TranslationStats
+}
+
+// runKernelImage boots a kernel machine with procs copies of im, runs it
+// to halt on the given engine with every observer hook but the step hook
+// attached, and captures the run.
+func runKernelImage(t *testing.T, im *isa.Image, cfg kernel.Config, procs int, engine cpu.Engine) kernelRun {
+	t.Helper()
+	m, err := kernel.NewMachine(cfg)
+	if err != nil {
+		t.Fatalf("machine: %v", err)
+	}
+	m.CPU.SetEngine(engine)
+	eh := newEventHasher()
+	eh.attach(m.CPU, false)
+	for p := 0; p < procs; p++ {
+		if _, err := m.AddProcess(im, 16); err != nil {
+			t.Fatalf("add process: %v", err)
+		}
+	}
+	if _, err := m.Run(50_000_000); err != nil {
+		t.Fatalf("run (engine %d): %v", engine, err)
+	}
+	return kernelRun{
+		console:    m.ConsoleOutput(),
+		stats:      m.CPU.Stats,
+		events:     eh.h.Sum64(),
+		faults:     m.PageFaults(),
+		switches:   m.ContextSwitches(),
+		evictions:  m.Evictions(),
+		diskReads:  m.DiskReads(),
+		diskWrites: m.DiskWrites(),
+		mmu:        m.CPU.Bus.MMU.CaptureState(),
+		trans:      m.CPU.Trans,
+	}
+}
+
+// compileKernelProgram compiles Pasqual source as a kernel process image.
+func compileKernelProgram(t *testing.T, src string) *isa.Image {
+	t.Helper()
+	im, _, err := CompileMIPS(src, MIPSOptions{StackTop: KernelStackTop}, reorg.All())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	type kernelImage struct {
-		console  string
-		faults   uint32
-		switches uint32
-		stats    cpu.Stats
-	}
-	run := func(engine cpu.Engine) kernelImage {
-		m, err := kernel.NewMachine(kernel.Config{TimerPeriod: 1000})
+	return im
+}
+
+// kernelEvictWords is the physical memory size of
+// TestEvictionUnderMemoryPressure: eight user frames, so frames holding
+// traced code are reused for other pages.
+const kernelEvictWords = 16 << 10
+
+// TestFastPathMatchesReferenceKernel runs the differential check on the
+// full kernel machine — demand paging, preemptive scheduling at several
+// timer periods, one and two processes, and a memory small enough that
+// eviction recycles frames under the predecode, block and trace caches.
+// The trace tier runs mapped user code here, so every engine must agree
+// on the whole observable machine, the MMU's referenced and dirty bits
+// included.
+func TestFastPathMatchesReferenceKernel(t *testing.T) {
+	progs := []struct{ name, src string }{{"array", kernelDiffArray}, {"pages", kernelDiffPages}}
+	for _, name := range []string{"fib", "queens", "strings"} {
+		p, err := corpus.Get(name)
 		if err != nil {
-			t.Fatalf("machine: %v", err)
+			t.Fatal(err)
 		}
-		m.CPU.SetEngine(engine)
-		if _, err := m.AddProcess(im, 16); err != nil {
-			t.Fatalf("add process: %v", err)
-		}
-		if _, err := m.AddProcess(im, 16); err != nil {
-			t.Fatalf("add process: %v", err)
-		}
-		if _, err := m.Run(50_000_000); err != nil {
-			t.Fatalf("run (engine %d): %v", engine, err)
-		}
-		return kernelImage{
-			console:  m.ConsoleOutput(),
-			faults:   m.PageFaults(),
-			switches: m.ContextSwitches(),
-			stats:    m.CPU.Stats,
+		progs = append(progs, struct{ name, src string }{name, p.Source})
+	}
+	var traced, evictions, evictedTraces uint64
+	for _, p := range progs {
+		im := compileKernelProgram(t, p.src)
+		for _, words := range []int{0, kernelEvictWords} {
+			for _, period := range []uint32{0, 2, 7, 150, 500, 4099} {
+				for _, procs := range []int{1, 2} {
+					if period < 150 && (p.name == "fib" || p.name == "queens") {
+						// A period this short preempts every few words, so
+						// every word costs a kernel round trip: only the
+						// short programs run here.
+						continue
+					}
+					name := fmt.Sprintf("%s/mem%d/timer%d/procs%d", p.name, words, period, procs)
+					t.Run(name, func(t *testing.T) {
+						cfg := kernel.Config{PhysWords: words, TimerPeriod: period}
+						ref := runKernelImage(t, im, cfg, procs, cpu.EngineReference)
+						for _, e := range []cpu.Engine{cpu.EngineFast, cpu.EngineBlocks, cpu.EngineTraces} {
+							got := runKernelImage(t, im, cfg, procs, e)
+							trans := got.trans
+							got.trans, ref.trans = cpu.TranslationStats{}, cpu.TranslationStats{}
+							if !reflect.DeepEqual(got, ref) {
+								t.Errorf("engine %d diverges from the reference:\n got %+v\n ref %+v", e, got, ref)
+							}
+							if e == cpu.EngineTraces {
+								traced += trans.TierInstrs[cpu.TierTraces]
+								if words == kernelEvictWords {
+									evictedTraces += trans.TraceInvalidations
+								}
+								if tot := trans.TierInstrTotal(); tot != got.stats.Instructions {
+									t.Errorf("tier residency sums to %d, want Instructions %d", tot, got.stats.Instructions)
+								}
+							}
+						}
+						if words == kernelEvictWords {
+							evictions += uint64(ref.evictions)
+						}
+					})
+				}
+			}
 		}
 	}
-	traces := run(cpu.EngineTraces)
-	blocks := run(cpu.EngineBlocks)
-	fast := run(cpu.EngineFast)
-	ref := run(cpu.EngineReference)
-	if fast != ref {
-		t.Errorf("kernel machines diverge:\n fast %+v\n  ref %+v", fast, ref)
+	if traced == 0 {
+		t.Error("no kernel run retired an instruction on the trace tier; the comparison is vacuous")
 	}
-	if blocks != fast {
-		t.Errorf("kernel machines diverge:\n blocks %+v\n   fast %+v", blocks, fast)
+	if evictions == 0 || evictedTraces == 0 {
+		t.Errorf("%d evictions dropped %d traces at %d words; the frame-reuse case is vacuous",
+			evictions, evictedTraces, kernelEvictWords)
 	}
-	// The kernel machine has devices and a paging MMU, so the quiet-
-	// environment guard keeps traces from ever forming; the tier must
-	// degrade gracefully to superblocks without observable difference.
-	if traces != blocks {
-		t.Errorf("kernel machines diverge:\n traces %+v\n blocks %+v", traces, blocks)
+}
+
+// TestKernelTraceResidency is the residency tripwire of the mapped trace
+// tier: kernel-hosted fib with the timer off retires at least 90% of its
+// instructions in compiled traces.
+func TestKernelTraceResidency(t *testing.T) {
+	p, err := corpus.Get("fib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := runKernelImage(t, compileKernelProgram(t, p.Source), kernel.Config{}, 1, cpu.EngineTraces)
+	share := float64(run.trans.TierInstrs[cpu.TierTraces]) / float64(run.stats.Instructions)
+	if share < 0.9 {
+		t.Errorf("kernel fib retires %.1f%% of its instructions in traces, want >= 90%%\n%s", 100*share, &run.trans)
 	}
 }

@@ -14,6 +14,7 @@ package cpu
 
 import (
 	"mips/internal/isa"
+	"mips/internal/mem"
 )
 
 // queueSequential reports whether the fetch queue holds only the
@@ -395,14 +396,16 @@ func (c *CPU) runBlocks() (*block, bool) {
 	bus := c.Bus
 	doTick := len(bus.tickers) > 0
 	dmaOn := bus.DMA != nil
-	// With the trace tier live in its quiet configuration, chained
-	// entries feed the tier's heat profile and yield to compiled traces:
-	// Step entry is the only point the trace dispatcher sees, and a
-	// 64-deep chain would otherwise starve it of both heat and
-	// dispatches (the chain's exit PCs cycle around a loop instead of
-	// revisiting one entry).
-	traceTier := c.engine == EngineTraces && !c.trec.active && !dmaOn && !doTick &&
-		!mapped && len(bus.devices) == 0
+	// With the trace tier live here, chained entries feed the tier's
+	// heat profile and yield to compiled traces: Step entry is the only
+	// point the trace dispatcher sees, and a 64-deep chain would
+	// otherwise starve it of both heat and dispatches (the chain's exit
+	// PCs cycle around a loop instead of revisiting one entry).
+	traceTier := c.engine == EngineTraces && !c.trec.active && c.traceable()
+	var ctx mem.Context
+	if traceTier {
+		ctx = bus.MMU.Context(mapped)
+	}
 
 	// Chained blocks execute back to back inside one Step while nothing
 	// needs the per-step dispatch: the hot loop never leaves this
@@ -650,7 +653,7 @@ func (c *CPU) runBlocks() (*block, bool) {
 			return b, true
 		}
 		npc := c.pcq[0]
-		if traceTier && c.traceYield(npc) {
+		if traceTier && c.traceYield(npc, &ctx) {
 			return b, true
 		}
 		var nb *block
@@ -663,30 +666,55 @@ func (c *CPU) runBlocks() (*block, bool) {
 				break
 			}
 		}
-		if nb == nil && c.trec.active && !mapped && npc < uint32(len(c.IMem)) {
+		if nb == nil && c.trec.active && c.traceable() {
 			// A recording must capture the whole hot path, but chain
 			// edges toward trace-covered entries are never built (trace
 			// dispatch intercepts those entries before the block engine
-			// sees them). Resolve through the cache exactly as dispatch
-			// entry does — translation cost is formation-time, paid once.
-			if cached := *c.blockSlot(npc); cached != nil && cached.valid && cached.pa == npc {
-				nb = cached
-				c.Trans.BlockHits++
-			} else {
-				nb = c.translateBlock(npc)
-			}
-			if !c.blockCurrent(nb) {
-				nb = c.translateBlock(nb.pa)
-			}
-			if b.valid {
-				b.recordChain(npc, nb)
-			}
+			// sees them), and mapped code keeps no edges at all. Resolve
+			// through the cache exactly as dispatch entry does, fetch
+			// translation included — translation cost is formation-time,
+			// paid once.
+			nb = c.recordSuccessor(b, npc, mapped)
 		}
 		if nb == nil {
 			return b, true
 		}
 		b, pc = nb, npc
 	}
+}
+
+// recordSuccessor resolves a recording's next block at npc the way
+// runBlocks resolves its entry: translated when mapped (the same fetch
+// translation the next Step's entry would make), then through the block
+// cache. It returns nil when npc does not resolve, leaving the exact
+// fault to the next Step. Unmapped successors also become chain edges;
+// mapped ones cannot, since an edge bakes in the address identity.
+func (c *CPU) recordSuccessor(b *block, npc uint32, mapped bool) *block {
+	pa := npc
+	if mapped {
+		p, f := c.Bus.MMU.Translate(npc, false, true)
+		if f != nil {
+			return nil
+		}
+		pa = p
+	}
+	if pa >= uint32(len(c.IMem)) {
+		return nil
+	}
+	var nb *block
+	if cached := *c.blockSlot(pa); cached != nil && cached.valid && cached.pa == pa {
+		nb = cached
+		c.Trans.BlockHits++
+	} else {
+		nb = c.translateBlock(pa)
+	}
+	if !c.blockCurrent(nb) {
+		nb = c.translateBlock(nb.pa)
+	}
+	if b.valid && !mapped {
+		b.recordChain(npc, nb)
+	}
+	return nb
 }
 
 // blockCurrent reports whether every word a block caches — body,

@@ -174,9 +174,10 @@ type TranslationStats struct {
 	// traces pay no bookkeeping and the counters measure lost trace
 	// time, not mere configuration).
 	//
-	// TraceDeoptEnvironment: the machine configuration was not quiet —
-	// address mapping, DMA in flight, ticking devices — which the
-	// compiled ops do not model. TraceDeoptInterrupt: an interrupt
+	// TraceDeoptEnvironment: the environment kept a ready trace from
+	// running — DMA attached, devices while unmapped, a tick horizon
+	// shorter than the trace, or a mapped reference that reached a
+	// device (the trace exits before it). TraceDeoptInterrupt: an interrupt
 	// line was pending and must be sampled at the exact engine's
 	// boundary. TraceDeoptChainBudget: a trace run returned with the
 	// next trace ready only because the chain-follow budget for the

@@ -10,8 +10,9 @@ import (
 // unmapped (paper §3.2); in this model devices claim physical word
 // addresses and the kernel reaches them with mapping disabled.
 type Device interface {
-	// Contains reports whether the device claims the physical address.
-	Contains(phys uint32) bool
+	// Window reports the physical word addresses the device claims:
+	// lo inclusive through hi exclusive.
+	Window() (lo, hi uint32)
 	// ReadWord returns the device register at the address.
 	ReadWord(phys uint32) uint32
 	// WriteWord stores to the device register at the address.
@@ -25,6 +26,8 @@ type Bus struct {
 	MMU     *mem.MMU
 	DMA     *mem.DMA
 	devices []Device
+	windows []window // devices[i] claims windows[i]
+	devLo   uint32   // the lowest address any device claims
 	tickers []Ticker
 
 	// LastFault is the external mapping unit's fault latch: the most
@@ -33,21 +36,40 @@ type Bus struct {
 	LastFault *mem.Fault
 }
 
-// Ticker is implemented by devices that advance with machine cycles
-// (timers). The CPU ticks the bus once per executed instruction.
+// Ticker is implemented by devices that advance with executed
+// instructions (timers). The per-instruction engines tick the bus once
+// per executed word. The trace tier retires whole traces with no word
+// boundary in between, so it asks every ticker how far it may run first
+// and advances them in one call afterwards. It runs on a machine with
+// devices only in mapped user mode, so Horizon and Advance count
+// instructions retired at user level.
 type Ticker interface {
+	// Tick advances the device by one executed instruction word.
 	Tick()
+	// Horizon reports how many user-level instructions the device can
+	// absorb before the CPU could see a change: the device may raise
+	// the interrupt line on the last of them, not before.
+	Horizon() uint64
+	// Advance moves the device forward by n user-level instructions,
+	// exactly as n Ticks at user level would.
+	Advance(n uint64)
 }
+
+// window is a device's claim: n words from lo.
+type window struct{ lo, n uint32 }
 
 // NewBus builds a bus over the given physical memory.
 func NewBus(phys *mem.Physical) *Bus {
-	return &Bus{MMU: mem.NewMMU(phys)}
+	return &Bus{MMU: mem.NewMMU(phys), devLo: ^uint32(0)}
 }
 
 // Attach adds a memory-mapped device. Devices that also implement
-// Ticker advance once per executed instruction.
+// Ticker advance with executed instructions.
 func (b *Bus) Attach(d Device) {
+	lo, hi := d.Window()
 	b.devices = append(b.devices, d)
+	b.windows = append(b.windows, window{lo: lo, n: hi - lo})
+	b.devLo = min(b.devLo, lo)
 	if t, ok := d.(Ticker); ok {
 		b.tickers = append(b.tickers, t)
 	}
@@ -60,10 +82,30 @@ func (b *Bus) Tick() {
 	}
 }
 
+// horizon is the fewest instructions any ticker can absorb before the
+// CPU could see a change; unlimited with no tickers.
+func (b *Bus) horizon() uint64 {
+	h := ^uint64(0)
+	for _, t := range b.tickers {
+		h = min(h, t.Horizon())
+	}
+	return h
+}
+
+// advance moves every ticker forward by n user-level instructions.
+func (b *Bus) advance(n uint64) {
+	for _, t := range b.tickers {
+		t.Advance(n)
+	}
+}
+
 func (b *Bus) device(phys uint32) Device {
-	for _, d := range b.devices {
-		if d.Contains(phys) {
-			return d
+	if phys < b.devLo {
+		return nil
+	}
+	for i, w := range b.windows {
+		if phys-w.lo < w.n {
+			return b.devices[i]
 		}
 	}
 	return nil
@@ -88,6 +130,23 @@ func (b *Bus) Read(addr uint32, mapped bool) (uint32, *mem.Fault) {
 		return d.ReadWord(pa), nil
 	}
 	return b.MMU.Phys.Read(pa)
+}
+
+// translateUser resolves a mapped data reference for the trace tier:
+// a TLB probe, valid because the tier synced the TLB at dispatch and
+// runs under one fixed context, falling back to the MMU's translation,
+// with a fault latched exactly as Read and Write latch one. dev reports
+// a physical address a device claims, whose access the caller leaves to
+// the lower tiers.
+func (b *Bus) translateUser(addr uint32, write bool) (pa uint32, dev bool, f *mem.Fault) {
+	pa, ok := b.MMU.Probe(addr, write)
+	if !ok {
+		if pa, f = b.MMU.Translate(addr, write, true); f != nil {
+			b.LastFault = f
+			return 0, false, f
+		}
+	}
+	return pa, pa >= b.devLo && b.device(pa) != nil, nil
 }
 
 // Write stores a data word.

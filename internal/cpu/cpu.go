@@ -199,9 +199,11 @@ const (
 	// per-step tracers (SetStepHook) and Interlocked mode suspend it.
 	EngineBlocks
 	// EngineTraces adds the trace tier above the superblock engine.
-	// Traces form only in the quiet machine configuration (unmapped, no
-	// devices, no DMA, no tickers) and every deviation bails tier by
-	// tier — trace to superblock to fast path to reference.
+	// Traces form and run wherever no DMA engine is attached and either
+	// no device is or the CPU runs mapped user code — a kernel's
+	// processes included, with the interval timer bounding each trace
+	// by its tick horizon — and every deviation bails tier by tier:
+	// trace to superblock to fast path to reference.
 	EngineTraces
 )
 

@@ -41,7 +41,7 @@ func (c *CPU) replayRecording(r TraceRecording) {
 // compiled op count of the installed trace (0 if nothing installed).
 func (c *CPU) FormTrace(r TraceRecording) int {
 	c.replayRecording(r)
-	if tr := c.traceAt(r.entry); tr != nil {
+	if tr := c.traceAt(r.entry, &c.trec.ctx); tr != nil {
 		return len(tr.ins)
 	}
 	return 0

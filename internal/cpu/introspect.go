@@ -284,7 +284,7 @@ func (c *CPU) TraceSites() []TraceSite {
 	out := make([]TraceSite, 0, len(c.liveTraces))
 	for _, tr := range c.liveTraces {
 		s := TraceSite{
-			EntryPC:  tr.pa,
+			EntryPC:  tr.pc,
 			EndPC:    tr.endPC,
 			Ops:      len(tr.ins),
 			Blocks:   len(tr.spans),

@@ -170,11 +170,15 @@ func (c *CPU) InvalidateDecoded() { c.pd = nil }
 // pdSlot returns the cache slot for a physical address, growing the
 // direct-mapped cache (up to pdMaxEntries) when the program's footprint
 // exceeds it, so small programs keep a small cache and large ones avoid
-// conflict misses.
-func (c *CPU) pdSlot(pa uint32) *decoded {
-	if pa >= uint32(len(c.pd)) && len(c.pd) < pdMaxEntries {
+// conflict misses. Mapped fetches (grow false) never grow it: their page
+// frames may lie anywhere in physical memory, so covering one would size
+// the cache by the machine's memory — megabytes cleared for a kernel
+// machine's first user fetch — rather than by the code it runs. They
+// share the cache, direct-mapped, as it stands.
+func (c *CPU) pdSlot(pa uint32, grow bool) *decoded {
+	if pa >= uint32(len(c.pd)) && len(c.pd) < pdMaxEntries && (grow || c.pd == nil) {
 		size := max(len(c.pd), pdMinEntries)
-		for size < pdMaxEntries && uint32(size) <= pa {
+		for grow && size < pdMaxEntries && uint32(size) <= pa {
 			size *= 2
 		}
 		c.pd = make([]decoded, size)
@@ -188,7 +192,8 @@ func (c *CPU) pdSlot(pa uint32) *decoded {
 // fetch.
 func (c *CPU) fetchFast(pc uint32) (*decoded, *mem.Fault) {
 	pa := pc
-	if c.Mapped() {
+	mapped := c.Mapped()
+	if mapped {
 		var f *mem.Fault
 		pa, f = c.Bus.MMU.Translate(pc, false, true)
 		if f != nil {
@@ -203,7 +208,7 @@ func (c *CPU) fetchFast(pc uint32) (*decoded, *mem.Fault) {
 		// Unprogrammed instruction memory decodes as illegal.
 		return nil, &mem.Fault{Cause: isa.CauseIllegal, Addr: pa}
 	}
-	d := c.pdSlot(pa)
+	d := c.pdSlot(pa, !mapped)
 	if d.pa != pa || d.src != in {
 		// A populated slot bound to a different physical address is a
 		// direct-mapped collision: the aliasing case the d.pa binding

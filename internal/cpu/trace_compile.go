@@ -10,12 +10,16 @@ package cpu
 // clean pass bulk-adds the precomputed cost of the whole trace.
 //
 // Every check a handler would repeat per word is hoisted to dispatch
-// entry, where the quiet-configuration guard (stepTraces) has already
-// discharged it: no device, ticker, or DMA engine exists to raise the
-// interrupt line or remap memory mid-trace, privilege and overflow
-// enable can only change through words a trace refuses to contain, and
+// entry, where stepTraces has already discharged it: no DMA engine
+// exists, a matching translation context (the trace's key) stands in
+// for every fetch translation, the tickers' horizon covers the whole
+// trace so none can raise the interrupt line mid-trace, privilege,
+// overflow enable and the page map can only change through words a
+// trace refuses to contain or device references it exits before, and
 // the write barrier reports the one store hazard that remains (a store
-// into the trace's own code) through tr.valid.
+// into the trace's own code) through tr.valid. Under a mapped context
+// the memory handlers translate each data reference (trLoadM and
+// friends); the unmapped handlers use the deviceless bus fast path.
 //
 // Exits are exact. Each record carries the statistics prefix of the
 // words before it, and the precise fetch-queue image for each way it
@@ -29,7 +33,10 @@ package cpu
 // (trace -> superblock -> fast path -> reference) never shows through
 // architecturally.
 
-import "mips/internal/isa"
+import (
+	"mips/internal/isa"
+	"mips/internal/mem"
+)
 
 // Per-class happy-path cost of one word, identical to what the block
 // engine's quiet loop accounts for the same word.
@@ -78,6 +85,11 @@ func (c *CPU) charge(in *traceInst, w traceCost) {
 	in.pre.plus(w).add(&c.Stats)
 }
 
+// deoptDevice is the exit reason of a mapped reference a device claims.
+// It lies outside the guard-exit partition: runTrace counts it as an
+// environment deopt.
+const deoptDevice = NumDeoptReasons
+
 // traceFault abandons the trace at a faulting word: the word restarts
 // at the head of the restored fetch queue (return address zero),
 // exactly as bailFault leaves it. The caller has already accounted the
@@ -105,28 +117,35 @@ func (c *CPU) traceFault2(q [3]uint32, primary, secondary isa.Cause) {
 // chains too when it left a single-entry (hence sequential) queue and
 // raised no exception: a mispredicted direction frequently lands at the
 // entry of the trace covering the other path, and bouncing through the
-// lower tiers for one Step would forfeit the dispatch. The environment
-// guards hold for the whole chain: nothing inside a trace can change
-// what stepTraces checked (the quiet configuration has no source of
-// interrupts, and privilege or overflow enable only change through
-// words a trace refuses to contain).
-func (c *CPU) runTrace(tr *trace) {
+// lower tiers for one Step would forfeit the dispatch. The dispatch
+// guards hold for the whole chain: nothing inside a trace can change the
+// translation context ctx or what stepTraces checked (privilege,
+// overflow enable and the page map only change through words a trace
+// refuses to contain or through devices, whose references exit before
+// the access), so the TLB, synced here, serves the mapped handlers'
+// probes. The tickers are advanced only afterwards, so each trace
+// entered must fit what is left of their horizon.
+func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon uint64) {
 	c.trOvfOn = c.Sur.OverflowEnabled()
+	if ctx.Mapped {
+		c.Bus.MMU.SyncTLB()
+	}
 	exc0 := c.excSeq
+	i0 := c.Stats.Instructions
 	for follow := 0; ; follow++ {
 		c.Trans.TraceDispatchHits++
 		tr.hits++
 		if !tr.warm {
 			tr.warm = true
 			if c.onJIT != nil {
-				c.emitJIT(JITEvent{Kind: JITDispatchCold, PC: tr.pa, Len: uint32(len(tr.ins))})
+				c.emitJIT(JITEvent{Kind: JITDispatchCold, PC: tr.pc, Len: uint32(len(tr.ins))})
 			}
 		}
 		c.trCur = tr
 		ins := tr.ins
 		clean := true
 		xi := 0
-		i0 := c.Stats.Instructions
+		t0 := c.Stats.Instructions
 		for i := range ins {
 			in := &ins[i]
 			if !in.fn(c, in) {
@@ -137,21 +156,26 @@ func (c *CPU) runTrace(tr *trace) {
 		if clean {
 			tr.cost.add(&c.Stats)
 			c.pcq[0], c.pcn = tr.endPC, 1
-			tr.instrs += c.Stats.Instructions - i0
+			tr.instrs += c.Stats.Instructions - t0
 		} else {
-			tr.instrs += c.Stats.Instructions - i0
+			tr.instrs += c.Stats.Instructions - t0
 			// The handler set c.deopt immediately before returning
-			// false. Mispredicted directions and indirect targets first
-			// try to resolve inside the tier — chain straight into the
-			// trace or side stub covering where execution actually went
-			// — and only an unresolved exit counts as a guard exit, so
-			// the per-reason slots stay an exact partition of the total
-			// and every op exit counts exactly one of guard-exit,
-			// side-hit, or IC-hit.
+			// false. A device reference left the word to the lower
+			// tiers: that is the environment, not a guard. Mispredicted
+			// directions and indirect targets first try to resolve
+			// inside the tier — chain straight into the trace or side
+			// stub covering where execution actually went — and only an
+			// unresolved exit counts as a guard exit, so the per-reason
+			// slots stay an exact partition of the total and every op
+			// exit counts exactly one of guard-exit, side-hit, or IC-hit.
 			r := c.deopt
+			if r == deoptDevice {
+				c.Trans.TraceDeoptEnvironment++
+				return
+			}
 			if (r == DeoptBranchDirection || r == DeoptIndirectTarget) &&
 				c.excSeq == exc0 && follow < c.chainFollow {
-				if nt := c.sideResolve(tr, xi, r); nt != nil {
+				if nt := c.sideResolve(tr, xi, r, ctx, horizon-(c.Stats.Instructions-i0)); nt != nil {
 					tr = nt
 					continue
 				}
@@ -160,23 +184,33 @@ func (c *CPU) runTrace(tr *trace) {
 			c.Trans.TraceDeopts[r]++
 			tr.deopts[r]++
 			if c.onJIT != nil {
-				c.emitJIT(JITEvent{Kind: JITGuardExit, Reason: uint8(r), PC: tr.pa, Len: uint32(xi)})
+				c.emitJIT(JITEvent{Kind: JITGuardExit, Reason: uint8(r), PC: tr.pc, Len: uint32(xi)})
 			}
 			if c.Halted || c.excSeq != exc0 || c.pcn != 1 {
 				return
 			}
 		}
+		// A loop trace re-enters itself: under the same context, in the
+		// same slot, so the lookup would return it (side stubs never sit
+		// in the cache, so they always look up).
+		nt := tr
+		if c.pcq[0] != tr.pc || !tr.valid || tr.side {
+			nt = c.traceAt(c.pcq[0], ctx)
+		}
 		if follow >= c.chainFollow {
 			// Standing down with a compiled trace ready at the next PC
 			// is lost trace time, not a guard failure: counted as a
 			// dispatch-level deopt outside the guard-exit partition.
-			if c.traceAt(c.pcq[0]) != nil {
+			if nt != nil {
 				c.Trans.TraceDeoptChainBudget++
 			}
 			return
 		}
-		nt := c.traceAt(c.pcq[0])
 		if nt == nil {
+			return
+		}
+		if uint64(nt.words) > horizon-(c.Stats.Instructions-i0) {
+			c.Trans.TraceDeoptEnvironment++
 			return
 		}
 		tr = nt
@@ -196,18 +230,21 @@ func (c *CPU) runTrace(tr *trace) {
 //     in the op's inline cache (MRU first), installing a new stub on a
 //     hot miss.
 //
-// A successful resolution returns the trace to continue in, having
-// counted a side/IC hit; nil falls back to the guard-exit path.
-func (c *CPU) sideResolve(tr *trace, xi int, r DeoptReason) *trace {
+// room is what is left of the tickers' horizon: a continuation longer
+// than that stays unresolved. A successful resolution returns the trace
+// to continue in, having counted a side/IC hit; nil falls back to the
+// guard-exit path.
+func (c *CPU) sideResolve(tr *trace, xi int, r DeoptReason, ctx *mem.Context, room uint64) *trace {
 	if c.pcn == 1 || (c.pcn == 2 && c.pcq[1] == c.pcq[0]+1) {
-		if nt := c.traceAt(c.pcq[0]); nt != nil {
+		if nt := c.traceAt(c.pcq[0], ctx); nt != nil && uint64(nt.words) <= room {
 			c.Trans.TraceSideHits++
 			tr.sideHits++
 			return nt
 		}
 		return nil
 	}
-	if tr.sides == nil {
+	// A stub is at most two words.
+	if tr.sides == nil || room < 2 {
 		return nil
 	}
 	s := &tr.sides[tr.ins[xi].sx]
@@ -228,7 +265,7 @@ func (c *CPU) sideResolve(tr *trace, xi int, r DeoptReason) *trace {
 		if s.hot < sideThreshold {
 			return nil
 		}
-		st := c.buildSideStub(c.pcq[0], 1, c.pcq[1])
+		st := c.buildSideStub(ctx, c.pcq[0], 1, c.pcq[1])
 		if st == nil {
 			s.hot = sideNever
 			return nil
@@ -237,7 +274,7 @@ func (c *CPU) sideResolve(tr *trace, xi int, r DeoptReason) *trace {
 		s.br = st
 		c.Trans.TraceSideCompiled++
 		if c.onJIT != nil {
-			c.emitJIT(JITEvent{Kind: JITSideCompiled, PC: st.pa, Len: uint32(len(st.ins))})
+			c.emitJIT(JITEvent{Kind: JITSideCompiled, PC: st.pc, Len: uint32(len(st.ins))})
 		}
 		c.Trans.TraceSideHits++
 		tr.sideHits++
@@ -267,7 +304,7 @@ func (c *CPU) sideResolve(tr *trace, xi int, r DeoptReason) *trace {
 	if s.hot < sideThreshold {
 		return nil
 	}
-	st := c.buildSideStub(c.pcq[0], 2, t)
+	st := c.buildSideStub(ctx, c.pcq[0], 2, t)
 	if st == nil {
 		// Compilability depends only on the delay-slot words, which are
 		// the same for every target: poison the whole slot.
@@ -279,7 +316,7 @@ func (c *CPU) sideResolve(tr *trace, xi int, r DeoptReason) *trace {
 	s.ic[0], s.icTgt[0] = st, t
 	c.Trans.TraceICInstalls++
 	if c.onJIT != nil {
-		c.emitJIT(JITEvent{Kind: JITSideCompiled, PC: st.pa, Len: uint32(len(st.ins))})
+		c.emitJIT(JITEvent{Kind: JITSideCompiled, PC: st.pc, Len: uint32(len(st.ins))})
 	}
 	c.Trans.TraceICHits++
 	tr.icHits++
@@ -294,20 +331,32 @@ func (c *CPU) sideResolve(tr *trace, xi int, r DeoptReason) *trace {
 // stub stitches the parent to the cold path's own trace, forming a
 // trace tree, without ever returning to dispatch.
 //
-// The words come fresh from live instruction memory (pc == pa in the
-// quiet configuration), never from the parent's recording: a stub built
-// after self-modification must reflect what the lower tiers would
-// fetch. Stubs are derived state like every trace — the write barrier
-// drops them, validity is checked at every use, and a dropped stub
-// re-forms from memory on the next hot exit.
-func (c *CPU) buildSideStub(dsPC uint32, dsN int, x uint32) *trace {
-	if uint64(dsPC)+uint64(dsN) > uint64(len(c.IMem)) {
-		return nil
-	}
+// The words come fresh from live instruction memory, never from the
+// parent's recording: a stub built after self-modification must reflect
+// what the lower tiers would fetch. Under a mapped context each word's
+// address translates first, exactly as the lower tiers' fetch of it next
+// would; a word that does not translate builds no stub. The stub runs
+// only from its parent's side slot, so only under the parent's context,
+// which it shares. Stubs are derived state like every trace — the write
+// barrier drops them, validity is checked at every use, and a dropped
+// stub re-forms from memory on the next hot exit.
+func (c *CPU) buildSideStub(ctx *mem.Context, dsPC uint32, dsN int, x uint32) *trace {
 	var ds [2]decoded
 	var words [2]traceWord
+	var spans [2]traceSpan
+	ns := 0
 	for k := 0; k < dsN; k++ {
-		pa := dsPC + uint32(k)
+		vpc := dsPC + uint32(k)
+		pa := vpc
+		if ctx.Mapped {
+			var f *mem.Fault
+			if pa, f = c.Bus.MMU.Translate(vpc, false, true); f != nil {
+				return nil
+			}
+		}
+		if pa >= uint32(len(c.IMem)) {
+			return nil
+		}
 		in := c.IMem[pa]
 		if in.ALU == nil && in.Mem == nil {
 			return nil
@@ -320,10 +369,16 @@ func (c *CPU) buildSideStub(dsPC uint32, dsN int, x uint32) *trace {
 		}
 		// Entry state is unknown (a load may be pending from the
 		// parent): every stub word runs the guarded variant.
-		words[k] = traceWord{d: d, vpc: pa, x: x, shape: qFirst, hazard: true}
+		words[k] = traceWord{d: d, vpc: vpc, x: x, shape: qFirst, hazard: true}
+		if ns > 0 && spans[ns-1].pa+spans[ns-1].n == pa {
+			spans[ns-1].n++
+		} else {
+			spans[ns] = traceSpan{pa: pa, n: 1}
+			ns++
+		}
 	}
 	words[dsN-1].shape = qLast
-	tr := c.compileTrace(words[:dsN], dsPC, x, []traceSpan{{pa: dsPC, n: uint32(dsN)}})
+	tr := c.compileTrace(words[:dsN], ctx, dsPC, x, append([]traceSpan(nil), spans[:ns]...))
 	if tr == nil {
 		return nil
 	}
@@ -353,8 +408,10 @@ func sideGuard(d *decoded) bool {
 // side slots exactly, so compilation makes a constant number of
 // allocations whatever the trace's length. The trace keeps nothing of
 // words, whose decoded pointers reach into the recorded blocks or a
-// side stub's stack.
-func (c *CPU) compileTrace(words []traceWord, entry, endPC uint32, spans []traceSpan) *trace {
+// side stub's stack. Under a mapped ctx, memory words take the mapped
+// handlers, and a word only the exact executor runs must not reference
+// memory (it could reach a device mid-trace).
+func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uint32, spans []traceSpan) *trace {
 	n, ng, ns := 0, 0, 0
 	for i := 0; i < len(words); i++ {
 		d := words[i].d
@@ -374,7 +431,9 @@ func (c *CPU) compileTrace(words []traceWord, entry, endPC uint32, spans []trace
 	if n == 0 {
 		return nil
 	}
-	tr := &trace{pa: entry, endPC: endPC, spans: spans, ins: make([]traceInst, n)}
+	tr := &trace{pc: entry, ctx: *ctx, words: uint32(len(words)), endPC: endPC,
+		spans: spans, ins: make([]traceInst, n)}
+	mapped := ctx.Mapped
 	if ng > 0 {
 		tr.dec = make([]decoded, 0, ng)
 	}
@@ -417,13 +476,16 @@ func (c *CPU) compileTrace(words []traceWord, entry, endPC uint32, spans []trace
 			// the table, so earlier records' pointers stay valid.
 			tr.dec = append(tr.dec, *w.d)
 			in.d = &tr.dec[len(tr.dec)-1]
-			happy = compileGeneral(in, w)
+			happy = compileGeneral(in, w, mapped)
+			if in.fn == nil {
+				return nil
+			}
 		case bcALU:
 			happy = compileALU(in, w)
 		case bcLoad:
-			happy = compileLoad(in, w)
+			happy = compileLoad(in, w, mapped)
 		case bcStore:
-			happy = compileStore(in, w)
+			happy = compileStore(in, w, mapped)
 		case bcBranch:
 			in.a, in.b, in.cmp, in.target = w.d.m1, w.d.m2, w.d.memCmp, w.d.target
 			in.taken = w.taken
@@ -452,8 +514,9 @@ func (c *CPU) compileTrace(words []traceWord, entry, endPC uint32, spans []trace
 // cost. Packed computation+memory words and packed terminators get
 // specialized handlers; anything else runs through the exact executor,
 // accounting its own statistics live (so it contributes nothing to the
-// trace's bulk cost or to later exit prefixes).
-func compileGeneral(in *traceInst, w *traceWord) traceCost {
+// trace's bulk cost or to later exit prefixes) — except, under a mapped
+// context, a word with a memory piece, which gets no handler.
+func compileGeneral(in *traceInst, w *traceWord, mapped bool) traceCost {
 	d := in.d
 	packedALU := d.aluKind == isa.PieceALU || d.aluKind == isa.PieceSetCond
 	switch d.memKind {
@@ -481,16 +544,25 @@ func compileGeneral(in *traceInst, w *traceWord) traceCost {
 	case isa.PieceLoad, isa.PieceStore:
 		if packedALU {
 			switch {
+			case d.memKind == isa.PieceStore && mapped:
+				in.fn = trPackedStoreM
+				return wcPackedStore
 			case d.memKind == isa.PieceStore:
 				in.fn = trPackedStore
 				return wcPackedStore
 			case d.mode == isa.AModeLongImm:
 				in.fn = trPackedLoadImm
 				return wcPackedLoadImm
+			case mapped:
+				in.fn = trPackedLoadM
+				return wcPackedLoad
 			default:
 				in.fn = trPackedLoad
 				return wcPackedLoad
 			}
+		}
+		if mapped && d.mode != isa.AModeLongImm {
+			return traceCost{}
 		}
 	}
 	in.fn = trGeneral
@@ -533,9 +605,10 @@ func compileALU(in *traceInst, w *traceWord) traceCost {
 }
 
 // compileLoad picks the handler of a load word: long immediates never
-// touch the data port; real loads specialize on the addressing mode
-// when unguarded.
-func compileLoad(in *traceInst, w *traceWord) traceCost {
+// touch the data port; real loads take the mapped handler under a mapped
+// context and otherwise specialize on the addressing mode when
+// unguarded.
+func compileLoad(in *traceInst, w *traceWord, mapped bool) traceCost {
 	d := w.d
 	in.data, in.base, in.index, in.shift = d.data, d.base, d.index, d.shift
 	in.mode, in.imm, in.eager = d.mode, uint32(d.disp), w.eager
@@ -543,6 +616,8 @@ func compileLoad(in *traceInst, w *traceWord) traceCost {
 	case d.mode == isa.AModeLongImm:
 		in.fn = trLoadImm
 		return wcLoadImm
+	case mapped:
+		in.fn = trLoadM
 	case w.hazard:
 		in.fn = trLoadG
 	case d.mode == isa.AModeDisp:
@@ -556,11 +631,13 @@ func compileLoad(in *traceInst, w *traceWord) traceCost {
 }
 
 // compileStore picks the handler of a store word.
-func compileStore(in *traceInst, w *traceWord) traceCost {
+func compileStore(in *traceInst, w *traceWord, mapped bool) traceCost {
 	d := w.d
 	in.data, in.base, in.index, in.shift = d.data, d.base, d.index, d.shift
 	in.mode, in.imm = d.mode, uint32(d.disp)
 	switch {
+	case mapped:
+		in.fn = trStoreM
 	case w.hazard:
 		in.fn = trStoreG
 	case d.mode == isa.AModeDisp:
@@ -1476,6 +1553,211 @@ func trJumpInd(c *CPU, in *traceInst) bool {
 		c.charge(in, wcTaken)
 		c.pcq[0], c.pcq[1], c.pcq[2] = in.vpc+1, in.vpc+2, t
 		c.pcn = 3
+		return false
+	}
+	return true
+}
+
+// The mapped memory handlers serve traces formed under a mapped
+// context. Each computes its effective address straight from the
+// register file and translates it through the MMU (its TLB first), the
+// fault latched exactly as the bus latches one. A physical address a
+// device claims exits before the access: nothing of the word has
+// happened, so the lower tiers run the device reference — and tick for
+// it — exactly. Otherwise a position with a pending load repeats its
+// reads through the audited path for the hazard auditor, in the
+// executor's order, and the word completes as on the unmapped handlers.
+
+// traceAddr computes a load/store effective address from the register
+// file, with no hazard audit.
+func (c *CPU) traceAddr(in *traceInst) uint32 {
+	switch in.mode {
+	case isa.AModeAbs:
+		return in.imm
+	case isa.AModeDisp:
+		return c.Regs[in.base] + in.imm
+	case isa.AModeIndex:
+		return c.Regs[in.base] + c.Regs[in.index]
+	}
+	return c.Regs[in.base] + c.Regs[in.index]>>in.shift
+}
+
+// deviceExit leaves a mapped trace before a device reference at in. The
+// word has not started: the sequence counter steps back and the fetch
+// queue holds the word's restart image. Pending-load commits it drained
+// were due at this word either way, so the replay finds the same
+// register file.
+func (c *CPU) deviceExit(in *traceInst) bool {
+	c.seq--
+	c.deopt = deoptDevice
+	in.pre.add(&c.Stats)
+	q := in.faultQueue()
+	c.pcq[0], c.pcq[1], c.pcq[2] = q[0], q[1], q[2]
+	c.pcn = 3
+	return false
+}
+
+// trLoadM runs a load (any addressing mode, any position) in a mapped
+// trace.
+func trLoadM(c *CPU, in *traceInst) bool {
+	c.seq++
+	if in.guarded && c.pendN != 0 {
+		c.commitLoads()
+	}
+	addr := c.traceAddr(in)
+	pa, dev, f := c.Bus.translateUser(addr, false)
+	if dev {
+		return c.deviceExit(in)
+	}
+	if c.pendN != 0 {
+		c.traceAddrG(in)
+	}
+	var v uint32
+	if f == nil {
+		v, f = c.Bus.MMU.Phys.Read(pa)
+	}
+	if f != nil {
+		c.charge(in, wcMemFault)
+		c.traceFault(in.faultQueue(), f.Cause)
+		return false
+	}
+	if c.onMem != nil {
+		c.onMem(in.vpc, addr, false)
+	}
+	if in.eager {
+		c.Regs[in.data] = v
+		c.lastWrite[in.data] = c.seq
+	} else {
+		c.writeLoad(in.data, v)
+	}
+	return true
+}
+
+// trStoreM runs a store (any addressing mode, any position) in a mapped
+// trace.
+func trStoreM(c *CPU, in *traceInst) bool {
+	c.seq++
+	if in.guarded && c.pendN != 0 {
+		c.commitLoads()
+	}
+	addr := c.traceAddr(in)
+	pa, dev, f := c.Bus.translateUser(addr, true)
+	if dev {
+		return c.deviceExit(in)
+	}
+	val := c.Regs[in.data]
+	if c.pendN != 0 {
+		c.traceAddrG(in)
+		c.leanRead(in.data, in.vpc)
+	}
+	if f == nil {
+		f = c.Bus.MMU.Phys.Write(pa, val)
+	}
+	if f != nil {
+		c.charge(in, wcMemFault)
+		c.traceFault(in.faultQueue(), f.Cause)
+		return false
+	}
+	return c.storeDone(in, addr)
+}
+
+// trPackedLoadM is trPackedLoad in a mapped trace.
+func trPackedLoadM(c *CPU, in *traceInst) bool {
+	d, vpc := in.d, in.vpc
+	c.seq++
+	if in.guarded && c.pendN != 0 {
+		c.commitLoads()
+	}
+	addr := c.packedAddr(d, vpc, false)
+	pa, dev, f := c.Bus.translateUser(addr, false)
+	if dev {
+		return c.deviceExit(in)
+	}
+	aluV, loV, ovf := c.packedALU(d, vpc, in.guarded)
+	if c.pendN != 0 {
+		c.leanAddr(d, vpc)
+	}
+	var v uint32
+	if f == nil {
+		v, f = c.Bus.MMU.Phys.Read(pa)
+	}
+	if f != nil {
+		c.charge(in, wcPackedMemFault)
+		if ovf {
+			c.traceFault2(in.faultQueue(), isa.CauseOverflow, f.Cause)
+		} else {
+			c.traceFault(in.faultQueue(), f.Cause)
+		}
+		return false
+	}
+	if c.onMem != nil {
+		c.onMem(vpc, addr, false)
+	}
+	if ovf {
+		c.charge(in, wcPackedLoad)
+		c.traceFault(in.faultQueue(), isa.CauseOverflow)
+		return false
+	}
+	movLo := d.aluKind == isa.PieceALU && d.aluOp == isa.OpMovLo
+	if !movLo {
+		c.Regs[d.aluDst] = aluV
+		c.lastWrite[d.aluDst] = c.seq
+	}
+	c.writeLoad(d.data, v)
+	if movLo {
+		c.Lo = loV
+	}
+	return true
+}
+
+// trPackedStoreM is trPackedStore in a mapped trace.
+func trPackedStoreM(c *CPU, in *traceInst) bool {
+	d, vpc := in.d, in.vpc
+	c.seq++
+	if in.guarded && c.pendN != 0 {
+		c.commitLoads()
+	}
+	addr := c.packedAddr(d, vpc, false)
+	pa, dev, f := c.Bus.translateUser(addr, true)
+	if dev {
+		return c.deviceExit(in)
+	}
+	aluV, loV, ovf := c.packedALU(d, vpc, in.guarded)
+	val := c.Regs[d.data]
+	if c.pendN != 0 {
+		c.leanAddr(d, vpc)
+		c.leanRead(d.data, vpc)
+	}
+	if f == nil {
+		f = c.Bus.MMU.Phys.Write(pa, val)
+	}
+	if f != nil {
+		c.charge(in, wcPackedMemFault)
+		if ovf {
+			c.traceFault2(in.faultQueue(), isa.CauseOverflow, f.Cause)
+		} else {
+			c.traceFault(in.faultQueue(), f.Cause)
+		}
+		return false
+	}
+	if c.onMem != nil {
+		c.onMem(vpc, addr, true)
+	}
+	if ovf {
+		c.charge(in, wcPackedStore)
+		c.traceFault(in.faultQueue(), isa.CauseOverflow)
+		return false
+	}
+	if d.aluKind == isa.PieceALU && d.aluOp == isa.OpMovLo {
+		c.Lo = loV
+	} else {
+		c.Regs[d.aluDst] = aluV
+		c.lastWrite[d.aluDst] = c.seq
+	}
+	if !c.trCur.valid {
+		c.deopt = DeoptInvalidation
+		c.charge(in, wcPackedStore)
+		c.resumeAfter(in)
 		return false
 	}
 	return true

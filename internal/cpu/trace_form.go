@@ -3,16 +3,19 @@ package cpu
 // Trace formation: the profile-guided half of the trace JIT tier.
 //
 // The trace dispatcher (stepTraces) sits one tier above the superblock
-// engine. When the fetch queue is sequential and the machine is in the
-// quiet configuration — unmapped, no DMA, no tickers, no devices — the
-// head of the queue is a trace entry candidate. A compiled trace there
-// executes directly (trace_compile.go). Otherwise a per-entry-PC heat
-// counter accumulates, and on crossing the threshold the next Step runs
-// on the block engine with path recording switched on: every chained
-// superblock the Step executes is noted. The recorded path — the actual
-// hot route through the code, taken branches included — is then
-// validated and flattened into one trace: body words, terminators, and
-// delay slots of all recorded blocks in execution order, with the
+// engine. When the fetch queue is sequential and the tier may run here
+// (traceable: no DMA, and no devices unless the CPU runs mapped user
+// code), the head of the queue under the current translation context is
+// a trace entry candidate. A compiled trace there executes directly
+// (trace_compile.go) when its longest clean pass fits the tickers'
+// horizon. Otherwise a per-entry-PC heat counter accumulates, and on
+// crossing the threshold the next Step runs on the block engine with
+// path recording switched on: every chained superblock the Step executes
+// is noted (in mapped mode the recording resolves each successor through
+// the translation, as the next block entry would). The recorded path —
+// the actual hot route through the code, taken branches included — is
+// then validated and flattened into one trace: body words, terminators,
+// and delay slots of all recorded blocks in execution order, with the
 // branch directions the recording observed baked in as guards.
 //
 // Validation is conservative. A word the compiler cannot specialize
@@ -25,7 +28,10 @@ package cpu
 // self-looping trace — the ideal case, re-entered by the dispatch chain
 // loop without leaving the frame.
 
-import "mips/internal/isa"
+import (
+	"mips/internal/isa"
+	"mips/internal/mem"
+)
 
 // heatNever marks an entry PC whose path failed to form a trace; the
 // heat counter never triggers again for it (InvalidateTraces resets).
@@ -39,10 +45,13 @@ type tracePoint struct {
 }
 
 // traceRec is the in-flight path recording, switched on for a single
-// Step by stepTraces. Fixed capacity: recording never allocates.
+// Step by stepTraces, with the translation context the Step started
+// under (the formed trace's key). Fixed capacity: recording never
+// allocates.
 type traceRec struct {
 	active bool
 	n      int
+	ctx    mem.Context
 	pts    [traceMaxBlocks + 1]tracePoint
 }
 
@@ -83,34 +92,65 @@ type traceWord struct {
 	eager bool
 }
 
+// traceable reports whether the trace tier may run in the machine's
+// current state. Compiled traces model no DMA engine (it claims free
+// cycles word by word) and no device references, which any unmapped
+// load or store on a machine with devices may be. Mapped user code
+// qualifies anyway: its references translate into page frames, a
+// device hit exits before the access, and tickers bound each trace by
+// their horizon. Supervisor code on such a machine runs unmapped, so it
+// stays on the lower tiers.
+func (c *CPU) traceable() bool {
+	return c.Bus.DMA == nil && (len(c.Bus.devices) == 0 || c.Mapped())
+}
+
 // stepTraces is the trace-tier dispatcher. It returns true when it
 // executed something (a compiled trace, or a recorded Step on the block
 // engine); false falls through to the superblock tier untouched.
 func (c *CPU) stepTraces() bool {
-	bus := c.Bus
-	if bus.DMA != nil || len(bus.tickers) != 0 || len(bus.devices) != 0 || c.Mapped() {
-		// Not the quiet configuration: the environment checks compiled
-		// traces hoist to entry cannot be discharged. Lower tiers
-		// handle every one of these exactly. Count the deopt only when
-		// a compiled trace was actually ready here — traceAt's own
-		// nil-cache check keeps machines that never compiled a trace
-		// free of the bookkeeping.
-		if c.traceAt(c.pcq[0]) != nil {
+	pc := c.pcq[0]
+	ctx := c.Bus.MMU.Context(c.Mapped())
+	if !c.traceable() {
+		// Count the deopt only when a compiled trace was actually ready
+		// here — traceAt's own nil-cache check keeps machines that never
+		// compiled a trace free of the bookkeeping.
+		if c.traceAt(pc, &ctx) != nil {
 			c.Trans.TraceDeoptEnvironment++
 		}
 		return false
 	}
-	pc := c.pcq[0]
-	if tr := c.traceAt(pc); tr != nil {
+	if tr := c.traceAt(pc, &ctx); tr != nil {
 		if c.intLine && c.Sur.InterruptsEnabled() && !c.Sur.Supervisor() {
 			// A pending interrupt must be taken before the next word;
 			// the lower tiers do that exactly.
 			c.Trans.TraceDeoptInterrupt++
 			return false
 		}
-		i0 := c.Stats.Instructions
-		c.runTrace(tr)
-		c.Trans.TierInstrs[TierTraces] += c.Stats.Instructions - i0
+		horizon := c.Bus.horizon()
+		if uint64(tr.words) > horizon {
+			// A ticker could change what the trace sees before it ends:
+			// the lower tiers tick word by word up to the horizon.
+			c.Trans.TraceDeoptEnvironment++
+			return false
+		}
+		i0, exc0 := c.Stats.Instructions, c.excSeq
+		c.runTrace(tr, &ctx, horizon)
+		n := c.Stats.Instructions - i0
+		if n == 0 {
+			// The first word left a device reference to the lower tiers,
+			// which run it in this same Step.
+			return false
+		}
+		c.Trans.TierInstrs[TierTraces] += n
+		if len(c.Bus.tickers) != 0 {
+			// Every retired word ran at user level except one that raised
+			// an exception: the lower tiers tick that word only after
+			// exception entry, when the timer no longer counts.
+			if c.excSeq != exc0 {
+				n--
+			}
+			c.Bus.advance(n)
+		}
 		return true
 	}
 	if !c.heatBump(pc) {
@@ -122,6 +162,7 @@ func (c *CPU) stepTraces() bool {
 	// the blocks tier.
 	c.trec.active = true
 	c.trec.n = 0
+	c.trec.ctx = ctx
 	i0 := c.Stats.Instructions
 	ok := c.stepBlocks()
 	c.Trans.TierInstrs[TierBlocks] += c.Stats.Instructions - i0
@@ -186,11 +227,12 @@ func (c *CPU) heatIn(pc uint32) uint32 {
 
 // traceYield reports whether the block chain should end at npc and hand
 // control back to the Step dispatcher: a compiled trace is installed
-// there, or npc's heat just crossed the formation threshold. Crossing
-// re-arms the counter one bump below the entry's effective threshold so
-// the dispatcher's own bump starts the recording Step immediately.
-func (c *CPU) traceYield(npc uint32) bool {
-	if c.traceAt(npc) != nil {
+// there under ctx, or npc's heat just crossed the formation threshold.
+// Crossing re-arms the counter one bump below the entry's effective
+// threshold so the dispatcher's own bump starts the recording Step
+// immediately.
+func (c *CPU) traceYield(npc uint32, ctx *mem.Context) bool {
+	if c.traceAt(npc, ctx) != nil {
 		return true
 	}
 	if c.heatBump(npc) {
@@ -240,10 +282,12 @@ func dsCompilable(d *decoded) bool {
 // validateTraceBlock checks that one recorded block can be compiled in
 // full — body, terminator, and the delay slots its recorded direction
 // executes — and derives that direction from the recorded successor
-// entry nextPC. It returns ok=false when the block must truncate the
-// path, with why classifying the refusal for the formation taxonomy.
+// entry nextPC. pc is the block's entry as fetched, which translation
+// leaves at the block's own in-page offset. It returns ok=false when the
+// block must truncate the path, with why classifying the refusal for the
+// formation taxonomy.
 func validateTraceBlock(b *block, pc, nextPC uint32) (ok, taken bool, dsCount uint8, why FormRefusal) {
-	if b == nil || !b.valid || b.pa != pc || !b.hasTerm || b.termless {
+	if b == nil || !b.valid || (b.pa^pc)&(mem.PageWords-1) != 0 || !b.hasTerm || b.termless {
 		return false, false, 0, RefusalBlock
 	}
 	// Any body class compiles: the lean classes specialize, and packed
@@ -471,7 +515,7 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 		}
 	}
 
-	tr := c.compileTrace(words, entry, endPC, spans)
+	tr := c.compileTrace(words, &c.trec.ctx, entry, endPC, spans)
 	if tr == nil {
 		c.markNeverTrace(entry, heat)
 		return

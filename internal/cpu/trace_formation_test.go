@@ -82,7 +82,7 @@ func TestTraceFormationAllocs(t *testing.T) {
 		if c.Trans.TraceCompiled == compiled {
 			t.Fatalf("%d-op loop: replaying the recording compiled nothing", tc.ops)
 		}
-		tr := c.traceAt(rec.entry)
+		tr := c.traceAt(rec.entry, &c.trec.ctx)
 		if tr == nil || len(tr.ins) != tc.ops {
 			t.Fatalf("%d-op loop: replay installed no trace of that length", tc.ops)
 		}

@@ -9,15 +9,24 @@ package cpu
 // recording through the block engine, and the recorded path compiles
 // if every word on it can be specialized (trace_form.go).
 //
-// Coherence reuses the superblock write barrier: a trace keeps the span
-// list of the words it compiled from, marks them in the coverage bitmap,
-// and writeBarrier drops any trace whose span covers a written physical
-// word. Like chain edges, traces trust the barrier rather than
+// A trace is keyed by its entry PC as fetched — virtual when mapped —
+// and the translation context it was formed under (mem.Context: the
+// mapped flag, the segmentation registers, the page map's identity and
+// generation). A matching context at dispatch proves every fetch
+// translation and referenced bit the recording saw still holds, so a
+// trace never translates its own words. Coherence reuses the superblock
+// write barrier: a trace keeps the span list of the physical words it
+// compiled from, marks them in the coverage bitmap, and writeBarrier
+// drops any trace whose span covers a written physical word. Like
+// chain edges, traces trust the barrier rather than
 // revalidating every word per dispatch — the same harness contract as
 // PR 4: rewrite IMem AND Poke physical. Traces are derived state:
 // snapshots exclude them, and LoadImage/RestoreState drop them.
 
-import "mips/internal/isa"
+import (
+	"mips/internal/isa"
+	"mips/internal/mem"
+)
 
 const (
 	// tcEntries is the trace cache size, direct-mapped by entry PC.
@@ -197,13 +206,16 @@ type sideSlot struct {
 // rebuilt parent trace allocates fresh slots.
 const sideNever = ^uint32(0)
 
-// trace is one compiled trace: the flat op record array, the bulk cost
-// of a clean pass, the resume point after it, and the coherence spans.
+// trace is one compiled trace: its key (entry PC and translation
+// context), the flat op record array, the bulk cost of a clean pass, the
+// resume point after it, and the coherence spans.
 type trace struct {
-	pa    uint32 // entry PC (physical == virtual: traces run unmapped only)
+	pc    uint32      // entry PC as fetched (virtual when ctx is mapped)
+	ctx   mem.Context // translation context the trace was formed under
 	ins   []traceInst
 	dec   []decoded // decoded copies of the bcGeneral words ins point at
 	cost  traceCost
+	words uint32 // instruction words in a clean pass: the most one pass retires
 	endPC uint32 // sequential resume point after a clean pass
 	spans []traceSpan
 
@@ -259,21 +271,33 @@ func (h *heatEntry) threshold() uint32 { return heatThreshold << h.boff }
 // code around the entry changes shape.
 const heatBoffMax = 10
 
-// traceSlot returns the trace-cache slot for an entry PC, building the
-// cache lazily.
-func (c *CPU) traceSlot(pc uint32) **trace {
+// traceIndex is the trace-cache slot of an entry PC under a context.
+// Under mapping the segmentation PID register salts it, so processes
+// running the same virtual code keep their traces in different slots.
+func traceIndex(pc uint32, ctx *mem.Context) uint32 {
+	if ctx.Mapped {
+		pid, _ := ctx.Seg.Registers()
+		pc ^= pid * 0x9E3779B1 >> 24
+	}
+	return pc & (tcEntries - 1)
+}
+
+// traceSlot returns the trace-cache slot for an entry PC and context,
+// building the cache lazily.
+func (c *CPU) traceSlot(pc uint32, ctx *mem.Context) **trace {
 	if c.tc == nil {
 		c.tc = make([]*trace, tcEntries)
 	}
-	return &c.tc[pc&(tcEntries-1)]
+	return &c.tc[traceIndex(pc, ctx)]
 }
 
-// traceAt returns the valid compiled trace entered at pc, or nil.
-func (c *CPU) traceAt(pc uint32) *trace {
+// traceAt returns the valid compiled trace entered at pc under ctx, or
+// nil.
+func (c *CPU) traceAt(pc uint32, ctx *mem.Context) *trace {
 	if c.tc == nil {
 		return nil
 	}
-	if tr := c.tc[pc&(tcEntries-1)]; tr != nil && tr.valid && tr.pa == pc {
+	if tr := c.tc[traceIndex(pc, ctx)]; tr != nil && tr.valid && tr.pc == pc && tr.ctx == *ctx {
 		return tr
 	}
 	return nil
@@ -283,7 +307,7 @@ func (c *CPU) traceAt(pc uint32) *trace {
 // occupant, and arms the write barrier over its spans.
 func (c *CPU) installTrace(tr *trace) {
 	c.lockTraces()
-	slot := c.traceSlot(tr.pa)
+	slot := c.traceSlot(tr.pc, &tr.ctx)
 	if old := *slot; old != nil {
 		c.dropTrace(old)
 	}
@@ -329,7 +353,7 @@ func (c *CPU) dropTrace(tr *trace) {
 	moved.liveIdx = tr.liveIdx
 	c.liveTraces = c.liveTraces[:last]
 	if c.onJIT != nil {
-		c.emitJIT(JITEvent{Kind: JITInvalidated, PC: tr.pa, Len: uint32(len(tr.ins))})
+		c.emitJIT(JITEvent{Kind: JITInvalidated, PC: tr.pc, Len: uint32(len(tr.ins))})
 	}
 }
 
@@ -343,7 +367,7 @@ func (c *CPU) InvalidateTraces() {
 	for _, tr := range c.liveTraces {
 		tr.valid = false
 		if emit {
-			c.emitJIT(JITEvent{Kind: JITInvalidated, PC: tr.pa, Len: uint32(len(tr.ins))})
+			c.emitJIT(JITEvent{Kind: JITInvalidated, PC: tr.pc, Len: uint32(len(tr.ins))})
 		}
 	}
 	c.liveTraces = c.liveTraces[:0]

@@ -61,7 +61,7 @@ type timer struct {
 	pending bool
 }
 
-func (d *devices) Contains(phys uint32) bool { return phys >= IOBase && phys < ioLimit }
+func (d *devices) Window() (lo, hi uint32) { return IOBase, ioLimit }
 
 func (d *devices) ReadWord(phys uint32) uint32 {
 	switch phys {
@@ -126,15 +126,45 @@ func (d *devices) WriteWord(phys, val uint32) {
 // only — it meters process time, so a long exception path cannot starve
 // the process it interrupts.
 func (d *devices) Tick() {
-	if d.timer.period == 0 || d.m.CPU.Sur.Supervisor() {
+	if !d.m.CPU.Sur.Supervisor() {
+		d.Advance(1)
+	}
+}
+
+// Horizon is how many user-level cycles the timer absorbs up to the one
+// that raises the interrupt line: unlimited while it is disabled, else
+// the cycles left in the current period.
+func (d *devices) Horizon() uint64 {
+	if d.timer.period == 0 {
+		return ^uint64(0)
+	}
+	return d.toExpiry()
+}
+
+// toExpiry is how many ticks of an enabled timer end with the one that
+// expires it (a counter at or past the period expires on the next).
+func (d *devices) toExpiry() uint64 {
+	if d.timer.counter >= d.timer.period {
+		return 1
+	}
+	return uint64(d.timer.period - d.timer.counter)
+}
+
+// Advance counts n user-level cycles at once, exactly as n Ticks at user
+// level would: each expiry resets the counter to zero and raises the
+// line.
+func (d *devices) Advance(n uint64) {
+	if d.timer.period == 0 || n == 0 {
 		return
 	}
-	d.timer.counter++
-	if d.timer.counter >= d.timer.period {
-		d.timer.counter = 0
-		d.timer.pending = true
-		d.updateIntLine()
+	first := d.toExpiry()
+	if n < first {
+		d.timer.counter += uint32(n)
+		return
 	}
+	d.timer.counter = uint32((n - first) % uint64(d.timer.period))
+	d.timer.pending = true
+	d.updateIntLine()
 }
 
 func (d *devices) updateIntLine() {

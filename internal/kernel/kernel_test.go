@@ -601,3 +601,50 @@ func TestKernelEncodesToBits(t *testing.T) {
 		}
 	}
 }
+
+// TestTracedProcessSteadyStateZeroAlloc runs a process's load/store loop
+// on the trace tier under the interval timer: once the loop's traces
+// are compiled, stepping — trace dispatch, TLB probes, the timer's
+// horizon and advance, and the preemptions it raises — allocates
+// nothing.
+func TestTracedProcessSteadyStateZeroAlloc(t *testing.T) {
+	prog := buildUser(t, `
+	.entry main
+main:	mov #0, r5
+	ldi #10240, r2
+	ldi #100000000, r7
+loop:	st r5, (r2)
+	ld (r2), r1
+	add r1, #1, r5
+	blt r5, r7, loop
+	trap #4
+`)
+	m := newMachine(t, Config{TimerPeriod: 4099})
+	if _, err := m.AddProcess(prog, 16); err != nil {
+		t.Fatal(err)
+	}
+	m.CPU.Reset()
+	for i := 0; i < 4096; i++ {
+		if err := m.CPU.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.CPU.Trans.TraceCompiled == 0 {
+		t.Fatal("warm-up compiled no trace; the measurement would be vacuous")
+	}
+	hits, switches := m.CPU.Trans.TraceDispatchHits, m.ContextSwitches()
+	avg := testing.AllocsPerRun(1000, func() {
+		if err := m.CPU.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("steady-state Step allocates %v allocs/op, want 0", avg)
+	}
+	if m.CPU.Trans.TraceDispatchHits == hits {
+		t.Error("the measured Steps dispatched no compiled trace")
+	}
+	if m.ContextSwitches() == switches {
+		t.Error("the timer never preempted the measured Steps")
+	}
+}

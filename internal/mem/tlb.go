@@ -12,8 +12,9 @@ package mem
 //   - the page map counts every Map/Unmap in a generation number; a
 //     stale generation flushes the TLB before the next lookup;
 //   - the segmentation registers (PID, space size) are part of the TLB's
-//     fill context; any change — a context switch — flushes likewise,
-//     as does swapping the MMU's Seg or Map wholesale;
+//     fill context (a Context, the same key the trace tier compiles
+//     under); any change — a context switch — flushes likewise, as does
+//     swapping the MMU's Seg or Map wholesale;
 //   - referenced/dirty bits stay exact: an entry is filled only after
 //     the slow path has set the referenced bit, and write hits are only
 //     served by entries whose page already had its dirty bit set (a
@@ -52,9 +53,33 @@ type tlbEntry struct {
 // the context it was filled under.
 type tlbState struct {
 	entries [TLBEntries]tlbEntry
-	seg     SegUnit  // segmentation state at fill time
-	pmap    *PageMap // page map identity at fill time
-	gen     uint64   // page-map generation at fill time
+	ctx     Context
+}
+
+// Context is the translation context a reference resolves under:
+// whether mapping is on and, when it is, the segmentation registers and
+// the page map's identity and edit generation. Two mapped references
+// made under equal contexts translate identically, and every referenced
+// bit the first set still stands at the second — a PTE's referenced and
+// dirty bits are cleared only by Map, which advances the generation.
+// The TLB checks its fill context against it on every lookup; the CPU's
+// trace tier keys compiled traces by it, so a trace whose context
+// matches needs none of the fetch translations its recording made.
+type Context struct {
+	Mapped bool
+	Seg    SegUnit
+	Map    *PageMap
+	Gen    uint64
+}
+
+// Context returns the translation context references resolve under:
+// the zero Context when mapping is off, else the current segmentation
+// registers and page map.
+func (m *MMU) Context(mapped bool) Context {
+	if !mapped {
+		return Context{}
+	}
+	return Context{Mapped: true, Seg: m.Seg, Map: m.Map, Gen: m.Map.gen}
 }
 
 // FlushTLB invalidates every translation-cache entry. Translation
@@ -70,11 +95,32 @@ func (m *MMU) FlushTLB() {
 // tlbLookup returns the cached physical address for a mapped reference,
 // if the cache can serve it exactly. The second result reports a hit.
 func (m *MMU) tlbLookup(addr uint32, write bool) (uint32, bool) {
-	if m.Seg != m.tlb.seg || m.Map != m.tlb.pmap || m.Map.gen != m.tlb.gen {
-		m.FlushTLB()
-		m.tlb.seg, m.tlb.pmap, m.tlb.gen = m.Seg, m.Map, m.Map.gen
+	if !m.SyncTLB() {
 		return 0, false
 	}
+	return m.Probe(addr, write)
+}
+
+// SyncTLB revalidates the TLB's fill context against the current one,
+// flushing it on a change, and reports whether the context held.
+// Translate does this on every lookup; a caller that holds the context
+// fixed across many references syncs once and then uses Probe.
+func (m *MMU) SyncTLB() bool {
+	if ctx := m.Context(true); ctx != m.tlb.ctx {
+		m.FlushTLB()
+		m.tlb.ctx = ctx
+		return false
+	}
+	return true
+}
+
+// Probe serves a mapped reference from the TLB alone, if the TLB can
+// serve it exactly, without revalidating the fill context. It is exact
+// only while the context has not changed since the last SyncTLB or
+// Translate: the CPU's trace tier syncs at dispatch and runs each trace
+// under one fixed context, falling back to Translate on a miss. Any
+// other caller uses Translate.
+func (m *MMU) Probe(addr uint32, write bool) (uint32, bool) {
 	vpage := addr >> PageBits
 	e := &m.tlb.entries[vpage&tlbMask]
 	if e.state == tlbInvalid || e.vpage != vpage {

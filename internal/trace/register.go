@@ -110,7 +110,7 @@ func RegisterTranslation(r *Registry, prefix string, ts *cpu.TranslationStats) e
 			"guard exits deopting for reason "+reason.String()+" (partitions trace.guard_exits)",
 			&ts.TraceDeopts[reason])
 	}
-	c("trace.deopt.environment", "trace dispatches refused because hooks or a non-quiet config force slower tiers", &ts.TraceDeoptEnvironment)
+	c("trace.deopt.environment", "trace dispatches refused by DMA, devices while unmapped, a short tick horizon, or a device reference", &ts.TraceDeoptEnvironment)
 	c("trace.deopt.interrupt", "trace dispatches refused by a pending interrupt", &ts.TraceDeoptInterrupt)
 	c("trace.deopt.chain_budget", "trace chains cut by the chain-follow budget with a successor trace ready", &ts.TraceDeoptChainBudget)
 	for reason := cpu.FormRefusal(0); reason < cpu.NumFormRefusals; reason++ {

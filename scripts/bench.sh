@@ -12,6 +12,7 @@ out=${BENCH_OUT:-BENCH_core.json}
 
 echo "==> steady-state allocation check (must be 0 allocs/op)"
 go test ./internal/cpu/ -run TestSteadyStateZeroAlloc -count=1 -v
+go test ./internal/kernel/ -run TestTracedProcessSteadyStateZeroAlloc -count=1 -v
 
 echo "==> side-trace/inline-cache dispatch paths (must be 0 allocs/op)"
 go test ./internal/cpu/ -run TestSideTraceZeroAllocSteadyState -count=1 -v
@@ -26,8 +27,8 @@ go test ./internal/sim/ -run TestJobServiceNoTelemetryZeroAlloc -count=1 -v
 go test ./internal/sim/ -run '^$' -bench BenchmarkJobServiceNoTelemetry \
     -benchmem -benchtime 1s
 
-echo "==> trace JIT steady state (0 allocs/op assertion runs inside the benchmark)"
-go test -run '^$' -bench 'PipelineTraces' -benchmem -benchtime 1s .
+echo "==> trace JIT steady state (0 allocs/op assertion runs inside the benchmark), and kernel-hosted runs on blocks vs traces (ns/instr)"
+go test -run '^$' -bench 'PipelineTraces|KernelRun' -benchmem -benchtime 1s .
 
 echo "==> warm-fork admission: no page copies until first write"
 go test ./internal/sim/ -run TestTemplateForkNoCopiesUntilWrite -count=1 -v
