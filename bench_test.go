@@ -196,9 +196,9 @@ func BenchmarkChainFollowSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineFastPath measures the same workload on the
-// per-instruction predecoded fast path with the superblock engine off,
-// so the block engine's gain is one benchstat comparison away.
+// BenchmarkPipelineFastPath measures the same workload stepped one
+// instruction at a time with no translation tier, so the block engine's
+// gain is one benchstat comparison away.
 func BenchmarkPipelineFastPath(b *testing.B) {
 	p, err := corpus.Get("fib")
 	if err != nil {
@@ -222,8 +222,9 @@ func BenchmarkPipelineFastPath(b *testing.B) {
 }
 
 // BenchmarkPipelineReference measures the same workload on the
-// reference (non-predecoded) execution path, so the fast path's gain is
-// one benchstat comparison away.
+// reference engine. It runs the same per-instruction executor as
+// BenchmarkPipelineFastPath and differs only in the tier counter it
+// charges, so the two should read alike in time and allocations.
 func BenchmarkPipelineReference(b *testing.B) {
 	p, err := corpus.Get("fib")
 	if err != nil {
@@ -244,6 +245,33 @@ func BenchmarkPipelineReference(b *testing.B) {
 		instrs += res.Stats.Instructions
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+}
+
+// TestFastPathAllocsMatchReference is the allocation tripwire for
+// per-instruction stepping: running fib to halt on FastPath must
+// allocate exactly what the same run allocates on Reference. Both
+// engines step through one executor, so any per-machine state only one
+// of them builds shows up here as an extra allocation.
+func TestFastPathAllocsMatchReference(t *testing.T) {
+	p, err := corpus.Get("fib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, _, err := codegen.CompileMIPS(p.Source, codegen.MIPSOptions{}, reorg.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(e sim.Engine) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := codegen.RunMIPSWith(im, 100_000_000, codegen.RunOptions{Engine: e}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	fast, ref := allocs(sim.FastPath), allocs(sim.Reference)
+	if fast != ref {
+		t.Errorf("fib to halt allocates %v times on FastPath, %v on Reference; want equal", fast, ref)
+	}
 }
 
 // BenchmarkReorganizer measures the postpass scheduler on the Puzzle

@@ -92,7 +92,7 @@ func main() {
 	queue := flag.Int("queue", 256, "job queue depth (admission bound)")
 	quantum := flag.Uint64("quantum", 1_000_000, "preemption quantum in scheduler steps")
 	maxSteps := flag.Uint64("max", 500_000_000, "default per-job step budget")
-	engineFlag := flag.String("engine", "", "default execution engine: reference | fast | blocks")
+	engineFlag := flag.String("engine", "traces", "default execution engine: reference | fast | blocks | traces")
 	peersFlag := flag.String("peers", "", "comma-separated peer mipsd URLs to federate (coordinator mode)")
 	drainWait := flag.Duration("drain", 10*time.Second, "graceful-drain bound on shutdown")
 	jitlogBuf := flag.Int("jitlog-buf", trace.DefaultJITLogSize, "shared JIT event ring capacity")

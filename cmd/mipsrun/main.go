@@ -13,11 +13,12 @@
 // round-robin scheduling. -corpus NAME compiles and runs the named
 // built-in corpus program instead of reading image files.
 //
-// -engine selects the execution engine: reference (the interpreter),
-// fast (the per-instruction predecoded path), blocks (the superblock
-// translation engine), or traces (the trace JIT tier layered on the
-// superblock engine, the default). The engines are observably
-// identical; the choice changes only simulation speed.
+// -engine selects the execution engine: reference (the interpreter,
+// one instruction at a time), fast (the same per-instruction stepping,
+// counted as the fast tier), blocks (the superblock translation
+// engine), or traces (the trace JIT tier layered on the superblock
+// engine, the default). The engines are observably identical; the
+// choice changes only simulation speed.
 //
 // Observability (packages trace and telemetry):
 //

@@ -47,7 +47,7 @@ func main() {
 	coreJSON := flag.String("core-json", "BENCH_core.json", "file for the corebench metrics JSON (empty to disable)")
 	workers := flag.Int("j", 1, "experiment worker count (0 = one per CPU)")
 	serve := flag.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :9417)")
-	engineFlag := flag.String("engine", "", "execution engine: reference | fast | blocks | traces (default traces)")
+	engineFlag := flag.String("engine", "traces", "execution engine: reference | fast | blocks | traces")
 	flag.Parse()
 	engine, err := sim.ParseEngine(*engineFlag)
 	if err != nil {

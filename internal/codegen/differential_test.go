@@ -16,10 +16,10 @@ import (
 	"mips/internal/sim"
 )
 
-// The predecoded fast path and the reference interpreter must be one
-// machine with two dispatch mechanisms: same outputs, same statistics,
-// same final memory, and the same observer event stream, for every
-// corpus program. These tests pin that equivalence.
+// Every engine value must be one machine with different dispatch
+// mechanisms: same outputs, same statistics, same final memory, and the
+// same observer event stream, for every corpus program. These tests pin
+// that equivalence.
 
 // eventHasher folds every CPU observer callback into one FNV stream, so
 // two runs can be compared event-for-event with a single value. Any
@@ -372,7 +372,7 @@ const kernelEvictWords = 16 << 10
 // TestFastPathMatchesReferenceKernel runs the differential check on the
 // full kernel machine — demand paging, preemptive scheduling at several
 // timer periods, one and two processes, and a memory small enough that
-// eviction recycles frames under the predecode, block and trace caches.
+// eviction recycles frames under the block and trace caches.
 // The trace tier runs mapped user code here, so every engine must agree
 // on the whole observable machine, the MMU's referenced and dirty bits
 // included.

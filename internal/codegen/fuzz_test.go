@@ -251,7 +251,7 @@ func TestFuzzDifferential(t *testing.T) {
 // rewriteWord replaces an instruction word with a semantically identical
 // copy built from fresh pieces. The new word compares unequal to the old
 // one (isa.Instr is two piece pointers), exactly what a store into
-// instruction memory looks like to the predecode cache — which must
+// instruction memory looks like to a cached translation — which must
 // re-decode the word instead of replaying the stale record.
 func rewriteWord(in isa.Instr) isa.Instr {
 	var out isa.Instr
@@ -358,8 +358,8 @@ func TestFuzzBlocksSelfModify(t *testing.T) {
 // hook keeps storing into instruction memory — rewriting words in a
 // deterministic pattern — on both execution engines. The rewrites are
 // semantic no-ops, so the reference interpreter is unaffected by
-// construction; a predecode cache that misses an invalidation executes
-// a stale record and diverges. Both paths must produce the interpreter's
+// construction; a translation cache that misses an invalidation
+// executes a stale record and diverges. Both paths must produce the interpreter's
 // output and identical statistics.
 func TestFuzzSelfModifyDifferential(t *testing.T) {
 	seeds := 20

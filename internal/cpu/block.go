@@ -280,7 +280,7 @@ func (c *CPU) runQuiet(b *block, pc uint32, ovfOn bool) bool {
 			vpc := pc + i
 			c.pcq[0], c.pcq[1] = vpc+1, vpc+2
 			c.pcn = 2
-			c.execFast(d, vpc)
+			c.execWord(d.src, vpc)
 			if c.Halted || c.pcn != 2 || c.pcq[0] != vpc+1 {
 				c.Trans.BlockBails++
 				return false
@@ -293,22 +293,6 @@ func (c *CPU) runQuiet(b *block, pc uint32, ovfOn bool) bool {
 		}
 	}
 	return true
-}
-
-// blockStep runs one exact per-instruction step with the full Step
-// preamble — used for undecodable block exits and delay slots, which
-// always execute on the exact per-instruction path.
-func (c *CPU) blockStep() {
-	c.seq++
-	if c.pendN != 0 {
-		c.commitLoads()
-	}
-	c.fill()
-	if c.intLine && c.Sur.InterruptsEnabled() && !c.Sur.Supervisor() {
-		c.exception(isa.CauseInterrupt, isa.CauseNone, 0)
-		return
-	}
-	c.stepFast(c.pcq[0])
 }
 
 // bailFault abandons the block at a faulting word: the word restarts at
@@ -379,8 +363,8 @@ func (c *CPU) runBlocks() (*block, bool) {
 			b = c.translateBlock(pa)
 		}
 		// Per-word identity validation against live instruction
-		// memory — the same coherence rule the predecode cache
-		// applies per fetch. The write barrier already catches
+		// memory, the same rule a per-instruction fetch obeys by
+		// reading it. The write barrier already catches
 		// physical-memory writers; this catches direct IMem rewriting
 		// (harnesses, image loaders). Chain-followed entries skip it:
 		// a chain edge is only followed while the barrier holds the
@@ -580,7 +564,7 @@ func (c *CPU) runBlocks() (*block, bool) {
 					// the two sequential successors.
 					c.pcq[0], c.pcq[1] = vpc+1, vpc+2
 					c.pcn = 2
-					c.execFast(d, vpc)
+					c.execWord(d.src, vpc)
 					bus.Tick()
 					if c.Halted || c.pcn != 2 || c.pcq[0] != vpc+1 {
 						// Halt device, memory fault, or trap: the queue
@@ -627,7 +611,7 @@ func (c *CPU) runBlocks() (*block, bool) {
 		if b.hasTerm {
 			c.dsStep(&b.term, dmaOn, doTick, ovfOn)
 		} else {
-			c.blockStep()
+			c.step()
 		}
 		for k := 0; !c.Halted && !c.queueSequential() && k < pcqCap; k++ {
 			if j := c.pcq[0] - (t + 1); j < uint32(b.dsN) && b.valid &&
@@ -638,7 +622,7 @@ func (c *CPU) runBlocks() (*block, bool) {
 				c.dsStep(&b.ds[j], dmaOn, doTick, ovfOn)
 			} else {
 				chainable = false
-				c.blockStep()
+				c.step()
 			}
 		}
 		if !chainable || c.Halted || c.excSeq != exc0 ||
@@ -742,7 +726,7 @@ func (c *CPU) blockCurrent(b *block) bool {
 
 // dsStep executes one word at the head of the fetch queue from a cached
 // record: the full Step preamble and exact queue maintenance of
-// stepFast, minus the fetch (the caller validated the record's identity
+// step, minus the fetch (the caller validated the record's identity
 // at block entry and keeps it coherent through the write barrier). Lean
 // classes run inline; anything else goes through the exact executor.
 func (c *CPU) dsStep(d *decoded, dmaOn, doTick, ovfOn bool) {
@@ -887,7 +871,7 @@ func (c *CPU) dsStep(d *decoded, dmaOn, doTick, ovfOn bool) {
 	default:
 		c.Stats.Instructions--
 		c.Stats.Cycles--
-		c.execFast(d, pc)
+		c.execWord(d.src, pc)
 		c.Bus.Tick()
 		return
 	}

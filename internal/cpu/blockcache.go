@@ -1,9 +1,9 @@
 package cpu
 
-// The superblock translation cache: the layer above the predecode cache
-// that fuses straight-line runs of predecoded instructions into blocks
-// (block.go executes them). This file owns the data structures and their
-// coherence machinery:
+// The superblock translation cache: the layer above per-instruction
+// stepping that decodes straight-line runs of instructions once into
+// blocks of flat records (predecode.go; block.go executes them). This
+// file owns the data structures and their coherence machinery:
 //
 //   - translateBlock scans instruction memory from a block entry point
 //     up to the next control transfer and builds the flat block record,
@@ -11,9 +11,8 @@ package cpu
 //     with no hardware interlocks the cycle and stall cost of
 //     straight-line code is fully determined at translation time);
 //   - a direct-mapped cache keyed by physical entry address holds the
-//     blocks, with the same per-word identity validation the predecode
-//     cache uses (stepBlocks compares every cached source word against
-//     live instruction memory on entry);
+//     blocks, validated by identity (stepBlocks compares every cached
+//     source word against live instruction memory on entry);
 //   - a write barrier installed on physical memory invalidates every
 //     block whose body overlaps a written word — CPU stores, DMA moves,
 //     and device pokes included — so paging traffic and self-modifying
@@ -38,18 +37,17 @@ const (
 	// default.
 	defaultChainFollow = 64
 	// bcMinEntries/bcMaxEntries bound the direct-mapped block cache,
-	// grown on demand like the predecode cache. Block entry points are
-	// much sparser than instruction words, so the cap is smaller.
+	// grown on demand. Both are powers of two.
 	bcMinEntries = 1 << 8
 	bcMaxEntries = 1 << 13
 )
 
 // Lean execution classes, assigned per body word at translation time.
 // The block engine executes bcNop/bcALU words with a specialized inline
-// path; everything else runs through execFast, which is exact for every
+// path; everything else runs through execWord, which is exact for every
 // word kind.
 const (
-	bcGeneral uint8 = iota // packed or unclassified: execute via execFast
+	bcGeneral uint8 = iota // packed or unclassified: execute via execWord
 	bcNop                  // the word performs no work
 	bcALU                  // single ALU-class piece, no memory piece
 	bcLoad                 // single load piece
@@ -117,20 +115,12 @@ type block struct {
 	succN   int
 }
 
-// TranslationStats counts translation-layer behavior: the predecode
-// cache and the superblock cache. It lives outside Stats because Stats
-// is held engine-independent by the differential tests' strict equality,
-// while these counters intentionally describe the engine itself.
+// TranslationStats counts translation-layer behavior: the superblock
+// cache, the trace tier, and tier residency. It lives outside Stats
+// because Stats is held engine-independent by the differential tests'
+// strict equality, while these counters intentionally describe the
+// engine itself.
 type TranslationStats struct {
-	// PredecodeHits and PredecodeMisses count fetches served by a valid
-	// flat record vs. fetches that (re)decoded the word.
-	PredecodeHits   uint64
-	PredecodeMisses uint64
-	// PredecodeCollisions counts misses whose direct-mapped slot held a
-	// record for a different physical address — the aliasing case that
-	// must never cross-validate.
-	PredecodeCollisions uint64
-
 	// BlockHits counts block-cache lookups served by a valid block;
 	// BlockChained counts entries that skipped the lookup through a
 	// chain slot; BlockTranslations counts blocks built (first sight
@@ -213,8 +203,9 @@ type TranslationStats struct {
 	TraceHeatEvicted uint64
 
 	// TierInstrs attributes every retired instruction to the engine
-	// tier that retired it (reference interpreter, predecoded fast
-	// path, superblock engine, trace JIT). On a machine run from reset
+	// tier that retired it (per-instruction stepping on the reference
+	// engine or beneath a translation tier, superblock engine, trace
+	// JIT). On a machine run from reset
 	// the slots sum to Stats.Instructions.
 	TierInstrs [NumTiers]uint64
 }
@@ -224,12 +215,11 @@ type TranslationStats struct {
 // refuse, and tier segments introduced with the introspection taxonomy
 // append after it and new fields must keep appending, never reorder.
 func (t *TranslationStats) String() string {
-	return fmt.Sprintf("predecode hit=%d miss=%d collide=%d | blocks hit=%d chain=%d xlate=%d inval=%d bail=%d | traces formed=%d compiled=%d hit=%d exit=%d inval=%d"+
+	return fmt.Sprintf("blocks hit=%d chain=%d xlate=%d inval=%d bail=%d | traces formed=%d compiled=%d hit=%d exit=%d inval=%d"+
 		" | deopt dir=%d ind=%d shape=%d fault=%d inval=%d halt=%d env=%d int=%d budget=%d"+
 		" | refuse priv=%d shadow=%d jind=%d ds=%d block=%d short=%d ops=%d poison=%d"+
 		" | tier ref=%d fast=%d blocks=%d traces=%d"+
 		" | side hit=%d ichit=%d comp=%d icinst=%d heatevict=%d",
-		t.PredecodeHits, t.PredecodeMisses, t.PredecodeCollisions,
 		t.BlockHits, t.BlockChained, t.BlockTranslations, t.BlockInvalidations, t.BlockBails,
 		t.TraceFormed, t.TraceCompiled, t.TraceDispatchHits, t.TraceGuardExits, t.TraceInvalidations,
 		t.TraceDeopts[DeoptBranchDirection], t.TraceDeopts[DeoptIndirectTarget], t.TraceDeopts[DeoptQueueShape],
@@ -381,7 +371,7 @@ func (c *CPU) translateBlock(pa uint32) *block {
 			break
 		}
 		var d decoded
-		decodeWord(&d, wa, in)
+		decodeWord(&d, in)
 		if d.flags&fPriv != 0 || !bodyKind(d.memKind) {
 			// The block's terminator: cached alongside the body so the
 			// exit skips a re-fetch. Privileged words also land here,
@@ -467,7 +457,7 @@ func (c *CPU) translateBlock(pa uint32) *block {
 				break
 			}
 			d := &b.ds[b.dsN]
-			decodeWord(d, wa, in)
+			decodeWord(d, in)
 			classifyLean(d)
 			b.dsN++
 		}

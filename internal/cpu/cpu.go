@@ -20,16 +20,16 @@
 // auditor (SetAudit) records load-use violations so tests can prove
 // schedules legal.
 //
-// Execution has four observably identical engines, selected per CPU by
-// SetEngine: the reference interpreter (execWord), which re-reads the
-// instruction word's pieces every cycle; a predecoded fast path
-// (predecode.go) that caches a flat executable record per physical
-// instruction address — the paper's own move of hoisting work out of the
-// dynamic hot path, applied to the simulator itself; the superblock
-// engine (block.go) layered on it; and the trace tier (trace_form.go)
-// layered on that. New starts on the trace tier, and the differential
-// tests hold all four to identical statistics, memory images, and trace
-// event streams.
+// One executor runs a single instruction word: the reference interpreter
+// (execWord), which reads the word's pieces directly. Above it sit two
+// translation tiers, selected per CPU by SetEngine: the superblock engine
+// (block.go), which decodes straight-line runs once into flat records
+// (predecode.go) — the paper's own move of hoisting work out of the
+// dynamic hot path, applied to the simulator itself — and the trace tier
+// (trace_form.go) layered on it. Both fall back to per-instruction
+// stepping at an exact instruction boundary. New starts on the trace
+// tier, and the differential tests hold every engine value to identical
+// statistics, memory images, and trace event streams.
 package cpu
 
 import (
@@ -112,11 +112,6 @@ type CPU struct {
 	// engine selects the execution engine (SetEngine).
 	engine Engine
 
-	// pd is the fast path's cache of flat executable records,
-	// direct-mapped by physical word address.
-	pd     []decoded
-	pdMask uint32
-
 	// bc is the superblock engine's direct-mapped cache of translated
 	// blocks (block.go), liveBlocks the dense list the write barrier
 	// walks, codeBits the coverage bitmap the barrier prefilters with,
@@ -147,10 +142,10 @@ type CPU struct {
 	trOvfOn    bool
 	trCur      *trace
 
-	// Trans counts translation-layer behavior (predecode and superblock
-	// caches) since the CPU was built or last restored. It lives outside
-	// Stats so the execution engines remain statistics-identical under
-	// the differential tests.
+	// Trans counts translation-layer behavior (superblock and trace
+	// caches, tier residency) since the CPU was built or last restored.
+	// It lives outside Stats so the execution engines remain
+	// statistics-identical under the differential tests.
 	Trans TranslationStats
 
 	seq     uint64
@@ -184,26 +179,31 @@ type delayedWrite struct {
 	commitAt uint64
 }
 
-// Engine selects how a CPU executes instructions. Each engine layers on
-// the one before it and falls back to it at an exact instruction
-// boundary; all four are observably identical.
+// Engine selects how a CPU executes instructions. Each translation tier
+// layers on the one before it and falls back to it at an exact
+// instruction boundary; every engine value is observably identical.
 type Engine uint8
 
 const (
-	// EngineReference is the reference interpreter, the oracle the
-	// differential tests compare the others against.
+	// EngineReference steps one instruction at a time through the
+	// reference interpreter, the oracle the differential tests compare
+	// the others against. Its instructions count as TierReference.
 	EngineReference Engine = iota
-	// EngineFast is the predecoded per-instruction fast path.
+	// EngineFast also steps one instruction at a time through the
+	// reference interpreter, with no translation tier; its instructions,
+	// like those stepped beneath the translation tiers, count as
+	// TierFast.
 	EngineFast
-	// EngineBlocks adds the superblock engine above the fast path;
-	// per-step tracers (SetStepHook) and Interlocked mode suspend it.
+	// EngineBlocks adds the superblock engine above per-instruction
+	// stepping; per-step tracers (SetStepHook) and Interlocked mode
+	// suspend it.
 	EngineBlocks
 	// EngineTraces adds the trace tier above the superblock engine.
 	// Traces form and run wherever no DMA engine is attached and either
 	// no device is or the CPU runs mapped user code — a kernel's
 	// processes included, with the interval timer bounding each trace
 	// by its tick horizon — and every deviation bails tier by tier:
-	// trace to superblock to fast path to reference.
+	// trace to superblock to per-instruction stepping.
 	EngineTraces
 )
 
@@ -349,7 +349,6 @@ func (c *CPU) LoadImage(im *isa.Image) error {
 	for addr, val := range im.Data {
 		c.Bus.MMU.Phys.Poke(uint32(addr), val)
 	}
-	c.InvalidateDecoded()
 	c.InvalidateTraces()
 	c.InvalidateBlocks()
 	c.SetPC(uint32(im.Entry))
@@ -547,8 +546,26 @@ func (c *CPU) Step() error {
 			return nil
 		}
 	}
+	i0 := c.Stats.Instructions
+	c.step()
+	tier := TierFast
+	if c.engine == EngineReference {
+		tier = TierReference
+	}
+	c.Trans.TierInstrs[tier] += c.Stats.Instructions - i0
+	return nil
+}
+
+// step executes the word at the head of the fetch queue on the
+// per-instruction path, with the full preamble: load commit, queue
+// refill, and the interrupt sample. Step falls back to it below the
+// translation tiers, and the superblock engine calls it for the exits
+// and delay slots it has no cached record for.
+func (c *CPU) step() {
 	c.seq++
-	c.commitLoads()
+	if c.pendN != 0 {
+		c.commitLoads()
+	}
 	c.fill()
 
 	// The single interrupt line is sampled between instructions; the
@@ -557,39 +574,29 @@ func (c *CPU) Step() error {
 	// user level, so the dispatch ROM's save area cannot be clobbered.
 	if c.intLine && c.Sur.InterruptsEnabled() && !c.Sur.Supervisor() {
 		c.exception(isa.CauseInterrupt, isa.CauseNone, 0)
-		return nil
+		return
 	}
 
 	pc := c.pcq[0]
-	if c.engine != EngineReference {
-		i0 := c.Stats.Instructions
-		c.stepFast(pc)
-		c.Trans.TierInstrs[TierFast] += c.Stats.Instructions - i0
-		return nil
-	}
-
 	in, fault := c.fetch(pc)
 	if fault != nil {
 		c.Bus.LastFault = fault
 		c.exception(fault.Cause, isa.CauseNone, 0)
-		return nil
+		return
 	}
 
 	// Privilege is enforced at decode.
 	if privileged(in) && !c.Sur.Supervisor() {
 		c.exception(isa.CausePrivilege, isa.CauseNone, 0)
-		return nil
+		return
 	}
 
 	c.popPC()
 	if c.onStep != nil {
 		c.onStep(pc, in)
 	}
-	i0 := c.Stats.Instructions
 	c.execWord(in, pc)
-	c.Trans.TierInstrs[TierReference] += c.Stats.Instructions - i0
 	c.Bus.Tick()
-	return nil
 }
 
 // Mapped reports whether addresses currently translate through the

@@ -30,9 +30,10 @@ func (c *CPU) stagePut(r isa.Reg, v uint32, delayed bool) {
 // execWord executes one instruction word on the reference path: reads
 // all sources, performs the memory reference, computes ALU results, then
 // commits writes. A memory fault or enabled overflow suppresses every
-// write and vectors through the exception sequence. The predecoded fast
-// path (execFast) must stay observably identical to this function; the
-// differential tests enforce it.
+// write and vectors through the exception sequence. It is the one
+// per-instruction executor: Step and the translation tiers' general-word
+// fallbacks run words through it. The tiers' specialized paths must stay
+// observably identical to it; the differential tests enforce that.
 func (c *CPU) execWord(in isa.Instr, pc uint32) {
 	c.Stats.Instructions++
 	c.Stats.Cycles++
@@ -159,9 +160,9 @@ func (c *CPU) execWord(in isa.Instr, pc uint32) {
 	c.finishWord(pc, usedDataCycle, overflow, memFault, trapCode, loVal, hasLo)
 }
 
-// finishWord is the common tail of word execution, shared by the
-// reference and fast paths: data-slot accounting, the exception priority
-// rule, the staged-write commit, and software-trap entry.
+// finishWord is the tail of word execution: data-slot accounting, the
+// exception priority rule, the staged-write commit, and software-trap
+// entry.
 func (c *CPU) finishWord(pc uint32, usedDataCycle, overflow bool, memFault *mem.Fault, trapCode int, loVal uint32, hasLo bool) {
 	// Account the data-memory slot.
 	if usedDataCycle {
@@ -245,8 +246,8 @@ func (c *CPU) evalALU(p *isa.Piece, pc uint32) (val, lo uint32, overflow bool) {
 	return aluEval(p.Op, a, b, dstVal, c.Lo)
 }
 
-// aluEval is the pure ALU core shared by the reference and fast paths:
-// given the already-read operand values (a, b), the destination's
+// aluEval is the pure ALU core shared by execWord and the translation
+// tiers: given the already-read operand values (a, b), the destination's
 // current value (multiply/divide steps only), and the byte selector, it
 // returns the result, the new byte-selector value for movlo, and whether
 // signed overflow occurred.
@@ -317,13 +318,8 @@ func aluEval(op isa.ALUOp, a, b, dstVal, lo uint32) (val, loOut uint32, overflow
 // execSpecial executes a special-register piece. Privilege was already
 // checked at decode.
 func (c *CPU) execSpecial(p *isa.Piece) {
-	c.doSpecial(p.SpecOp, p.SpecReg, p.Dst, p.Src1.Reg)
-}
-
-// doSpecial is the special-register core shared by the reference and
-// fast paths. src is the source register of a special-register write.
-func (c *CPU) doSpecial(op isa.SpecialOp, reg isa.SpecialReg, dst, src isa.Reg) {
-	switch op {
+	reg := p.SpecReg
+	switch p.SpecOp {
 	case isa.SpecRead:
 		var v uint32
 		switch reg {
@@ -342,9 +338,9 @@ func (c *CPU) doSpecial(op isa.SpecialOp, reg isa.SpecialReg, dst, src isa.Reg) 
 		case isa.SpecRet2:
 			v = c.Ret[2]
 		}
-		c.stagePut(dst, v, false)
+		c.stagePut(p.Dst, v, false)
 	case isa.SpecWrite:
-		v := c.Regs[src]
+		v := c.Regs[p.Src1.Reg]
 		switch reg {
 		case isa.SpecLo:
 			c.Lo = v

@@ -116,9 +116,10 @@ func (r FormRefusal) String() string {
 type Tier uint8
 
 const (
-	// TierReference: the per-word reference interpreter.
+	// TierReference: per-instruction stepping on EngineReference.
 	TierReference Tier = iota
-	// TierFast: the predecoded per-instruction fast path.
+	// TierFast: per-instruction stepping on EngineFast and beneath the
+	// translation tiers. It runs the same executor as TierReference.
 	TierFast
 	// TierBlocks: the superblock engine (chained block runs included).
 	TierBlocks

@@ -10,7 +10,8 @@ import (
 
 // loopCPU builds a CPU running a small counted loop: r1 counts down
 // from n, r2 accumulates r3 each iteration, then trap 0 halts. The loop
-// body re-executes the same words, so it exercises predecode-cache hits.
+// body re-executes the same words, so the translation tiers form blocks
+// and traces over it.
 func loopCPU(n int32) *CPU {
 	br := isa.Branch(isa.CmpNE, isa.R(1), isa.Imm(0), "")
 	br.Target = 2
@@ -142,16 +143,15 @@ func TestFastPathLoopMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPredecodeSeesInstructionRewrite overwrites the loop body after the
-// predecode cache has executed it many times. The new word must take
-// effect on its next fetch: the cache validates each record against the
-// live instruction memory every time.
-func TestPredecodeSeesInstructionRewrite(t *testing.T) {
+// TestStepSeesInstructionRewrite overwrites the loop body after it has
+// executed many times. The new word must take effect on its next fetch,
+// and the default engine must match the reference under the rewrite.
+func TestStepSeesInstructionRewrite(t *testing.T) {
 	patchLoop := func(c *CPU) {
 		var patched bool
 		c.SetStepHook(func(pc uint32, in isa.Instr) {
-			// After 50 iterations the body at word 2 has long been
-			// cached; switch the accumulator step from +r3 (5) to +1.
+			// After 50 iterations the body at word 2 has run many
+			// times; switch the accumulator step from +r3 (5) to +1.
 			// The hook fires after this instance was fetched, so the
 			// patch is seen from the next iteration on.
 			if !patched && pc == 2 && c.Regs[1] == 50 {
@@ -166,21 +166,21 @@ func TestPredecodeSeesInstructionRewrite(t *testing.T) {
 	// 51 iterations at +5 (the patching iteration was already fetched),
 	// then 49 at +1.
 	if want := uint32(51*5 + 49*1); c.Regs[2] != want {
-		t.Errorf("r2 = %d, want %d (stale predecode record executed)", c.Regs[2], want)
+		t.Errorf("r2 = %d, want %d (stale word executed)", c.Regs[2], want)
 	}
 	ref := loopCPU(100)
 	ref.SetEngine(EngineReference)
 	patchLoop(ref)
 	run(t, ref, 10_000)
 	if ref.Regs != c.Regs || ref.Stats != c.Stats {
-		t.Errorf("paths diverge under rewrite:\n fast %v\n  ref %v", c.Regs, ref.Regs)
+		t.Errorf("paths diverge under rewrite:\n got %v\n ref %v", c.Regs, ref.Regs)
 	}
 }
 
-// TestPredecodeSurvivesLoadImageReuse reuses one CPU for two images that
+// TestStepSurvivesLoadImageReuse reuses one CPU for two images that
 // place different instructions at the same addresses — the loader-reuse
 // pattern of the experiment harnesses.
-func TestPredecodeSurvivesLoadImageReuse(t *testing.T) {
+func TestStepSurvivesLoadImageReuse(t *testing.T) {
 	c := loopCPU(10)
 	run(t, c, 10_000)
 	if c.Regs[2] != 50 {
@@ -198,7 +198,7 @@ func TestPredecodeSurvivesLoadImageReuse(t *testing.T) {
 	c.Halted = false
 	run(t, c, 100)
 	if c.Regs[2] != 9 {
-		t.Errorf("second program: r2 = %d, want 9 (stale predecode record executed)", c.Regs[2])
+		t.Errorf("second program: r2 = %d, want 9 (stale word executed)", c.Regs[2])
 	}
 }
 
@@ -269,75 +269,5 @@ func TestFastPathToggle(t *testing.T) {
 	run(t, c, 10_000)
 	if c.Regs[2] != 500 {
 		t.Errorf("r2 = %d, want 500", c.Regs[2])
-	}
-}
-
-// TestPredecodeSlotAliasing pins the direct-mapped collision case: two
-// physical addresses pdMaxEntries apart share a slot once the cache is
-// at full size, and the record's pa binding must keep them from
-// cross-validating — each fetch at the other address is a counted
-// collision miss that redecodes, never a false hit.
-func TestPredecodeSlotAliasing(t *testing.T) {
-	c := newTestCPU(halt)
-	const lo = uint32(2)
-	const hi = lo + pdMaxEntries
-	c.IMem = make([]isa.Instr, hi+4)
-	c.IMem[lo] = w(isa.Mov(1, isa.Imm(7)))
-	c.IMem[hi] = w(isa.Mov(1, isa.Imm(9)))
-
-	// The first high fetch grows the cache to its full size (replacing
-	// the backing array), so it runs before any slot pointer is taken.
-	d1, f := c.fetchFast(hi)
-	if f != nil {
-		t.Fatalf("fetch hi: %v", f)
-	}
-	if d1.pa != hi || d1.src != c.IMem[hi] {
-		t.Fatalf("hi record bound to pa=%d", d1.pa)
-	}
-	d2, f := c.fetchFast(lo)
-	if f != nil {
-		t.Fatalf("fetch lo: %v", f)
-	}
-	if d2 != d1 {
-		t.Fatalf("addresses %d and %d do not share a slot; aliasing case not exercised", lo, hi)
-	}
-	if d2.pa != lo || d2.src != c.IMem[lo] {
-		t.Errorf("lo fetch returned the hi record: pa=%d (cross-validated alias)", d2.pa)
-	}
-	if c.Trans.PredecodeCollisions != 1 {
-		t.Errorf("collisions = %d, want 1", c.Trans.PredecodeCollisions)
-	}
-	// Bouncing back rebinds the slot again: a second counted collision.
-	d3, f := c.fetchFast(hi)
-	if f != nil {
-		t.Fatalf("refetch hi: %v", f)
-	}
-	if d3.pa != hi || d3.src != c.IMem[hi] {
-		t.Errorf("hi refetch returned the lo record: pa=%d", d3.pa)
-	}
-	if c.Trans.PredecodeCollisions != 2 {
-		t.Errorf("collisions = %d, want 2", c.Trans.PredecodeCollisions)
-	}
-	if c.Trans.PredecodeHits != 0 {
-		t.Errorf("hits = %d, want 0 (an alias hit is a wrong-instruction execution)", c.Trans.PredecodeHits)
-	}
-}
-
-// TestPredecodeCacheGrows checks the decode cache's lazy growth: a
-// program whose text extends past the initial cache size must still
-// execute correctly (records beyond the mask share slots).
-func TestPredecodeCacheGrows(t *testing.T) {
-	words := make([]isa.Instr, 0, pdMinEntries*3)
-	for i := 0; i < pdMinEntries*3-2; i++ {
-		words = append(words, w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1))))
-	}
-	words = append(words, halt)
-	phys := mem.NewPhysical(1 << 16)
-	c := New(NewBus(phys))
-	c.IMem = words
-	c.SetTrapHook(func(code uint16) { c.Halt() })
-	run(t, c, uint64(len(words))+10)
-	if want := uint32(pdMinEntries*3 - 2); c.Regs[2] != want {
-		t.Errorf("r2 = %d, want %d", c.Regs[2], want)
 	}
 }

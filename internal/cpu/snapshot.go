@@ -9,8 +9,8 @@ import (
 
 // State is the complete architectural state of the processor at an
 // instruction boundary: everything a restored CPU needs to continue the
-// exact event stream of the original. The translation caches (predecode
-// records, superblocks, traces, and the staging area) are deliberately
+// exact event stream of the original. The translation caches
+// (superblocks, traces, and the staging area) are deliberately
 // absent — they are derived state, rebuilt on demand, and dropping them
 // cannot change observable behavior. So are the counters that describe
 // them (Trans).
@@ -86,11 +86,11 @@ func (c *CPU) CaptureState() State {
 }
 
 // RestoreState replaces the processor's architectural state with a
-// previous capture. The predecode, superblock, and trace caches are
-// dropped — they rebuild against the restored instruction memory — so
-// the restored machine produces the exact event stream the original
-// would have. The translation-layer counters (Trans) restart from zero
-// with the caches they describe.
+// previous capture. The superblock and trace caches are dropped — they
+// rebuild against the restored instruction memory — so the restored
+// machine produces the exact event stream the original would have. The
+// translation-layer counters (Trans) restart from zero with the caches
+// they describe.
 func (c *CPU) RestoreState(st State) error {
 	if st.PCN < 1 || st.PCN > pcqCap {
 		return fmt.Errorf("cpu: restore: fetch queue depth %d out of range", st.PCN)
@@ -123,7 +123,6 @@ func (c *CPU) RestoreState(st State) error {
 		fc := *st.LastFault
 		c.Bus.LastFault = &fc
 	}
-	c.InvalidateDecoded()
 	c.InvalidateTraces()
 	c.InvalidateBlocks()
 	c.Trans = TranslationStats{}

@@ -30,7 +30,7 @@ package cpu
 // partial contribution. A trace therefore abandons execution at an
 // exact instruction boundary with the machine indistinguishable from
 // the block engine having run the same prefix — the tier-bail ladder
-// (trace -> superblock -> fast path -> reference) never shows through
+// (trace -> superblock -> per-instruction stepping) never shows through
 // architecturally.
 
 import (
@@ -362,7 +362,7 @@ func (c *CPU) buildSideStub(ctx *mem.Context, dsPC uint32, dsN int, x uint32) *t
 			return nil
 		}
 		d := &ds[k]
-		decodeWord(d, pa, in)
+		decodeWord(d, in)
 		classifyLean(d)
 		if !dsCompilable(d) {
 			return nil
@@ -681,7 +681,7 @@ func trGeneral(c *CPU, in *traceInst) bool {
 	e0 := c.excSeq
 	c.pcq[0], c.pcq[1] = vpc+1, vpc+2
 	c.pcn = 2
-	c.execFast(in.d, vpc)
+	c.execWord(in.d.src, vpc)
 	if c.Halted || c.pcn != 2 || c.pcq[0] != vpc+1 {
 		switch {
 		case c.Halted:
@@ -718,7 +718,7 @@ func trGeneralTermInd(c *CPU, in *traceInst) bool {
 	e0 := c.excSeq
 	c.pcq[0], c.pcq[1] = vpc+1, vpc+2
 	c.pcn = 2
-	c.execFast(in.d, vpc)
+	c.execWord(in.d.src, vpc)
 	if c.Halted || c.pcn != 3 || c.pcq[0] != vpc+1 ||
 		c.pcq[1] != vpc+2 || c.pcq[2] != in.target || !c.trCur.valid {
 		switch {
@@ -754,7 +754,7 @@ func trGeneralTerm(c *CPU, in *traceInst) bool {
 	e0 := c.excSeq
 	c.pcq[0], c.pcq[1] = vpc+1, vpc+2
 	c.pcn = 2
-	c.execFast(d, vpc)
+	c.execWord(d.src, vpc)
 	q1, qAlt := vpc+2, d.target
 	if in.taken {
 		q1, qAlt = d.target, vpc+2
@@ -844,7 +844,7 @@ func (c *CPU) packedAddr(d *decoded, vpc uint32, guarded bool) uint32 {
 
 // The packed handlers run an ALU-class piece sharing its word with a
 // load, store, or control piece as one specialized op instead of
-// routing through the exact executor. Semantics mirror execFast +
+// routing through the exact executor. Semantics mirror execWord +
 // finishWord exactly: operand reads before address reads, the memory
 // piece executing even when the ALU piece overflowed (a store commits
 // to memory, a load counts, and only the register writes are

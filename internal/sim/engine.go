@@ -27,15 +27,18 @@ const (
 	// Reference is the reference interpreter: pieces re-read and
 	// re-decoded every cycle. The baseline the others are tested against.
 	Reference
-	// FastPath is the predecoded per-instruction engine.
+	// FastPath steps one instruction at a time through the same
+	// reference interpreter, with no translation tier; it differs from
+	// Reference only in the tier its instructions count as (cpu.TierFast).
 	FastPath
-	// Blocks is the superblock translation engine layered on the fast
-	// path: straight-line runs execute as cached, chained blocks.
+	// Blocks is the superblock translation engine layered on
+	// per-instruction stepping: straight-line runs execute as cached,
+	// chained blocks.
 	Blocks
 	// Traces is the trace JIT tier layered on the superblock engine:
 	// profile-guided multi-block traces, fused across taken branches,
 	// compiled to flat arrays of op records. Falls back tier by tier
-	// (trace -> superblock -> fast path -> reference) on any guard
+	// (trace -> superblock -> per-instruction stepping) on any guard
 	// failure, fault, or configuration the traces cannot prove quiet.
 	Traces
 )

@@ -558,9 +558,6 @@ func (s *Service) sampleLocked(j *Job, state JobState) JobSample {
 		sample.Engine = j.m.Engine().String()
 		ts := j.m.Trans()
 		sample.Counters = map[string]uint64{
-			"xlate.predecode_hits":           ts.PredecodeHits,
-			"xlate.predecode_misses":         ts.PredecodeMisses,
-			"xlate.predecode_collisions":     ts.PredecodeCollisions,
 			"xlate.block_hits":               ts.BlockHits,
 			"xlate.block_chained":            ts.BlockChained,
 			"xlate.block_translations":       ts.BlockTranslations,

@@ -7,7 +7,7 @@ package sim_test
 // hashed event-for-event across the snapshot boundary. These tests pin
 // that on all four engines, on the kernel machine, and under an
 // in-flight DMA transfer. (Translation-cache counters are exempt: a
-// restored machine re-predecodes and re-translates, warming its caches
+// restored machine re-translates, warming its caches
 // afresh, which is exactly the derived state a snapshot must not
 // carry.)
 

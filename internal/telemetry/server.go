@@ -54,7 +54,8 @@ type Config struct {
 	// its argv).
 	Program string
 	Args    []string
-	// Engine names the execution engine: "fast" or "reference".
+	// Engine names the execution engine /status reports (a
+	// sim.Engine's String form, e.g. "traces").
 	Engine string
 
 	// Tracer, if non-nil, backs /trace/stream.
@@ -131,9 +132,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = time.Second
-	}
-	if cfg.Engine == "" {
-		cfg.Engine = "fast"
 	}
 	if cfg.Profiler != nil {
 		cfg.Profiler.Share()

@@ -83,18 +83,15 @@ func RegisterCPUStats(r *Registry, prefix string, st *cpu.Stats) error {
 }
 
 // RegisterTranslation registers the CPU's translation-layer counters —
-// predecode cache and superblock cache — under the given prefix
-// (conventionally "xlate."). Like RegisterCPUStats it samples with
-// atomic loads and errors on duplicate registration; the CPU goroutine
-// remains the single writer.
+// superblock cache, trace tier and tier residency — under the given
+// prefix (conventionally "xlate."). Like RegisterCPUStats it samples
+// with atomic loads and errors on duplicate registration; the CPU
+// goroutine remains the single writer.
 func RegisterTranslation(r *Registry, prefix string, ts *cpu.TranslationStats) error {
 	g := &registrar{r: r}
 	c := func(name, help string, p *uint64) {
 		g.counter(prefix+name, help, func() uint64 { return atomic.LoadUint64(p) })
 	}
-	c("predecode_hits", "fetches served by a valid predecoded record", &ts.PredecodeHits)
-	c("predecode_misses", "fetches that (re)decoded the instruction word", &ts.PredecodeMisses)
-	c("predecode_collisions", "predecode misses whose direct-mapped slot held another address", &ts.PredecodeCollisions)
 	c("block_hits", "superblock cache lookups served by a valid block", &ts.BlockHits)
 	c("block_chained", "superblock entries through a chain slot, skipping the lookup", &ts.BlockChained)
 	c("block_translations", "superblocks built (first sight and retranslation alike)", &ts.BlockTranslations)

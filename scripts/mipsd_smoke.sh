@@ -69,6 +69,15 @@ echo "==> unversioned /jobs is gone"
 CODE=$(curl -sS -o /dev/null -w '%{http_code}' "$BASE/jobs")
 [ "$CODE" = "404" ] || { echo "GET /jobs returned $CODE, want 404" >&2; exit 1; }
 
+echo "==> /status reports the default engine"
+curl -fsS "$BASE/status" >"$TMP/server_status.json"
+ENGINE=$(field engine "$TMP/server_status.json")
+[ "$ENGINE" = "traces" ] || {
+    echo "/status reports engine '$ENGINE', want traces" >&2
+    cat "$TMP/server_status.json" >&2
+    exit 1
+}
+
 echo "==> submit fib (blocks engine)"
 curl -fsS -X POST -H 'Content-Type: application/json' \
     -d '{"program":"fib","engine":"blocks"}' \
