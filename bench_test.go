@@ -74,6 +74,23 @@ func BenchmarkFigure4(b *testing.B) { benchExperiment(b, "figure4") }
 func BenchmarkFreeCycles(b *testing.B)    { benchExperiment(b, "freecycles") }
 func BenchmarkContextSwitch(b *testing.B) { benchExperiment(b, "ctxswitch") }
 
+// BenchmarkEvaluationPass regenerates the whole evaluation once per
+// iteration, as cmd/paperbench does with one worker: every experiment
+// on one shared pass, then the corebench table.
+func BenchmarkEvaluationPass(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, r := range tables.RunAllWith(tables.All(), 1, sim.Default, nil) {
+			if r.Err != nil {
+				b.Fatalf("%s: %v", r.Name, r.Err)
+			}
+		}
+		if _, err := tables.CoreBenchRun(1, sim.Default, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Substrate microbenchmarks.
 
 // BenchmarkPipelineSimulator measures simulated instructions per second

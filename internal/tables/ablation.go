@@ -9,7 +9,7 @@ import (
 	"mips/internal/reorg"
 )
 
-// AblationInterlocks quantifies the §4.2.1 tradeoff directly: what do
+// ablationInterlocks quantifies the §4.2.1 tradeoff directly: what do
 // software-imposed interlocks cost or buy against a counterfactual
 // machine with hardware load interlocks?
 //
@@ -23,7 +23,7 @@ import (
 // The paper's argument reproduced: the hardware buys code space against
 // naive code but no cycles (a stall and a no-op both cost one cycle),
 // and once the reorganizer runs, the hardware is almost pure overhead.
-func AblationInterlocks() (*Table, error) {
+func ablationInterlocks(p *pass) (*Table, error) {
 	t := &Table{
 		ID:     "Ablation: interlocks",
 		Title:  "Software-imposed vs hardware pipeline interlocks",
@@ -43,11 +43,11 @@ func AblationInterlocks() (*Table, error) {
 	for _, b := range corpus.Table11() {
 		var outputs []string
 		for _, cfg := range configs {
-			im, _, err := codegen.CompileMIPS(b.Source, codegen.MIPSOptions{}, cfg.opt)
+			im, _, err := p.compile(b.Source, codegen.MIPSOptions{}, cfg.opt)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", b.Name, cfg.name, err)
 			}
-			res, err := codegen.RunMIPSOn(im, 500_000_000, cfg.hw)
+			res, err := p.run(b.Source, codegen.MIPSOptions{}, cfg.opt, 500_000_000, cfg.hw)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", b.Name, cfg.name, err)
 			}
@@ -68,27 +68,22 @@ func AblationInterlocks() (*Table, error) {
 	return t, nil
 }
 
-// AblationDelaySchemes disables each branch-delay scheme in turn and
+// ablationDelaySchemes disables each branch-delay scheme in turn and
 // reports the surviving fill rate — which of the paper's three schemes
 // does the work on real code.
-func AblationDelaySchemes() (*Table, error) {
+func ablationDelaySchemes(p *pass) (*Table, error) {
 	t := &Table{
 		ID:     "Ablation: branch-delay schemes",
 		Title:  "Delay-slot fills by scheme over the corpus",
 		Header: []string{"program", "slots", "filled", "scheme1 move", "scheme2 dup", "scheme3 hoist"},
 	}
 	var slots, filled, s1, s2, s3 int
-	for _, p := range corpus.All() {
-		prog, err := lang.Parse(p.Source)
+	for _, prog := range corpus.All() {
+		_, st, err := p.compile(prog.Source, codegen.MIPSOptions{}, reorg.All())
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", prog.Name, err)
 		}
-		unit, err := codegen.GenMIPS(prog, codegen.MIPSOptions{})
-		if err != nil {
-			return nil, err
-		}
-		_, st := reorg.Reorganize(unit, reorg.All())
-		t.AddRow(p.Name, num(st.DelaySlots), num(st.DelayFilled),
+		t.AddRow(prog.Name, num(st.DelaySlots), num(st.DelayFilled),
 			num(st.SchemeMoved), num(st.SchemeLoop), num(st.SchemeHoist))
 		slots += st.DelaySlots
 		filled += st.DelayFilled
@@ -101,10 +96,10 @@ func AblationDelaySchemes() (*Table, error) {
 	return t, nil
 }
 
-// AblationByteOverhead sweeps the byte-addressing critical-path
+// ablationByteOverhead sweeps the byte-addressing critical-path
 // overhead parameter around the paper's 15-20% estimate and reports the
 // Table 10 penalty at each point, locating the crossover.
-func AblationByteOverhead() (*Table, error) {
+func ablationByteOverhead(p *pass) (*Table, error) {
 	t := &Table{
 		ID:     "Ablation: byte-addressing overhead sweep",
 		Title:  "Table 10 penalty as the critical-path overhead varies",
@@ -112,7 +107,7 @@ func AblationByteOverhead() (*Table, error) {
 	}
 	mixes := map[lang.AllocMode]struct{ l8, s8, w uint64 }{}
 	for _, mode := range []lang.AllocMode{lang.WordAlloc, lang.ByteAlloc} {
-		mix, err := corpusRefs(mode)
+		mix, err := p.corpusRefs(mode)
 		if err != nil {
 			return nil, err
 		}

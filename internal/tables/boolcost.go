@@ -49,7 +49,7 @@ func (c classCounts) String() string {
 
 // mipsCounts compiles for MIPS and tallies naive pieces (static) plus a
 // dynamic run.
-func mipsCounts(src string, noSetCond bool) (classCounts, classCounts, error) {
+func mipsCounts(p *pass, src string, noSetCond bool) (classCounts, classCounts, error) {
 	prog, err := lang.Parse(src)
 	if err != nil {
 		return classCounts{}, classCounts{}, err
@@ -64,11 +64,7 @@ func mipsCounts(src string, noSetCond bool) (classCounts, classCounts, error) {
 			addPieceClass(&static, &s.Pieces[i])
 		}
 	}
-	im, _, err := codegen.CompileMIPS(src, codegen.MIPSOptions{NoSetCond: noSetCond}, reorg.Options{})
-	if err != nil {
-		return classCounts{}, classCounts{}, err
-	}
-	res, err := codegen.RunMIPS(im, 50_000_000)
+	res, err := p.run(src, codegen.MIPSOptions{NoSetCond: noSetCond}, reorg.Options{}, 50_000_000, false)
 	if err != nil {
 		return classCounts{}, classCounts{}, err
 	}
@@ -141,13 +137,13 @@ func ccCounts(src string, pol ccarch.Policy, strat codegen.BoolStrategy) (classC
 }
 
 // boolSupports returns the four Table 5 support levels.
-func boolSupports() []boolSupport {
+func boolSupports(p *pass) []boolSupport {
 	return []boolSupport{
 		{
 			name:  "set conditionally, no CC (MIPS)",
 			paper: "2/1/0",
 			counts: func(src string) (classCounts, classCounts, error) {
-				return mipsCounts(src, false)
+				return mipsCounts(p, src, false)
 			},
 		},
 		{
@@ -215,10 +211,10 @@ end.
 `
 }
 
-// Table5 measures operations per boolean operator under each support
+// table5 measures operations per boolean operator under each support
 // level: compile a 2-operator store-context expression and a baseline,
 // and attribute the difference to the operators.
-func Table5() (*Table, error) {
+func table5(p *pass) (*Table, error) {
 	const ops, reps = 2, 10
 	t := &Table{
 		ID:     "Table 5",
@@ -227,7 +223,7 @@ func Table5() (*Table, error) {
 	}
 	src := boolExprProgram(ops, reps, false)
 	base := boolBaseline(reps)
-	for _, s := range boolSupports() {
+	for _, s := range boolSupports(p) {
 		se, de, err := s.counts(src)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s.name, err)
@@ -245,14 +241,14 @@ func Table5() (*Table, error) {
 	return t, nil
 }
 
-// Table6 computes the weighted cost of boolean evaluation (register 1,
+// table6 computes the weighted cost of boolean evaluation (register 1,
 // compare 2, branch 4) for store and jump contexts under each support
 // level, and the improvement of the MIPS styles over pure
 // compare-and-branch.
 //
 // Paper: set conditionally improves 53.5% over full evaluation and
 // 36.5% over early-out; conditional set improves 33.0% and 8.6%.
-func Table6() (*Table, error) {
+func table6(p *pass) (*Table, error) {
 	const ops, reps = 2, 10
 	t := &Table{
 		ID:     "Table 6",
@@ -261,7 +257,7 @@ func Table6() (*Table, error) {
 	}
 	paperTotals := []string{"12.5", "18.0", "26.9 (early-out 19.7)", "19.7"}
 	var totals []float64
-	for i, s := range boolSupports() {
+	for i, s := range boolSupports(p) {
 		var contexts [2]float64
 		for ci, jump := range []bool{false, true} {
 			se, _, err := s.counts(boolExprProgram(ops, reps, jump))

@@ -3,30 +3,11 @@ package tables
 import (
 	"fmt"
 
-	"mips/internal/analysis"
 	"mips/internal/lang"
 )
 
-// corpusRefs runs the whole corpus under the interpreter and merges the
-// reference mixes.
-func corpusRefs(mode lang.AllocMode) (analysis.RefMix, error) {
-	progs, err := parseAll()
-	if err != nil {
-		return analysis.RefMix{}, err
-	}
-	var mix analysis.RefMix
-	for _, p := range progs {
-		m, err := analysis.References(p, mode)
-		if err != nil {
-			return mix, err
-		}
-		mix.Add(m)
-	}
-	return mix, nil
-}
-
-func refTable(id string, mode lang.AllocMode, paper [4]string) (*Table, error) {
-	mix, err := corpusRefs(mode)
+func refTable(p *pass, id string, mode lang.AllocMode, paper [4]string) (*Table, error) {
+	mix, err := p.corpusRefs(mode)
 	if err != nil {
 		return nil, err
 	}
@@ -53,19 +34,19 @@ func refTable(id string, mode lang.AllocMode, paper [4]string) (*Table, error) {
 	return t, nil
 }
 
-// Table7 regenerates the word-allocated reference mix.
+// table7 regenerates the word-allocated reference mix.
 // Paper: 8-bit loads 2.6%, 32-bit loads 68.6%, 8-bit stores 2.6%,
 // 32-bit stores 26.2%.
-func Table7() (*Table, error) {
-	return refTable("Table 7", lang.WordAlloc,
+func table7(p *pass) (*Table, error) {
+	return refTable(p, "Table 7", lang.WordAlloc,
 		[4]string{"2.6%", "68.6%", "2.6%", "26.2%"})
 }
 
-// Table8 regenerates the byte-allocated reference mix.
+// table8 regenerates the byte-allocated reference mix.
 // Paper: 8-bit loads 6.6%, 32-bit loads 64.6%, 8-bit stores 5.9%,
 // 32-bit stores 22.9%.
-func Table8() (*Table, error) {
-	return refTable("Table 8", lang.ByteAlloc,
+func table8(p *pass) (*Table, error) {
+	return refTable(p, "Table 8", lang.ByteAlloc,
 		[4]string{"6.6%", "64.6%", "5.9%", "22.9%"})
 }
 
@@ -97,8 +78,8 @@ const (
 	wordRef             = 4
 )
 
-// Table9 renders the per-operation byte-access costs.
-func Table9() (*Table, error) {
+// table9 renders the per-operation byte-access costs.
+func table9(*pass) (*Table, error) {
 	c := byteOpCosts{overhead: 0.15}
 	t := &Table{
 		ID:     "Table 9",
@@ -118,13 +99,13 @@ func Table9() (*Table, error) {
 	return t, nil
 }
 
-// Table10 combines the measured reference mixes with the Table 9 cost
+// table10 combines the measured reference mixes with the Table 9 cost
 // model to compare total addressing cost on a word-addressed versus a
 // byte-addressed machine.
 //
 // Paper: byte addressing carries a 9-11.8% penalty on word-allocated
 // programs and 7.7-14.6% on byte-allocated programs.
-func Table10() (*Table, error) {
+func table10(p *pass) (*Table, error) {
 	t := &Table{
 		ID:     "Table 10",
 		Title:  "Cost of byte- vs word-addressed architectures (per reference, weighted)",
@@ -135,7 +116,7 @@ func Table10() (*Table, error) {
 		lang.ByteAlloc: "7.7% - 14.6%",
 	}
 	for _, mode := range []lang.AllocMode{lang.WordAlloc, lang.ByteAlloc} {
-		mix, err := corpusRefs(mode)
+		mix, err := p.corpusRefs(mode)
 		if err != nil {
 			return nil, err
 		}

@@ -9,12 +9,12 @@ import (
 	"mips/internal/reorg"
 )
 
-// AblationBoolCross runs the full boolean-strategy × condition-code-
+// ablationBoolCross runs the full boolean-strategy × condition-code-
 // policy cross-product (beyond the four rows of Table 5) on the
 // boolean-heaviest corpus program, eight queens, reporting dynamic
 // weighted cost (reg 1 / cmp 2 / br 4 / mem 4) for each legal pairing
 // plus the two MIPS styles.
-func AblationBoolCross() (*Table, error) {
+func ablationBoolCross(p *pass) (*Table, error) {
 	const src = `
 program crossbools;
 var
@@ -70,31 +70,27 @@ end.
 		}
 	}
 	var want string
-	for i, p := range pairs {
-		res, err := codegen.GenCC(prog, codegen.CCOptions{Policy: p.pol, Strategy: p.strat, Eliminate: true})
+	for i, pr := range pairs {
+		res, err := codegen.GenCC(prog, codegen.CCOptions{Policy: pr.pol, Strategy: pr.strat, Eliminate: true})
 		if err != nil {
 			return nil, err
 		}
-		out, st, err := codegen.RunCC(res, p.pol, 200_000_000)
+		out, st, err := codegen.RunCC(res, pr.pol, 200_000_000)
 		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", p.pol.Name, p.strat, err)
+			return nil, fmt.Errorf("%s/%s: %w", pr.pol.Name, pr.strat, err)
 		}
 		if i == 0 {
 			want = out
 		} else if out != want {
-			return nil, fmt.Errorf("%s/%s: output diverged", p.pol.Name, p.strat)
+			return nil, fmt.Errorf("%s/%s: output diverged", pr.pol.Name, pr.strat)
 		}
-		t.AddRow(p.pol.Name, p.strat.String(), num(st.Instructions), num(st.Branches), f2(st.Cost(w)))
+		t.AddRow(pr.pol.Name, pr.strat.String(), num(st.Instructions), num(st.Branches), f2(st.Cost(w)))
 	}
 
 	// The two MIPS styles under the same weights (set-conditionally and
 	// the branch-only ablation).
 	for _, noSet := range []bool{false, true} {
-		im, _, err := codegen.CompileMIPS(src, codegen.MIPSOptions{NoSetCond: noSet}, reorg.Options{})
-		if err != nil {
-			return nil, err
-		}
-		res, err := codegen.RunMIPS(im, 200_000_000)
+		res, err := p.run(src, codegen.MIPSOptions{NoSetCond: noSet}, reorg.Options{}, 200_000_000, false)
 		if err != nil {
 			return nil, err
 		}

@@ -75,11 +75,11 @@ func figureTable(id, title string, pol ccarch.Policy, strat codegen.BoolStrategy
 	return t, nil
 }
 
-// Figure1 measures the condition-code branch styles for the running
+// figure1 measures the condition-code branch styles for the running
 // example. Paper: full evaluation 8 static / 7 average dynamic, always
 // 2 branches; early-out 6 static / 4.25 average dynamic, 1 branch on
 // average.
-func Figure1() (*Table, error) {
+func figure1(*pass) (*Table, error) {
 	full, err := figureTable("Figure 1 (full)",
 		"Boolean evaluation with condition codes, full evaluation (VAX)",
 		ccarch.PolicyVAX, codegen.BoolFullEval, "8", "7 (avg)", "2")
@@ -99,17 +99,17 @@ func Figure1() (*Table, error) {
 	return full, nil
 }
 
-// Figure2 measures the conditional-set version. Paper: 5 static and
+// figure2 measures the conditional-set version. Paper: 5 static and
 // dynamic instructions, no branches.
-func Figure2() (*Table, error) {
+func figure2(*pass) (*Table, error) {
 	return figureTable("Figure 2",
 		"Boolean expression evaluation using conditional set (M68000)",
 		ccarch.PolicyM68000, codegen.BoolCondSet, "5", "5", "0")
 }
 
-// Figure3 measures the MIPS set-conditionally version. Paper: 3 static
+// figure3 measures the MIPS set-conditionally version. Paper: 3 static
 // and dynamic instructions, no branches.
-func Figure3() (*Table, error) {
+func figure3(p *pass) (*Table, error) {
 	count := func(src string) (float64, float64, float64, error) {
 		prog, err := lang.Parse(src)
 		if err != nil {
@@ -123,11 +123,7 @@ func Figure3() (*Table, error) {
 		for _, s := range unit.Stmts {
 			static += float64(len(s.Pieces))
 		}
-		im, _, err := codegen.CompileMIPS(src, codegen.MIPSOptions{}, reorg.Options{})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		res, err := codegen.RunMIPS(im, 1_000_000)
+		res, err := p.run(src, codegen.MIPSOptions{}, reorg.Options{}, 1_000_000, false)
 		if err != nil {
 			return 0, 0, 0, err
 		}

@@ -7,12 +7,14 @@ import (
 	"mips/internal/sim"
 )
 
-// The experiments are independent simulations — each builds its own
-// machines from scratch and touches no shared state — so regenerating
-// the full evaluation parallelizes trivially. The pool below fans the
-// work out over a bounded number of goroutines while keeping the output
-// deterministic: results land in a slice indexed by input position, so
-// callers print them in exactly the order a serial run would.
+// The experiments of one run share a pass (pass.go): each corpus
+// artifact two experiments need is computed once, by whichever asks
+// first, and the other waits for it. Artifacts are deterministic, so
+// regenerating the full evaluation still parallelizes without changing
+// a byte. The pool below fans the work out over a bounded number of
+// goroutines while keeping the output deterministic: results land in a
+// slice indexed by input position, so callers print them in exactly the
+// order a serial run would.
 
 // Result is one experiment's outcome from a parallel run.
 type Result struct {
@@ -29,20 +31,23 @@ func RunAll(exps []Experiment, workers int) []Result {
 }
 
 // RunAllWith is RunAll with the execution engine selectable and a
-// completion hook. The experiments build their machines deep inside
-// this package, so a non-Default engine is applied as the process-wide
-// default (sim.SetDefault) before the pool starts; results are
-// engine-independent — the choice changes only how fast the evaluation
-// runs. onDone, if non-nil, is called with each result as its
-// experiment finishes, from the worker goroutine that ran it. The
-// telemetry server uses it to expose live experiment progress; the hook
-// must therefore be safe for concurrent calls (trace.Counter
+// completion hook. The experiments share one pass, which builds every
+// machine on the given engine; results are engine-independent — the
+// choice changes only how fast the evaluation runs — and the process
+// default engine is left alone. onDone, if non-nil, is called with each
+// result as its experiment finishes, from the worker goroutine that ran
+// it. The telemetry server uses it to expose live experiment progress;
+// the hook must therefore be safe for concurrent calls (trace.Counter
 // increments are).
 func RunAllWith(exps []Experiment, workers int, engine sim.Engine, onDone func(Result)) []Result {
-	sim.SetDefault(engine)
+	return newPass(engine).runAll(exps, workers, onDone)
+}
+
+// runAll runs the experiments on the pass.
+func (p *pass) runAll(exps []Experiment, workers int, onDone func(Result)) []Result {
 	results := make([]Result, len(exps))
 	forEachIndexed(len(exps), workers, func(i int) {
-		tab, err := exps[i].Run()
+		tab, err := exps[i].run(p)
 		results[i] = Result{Name: exps[i].Name, Table: tab, Err: err}
 		if onDone != nil {
 			onDone(results[i])

@@ -19,13 +19,13 @@ var table11Stages = []struct {
 	{"branch delay", reorg.All()},
 }
 
-// Table11 regenerates the cumulative postpass-optimization improvements
+// table11 regenerates the cumulative postpass-optimization improvements
 // on the Table 11 benchmarks: static instruction-word counts for each
 // stage, and the total improvement.
 //
 // Paper: Fibonacci 63→63→55→50 (20.6%), Puzzle0 843→834→776→634
 // (24.8%), Puzzle1 1219→1113→992→791 (35.1%).
-func Table11() (*Table, error) {
+func table11(*pass) (*Table, error) {
 	t := &Table{
 		ID:    "Table 11",
 		Title: "Cumulative improvements with postpass optimization (static words)",
@@ -81,9 +81,9 @@ L11:	nop
 L3:	trap #0
 `
 
-// Figure4 regenerates the reorganization example: the fragment's word
+// figure4 regenerates the reorganization example: the fragment's word
 // count at each stage, plus the fully scheduled listing.
-func Figure4() (*Table, error) {
+func figure4(*pass) (*Table, error) {
 	t := &Table{
 		ID:     "Figure 4",
 		Title:  "Reorganization, packing, and branch delay on the paper's fragment",

@@ -24,12 +24,12 @@ func parseAll() ([]*lang.Program, error) {
 	return out, nil
 }
 
-// Table1 regenerates the constant-magnitude distribution.
+// table1 regenerates the constant-magnitude distribution.
 //
 // Paper: 0: 24.8%, 1: 19.0%, 2: 4.1%, 3-15: 20.8%, 16-255: 26.8%,
 // >255: 4.5%; a 4-bit constant covers ~70% and the 8-bit move immediate
 // all but ~5%.
-func Table1() (*Table, error) {
+func table1(*pass) (*Table, error) {
 	progs, err := parseAll()
 	if err != nil {
 		return nil, err
@@ -64,9 +64,9 @@ func Table1() (*Table, error) {
 	return t, nil
 }
 
-// Table2 renders the condition-code taxonomy. It is definitional: the
+// table2 renders the condition-code taxonomy. It is definitional: the
 // policy set drives every CC experiment in this package.
-func Table2() (*Table, error) {
+func table2(*pass) (*Table, error) {
 	t := &Table{
 		ID:     "Table 2",
 		Title:  "Condition code operations",
@@ -85,13 +85,13 @@ func Table2() (*Table, error) {
 	return t, nil
 }
 
-// Table3 regenerates the use-of-condition-codes measurement: how many
+// table3 regenerates the use-of-condition-codes measurement: how many
 // explicit compares a CC machine's implicit codes eliminate.
 //
 // Paper: 2273 compares; 25 (1.1%) saved when only operators set the
 // codes; 733 saved when moves set them too, but 706 of those are moves
 // executed only to set the codes — net savings 2.1%.
-func Table3() (*Table, error) {
+func table3(*pass) (*Table, error) {
 	progs, err := parseAll()
 	if err != nil {
 		return nil, err
@@ -135,11 +135,11 @@ func Table3() (*Table, error) {
 	return t, nil
 }
 
-// Table4 regenerates the boolean-expression census.
+// table4 regenerates the boolean-expression census.
 //
 // Paper: 1.66 operators per boolean expression; 80.9% end in jumps,
 // 19.1% in stores.
-func Table4() (*Table, error) {
+func table4(*pass) (*Table, error) {
 	progs, err := parseAll()
 	if err != nil {
 		return nil, err

@@ -12,28 +12,24 @@ import (
 	"mips/internal/sim"
 )
 
-// FreeCycles regenerates the §3.1 bandwidth observation: "Dynamic
+// freeCycles regenerates the §3.1 bandwidth observation: "Dynamic
 // simulations indicated that the wasted bandwidth came close to 40% of
 // the available bandwidth." Available bandwidth here is the data port;
 // a DMA engine shows the free cycles are usable.
-func FreeCycles() (*Table, error) {
+func freeCycles(p *pass) (*Table, error) {
 	t := &Table{
 		ID:     "Free memory cycles (§3.1)",
 		Title:  "Data-port utilization over the corpus (fully optimized code)",
 		Header: []string{"program", "instructions", "data cycles", "free cycles", "free fraction"},
 	}
 	var totalData, totalFree, totalInstr uint64
-	for _, p := range corpus.All() {
-		im, _, err := codegen.CompileMIPS(p.Source, codegen.MIPSOptions{}, reorg.All())
+	for _, prog := range corpus.All() {
+		res, err := p.run(prog.Source, codegen.MIPSOptions{}, reorg.All(), 500_000_000, false)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		res, err := codegen.RunMIPS(im, 500_000_000)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
+			return nil, fmt.Errorf("%s: %w", prog.Name, err)
 		}
 		st := res.Stats
-		t.AddRow(p.Name, num(st.Instructions), num(st.DataCycles), num(st.FreeCycles),
+		t.AddRow(prog.Name, num(st.Instructions), num(st.DataCycles), num(st.FreeCycles),
 			pct(st.FreeBandwidthFraction()))
 		totalData += st.DataCycles
 		totalFree += st.FreeCycles
@@ -46,11 +42,11 @@ func FreeCycles() (*Table, error) {
 	return t, nil
 }
 
-// ContextSwitch measures the §3.2 claims: the dual-ported register save
+// contextSwitch measures the §3.2 claims: the dual-ported register save
 // sequence saturates the data port (one store per cycle, no microcoded
 // move-multiple needed), and the surprise register keeps the extra
 // state of a context switch to a single word.
-func ContextSwitch() (*Table, error) {
+func contextSwitch(p *pass) (*Table, error) {
 	// Two compute-bound processes preempted by the timer.
 	loop := `
 	.entry main
@@ -60,7 +56,7 @@ spin:	add r1, #1, r1
 	blt r1, r2, spin
 	trap #4
 `
-	m, err := sim.New(sim.WithKernel(kernel.Config{TimerPeriod: 150}))
+	m, err := sim.New(p.simOptions(sim.WithKernel(kernel.Config{TimerPeriod: 150}))...)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +99,7 @@ spin:	add r1, #1, r1
 		t.AddRow("approx kernel instructions/switch", num(kernelWork/uint64(switches)))
 	}
 	t.AddRow("state beyond GPRs per process", "1 surprise word + 3 return addresses + 2 segment registers")
-	if sat, err := RegisterSaveSaturation(); err == nil {
+	if sat, err := registerSaveSaturation(p); err == nil {
 		t.AddRow("data-port utilization of a 16-store save", pct(sat))
 	}
 	t.Note("register save/restore is a straight store/load sequence; with the dual instruction/data ports it issues one data reference per cycle — the bandwidth a microcoded move-multiple would get (paper §3.2)")
@@ -111,15 +107,15 @@ spin:	add r1, #1, r1
 	return t, nil
 }
 
-// RegisterSaveSaturation verifies the §3.2 store-sequence claim
+// registerSaveSaturation verifies the §3.2 store-sequence claim
 // directly: a run of 16 stores keeps the data port busy every cycle.
-func RegisterSaveSaturation() (utilization float64, err error) {
+func registerSaveSaturation(p *pass) (utilization float64, err error) {
 	var words []isa.Instr
 	for r := isa.Reg(0); r < isa.NumRegs; r++ {
 		words = append(words, isa.Word(isa.StoreAbs(r, int32(100+r))))
 	}
 	words = append(words, isa.Word(isa.Trap(0)))
-	m, err := sim.New(sim.WithPhysWords(1 << 12))
+	m, err := sim.New(p.simOptions(sim.WithPhysWords(1 << 12))...)
 	if err != nil {
 		return 0, err
 	}

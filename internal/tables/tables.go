@@ -9,6 +9,8 @@ package tables
 import (
 	"fmt"
 	"strings"
+
+	"mips/internal/sim"
 )
 
 // Table is one rendered experiment.
@@ -74,33 +76,36 @@ func (t *Table) Render() string {
 // Experiment names one regenerable result.
 type Experiment struct {
 	Name string
-	Run  func() (*Table, error)
+	run  func(*pass) (*Table, error)
 }
+
+// Run regenerates the experiment alone, on a pass of its own.
+func (e Experiment) Run() (*Table, error) { return e.run(newPass(sim.Default)) }
 
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"table1", Table1},
-		{"table2", Table2},
-		{"table3", Table3},
-		{"table4", Table4},
-		{"table5", Table5},
-		{"table6", Table6},
-		{"table7", Table7},
-		{"table8", Table8},
-		{"table9", Table9},
-		{"table10", Table10},
-		{"table11", Table11},
-		{"figure1", Figure1},
-		{"figure2", Figure2},
-		{"figure3", Figure3},
-		{"figure4", Figure4},
-		{"freecycles", FreeCycles},
-		{"ctxswitch", ContextSwitch},
-		{"ablation-interlocks", AblationInterlocks},
-		{"ablation-delayschemes", AblationDelaySchemes},
-		{"ablation-byteoverhead", AblationByteOverhead},
-		{"ablation-boolcross", AblationBoolCross},
+		{"table1", table1},
+		{"table2", table2},
+		{"table3", table3},
+		{"table4", table4},
+		{"table5", table5},
+		{"table6", table6},
+		{"table7", table7},
+		{"table8", table8},
+		{"table9", table9},
+		{"table10", table10},
+		{"table11", table11},
+		{"figure1", figure1},
+		{"figure2", figure2},
+		{"figure3", figure3},
+		{"figure4", figure4},
+		{"freecycles", freeCycles},
+		{"ctxswitch", contextSwitch},
+		{"ablation-interlocks", ablationInterlocks},
+		{"ablation-delayschemes", ablationDelaySchemes},
+		{"ablation-byteoverhead", ablationByteOverhead},
+		{"ablation-boolcross", ablationBoolCross},
 	}
 }
 

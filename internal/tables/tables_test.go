@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mips/internal/sim"
 )
 
 func TestAllExperimentsRun(t *testing.T) {
@@ -23,6 +25,16 @@ func TestAllExperimentsRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+// regen runs one experiment on a pass of its own.
+func regen(t *testing.T, run func(*pass) (*Table, error)) *Table {
+	t.Helper()
+	tab, err := run(newPass(sim.Default))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }
 
 // cell parses a numeric table cell (strips % signs).
@@ -48,10 +60,7 @@ func findRow(t *testing.T, tab *Table, prefix string) int {
 }
 
 func TestTable1Shape(t *testing.T) {
-	tab, err := Table1()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := regen(t, table1)
 	// The paper's headline: the 4-bit field covers most constants and
 	// the 8-bit immediate nearly all. Encoded in the first note.
 	var small, large float64
@@ -68,10 +77,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable3SavingsAreSmall(t *testing.T) {
-	tab, err := Table3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := regen(t, table3)
 	// Row 1: "saved, CC set by operators only" rendered "N = X%".
 	parts := strings.Split(tab.Rows[1][1], "= ")
 	frac, err := strconv.ParseFloat(strings.TrimSuffix(parts[1], "%"), 64)
@@ -90,10 +96,7 @@ func TestTable3SavingsAreSmall(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	tab, err := Table4()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := regen(t, table4)
 	avg := cell(t, tab, 0, 1)
 	if avg < 1.0 || avg > 3.5 {
 		t.Errorf("operators/expression = %.2f, paper 1.66", avg)
@@ -105,10 +108,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTable6Ordering(t *testing.T) {
-	tab, err := Table6()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := regen(t, table6)
 	// Total cost column: set-conditionally < conditional-set < full
 	// evaluation — the paper's ranking.
 	setcond := cell(t, tab, 0, 3)
@@ -124,10 +124,7 @@ func TestTable6Ordering(t *testing.T) {
 }
 
 func TestTable7LoadsDominate(t *testing.T) {
-	tab, err := Table7()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := regen(t, table7)
 	loads := cell(t, tab, 0, 1)
 	if loads < 55 {
 		t.Errorf("load share = %.1f%%, paper 71.2%%", loads)
@@ -140,14 +137,8 @@ func TestTable7LoadsDominate(t *testing.T) {
 }
 
 func TestTable8ByteTrafficGrows(t *testing.T) {
-	t7, err := Table7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t8, err := Table8()
-	if err != nil {
-		t.Fatal(err)
-	}
+	t7 := regen(t, table7)
+	t8 := regen(t, table8)
 	b7 := cell(t, t7, findRow(t, t7, "8-bit loads"), 1) + cell(t, t7, findRow(t, t7, "8-bit stores"), 1)
 	b8 := cell(t, t8, findRow(t, t8, "8-bit loads"), 1) + cell(t, t8, findRow(t, t8, "8-bit stores"), 1)
 	if b8 <= b7 {
@@ -156,10 +147,7 @@ func TestTable8ByteTrafficGrows(t *testing.T) {
 }
 
 func TestTable10WordAddressingWins(t *testing.T) {
-	tab, err := Table10()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := regen(t, table10)
 	// Every row's penalty must be positive: byte addressing loses, the
 	// paper's central §4.1 claim.
 	for i, row := range tab.Rows {
@@ -178,10 +166,7 @@ func TestTable10WordAddressingWins(t *testing.T) {
 }
 
 func TestTable11Monotone(t *testing.T) {
-	tab, err := Table11()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := regen(t, table11)
 	// Stages shrink monotonically for every benchmark; total improvement
 	// lands in the paper's 15-45% band.
 	for col := 1; col <= 3; col++ {
@@ -201,14 +186,8 @@ func TestTable11Monotone(t *testing.T) {
 }
 
 func TestFigureOrdering(t *testing.T) {
-	f2, err := Figure2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f3, err := Figure3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f2 := regen(t, figure2)
+	f3 := regen(t, figure3)
 	// Figure 2 (conditional set) and Figure 3 (set conditionally) are
 	// branch-free; Figure 3 uses fewer evaluation instructions.
 	if br := cell(t, f2, 2, 1); br != 0 {
@@ -223,10 +202,7 @@ func TestFigureOrdering(t *testing.T) {
 }
 
 func TestFreeCyclesNearPaper(t *testing.T) {
-	tab, err := FreeCycles()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := regen(t, freeCycles)
 	total := tab.Rows[len(tab.Rows)-1]
 	frac, err := strconv.ParseFloat(strings.TrimSuffix(total[4], "%"), 64)
 	if err != nil {
@@ -241,7 +217,7 @@ func TestFreeCyclesNearPaper(t *testing.T) {
 }
 
 func TestRegisterSaveSaturation(t *testing.T) {
-	sat, err := RegisterSaveSaturation()
+	sat, err := registerSaveSaturation(newPass(sim.Default))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,20 +227,14 @@ func TestRegisterSaveSaturation(t *testing.T) {
 }
 
 func TestContextSwitchTable(t *testing.T) {
-	tab, err := ContextSwitch()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := regen(t, contextSwitch)
 	if n := cell(t, tab, 0, 1); n < 5 {
 		t.Errorf("switches = %v; timer should preempt repeatedly", n)
 	}
 }
 
 func TestAblationInterlocksEquivalence(t *testing.T) {
-	tab, err := AblationInterlocks()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := regen(t, ablationInterlocks)
 	// Per benchmark (4 rows each): hw/naive must match sw/naive in
 	// cycles exactly — a stall and a no-op both cost one cycle — while
 	// using fewer static words; and sw/reorg must beat both naive
@@ -291,10 +261,7 @@ func TestAblationInterlocksEquivalence(t *testing.T) {
 }
 
 func TestAblationDelaySchemesScheme1Dominates(t *testing.T) {
-	tab, err := AblationDelaySchemes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := regen(t, ablationDelaySchemes)
 	total := tab.Rows[len(tab.Rows)-1]
 	filled := cell(t, tab, len(tab.Rows)-1, 2)
 	s1 := cell(t, tab, len(tab.Rows)-1, 3)
@@ -304,10 +271,7 @@ func TestAblationDelaySchemesScheme1Dominates(t *testing.T) {
 }
 
 func TestAblationByteOverheadCrossover(t *testing.T) {
-	tab, err := AblationByteOverhead()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := regen(t, ablationByteOverhead)
 	// At the paper's 15-20% overhead both program styles must show a
 	// positive penalty (word addressing wins); at zero overhead the
 	// byte-allocated style flips (byte addressing wins on byte-heavy

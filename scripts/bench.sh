@@ -41,6 +41,9 @@ go test -run '^$' -bench 'AdmissionColdBoot|AdmissionTemplateFork|SnapshotRoundT
 echo "==> physical memory: per-access load/store cost"
 go test ./internal/mem/ -run '^$' -bench PhysicalLoadStore -benchtime 1s
 
+echo "==> one evaluation pass: every experiment plus corebench (ms/op, B/op)"
+go test -run '^$' -bench EvaluationPass -benchmem -benchtime 5x .
+
 echo "==> core microbenchmarks"
 go test -run '^$' -bench \
     'PipelineSimulator|PipelineFastPath|PipelineReference|KernelBoot|DemandPaging|PageReplacement|FreeCycleDMA' \
