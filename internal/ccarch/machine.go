@@ -81,16 +81,30 @@ func (m *Machine) operand(o Operand) uint32 {
 	return m.Regs[o.Reg]
 }
 
+// ccTable records, per opcode, whether an instruction with that opcode
+// sets the condition codes under a policy.
+type ccTable [numOps]bool
+
+func newCCTable(p Policy) (t ccTable) {
+	for op := range t {
+		in := Instr{Op: Op(op)}
+		t[op] = in.SetsCC(p)
+	}
+	return t
+}
+
 // Run executes the program from instruction 0 until halt or the step
-// limit.
+// limit. Which opcodes set the condition codes is decided once, from the
+// policy at entry.
 func (m *Machine) Run(p *Program, maxSteps uint64) error {
 	m.pc = 0
 	m.halted = false
+	sets := newCCTable(m.Policy)
 	for steps := uint64(0); ; steps++ {
 		if steps >= maxSteps {
 			return fmt.Errorf("ccarch: step limit exceeded at pc=%d", m.pc)
 		}
-		if err := m.Step(p); err != nil {
+		if err := m.step(p, &sets); err != nil {
 			if errors.Is(err, ErrHalted) {
 				return nil
 			}
@@ -101,6 +115,13 @@ func (m *Machine) Run(p *Program, maxSteps uint64) error {
 
 // Step executes one instruction.
 func (m *Machine) Step(p *Program) error {
+	sets := newCCTable(m.Policy)
+	return m.step(p, &sets)
+}
+
+// step executes one instruction; sets says which opcodes update the
+// condition codes.
+func (m *Machine) step(p *Program, sets *ccTable) error {
 	if m.halted {
 		return ErrHalted
 	}
@@ -112,7 +133,7 @@ func (m *Machine) Step(p *Program) error {
 	m.Stats.Instructions++
 
 	setFlags := func(f Flags) {
-		if in.SetsCC(m.Policy) {
+		if sets[in.Op] {
 			m.Flags = f
 		}
 	}

@@ -118,7 +118,8 @@ func CanPack(alu, mem *Piece) bool {
 	// A load packed with an ALU piece that reads the loaded register
 	// would read the stale value; keep such pairs apart.
 	if mem.Kind == PieceLoad && mok {
-		for _, u := range alu.Uses(nil) {
+		var buf [2]Reg
+		for _, u := range alu.Uses(buf[:0]) {
 			if u == md {
 				return false
 			}
@@ -130,20 +131,20 @@ func CanPack(alu, mem *Piece) bool {
 // Pack combines two pieces into one instruction word, in either argument
 // order. It returns false if the pieces cannot share a word. Commutative
 // ALU pieces whose destination matches the second source are swapped
-// into the two-address form the packed half encodes.
+// into the two-address form the packed half encodes. A rejected pairing
+// allocates nothing.
 func Pack(a, b Piece) (Instr, bool) {
 	a = normalizePacked(a)
 	b = normalizePacked(b)
-	try := func(alu, mem Piece) (Instr, bool) {
-		if CanPack(&alu, &mem) {
-			return Instr{ALU: &alu, Mem: &mem}, true
-		}
+	switch {
+	case CanPack(&a, &b):
+	case CanPack(&b, &a):
+		a, b = b, a
+	default:
 		return Instr{}, false
 	}
-	if in, ok := try(a, b); ok {
-		return in, ok
-	}
-	return try(b, a)
+	alu, mem := a, b
+	return Instr{ALU: &alu, Mem: &mem}, true
 }
 
 // normalizePacked swaps the sources of a commutative ALU piece when that

@@ -75,6 +75,28 @@ func TestPackRejectsLoadUseInSameWord(t *testing.T) {
 	}
 }
 
+// A rejected pairing costs no allocation: the reorganizer tries many
+// pairings per packed word.
+func TestPackRejectionAllocatesNothing(t *testing.T) {
+	ld := LoadDisp(3, RegSP, 2)
+	use := ALU(OpAdd, 4, R(4), R(3)) // reads the loaded register
+	add := ALU(OpAdd, 2, R(2), Imm(1))
+	br := Branch(CmpNE, R(1), R(2), "loop")
+	if n := testing.AllocsPerRun(100, func() {
+		if CanPack(&use, &ld) {
+			t.Fatal("load packed with its consumer")
+		}
+		if _, ok := Pack(use, ld); ok {
+			t.Fatal("load packed with its consumer")
+		}
+		if _, ok := Pack(add, br); ok {
+			t.Fatal("branch packed")
+		}
+	}); n != 0 {
+		t.Errorf("rejected pairings allocate %.0f times, want 0", n)
+	}
+}
+
 func TestPackRejectsWideImmediates(t *testing.T) {
 	add := ALU(OpAdd, 1, R(2), R(3))
 	far := LoadDisp(4, RegSP, 100) // displacement exceeds packed field

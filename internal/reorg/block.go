@@ -7,10 +7,10 @@ import (
 
 // block is a maximal straight-line statement sequence: it starts at a
 // label (or the unit head) and ends at a control transfer or just before
-// the next label. NoReorg statements form blocks of their own that the
-// scheduler passes through.
+// the next label. Its statements are a read-only window into the input
+// unit; only the first can carry labels. NoReorg statements form blocks
+// of their own that the scheduler passes through.
 type block struct {
-	labels  []string
 	stmts   []asm.Stmt
 	noReorg bool
 }
@@ -20,22 +20,23 @@ type block struct {
 // done on a basic block basis").
 func splitBlocks(stmts []asm.Stmt) []block {
 	var blocks []block
-	cur := -1 // index of the open block, or -1
-
-	for _, s := range stmts {
-		isLeader := len(s.Labels) > 0
-		if cur < 0 || isLeader || s.NoReorg != blocks[cur].noReorg {
-			blocks = append(blocks, block{labels: s.Labels, noReorg: s.NoReorg})
-			cur = len(blocks) - 1
-		}
-		// Strip the labels (now owned by the block) from the statement.
-		sc := s
-		sc.Labels = nil
-		blocks[cur].stmts = append(blocks[cur].stmts, sc)
-		if stmtControl(&sc) != nil {
-			cur = -1
+	start := 0
+	cut := func(end int) {
+		if end > start {
+			blocks = append(blocks, block{stmts: stmts[start:end:end], noReorg: stmts[start].NoReorg})
+			start = end
 		}
 	}
+	for i := range stmts {
+		s := &stmts[i]
+		if len(s.Labels) > 0 || s.NoReorg != stmts[start].NoReorg {
+			cut(i)
+		}
+		if stmtControl(s) != nil {
+			cut(i + 1)
+		}
+	}
+	cut(len(stmts))
 	return blocks
 }
 
@@ -64,7 +65,8 @@ func maskOf(r isa.Reg) regMask { return 1 << r }
 // pieceUses returns the registers a piece reads.
 func pieceUses(p *isa.Piece) regMask {
 	var m regMask
-	for _, r := range p.Uses(nil) {
+	var buf [3]isa.Reg
+	for _, r := range p.Uses(buf[:0]) {
 		m |= maskOf(r)
 	}
 	if p.ReadsLo() {

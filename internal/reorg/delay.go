@@ -1,7 +1,7 @@
 package reorg
 
 import (
-	"fmt"
+	"strconv"
 
 	"mips/internal/asm"
 	"mips/internal/isa"
@@ -21,43 +21,54 @@ import (
 //     predecessors (no label), is side-effect free, and its result is
 //     dead on the taken path.
 //
+// Neither scheme touches NoReorg code: not its branches, its slots, nor
+// its words as the duplicated or hoisted word.
+//
 // The pass iterates to a fixpoint since each fill changes the layout;
-// the bound is the number of delay slots, so it always terminates.
+// the bound is the number of delay slots, so it always terminates. The
+// liveness flow facts live as long as the pass: each fill updates the
+// nodes it touched, and each round solves them afresh.
 func fillDelaysGlobal(u *asm.Unit, st *Stats) {
+	lv := newLiveness(u)
 	for pass := 0; pass <= len(u.Stmts); pass++ {
-		if !fillOnce(u, st) {
+		lv.solve()
+		if !fillOnce(u, lv, st) {
 			return
 		}
 	}
 }
 
-func fillOnce(u *asm.Unit, st *Stats) bool {
-	lv := computeLiveness(u)
+// fillOnce makes the first legal fill, in program order, and reports
+// whether it found one.
+func fillOnce(u *asm.Unit, lv *liveness, st *Stats) bool {
 	for i := 0; i < len(u.Stmts); i++ {
 		s := &u.Stmts[i]
 		ctrl := stmtControl(s)
-		if ctrl == nil || ctrl.Delay() != 1 {
+		if ctrl == nil || ctrl.Delay() != 1 || s.NoReorg {
 			continue
 		}
-		if i+1 >= len(u.Stmts) || !isNopStmt(&u.Stmts[i+1]) || len(u.Stmts[i+1].Labels) > 0 {
+		if i+1 >= len(u.Stmts) {
+			continue
+		}
+		if slot := &u.Stmts[i+1]; !isNopStmt(slot) || len(slot.Labels) > 0 || slot.NoReorg {
 			continue
 		}
 		switch ctrl.Kind {
 		case isa.PieceJump, isa.PieceCall:
-			if duplicateTarget(u, i, ctrl, false, lv) {
+			if lv.duplicateTarget(u, i, ctrl, false) {
 				st.DelayFilled++
 				st.SchemeLoop++
 				return true
 			}
 		case isa.PieceBranch:
 			if target, ok := lv.labelStmt[ctrl.Label]; ok && target <= i {
-				if duplicateTarget(u, i, ctrl, true, lv) {
+				if lv.duplicateTarget(u, i, ctrl, true) {
 					st.DelayFilled++
 					st.SchemeLoop++
 					return true
 				}
 			}
-			if hoistFallThrough(u, i, ctrl, lv) {
+			if lv.hoistFallThrough(u, i, ctrl) {
 				st.DelayFilled++
 				st.SchemeHoist++
 				return true
@@ -76,13 +87,13 @@ func isNopStmt(s *asm.Stmt) bool {
 // past it. For a conditional branch the duplicate also executes on the
 // fall-through path, so it must be side-effect free with a dead result
 // there; an unconditional transfer has no such path.
-func duplicateTarget(u *asm.Unit, branchIdx int, ctrl *isa.Piece, conditional bool, lv *liveness) bool {
+func (lv *liveness) duplicateTarget(u *asm.Unit, branchIdx int, ctrl *isa.Piece, conditional bool) bool {
 	ti, ok := lv.labelStmt[ctrl.Label]
 	if !ok || ti+1 >= len(u.Stmts) {
 		return false
 	}
 	w0 := &u.Stmts[ti]
-	if stmtControl(w0) != nil || isNopStmt(w0) {
+	if w0.NoReorg || stmtControl(w0) != nil || isNopStmt(w0) {
 		return false
 	}
 	// Duplicating the word that is the branch itself or its slot would
@@ -107,16 +118,17 @@ func duplicateTarget(u *asm.Unit, branchIdx int, ctrl *isa.Piece, conditional bo
 	// adjacency, so it is already spaced; loads are still rejected for
 	// conditional duplicates by sideEffectFree above.
 
-	// Install the duplicate and retarget past it.
-	slot := &u.Stmts[branchIdx+1]
-	slot.Pieces = clonePieces(w0.Pieces)
-	newLabel := labelFor(u, ti+1)
-	// Find the control piece inside the statement and retarget it.
+	// Install the duplicate and retarget past it. The branch's pieces
+	// belong to the output (the scheduler copied them), so the edit
+	// cannot reach the input unit.
+	u.Stmts[branchIdx+1].Pieces = clonePieces(w0.Pieces)
+	newLabel := lv.labelFor(u, ti+1)
 	for i := range u.Stmts[branchIdx].Pieces {
 		if u.Stmts[branchIdx].Pieces[i].IsControl() {
 			u.Stmts[branchIdx].Pieces[i].Label = newLabel
 		}
 	}
+	lv.setNode(u, branchIdx+1)
 	return true
 }
 
@@ -124,13 +136,13 @@ func duplicateTarget(u *asm.Unit, branchIdx int, ctrl *isa.Piece, conditional bo
 // slot into the slot. It then executes on both paths, so it must be
 // side-effect free, its result dead at the branch target, and it must
 // have no other predecessors.
-func hoistFallThrough(u *asm.Unit, branchIdx int, ctrl *isa.Piece, lv *liveness) bool {
+func (lv *liveness) hoistFallThrough(u *asm.Unit, branchIdx int, ctrl *isa.Piece) bool {
 	fi := branchIdx + 2
 	if fi >= len(u.Stmts) {
 		return false
 	}
 	f0 := &u.Stmts[fi]
-	if len(f0.Labels) > 0 || stmtControl(f0) != nil || isNopStmt(f0) {
+	if f0.NoReorg || len(f0.Labels) > 0 || stmtControl(f0) != nil || isNopStmt(f0) {
 		return false
 	}
 	for i := range f0.Pieces {
@@ -148,6 +160,8 @@ func hoistFallThrough(u *asm.Unit, branchIdx int, ctrl *isa.Piece, lv *liveness)
 	// Move: the slot takes f0's pieces; f0 is deleted.
 	u.Stmts[branchIdx+1].Pieces = f0.Pieces
 	u.Stmts = append(u.Stmts[:fi], u.Stmts[fi+1:]...)
+	lv.deleted(u, fi)
+	lv.setNode(u, branchIdx+1)
 	return true
 }
 
@@ -158,30 +172,21 @@ func clonePieces(ps []isa.Piece) []isa.Piece {
 }
 
 // labelFor returns a label bound to statement index i, creating a fresh
-// one if none exists.
-func labelFor(u *asm.Unit, i int) string {
+// one if none exists. A fresh name must collide with no statement label
+// (the label map holds them all) and no data label.
+func (lv *liveness) labelFor(u *asm.Unit, i int) string {
 	if len(u.Stmts[i].Labels) > 0 {
 		return u.Stmts[i].Labels[0]
 	}
-	for n := 0; ; n++ {
-		name := fmt.Sprintf(".d2.%d", n)
-		if !labelExists(u, name) {
+	for n := lv.nextLabel; ; n++ {
+		name := ".d2." + strconv.Itoa(n)
+		_, stmt := lv.labelStmt[name]
+		_, data := u.DataLabels[name]
+		if !stmt && !data {
 			u.Stmts[i].Labels = append(u.Stmts[i].Labels, name)
+			lv.labelStmt[name] = i
+			lv.nextLabel = n + 1
 			return name
 		}
 	}
-}
-
-func labelExists(u *asm.Unit, name string) bool {
-	for i := range u.Stmts {
-		for _, l := range u.Stmts[i].Labels {
-			if l == name {
-				return true
-			}
-		}
-	}
-	if _, ok := u.DataLabels[name]; ok {
-		return true
-	}
-	return false
 }

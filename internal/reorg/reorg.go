@@ -82,14 +82,8 @@ func Reorganize(u *asm.Unit, opt Options) (*asm.Unit, Stats) {
 		}
 	}
 
-	blocks := splitBlocks(u.Stmts)
-	var scheduled []asm.Stmt
-	for _, b := range blocks {
-		scheduled = append(scheduled, scheduleBlock(b, opt, &st)...)
-	}
-
 	out := &asm.Unit{
-		Stmts:      scheduled,
+		Stmts:      schedule(u.Stmts, opt, &st),
 		Data:       append([]asm.DataItem(nil), u.Data...),
 		DataLabels: u.DataLabels,
 		Entry:      u.Entry,
@@ -110,6 +104,18 @@ func Reorganize(u *asm.Unit, opt Options) (*asm.Unit, Stats) {
 		}
 	}
 	return out, st
+}
+
+// schedule turns a unit's statements into pipeline-correct words, block
+// by block. Every emitted word's pieces are the output's own.
+func schedule(stmts []asm.Stmt, opt Options, st *Stats) []asm.Stmt {
+	n := len(stmts)
+	sc := &scheduler{opt: opt, st: st, slab: make([]isa.Piece, 0, n+n/4+16)}
+	out := make([]asm.Stmt, 0, n+n/2)
+	for _, b := range splitBlocks(stmts) {
+		out = sc.scheduleBlock(out, b)
+	}
+	return out
 }
 
 // WordCount returns the number of instruction words a unit assembles to,

@@ -1,6 +1,7 @@
 package reorg
 
 import (
+	"reflect"
 	"testing"
 
 	"mips/internal/asm"
@@ -560,5 +561,98 @@ func TestEmptyAndTrivialUnits(t *testing.T) {
 	ro, _ = Reorganize(u, All())
 	if len(ro.Stmts) != 1 || len(ro.Stmts[0].Labels) != 1 {
 		t.Errorf("trivial unit mangled: %+v", ro.Stmts)
+	}
+}
+
+// The global delay pass leaves NoReorg code alone: a loop written
+// inside .noreorg keeps its no-op slot, and the word after it is not
+// hoisted into the slot.
+func TestNoReorgLoopNotFilled(t *testing.T) {
+	src := `
+	.noreorg
+loop:	add r1, #1, r1
+	sub r2, #1, r2
+	bne r2, #0, loop
+	nop
+	mov #7, r3
+	.endnoreorg
+	trap #0
+`
+	u, err := asm.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, st := Reorganize(u, All())
+	if st.DelayFilled != 0 || st.DelaySlots != 0 {
+		t.Errorf("stats = %+v, want no delay slots counted or filled in noreorg code", st)
+	}
+	if len(ro.Stmts) != len(u.Stmts) {
+		t.Fatalf("noreorg loop changed length: %d words, want %d\n%s", len(ro.Stmts), len(u.Stmts), dump(ro))
+	}
+	for i := range u.Stmts {
+		if ro.Stmts[i].Pieces[0].String() != u.Stmts[i].Pieces[0].String() {
+			t.Fatalf("word %d = %s, want %s\n%s", i, ro.Stmts[i].Pieces[0].String(), u.Stmts[i].Pieces[0].String(), dump(ro))
+		}
+	}
+}
+
+// cloneUnit deep-copies a unit, keeping nil slices nil so the copy is
+// reflect.DeepEqual to the original.
+func cloneUnit(u *asm.Unit) *asm.Unit {
+	c := *u
+	c.Stmts = nil
+	if u.Stmts != nil {
+		c.Stmts = make([]asm.Stmt, len(u.Stmts))
+	}
+	for i, s := range u.Stmts {
+		if s.Labels != nil {
+			s.Labels = append(make([]string, 0, len(s.Labels)), s.Labels...)
+		}
+		if s.Pieces != nil {
+			s.Pieces = append(make([]isa.Piece, 0, len(s.Pieces)), s.Pieces...)
+		}
+		c.Stmts[i] = s
+	}
+	if u.Data != nil {
+		c.Data = append(make([]asm.DataItem, 0, len(u.Data)), u.Data...)
+	}
+	if u.DataLabels != nil {
+		c.DataLabels = make(map[string]int32, len(u.DataLabels))
+		for k, v := range u.DataLabels {
+			c.DataLabels[k] = v
+		}
+	}
+	return &c
+}
+
+// Reorganize never writes into its input: a jump inside .noreorg is not
+// retargeted (and so neither is the input's own jump piece), and the
+// same holds for every option set.
+func TestReorganizeLeavesNoReorgInputUntouched(t *testing.T) {
+	src := `
+	.noreorg
+	jmp there
+	nop
+	.endnoreorg
+	trap #0
+there:	mov #1, r1
+	trap #0
+`
+	for name, opt := range allOptionSets {
+		u, err := asm.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := cloneUnit(u)
+		ro, _ := Reorganize(u, opt)
+		if !reflect.DeepEqual(u, before) {
+			t.Errorf("%s: Reorganize modified its input\n%s", name, dump(u))
+		}
+		if got := ro.Stmts[0].Pieces[0].String(); got != "jmp there" {
+			t.Errorf("%s: noreorg jump rewritten to %q\n%s", name, got, dump(ro))
+		}
+		if !ro.Stmts[1].Pieces[0].IsNop() {
+			t.Errorf("%s: noreorg slot filled\n%s", name, dump(ro))
+		}
 	}
 }

@@ -15,16 +15,35 @@ type dep struct {
 
 // dag is the machine-level dependency graph of one basic block's pieces
 // (paper §4.2.1 step 1: "create a machine-level dag that represents the
-// dependencies between individual instruction pieces").
+// dependencies between individual instruction pieces"). Its edges are
+// flat: out[outAt[i]:outAt[i+1]] leave node i and in[inAt[i]:inAt[i+1]]
+// enter it. One dag is reused for every block of a unit.
 type dag struct {
-	pieces []isa.Piece
-	preds  [][]dep // incoming edges per node
-	npreds []int   // unscheduled-predecessor counts
-	succs  [][]int
-	height []int // longest path to a sink, the priority heuristic
+	pieces     []isa.Piece
+	defs, uses []regMask // per node, computed once
+	out, in    []dep
+	outAt      []int
+	inAt       []int
+	npreds     []int // predecessor counts
+	height     []int // longest path to a sink, the priority heuristic
 }
 
-// buildDAG constructs dependence edges:
+// preds returns the edges entering node i.
+func (d *dag) preds(i int) []dep { return d.in[d.inAt[i]:d.inAt[i+1]] }
+
+// succs returns the edges leaving node i.
+func (d *dag) succs(i int) []dep { return d.out[d.outAt[i]:d.outAt[i+1]] }
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// build constructs dependence edges over pieces:
 //
 //   - true dependences (read after write), with the load-use gap when the
 //     producer is a load;
@@ -34,21 +53,25 @@ type dag struct {
 //     memory references ("the algorithm must also avoid reordering loads
 //     and stores that might be aliased"), loads may pass loads;
 //   - special pieces and control flow are scheduling barriers.
-func buildDAG(pieces []isa.Piece, loadGap int) *dag {
+func (d *dag) build(pieces []isa.Piece, loadGap int) {
 	n := len(pieces)
-	d := &dag{
-		pieces: pieces,
-		preds:  make([][]dep, n),
-		npreds: make([]int, n),
-		succs:  make([][]int, n),
-		height: make([]int, n),
+	d.pieces = pieces
+	d.defs = resize(d.defs, n)
+	d.uses = resize(d.uses, n)
+	d.outAt = resize(d.outAt, n+1)
+	d.inAt = resize(d.inAt, n+1)
+	d.npreds = resize(d.npreds, n)
+	d.height = resize(d.height, n)
+	d.out = d.out[:0]
+	for i := range pieces {
+		d.defs[i], d.uses[i] = pieceDefs(&pieces[i]), pieceUses(&pieces[i])
+		d.npreds[i] = 0
 	}
 	edge := func(p, s, gap int) {
 		if p == s {
 			return
 		}
-		d.preds[s] = append(d.preds[s], dep{pred: p, succ: s, minGap: gap})
-		d.succs[p] = append(d.succs[p], s)
+		d.out = append(d.out, dep{pred: p, succ: s, minGap: gap})
 		d.npreds[s]++
 	}
 	barrier := func(p *isa.Piece) bool {
@@ -56,11 +79,12 @@ func buildDAG(pieces []isa.Piece, loadGap int) *dag {
 	}
 
 	for i := 0; i < n; i++ {
+		d.outAt[i] = len(d.out)
 		pi := &pieces[i]
-		iDefs, iUses := pieceDefs(pi), pieceUses(pi)
+		iDefs, iUses := d.defs[i], d.uses[i]
 		for j := i + 1; j < n; j++ {
 			pj := &pieces[j]
-			jDefs, jUses := pieceDefs(pj), pieceUses(pj)
+			jDefs, jUses := d.defs[j], d.uses[j]
 
 			switch {
 			case iDefs&jUses != 0:
@@ -90,68 +114,118 @@ func buildDAG(pieces []isa.Piece, loadGap int) *dag {
 			}
 		}
 	}
+	d.outAt[n] = len(d.out)
+
+	// Group the same edges by successor.
+	at := 0
+	for i := 0; i < n; i++ {
+		d.inAt[i] = at
+		at += d.npreds[i]
+	}
+	d.inAt[n] = at
+	d.in = resize(d.in, at)
+	next := d.height // scratch: the next free entry per successor
+	copy(next, d.inAt[:n])
+	for _, e := range d.out {
+		d.in[next[e.succ]] = e
+		next[e.succ]++
+	}
 
 	// Longest-path heights for the selection heuristic.
 	for i := n - 1; i >= 0; i-- {
 		h := 0
-		for _, s := range d.succs[i] {
-			if d.height[s]+1 > h {
-				h = d.height[s] + 1
+		for _, e := range d.succs(i) {
+			if d.height[e.succ]+1 > h {
+				h = d.height[e.succ] + 1
 			}
 		}
 		d.height[i] = h
 	}
-	return d
 }
 
-// scheduleBlock turns one block's sequential statements into
+// scheduler holds what every block's scheduling rebuilds: the DAG, the
+// per-node issue state, the block's flattened pieces, and the slab the
+// emitted words' pieces are carved from. One scheduler serves one
+// Reorganize call.
+type scheduler struct {
+	opt       Options
+	st        *Stats
+	d         dag
+	pieces    []isa.Piece
+	scheduled []bool
+	slotOf    []int
+	npreds    []int
+	slab      []isa.Piece
+}
+
+// take returns n pieces from the slab. Each window's capacity is capped
+// at its length, so no later append or assignment through one word's
+// Pieces can reach a neighbour's.
+func (sc *scheduler) take(n int) []isa.Piece {
+	if len(sc.slab)+n > cap(sc.slab) {
+		sc.slab = make([]isa.Piece, 0, max(256, n))
+	}
+	k := len(sc.slab)
+	sc.slab = sc.slab[:k+n]
+	return sc.slab[k : k+n : k+n]
+}
+
+// word returns a statement holding copies of the given pieces.
+func (sc *scheduler) word(ps ...isa.Piece) asm.Stmt {
+	w := sc.take(len(ps))
+	copy(w, ps)
+	return asm.Stmt{Pieces: w}
+}
+
+// nop returns a no-op statement.
+func (sc *scheduler) nop() asm.Stmt { return sc.word(isa.Nop()) }
+
+// passThrough appends a block's statements unchanged, each with pieces
+// the output owns.
+func (sc *scheduler) passThrough(out []asm.Stmt, b block) []asm.Stmt {
+	for _, s := range b.stmts {
+		s.Pieces = sc.word(s.Pieces...).Pieces
+		out = append(out, s)
+	}
+	return out
+}
+
+// scheduleBlock appends one block's sequential statements to out as
 // pipeline-correct instruction words. Pre-packed and NoReorg blocks pass
 // through unchanged (trusting the front end, per the paper's pseudo-op).
-func scheduleBlock(b block, opt Options, st *Stats) []asm.Stmt {
+func (sc *scheduler) scheduleBlock(out []asm.Stmt, b block) []asm.Stmt {
+	opt, st := sc.opt, sc.st
 	if b.noReorg {
-		out := make([]asm.Stmt, len(b.stmts))
-		copy(out, b.stmts)
-		if len(out) > 0 {
-			out[0].Labels = b.labels
-		}
-		return out
+		return sc.passThrough(out, b)
 	}
 
 	// Flatten to single pieces, dropping input no-ops — in sequential
 	// semantics they are pure label anchors, and the scheduler re-inserts
 	// any the pipeline actually needs. Blocks containing pre-packed words
 	// pass through unchanged (the front end scheduled them).
-	var pieces []isa.Piece
-	prepacked := false
+	pieces := sc.pieces[:0]
 	for i := range b.stmts {
 		if len(b.stmts[i].Pieces) > 1 {
-			prepacked = true
-			break
+			return sc.passThrough(out, b)
 		}
 		if b.stmts[i].Pieces[0].IsNop() {
 			continue
 		}
 		pieces = append(pieces, b.stmts[i].Pieces[0])
 	}
-	if prepacked {
-		out := make([]asm.Stmt, len(b.stmts))
-		copy(out, b.stmts)
-		if len(out) > 0 {
-			out[0].Labels = b.labels
-		}
-		return out
-	}
+	sc.pieces = pieces
 
 	// Split off the block-final control piece; it is scheduled last and
 	// its delay slots appended after.
 	var ctrl *isa.Piece
 	if n := len(pieces); n > 0 && pieces[n-1].IsControl() {
-		c := pieces[n-1]
-		ctrl = &c
+		ctrl = &pieces[n-1]
 		pieces = pieces[:n-1]
 	}
 
-	body := scheduleBody(pieces, opt)
+	start := len(out)
+	out = sc.scheduleBody(out, pieces)
+	body := out[start:]
 
 	// The last executed word of a block must not be a load: the
 	// successor block's first word would read it one word too early.
@@ -159,16 +233,16 @@ func scheduleBlock(b block, opt Options, st *Stats) []asm.Stmt {
 	// machine with hardware interlocks needs neither rule.
 	if ctrl == nil {
 		if n := len(body); n > 0 && !opt.AssumeInterlocks && wordLoads(&body[n-1]) {
-			body = append(body, nopStmt())
+			body = append(body, sc.nop())
 		}
 	} else {
 		// The control piece reads its operands at its own slot; if the
 		// preceding word loads a register the control reads, space it.
 		cu := pieceUses(ctrl)
 		if n := len(body); n > 0 && !opt.AssumeInterlocks && loadDefs(&body[n-1])&cu != 0 {
-			body = append(body, nopStmt())
+			body = append(body, sc.nop())
 		}
-		body = append(body, asm.Stmt{Pieces: []isa.Piece{*ctrl}})
+		body = append(body, sc.word(*ctrl))
 		// Emit the delay slots as no-ops; scheme 1 may pull a body word
 		// down, the global pass may fill the rest.
 		delay := ctrl.Delay()
@@ -179,43 +253,47 @@ func scheduleBlock(b block, opt Options, st *Stats) []asm.Stmt {
 				st.SchemeMoved++
 				continue
 			}
-			body = append(body, nopStmt())
+			body = append(body, sc.nop())
 		}
 		if opt.Pack {
-			tryPackControl(&body, delay)
+			sc.tryPackControl(&body, delay)
 		}
 	}
 
-	out := body
-	if len(out) == 0 {
-		out = append(out, nopStmt())
+	if len(body) == 0 {
+		body = append(body, sc.nop())
 	}
-	out[0].Labels = b.labels
-	return out
+	body[0].Labels = b.stmts[0].Labels
+	return append(out[:start], body...)
 }
 
-// scheduleBody list-schedules the non-control pieces of a block.
-func scheduleBody(pieces []isa.Piece, opt Options) []asm.Stmt {
+// scheduleBody list-schedules the non-control pieces of a block,
+// appending the words to out.
+func (sc *scheduler) scheduleBody(out []asm.Stmt, pieces []isa.Piece) []asm.Stmt {
 	if len(pieces) == 0 {
-		return nil
+		return out
 	}
+	opt := sc.opt
 	if !opt.Reorganize {
-		return scheduleInOrder(pieces, opt)
+		return sc.scheduleInOrder(out, pieces)
 	}
-	d := buildDAG(pieces, opt.loadGap())
+	d := &sc.d
+	d.build(pieces, opt.loadGap())
 	n := len(pieces)
 
-	scheduled := make([]bool, n)
-	slotOf := make([]int, n)
-	npreds := append([]int(nil), d.npreds...)
+	scheduled := resize(sc.scheduled, n)
+	slotOf := resize(sc.slotOf, n)
+	npreds := resize(sc.npreds, n)
+	sc.scheduled, sc.slotOf, sc.npreds = scheduled, slotOf, npreds
+	clear(scheduled)
+	copy(npreds, d.npreds)
 
-	var out []asm.Stmt
 	slot := 0
 	remaining := n
 
 	// legalAt reports whether node i may issue in the given slot.
 	legalAt := func(i, s int) bool {
-		for _, e := range d.preds[i] {
+		for _, e := range d.preds(i) {
 			if !scheduled[e.pred] {
 				return false
 			}
@@ -224,6 +302,14 @@ func scheduleBody(pieces []isa.Piece, opt Options) []asm.Stmt {
 			}
 		}
 		return true
+	}
+	issue := func(i int) {
+		scheduled[i] = true
+		slotOf[i] = slot
+		remaining--
+		for _, e := range d.succs(i) {
+			npreds[e.succ]--
+		}
 	}
 
 	for remaining > 0 {
@@ -240,20 +326,12 @@ func scheduleBody(pieces []isa.Piece, opt Options) []asm.Stmt {
 		if best < 0 {
 			// Nothing can issue: a no-op covers the latency (step 4 of
 			// the paper's algorithm).
-			out = append(out, nopStmt())
+			out = append(out, sc.nop())
 			slot++
 			continue
 		}
-		issue := func(i int) {
-			scheduled[i] = true
-			slotOf[i] = slot
-			remaining--
-			for _, s := range d.succs[i] {
-				npreds[s]--
-			}
-		}
-		word := asm.Stmt{Pieces: []isa.Piece{d.pieces[best]}}
 		issue(best)
+		word := asm.Stmt{}
 
 		// Packing: prefer a second piece that fits the hole in this
 		// nonfull word. It must be ready and legal in the same slot and
@@ -267,11 +345,14 @@ func scheduleBody(pieces []isa.Piece, opt Options) []asm.Stmt {
 					continue
 				}
 				if in, ok := isa.Pack(d.pieces[best], d.pieces[i]); ok {
-					word.Pieces = []isa.Piece{*in.ALU, *in.Mem}
+					word = sc.word(*in.ALU, *in.Mem)
 					issue(i)
 					break
 				}
 			}
+		}
+		if word.Pieces == nil {
+			word = sc.word(d.pieces[best])
 		}
 		out = append(out, word)
 		slot++
@@ -282,24 +363,27 @@ func scheduleBody(pieces []isa.Piece, opt Options) []asm.Stmt {
 // scheduleInOrder keeps the original piece order and inserts no-ops
 // exactly where the pipeline requires them — the unoptimized baseline.
 // With packing enabled it still merges adjacent independent pairs.
-func scheduleInOrder(pieces []isa.Piece, opt Options) []asm.Stmt {
-	var out []asm.Stmt
+func (sc *scheduler) scheduleInOrder(out []asm.Stmt, pieces []isa.Piece) []asm.Stmt {
+	opt := sc.opt
 	var lastLoadDefs regMask // defs of a load in the previous word
 	for i := 0; i < len(pieces); i++ {
-		p := pieces[i]
-		if !opt.AssumeInterlocks && lastLoadDefs&pieceUses(&p) != 0 {
-			out = append(out, nopStmt())
+		p := &pieces[i]
+		if !opt.AssumeInterlocks && lastLoadDefs&pieceUses(p) != 0 {
+			out = append(out, sc.nop())
 			lastLoadDefs = 0
 		}
-		word := asm.Stmt{Pieces: []isa.Piece{p}}
+		var word asm.Stmt
 		if opt.Pack && i+1 < len(pieces) {
-			q := pieces[i+1]
-			if lastLoadDefs&pieceUses(&q) == 0 && independentPieces(&p, &q) {
-				if in, ok := isa.Pack(p, q); ok {
-					word.Pieces = []isa.Piece{*in.ALU, *in.Mem}
+			q := &pieces[i+1]
+			if lastLoadDefs&pieceUses(q) == 0 && independentPieces(p, q) {
+				if in, ok := isa.Pack(*p, *q); ok {
+					word = sc.word(*in.ALU, *in.Mem)
 					i++
 				}
 			}
+		}
+		if word.Pieces == nil {
+			word = sc.word(*p)
 		}
 		out = append(out, word)
 		lastLoadDefs = loadDefs(&word)
@@ -323,12 +407,12 @@ func independentPieces(p, q *isa.Piece) bool {
 
 // dependent reports whether nodes a and b are directly connected in the DAG.
 func dependent(d *dag, a, b int) bool {
-	for _, e := range d.preds[b] {
+	for _, e := range d.preds(b) {
 		if e.pred == a {
 			return true
 		}
 	}
-	for _, e := range d.preds[a] {
+	for _, e := range d.preds(a) {
 		if e.pred == b {
 			return true
 		}
@@ -395,7 +479,7 @@ func tryMoveIntoDelay(body *[]asm.Stmt, ctrl *isa.Piece) bool {
 // slot either way, so executing the ALU piece in the jump's own word is
 // equivalent and one word shorter. (Compare-and-branch words need the
 // ALU for their comparison; calls need the link field; neither packs.)
-func tryPackControl(body *[]asm.Stmt, delay int) {
+func (sc *scheduler) tryPackControl(body *[]asm.Stmt, delay int) {
 	b := *body
 	ci := len(b) - 1 - delay
 	if ci < 1 {
@@ -420,7 +504,7 @@ func tryPackControl(body *[]asm.Stmt, delay int) {
 	if _, ok := isa.Pack(alu, ctrl); !ok {
 		return
 	}
-	prev.Pieces = []isa.Piece{alu, ctrl}
+	prev.Pieces = sc.word(alu, ctrl).Pieces
 	*body = append(b[:ci], b[ci+1:]...)
 }
 
@@ -445,5 +529,3 @@ func loadDefs(s *asm.Stmt) regMask {
 	}
 	return m
 }
-
-func nopStmt() asm.Stmt { return asm.Stmt{Pieces: []isa.Piece{isa.Nop()}} }

@@ -41,6 +41,10 @@ go test -run '^$' -bench 'AdmissionColdBoot|AdmissionTemplateFork|SnapshotRoundT
 echo "==> physical memory: per-access load/store cost"
 go test ./internal/mem/ -run '^$' -bench PhysicalLoadStore -benchtime 1s
 
+echo "==> reorganizer: at most 4 allocations per output word, and the corpus through Reorganize(All()) (ms/op, B/op)"
+go test ./internal/reorg/ -run TestReorganizeAllocs -count=1 -v
+go test ./internal/reorg/ -run '^$' -bench BenchmarkReorganize -benchmem -benchtime 1s
+
 echo "==> one evaluation pass: every experiment plus corebench (ms/op, B/op)"
 go test -run '^$' -bench EvaluationPass -benchmem -benchtime 5x .
 
