@@ -13,6 +13,7 @@ import (
 
 	"mips/internal/codegen"
 	"mips/internal/corpus"
+	"mips/internal/cpu"
 	"mips/internal/isa"
 	"mips/internal/kernel"
 	"mips/internal/reorg"
@@ -173,5 +174,34 @@ func TestAdmissionForkSpeedup(t *testing.T) {
 		cold, fork, float64(cold)/float64(fork))
 	if fork*4 > cold {
 		t.Errorf("template fork admission %v is not 4x below cold boot %v", fork, cold)
+	}
+}
+
+// kernelJobMaxBytes bounds what one kernel-hosted fib job allocates from
+// boot to halt on the trace engine: instruction memory holds only the
+// pages with code, so a page-in costs the code it brings, not a regrown
+// copy of every frame below it.
+const kernelJobMaxBytes = 300 << 10
+
+// TestKernelJobAllocs is the allocation gate on a whole kernel job:
+// boot, demand paging and fib run to halt.
+func TestKernelJobAllocs(t *testing.T) {
+	im := admissionImage(t)
+	job := func() {
+		m, err := kernel.NewMachine(kernel.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.CPU.SetEngine(cpu.EngineTraces)
+		if _, err := m.AddProcess(im, 16); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(100_000_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job() // the kernel image assembly cache fills outside the measurement
+	if b := bytesPerOp(5, job); b > kernelJobMaxBytes {
+		t.Errorf("boot plus fib to halt allocates %d B/op, ceiling %d", b, kernelJobMaxBytes)
 	}
 }

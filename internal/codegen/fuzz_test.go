@@ -312,8 +312,8 @@ func TestFuzzBlocksSelfModify(t *testing.T) {
 						phys := c.Bus.MMU.Phys
 						for off := uint32(0); off < 6; off++ {
 							a := pc + off
-							if a < uint32(len(c.IMem)) {
-								c.IMem[a] = rewriteWord(c.IMem[a])
+							if a < c.IMem.Len() {
+								c.IMem.Set(a, rewriteWord(c.IMem.At(a)))
 								// Barrier-only touch: same value back, so
 								// data memory is unchanged but every block
 								// and trace caching this word is dropped.
@@ -397,8 +397,8 @@ func TestFuzzSelfModifyDifferential(t *testing.T) {
 						}
 						for off := uint32(0); off < 4; off++ {
 							a := pc + off
-							if a < uint32(len(c.IMem)) {
-								c.IMem[a] = rewriteWord(c.IMem[a])
+							if a < c.IMem.Len() {
+								c.IMem.Set(a, rewriteWord(c.IMem.At(a)))
 							}
 						}
 					})

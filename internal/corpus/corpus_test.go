@@ -141,3 +141,21 @@ func TestCorpusImagesEncodeToBits(t *testing.T) {
 		}
 	}
 }
+
+// TestImageValidateAllocs holds image validation, which every LoadImage
+// and Assemble runs, to zero allocations on every compiled corpus image.
+func TestImageValidateAllocs(t *testing.T) {
+	for _, p := range All() {
+		im, _, err := codegen.CompileMIPS(p.Source, codegen.MIPSOptions{}, reorg.All())
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		var verr error
+		if n := testing.AllocsPerRun(5, func() { verr = im.Validate() }); n != 0 {
+			t.Errorf("%s: Validate allocated %.0f times per run, want 0", p.Name, n)
+		}
+		if verr != nil {
+			t.Errorf("%s: %v", p.Name, verr)
+		}
+	}
+}

@@ -353,7 +353,7 @@ func (c *CPU) runBlocks() (*block, bool) {
 			}
 			pa = p
 		}
-		if pa >= uint32(len(c.IMem)) {
+		if pa >= c.IMem.n {
 			return nil, false
 		}
 		if cached := *c.blockSlot(pa); cached != nil && cached.valid && cached.pa == pa {
@@ -682,7 +682,7 @@ func (c *CPU) recordSuccessor(b *block, npc uint32, mapped bool) *block {
 		}
 		pa = p
 	}
-	if pa >= uint32(len(c.IMem)) {
+	if pa >= c.IMem.n {
 		return nil
 	}
 	var nb *block
@@ -705,20 +705,20 @@ func (c *CPU) recordSuccessor(b *block, npc uint32, mapped bool) *block {
 // terminator, delay slots — still matches live instruction memory.
 func (c *CPU) blockCurrent(b *block) bool {
 	for i := uint32(0); i < b.n; i++ {
-		if c.IMem[b.pa+i] != b.code[i].src {
+		if c.IMem.At(b.pa+i) != b.code[i].src {
 			return false
 		}
 	}
 	if b.hasTerm {
-		if c.IMem[b.pa+b.n] != b.term.src {
+		if c.IMem.At(b.pa+b.n) != b.term.src {
 			return false
 		}
 		for j := uint32(0); j < uint32(b.dsN); j++ {
-			if c.IMem[b.pa+b.n+1+j] != b.ds[j].src {
+			if c.IMem.At(b.pa+b.n+1+j) != b.ds[j].src {
 				return false
 			}
 		}
-	} else if b.n == 0 && c.IMem[b.pa] != b.entrySrc {
+	} else if b.n == 0 && c.IMem.At(b.pa) != b.entrySrc {
 		return false
 	}
 	return true

@@ -25,9 +25,8 @@ type Device interface {
 type Bus struct {
 	MMU     *mem.MMU
 	DMA     *mem.DMA
-	devices []Device
-	windows []window // devices[i] claims windows[i]
-	devLo   uint32   // the lowest address any device claims
+	devices []attached
+	devLo   uint32 // the lowest address any device claims
 	tickers []Ticker
 
 	// LastFault is the external mapping unit's fault latch: the most
@@ -55,8 +54,11 @@ type Ticker interface {
 	Advance(n uint64)
 }
 
-// window is a device's claim: n words from lo.
-type window struct{ lo, n uint32 }
+// attached is a device with its claim: n words from lo.
+type attached struct {
+	Device
+	lo, n uint32
+}
 
 // NewBus builds a bus over the given physical memory.
 func NewBus(phys *mem.Physical) *Bus {
@@ -67,8 +69,7 @@ func NewBus(phys *mem.Physical) *Bus {
 // Ticker advance with executed instructions.
 func (b *Bus) Attach(d Device) {
 	lo, hi := d.Window()
-	b.devices = append(b.devices, d)
-	b.windows = append(b.windows, window{lo: lo, n: hi - lo})
+	b.devices = append(b.devices, attached{Device: d, lo: lo, n: hi - lo})
 	b.devLo = min(b.devLo, lo)
 	if t, ok := d.(Ticker); ok {
 		b.tickers = append(b.tickers, t)
@@ -103,9 +104,9 @@ func (b *Bus) device(phys uint32) Device {
 	if phys < b.devLo {
 		return nil
 	}
-	for i, w := range b.windows {
-		if phys-w.lo < w.n {
-			return b.devices[i]
+	for _, d := range b.devices {
+		if phys-d.lo < d.n {
+			return d.Device
 		}
 	}
 	return nil

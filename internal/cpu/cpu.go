@@ -62,7 +62,7 @@ type CPU struct {
 
 	// IMem is the instruction memory, indexed by physical word address
 	// (the dual instruction/data memory interface of §3.2).
-	IMem []isa.Instr
+	IMem InstrMem
 	// Bus is the data-memory interface.
 	Bus *Bus
 
@@ -339,13 +339,7 @@ func (c *CPU) LoadImage(im *isa.Image) error {
 	if err := im.Validate(); err != nil {
 		return err
 	}
-	end := int(im.TextBase) + len(im.Words)
-	if end > len(c.IMem) {
-		grown := make([]isa.Instr, end)
-		copy(grown, c.IMem)
-		c.IMem = grown
-	}
-	copy(c.IMem[im.TextBase:], im.Words)
+	c.IMem.Write(uint32(im.TextBase), im.Words)
 	for addr, val := range im.Data {
 		c.Bus.MMU.Phys.Poke(uint32(addr), val)
 	}
@@ -619,10 +613,10 @@ func (c *CPU) fetch(pc uint32) (isa.Instr, *mem.Fault) {
 			return isa.Instr{}, f
 		}
 	}
-	if pa >= uint32(len(c.IMem)) {
+	if pa >= c.IMem.n {
 		return isa.Instr{}, &mem.Fault{Cause: isa.CausePageFault, Addr: pa}
 	}
-	in := c.IMem[pa]
+	in := c.IMem.At(pa)
 	if in.ALU == nil && in.Mem == nil {
 		// Unprogrammed instruction memory decodes as illegal.
 		return isa.Instr{}, &mem.Fault{Cause: isa.CauseIllegal, Addr: pa}

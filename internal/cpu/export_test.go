@@ -34,6 +34,7 @@ func (c *CPU) captureRecording(entry uint32) TraceRecording {
 func (c *CPU) replayRecording(r TraceRecording) {
 	c.trec.n = copy(c.trec.pts[:], r.pts)
 	c.finishTraceRecording(r.entry)
+	clear(c.trec.pts[:c.trec.n])
 	c.trec.n = 0
 }
 
@@ -45,4 +46,28 @@ func (c *CPU) FormTrace(r TraceRecording) int {
 		return len(tr.ins)
 	}
 	return 0
+}
+
+// staleTranslationRefs counts the pointers the live block and trace
+// lists hold past their lengths, plus every block pointer left in the
+// trace recording buffer: references that keep dropped translations
+// reachable.
+func (c *CPU) staleTranslationRefs() int {
+	n := 0
+	for _, b := range c.liveBlocks[len(c.liveBlocks):cap(c.liveBlocks)] {
+		if b != nil {
+			n++
+		}
+	}
+	for _, tr := range c.liveTraces[len(c.liveTraces):cap(c.liveTraces)] {
+		if tr != nil {
+			n++
+		}
+	}
+	for _, pt := range c.trec.pts {
+		if pt.b != nil {
+			n++
+		}
+	}
+	return n
 }

@@ -63,8 +63,7 @@ func mappedLoopOn(n int32, dataFrame uint32) *CPU {
 		halt,         // 8
 	}
 	c := newTestCPU()
-	c.IMem = make([]isa.Instr, 4*mem.PageWords)
-	copy(c.IMem[2*mem.PageWords:], code)
+	c.IMem.Replace(2*mem.PageWords, 2*mem.PageWords, code)
 	c.Bus.Attach(&testTimer{})
 	mmu := c.Bus.MMU
 	mmu.Seg = mem.NewSegUnit(1, mem.MinSpaceBits)
@@ -156,7 +155,7 @@ func TestStepSeesInstructionRewrite(t *testing.T) {
 			// patch is seen from the next iteration on.
 			if !patched && pc == 2 && c.Regs[1] == 50 {
 				patched = true
-				c.IMem[2] = w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)))
+				c.IMem.Set(2, w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1))))
 			}
 		})
 	}

@@ -76,8 +76,7 @@ func (c *CPU) CaptureState() State {
 			Reg: w.reg, Val: w.val, IssuedAt: w.issuedAt, CommitAt: w.commitAt,
 		})
 	}
-	st.IMem = make([]isa.Instr, len(c.IMem))
-	copy(st.IMem, c.IMem)
+	st.IMem = c.IMem.flatten()
 	if f := c.Bus.LastFault; f != nil {
 		fc := *f
 		st.LastFault = &fc
@@ -90,8 +89,17 @@ func (c *CPU) CaptureState() State {
 // rebuild against the restored instruction memory — so the restored
 // machine produces the exact event stream the original would have. The
 // translation-layer counters (Trans) restart from zero with the caches
-// they describe.
-func (c *CPU) RestoreState(st State) error {
+// they describe. Instruction memory gets storage only for the pages
+// that hold code; restoring over a fork ends its sharing.
+func (c *CPU) RestoreState(st State) error { return c.restore(&st, nil) }
+
+// RestoreFork restores like RestoreState, except that instruction
+// memory becomes a copy-on-write fork of code, which must be the golden
+// image of st's (GoldenCodeFromState); st.IMem itself is not read,
+// and st is only read.
+func (c *CPU) RestoreFork(st *State, code *GoldenCode) error { return c.restore(st, code) }
+
+func (c *CPU) restore(st *State, code *GoldenCode) error {
 	if st.PCN < 1 || st.PCN > pcqCap {
 		return fmt.Errorf("cpu: restore: fetch queue depth %d out of range", st.PCN)
 	}
@@ -116,8 +124,11 @@ func (c *CPU) RestoreState(st State) error {
 	c.Interlocked = st.Interlocked
 	c.Stats = st.Stats
 	c.nstage = 0
-	c.IMem = make([]isa.Instr, len(st.IMem))
-	copy(c.IMem, st.IMem)
+	if code != nil {
+		c.IMem = code.fork()
+	} else {
+		c.IMem.restore(st.IMem)
+	}
 	c.Bus.LastFault = nil
 	if st.LastFault != nil {
 		fc := *st.LastFault

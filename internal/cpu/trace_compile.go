@@ -354,10 +354,10 @@ func (c *CPU) buildSideStub(ctx *mem.Context, dsPC uint32, dsN int, x uint32) *t
 				return nil
 			}
 		}
-		if pa >= uint32(len(c.IMem)) {
+		if pa >= c.IMem.n {
 			return nil
 		}
-		in := c.IMem[pa]
+		in := c.IMem.At(pa)
 		if in.ALU == nil && in.Mem == nil {
 			return nil
 		}

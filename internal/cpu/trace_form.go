@@ -170,6 +170,7 @@ func (c *CPU) stepTraces() bool {
 	if ok {
 		c.finishTraceRecording(pc)
 	}
+	clear(c.trec.pts[:c.trec.n]) // hold no block past its recording
 	c.trec.n = 0
 	return ok
 }

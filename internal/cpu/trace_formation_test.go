@@ -169,7 +169,7 @@ func TestTraceReformAliasing(t *testing.T) {
 			// next patch and the loop word (3..37) to clone.
 			sched = sched>>1 ^ lfsrTaps&-(sched&1)
 			pa := 3 + sched%35
-			c.IMem[pa] = cloneWord(c.IMem[pa])
+			c.IMem.Set(pa, cloneWord(c.IMem.At(pa)))
 			c.Bus.MMU.Phys.Poke(pa, 0)
 			next = c.Stats.Instructions + 4000 + uint64(sched>>8%16000)
 			patches++

@@ -311,7 +311,7 @@ func TestSideTracePatchInvalidation(t *testing.T) {
 		if !patched && c.Trans.TraceSideCompiled > 0 && c.PC() <= 9 && c.Regs[1] > 0 {
 			patched = true
 			left = c.Regs[1]
-			c.IMem[9] = w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(10)))
+			c.IMem.Set(9, w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(10))))
 			c.Bus.MMU.Phys.Poke(9, 0)
 		}
 	}

@@ -185,7 +185,7 @@ func TestTracePatchBetweenSteps(t *testing.T) {
 		if !patched && c.PC() == 2 && c.Trans.TraceDispatchHits > 0 && c.Regs[1] > 0 {
 			patched = true
 			left = c.Regs[1]
-			c.IMem[2] = w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)))
+			c.IMem.Set(2, w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1))))
 			c.Bus.MMU.Phys.Poke(2, 0)
 		}
 	}

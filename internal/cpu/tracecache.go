@@ -351,6 +351,7 @@ func (c *CPU) dropTrace(tr *trace) {
 	moved := c.liveTraces[last]
 	c.liveTraces[tr.liveIdx] = moved
 	moved.liveIdx = tr.liveIdx
+	c.liveTraces[last] = nil
 	c.liveTraces = c.liveTraces[:last]
 	if c.onJIT != nil {
 		c.emitJIT(JITEvent{Kind: JITInvalidated, PC: tr.pc, Len: uint32(len(tr.ins))})
@@ -370,6 +371,7 @@ func (c *CPU) InvalidateTraces() {
 			c.emitJIT(JITEvent{Kind: JITInvalidated, PC: tr.pc, Len: uint32(len(tr.ins))})
 		}
 	}
+	clear(c.liveTraces)
 	c.liveTraces = c.liveTraces[:0]
 	for i := range c.tc {
 		c.tc[i] = nil
@@ -380,4 +382,5 @@ func (c *CPU) InvalidateTraces() {
 	}
 	c.trec.active = false
 	c.trec.n = 0
+	clear(c.trec.pts[:])
 }

@@ -213,8 +213,13 @@ func (in Instr) Validate() error {
 	if in.ALU == nil && in.Mem == nil {
 		return fmt.Errorf("empty instruction word")
 	}
-	for _, p := range in.Pieces(nil) {
-		if err := p.Validate(); err != nil {
+	if in.ALU != nil {
+		if err := in.ALU.Validate(); err != nil {
+			return err
+		}
+	}
+	if in.Mem != nil {
+		if err := in.Mem.Validate(); err != nil {
 			return err
 		}
 	}

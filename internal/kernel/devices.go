@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"strconv"
 
 	"mips/internal/cpu"
@@ -176,29 +178,56 @@ type pmPort struct {
 	vpage, frame, flags uint32
 }
 
-// disk is the paging store: a map from system virtual page to page
-// contents (both data words and instruction words, since the machine has
-// a dual instruction/data memory interface). A "go" command copies the
-// page into the selected frame.
+// disk is the paging store: the contents of every backed system virtual
+// page (both data words and instruction words, since the machine has a
+// dual instruction/data memory interface), sorted by page. A "go"
+// command copies the page into the selected frame.
+//
+// Page contents are never changed in place: a write replaces a page's
+// slice. A restored disk adopts its capture's page list by reference
+// (shared) and copies it before its first change, so any number of
+// machines restored from one capture — warm forks sharing a template's
+// decoded wire — share the list and the pages.
 type disk struct {
 	vpage, frame uint32
-	data         map[uint32][]uint32
-	code         map[uint32][]isa.Instr
+	pages        []DiskPage // sorted by VPage; each has Data or Code
+	shared       bool       // pages belongs to a capture
 	reads        int
 	writes       int
 }
 
-func newDisk() *disk {
-	return &disk{data: make(map[uint32][]uint32), code: make(map[uint32][]isa.Instr)}
+// page returns the backing contents of vpage, empty if it has none.
+func (dk *disk) page(vpage uint32) DiskPage {
+	if i, ok := dk.find(vpage); ok {
+		return dk.pages[i]
+	}
+	return DiskPage{}
 }
 
-// addPage installs backing-store contents for a system virtual page.
+func (dk *disk) find(vpage uint32) (int, bool) {
+	return slices.BinarySearchFunc(dk.pages, vpage, func(pg DiskPage, v uint32) int {
+		return cmp.Compare(pg.VPage, v)
+	})
+}
+
+// addPage installs backing-store contents for a system virtual page. A
+// nil half leaves that half of the page as it was.
 func (dk *disk) addPage(vpage uint32, code []isa.Instr, data []uint32) {
+	if code == nil && data == nil {
+		return
+	}
+	if dk.shared {
+		dk.pages, dk.shared = slices.Clone(dk.pages), false
+	}
+	i, ok := dk.find(vpage)
+	if !ok {
+		dk.pages = slices.Insert(dk.pages, i, DiskPage{VPage: vpage})
+	}
 	if code != nil {
-		dk.code[vpage] = code
+		dk.pages[i].Code = code
 	}
 	if data != nil {
-		dk.data[vpage] = data
+		dk.pages[i].Data = data
 	}
 }
 
@@ -206,28 +235,10 @@ func (dk *disk) addPage(vpage uint32, code []isa.Instr, data []uint32) {
 // backing contents is zero-filled (fresh stack or heap).
 func (dk *disk) transfer(m *Machine) {
 	dk.reads++
-	base := dk.frame << mem.PageBits
-	for i := uint32(0); i < mem.PageWords; i++ {
-		m.Phys.Poke(base+i, 0)
-	}
-	if ws, ok := dk.data[dk.vpage]; ok {
-		for i, w := range ws {
-			m.Phys.Poke(base+uint32(i), w)
-		}
-	}
+	pg := dk.page(dk.vpage)
+	m.Phys.FillPage(dk.frame, pg.Data)
 	// Instruction memory is physically indexed alongside data memory.
-	end := int(base) + mem.PageWords
-	if end > len(m.CPU.IMem) {
-		grown := make([]isa.Instr, end)
-		copy(grown, m.CPU.IMem)
-		m.CPU.IMem = grown
-	}
-	for i := range m.CPU.IMem[base:end] {
-		m.CPU.IMem[base+uint32(i)] = isa.Instr{}
-	}
-	if ws, ok := dk.code[dk.vpage]; ok {
-		copy(m.CPU.IMem[base:], ws)
-	}
+	m.CPU.IMem.Replace(dk.frame<<mem.PageBits, mem.PageWords, pg.Code)
 }
 
 // writeBack copies the selected frame's contents out to backing store,
@@ -239,12 +250,14 @@ func (dk *disk) writeBack(m *Machine) {
 	for i := uint32(0); i < mem.PageWords; i++ {
 		data[i] = m.Phys.Peek(base + i)
 	}
-	dk.data[dk.vpage] = data
-	if int(base)+mem.PageWords <= len(m.CPU.IMem) {
-		code := make([]isa.Instr, mem.PageWords)
-		copy(code, m.CPU.IMem[base:])
-		dk.code[dk.vpage] = code
+	var code []isa.Instr
+	if base+mem.PageWords <= m.CPU.IMem.Len() {
+		code = make([]isa.Instr, mem.PageWords)
+		for i := range code {
+			code[i] = m.CPU.IMem.At(base + uint32(i))
+		}
 	}
+	dk.addPage(dk.vpage, code, data)
 }
 
 var _ cpu.Device = (*devices)(nil)

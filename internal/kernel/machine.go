@@ -18,8 +18,8 @@ type Machine struct {
 	CPU  *cpu.CPU
 	Phys *mem.Physical
 
-	dev    *devices
-	disk   *disk
+	dev    devices
+	disk   disk
 	pmPort pmPort
 	kim    *isa.Image
 
@@ -122,12 +122,11 @@ func NewMachineShell(phys *mem.Physical, cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{Phys: phys}
-	m.disk = newDisk()
 	bus := cpu.NewBus(phys)
 	m.CPU = cpu.New(bus)
-	m.dev = &devices{m: m}
+	m.dev.m = m
 	m.dev.timer.period = cfg.TimerPeriod
-	bus.Attach(m.dev)
+	bus.Attach(&m.dev)
 	m.kim = im
 	return m, nil
 }

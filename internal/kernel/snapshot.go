@@ -1,7 +1,8 @@
 package kernel
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mips/internal/isa"
 )
@@ -58,36 +59,22 @@ func (m *Machine) CaptureState() State {
 		PMFlags:      m.pmPort.flags,
 		NProc:        m.nproc,
 	}
-	pages := map[uint32]bool{}
-	for v := range m.disk.data {
-		pages[v] = true
+	for _, pg := range m.disk.pages {
+		st.DiskPages = append(st.DiskPages, DiskPage{
+			VPage: pg.VPage,
+			Data:  append([]uint32(nil), pg.Data...),
+			Code:  append([]isa.Instr(nil), pg.Code...),
+		})
 	}
-	for v := range m.disk.code {
-		pages[v] = true
-	}
-	for v := range pages {
-		pg := DiskPage{VPage: v}
-		if ws, ok := m.disk.data[v]; ok {
-			pg.Data = append([]uint32(nil), ws...)
-		}
-		if ws, ok := m.disk.code[v]; ok {
-			pg.Code = append([]isa.Instr(nil), ws...)
-		}
-		st.DiskPages = append(st.DiskPages, pg)
-	}
-	sort.Slice(st.DiskPages, func(i, j int) bool { return st.DiskPages[i].VPage < st.DiskPages[j].VPage })
 	return st
 }
 
 // RestoreState replaces the device state with a previous capture. The
 // caller restores the CPU, physical memory, and MMU separately.
 //
-// Backing-store page contents are adopted by reference, not copied: the
-// disk's write path (writeBack) always replaces a map entry with a
-// freshly built slice and never mutates one in place, so any number of
-// machines restored from one capture — warm forks sharing a template's
-// decoded wire — may share the page slices safely. Only the maps
-// themselves are per-machine.
+// The backing store is adopted by reference, not copied (see disk): a
+// capture's page list, sorted and with every page backed, is shared
+// until the machine first changes it.
 func (m *Machine) RestoreState(st State) {
 	m.dev.console.Reset()
 	m.dev.console.Write(st.Console)
@@ -98,18 +85,30 @@ func (m *Machine) RestoreState(st State) {
 	m.disk.frame = st.DiskFrame
 	m.disk.reads = st.DiskReads
 	m.disk.writes = st.DiskWrites
-	m.disk.data = make(map[uint32][]uint32, len(st.DiskPages))
-	m.disk.code = make(map[uint32][]isa.Instr, len(st.DiskPages))
-	for _, pg := range st.DiskPages {
-		if pg.Data != nil {
-			m.disk.data[pg.VPage] = pg.Data
-		}
-		if pg.Code != nil {
-			m.disk.code[pg.VPage] = pg.Code
+	m.disk.pages, m.disk.shared = st.DiskPages, true
+	if !diskSorted(st.DiskPages) {
+		// Not as CaptureState writes it: merge the pages in page order,
+		// later halves of one page replacing earlier ones.
+		pages := slices.Clone(st.DiskPages)
+		slices.SortStableFunc(pages, func(a, b DiskPage) int { return cmp.Compare(a.VPage, b.VPage) })
+		m.disk.pages, m.disk.shared = nil, false
+		for _, pg := range pages {
+			m.disk.addPage(pg.VPage, pg.Code, pg.Data)
 		}
 	}
 	m.pmPort.vpage = st.PMVPage
 	m.pmPort.frame = st.PMFrame
 	m.pmPort.flags = st.PMFlags
 	m.nproc = st.NProc
+}
+
+// diskSorted reports whether pages is a page list CaptureState could
+// have written: strictly sorted by page, every page with contents.
+func diskSorted(pages []DiskPage) bool {
+	for i, pg := range pages {
+		if pg.Data == nil && pg.Code == nil || i > 0 && pages[i-1].VPage >= pg.VPage {
+			return false
+		}
+	}
+	return true
 }

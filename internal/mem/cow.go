@@ -5,12 +5,12 @@ import "slices"
 // Copy-on-write forks over a golden frame set. A Golden is the frozen
 // page-frame table of a pre-booted machine's memory, and Fork builds a
 // Physical whose table starts as a reference to the golden's: every
-// page reads the golden frame until the first store to it, which copies
-// that one frame (mem.go, Physical.own) before the store lands and the
-// write barrier fires exactly as for any store. A fork therefore costs
-// O(pages-touched), never O(memory): its only allocations are its
-// 64-entry top level, one chunk per 64 pages it writes into, and one
-// frame per page it writes.
+// page reads the golden frame until the first store that changes a word
+// of it, which copies that one frame (mem.go, Physical.own) before the
+// store lands; the write barrier fires exactly as for any store. A fork
+// therefore costs O(pages-touched), never O(memory): its only
+// allocations are its 64-entry top level, one chunk per 64 pages it
+// writes into, and one frame per page it writes.
 //
 // Concurrency contract: a Golden's chunks and frames are never written
 // after construction, so any number of forks may read them from any
@@ -44,7 +44,7 @@ func (g *Golden) Pages() int { return int((g.size + PageWords - 1) / PageWords) 
 
 // Fork returns a new Physical sharing the golden frames copy-on-write.
 // The fork starts with every page shared and no private frames at all;
-// the first store to each page copies that one frame.
+// the first store that changes a word of a page copies that one frame.
 func (g *Golden) Fork() *Physical {
 	return &Physical{
 		size:     g.size,

@@ -250,3 +250,79 @@ func TestCOWNonPageMultipleSize(t *testing.T) {
 		t.Fatalf("read past end of fork succeeded")
 	}
 }
+
+// TestFillPageMatchesPokes holds the page-granular fill to what
+// PageWords zero Pokes followed by one Poke per data word leave: the
+// frame's contents, the barrier addresses in order, and COWStats, on a
+// fork (shared page, private page) and on a plain memory.
+func TestFillPageMatchesPokes(t *testing.T) {
+	g := goldenFixture(t, 4*PageWords, 0)
+	data := []uint32{9, 0, 8, 7}
+	for _, tc := range []struct {
+		name string
+		mk   func() *Physical
+	}{
+		{"fork", g.Fork},
+		{"fork, page already private", func() *Physical {
+			f := g.Fork()
+			f.Poke(2*PageWords+5, 1)
+			return f
+		}},
+		{"plain", func() *Physical { return NewPhysical(4 * PageWords) }},
+		{"partial last page", func() *Physical { return NewPhysical(2*PageWords + 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pokes, fill := tc.mk(), tc.mk()
+			var pokeAddrs, fillAddrs []uint32
+			pokes.SetWriteBarrier(func(a uint32) { pokeAddrs = append(pokeAddrs, a) })
+			fill.SetWriteBarrier(func(a uint32) { fillAddrs = append(fillAddrs, a) })
+			base := uint32(2 * PageWords)
+			for i := uint32(0); i < PageWords; i++ {
+				pokes.Poke(base+i, 0)
+			}
+			for i, w := range data {
+				pokes.Poke(base+uint32(i), w)
+			}
+			fill.FillPage(2, data)
+			for a := uint32(0); a < 4*PageWords; a++ {
+				if pokes.Peek(a) != fill.Peek(a) {
+					t.Fatalf("word %#x: pokes %d, fill %d", a, pokes.Peek(a), fill.Peek(a))
+				}
+			}
+			if len(pokeAddrs) != len(fillAddrs) {
+				t.Fatalf("barrier fired %d times, want %d", len(fillAddrs), len(pokeAddrs))
+			}
+			for i := range pokeAddrs {
+				if pokeAddrs[i] != fillAddrs[i] {
+					t.Fatalf("barrier call %d at %#x, want %#x", i, fillAddrs[i], pokeAddrs[i])
+				}
+			}
+			if ps, fs := pokes.COWStats(), fill.COWStats(); ps != fs {
+				t.Fatalf("COWStats %+v, want %+v", fs, ps)
+			}
+		})
+	}
+}
+
+// TestCOWSilentStoreKeepsSharing pins that a store leaving its word as
+// it was copies no frame (the barrier still fires), while a store that
+// changes a word copies the page as before.
+func TestCOWSilentStoreKeepsSharing(t *testing.T) {
+	g := goldenFixture(t, 4*PageWords, 0)
+	f := g.Fork()
+	fired := 0
+	f.SetWriteBarrier(func(uint32) { fired++ })
+	addr := uint32(PageWords + 3)
+	if fault := f.Write(addr, addr*3+7); fault != nil {
+		t.Fatal(fault)
+	}
+	if st := f.COWStats(); st.PrivatePages != 0 || st.Faults != 0 || fired != 1 {
+		t.Fatalf("silent store: %+v, barrier fired %d times; want no copy, one barrier call", st, fired)
+	}
+	if fault := f.Write(addr, 1); fault != nil {
+		t.Fatal(fault)
+	}
+	if st := f.COWStats(); st.PrivatePages != 1 || st.Faults != 1 || f.Peek(addr) != 1 || g.Fork().Peek(addr) != addr*3+7 {
+		t.Fatalf("changing store: %+v; want one page copied and the golden frame intact", st)
+	}
+}

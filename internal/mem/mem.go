@@ -144,10 +144,10 @@ func (p *Physical) Read(addr uint32) (uint32, *Fault) {
 
 // Write stores a word at a physical address. Writing sealed ROM is a
 // fault: the dispatch routine must always be resident and intact. The
-// first store to a page gives the memory its own frame for it; the
-// write barrier then fires for the stored word exactly as for any store
-// (the new frame holds the contents of the one it replaces, so no other
-// invalidation is due).
+// first store to a page that changes a word gives the memory its own
+// frame for it; the write barrier then fires for the stored word exactly
+// as for any store (the new frame holds the contents of the one it
+// replaces, so no other invalidation is due).
 func (p *Physical) Write(addr, val uint32) *Fault {
 	if addr >= p.size || addr < p.romLimit {
 		return &Fault{Cause: isa.CausePageFault, Addr: addr, Write: true}
@@ -156,12 +156,14 @@ func (p *Physical) Write(addr, val uint32) *Fault {
 	// compiler will not inline writable itself (its call to own puts it
 	// over the inlining budget). BenchmarkPhysicalLoadStore measures the
 	// difference.
-	ci, i := addr>>chunkShift, addr>>PageBits&(chunkPages-1)
-	fr := p.top[ci][i]
-	if fr == p.base[ci][i] {
-		fr = p.own(addr >> PageBits)
+	ci, i, off := addr>>chunkShift, addr>>PageBits&(chunkPages-1), addr&(PageWords-1)
+	if fr := p.top[ci][i]; fr != p.base[ci][i] {
+		fr[off] = val
+	} else if fr[off] != val {
+		// A store that leaves its word as it was keeps sharing the
+		// backing frame.
+		p.own(addr >> PageBits)[off] = val
 	}
-	fr[addr&(PageWords-1)] = val
 	if p.barrier != nil {
 		p.barrier(addr)
 	}
@@ -179,6 +181,33 @@ func (p *Physical) Poke(addr, val uint32) {
 	p.writable(addr >> PageBits)[addr&(PageWords-1)] = val
 	if p.barrier != nil {
 		p.barrier(addr)
+	}
+}
+
+// FillPage sets a page to data followed by zeros, ignoring ROM
+// protection like Poke. It leaves what PageWords zero Pokes followed by
+// one Poke per data word would: the same contents, the same frames and
+// copy-on-write counts, and the same barrier calls in the same order.
+// Words past the end of memory are dropped; data longer than a page is
+// cut at the page's end.
+func (p *Physical) FillPage(page uint32, data []uint32) {
+	base := page << PageBits
+	if page >= MaxPhysWords>>PageBits || base >= p.size {
+		return
+	}
+	n := min(p.size-base, PageWords)
+	fr := p.writable(page)
+	clear(fr[:n])
+	data = data[:min(uint32(len(data)), n)]
+	copy(fr[:], data)
+	if p.barrier == nil {
+		return
+	}
+	for i := range n {
+		p.barrier(base + i)
+	}
+	for i := range data {
+		p.barrier(base + uint32(i))
 	}
 }
 
@@ -204,9 +233,12 @@ func (p *Physical) own(page uint32) *frame {
 		*ch = *p.base[ci]
 		p.top[ci] = ch
 	}
-	fr := new(frame)
+	var fr *frame
 	if src := ch[i]; src != &zeroFrame {
-		*fr = *src
+		// Cloning skips zeroing memory the copy overwrites anyway.
+		fr = (*frame)(slices.Clone(src[:]))
+	} else {
+		fr = new(frame)
 	}
 	ch[i] = fr
 	if p.forked {

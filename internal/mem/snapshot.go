@@ -161,11 +161,13 @@ func (m *MMU) CaptureState() MMUState {
 // previous capture and flushes the translation cache.
 func (m *MMU) RestoreState(st MMUState) {
 	m.Seg = SetRegisters(st.SegBase, st.SegLimit)
-	pm := NewPageMap()
+	pm := &PageMap{gen: st.Gen}
+	if len(st.Pages) > 0 {
+		pm.entries = make(map[uint32]PTE, len(st.Pages))
+	}
 	for _, e := range st.Pages {
 		pm.entries[e.VPage] = e.PTE
 	}
-	pm.gen = st.Gen
 	m.Map = pm
 	m.FlushTLB()
 }

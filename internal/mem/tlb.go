@@ -87,9 +87,7 @@ func (m *MMU) Context(mapped bool) Context {
 // are needed only by code that mutates page-table entries behind the
 // page map's back (tests, mostly).
 func (m *MMU) FlushTLB() {
-	for i := range m.tlb.entries {
-		m.tlb.entries[i].state = tlbInvalid
-	}
+	clear(m.tlb.entries[:]) // the zero entry is tlbInvalid
 }
 
 // tlbLookup returns the cached physical address for a mapped reference,

@@ -249,7 +249,7 @@ func (m *Machine) Load(im *isa.Image) error {
 	// Monitor calls vector through the exception path to physical
 	// address zero; one rfe resumes after the trap (the host hook
 	// already did the work). Images start above it (BareTextBase).
-	m.cpu.IMem[0] = isa.Word(isa.RFE())
+	m.cpu.IMem.Set(0, isa.Word(isa.RFE()))
 	m.cpu.SetPC(uint32(im.Entry))
 	m.loaded++
 	m.images = append(m.images, im)

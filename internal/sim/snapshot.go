@@ -208,16 +208,17 @@ func Restore(r io.Reader, opts ...Option) (*Machine, error) {
 }
 
 // buildFromWire materializes a machine from a decoded snapshot payload —
-// the tail shared by Restore and Template.Fork. With fork nil the
-// machine gets a fresh physical memory holding the capture's pages. With
-// fork non-nil (a copy-on-write fork of the template's golden frames,
-// already holding the captured contents) the memory is adopted as-is,
-// which is what makes warm-fork admission O(pages-touched).
+// the tail shared by Restore and Template.Fork. With t nil the machine
+// gets a fresh physical and instruction memory holding the capture's
+// pages. With t the template the wire was decoded for, both memories
+// are copy-on-write forks of its golden pages, already holding the
+// captured contents, which is what makes warm-fork admission
+// O(pages-touched).
 //
 // The wire may be shared by concurrent forks: this function and every
 // RestoreState it calls only read from it (slices are deep-copied into
 // the machine).
-func buildFromWire(wire *snapshotWire, fork *mem.Physical, opts []Option) (*Machine, error) {
+func buildFromWire(wire *snapshotWire, t *Template, opts []Option) (*Machine, error) {
 	cfg := config{spaceBits: wire.SpaceBits}
 	for _, o := range opts {
 		o(&cfg)
@@ -235,8 +236,10 @@ func buildFromWire(wire *snapshotWire, fork *mem.Physical, opts []Option) (*Mach
 	if wire.Kernel && wire.Kern == nil {
 		return nil, fmt.Errorf("%w: kernel snapshot without device state", ErrSnapshotFormat)
 	}
-	phys := fork
-	if phys == nil {
+	var phys *mem.Physical
+	if t != nil {
+		phys = t.golden.Fork()
+	} else {
 		phys = mem.NewPhysical(int(wire.Phys.Size))
 		if err := phys.RestoreState(wire.Phys); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
@@ -271,7 +274,13 @@ func buildFromWire(wire *snapshotWire, fork *mem.Physical, opts []Option) (*Mach
 		m.out.WriteString(wire.Output)
 	}
 	m.cpu.Bus.MMU.RestoreState(wire.MMU)
-	if err := m.cpu.RestoreState(wire.CPU); err != nil {
+	var err error
+	if t != nil {
+		err = m.cpu.RestoreFork(&wire.CPU, t.code)
+	} else {
+		err = m.cpu.RestoreState(wire.CPU)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("sim: restore: %w", err)
 	}
 	if wire.DMA != nil {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mips/internal/cpu"
 	"mips/internal/mem"
 )
 
@@ -21,28 +22,30 @@ import (
 //   - the snapshot payload is decoded once (gob decode is O(state));
 //   - the physical-memory capture is materialized once into an
 //     immutable mem.Golden frame set, with frames only for the pages
-//     the capture holds;
+//     the capture holds, and the instruction-memory capture likewise
+//     into an immutable cpu.GoldenCode;
 //   - the kernel image, when the template is a kernel machine, comes
 //     from the per-size assembly cache (kernel.NewMachineShell).
 //
-// Fork then costs O(pages-touched): the new machine's memory is a
-// copy-on-write view of the golden frames, and only the CPU registers,
-// MMU map, and device state — all small — are copied per fork. The
-// template's snapshot bytes stay byte-deterministic and engine-
-// agnostic; a fork may run on any engine regardless of which engine
-// the template was captured on.
+// Fork then costs O(pages-touched): the new machine's data and
+// instruction memories are copy-on-write views of the golden pages, and
+// only the CPU registers, MMU map, and device state — all small — are
+// copied per fork. The template's snapshot bytes stay byte-deterministic
+// and engine-agnostic; a fork may run on any engine regardless of which
+// engine the template was captured on.
 
 // ErrTemplateMissing reports a fork or lookup against a template name
 // the pool does not hold.
 var ErrTemplateMissing = errors.New("sim: no such template")
 
 // Template is one named golden snapshot forks are minted from. Safe for
-// concurrent use: the decoded wire and golden frames are immutable.
+// concurrent use: the decoded wire and golden pages are immutable.
 type Template struct {
 	name    string
 	raw     []byte // canonical snapshot bytes (as uploaded/captured)
 	wire    *snapshotWire
 	golden  *mem.Golden
+	code    *cpu.GoldenCode
 	created time.Time
 	forks   atomic.Uint64
 }
@@ -55,11 +58,11 @@ func (t *Template) Name() string { return t.name }
 func (t *Template) Snapshot() []byte { return t.raw }
 
 // Fork mints a new machine from the template in O(pages-touched):
-// copy-on-write memory over the golden frames plus a copy of the small
+// copy-on-write memories over the golden pages plus a copy of the small
 // per-machine state. Options may re-attach observability and override
 // the engine, exactly as for Restore.
 func (t *Template) Fork(opts ...Option) (*Machine, error) {
-	m, err := buildFromWire(t.wire, t.golden.Fork(), opts)
+	m, err := buildFromWire(t.wire, t, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -122,6 +125,7 @@ func (p *TemplatePool) Put(name string, snapshot []byte) (*Template, error) {
 		raw:     append([]byte(nil), snapshot...),
 		wire:    wire,
 		golden:  mem.GoldenFromState(wire.Phys),
+		code:    cpu.GoldenCodeFromState(&wire.CPU),
 		created: time.Now(),
 	}
 	p.mu.Lock()
@@ -161,7 +165,7 @@ func (p *TemplatePool) Get(name string) (*Template, error) {
 }
 
 // Delete removes a template, reporting whether it existed. Machines
-// already forked from it keep running: they hold the golden frames
+// already forked from it keep running: they hold the golden pages
 // through their own references.
 func (p *TemplatePool) Delete(name string) bool {
 	p.mu.Lock()

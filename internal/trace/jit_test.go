@@ -30,9 +30,8 @@ func buildLoopCPU(n int32) (*cpu.CPU, error) {
 		isa.Trap(0), // 6
 	}
 	c := cpu.New(cpu.NewBus(mem.NewPhysical(1 << 16)))
-	c.IMem = make([]isa.Instr, len(words))
 	for i, p := range words {
-		c.IMem[i] = isa.Word(p)
+		c.IMem.Set(uint32(i), isa.Word(p))
 	}
 	c.SetTrapHook(func(code uint16) {
 		if code == 0 {

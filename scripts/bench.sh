@@ -33,8 +33,8 @@ go test -run '^$' -bench 'PipelineTraces|KernelRun' -benchmem -benchtime 1s .
 echo "==> warm-fork admission: no page copies until first write"
 go test ./internal/sim/ -run TestTemplateForkNoCopiesUntilWrite -count=1 -v
 
-echo "==> warm-fork admission: allocation ceilings (cold <= 256 KB/op, fork <= 48 KB/op) and fork vs cold-boot latency (4x gate)"
-go test -run TestAdmissionForkSpeedup -count=1 -v .
+echo "==> warm-fork admission: allocation ceilings (cold <= 256 KB/op, fork <= 48 KB/op) and fork vs cold-boot latency (4x gate); a kernel job, boot to halt, allocates <= 300 KB"
+go test -run 'TestAdmissionForkSpeedup|TestKernelJobAllocs' -count=1 -v .
 go test -run '^$' -bench 'AdmissionColdBoot|AdmissionTemplateFork|SnapshotRoundTripKernel' \
     -benchmem -benchtime 1s .
 
