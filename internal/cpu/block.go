@@ -5,10 +5,9 @@ package cpu
 // a block entry point, and the whole straight-line run up to and
 // including the next control transfer executes as one translated block
 // (blockcache.go) — per-word fetch, queue maintenance, and pipeline
-// bookkeeping replaced by a tight loop over flat records with the
-// block's statically known cost. Delay slots and anything the lean
-// paths cannot prove equivalent run on the exact per-instruction
-// engine: the reference interpreter remains the oracle, and every
+// bookkeeping replaced by one loop over flat records. Packed words and
+// anything else without a lean form run on the exact per-instruction
+// executor: the reference interpreter remains the oracle, and every
 // deviation (fault, trap, interrupt, halt, invalidation, page-map
 // change) abandons the block at a precise instruction boundary.
 
@@ -62,11 +61,18 @@ func (c *CPU) leanRead(r isa.Reg, vpc uint32) uint32 {
 	return c.Regs[r]
 }
 
+// leanOperand reads an operand on the lean path. It repeats leanRead's
+// test rather than calling it, which keeps it within the inliner's
+// budget: it runs for every register operand of a lean ALU word or
+// branch.
 func (c *CPU) leanOperand(o fastOp, vpc uint32) uint32 {
 	if o.imm {
 		return o.val
 	}
-	return c.leanRead(o.reg, vpc)
+	if c.pendN == 0 {
+		return c.Regs[o.reg]
+	}
+	return c.readReg(o.reg, vpc)
 }
 
 // leanAddr computes a load/store effective address, reading registers
@@ -85,211 +91,181 @@ func (c *CPU) leanAddr(d *decoded, vpc uint32) uint32 {
 	return 0
 }
 
-// leanALU executes the compute and writeback of a word whose only work
-// is a single ALU-class piece. It reports overflow instead of raising
-// it (ovfOn is the entry-latched trap enable — only exceptions and
-// special pieces change it, and both end a block), leaving the
-// destination unwritten in that case exactly like the staged-commit
-// path.
-func (c *CPU) leanALU(d *decoded, vpc uint32, ovfOn bool) bool {
-	c.Stats.Pieces++
-	switch d.aluKind {
-	case isa.PieceALU:
-		a := c.leanOperand(d.a1, vpc)
-		var b uint32
-		if !d.aluUnary {
-			b = c.leanOperand(d.a2, vpc)
-		}
-		var dstVal uint32
-		if d.aluDstRead {
-			dstVal = c.leanRead(d.aluDst, vpc)
-		}
-		v, lo, ovf := aluEval(d.aluOp, a, b, dstVal, c.Lo)
-		if ovf && ovfOn {
-			return true
-		}
-		if d.aluOp == isa.OpMovLo {
-			c.Lo = lo
-		} else {
-			c.Regs[d.aluDst] = v
-			c.lastWrite[d.aluDst] = c.seq
-		}
-	case isa.PieceSetCond:
-		a := c.leanOperand(d.a1, vpc)
-		b := c.leanOperand(d.a2, vpc)
-		var v uint32
-		if d.aluCmp.Eval(a, b) {
-			v = 1
-		}
-		c.Regs[d.aluDst] = v
-		c.lastWrite[d.aluDst] = c.seq
-	}
-	return false
-}
-
-// runPure executes a block whose body is nothing but nops and ALU
-// words, with the bulk accounting precomputed at translation time. The
-// caller has proved no step of the body can deviate: no loads are
-// pending (so reads are side-effect free and nothing commits mid-run),
-// no tickers or DMA exist (so no device can observe or perturb the
-// run), the interrupt line is low, and overflow cannot trap.
-func (c *CPU) runPure(b *block, n uint32) {
-	for i := uint32(0); i < n; i++ {
-		d := &b.code[i]
-		c.seq++
-		if d.bclass == bcNop {
-			continue
-		}
+// leanWord executes one nop, ALU, load or store record at vpc: the
+// block engine's one copy of those classes' semantics, run by the body
+// loop and the delay-slot drain alike. It counts the word and offers
+// its free data cycle to DMA; ticking, interrupt sampling and the fault
+// restart stay with the caller, whose fetch queues differ. A fault
+// returns its cause with the destination unwritten, exactly like the
+// staged-commit path; a completed word returns isa.CauseNone. The
+// environment is read from the machine, not passed: the call costs
+// less for it, and the body loop runs it once per word.
+func (c *CPU) leanWord(d *decoded, vpc uint32) isa.Cause {
+	c.Stats.Instructions++
+	c.Stats.Cycles++
+	cause := isa.CauseNone
+	switch d.bclass {
+	case bcNop:
+		c.Stats.Nops++
+	case bcALU:
+		c.Stats.Pieces++
 		switch d.aluKind {
 		case isa.PieceALU:
-			a := d.a1.val
-			if !d.a1.imm {
-				a = c.Regs[d.a1.reg]
-			}
-			var bv uint32
+			a := c.leanOperand(d.a1, vpc)
+			var b uint32
 			if !d.aluUnary {
-				bv = d.a2.val
-				if !d.a2.imm {
-					bv = c.Regs[d.a2.reg]
-				}
+				b = c.leanOperand(d.a2, vpc)
 			}
 			var dstVal uint32
 			if d.aluDstRead {
-				dstVal = c.Regs[d.aluDst]
+				dstVal = c.leanRead(d.aluDst, vpc)
 			}
-			v, lo, _ := aluEval(d.aluOp, a, bv, dstVal, c.Lo)
-			if d.aluOp == isa.OpMovLo {
+			v, lo, ovf := aluEval(d.aluOp, a, b, dstVal, c.Lo)
+			switch {
+			case ovf && c.Sur.OverflowEnabled():
+				// As in finishWord, the free data cycle is still
+				// accounted and offered before the word restarts.
+				cause = isa.CauseOverflow
+			case d.aluOp == isa.OpMovLo:
 				c.Lo = lo
-			} else {
+			default:
 				c.Regs[d.aluDst] = v
 				c.lastWrite[d.aluDst] = c.seq
 			}
 		case isa.PieceSetCond:
-			a := d.a1.val
-			if !d.a1.imm {
-				a = c.Regs[d.a1.reg]
-			}
-			bv := d.a2.val
-			if !d.a2.imm {
-				bv = c.Regs[d.a2.reg]
-			}
+			a := c.leanOperand(d.a1, vpc)
+			b := c.leanOperand(d.a2, vpc)
 			var v uint32
-			if d.aluCmp.Eval(a, bv) {
+			if d.aluCmp.Eval(a, b) {
 				v = 1
 			}
 			c.Regs[d.aluDst] = v
 			c.lastWrite[d.aluDst] = c.seq
 		}
+	case bcLoad:
+		c.Stats.Pieces++
+		if d.mode == isa.AModeLongImm {
+			// The long immediate comes from the instruction stream, not
+			// the data port: no data cycle and no load delay.
+			c.Regs[d.data] = uint32(d.disp)
+			c.lastWrite[d.data] = c.seq
+			break
+		}
+		addr := c.leanAddr(d, vpc)
+		v, f := c.Bus.Read(addr, c.Mapped())
+		if f != nil {
+			c.Stats.DataCycles++
+			return f.Cause
+		}
+		c.Stats.Loads++
+		if c.onMem != nil {
+			c.onMem(vpc, addr, false)
+		}
+		c.Stats.DataCycles++
+		if d.flags&fEager != 0 {
+			c.Regs[d.data] = v
+			c.lastWrite[d.data] = c.seq
+		} else {
+			c.writeLoad(d.data, v)
+		}
+		return isa.CauseNone
+	case bcStore:
+		c.Stats.Pieces++
+		addr := c.leanAddr(d, vpc)
+		val := c.leanRead(d.data, vpc)
+		if f := c.Bus.Write(addr, val, c.Mapped()); f != nil {
+			c.Stats.DataCycles++
+			return f.Cause
+		}
+		c.Stats.Stores++
+		if c.onMem != nil {
+			c.onMem(vpc, addr, true)
+		}
+		c.Stats.DataCycles++
+		return isa.CauseNone
 	}
-	// Bulk accounting from the translation-time cost: one cycle per
-	// word, every data-memory cycle free (no DMA exists to claim them).
-	c.Stats.Instructions += uint64(n)
-	c.Stats.Cycles += uint64(n)
-	c.Stats.Pieces += b.sPieces
-	c.Stats.Nops += b.sNops
-	c.Stats.FreeCycles += uint64(n)
+	c.Stats.FreeCycles++
+	c.Bus.offerFree(&c.Stats)
+	return cause
 }
 
-// runQuiet executes a block body in the quiet configuration (no DMA,
-// no tickers, unmapped, no memory hook, no interrupt pending): the
-// per-word environmental checks of the general loop are provably dead,
-// and with no tickers every Bus.Tick is a no-op and is omitted. It
-// reports false when the block bailed (fault, halt, invalidation, or an
-// exact-executor word that redirected the queue) with the fetch queue
-// already pointing at the resume address.
-func (c *CPU) runQuiet(b *block, pc uint32, ovfOn bool) bool {
+// runBody executes a block's body words, the one body loop every
+// environment shares. It reports false when the block bailed (fault,
+// interrupt, halt, invalidation, remap, or an exact-executor word that
+// redirected the queue) with the fetch queue already pointing at the
+// resume address.
+func (c *CPU) runBody(b *block, pc uint32, mapped bool, pmGen uint64) bool {
+	bus := c.Bus
+	// env is false in the quiet configuration: no DMA to offer cycles
+	// to, no ticker to advance, unmapped, no memory hook, and no
+	// interrupt pending. Nothing can then raise the line or remap
+	// mid-body, so the per-word environmental work is dead and nop
+	// runs retire in bulk; only stores (which can invalidate this
+	// block or hit a halt device) and exact-executor words can end
+	// the body early.
+	intOK := c.Sur.InterruptsEnabled() && !c.Sur.Supervisor()
+	env := bus.DMA != nil || len(bus.tickers) > 0 || mapped || c.onMem != nil || c.intLine && intOK
 	n := b.n
 	for i := uint32(0); i < n; i++ {
+		vpc := pc + i
 		d := &b.code[i]
 		c.seq++
 		if c.pendN != 0 {
 			c.commitLoads()
 		}
-		switch d.bclass {
-		case bcNop:
-			if k := uint64(d.nopRun); k > 1 && c.pendN == 0 {
-				c.seq += k - 1
-				c.Stats.Instructions += k
-				c.Stats.Cycles += k
-				c.Stats.Nops += k
-				c.Stats.FreeCycles += k
-				i += uint32(k) - 1
-				continue
-			}
-			c.Stats.Instructions++
-			c.Stats.Cycles++
-			c.Stats.Nops++
-			c.Stats.FreeCycles++
-		case bcALU:
-			c.Stats.Instructions++
-			c.Stats.Cycles++
-			c.Stats.FreeCycles++
-			if c.leanALU(d, pc+i, ovfOn) {
-				c.bailFault(pc+i, isa.CauseOverflow)
-				return false
-			}
-		case bcLoad:
-			c.Stats.Instructions++
-			c.Stats.Cycles++
-			c.Stats.Pieces++
-			if d.mode == isa.AModeLongImm {
-				c.Regs[d.data] = uint32(d.disp)
-				c.lastWrite[d.data] = c.seq
-				c.Stats.FreeCycles++
-				break
-			}
-			addr := c.leanAddr(d, pc+i)
-			v, f := c.Bus.Read(addr, false)
-			if f != nil {
-				c.Stats.DataCycles++
-				c.bailFault(pc+i, f.Cause)
-				return false
-			}
-			c.Stats.Loads++
-			c.Stats.DataCycles++
-			if d.flags&fEager != 0 {
-				c.Regs[d.data] = v
-				c.lastWrite[d.data] = c.seq
-			} else {
-				c.writeLoad(d.data, v)
-			}
-		case bcStore:
-			c.Stats.Instructions++
-			c.Stats.Cycles++
-			c.Stats.Pieces++
-			addr := c.leanAddr(d, pc+i)
-			val := c.leanRead(d.data, pc+i)
-			if f := c.Bus.Write(addr, val, false); f != nil {
-				c.Stats.DataCycles++
-				c.bailFault(pc+i, f.Cause)
-				return false
-			}
-			c.Stats.Stores++
-			c.Stats.DataCycles++
-			if c.Halted {
-				c.pcq[0], c.pcn = pc+i+1, 1
-				c.Trans.BlockBails++
-				return false
-			}
-			if !b.valid {
-				c.pcq[0], c.pcn = pc+i+1, 1
+		if env && c.intLine && intOK {
+			c.pcq[0], c.pcn = vpc, 1
+			c.exception(isa.CauseInterrupt, isa.CauseNone, 0)
+			c.Trans.BlockBails++
+			return false
+		}
+		switch {
+		case d.bclass == bcNop && !env && c.pendN == 0:
+			// A run of nops (nopRun is set on every body nop) retires
+			// in bulk: nops cannot fault, write, or invalidate
+			// anything, and with no pending load nothing commits
+			// mid-run.
+			k := uint64(d.nopRun)
+			c.seq += k - 1
+			c.Stats.Instructions += k
+			c.Stats.Cycles += k
+			c.Stats.Nops += k
+			c.Stats.FreeCycles += k
+			i += uint32(k) - 1
+			continue
+		case d.bclass == bcGeneral:
+			// Packed words run through the exact executor with the
+			// fetch queue set to what per-word stepping would hold:
+			// the two sequential successors.
+			c.pcq[0], c.pcq[1] = vpc+1, vpc+2
+			c.pcn = 2
+			c.execWord(d.src, vpc)
+			bus.Tick()
+			if c.Halted || c.pcn != 2 || c.pcq[0] != vpc+1 {
+				// Halt device, memory fault, or trap: the queue
+				// already points where execution must resume.
 				c.Trans.BlockBails++
 				return false
 			}
 		default:
-			vpc := pc + i
-			c.pcq[0], c.pcq[1] = vpc+1, vpc+2
-			c.pcn = 2
-			c.execWord(d.src, vpc)
-			if c.Halted || c.pcn != 2 || c.pcq[0] != vpc+1 {
-				c.Trans.BlockBails++
+			if cause := c.leanWord(d, vpc); cause != isa.CauseNone {
+				c.bailFault(vpc, cause)
+				bus.Tick()
 				return false
 			}
-			if !b.valid {
-				c.pcq[0], c.pcn = vpc+1, 1
-				c.Trans.BlockBails++
-				return false
+			if !env && d.bclass != bcStore {
+				continue
 			}
+			bus.Tick()
+		}
+		// A store hitting the halt device ends the block after its
+		// word; a store, DMA move, or device tick may have
+		// invalidated this very block or remapped the address space.
+		// All end it at an exact instruction boundary.
+		if c.Halted || !b.valid || mapped && bus.MMU.Map.Generation() != pmGen {
+			c.pcq[0], c.pcn = vpc+1, 1
+			c.Trans.BlockBails++
+			return false
 		}
 	}
 	return true
@@ -378,8 +354,6 @@ func (c *CPU) runBlocks() (*block, bool) {
 		}
 	}
 	bus := c.Bus
-	doTick := len(bus.tickers) > 0
-	dmaOn := bus.DMA != nil
 	// With the trace tier live here, chained entries feed the tier's
 	// heat profile and yield to compiled traces: Step entry is the only
 	// point the trace dispatcher sees, and a 64-deep chain would
@@ -406,182 +380,10 @@ func (c *CPU) runBlocks() (*block, bool) {
 		if mapped {
 			pmGen = c.Bus.MMU.Map.Generation()
 		}
-		ovfOn := c.Sur.OverflowEnabled()
-		n := b.n
 		exc0 := c.excSeq
 
-		if b.pure && n > 0 && c.pendN == 0 && !c.intLine &&
-			!dmaOn && !doTick && !(ovfOn && b.hasOvf) {
-			c.runPure(b, n)
-		} else if n > 0 && !dmaOn && !doTick && !mapped && c.onMem == nil &&
-			!(c.intLine && c.Sur.InterruptsEnabled() && !c.Sur.Supervisor()) {
-			// Quiet configuration: no DMA to offer cycles to, no ticker
-			// to advance, no mapping generation to track, no memory
-			// hook, and no interrupt pending. Nothing can raise the
-			// line or remap mid-body, so the per-word environmental
-			// checks vanish; only stores (which can invalidate this
-			// block or hit a halt device) and exact-executor words keep
-			// their exit checks.
-			if !c.runQuiet(b, pc, ovfOn) {
-				return b, true
-			}
-		} else if n > 0 {
-			intOK := c.Sur.InterruptsEnabled() && !c.Sur.Supervisor()
-			for i := uint32(0); i < n; i++ {
-				vpc := pc + i
-				c.seq++
-				if c.pendN != 0 {
-					c.commitLoads()
-				}
-				if c.intLine && intOK {
-					c.pcq[0], c.pcn = vpc, 1
-					c.exception(isa.CauseInterrupt, isa.CauseNone, 0)
-					c.Trans.BlockBails++
-					return b, true
-				}
-				d := &b.code[i]
-				switch d.bclass {
-				case bcNop:
-					// A run of nops retires in bulk when nothing can
-					// observe the intermediate cycles: no DMA to offer
-					// them to, no ticker to advance, no pending load
-					// whose commit lands mid-run. Nops cannot fault,
-					// write, or invalidate anything, and without
-					// tickers no interrupt can rise inside the run.
-					if k := uint64(d.nopRun); k > 1 && !dmaOn && !doTick &&
-						c.pendN == 0 {
-						c.seq += k - 1
-						c.Stats.Instructions += k
-						c.Stats.Cycles += k
-						c.Stats.Nops += k
-						c.Stats.FreeCycles += k
-						i += uint32(k) - 1
-						continue
-					}
-					c.Stats.Instructions++
-					c.Stats.Cycles++
-					c.Stats.Nops++
-					c.Stats.FreeCycles++
-					if dmaOn {
-						bus.offerFree(&c.Stats)
-					}
-					if doTick {
-						bus.Tick()
-					}
-				case bcALU:
-					c.Stats.Instructions++
-					c.Stats.Cycles++
-					if c.leanALU(d, vpc, ovfOn) {
-						// Mirror finishWord on the overflow path: the free
-						// data cycle is accounted and offered first, then
-						// the word restarts at the head of the saved queue.
-						c.Stats.FreeCycles++
-						if dmaOn {
-							bus.offerFree(&c.Stats)
-						}
-						c.bailFault(vpc, isa.CauseOverflow)
-						bus.Tick()
-						return b, true
-					}
-					c.Stats.FreeCycles++
-					if dmaOn {
-						bus.offerFree(&c.Stats)
-					}
-					if doTick {
-						bus.Tick()
-					}
-				case bcLoad:
-					c.Stats.Instructions++
-					c.Stats.Cycles++
-					c.Stats.Pieces++
-					if d.mode == isa.AModeLongImm {
-						// The long immediate comes from the instruction
-						// stream, not the data port: no data cycle and no
-						// load delay.
-						c.Regs[d.data] = uint32(d.disp)
-						c.lastWrite[d.data] = c.seq
-						c.Stats.FreeCycles++
-						if dmaOn {
-							bus.offerFree(&c.Stats)
-						}
-						if doTick {
-							bus.Tick()
-						}
-						break
-					}
-					addr := c.leanAddr(d, vpc)
-					v, f := bus.Read(addr, mapped)
-					if f != nil {
-						c.Stats.DataCycles++
-						c.bailFault(vpc, f.Cause)
-						bus.Tick()
-						return b, true
-					}
-					c.Stats.Loads++
-					if c.onMem != nil {
-						c.onMem(vpc, addr, false)
-					}
-					c.Stats.DataCycles++
-					if d.flags&fEager != 0 {
-						c.Regs[d.data] = v
-						c.lastWrite[d.data] = c.seq
-					} else {
-						c.writeLoad(d.data, v)
-					}
-					if doTick {
-						bus.Tick()
-					}
-				case bcStore:
-					c.Stats.Instructions++
-					c.Stats.Cycles++
-					c.Stats.Pieces++
-					addr := c.leanAddr(d, vpc)
-					val := c.leanRead(d.data, vpc)
-					if f := bus.Write(addr, val, mapped); f != nil {
-						c.Stats.DataCycles++
-						c.bailFault(vpc, f.Cause)
-						bus.Tick()
-						return b, true
-					}
-					c.Stats.Stores++
-					if c.onMem != nil {
-						c.onMem(vpc, addr, true)
-					}
-					c.Stats.DataCycles++
-					if doTick {
-						bus.Tick()
-					}
-					if c.Halted {
-						// The store hit the halt device; the word itself
-						// completed.
-						c.pcq[0], c.pcn = vpc+1, 1
-						c.Trans.BlockBails++
-						return b, true
-					}
-				default:
-					// Packed words run through the exact executor with the
-					// fetch queue set to what per-word stepping would hold:
-					// the two sequential successors.
-					c.pcq[0], c.pcq[1] = vpc+1, vpc+2
-					c.pcn = 2
-					c.execWord(d.src, vpc)
-					bus.Tick()
-					if c.Halted || c.pcn != 2 || c.pcq[0] != vpc+1 {
-						// Halt device, memory fault, or trap: the queue
-						// already points where execution must resume.
-						c.Trans.BlockBails++
-						return b, true
-					}
-				}
-				// A store, DMA move, or device tick may have invalidated
-				// this very block or remapped the address space; both end
-				// the block at an exact instruction boundary.
-				if !b.valid || (mapped && bus.MMU.Map.Generation() != pmGen) {
-					c.pcq[0], c.pcn = vpc+1, 1
-					c.Trans.BlockBails++
-					return b, true
-				}
-			}
+		if !c.runBody(b, pc, mapped, pmGen) {
+			return b, true
 		}
 
 		// The terminator runs from its cached record when one was decoded
@@ -590,7 +392,7 @@ func (c *CPU) runBlocks() (*block, bool) {
 		// cached records while those stay coherent, else on the exact
 		// engine — until the fetch queue is sequential again. The queue is
 		// pre-filled so the terminator's pipeline refill is a no-op.
-		t := pc + n
+		t := pc + b.n
 		c.pcq[0], c.pcq[1], c.pcq[2] = t, t+1, t+2
 		c.pcn = 3
 		if b.termless {
@@ -609,7 +411,7 @@ func (c *CPU) runBlocks() (*block, bool) {
 		chainable := b.hasTerm && (b.term.bclass >= bcBranch ||
 			(c.trec.active && b.term.bclass == bcGeneral && b.term.flags&fPriv == 0))
 		if b.hasTerm {
-			c.dsStep(&b.term, dmaOn, doTick, ovfOn)
+			c.dsStep(&b.term)
 		} else {
 			c.step()
 		}
@@ -619,7 +421,7 @@ func (c *CPU) runBlocks() (*block, bool) {
 				if b.ds[j].bclass == bcGeneral {
 					chainable = false
 				}
-				c.dsStep(&b.ds[j], dmaOn, doTick, ovfOn)
+				c.dsStep(&b.ds[j])
 			} else {
 				chainable = false
 				c.step()
@@ -727,9 +529,10 @@ func (c *CPU) blockCurrent(b *block) bool {
 // dsStep executes one word at the head of the fetch queue from a cached
 // record: the full Step preamble and exact queue maintenance of
 // step, minus the fetch (the caller validated the record's identity
-// at block entry and keeps it coherent through the write barrier). Lean
-// classes run inline; anything else goes through the exact executor.
-func (c *CPU) dsStep(d *decoded, dmaOn, doTick, ovfOn bool) {
+// at block entry and keeps it coherent through the write barrier). Nop,
+// ALU, load and store records run through leanWord and control records
+// inline; anything else goes through the exact executor.
+func (c *CPU) dsStep(d *decoded) {
 	c.seq++
 	if c.pendN != 0 {
 		c.commitLoads()
@@ -744,138 +547,59 @@ func (c *CPU) dsStep(d *decoded, dmaOn, doTick, ovfOn bool) {
 		return
 	}
 	pc := c.popPC()
-	c.Stats.Instructions++
-	c.Stats.Cycles++
 	switch d.bclass {
-	case bcNop:
-		c.Stats.Nops++
-		c.Stats.FreeCycles++
-		if dmaOn {
-			c.Bus.offerFree(&c.Stats)
-		}
-	case bcALU:
-		if c.leanALU(d, pc, ovfOn) {
-			c.Stats.FreeCycles++
-			if dmaOn {
-				c.Bus.offerFree(&c.Stats)
-			}
+	case bcGeneral:
+		c.execWord(d.src, pc)
+	case bcNop, bcALU, bcLoad, bcStore:
+		if cause := c.leanWord(d, pc); cause != isa.CauseNone {
+			// The word restarts at the head of the queue, as
+			// finishWord leaves a faulting word.
 			c.pushPC(pc)
-			c.exception(isa.CauseOverflow, isa.CauseNone, 0)
-			c.Bus.Tick()
-			return
-		}
-		c.Stats.FreeCycles++
-		if dmaOn {
-			c.Bus.offerFree(&c.Stats)
-		}
-	case bcLoad:
-		c.Stats.Pieces++
-		if d.mode == isa.AModeLongImm {
-			c.Regs[d.data] = uint32(d.disp)
-			c.lastWrite[d.data] = c.seq
-			c.Stats.FreeCycles++
-			if dmaOn {
-				c.Bus.offerFree(&c.Stats)
-			}
-			break
-		}
-		addr := c.leanAddr(d, pc)
-		v, f := c.Bus.Read(addr, c.Mapped())
-		if f != nil {
-			c.Stats.DataCycles++
-			c.pushPC(pc)
-			c.exception(f.Cause, isa.CauseNone, 0)
-			c.Bus.Tick()
-			return
-		}
-		c.Stats.Loads++
-		if c.onMem != nil {
-			c.onMem(pc, addr, false)
-		}
-		c.Stats.DataCycles++
-		c.writeLoad(d.data, v)
-	case bcStore:
-		c.Stats.Pieces++
-		addr := c.leanAddr(d, pc)
-		val := c.leanRead(d.data, pc)
-		if f := c.Bus.Write(addr, val, c.Mapped()); f != nil {
-			c.Stats.DataCycles++
-			c.pushPC(pc)
-			c.exception(f.Cause, isa.CauseNone, 0)
-			c.Bus.Tick()
-			return
-		}
-		c.Stats.Stores++
-		if c.onMem != nil {
-			c.onMem(pc, addr, true)
-		}
-		c.Stats.DataCycles++
-	case bcBranch:
-		c.Stats.Pieces++
-		c.Stats.Branches++
-		a := c.leanOperand(d.m1, pc)
-		b := c.leanOperand(d.m2, pc)
-		taken := d.memCmp.Eval(a, b)
-		if taken {
-			c.Stats.TakenBranches++
-			c.scheduleBranch(d.target, isa.BranchDelay)
-		}
-		if c.onBranch != nil {
-			c.onBranch(pc, d.target, taken)
-		}
-		c.Stats.FreeCycles++
-		if dmaOn {
-			c.Bus.offerFree(&c.Stats)
-		}
-	case bcJump:
-		c.Stats.Pieces++
-		c.Stats.Branches++
-		c.Stats.TakenBranches++
-		c.scheduleBranch(d.target, isa.BranchDelay)
-		if c.onBranch != nil {
-			c.onBranch(pc, d.target, true)
-		}
-		c.Stats.FreeCycles++
-		if dmaOn {
-			c.Bus.offerFree(&c.Stats)
-		}
-	case bcCall:
-		c.Stats.Pieces++
-		c.Stats.Branches++
-		c.Stats.TakenBranches++
-		c.scheduleBranch(d.target, isa.BranchDelay)
-		if c.onBranch != nil {
-			c.onBranch(pc, d.target, true)
-		}
-		// The link commit lands after the branch hook, as on the
-		// staged path: the hook observes the pre-call register file.
-		c.Regs[d.linkDst] = pc + 1 + isa.BranchDelay
-		c.lastWrite[d.linkDst] = c.seq
-		c.Stats.FreeCycles++
-		if dmaOn {
-			c.Bus.offerFree(&c.Stats)
-		}
-	case bcJumpInd:
-		c.Stats.Pieces++
-		c.Stats.Branches++
-		c.Stats.TakenBranches++
-		target := c.leanOperand(d.m1, pc)
-		c.scheduleBranch(target, isa.IndirectJumpDelay)
-		if c.onBranch != nil {
-			c.onBranch(pc, target, true)
-		}
-		c.Stats.FreeCycles++
-		if dmaOn {
-			c.Bus.offerFree(&c.Stats)
+			c.exception(cause, isa.CauseNone, 0)
 		}
 	default:
-		c.Stats.Instructions--
-		c.Stats.Cycles--
-		c.execWord(d.src, pc)
-		c.Bus.Tick()
-		return
+		c.Stats.Instructions++
+		c.Stats.Cycles++
+		c.Stats.Pieces++
+		c.Stats.Branches++
+		switch d.bclass {
+		case bcBranch:
+			a := c.leanOperand(d.m1, pc)
+			b := c.leanOperand(d.m2, pc)
+			taken := d.memCmp.Eval(a, b)
+			if taken {
+				c.Stats.TakenBranches++
+				c.scheduleBranch(d.target, isa.BranchDelay)
+			}
+			if c.onBranch != nil {
+				c.onBranch(pc, d.target, taken)
+			}
+		case bcJump:
+			c.Stats.TakenBranches++
+			c.scheduleBranch(d.target, isa.BranchDelay)
+			if c.onBranch != nil {
+				c.onBranch(pc, d.target, true)
+			}
+		case bcCall:
+			c.Stats.TakenBranches++
+			c.scheduleBranch(d.target, isa.BranchDelay)
+			if c.onBranch != nil {
+				c.onBranch(pc, d.target, true)
+			}
+			// The link commit lands after the branch hook, as on the
+			// staged path: the hook observes the pre-call register file.
+			c.Regs[d.linkDst] = pc + 1 + isa.BranchDelay
+			c.lastWrite[d.linkDst] = c.seq
+		case bcJumpInd:
+			c.Stats.TakenBranches++
+			target := c.leanOperand(d.m1, pc)
+			c.scheduleBranch(target, isa.IndirectJumpDelay)
+			if c.onBranch != nil {
+				c.onBranch(pc, target, true)
+			}
+		}
+		c.Stats.FreeCycles++
+		c.Bus.offerFree(&c.Stats)
 	}
-	if doTick {
-		c.Bus.Tick()
-	}
+	c.Bus.Tick()
 }

@@ -6,10 +6,7 @@ package cpu
 // file owns the data structures and their coherence machinery:
 //
 //   - translateBlock scans instruction memory from a block entry point
-//     up to the next control transfer and builds the flat block record,
-//     including the statically precomputed execution cost (on a pipeline
-//     with no hardware interlocks the cycle and stall cost of
-//     straight-line code is fully determined at translation time);
+//     up to the next control transfer and builds the flat block record;
 //   - a direct-mapped cache keyed by physical entry address holds the
 //     blocks, validated by identity (stepBlocks compares every cached
 //     source word against live instruction memory on entry);
@@ -43,9 +40,10 @@ const (
 )
 
 // Lean execution classes, assigned per body word at translation time.
-// The block engine executes bcNop/bcALU words with a specialized inline
-// path; everything else runs through execWord, which is exact for every
-// word kind.
+// The block engine runs bcNop, bcALU, bcLoad and bcStore words through
+// its lean word executor (leanWord) and control words through dsStep;
+// everything else runs through execWord, which is exact for every word
+// kind.
 const (
 	bcGeneral uint8 = iota // packed or unclassified: execute via execWord
 	bcNop                  // the word performs no work
@@ -63,7 +61,7 @@ const (
 
 // block is one translated superblock: a straight-line run of body words
 // (everything up to, but not including, the next control transfer) plus
-// its statically precomputed cost and chain slots to successor blocks.
+// its exit records and chain slots to successor blocks.
 type block struct {
 	pa uint32 // physical address of the first body word
 	n  uint32 // body length in words (0: the entry word is a terminator)
@@ -87,16 +85,6 @@ type block struct {
 	hasTerm bool
 	cover   uint32
 
-	// Statically precomputed execution cost: each body word is exactly
-	// one cycle (no hardware interlocks, so straight-line code cannot
-	// stall), every body word's data-memory slot usage is known at
-	// translation time, and the piece/nop totals are fixed. A pure
-	// block bulk-adds these instead of counting per word.
-	sPieces uint64
-	sNops   uint64
-
-	pure     bool // body is all bcNop/bcALU: eligible for the bulk path
-	hasOvf   bool // some ALU word can raise arithmetic overflow
 	termless bool // the scan hit a size/page limit, not a real terminator
 	valid    bool
 	liveIdx  int // index in CPU.liveBlocks, for swap-removal
@@ -253,11 +241,6 @@ func bodyWord(in isa.Instr) bool {
 	return nonEmpty(in)
 }
 
-// ovfCapable reports whether an ALU op can raise arithmetic overflow.
-func ovfCapable(op isa.ALUOp) bool {
-	return op == isa.OpAdd || op == isa.OpSub || op == isa.OpRSub || op == isa.OpNeg
-}
-
 // classifyLean assigns the lean execution class of one cached word.
 // Packed words (both slots active) always classify bcGeneral and run
 // through the exact executor.
@@ -357,8 +340,8 @@ func (c *CPU) blockSlot(pa uint32) **block {
 }
 
 // translateBlock scans the straight-line run of instruction words at pa,
-// builds the block record with its precomputed cost, and installs it in
-// the cache (evicting any previous occupant of the slot).
+// builds the block record, and installs it in the cache (evicting any
+// previous occupant of the slot).
 func (c *CPU) translateBlock(pa uint32) *block {
 	c.Trans.BlockTranslations++
 	// Never cross a page boundary: page-granular translation guarantees
@@ -374,7 +357,7 @@ func (c *CPU) translateBlock(pa uint32) *block {
 	if capEnd := pa + blockMaxWords; capEnd < limit {
 		limit = capEnd
 	}
-	b := &block{pa: pa, valid: true, pure: true, termless: true}
+	b := &block{pa: pa, valid: true, termless: true}
 	// Count the body first so it is allocated once, at its exact length.
 	for b.n < limit-pa && bodyWord(c.IMem.At(pa+b.n)) {
 		b.n++
@@ -397,23 +380,6 @@ func (c *CPU) translateBlock(pa uint32) *block {
 		d := &b.code[i]
 		decodeWord(d, c.IMem.At(pa+uint32(i)))
 		classifyLean(d)
-		switch d.bclass {
-		case bcNop:
-			b.sNops++
-		case bcALU:
-			b.sPieces++
-			if ovfCapable(d.aluOp) {
-				b.hasOvf = true
-			}
-		default:
-			b.pure = false
-			if d.aluKind != isa.PieceNop {
-				b.sPieces++
-			}
-			if d.memKind != isa.PieceNop {
-				b.sPieces++
-			}
-		}
 	}
 	if b.n == 0 {
 		b.termless = false

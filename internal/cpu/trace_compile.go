@@ -39,7 +39,7 @@ import (
 )
 
 // Per-class happy-path cost of one word, identical to what the block
-// engine's quiet loop accounts for the same word.
+// engine's lean word executor (leanWord) accounts for the same word.
 var (
 	wcNop     = wordCost{instr: 1, nops: 1}.pack()
 	wcALU     = wordCost{instr: 1, pieces: 1}.pack()
@@ -586,18 +586,12 @@ func compileALU(in *traceInst, w *traceWord) traceCost {
 		in.fn = trSetCond
 	case d.aluOp == isa.OpMov:
 		in.fn = trMov
-	case d.aluUnary:
-		in.fn = trALU
 	case d.aluOp == isa.OpAdd:
 		in.fn = trAdd
 	case d.aluOp == isa.OpSub:
 		in.fn = trSub
-	case d.aluOp == isa.OpAnd:
-		in.fn = trAnd
 	case d.aluOp == isa.OpOr:
 		in.fn = trOr
-	case d.aluOp == isa.OpXor:
-		in.fn = trXor
 	default:
 		in.fn = trALU
 	}
@@ -622,10 +616,8 @@ func compileLoad(in *traceInst, w *traceWord, mapped bool) traceCost {
 		in.fn = trLoadG
 	case d.mode == isa.AModeDisp:
 		in.fn = trLoadDisp
-	case d.mode == isa.AModeAbs:
-		in.fn = trLoadAbs
 	default:
-		in.fn = trLoadIndex
+		in.fn = trLoad
 	}
 	return wcLoad
 }
@@ -668,7 +660,7 @@ func trNopsG(c *CPU, in *traceInst) bool {
 }
 
 // trGeneral runs a packed or otherwise unclassified body word through
-// the exact executor, exactly as the block engine's quiet loop runs one:
+// the exact executor, exactly as the block engine's body loop runs one:
 // the word accounts its own statistics live, and any redirect, halt,
 // fault, or self-invalidation exits the trace at the boundary the
 // executor left.
@@ -1195,23 +1187,9 @@ func trSub(c *CPU, in *traceInst) bool {
 	return true
 }
 
-func trAnd(c *CPU, in *traceInst) bool {
-	c.seq++
-	c.Regs[in.dst] = rdOp(c, in.a) & rdOp(c, in.b)
-	c.lastWrite[in.dst] = c.seq
-	return true
-}
-
 func trOr(c *CPU, in *traceInst) bool {
 	c.seq++
 	c.Regs[in.dst] = rdOp(c, in.a) | rdOp(c, in.b)
-	c.lastWrite[in.dst] = c.seq
-	return true
-}
-
-func trXor(c *CPU, in *traceInst) bool {
-	c.seq++
-	c.Regs[in.dst] = rdOp(c, in.a) ^ rdOp(c, in.b)
 	c.lastWrite[in.dst] = c.seq
 	return true
 }
@@ -1332,35 +1310,17 @@ func trLoadDisp(c *CPU, in *traceInst) bool {
 	return true
 }
 
-// trLoadAbs runs an absolute-address load at an unguarded position.
-func trLoadAbs(c *CPU, in *traceInst) bool {
-	c.seq++
-	v, f := c.Bus.Read(in.imm, false)
-	if f != nil {
-		c.charge(in, wcMemFault)
-		c.traceFault(in.faultQueue(), f.Cause)
-		return false
-	}
-	if c.onMem != nil {
-		c.onMem(in.vpc, in.imm, false)
-	}
-	if in.eager {
-		c.Regs[in.data] = v
-		c.lastWrite[in.data] = c.seq
-	} else {
-		c.writeLoad(in.data, v)
-	}
-	return true
-}
-
-// trLoadIndex runs an indexed or shifted-index load at an unguarded
-// position.
-func trLoadIndex(c *CPU, in *traceInst) bool {
+// trLoad runs an absolute, indexed, or shifted-index load at an
+// unguarded position.
+func trLoad(c *CPU, in *traceInst) bool {
 	c.seq++
 	var addr uint32
-	if in.mode == isa.AModeIndex {
+	switch in.mode {
+	case isa.AModeAbs:
+		addr = in.imm
+	case isa.AModeIndex:
 		addr = c.Regs[in.base] + c.Regs[in.index]
-	} else {
+	default:
 		addr = c.Regs[in.base] + c.Regs[in.index]>>in.shift
 	}
 	v, f := c.Bus.Read(addr, false)

@@ -293,7 +293,7 @@ func validateTraceBlock(b *block, pc, nextPC uint32) (ok, taken bool, dsCount ui
 	}
 	// Any body class compiles: the lean classes specialize, and packed
 	// or unclassified words (bcGeneral) run through the exact executor
-	// inside the trace, just as the block engine's quiet loop runs them.
+	// inside the trace, just as the block engine's body loop runs them.
 	// Privileged pieces refuse — they can change what dispatch latched —
 	// but translation already ends a block's body before any privileged
 	// word, so only the terminator needs the check.
