@@ -19,7 +19,9 @@ import (
 //
 //	POST   /v1/jobs                  submit a job (JSON body, see jobRequest)
 //	GET    /v1/jobs                  list jobs (?state= filter, ?limit=/?after= pagination)
-//	GET    /v1/jobs/{id}             one job's status
+//	GET    /v1/jobs/{id}             one job's status (a finished job keeps
+//	                                 its status, output and snapshot until
+//	                                 QueueDepth later jobs have finished)
 //	GET    /v1/jobs/{id}/status      alias of the above
 //	GET    /v1/jobs/{id}/output      console output so far (text)
 //	GET    /v1/jobs/{id}/profile     folded cycle stacks (text; profile: true jobs)
@@ -34,7 +36,8 @@ import (
 //
 //	{"error": "human-readable message", "code": "machine_readable_code"}
 //
-// with codes queue_full, closed, not_found, bad_spec, template_missing.
+// with codes queue_full, closed, not_found, evicted, bad_spec,
+// template_missing.
 //
 // A submitted job names a built-in program, carries a snapshot from a
 // previous run (the snapshot endpoint's bytes, base64 in JSON) to
@@ -61,6 +64,7 @@ const (
 	CodeQueueFull       = "queue_full"       // admission backpressure; retry after jobs finish
 	CodeClosed          = "closed"           // service is draining/closed
 	CodeNotFound        = "not_found"        // no such job, or state not available yet
+	CodeEvicted         = "evicted"          // the job finished and left the bounded history (410)
 	CodeBadSpec         = "bad_spec"         // malformed or inconsistent request
 	CodeTemplateMissing = "template_missing" // no such template
 )
@@ -297,7 +301,8 @@ func buildProgramMachine(prog ProgramFunc, engine Engine, useKernel bool, timer 
 
 // list serves GET /v1/jobs: submission order, optionally filtered by
 // ?state= and paginated with ?limit= / ?after= (an ID from a previous
-// page; the page starts strictly after it).
+// page; the page starts strictly after it, even if that job has been
+// evicted since).
 func (h *jobHandler) list(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	state := q.Get("state")
@@ -309,6 +314,11 @@ func (h *jobHandler) list(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	jobs, err := h.svc.JobsAfter(q.Get("after"))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, CodeBadSpec, fmt.Errorf("unknown cursor %q", q.Get("after")))
+		return
+	}
 	limit := 0
 	if s := q.Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
@@ -318,17 +328,9 @@ func (h *jobHandler) list(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	after := q.Get("after")
 
 	page := jobListPage{Jobs: []Status{}}
-	skipping := after != ""
-	for _, j := range h.svc.Jobs() {
-		if skipping {
-			if j.ID == after {
-				skipping = false
-			}
-			continue
-		}
+	for _, j := range jobs {
 		st := j.Status()
 		if state != "" && st.State != state {
 			continue
@@ -339,18 +341,16 @@ func (h *jobHandler) list(w http.ResponseWriter, r *http.Request) {
 		}
 		page.Jobs = append(page.Jobs, st)
 	}
-	if skipping {
-		httpError(w, http.StatusBadRequest, CodeBadSpec, fmt.Errorf("unknown cursor %q", after))
-		return
-	}
 	writeJSON(w, http.StatusOK, page)
 }
 
 func (h *jobHandler) job(w http.ResponseWriter, r *http.Request) *Job {
-	j, ok := h.svc.Job(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, CodeNotFound, fmt.Errorf("no job %q", r.PathValue("id")))
-		return nil
+	j, err := h.svc.Job(r.PathValue("id"))
+	switch {
+	case errors.Is(err, ErrJobEvicted):
+		httpError(w, http.StatusGone, CodeEvicted, err)
+	case err != nil:
+		httpError(w, http.StatusNotFound, CodeNotFound, err)
 	}
 	return j
 }

@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,6 +25,17 @@ import (
 // resumption safe. The simulation hot path takes no locks: a job's
 // mutex is held across a whole quantum, and all cross-goroutine
 // coordination happens at quantum boundaries.
+//
+// What a job shows its readers is kept apart from its machine. The
+// worker publishes an immutable record at each state transition
+// (queued, running, terminal) and counts instructions, steps and quanta
+// in atomics, so Status and Wait never take the job mutex, and neither
+// does any read of a finished job. A job keeps its output, its encoded
+// snapshot and, with a JIT log attached, its trace sites in its
+// terminal record and drops its machine. Only Output, Snapshot and
+// JITSites of a running job take the mutex, because they need the
+// machine at a quantum boundary. The service keeps at most QueueDepth
+// finished jobs; the earliest finished is evicted first.
 
 // JobState is a job's lifecycle state.
 type JobState int
@@ -32,6 +47,8 @@ const (
 	JobFailed
 	JobCancelled
 )
+
+func (s JobState) terminal() bool { return s >= JobDone }
 
 func (s JobState) String() string {
 	switch s {
@@ -59,6 +76,13 @@ var (
 	ErrClosed = errors.New("sim: job service closed")
 	// ErrTimeout marks a job that exceeded its wall-clock timeout.
 	ErrTimeout = errors.New("sim: job timeout")
+	// ErrJobNotFound means the service never issued the job ID.
+	ErrJobNotFound = errors.New("sim: no such job")
+	// ErrJobEvicted means the job finished and has since left the
+	// service's bounded history of finished jobs.
+	ErrJobEvicted = errors.New("sim: job evicted from history")
+
+	errNotStarted = errors.New("sim: job has not started")
 )
 
 // DefaultTenant is the tenant label of jobs submitted without one.
@@ -97,7 +121,8 @@ type ServiceConfig struct {
 	// Workers is the worker-pool size (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds unfinished jobs in the system; Submit returns
-	// ErrQueueFull beyond it (default 256).
+	// ErrQueueFull beyond it (default 256). It also bounds the finished
+	// jobs the service keeps answering for.
 	QueueDepth int
 	// Quantum is the scheduler steps a job runs per turn before being
 	// checkpoint-preempted (default 1_000_000).
@@ -109,8 +134,9 @@ type ServiceConfig struct {
 	Metrics *trace.Registry
 	// OnJobTerminal, if non-nil, receives one JobSample per job that
 	// reaches a terminal state, on the worker goroutine that finished
-	// it. It must be fast and must not call back into the Service or
-	// the Job (the job's mutex is held). The fleet rollup hangs here.
+	// it, before the job's terminal state is published. It must be fast
+	// and must not call back into the Service or the Job (the job's
+	// mutex is held). The fleet rollup hangs here.
 	OnJobTerminal func(JobSample)
 	// Tracers, if non-nil, receives every traced job's tracer as the
 	// job builds its machine.
@@ -159,33 +185,52 @@ type Job struct {
 	ID   string
 	Name string
 
-	svc  *Service
-	spec JobSpec
+	svc      *Service
+	spec     JobSpec
+	seq      uint64 // submission number: the N of ID "job-N"
+	maxSteps uint64
+	created  time.Time
+	deadline time.Time
 
-	// mu guards everything below and is held for a whole quantum; other
-	// accessors (status, snapshot, output) therefore wait at most one
-	// quantum, and never stall the run loop mid-step.
-	mu           sync.Mutex
-	state        JobState
-	m            *Machine
-	instructions uint64
-	steps        uint64 // quantum budget consumed
-	quanta       uint64
-	maxSteps     uint64
-	err          error
-	created      time.Time
-	admitted     time.Time // machine built and ready to retire its first instruction
-	started      time.Time
-	finished     time.Time
-	deadline     time.Time
+	// rec is what readers see: replaced, never modified, at each state
+	// transition, and loaded without j.mu.
+	rec          atomic.Pointer[jobRecord]
+	instructions atomic.Uint64
+	steps        atomic.Uint64 // quantum budget consumed
+	quanta       atomic.Uint64
+
+	// mu is held by the worker for a whole quantum and guards the
+	// worker's state below. Readers take it only to reach a running
+	// job's machine, so they wait at most one quantum and never stall
+	// the run loop mid-step.
+	mu       sync.Mutex
+	state    JobState
+	m        *Machine  // nil before the build and after the terminal state
+	admitted time.Time // machine built and ready to retire its first instruction
 
 	cancelled atomic.Bool
-	done      chan struct{}
+	done      chan struct{} // closed once the terminal record is published
 
 	// prof is set once when a profiled job builds its machine; readers
 	// (the fleet flamegraph merge) load it without touching j.mu, so a
 	// profile read never waits out a quantum.
 	prof atomic.Pointer[trace.Profiler]
+}
+
+// jobRecord is one published, immutable view of a job.
+type jobRecord struct {
+	state    JobState
+	err      error
+	started  time.Time
+	finished time.Time
+
+	// Terminal records only: what the machine left behind when the job
+	// dropped it. built is false for a job whose machine never built.
+	built       bool
+	output      string
+	snapshot    []byte
+	snapshotErr error
+	sites       *trace.JITSites // nil without ServiceConfig.JIT
 }
 
 // Service is the concurrent job scheduler. Construct with NewService;
@@ -195,7 +240,8 @@ type Service struct {
 
 	mu           sync.Mutex
 	jobs         map[string]*Job
-	order        []string
+	order        []*Job // tracked jobs in submission order
+	finished     []*Job // tracked terminal jobs, earliest finished first
 	seq          uint64
 	active       int
 	tenantActive map[string]int
@@ -297,10 +343,11 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 	}
 	s.seq++
 	j := &Job{
-		ID:       fmt.Sprintf("job-%d", s.seq),
+		ID:       jobID(s.seq),
 		Name:     spec.Name,
 		svc:      s,
 		spec:     spec,
+		seq:      s.seq,
 		state:    JobQueued,
 		maxSteps: spec.MaxSteps,
 		created:  time.Now(),
@@ -312,8 +359,9 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 	if spec.Timeout > 0 {
 		j.deadline = j.created.Add(spec.Timeout)
 	}
+	j.rec.Store(&jobRecord{state: JobQueued})
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
+	s.order = append(s.order, j)
 	s.active++
 	s.tenantActive[spec.Tenant]++
 	s.mu.Unlock()
@@ -324,30 +372,65 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 	return j, nil
 }
 
-// Job returns a tracked job by ID.
-func (s *Service) Job(id string) (*Job, bool) {
+func jobID(seq uint64) string { return "job-" + strconv.FormatUint(seq, 10) }
+
+// issued returns the submission number of an ID this service handed
+// out, tracked or evicted; s.mu is held.
+func (s *Service) issued(id string) (uint64, bool) {
+	n, err := strconv.ParseUint(strings.TrimPrefix(id, "job-"), 10, 64)
+	return n, err == nil && n >= 1 && n <= s.seq && id == jobID(n)
+}
+
+// Job returns a tracked job by ID. It returns ErrJobEvicted for a job
+// that has left the bounded history of finished jobs, and
+// ErrJobNotFound for an ID the service never issued.
+func (s *Service) Job(id string) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
+	if j, ok := s.jobs[id]; ok {
+		return j, nil
+	}
+	if _, ok := s.issued(id); ok {
+		return nil, fmt.Errorf("%w: %q", ErrJobEvicted, id)
+	}
+	return nil, fmt.Errorf("%w: %q", ErrJobNotFound, id)
 }
 
 // Jobs returns every tracked job in submission order.
 func (s *Service) Jobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
-	}
-	return out
+	return slices.Clone(s.order)
 }
 
+// JobsAfter returns the tracked jobs submitted after the job with ID
+// cursor, in submission order; an empty cursor returns them all. A
+// cursor whose job was evicted still resumes after it; one the service
+// never issued returns ErrJobNotFound.
+func (s *Service) JobsAfter(cursor string) ([]*Job, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var n uint64
+	if cursor != "" {
+		var ok bool
+		if n, ok = s.issued(cursor); !ok {
+			return nil, fmt.Errorf("%w: %q", ErrJobNotFound, cursor)
+		}
+	}
+	i, found := slices.BinarySearchFunc(s.order, n, bySeq)
+	if found {
+		i++
+	}
+	return slices.Clone(s.order[i:]), nil
+}
+
+func bySeq(j *Job, seq uint64) int { return cmp.Compare(j.seq, seq) }
+
 // Cancel requests cancellation; the job reaches JobCancelled at its
-// next quantum boundary. Returns false for unknown IDs.
+// next quantum boundary. Returns false for untracked IDs.
 func (s *Service) Cancel(id string) bool {
-	j, ok := s.Job(id)
-	if !ok {
+	j, err := s.Job(id)
+	if err != nil {
 		return false
 	}
 	j.cancelled.Store(true)
@@ -410,7 +493,7 @@ func (s *Service) worker() {
 func (s *Service) runQuantum(j *Job) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != JobQueued && j.state != JobRunning {
+	if j.state.terminal() {
 		return false
 	}
 	if j.cancelled.Load() {
@@ -440,22 +523,24 @@ func (s *Service) runQuantum(j *Job) bool {
 	}
 	if j.state == JobQueued {
 		j.state = JobRunning
-		j.started = time.Now()
+		j.rec.Store(&jobRecord{state: JobRunning, started: time.Now()})
 	}
 	q := s.cfg.Quantum
-	if rem := j.maxSteps - j.steps; rem < q {
+	steps := j.steps.Load()
+	if rem := j.maxSteps - steps; rem < q {
 		q = rem
 	}
 	executed, halted := j.m.RunSteps(q)
-	j.steps += q
-	j.instructions += executed
-	j.quanta++
+	steps += q
+	j.steps.Store(steps)
+	j.instructions.Add(executed)
+	j.quanta.Add(1)
 	inc(s.mQuanta)
 	switch {
 	case halted:
 		s.finishLocked(j, JobDone, nil)
 		return false
-	case j.steps >= j.maxSteps:
+	case steps >= j.maxSteps:
 		s.finishLocked(j, JobFailed, fmt.Errorf("step limit %d exceeded", j.maxSteps))
 		return false
 	case j.cancelled.Load():
@@ -500,19 +585,13 @@ func (s *Service) attachJobObservers(j *Job) {
 	}
 }
 
-// finishLocked moves a job to a terminal state; j.mu is held.
+// finishLocked moves a job to a terminal state; j.mu is held. The
+// finished stamp comes first, so the encoding below adds nothing to the
+// job's latency. The terminal record takes the output, snapshot and JIT
+// sites, and the job drops its machine before anyone can see it done.
 func (s *Service) finishLocked(j *Job, state JobState, err error) {
+	r := &jobRecord{state: state, err: err, started: j.rec.Load().started, finished: time.Now()}
 	j.state = state
-	j.err = err
-	j.finished = time.Now()
-	close(j.done)
-	s.mu.Lock()
-	s.active--
-	s.tenantActive[j.spec.Tenant]--
-	if s.tenantActive[j.spec.Tenant] <= 0 {
-		delete(s.tenantActive, j.spec.Tenant)
-	}
-	s.mu.Unlock()
 	switch state {
 	case JobDone:
 		inc(s.mCompleted)
@@ -530,28 +609,65 @@ func (s *Service) finishLocked(j *Job, state JobState, err error) {
 		s.cfg.Tracers.RemoveTracer(j.ID)
 	}
 	if fn := s.cfg.OnJobTerminal; fn != nil {
-		fn(s.sampleLocked(j, state))
+		fn(s.sampleLocked(j, r))
+	}
+	if j.m != nil {
+		r.built = true
+		r.output = j.m.Output()
+		r.snapshot, r.snapshotErr = j.m.SnapshotBytes()
+		if s.cfg.JIT != nil {
+			sites := trace.CollectJITSites(j.m.CPU(), j.prof.Load())
+			r.sites = &sites
+		}
+	}
+	j.rec.Store(r)
+	j.m = nil
+	s.retire(j)
+	close(j.done)
+}
+
+// retire takes a terminal job out of the admission count and adds it
+// to the history of finished jobs, evicting the earliest finished
+// beyond QueueDepth.
+func (s *Service) retire(j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.active--
+	s.tenantActive[j.spec.Tenant]--
+	if s.tenantActive[j.spec.Tenant] <= 0 {
+		delete(s.tenantActive, j.spec.Tenant)
+	}
+	s.finished = append(s.finished, j)
+	for len(s.finished) > s.cfg.QueueDepth {
+		old := s.finished[0]
+		s.finished[0] = nil // the backing array must not keep it alive
+		s.finished = s.finished[1:]
+		delete(s.jobs, old.ID)
+		i, _ := slices.BinarySearchFunc(s.order, old.seq, bySeq)
+		s.order = slices.Delete(s.order, i, i+1)
 	}
 }
 
-// sampleLocked captures the job's fleet-rollup sample; j.mu is held
-// and the job is terminal, so every field is final.
-func (s *Service) sampleLocked(j *Job, state JobState) JobSample {
+// sampleLocked captures the job's fleet-rollup sample from its
+// terminal record r; j.mu is held and the machine is still attached,
+// so every field is final.
+func (s *Service) sampleLocked(j *Job, r *jobRecord) JobSample {
+	instructions := j.instructions.Load()
 	sample := JobSample{
 		Tenant:         j.spec.Tenant,
 		Name:           j.Name,
 		Engine:         "none",
-		Outcome:        state.String(),
-		LatencySeconds: j.finished.Sub(j.created).Seconds(),
-		Instructions:   j.instructions,
-		Preempts:       j.quanta,
+		Outcome:        r.state.String(),
+		LatencySeconds: r.finished.Sub(j.created).Seconds(),
+		Instructions:   instructions,
+		Preempts:       j.quanta.Load(),
 	}
 	if !j.admitted.IsZero() {
 		sample.AdmissionSeconds = j.admitted.Sub(j.created).Seconds()
 	}
-	if !j.started.IsZero() {
-		if run := j.finished.Sub(j.started).Seconds(); run > 0 {
-			sample.InstrsPerSec = float64(j.instructions) / run
+	if !r.started.IsZero() {
+		if run := r.finished.Sub(r.started).Seconds(); run > 0 {
+			sample.InstrsPerSec = float64(instructions) / run
 		}
 	}
 	if j.m != nil {
@@ -589,17 +705,48 @@ func (s *Service) sampleLocked(j *Job, state JobState) JobSample {
 	return sample
 }
 
-// JITSites snapshots the job's live trace/block caches — the per-PC
-// tier heatmap — symbolized against its profiler when one is attached.
-// It waits out at most one quantum (j.mu), so the machine is idle for
-// the read and no cpu.ShareTraces is needed.
+// JITSites snapshots the job's trace/block caches — the per-PC tier
+// heatmap — symbolized against its profiler when one is attached. A
+// running job's are read at a quantum boundary, so the machine is idle
+// for the read and no cpu.ShareTraces is needed. A finished job answers
+// with the sites collected as it finished, which it keeps only when the
+// service has a JIT log (ServiceConfig.JIT).
 func (j *Job) JITSites() (trace.JITSites, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.m == nil {
-		return trace.JITSites{}, false
+	var sites trace.JITSites
+	r, err := j.withMachine(func(m *Machine) { sites = trace.CollectJITSites(m.CPU(), j.prof.Load()) })
+	switch {
+	case err != nil:
+		return sites, false
+	case r == nil:
+		return sites, true
+	case r.sites != nil:
+		return *r.sites, true
 	}
-	return trace.CollectJITSites(j.m.CPU(), j.prof.Load()), true
+	return sites, false
+}
+
+// withMachine calls fn with a running job's machine at a quantum
+// boundary and returns a nil record. Once the job has finished it
+// returns the terminal record instead, without taking j.mu. It returns
+// errNotStarted for a job without a machine, before or after the
+// terminal state.
+func (j *Job) withMachine(fn func(*Machine)) (*jobRecord, error) {
+	r := j.rec.Load()
+	if !r.state.terminal() {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		if r = j.rec.Load(); !r.state.terminal() { // else it finished while we waited
+			if j.m == nil {
+				return nil, errNotStarted
+			}
+			fn(j.m)
+			return nil, nil
+		}
+	}
+	if !r.built {
+		return nil, errNotStarted
+	}
+	return r, nil
 }
 
 // FleetJITSites collects every built job's tier heatmap, keyed
@@ -660,9 +807,7 @@ func (j *Job) FoldedProfile() map[string]uint64 {
 func (j *Job) Wait(ctx context.Context) error {
 	select {
 	case <-j.done:
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		return j.err
+		return j.rec.Load().err
 	case <-ctx.Done():
 		return ctx.Err()
 	}
@@ -687,56 +832,60 @@ type Status struct {
 	Elapsed      time.Duration `json:"-"`
 }
 
-// Status reports the job's current state. Output is included only for
-// terminal jobs (use Snapshot to inspect a running one).
+// Status reports the job's current state from its published record; it
+// never waits for the worker. Output is included only for terminal jobs
+// (use Snapshot to inspect a running one).
 func (j *Job) Status() Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	r := j.rec.Load()
 	st := Status{
 		ID:           j.ID,
 		Name:         j.Name,
 		Tenant:       j.spec.Tenant,
 		Template:     j.spec.Template,
-		State:        j.state.String(),
-		Instructions: j.instructions,
-		Steps:        j.steps,
-		Quanta:       j.quanta,
+		State:        r.state.String(),
+		Instructions: j.instructions.Load(),
+		Steps:        j.steps.Load(),
+		Quanta:       j.quanta.Load(),
 		MaxSteps:     j.maxSteps,
 		Created:      j.created,
-		Started:      j.started,
-		Finished:     j.finished,
+		Started:      r.started,
+		Finished:     r.finished,
 	}
-	if j.err != nil {
-		st.Error = j.err.Error()
+	if r.err != nil {
+		st.Error = r.err.Error()
 	}
-	if j.m != nil && (j.state == JobDone || j.state == JobFailed || j.state == JobCancelled) {
-		st.Output = j.m.Output()
-		st.Elapsed = j.finished.Sub(j.started)
+	if r.built {
+		st.Output = r.output
+		st.Elapsed = r.finished.Sub(r.started)
 	}
 	return st
 }
 
-// Output returns the job's console output so far (waits for a quantum
-// boundary).
+// Output returns the job's console output so far: a running job's at a
+// quantum boundary, a finished job's from its record.
 func (j *Job) Output() (string, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.m == nil {
-		return "", errors.New("sim: job has not started")
+	var out string
+	r, err := j.withMachine(func(m *Machine) { out = m.Output() })
+	if r != nil {
+		out = r.output
 	}
-	return j.m.Output(), nil
+	return out, err
 }
 
-// Snapshot checkpoints the job's machine. Safe at any time: the job
-// mutex serializes it against the run loop at a quantum boundary, so
-// the capture is always at an instruction boundary. A terminal job
-// snapshots its final state; a queued job that has not built its
-// machine yet cannot be snapshotted.
+// Snapshot checkpoints the job's machine. Safe at any time: a running
+// job is captured at a quantum boundary, so always at an instruction
+// boundary. A finished job returns the snapshot of its final state,
+// encoded as it finished, shared: callers must not modify it. A queued
+// job that has not built its machine yet cannot be snapshotted.
 func (j *Job) Snapshot() ([]byte, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.m == nil {
-		return nil, errors.New("sim: job has not started")
+	var snap []byte
+	var encodeErr error
+	r, err := j.withMachine(func(m *Machine) { snap, encodeErr = m.SnapshotBytes() })
+	switch {
+	case err != nil:
+		return nil, err
+	case r != nil:
+		return r.snapshot, r.snapshotErr
 	}
-	return j.m.SnapshotBytes()
+	return snap, encodeErr
 }

@@ -1,9 +1,10 @@
 #!/bin/sh
 # mipsd_smoke.sh — end-to-end smoke test for the simulation job daemon.
 # Starts mipsd, submits a job over HTTP, polls it to completion, downloads
-# its snapshot, resubmits the snapshot as a new job, and checks that both
-# jobs produced identical output. Exercises the same loop as the Go HTTP
-# tests, but against the real binary over a real socket.
+# its snapshot (twice: a finished job serves the same bytes each time),
+# resubmits the snapshot as a new job, and checks that both jobs produced
+# identical output. Exercises the same loop as the Go HTTP tests, but
+# against the real binary over a real socket.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -98,6 +99,21 @@ curl -fsS "$BASE/v1/jobs/$ID/output" >"$TMP/out1"
 curl -fsS "$BASE/v1/jobs/$ID/snapshot" >"$TMP/snap.bin"
 [ -s "$TMP/out1" ] || { echo "job produced no output" >&2; exit 1; }
 [ -s "$TMP/snap.bin" ] || { echo "empty snapshot" >&2; exit 1; }
+
+echo "==> a finished job keeps its record: status and a stable snapshot"
+curl -fsS "$BASE/v1/jobs/$ID" >"$TMP/final.json"
+FINISHED=$(field finished "$TMP/final.json")
+if [ "$(field state "$TMP/final.json")" != "done" ] || [ -z "$FINISHED" ] ||
+    [ "$FINISHED" = "0001-01-01T00:00:00Z" ]; then
+    echo "finished job $ID lost its record:" >&2
+    cat "$TMP/final.json" >&2
+    exit 1
+fi
+curl -fsS "$BASE/v1/jobs/$ID/snapshot" >"$TMP/snap2.bin"
+cmp -s "$TMP/snap.bin" "$TMP/snap2.bin" || {
+    echo "two downloads of finished job $ID's snapshot differ" >&2
+    exit 1
+}
 
 echo "==> resubmit snapshot on the fast engine"
 SNAP_B64=$(base64 "$TMP/snap.bin" | tr -d '\n')
