@@ -31,6 +31,8 @@ const (
 	bbMemTop  = 4 * mem.PageWords
 	bbTimerIO = 1 << 20
 	bbJumpReg = isa.Reg(isa.NumRegs - 1) // holds the indirect-jump target; never written
+	bbLoopReg = isa.Reg(isa.NumRegs - 2) // a looped program's counter; never written by the block
+	bbLoops   = 48                       // iterations of a looped program
 )
 
 // bbTimer is an interval timer: it raises the interrupt line on the
@@ -60,8 +62,11 @@ func (d *bbTimer) Tick() {
 }
 
 // bbGen draws program choices from the fuzz input; an exhausted input
-// reads as zeros.
-type bbGen struct{ in []byte }
+// reads as zeros. A looped program reserves its counter register too.
+type bbGen struct {
+	in   []byte
+	loop bool
+}
 
 func (g *bbGen) byte() uint8 {
 	if len(g.in) == 0 {
@@ -76,8 +81,14 @@ func (g *bbGen) word() uint32 {
 	return uint32(g.byte()) | uint32(g.byte())<<8 | uint32(g.byte())<<16 | uint32(g.byte())<<24
 }
 
-// dst is a writable register: any but the reserved jump register.
-func (g *bbGen) dst() isa.Reg { return isa.Reg(g.byte() % (isa.NumRegs - 1)) }
+// dst is a writable register: any but the reserved ones.
+func (g *bbGen) dst() isa.Reg {
+	n := uint8(isa.NumRegs - 1)
+	if g.loop {
+		n--
+	}
+	return isa.Reg(g.byte() % n)
+}
 
 func (g *bbGen) src() isa.Reg { return isa.Reg(g.byte() % isa.NumRegs) }
 
@@ -135,6 +146,30 @@ func (g *bbGen) memPiece() isa.Piece {
 	}
 }
 
+// packALU draws the ALU piece of a packed pair. A looped program's is
+// in the packed half's two-address form (its destination is its first
+// source), so its pairs pack far more often than random ones.
+func (g *bbGen) packALU() isa.Piece {
+	p := g.aluPiece()
+	if g.loop {
+		p.Src1 = isa.R(p.Dst)
+	}
+	return p
+}
+
+// packMem draws the memory piece of a packed pair. A looped program's
+// is a load or store with the packed half's short displacement.
+func (g *bbGen) packMem() isa.Piece {
+	if !g.loop {
+		return g.memPiece()
+	}
+	data, base, disp := g.dst(), g.src(), int32(g.byte()&0xF)
+	if g.byte()&1 != 0 {
+		return isa.StoreDisp(data, base, disp)
+	}
+	return isa.LoadDisp(data, base, disp)
+}
+
 // bodyWord draws a block-body word: a nop, a lone ALU or memory piece,
 // a long immediate, or a packed pair.
 func (g *bbGen) bodyWord() isa.Instr {
@@ -148,8 +183,8 @@ func (g *bbGen) bodyWord() isa.Instr {
 	case 5:
 		return w(isa.LoadImm32(g.dst(), int32(g.word())))
 	default:
-		alu := g.aluPiece()
-		if in, ok := isa.Pack(alu, g.memPiece()); ok {
+		alu := g.packALU()
+		if in, ok := isa.Pack(alu, g.packMem()); ok {
 			return in
 		}
 		return w(alu)
@@ -172,7 +207,7 @@ func (g *bbGen) terminator(target uint32) isa.Instr {
 	case 3:
 		j := isa.Jump("")
 		j.Target = int32(target)
-		if in, ok := isa.Pack(g.aluPiece(), j); ok {
+		if in, ok := isa.Pack(g.packALU(), j); ok {
 			return in
 		}
 		return w(j)
@@ -188,10 +223,11 @@ func (g *bbGen) terminator(target uint32) isa.Instr {
 // bbMachine is one machine running the fuzzed block, with the logs its
 // hooks keep.
 type bbMachine struct {
-	c      *CPU
-	timer  *bbTimer
-	refs   []memRef
-	audits []Hazard
+	c        *CPU
+	timer    *bbTimer
+	refs     []memRef
+	audits   []Hazard
+	maxSteps int // Steps run allows before it reports a hang
 }
 
 type memRef struct {
@@ -202,9 +238,11 @@ type memRef struct {
 // newBBMachine builds the machine for one fuzz input: the preamble at
 // bbEntry-1 (a load when a pending load is wanted), the body, the
 // terminator, two delay-slot words, a halt on the fall-through path and
-// a halt at the transfer target.
-func newBBMachine(env uint8, prog []byte) *bbMachine {
-	g := &bbGen{in: prog}
+// a halt at the transfer target. A looped program instead runs both
+// paths into a tail at the transfer target that counts bbLoopReg down
+// from bbLoops and branches back to bbEntry until it reaches zero.
+func newBBMachine(env uint8, prog []byte, loop bool) *bbMachine {
+	g := &bbGen{in: prog, loop: loop}
 	n := 1 + uint32(g.byte()%48)
 	target := bbEntry + n + 4
 	code := make([]isa.Instr, 0, n+5)
@@ -216,9 +254,18 @@ func newBBMachine(env uint8, prog []byte) *bbMachine {
 	for i := uint32(0); i < n; i++ {
 		code = append(code, g.bodyWord())
 	}
-	code = append(code, g.terminator(target), g.bodyWord(), g.bodyWord(), halt, halt)
-
-	m := &bbMachine{c: newTestCPU()}
+	code = append(code, g.terminator(target), g.bodyWord(), g.bodyWord())
+	m := &bbMachine{c: newTestCPU(), maxSteps: 1000}
+	if loop {
+		back := isa.Branch(isa.CmpNE, isa.R(bbLoopReg), isa.Imm(0), "")
+		back.Target = bbEntry
+		code = append(code, isa.NopWord(),
+			w(isa.ALU(isa.OpSub, bbLoopReg, isa.R(bbLoopReg), isa.Imm(1))), // the target
+			w(back), isa.NopWord(), halt)
+		m.maxSteps = bbLoops * len(code)
+	} else {
+		code = append(code, halt, halt)
+	}
 	c := m.c
 	c.IMem.Write(0, []isa.Instr{halt})
 	c.IMem.Write(bbEntry-1, code)
@@ -233,6 +280,9 @@ func newBBMachine(env uint8, prog []byte) *bbMachine {
 		}
 	}
 	c.Regs[bbJumpReg] = target
+	if loop {
+		c.Regs[bbLoopReg] = bbLoops
+	}
 	c.Sur = c.Sur.SetSupervisor(false).SetInterrupts(true).SetOverflow(env&bbOverflow != 0)
 
 	if env&bbDMA != 0 {
@@ -283,7 +333,7 @@ func (m *bbMachine) run(t *testing.T, env uint8, engine Engine) {
 	}
 	c.SetEngine(engine)
 	for i := 0; !c.Halted; i++ {
-		if i == 1000 {
+		if i == m.maxSteps {
 			t.Fatalf("engine %d did not halt (pc=%d)", engine, c.PC())
 		}
 		if err := c.Step(); err != nil {
@@ -328,38 +378,11 @@ func FuzzBlockBody(f *testing.F) {
 		f.Add(s.env, bbSeed(s.k))
 	}
 	f.Fuzz(func(t *testing.T, env uint8, prog []byte) {
-		blk := newBBMachine(env, prog)
+		blk := newBBMachine(env, prog, false)
 		blk.run(t, env, EngineBlocks)
-		ref := newBBMachine(env, prog)
+		ref := newBBMachine(env, prog, false)
 		ref.run(t, env, EngineReference)
-
-		bc, rc := blk.c, ref.c
-		if bc.Regs != rc.Regs || bc.Lo != rc.Lo {
-			t.Errorf("registers diverge:\n blocks %v lo=%d\n    ref %v lo=%d", bc.Regs, bc.Lo, rc.Regs, rc.Lo)
-		}
-		if bc.Sur != rc.Sur || bc.Ret != rc.Ret {
-			t.Errorf("status diverges: blocks %s ret %v, ref %s ret %v", bc.Sur, bc.Ret, rc.Sur, rc.Ret)
-		}
-		if bq, rq := blk.queue(), ref.queue(); bq != rq {
-			t.Errorf("fetch queue diverges: blocks %v, ref %v", bq, rq)
-		}
-		if bc.Stats != rc.Stats {
-			t.Errorf("stats diverge:\n blocks %+v\n    ref %+v", bc.Stats, rc.Stats)
-		}
-		for a := uint32(0); a < bbMemTop; a++ {
-			if bv, rv := bc.Bus.MMU.Phys.Peek(a), rc.Bus.MMU.Phys.Peek(a); bv != rv {
-				t.Fatalf("memory[%d] diverges: blocks %#x, ref %#x", a, bv, rv)
-			}
-		}
-		if !slices.Equal(blk.refs, ref.refs) {
-			t.Errorf("memory hook diverges:\n blocks %v\n    ref %v", blk.refs, ref.refs)
-		}
-		if !slices.Equal(blk.audits, ref.audits) {
-			t.Errorf("hazard audit diverges:\n blocks %v\n    ref %v", blk.audits, ref.audits)
-		}
-		if blk.timer != nil && blk.timer.ticks != ref.timer.ticks {
-			t.Errorf("timer ticks diverge: blocks %d, ref %d", blk.timer.ticks, ref.timer.ticks)
-		}
+		blk.requireSame(t, "blocks", ref)
 	})
 }
 
@@ -372,4 +395,39 @@ func bbSeed(k uint32) []byte {
 		seed[i] = byte(k >> 24)
 	}
 	return seed
+}
+
+// requireSame fails t unless m, run on the engine called name, left the
+// architectural state ref left: registers, Lo, the status word, return
+// addresses, memory, statistics, the fetch queue, and what the hooks
+// and the timer saw.
+func (m *bbMachine) requireSame(t *testing.T, name string, ref *bbMachine) {
+	t.Helper()
+	mc, rc := m.c, ref.c
+	if mc.Regs != rc.Regs || mc.Lo != rc.Lo {
+		t.Errorf("registers diverge:\n %6s %v lo=%d\n    ref %v lo=%d", name, mc.Regs, mc.Lo, rc.Regs, rc.Lo)
+	}
+	if mc.Sur != rc.Sur || mc.Ret != rc.Ret {
+		t.Errorf("status diverges: %s %s ret %v, ref %s ret %v", name, mc.Sur, mc.Ret, rc.Sur, rc.Ret)
+	}
+	if mq, rq := m.queue(), ref.queue(); mq != rq {
+		t.Errorf("fetch queue diverges: %s %v, ref %v", name, mq, rq)
+	}
+	if mc.Stats != rc.Stats {
+		t.Errorf("stats diverge:\n %6s %+v\n    ref %+v", name, mc.Stats, rc.Stats)
+	}
+	for a := uint32(0); a < bbMemTop; a++ {
+		if mv, rv := mc.Bus.MMU.Phys.Peek(a), rc.Bus.MMU.Phys.Peek(a); mv != rv {
+			t.Fatalf("memory[%d] diverges: %s %#x, ref %#x", a, name, mv, rv)
+		}
+	}
+	if !slices.Equal(m.refs, ref.refs) {
+		t.Errorf("memory hook diverges:\n %6s %v\n    ref %v", name, m.refs, ref.refs)
+	}
+	if !slices.Equal(m.audits, ref.audits) {
+		t.Errorf("hazard audit diverges:\n %6s %v\n    ref %v", name, m.audits, ref.audits)
+	}
+	if m.timer != nil && m.timer.ticks != ref.timer.ticks {
+		t.Errorf("timer ticks diverge: %s %d, ref %d", name, m.timer.ticks, ref.timer.ticks)
+	}
 }
