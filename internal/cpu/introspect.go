@@ -38,9 +38,9 @@ const (
 	// DeoptIndirectTarget: an indirect jump resolved to a target other
 	// than the recorded one.
 	DeoptIndirectTarget
-	// DeoptQueueShape: a packed word left the fetch queue in a shape
-	// the flattening did not bake in (the queue-shape guard of
-	// trGeneral/trGeneralTerm).
+	// DeoptQueueShape: a word the exact executor ran inside the trace
+	// left the fetch queue in a shape the flattening did not bake in
+	// (the queue-shape guard of trGeneral).
 	DeoptQueueShape
 	// DeoptFault: the word raised an exception — memory fault,
 	// arithmetic overflow, trap — and the trace exited through the

@@ -18,8 +18,9 @@ package cpu
 // trace refuses to contain or device references it exits before, and
 // the write barrier reports the one store hazard that remains (a store
 // into the trace's own code) through tr.valid. Under a mapped context
-// the memory handlers translate each data reference (trLoadM and
-// friends); the unmapped handlers use the deviceless bus fast path.
+// the memory handlers translate each data reference (trLoadM, trStoreM,
+// and the packed handlers' mapped path); the unmapped handlers use the
+// deviceless bus fast path.
 //
 // Exits are exact. Each record carries the statistics prefix of the
 // words before it, and the precise fetch-queue image for each way it
@@ -53,10 +54,8 @@ var (
 	wcMemFault = wordCost{instr: 1, pieces: 1, data: 1}.pack()
 
 	// Packed words carry two active pieces; otherwise the same shapes.
-	wcPackedLoadImm  = wordCost{instr: 1, pieces: 2}.pack()
 	wcPackedLoad     = wordCost{instr: 1, pieces: 2, loads: 1, data: 1}.pack()
 	wcPackedStore    = wordCost{instr: 1, pieces: 2, stores: 1, data: 1}.pack()
-	wcPackedBranch   = wordCost{instr: 1, pieces: 2, branches: 1}.pack()
 	wcPackedTaken    = wordCost{instr: 1, pieces: 2, branches: 1, taken: 1}.pack()
 	wcPackedMemFault = wordCost{instr: 1, pieces: 2, data: 1}.pack()
 )
@@ -389,15 +388,10 @@ func (c *CPU) buildSideStub(ctx *mem.Context, dsPC uint32, dsN int, x uint32) *t
 
 // sideGuard reports whether a word compiles to an op whose guard can
 // exit toward a resolvable continuation (a branch direction or an
-// indirect target), and so needs a side slot.
+// indirect target), and so needs a side slot. No packed word the ISA
+// encodes carries such a guard.
 func sideGuard(d *decoded) bool {
-	switch d.bclass {
-	case bcBranch, bcJumpInd:
-		return true
-	case bcGeneral:
-		return d.memKind == isa.PieceBranch || d.memKind == isa.PieceJumpInd
-	}
-	return false
+	return d.bclass == bcBranch || d.bclass == bcJumpInd
 }
 
 // compileTrace builds the op record array for a flattened path. It is
@@ -409,8 +403,8 @@ func sideGuard(d *decoded) bool {
 // allocations whatever the trace's length. The trace keeps nothing of
 // words, whose decoded pointers reach into the recorded blocks or a
 // side stub's stack. Under a mapped ctx, memory words take the mapped
-// handlers, and a word only the exact executor runs must not reference
-// memory (it could reach a device mid-trace).
+// handlers; no word the exact executor runs references memory, so none
+// can reach a device mid-trace.
 func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uint32, spans []traceSpan) *trace {
 	n, ng, ns := 0, 0, 0
 	for i := 0; i < len(words); i++ {
@@ -476,10 +470,7 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 			// the table, so earlier records' pointers stay valid.
 			tr.dec = append(tr.dec, *w.d)
 			in.d = &tr.dec[len(tr.dec)-1]
-			happy = compileGeneral(in, w, mapped)
-			if in.fn == nil {
-				return nil
-			}
+			happy = compileGeneral(in)
 		case bcALU:
 			happy = compileALU(in, w)
 		case bcLoad:
@@ -511,59 +502,23 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 
 // compileGeneral picks the handler of a packed or otherwise unclassified
 // word (in.d already holds its decoded copy) and returns its happy-path
-// cost. Packed computation+memory words and packed terminators get
-// specialized handlers; anything else runs through the exact executor,
-// accounting its own statistics live (so it contributes nothing to the
-// trace's bulk cost or to later exit prefixes) — except, under a mapped
-// context, a word with a memory piece, which gets no handler.
-func compileGeneral(in *traceInst, w *traceWord, mapped bool) traceCost {
-	d := in.d
-	packedALU := d.aluKind == isa.PieceALU || d.aluKind == isa.PieceSetCond
-	switch d.memKind {
-	case isa.PieceBranch, isa.PieceJump, isa.PieceCall, isa.PieceJumpInd:
-		in.taken = w.taken
-		switch {
-		case packedALU && d.memKind == isa.PieceJumpInd:
-			in.fn = trPackedJumpInd
-			return wcPackedTaken
-		case packedALU && d.memKind == isa.PieceBranch:
-			in.fn = trPackedBranch
-			if w.taken {
-				return wcPackedTaken
-			}
-			return wcPackedBranch
-		case packedALU:
-			in.fn = trPackedJump
-			return wcPackedTaken
-		case d.memKind == isa.PieceJumpInd:
-			in.fn = trGeneralTermInd
-		default:
-			in.fn = trGeneralTerm
-		}
-		return traceCost{}
-	case isa.PieceLoad, isa.PieceStore:
-		if packedALU {
-			switch {
-			case d.memKind == isa.PieceStore && mapped:
-				in.fn = trPackedStoreM
-				return wcPackedStore
-			case d.memKind == isa.PieceStore:
-				in.fn = trPackedStore
-				return wcPackedStore
-			case d.mode == isa.AModeLongImm:
-				in.fn = trPackedLoadImm
-				return wcPackedLoadImm
-			case mapped:
-				in.fn = trPackedLoadM
-				return wcPackedLoad
-			default:
-				in.fn = trPackedLoad
-				return wcPackedLoad
-			}
-		}
-		if mapped && d.mode != isa.AModeLongImm {
-			return traceCost{}
-		}
+// cost. Formation admits only the packed shapes the ISA encodes
+// (packedShape): an ALU or set-condition piece with a displacement load,
+// a displacement store, or a direct jump, each with its own handler.
+// Every other general word has no memory piece and runs through the
+// exact executor, accounting its own statistics live (so it contributes
+// nothing to the trace's bulk cost or to later exit prefixes).
+func compileGeneral(in *traceInst) traceCost {
+	switch in.d.memKind {
+	case isa.PieceLoad:
+		in.fn = trPackedLoad
+		return wcPackedLoad
+	case isa.PieceStore:
+		in.fn = trPackedStore
+		return wcPackedStore
+	case isa.PieceJump:
+		in.fn = trPackedJump
+		return wcPackedTaken
 	}
 	in.fn = trGeneral
 	return traceCost{}
@@ -659,8 +614,8 @@ func trNopsG(c *CPU, in *traceInst) bool {
 	return true
 }
 
-// trGeneral runs a packed or otherwise unclassified body word through
-// the exact executor, exactly as the block engine's body loop runs one:
+// trGeneral runs an unpacked body word with no lean class through the
+// exact executor, exactly as the block engine's body loop runs one:
 // the word accounts its own statistics live, and any redirect, halt,
 // fault, or self-invalidation exits the trace at the boundary the
 // executor left.
@@ -695,91 +650,12 @@ func trGeneral(c *CPU, in *traceInst) bool {
 	return true
 }
 
-// trGeneralTermInd runs a general indirect-jump terminator through the
-// exact executor, then guards on the recorded target. A different
-// target (or a halt or fault) exits with the machine exactly where the
-// executor left it: the executor maintains the queue itself. Like
-// trGeneral the word accounts its own statistics live, so exits charge
-// only the prefix.
-func trGeneralTermInd(c *CPU, in *traceInst) bool {
-	c.seq++
-	if c.pendN != 0 {
-		c.commitLoads()
-	}
-	vpc := in.vpc
-	e0 := c.excSeq
-	c.pcq[0], c.pcq[1] = vpc+1, vpc+2
-	c.pcn = 2
-	c.execWord(in.d.src, vpc)
-	if c.Halted || c.pcn != 3 || c.pcq[0] != vpc+1 ||
-		c.pcq[1] != vpc+2 || c.pcq[2] != in.target || !c.trCur.valid {
-		switch {
-		case c.Halted:
-			c.deopt = DeoptHalt
-		case c.excSeq != e0:
-			c.deopt = DeoptFault
-		case !c.trCur.valid:
-			c.deopt = DeoptInvalidation
-		case c.pcn == 3 && c.pcq[0] == vpc+1 && c.pcq[1] == vpc+2:
-			// The executor produced the indirect redirect shape with a
-			// target other than the recorded one.
-			c.deopt = DeoptIndirectTarget
-		default:
-			c.deopt = DeoptQueueShape
-		}
-		c.charge(in, traceCost{})
-		return false
-	}
-	return true
-}
-
-// trGeneralTerm is trGeneralTermInd for direct control: a taken branch,
-// jump, or call schedules the target one slot out; a not-taken branch
-// leaves the queue sequential. Formation refused shadow targets, so the
-// two shapes are disjoint.
-func trGeneralTerm(c *CPU, in *traceInst) bool {
-	c.seq++
-	if c.pendN != 0 {
-		c.commitLoads()
-	}
-	d, vpc := in.d, in.vpc
-	e0 := c.excSeq
-	c.pcq[0], c.pcq[1] = vpc+1, vpc+2
-	c.pcn = 2
-	c.execWord(d.src, vpc)
-	q1, qAlt := vpc+2, d.target
-	if in.taken {
-		q1, qAlt = d.target, vpc+2
-	}
-	if c.Halted || c.pcn != 2 || c.pcq[0] != vpc+1 ||
-		c.pcq[1] != q1 || !c.trCur.valid {
-		switch {
-		case c.Halted:
-			c.deopt = DeoptHalt
-		case c.excSeq != e0:
-			c.deopt = DeoptFault
-		case !c.trCur.valid:
-			c.deopt = DeoptInvalidation
-		case d.memKind == isa.PieceBranch && c.pcn == 2 && c.pcq[0] == vpc+1 && c.pcq[1] == qAlt:
-			// The packed branch resolved the other way: the queue is
-			// exactly the opposite direction's shape.
-			c.deopt = DeoptBranchDirection
-		default:
-			c.deopt = DeoptQueueShape
-		}
-		c.charge(in, traceCost{})
-		return false
-	}
-	return true
-}
-
 // packedALU evaluates the computation piece of a packed word: operand
 // reads in the exact executor's order, overflow latched against the
 // dispatch-latched trap enable. It returns the value to commit to the
-// ALU destination (or the byte-selector value for movlo) and whether an
-// enabled overflow occurred; the caller owns commit order and the
-// overflow exit.
-func (c *CPU) packedALU(d *decoded, vpc uint32, guarded bool) (v, lo uint32, ovf bool) {
+// ALU destination and whether an enabled overflow occurred; the caller
+// owns commit order and the overflow exit.
+func (c *CPU) packedALU(d *decoded, vpc uint32, guarded bool) (v uint32, ovf bool) {
 	var a, b uint32
 	if guarded {
 		a = rdOpG(c, d.a1, vpc)
@@ -795,7 +671,7 @@ func (c *CPU) packedALU(d *decoded, vpc uint32, guarded bool) (v, lo uint32, ovf
 		if d.aluCmp.Eval(a, b) {
 			v = 1
 		}
-		return v, 0, false
+		return v, false
 	}
 	if !d.aluUnary {
 		if guarded {
@@ -812,68 +688,28 @@ func (c *CPU) packedALU(d *decoded, vpc uint32, guarded bool) (v, lo uint32, ovf
 			dstVal = c.Regs[d.aluDst]
 		}
 	}
-	v, lo, o := aluEval(d.aluOp, a, b, dstVal, c.Lo)
-	return v, lo, o && c.trOvfOn
+	v, _, o := aluEval(d.aluOp, a, b, dstVal, c.Lo)
+	return v, o && c.trOvfOn
 }
 
-// packedAddr computes a packed memory piece's effective address: through
-// the exact audited reads when guarded, straight from the register file
-// otherwise.
-func (c *CPU) packedAddr(d *decoded, vpc uint32, guarded bool) uint32 {
-	if guarded {
-		return c.leanAddr(d, vpc)
-	}
-	switch d.mode {
-	case isa.AModeAbs:
-		return uint32(d.disp)
-	case isa.AModeDisp:
-		return c.Regs[d.base] + uint32(d.disp)
-	case isa.AModeIndex:
-		return c.Regs[d.base] + c.Regs[d.index]
-	}
-	return c.Regs[d.base] + c.Regs[d.index]>>d.shift
-}
-
-// The packed handlers run an ALU-class piece sharing its word with a
-// load, store, or control piece as one specialized op instead of
-// routing through the exact executor. Semantics mirror execWord +
-// finishWord exactly: operand reads before address reads, the memory
-// piece executing even when the ALU piece overflowed (a store commits
-// to memory, a load counts, and only the register writes are
-// suppressed), overflow primary over a memory fault, and the staged
-// commit order (ALU write, then the load's delayed write). Position
-// exactness comes from the flattened queues, so packed words compile
-// anywhere in a trace — body, delay slot — unlike trGeneral's fixed
-// sequential shape.
-
-// trPackedLoadImm runs a packed ALU + long-immediate word.
-func trPackedLoadImm(c *CPU, in *traceInst) bool {
-	d := in.d
-	c.seq++
-	if in.guarded && c.pendN != 0 {
-		c.commitLoads()
-	}
-	aluV, loV, ovf := c.packedALU(d, in.vpc, in.guarded)
-	if ovf {
-		c.charge(in, wcPackedLoadImm)
-		c.traceFault(in.faultQueue(), isa.CauseOverflow)
-		return false
-	}
-	imm := uint32(d.disp)
-	if d.aluKind == isa.PieceALU && d.aluOp == isa.OpMovLo {
-		c.Regs[d.data] = imm
-		c.lastWrite[d.data] = c.seq
-		c.Lo = loV
-		return true
-	}
-	// Stage order: ALU write first, the immediate second (a shared
-	// destination takes the immediate).
-	c.Regs[d.aluDst] = aluV
-	c.lastWrite[d.aluDst] = c.seq
-	c.Regs[d.data] = imm
-	c.lastWrite[d.data] = c.seq
-	return true
-}
+// The packed handlers run the three packed shapes the ISA encodes
+// (isa.CanPack) — an ALU or set-condition piece sharing its word with a
+// displacement load, a displacement store, or a direct jump — as one
+// specialized op instead of routing through the exact executor.
+// Semantics mirror execWord + finishWord exactly: operand reads before
+// address reads, the memory piece executing even when the ALU piece
+// overflowed (a store commits to memory, a load counts, and only the
+// register writes are suppressed), overflow primary over a memory fault,
+// and the staged commit order (ALU write, then the load's delayed
+// write). Position exactness comes from the flattened queues, so packed
+// words compile anywhere in a trace — body, delay slot, terminator —
+// unlike trGeneral's fixed sequential shape. The memory handlers serve
+// mapped and unmapped traces alike: they compute the address straight
+// from the register file and, in a mapped trace, translate it before
+// any audited read, so a reference a device claims exits with nothing
+// of the word done (an unmapped trace runs only on a deviceless bus,
+// so its addresses are physical); the base read repeats through the
+// audited path after the ALU piece's operands, in the executor's order.
 
 // trPackedLoad runs a packed ALU + load word.
 func trPackedLoad(c *CPU, in *traceInst) bool {
@@ -882,9 +718,21 @@ func trPackedLoad(c *CPU, in *traceInst) bool {
 	if in.guarded && c.pendN != 0 {
 		c.commitLoads()
 	}
-	aluV, loV, ovf := c.packedALU(d, vpc, in.guarded)
-	addr := c.packedAddr(d, vpc, in.guarded)
-	v, f := c.Bus.Read(addr, false)
+	addr := c.Regs[d.base] + uint32(d.disp)
+	pa := addr
+	var f *mem.Fault
+	if c.trCur.ctx.Mapped {
+		var dev bool
+		if pa, dev, f = c.Bus.translateUser(addr, false); dev {
+			return c.deviceExit(in)
+		}
+	}
+	aluV, ovf := c.packedALU(d, vpc, in.guarded)
+	c.leanRead(d.base, vpc) // the audited address read
+	var v uint32
+	if f == nil {
+		v, f = c.Bus.MMU.Phys.Read(pa)
+	}
 	if f != nil {
 		c.charge(in, wcPackedMemFault)
 		if ovf {
@@ -903,15 +751,9 @@ func trPackedLoad(c *CPU, in *traceInst) bool {
 		c.traceFault(in.faultQueue(), isa.CauseOverflow)
 		return false
 	}
-	movLo := d.aluKind == isa.PieceALU && d.aluOp == isa.OpMovLo
-	if !movLo {
-		c.Regs[d.aluDst] = aluV
-		c.lastWrite[d.aluDst] = c.seq
-	}
+	c.Regs[d.aluDst] = aluV
+	c.lastWrite[d.aluDst] = c.seq
 	c.writeLoad(d.data, v)
-	if movLo {
-		c.Lo = loV
-	}
 	return true
 }
 
@@ -922,15 +764,23 @@ func trPackedStore(c *CPU, in *traceInst) bool {
 	if in.guarded && c.pendN != 0 {
 		c.commitLoads()
 	}
-	aluV, loV, ovf := c.packedALU(d, vpc, in.guarded)
-	addr := c.packedAddr(d, vpc, in.guarded)
-	var val uint32
-	if in.guarded {
-		val = c.leanRead(d.data, vpc)
-	} else {
-		val = c.Regs[d.data]
+	addr := c.Regs[d.base] + uint32(d.disp)
+	pa := addr
+	var f *mem.Fault
+	if c.trCur.ctx.Mapped {
+		var dev bool
+		if pa, dev, f = c.Bus.translateUser(addr, true); dev {
+			return c.deviceExit(in)
+		}
 	}
-	if f := c.Bus.Write(addr, val, false); f != nil {
+	aluV, ovf := c.packedALU(d, vpc, in.guarded)
+	val := c.Regs[d.data]
+	c.leanRead(d.base, vpc) // the audited address and data reads
+	c.leanRead(d.data, vpc)
+	if f == nil {
+		f = c.Bus.MMU.Phys.Write(pa, val)
+	}
+	if f != nil {
 		c.charge(in, wcPackedMemFault)
 		if ovf {
 			c.traceFault2(in.faultQueue(), isa.CauseOverflow, f.Cause)
@@ -950,12 +800,8 @@ func trPackedStore(c *CPU, in *traceInst) bool {
 		c.traceFault(in.faultQueue(), isa.CauseOverflow)
 		return false
 	}
-	if d.aluKind == isa.PieceALU && d.aluOp == isa.OpMovLo {
-		c.Lo = loV
-	} else {
-		c.Regs[d.aluDst] = aluV
-		c.lastWrite[d.aluDst] = c.seq
-	}
+	c.Regs[d.aluDst] = aluV
+	c.lastWrite[d.aluDst] = c.seq
 	if !c.trCur.valid {
 		c.deopt = DeoptInvalidation
 		c.charge(in, wcPackedStore)
@@ -965,118 +811,16 @@ func trPackedStore(c *CPU, in *traceInst) bool {
 	return true
 }
 
-// packedCommit commits a packed terminator's ALU result once its control
-// piece has resolved without overflow.
-func (c *CPU) packedCommit(d *decoded, aluV, loV uint32) {
-	if d.aluKind == isa.PieceALU && d.aluOp == isa.OpMovLo {
-		c.Lo = loV
-	} else {
-		c.Regs[d.aluDst] = aluV
-		c.lastWrite[d.aluDst] = c.seq
-	}
-}
-
-// The packed terminator handlers evaluate the control piece exactly
-// (hook fired with the real outcome before any exit); the recorded
-// direction or target is the guard, and a disagreeing resolution
-// restores the exact redirect queue the executor would have produced.
-// An enabled overflow accounts the word with its real control outcome,
-// then restarts it through the fault queue the real direction leaves
-// behind — the queue entries past the architectural return window are
-// discarded by the exception sequence, so three entries always suffice.
-
-// trPackedJumpInd runs a packed ALU + indirect-jump terminator.
-func trPackedJumpInd(c *CPU, in *traceInst) bool {
-	d, vpc := in.d, in.vpc
-	c.seq++
-	if in.guarded && c.pendN != 0 {
-		c.commitLoads()
-	}
-	aluV, loV, ovf := c.packedALU(d, vpc, in.guarded)
-	var t uint32
-	if in.guarded {
-		t = rdOpG(c, d.m1, vpc)
-	} else {
-		t = rdOp(c, d.m1)
-	}
-	if c.onBranch != nil {
-		c.onBranch(vpc, t, true)
-	}
-	if ovf {
-		// The jump executed, then the word restarted: the fourth queue
-		// entry (the target, two delays out) falls past the saved return
-		// window, so the restart queue is the sequential image.
-		c.charge(in, wcPackedTaken)
-		c.traceFault(in.faultQueue(), isa.CauseOverflow)
-		return false
-	}
-	c.packedCommit(d, aluV, loV)
-	if t != in.target {
-		c.deopt = DeoptIndirectTarget
-		c.charge(in, wcPackedTaken)
-		c.pcq[0], c.pcq[1], c.pcq[2] = vpc+1, vpc+2, t
-		c.pcn = 3
-		return false
-	}
-	return true
-}
-
-// trPackedBranch runs a packed ALU + conditional-branch terminator.
-func trPackedBranch(c *CPU, in *traceInst) bool {
-	d, vpc := in.d, in.vpc
-	c.seq++
-	if in.guarded && c.pendN != 0 {
-		c.commitLoads()
-	}
-	aluV, loV, ovf := c.packedALU(d, vpc, in.guarded)
-	var a, b uint32
-	if in.guarded {
-		a, b = rdOpG(c, d.m1, vpc), rdOpG(c, d.m2, vpc)
-	} else {
-		a, b = rdOp(c, d.m1), rdOp(c, d.m2)
-	}
-	t := d.memCmp.Eval(a, b)
-	if c.onBranch != nil {
-		c.onBranch(vpc, d.target, t)
-	}
-	if ovf {
-		// Word accounted with its real outcome, then restarted: the
-		// fault queue carries the real direction's redirect.
-		q1 := vpc + 2
-		if t {
-			c.charge(in, wcPackedTaken)
-			q1 = d.target
-		} else {
-			c.charge(in, wcPackedBranch)
-		}
-		c.traceFault([3]uint32{vpc, vpc + 1, q1}, isa.CauseOverflow)
-		return false
-	}
-	c.packedCommit(d, aluV, loV)
-	if t != in.taken {
-		c.deopt = DeoptBranchDirection
-		if t {
-			c.charge(in, wcPackedTaken)
-			c.pcq[0], c.pcq[1] = vpc+1, d.target
-			c.pcn = 2
-		} else {
-			c.charge(in, wcPackedBranch)
-			c.pcq[0], c.pcn = vpc+1, 1
-		}
-		return false
-	}
-	return true
-}
-
-// trPackedJump runs a packed ALU + direct jump or call terminator:
-// always taken, so the only exit is overflow.
+// trPackedJump runs a packed ALU + direct jump terminator: always taken,
+// so the only exit is overflow. The word is accounted with its jump,
+// then restarts through the exact fault queue its redirect leaves.
 func trPackedJump(c *CPU, in *traceInst) bool {
 	d, vpc := in.d, in.vpc
 	c.seq++
 	if in.guarded && c.pendN != 0 {
 		c.commitLoads()
 	}
-	aluV, loV, ovf := c.packedALU(d, vpc, in.guarded)
+	aluV, ovf := c.packedALU(d, vpc, in.guarded)
 	if c.onBranch != nil {
 		c.onBranch(vpc, d.target, true)
 	}
@@ -1085,12 +829,8 @@ func trPackedJump(c *CPU, in *traceInst) bool {
 		c.traceFault([3]uint32{vpc, vpc + 1, d.target}, isa.CauseOverflow)
 		return false
 	}
-	c.packedCommit(d, aluV, loV)
-	if d.memKind == isa.PieceCall {
-		// Link commits after the ALU write, exactly as staged.
-		c.Regs[d.linkDst] = vpc + 1 + isa.BranchDelay
-		c.lastWrite[d.linkDst] = c.seq
-	}
+	c.Regs[d.aluDst] = aluV
+	c.lastWrite[d.aluDst] = c.seq
 	return true
 }
 
@@ -1619,106 +1359,4 @@ func trStoreM(c *CPU, in *traceInst) bool {
 		return false
 	}
 	return c.storeDone(in, addr)
-}
-
-// trPackedLoadM is trPackedLoad in a mapped trace.
-func trPackedLoadM(c *CPU, in *traceInst) bool {
-	d, vpc := in.d, in.vpc
-	c.seq++
-	if in.guarded && c.pendN != 0 {
-		c.commitLoads()
-	}
-	addr := c.packedAddr(d, vpc, false)
-	pa, dev, f := c.Bus.translateUser(addr, false)
-	if dev {
-		return c.deviceExit(in)
-	}
-	aluV, loV, ovf := c.packedALU(d, vpc, in.guarded)
-	if c.pendN != 0 {
-		c.leanAddr(d, vpc)
-	}
-	var v uint32
-	if f == nil {
-		v, f = c.Bus.MMU.Phys.Read(pa)
-	}
-	if f != nil {
-		c.charge(in, wcPackedMemFault)
-		if ovf {
-			c.traceFault2(in.faultQueue(), isa.CauseOverflow, f.Cause)
-		} else {
-			c.traceFault(in.faultQueue(), f.Cause)
-		}
-		return false
-	}
-	if c.onMem != nil {
-		c.onMem(vpc, addr, false)
-	}
-	if ovf {
-		c.charge(in, wcPackedLoad)
-		c.traceFault(in.faultQueue(), isa.CauseOverflow)
-		return false
-	}
-	movLo := d.aluKind == isa.PieceALU && d.aluOp == isa.OpMovLo
-	if !movLo {
-		c.Regs[d.aluDst] = aluV
-		c.lastWrite[d.aluDst] = c.seq
-	}
-	c.writeLoad(d.data, v)
-	if movLo {
-		c.Lo = loV
-	}
-	return true
-}
-
-// trPackedStoreM is trPackedStore in a mapped trace.
-func trPackedStoreM(c *CPU, in *traceInst) bool {
-	d, vpc := in.d, in.vpc
-	c.seq++
-	if in.guarded && c.pendN != 0 {
-		c.commitLoads()
-	}
-	addr := c.packedAddr(d, vpc, false)
-	pa, dev, f := c.Bus.translateUser(addr, true)
-	if dev {
-		return c.deviceExit(in)
-	}
-	aluV, loV, ovf := c.packedALU(d, vpc, in.guarded)
-	val := c.Regs[d.data]
-	if c.pendN != 0 {
-		c.leanAddr(d, vpc)
-		c.leanRead(d.data, vpc)
-	}
-	if f == nil {
-		f = c.Bus.MMU.Phys.Write(pa, val)
-	}
-	if f != nil {
-		c.charge(in, wcPackedMemFault)
-		if ovf {
-			c.traceFault2(in.faultQueue(), isa.CauseOverflow, f.Cause)
-		} else {
-			c.traceFault(in.faultQueue(), f.Cause)
-		}
-		return false
-	}
-	if c.onMem != nil {
-		c.onMem(vpc, addr, true)
-	}
-	if ovf {
-		c.charge(in, wcPackedStore)
-		c.traceFault(in.faultQueue(), isa.CauseOverflow)
-		return false
-	}
-	if d.aluKind == isa.PieceALU && d.aluOp == isa.OpMovLo {
-		c.Lo = loV
-	} else {
-		c.Regs[d.aluDst] = aluV
-		c.lastWrite[d.aluDst] = c.seq
-	}
-	if !c.trCur.valid {
-		c.deopt = DeoptInvalidation
-		c.charge(in, wcPackedStore)
-		c.resumeAfter(in)
-		return false
-	}
-	return true
 }

@@ -18,15 +18,16 @@ package cpu
 // and delay slots of all recorded blocks in execution order, with the
 // branch directions the recording observed baked in as guards.
 //
-// Validation is conservative. A word the compiler cannot specialize
-// (packed words, specials, traps, privileged pieces), a terminator
-// whose direction cannot be derived from the recorded successor, or a
-// degenerate branch whose target falls inside its own shadow truncates
-// the path at the last whole block; paths that truncate to nothing mark
-// the entry PC never-hot so steady state stops re-recording (and
-// re-allocating). A path that closes back on its own entry becomes a
-// self-looping trace — the ideal case, re-entered by the dispatch chain
-// loop without leaving the frame.
+// Validation is conservative. A word the compiler cannot run (a packed
+// word outside the shapes the ISA encodes, a trap, special or
+// privileged terminator), a terminator whose direction cannot be
+// derived from the recorded successor, or a degenerate branch whose
+// target falls inside its own shadow truncates the path at the last
+// whole block; paths that truncate to nothing mark the entry PC
+// never-hot so steady state stops re-recording (and re-allocating). A
+// path that closes back on its own entry becomes a self-looping trace —
+// the ideal case, re-entered by the dispatch chain loop without leaving
+// the frame.
 
 import (
 	"mips/internal/isa"
@@ -260,6 +261,24 @@ func (c *CPU) markNeverTrace(pc, heat uint32) {
 	}
 }
 
+// packedShape reports whether a word with an active piece in each slot
+// has one of the three packed shapes the ISA encodes (isa.CanPack,
+// isa.FullWord): an ALU piece other than movlo, or a set-condition
+// piece, sharing its word with a displacement load, a displacement
+// store, or a direct jump. The packed handlers run exactly these. Only
+// a harness writing instruction memory directly can produce any other
+// packed word, and the trace tier leaves it to the lower tiers.
+func packedShape(d *decoded) bool {
+	if d.aluKind != isa.PieceSetCond && (d.aluKind != isa.PieceALU || d.aluOp == isa.OpMovLo) {
+		return false
+	}
+	switch d.memKind {
+	case isa.PieceLoad, isa.PieceStore:
+		return d.mode == isa.AModeDisp
+	}
+	return d.memKind == isa.PieceJump
+}
+
 // dsCompilable reports whether a delay-slot record can appear inside a
 // trace.
 func dsCompilable(d *decoded) bool {
@@ -270,12 +289,11 @@ func dsCompilable(d *decoded) bool {
 	case bcNop, bcALU, bcLoad, bcStore:
 		return true
 	case bcGeneral:
-		// A packed computation+memory word compiles position-exactly
-		// (the packed handlers consume the flattened queue images), so
-		// it may ride in a delay slot. Any other general shape — packed
-		// control, traps, specials — may not.
-		return (d.aluKind == isa.PieceALU || d.aluKind == isa.PieceSetCond) &&
-			(d.memKind == isa.PieceLoad || d.memKind == isa.PieceStore)
+		// A packed load or store compiles position-exactly (its handler
+		// consumes the flattened queue images), so it may ride in a
+		// delay slot. Any other general shape — packed control, traps,
+		// specials — may not.
+		return d.memKind != isa.PieceJump && packedShape(d)
 	}
 	return false
 }
@@ -291,12 +309,20 @@ func validateTraceBlock(b *block, pc, nextPC uint32) (ok, taken bool, dsCount ui
 	if b == nil || !b.valid || (b.pa^pc)&(mem.PageWords-1) != 0 || !b.hasTerm || b.termless {
 		return false, false, 0, RefusalBlock
 	}
-	// Any body class compiles: the lean classes specialize, and packed
-	// or unclassified words (bcGeneral) run through the exact executor
-	// inside the trace, just as the block engine's body loop runs them.
-	// Privileged pieces refuse — they can change what dispatch latched —
-	// but translation already ends a block's body before any privileged
-	// word, so only the terminator needs the check.
+	// Every body class compiles but a packed word outside the shapes
+	// the ISA encodes (packedShape): the lean classes and the packed
+	// shapes specialize, and unpacked general words run through the
+	// exact executor inside the trace, just as the block engine's body
+	// loop runs them. Privileged pieces refuse — they can change what
+	// dispatch latched — but translation already ends a block's body
+	// before any privileged word, so only the terminator needs the
+	// check.
+	for i := range b.code[:b.n] {
+		d := &b.code[i]
+		if d.bclass == bcGeneral && d.aluKind != isa.PieceNop && !packedShape(d) {
+			return false, false, 0, RefusalBlock
+		}
+	}
 	term := &b.term
 	if term.flags&fPriv != 0 {
 		return false, false, 0, RefusalPrivileged
@@ -334,38 +360,16 @@ func validateTraceBlock(b *block, pc, nextPC uint32) (ok, taken bool, dsCount ui
 		}
 		why = RefusalJumpInd
 	case bcGeneral:
-		// A packed terminator: the control piece shares its word with
-		// computation, so the word itself runs through a packed handler
-		// or the exact executor (trGeneralTerm) and only the recorded
-		// direction — derived from the control piece's kind exactly as
-		// in the lean cases above — must flatten. The same shadow
-		// refusals apply.
-		switch term.memKind {
-		case isa.PieceBranch:
-			if term.target == t+1 || term.target == t+2 {
-				return false, false, 0, RefusalShadowBranch
-			}
-			if nextPC == t+1 {
-				return true, false, 0, 0
-			}
-			if nextPC == term.target && b.dsN >= 1 && dsCompilable(&b.ds[0]) {
-				return true, true, 1, 0
-			}
-		case isa.PieceJump, isa.PieceCall:
-			if nextPC == term.target && b.dsN >= 1 && dsCompilable(&b.ds[0]) {
-				return true, true, 1, 0
-			}
-		case isa.PieceJumpInd:
-			if nextPC == t+1 || nextPC == t+2 || nextPC == t+3 {
-				return false, false, 0, RefusalJumpInd
-			}
-			if b.dsN == 2 && dsCompilable(&b.ds[0]) && dsCompilable(&b.ds[1]) {
-				return true, true, 2, 0
-			}
-			why = RefusalJumpInd
-		default:
-			// Traps and special-register terminators never compile.
-			why = RefusalBlock
+		// A packed terminator: ALU + direct jump is the one packed
+		// control shape the ISA encodes. Its word runs through
+		// trPackedJump and its direction flattens like bcJump's. Traps,
+		// special-register terminators, and packed words outside the
+		// encodable shapes never compile.
+		if term.memKind != isa.PieceJump || !packedShape(term) {
+			return false, false, 0, RefusalBlock
+		}
+		if nextPC == term.target && b.dsN >= 1 && dsCompilable(&b.ds[0]) {
+			return true, true, 1, 0
 		}
 	default:
 		why = RefusalBlock
@@ -459,8 +463,7 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 		t := pc + b.n
 		tw := traceWord{d: &b.term, vpc: t, taken: taken[j]}
 		x := b.term.target // control target the recorded direction follows
-		if b.term.bclass == bcJumpInd ||
-			(b.term.bclass == bcGeneral && b.term.memKind == isa.PieceJumpInd) {
+		if b.term.bclass == bcJumpInd {
 			x = pts[lim].pc
 			if closed && j == lim-1 {
 				x = entry
@@ -505,8 +508,7 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 		}
 		d := words[i].d
 		if (d.bclass == bcLoad && !words[i].eager && d.mode != isa.AModeLongImm) ||
-			(d.bclass == bcGeneral && d.memKind == isa.PieceLoad &&
-				d.mode != isa.AModeLongImm) {
+			(d.bclass == bcGeneral && d.memKind == isa.PieceLoad) {
 			// A non-eager load's commit lands two words later, and a
 			// packed load (always delayed) leaves the same window; no
 			// other shape pends a write. The window drains per word.

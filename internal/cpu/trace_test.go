@@ -295,3 +295,62 @@ func TestTraceYieldBackedOffEntry(t *testing.T) {
 		t.Errorf("JITFormed Heat = %d, want the effective threshold %d", formed[0].Heat, eff)
 	}
 }
+
+// TestTracePackedShapes pins which packed words the trace tier
+// compiles. A word of one of the three packed shapes the ISA encodes
+// compiles even when isa.CanPack would reject it (here a three-address
+// ALU piece), because the packed handlers run any word of those
+// shapes exactly. Any other packed word, which only a harness writing
+// instruction memory can produce, ends the path under refuse.block,
+// and the lower tiers run it. Either way the trace engine must match
+// the reference interpreter.
+func TestTracePackedShapes(t *testing.T) {
+	pack := func(a, m isa.Piece) isa.Instr { return isa.Instr{ALU: &a, Mem: &m} }
+	br := isa.Branch(isa.CmpNE, isa.R(1), isa.Imm(0), "")
+	br.Target = 2
+	ld := isa.LoadDisp(4, 0, 8)
+	add3 := isa.ALU(isa.OpAdd, 6, isa.R(2), isa.R(3))
+	for _, c := range []struct {
+		name     string
+		body     isa.Instr // the loop's third body word
+		term     isa.Instr // the loop's branch
+		compiles bool
+	}{
+		{"three-address add | ld", pack(add3, ld), w(br), true},
+		{"movlo | ld", pack(isa.ALU(isa.OpMovLo, 0, isa.R(3), isa.R(0)), ld), w(br), false},
+		{"add | ld abs", pack(add3, isa.LoadAbs(4, 8)), w(br), false},
+		{"add | bne", w(isa.Nop()), pack(add3, br), false},
+	} {
+		build := func(e Engine) *CPU {
+			m := newTestCPU(
+				w(isa.LoadImm32(1, 300)),                       // 0
+				w(isa.Mov(3, isa.Imm(5))),                      // 1
+				w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.R(3))),   // 2: loop body
+				w(isa.ALU(isa.OpSub, 1, isa.R(1), isa.Imm(1))), // 3
+				c.body,       // 4
+				c.term,       // 5: bne r1, #0, 2
+				w(isa.Nop()), // 6: branch delay
+				halt,         // 7
+			)
+			m.Bus.MMU.Phys.Poke(8, 77)
+			m.SetEngine(e)
+			return m
+		}
+		trc, ref := build(EngineTraces), build(EngineReference)
+		run(t, trc, 1_000_000)
+		run(t, ref, 1_000_000)
+		if trc.Regs != ref.Regs || trc.Lo != ref.Lo || trc.Stats != ref.Stats {
+			t.Errorf("%s: traces diverge from the reference:\n traces %v lo=%d %+v\n    ref %v lo=%d %+v",
+				c.name, trc.Regs, trc.Lo, trc.Stats, ref.Regs, ref.Lo, ref.Stats)
+		}
+		refused := trc.Trans.TraceFormRefusals[RefusalBlock]
+		if c.compiles && (trc.Trans.TraceDispatchHits == 0 || refused != 0) {
+			t.Errorf("%s: dispatched %d traces, %d block refusals; want a dispatched trace",
+				c.name, trc.Trans.TraceDispatchHits, refused)
+		}
+		if !c.compiles && (trc.Trans.TraceCompiled != 0 || refused == 0) {
+			t.Errorf("%s: compiled %d traces, %d block refusals; want a block refusal and no trace",
+				c.name, trc.Trans.TraceCompiled, refused)
+		}
+	}
+}

@@ -59,7 +59,9 @@ func (e Engine) String() string {
 }
 
 // ParseEngine converts a CLI/API engine name. It accepts the String
-// forms plus the common aliases "fastpath", "interp", and "trace".
+// forms ("reference", "fast", "blocks", "traces", "default") and the
+// aliases "interp" and "ref" (Reference), "fastpath" (FastPath),
+// "block" (Blocks), "trace" (Traces), and "" (Default).
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "reference", "interp", "ref":

@@ -9,6 +9,7 @@ import (
 	"io"
 
 	"mips/internal/cpu"
+	"mips/internal/isa"
 	"mips/internal/kernel"
 	"mips/internal/mem"
 )
@@ -135,11 +136,13 @@ func (m *Machine) SnapshotBytes() ([]byte, error) {
 // decodeWire validates the container, decodes the payload, and checks
 // the memory it describes: a size within mem.MaxPhysWords (and one a
 // kernel machine can run on, for kernel snapshots) with every run inside
-// it. Every path that builds from snapshot bytes comes through here, so
-// no later step allocates by a size the bytes claim. Malformed input of
-// any kind — truncated, wrong magic or version, bad checksum, corrupt
-// gob, impossible memory — returns an error wrapping ErrSnapshotFormat;
-// it never panics (the fuzz tests pin this).
+// it, and instruction words, in memory and on the kernel's disk, that
+// isa.Instr.Validate accepts. Every path that builds from snapshot bytes
+// comes through here, so no later step allocates by a size the bytes
+// claim or executes a word no program can hold. Malformed input of any
+// kind — truncated, wrong magic or version, bad checksum, corrupt gob,
+// impossible memory, illegal code — returns an error wrapping
+// ErrSnapshotFormat; it never panics (the fuzz tests pin this).
 func decodeWire(r io.Reader) (*snapshotWire, error) {
 	var hdr [snapshotHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -174,7 +177,34 @@ func decodeWire(r io.Reader) (*snapshotWire, error) {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
 		}
 	}
+	if err := checkCode("instruction memory", wire.CPU.IMem); err != nil {
+		return nil, err
+	}
+	if wire.Kern != nil {
+		for _, pg := range wire.Kern.DiskPages {
+			if err := checkCode(fmt.Sprintf("disk page %d", pg.VPage), pg.Code); err != nil {
+				return nil, err
+			}
+		}
+	}
 	return wire, nil
+}
+
+// checkCode rejects instruction words isa.Instr.Validate rejects — an
+// out-of-range register, an unknown operation, an illegal packing —
+// which no engine may be asked to execute: a register field past the
+// register file would index out of range. The zero word is unwritten
+// instruction memory, which a fetch reports as an illegal instruction.
+func checkCode(where string, words []isa.Instr) error {
+	for i, in := range words {
+		if in.ALU == nil && in.Mem == nil {
+			continue
+		}
+		if err := in.Validate(); err != nil {
+			return fmt.Errorf("%w: %s word %d: %v", ErrSnapshotFormat, where, i, err)
+		}
+	}
+	return nil
 }
 
 // decodeGob decodes the payload, converting any decoder panic (gob can

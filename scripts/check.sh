@@ -22,10 +22,13 @@ fi
 echo "==> go test ./..."
 go test ./...
 
-# A time-boxed run of the block engine's differential fuzz target, beyond
-# its committed seeds (which go test ./... above already ran).
+# Time-boxed runs of the block engine's and the trace tier's
+# differential fuzz targets, beyond their committed seeds (which go test
+# ./... above already ran).
 echo "==> go test -fuzz FuzzBlockBody (10s)"
 go test -run '^$' -fuzz '^FuzzBlockBody$' -fuzztime 10s ./internal/cpu
+echo "==> go test -fuzz FuzzTraceBody (10s)"
+go test -run '^$' -fuzz '^FuzzTraceBody$' -fuzztime 10s ./internal/cpu
 
 # bench/ is a module of its own (it builds against this checkout through
 # a replace directive), so ./... above does not reach it.
