@@ -9,7 +9,6 @@ package mips
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"mips/internal/codegen"
@@ -139,8 +138,8 @@ func benchPipeline(b *testing.B, opt codegen.RunOptions) {
 // assertTraceSteadyStateZeroAlloc warms a traces-engine machine on the
 // queens workload until the trace tier has compiled and dispatched,
 // then measures allocations per RunSteps in steady state and fails the
-// benchmark on any nonzero result. scripts/bench.sh runs this through
-// the bench gate.
+// benchmark on any nonzero result, or if the measured calls dispatched
+// no compiled trace. scripts/bench.sh runs this through the bench gate.
 func assertTraceSteadyStateZeroAlloc(b *testing.B) {
 	b.Helper()
 	p, err := corpus.Get("queens")
@@ -158,58 +157,25 @@ func assertTraceSteadyStateZeroAlloc(b *testing.B) {
 	if err := m.Load(im); err != nil {
 		b.Fatal(err)
 	}
-	// Shallow chains make Steps fine-grained so the heat counters warm
-	// in few steps; chain depth changes dispatch granularity only.
-	m.CPU().SetChainFollow(2)
-	for i := 0; i < 4096 && m.Trans().TraceDispatchHits == 0; i++ {
-		if _, halted := m.RunSteps(64); halted {
-			b.Fatal("workload finished before the trace cache warmed")
-		}
+	// Queens retires about 466K instructions: warm for 200K, measure
+	// for 100K.
+	if _, halted := m.RunSteps(200_000); halted {
+		b.Fatal("workload finished before the trace cache warmed")
 	}
 	if m.Trans().TraceDispatchHits == 0 {
 		b.Fatal("trace tier never dispatched; the allocation check is vacuous")
 	}
-	avg := testing.AllocsPerRun(1000, func() {
-		if _, halted := m.RunSteps(1); halted {
+	hits := m.Trans().TraceDispatchHits
+	avg := testing.AllocsPerRun(100, func() {
+		if _, halted := m.RunSteps(1000); halted {
 			b.Fatal("workload finished during the allocation check")
 		}
 	})
 	if avg != 0 {
 		b.Fatalf("warm trace tier allocates %v allocs/op in steady state, want 0", avg)
 	}
-}
-
-// BenchmarkChainFollowSweep measures the fib workload on the traces
-// engine across chain-depth limits, so the default (defaultChainFollow
-// in internal/cpu) is justified by measurement rather than folklore:
-// benchstat across the sub-benchmarks shows where deeper chaining stops
-// paying.
-func BenchmarkChainFollowSweep(b *testing.B) {
-	p, err := corpus.Get("fib")
-	if err != nil {
-		b.Fatal(err)
-	}
-	im, _, err := codegen.CompileMIPS(p.Source, codegen.MIPSOptions{}, reorg.All())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, follow := range []int{1, 4, 16, 64, 256} {
-		follow := follow
-		b.Run(fmt.Sprintf("follow=%d", follow), func(b *testing.B) {
-			b.ReportAllocs()
-			var instrs uint64
-			for i := 0; i < b.N; i++ {
-				res, err := codegen.RunMIPSWith(im, 100_000_000, codegen.RunOptions{
-					Engine: sim.Traces,
-					Attach: func(c *cpu.CPU) { c.SetChainFollow(follow) },
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				instrs += res.Stats.Instructions
-			}
-			b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
-		})
+	if m.Trans().TraceDispatchHits == hits {
+		b.Fatal("the measured runs dispatched no compiled trace")
 	}
 }
 

@@ -7,10 +7,11 @@
 //
 // mipsd runs many simulations at once on a bounded worker pool. Jobs
 // are submitted over HTTP and preempted at checkpoint boundaries every
-// -quantum scheduler steps, so a handful of workers makes fair progress
-// across hundreds of queued machines. Clients may download a live
-// snapshot of any running job and resubmit it later — to the same
-// daemon, a different one, or a different engine.
+// -quantum steps (instructions plus exceptions, on every engine), so a
+// handful of workers makes fair progress across hundreds of queued
+// machines. Clients may download a live snapshot of any running job and
+// resubmit it later — to the same daemon, a different one, or a
+// different engine.
 //
 // The job API is versioned under /v1. Jobs cold-boot from a corpus
 // program or a snapshot upload, or warm-fork from a named template — a
@@ -90,8 +91,8 @@ func main() {
 	addr := flag.String("addr", ":9418", "HTTP listen address")
 	workers := flag.Int("workers", 0, "simulation worker count (0 = one per CPU)")
 	queue := flag.Int("queue", 256, "job queue depth (admission bound)")
-	quantum := flag.Uint64("quantum", 1_000_000, "preemption quantum in scheduler steps")
-	maxSteps := flag.Uint64("max", 500_000_000, "default per-job step budget")
+	quantum := flag.Uint64("quantum", 1_000_000, "preemption quantum in steps (instructions retired plus exceptions entered)")
+	maxSteps := flag.Uint64("max", 500_000_000, "default per-job step budget (instructions retired plus exceptions entered)")
 	engineFlag := flag.String("engine", "traces", "default execution engine: reference | fast | blocks | traces")
 	peersFlag := flag.String("peers", "", "comma-separated peer mipsd URLs to federate (coordinator mode)")
 	drainWait := flag.Duration("drain", 10*time.Second, "graceful-drain bound on shutdown")

@@ -73,7 +73,7 @@ import (
 )
 
 func main() {
-	maxSteps := flag.Uint64("max", 500_000_000, "step limit")
+	maxSteps := flag.Uint64("max", 500_000_000, "step limit (instructions retired plus exceptions entered)")
 	stats := flag.Bool("stats", false, "print execution statistics")
 	useKernel := flag.Bool("kernel", false, "run under the kernel with demand paging")
 	timer := flag.Uint("timer", 0, "timer period in user instructions (0 = off; implies -kernel)")

@@ -1,8 +1,8 @@
 package cpu
 
-// The superblock execution engine. Step dispatches here when the fetch
-// queue holds no in-flight branch target: the head of the queue is then
-// a block entry point, and the whole straight-line run up to and
+// The superblock execution engine. The dispatcher comes here when the
+// fetch queue holds no in-flight branch target: the head of the queue is
+// then a block entry point, and the whole straight-line run up to and
 // including the next control transfer executes as one translated block
 // (blockcache.go) — per-word fetch, queue maintenance, and pipeline
 // bookkeeping replaced by one loop over flat records. Packed words and
@@ -281,14 +281,15 @@ func (c *CPU) bailFault(vpc uint32, cause isa.Cause) {
 	c.Trans.BlockBails++
 }
 
-// stepBlocks executes one superblock (body, terminator, and the
-// terminator's delay slots) starting at the head of the fetch queue.
-// It returns false, with no architectural effect, if the entry cannot
-// be resolved to instruction memory — the caller then takes the exact
-// path, which raises the fetch fault with reference semantics.
-func (c *CPU) stepBlocks() bool {
-	b, ok := c.runBlocks()
-	// The chain anchor is written once per Step, not once per chained
+// stepBlocks executes a chain of superblocks (body, terminator, and the
+// terminator's delay slots) starting at the head of the fetch queue,
+// within left steps, which must exceed blockMaxWords. It returns false,
+// with no architectural effect, if the entry cannot be resolved to
+// instruction memory — the caller then takes the exact path, which
+// raises the fetch fault with reference semantics.
+func (c *CPU) stepBlocks(left uint64) bool {
+	b, ok := c.runBlocks(left)
+	// The chain anchor is written once per chain, not once per chained
 	// block: the hot chain loop alternating between two blocks would
 	// otherwise emit a GC pointer-write barrier every iteration.
 	if b != nil && c.lastBlk != b {
@@ -298,9 +299,9 @@ func (c *CPU) stepBlocks() bool {
 }
 
 // runBlocks resolves the entry block and executes the chain, returning
-// the last block that ran so the caller can anchor the next Step's
-// chain lookup on it.
-func (c *CPU) runBlocks() (*block, bool) {
+// the last block that ran so the caller can anchor the next chain
+// lookup on it.
+func (c *CPU) runBlocks(left uint64) (*block, bool) {
 	pc := c.pcq[0]
 	mapped := c.Mapped()
 	prev := c.lastBlk
@@ -353,10 +354,13 @@ func (c *CPU) runBlocks() (*block, bool) {
 			prev.recordChain(pc, b)
 		}
 	}
+	// An exception ends the chain, so until then a step is an
+	// instruction: end bounds the chain in retired instructions.
+	end := c.Stats.Instructions + left
 	bus := c.Bus
 	// With the trace tier live here, chained entries feed the tier's
-	// heat profile and yield to compiled traces: Step entry is the only
-	// point the trace dispatcher sees, and a 64-deep chain would
+	// heat profile and yield to compiled traces: dispatch entry is the
+	// only point the trace dispatcher sees, and a long chain would
 	// otherwise starve it of both heat and dispatches (the chain's exit
 	// PCs cycle around a loop instead of revisiting one entry).
 	traceTier := c.engine == EngineTraces && !c.trec.active && c.traceable()
@@ -365,13 +369,13 @@ func (c *CPU) runBlocks() (*block, bool) {
 		ctx = bus.MMU.Context(mapped)
 	}
 
-	// Chained blocks execute back to back inside one Step while nothing
-	// needs the per-step dispatch: the hot loop never leaves this
-	// frame. Chaining stops at any block whose exit ran outside the
-	// lean classes (a special could have changed privilege, overflow
-	// enable, or the address map), at any exception, and at a bounded
-	// follow count so Run's step budget keeps teeth.
-	for follow := 0; ; follow++ {
+	// Chained blocks execute back to back while nothing needs the
+	// dispatcher: the hot loop never leaves this frame. Chaining stops
+	// at any block whose exit ran outside the lean classes (a special
+	// could have changed privilege, overflow enable, or the address
+	// map), at any exception, and at a block that does not fit the
+	// steps left.
+	for {
 		b.execs++
 		if c.trec.active {
 			c.recTracePoint(b, pc)
@@ -415,7 +419,7 @@ func (c *CPU) runBlocks() (*block, bool) {
 		} else {
 			c.step()
 		}
-		for k := 0; !c.Halted && !c.queueSequential() && k < pcqCap; k++ {
+		for k := 0; !c.Halted && !c.queueSequential() && k < pcqCap && c.Stats.Instructions < end; k++ {
 			if j := c.pcq[0] - (t + 1); j < uint32(b.dsN) && b.valid &&
 				(!mapped || bus.MMU.Map.Generation() == pmGen) {
 				if b.ds[j].bclass == bcGeneral {
@@ -427,15 +431,14 @@ func (c *CPU) runBlocks() (*block, bool) {
 				c.step()
 			}
 		}
-		if !chainable || c.Halted || c.excSeq != exc0 ||
-			follow >= c.chainFollow || !c.queueSequential() {
+		if !chainable || c.Halted || c.excSeq != exc0 || !c.queueSequential() {
 			return b, true
 		}
 		if c.trec.active && c.trec.n > traceMaxBlocks {
 			// The recording buffer is full: chaining further retires
 			// instructions the recording cannot use (formation truncates
 			// at traceMaxBlocks anyway), charging the block tier for
-			// nothing. End the recording Step at this exact boundary.
+			// nothing. End the recording chain at this exact boundary.
 			return b, true
 		}
 		npc := c.pcq[0]
@@ -462,7 +465,7 @@ func (c *CPU) runBlocks() (*block, bool) {
 			// paid once.
 			nb = c.recordSuccessor(b, npc, mapped)
 		}
-		if nb == nil {
+		if nb == nil || c.Stats.Instructions+uint64(nb.n) >= end {
 			return b, true
 		}
 		b, pc = nb, npc
@@ -471,10 +474,11 @@ func (c *CPU) runBlocks() (*block, bool) {
 
 // recordSuccessor resolves a recording's next block at npc the way
 // runBlocks resolves its entry: translated when mapped (the same fetch
-// translation the next Step's entry would make), then through the block
-// cache. It returns nil when npc does not resolve, leaving the exact
-// fault to the next Step. Unmapped successors also become chain edges;
-// mapped ones cannot, since an edge bakes in the address identity.
+// translation the next dispatch's entry would make), then through the
+// block cache. It returns nil when npc does not resolve, leaving the
+// exact fault to the next dispatch. Unmapped successors also become
+// chain edges; mapped ones cannot, since an edge bakes in the address
+// identity.
 func (c *CPU) recordSuccessor(b *block, npc uint32, mapped bool) *block {
 	pa := npc
 	if mapped {
@@ -527,9 +531,9 @@ func (c *CPU) blockCurrent(b *block) bool {
 }
 
 // dsStep executes one word at the head of the fetch queue from a cached
-// record: the full Step preamble and exact queue maintenance of
-// step, minus the fetch (the caller validated the record's identity
-// at block entry and keeps it coherent through the write barrier). Nop,
+// record: the full preamble and exact queue maintenance of step, minus
+// the fetch (the caller validated the record's identity at block entry
+// and keeps it coherent through the write barrier). Nop,
 // ALU, load and store records run through leanWord and control records
 // inline; anything else goes through the exact executor.
 func (c *CPU) dsStep(d *decoded) {

@@ -127,18 +127,19 @@ func TestBlockSelfModifyStore(t *testing.T) {
 // and validates against) and write the physical word (what fires the
 // barrier, as the kernel pager does). Chained blocks skip per-entry
 // revalidation, so the Poke is what guarantees the patch takes effect
-// on the very next Step.
+// on the very next run.
 func TestBlockPatchBetweenSteps(t *testing.T) {
 	const iters = 1000
 	c := loopCPU(iters)
 	c.SetEngine(EngineBlocks)
 	patched := false
 	var left uint32
+	// Two steps reach the loop head; from there each 80-step run is
+	// twenty iterations (words 2..5) and returns to it.
+	c.RunSteps(2)
 	for !c.Halted {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-		// Patch only at a loop-head Step boundary so the remaining
+		c.RunSteps(80)
+		// Patch only at a loop-head boundary so the remaining
 		// iteration count is exact: switch the accumulator step from
 		// +r3 (5) to +1.
 		if !patched && c.PC() == 2 && c.Regs[1] <= iters/2 && c.Regs[1] > 0 {
@@ -149,7 +150,7 @@ func TestBlockPatchBetweenSteps(t *testing.T) {
 		}
 	}
 	if !patched {
-		t.Fatal("patch point never reached (no loop-head Step boundary)")
+		t.Fatal("patch point never reached (no loop-head run boundary)")
 	}
 	if want := (iters-left)*5 + left; c.Regs[2] != want {
 		t.Errorf("r2 = %d, want %d (stale block executed after patch)", c.Regs[2], want)
@@ -206,14 +207,13 @@ func TestBlockDMAInvalidation(t *testing.T) {
 
 // TestBlockEngineToggle switches the superblock engine on and off
 // mid-run; machine state is shared with the per-instruction path, so
-// execution must continue seamlessly from any Step boundary.
+// execution must continue seamlessly from any run boundary: 67 steps
+// end a run at every word of the four-word loop in turn.
 func TestBlockEngineToggle(t *testing.T) {
 	c := loopCPU(300)
 	c.SetEngine(EngineBlocks)
 	for !c.Halted {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
+		c.RunSteps(67)
 		if c.Engine() == EngineBlocks {
 			c.SetEngine(EngineFast)
 		} else {

@@ -227,7 +227,7 @@ type bbMachine struct {
 	timer    *bbTimer
 	refs     []memRef
 	audits   []Hazard
-	maxSteps int // Steps run allows before it reports a hang
+	maxSteps uint64 // steps run allows before it reports a hang
 }
 
 type memRef struct {
@@ -262,7 +262,7 @@ func newBBMachine(env uint8, prog []byte, loop bool) *bbMachine {
 		code = append(code, isa.NopWord(),
 			w(isa.ALU(isa.OpSub, bbLoopReg, isa.R(bbLoopReg), isa.Imm(1))), // the target
 			w(back), isa.NopWord(), halt)
-		m.maxSteps = bbLoops * len(code)
+		m.maxSteps = uint64(bbLoops * len(code))
 	} else {
 		code = append(code, halt, halt)
 	}
@@ -332,13 +332,8 @@ func (m *bbMachine) run(t *testing.T, env uint8, engine Engine) {
 		c.Interrupt(true)
 	}
 	c.SetEngine(engine)
-	for i := 0; !c.Halted; i++ {
-		if i == m.maxSteps {
-			t.Fatalf("engine %d did not halt (pc=%d)", engine, c.PC())
-		}
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
+	if _, halted := c.RunSteps(m.maxSteps); !halted {
+		t.Fatalf("engine %d did not halt (pc=%d)", engine, c.PC())
 	}
 }
 
@@ -363,18 +358,7 @@ func (m *bbMachine) queue() [pcqCap]uint32 {
 // state: registers, Lo, the status word, return addresses, memory,
 // statistics, the fetch queue, and what the hooks and the timer saw.
 func FuzzBlockBody(f *testing.F) {
-	// One seed per environment bit, plus the quiet configuration. Each
-	// program was picked to reach its bit's mechanism: DMA moves into
-	// the block's own text mid-body, the timer fires mid-body, eight
-	// memory references, a page fault deep in a mapped body, a hazard
-	// on the load in flight at entry, and an overflow trap mid-body.
-	for _, s := range []struct {
-		env uint8
-		k   uint32
-	}{
-		{0, 102}, {bbDMA, 97}, {bbTicker, 11}, {bbMemHook, 102}, {bbMapped, 211},
-		{bbPendingLoad, 1}, {bbInterrupt, 0}, {bbOverflow, 748},
-	} {
+	for _, s := range blockBodySeeds {
 		f.Add(s.env, bbSeed(s.k))
 	}
 	f.Fuzz(func(t *testing.T, env uint8, prog []byte) {
@@ -384,6 +368,33 @@ func FuzzBlockBody(f *testing.F) {
 		ref.run(t, env, EngineReference)
 		blk.requireSame(t, "blocks", ref)
 	})
+}
+
+// blockBodySeeds are FuzzBlockBody's committed inputs: one seed per
+// environment bit, plus the quiet configuration. Each program was
+// picked to reach its bit's mechanism: DMA moves into the block's own
+// text mid-body, the timer fires mid-body, eight memory references, a
+// page fault deep in a mapped body, a hazard on the load in flight at
+// entry, and an overflow trap mid-body.
+var blockBodySeeds = []struct {
+	env uint8
+	k   uint32
+}{
+	{0, 102}, {bbDMA, 97}, {bbTicker, 11}, {bbMemHook, 102}, {bbMapped, 211},
+	{bbPendingLoad, 1}, {bbInterrupt, 0}, {bbOverflow, 748},
+}
+
+// TestBlockBodySeedsReachBlocks requires every committed FuzzBlockBody
+// seed to retire words on the block engine: a seed that runs only on
+// per-instruction stepping tests nothing of the block tier.
+func TestBlockBodySeedsReachBlocks(t *testing.T) {
+	for _, s := range blockBodySeeds {
+		m := newBBMachine(s.env, bbSeed(s.k), false)
+		m.run(t, s.env, EngineBlocks)
+		if m.c.Trans.TierInstrs[TierBlocks] == 0 {
+			t.Errorf("seed {%#x, %d} retired nothing on the block engine", s.env, s.k)
+		}
+	}
 }
 
 // bbSeed expands k into a 256-byte fuzz input with a linear

@@ -27,12 +27,6 @@ const (
 	// blockMaxWords caps a block's body; longer straight-line runs
 	// split into chained blocks.
 	blockMaxWords = 64
-	// defaultChainFollow is the default bound on how many chained
-	// blocks (or chained traces) one Step may execute, so Run's step
-	// budget still bounds runaway programs. SetChainFollow tunes it
-	// per CPU; the sweep benchmark in bench_test.go justifies the
-	// default.
-	defaultChainFollow = 64
 	// bcMinEntries/bcMaxEntries bound the direct-mapped block cache,
 	// grown on demand. Both are powers of two.
 	bcMinEntries = 1 << 8
@@ -157,9 +151,8 @@ type TranslationStats struct {
 	// shorter than the trace, or a mapped reference that reached a
 	// device (the trace exits before it). TraceDeoptInterrupt: an interrupt
 	// line was pending and must be sampled at the exact engine's
-	// boundary. TraceDeoptChainBudget: a trace run returned with the
-	// next trace ready only because the chain-follow budget for the
-	// Step was exhausted.
+	// boundary. TraceDeoptChainBudget: the steps left in the run (see
+	// CPU.RunSteps) were too few for the trace ready at the next PC.
 	TraceDeoptEnvironment uint64
 	TraceDeoptInterrupt   uint64
 	TraceDeoptChainBudget uint64

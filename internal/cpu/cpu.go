@@ -124,10 +124,6 @@ type CPU struct {
 	lastBlk    *block
 	barrierOn  bool
 
-	// chainFollow bounds how many chained blocks (or chained traces)
-	// one Step may execute; see SetChainFollow.
-	chainFollow int
-
 	// tc is the trace tier's direct-mapped cache of compiled traces
 	// (trace_form.go, trace_compile.go, tracecache.go), liveTraces the
 	// dense list the write barrier walks, heat the per-entry-PC hotness
@@ -214,7 +210,6 @@ func New(bus *Bus) *CPU {
 	c := &CPU{Bus: bus, engine: EngineTraces}
 	c.Sur = c.Sur.SetSupervisor(true)
 	c.pcq[0], c.pcn = 0, 1
-	c.chainFollow = defaultChainFollow
 	return c
 }
 
@@ -236,19 +231,6 @@ func (c *CPU) SetEngine(e Engine) { c.engine = e }
 
 // Engine reports the execution engine.
 func (c *CPU) Engine() Engine { return c.engine }
-
-// SetChainFollow tunes how many chained blocks (or chained traces) one
-// Step may execute before returning, bounding how much work Run's step
-// budget can hide. Values below 1 reset the default.
-func (c *CPU) SetChainFollow(n int) {
-	if n < 1 {
-		n = defaultChainFollow
-	}
-	c.chainFollow = n
-}
-
-// ChainFollow reports the per-Step chain-follow bound.
-func (c *CPU) ChainFollow() int { return c.chainFollow }
 
 // PC returns the address of the next instruction to execute.
 func (c *CPU) PC() uint32 { return c.pcq[0] }
@@ -522,22 +504,46 @@ func (c *CPU) Step() error {
 	if c.Halted {
 		return ErrHalted
 	}
-	// Superblock and trace dispatch: when the fetch queue holds no
-	// in-flight branch target, its head is a block entry point and the
-	// whole straight-line run executes as one translated block — or,
-	// one tier up, a compiled multi-block trace. Per-step tracers and
-	// interlock mode need per-instruction stepping, and a false return
-	// (unresolvable entry) falls through tier by tier to the exact path.
-	if c.engine >= EngineBlocks && !c.Interlocked && c.onStep == nil &&
-		c.queueSequential() {
-		if c.engine == EngineTraces && c.stepTraces() {
-			return nil
+	c.RunSteps(1)
+	return nil
+}
+
+// RunSteps executes at most n steps and reports the instructions retired
+// and whether the processor halted. A step is one retired instruction or
+// one exception entry on every engine: the tiers enter a block or trace
+// only when it fits the steps left and end their run at the first
+// exception, so each engine stops where the reference interpreter does.
+// A trap or a faulting word as the last step counts two.
+func (c *CPU) RunSteps(n uint64) (uint64, bool) {
+	i0 := c.Stats.Instructions
+	end := i0 + c.excSeq + n
+	if end < n {
+		end = ^uint64(0)
+	}
+	for !c.Halted && c.Stats.Instructions+c.excSeq < end {
+		c.dispatch(end - c.Stats.Instructions - c.excSeq)
+	}
+	return c.Stats.Instructions - i0, c.Halted
+}
+
+// dispatch runs at least one and at most left steps on the highest tier
+// that takes the head of the fetch queue: when the queue holds no
+// in-flight branch target, a translated block or, one tier up, a
+// compiled trace. The tiers take over only while every block fits the
+// steps left, so a run's last steps translate and heat no entry point
+// inside a block. Per-step tracers and interlock mode need the exact
+// path, as does an entry that does not resolve.
+func (c *CPU) dispatch(left uint64) {
+	if c.engine >= EngineBlocks && left > blockMaxWords && !c.Interlocked &&
+		c.onStep == nil && c.queueSequential() {
+		if c.engine == EngineTraces && c.stepTraces(left) {
+			return
 		}
 		i0 := c.Stats.Instructions
-		ok := c.stepBlocks()
+		ok := c.stepBlocks(left)
 		c.Trans.TierInstrs[TierBlocks] += c.Stats.Instructions - i0
 		if ok {
-			return nil
+			return
 		}
 	}
 	i0 := c.Stats.Instructions
@@ -547,7 +553,6 @@ func (c *CPU) Step() error {
 		tier = TierReference
 	}
 	c.Trans.TierInstrs[tier] += c.Stats.Instructions - i0
-	return nil
 }
 
 // step executes the word at the head of the fetch queue on the
@@ -624,21 +629,13 @@ func (c *CPU) fetch(pc uint32) (isa.Instr, *mem.Fault) {
 	return in, nil
 }
 
-// Run executes until the processor halts or the step limit is reached.
-// It returns the number of instructions executed and nil on a clean
-// halt, or an error describing why execution stopped.
+// Run executes until the processor halts or maxSteps steps (see
+// RunSteps) have run. It returns the number of instructions executed
+// and nil on a clean halt, or an error describing why execution stopped.
 func (c *CPU) Run(maxSteps uint64) (uint64, error) {
-	start := c.Stats.Instructions
-	for i := uint64(0); i < maxSteps; i++ {
-		if err := c.Step(); err != nil {
-			if errors.Is(err, ErrHalted) {
-				return c.Stats.Instructions - start, nil
-			}
-			return c.Stats.Instructions - start, err
-		}
+	n, halted := c.RunSteps(maxSteps)
+	if halted {
+		return n, nil
 	}
-	if c.Halted {
-		return c.Stats.Instructions - start, nil
-	}
-	return c.Stats.Instructions - start, fmt.Errorf("cpu: step limit %d exceeded at pc=%d", maxSteps, c.PC())
+	return n, fmt.Errorf("cpu: step limit %d exceeded at pc=%d", maxSteps, c.PC())
 }

@@ -731,12 +731,33 @@ func TestMStepMultiplyLoop(t *testing.T) {
 }
 
 func TestRunStepLimit(t *testing.T) {
-	// An infinite loop must hit the step limit, not hang.
+	// An infinite loop must hit the step limit, not hang, on every
+	// engine, after exactly the steps allowed, whether the limit is
+	// within the last steps a run takes word by word or beyond them: a
+	// jump loop, and a fault loop that never retires a word (nothing is
+	// programmed at the exception vector, so every fetch faults back to
+	// it) but enters an exception every step.
 	loop := isa.Jump("")
 	loop.Target = 0
-	c := newTestCPU(w(loop), w(isa.Nop()))
-	if _, err := c.Run(50); err == nil {
-		t.Error("expected step-limit error")
+	for _, tc := range []struct {
+		name  string
+		words []isa.Instr
+	}{
+		{"jump", []isa.Instr{w(loop), w(isa.Nop())}},
+		{"fault", nil},
+	} {
+		for _, e := range []Engine{EngineReference, EngineFast, EngineBlocks, EngineTraces} {
+			for _, limit := range []uint64{50, 500} {
+				c := newTestCPU(tc.words...)
+				c.SetEngine(e)
+				if _, err := c.Run(limit); err == nil {
+					t.Errorf("%s loop, engine %d: expected step-limit error", tc.name, e)
+				}
+				if steps := c.Stats.Instructions + c.Stats.TotalExceptions(); steps != limit {
+					t.Errorf("%s loop, engine %d: ran %d steps, want %d", tc.name, e, steps, limit)
+				}
+			}
+		}
 	}
 }
 

@@ -183,15 +183,16 @@ func TestInvalidationDropsTranslationRefs(t *testing.T) {
 			t.Errorf("%s: %d stale translation references", when, n)
 		}
 	}
+	// Two steps reach the loop head; from there each 80-step run is
+	// twenty iterations (words 2..5) and returns to it.
+	c.RunSteps(2)
 	stepUntil := func(cond func() bool) {
 		t.Helper()
 		for !cond() {
 			if c.Halted {
 				t.Fatal("halted before the trace tier warmed up")
 			}
-			if err := c.Step(); err != nil {
-				t.Fatal(err)
-			}
+			c.RunSteps(80)
 		}
 	}
 	stepUntil(func() bool { return c.Trans.TraceDispatchHits > 0 && c.PC() == 2 })

@@ -35,7 +35,6 @@ func shadowBranchCPU(n int32) *CPU {
 // machine leaves every formation counter exactly where it was.
 func TestHeatNeverShadowBranchPoisoning(t *testing.T) {
 	c := shadowBranchCPU(3000)
-	c.SetChainFollow(1) // every block entry is a Step: heat warms fast
 	run(t, c, 1_000_000)
 
 	if c.Trans.TraceFormRefusals[RefusalShadowBranch] == 0 {
@@ -130,7 +129,6 @@ func TestDeoptTaxonomyPartition(t *testing.T) {
 func TestDeoptInvalidationReason(t *testing.T) {
 	c := descendingStoreCPU(280, 286)
 	c.SetEngine(EngineTraces)
-	c.SetChainFollow(1)
 	run(t, c, 1_000_000)
 	if c.Trans.TraceInvalidations == 0 {
 		t.Fatal("write barrier never fired; the case is not exercised")

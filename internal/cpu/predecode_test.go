@@ -202,49 +202,50 @@ func TestStepSurvivesLoadImageReuse(t *testing.T) {
 }
 
 // TestSteadyStateZeroAlloc pins the allocation-free commit path: once
-// warm, stepping the loop must not allocate — on either engine. This is
+// warm, running the loop must not allocate — on any engine. This is
 // the property that keeps the simulator's throughput allocation-bound
-// no more.
+// no more. Each measured run is twenty loop iterations from the loop
+// head, and on the translation tiers it must run in the tier it
+// measures.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		engine Engine
 		build  func(int32) *CPU
+		loop   uint64 // words in one iteration from the loop head at 2
 	}{
-		{"traces", EngineTraces, loopCPU},
-		{"blocks", EngineBlocks, loopCPU},
-		{"fast", EngineFast, loopCPU},
-		{"reference", EngineReference, loopCPU},
+		{"traces", EngineTraces, loopCPU, 4},
+		{"blocks", EngineBlocks, loopCPU, 4},
+		{"fast", EngineFast, loopCPU, 4},
+		{"reference", EngineReference, loopCPU, 4},
 		// The trace tier on mapped user code with a ticking device: TLB
 		// probes, the tick horizon and the ticker advance in the loop.
-		{"traces-mapped", EngineTraces, mappedLoopCPU},
+		{"traces-mapped", EngineTraces, mappedLoopCPU, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := tc.build(2_000_000)
 			c.SetEngine(tc.engine)
+			c.RunSteps(2)
 			// Warm up: caches filled, pending-write slices at capacity.
-			// 128 steps carries the traces case past heat-counter
+			// 128 runs carry the traces case past heat-counter
 			// saturation, recording, and compilation, so measurement sees
 			// only warm trace dispatch.
 			for i := 0; i < 128; i++ {
-				if err := c.Step(); err != nil {
-					t.Fatal(err)
-				}
+				c.RunSteps(20 * tc.loop)
 			}
 			if tc.engine == EngineTraces && c.Trans.TraceCompiled == 0 {
 				t.Fatal("warmup did not compile a trace; the measurement would be vacuous")
 			}
-			d0 := c.Trans.TraceDispatchHits
-			avg := testing.AllocsPerRun(1000, func() {
-				if err := c.Step(); err != nil {
-					t.Fatal(err)
-				}
-			})
+			d0, b0 := c.Trans.TraceDispatchHits, c.Trans.TierInstrs[TierBlocks]
+			avg := testing.AllocsPerRun(1000, func() { c.RunSteps(20 * tc.loop) })
 			if avg != 0 {
-				t.Errorf("steady-state Step allocates %v allocs/op, want 0", avg)
+				t.Errorf("steady-state run allocates %v allocs/op, want 0", avg)
 			}
 			if tc.engine == EngineTraces && c.Trans.TraceDispatchHits == d0 {
-				t.Error("the measured Steps dispatched no compiled trace")
+				t.Error("the measured runs dispatched no compiled trace")
+			}
+			if tc.engine == EngineBlocks && c.Trans.TierInstrs[TierBlocks] == b0 {
+				t.Error("the measured runs retired nothing on the block engine")
 			}
 		})
 	}

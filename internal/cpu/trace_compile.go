@@ -112,26 +112,28 @@ func (c *CPU) traceFault2(q [3]uint32, primary, secondary isa.Cause) {
 
 // runTrace executes a compiled trace from its entry, then chains
 // trace-to-trace through the cache (a loop trace chains to itself)
-// bounded by the same follow budget as block chaining. A guard exit
+// while each trace entered fits the steps left of the run. A guard exit
 // chains too when it left a single-entry (hence sequential) queue and
 // raised no exception: a mispredicted direction frequently lands at the
 // entry of the trace covering the other path, and bouncing through the
-// lower tiers for one Step would forfeit the dispatch. The dispatch
+// lower tiers for one dispatch would forfeit the trace. The dispatch
 // guards hold for the whole chain: nothing inside a trace can change the
 // translation context ctx or what stepTraces checked (privilege,
 // overflow enable and the page map only change through words a trace
 // refuses to contain or through devices, whose references exit before
 // the access), so the TLB, synced here, serves the mapped handlers'
 // probes. The tickers are advanced only afterwards, so each trace
-// entered must fit what is left of their horizon.
-func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon uint64) {
+// entered must fit what is left of their horizon and of the run's steps
+// (until the exception that ends the chain, each step is an instruction).
+func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) {
 	c.trOvfOn = c.Sur.OverflowEnabled()
 	if ctx.Mapped {
 		c.Bus.MMU.SyncTLB()
 	}
 	exc0 := c.excSeq
 	i0 := c.Stats.Instructions
-	for follow := 0; ; follow++ {
+	end := i0 + min(horizon, left)
+	for {
 		c.Trans.TraceDispatchHits++
 		tr.hits++
 		if !tr.warm {
@@ -172,9 +174,8 @@ func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon uint64) {
 				c.Trans.TraceDeoptEnvironment++
 				return
 			}
-			if (r == DeoptBranchDirection || r == DeoptIndirectTarget) &&
-				c.excSeq == exc0 && follow < c.chainFollow {
-				if nt := c.sideResolve(tr, xi, r, ctx, horizon-(c.Stats.Instructions-i0)); nt != nil {
+			if (r == DeoptBranchDirection || r == DeoptIndirectTarget) && c.excSeq == exc0 {
+				if nt := c.sideResolve(tr, xi, r, ctx, end-c.Stats.Instructions); nt != nil {
 					tr = nt
 					continue
 				}
@@ -196,20 +197,11 @@ func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon uint64) {
 		if c.pcq[0] != tr.pc || !tr.valid || tr.side {
 			nt = c.traceAt(c.pcq[0], ctx)
 		}
-		if follow >= c.chainFollow {
-			// Standing down with a compiled trace ready at the next PC
-			// is lost trace time, not a guard failure: counted as a
-			// dispatch-level deopt outside the guard-exit partition.
-			if nt != nil {
-				c.Trans.TraceDeoptChainBudget++
-			}
-			return
-		}
 		if nt == nil {
 			return
 		}
-		if uint64(nt.words) > horizon-(c.Stats.Instructions-i0) {
-			c.Trans.TraceDeoptEnvironment++
+		if c.Stats.Instructions+uint64(nt.words) > end {
+			c.standDown(uint64(nt.words), horizon-(c.Stats.Instructions-i0))
 			return
 		}
 		tr = nt
@@ -229,10 +221,10 @@ func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon uint64) {
 //     in the op's inline cache (MRU first), installing a new stub on a
 //     hot miss.
 //
-// room is what is left of the tickers' horizon: a continuation longer
-// than that stays unresolved. A successful resolution returns the trace
-// to continue in, having counted a side/IC hit; nil falls back to the
-// guard-exit path.
+// room is what is left of the tickers' horizon and the run's steps: a
+// continuation longer than that stays unresolved. A successful
+// resolution returns the trace to continue in, having counted a side/IC
+// hit; nil falls back to the guard-exit path.
 func (c *CPU) sideResolve(tr *trace, xi int, r DeoptReason, ctx *mem.Context, room uint64) *trace {
 	if c.pcn == 1 || (c.pcn == 2 && c.pcq[1] == c.pcq[0]+1) {
 		if nt := c.traceAt(c.pcq[0], ctx); nt != nil && uint64(nt.words) <= room {
@@ -320,6 +312,17 @@ func (c *CPU) sideResolve(tr *trace, xi int, r DeoptReason, ctx *mem.Context, ro
 	c.Trans.TraceICHits++
 	tr.icHits++
 	return st
+}
+
+// standDown counts a ready trace of w words too long to enter: lost trace
+// time, not a guard failure. The bound was a ticker's when its horizon
+// is shorter, else the run's budget.
+func (c *CPU) standDown(w, horizon uint64) {
+	if w > horizon {
+		c.Trans.TraceDeoptEnvironment++
+	} else {
+		c.Trans.TraceDeoptChainBudget++
+	}
 }
 
 // buildSideStub compiles the minimal continuation of a guard exit: the

@@ -9,8 +9,8 @@ package cpu
 // a trace entry candidate. A compiled trace there executes directly
 // (trace_compile.go) when its longest clean pass fits the tickers'
 // horizon. Otherwise a per-entry-PC heat counter accumulates, and on
-// crossing the threshold the next Step runs on the block engine with
-// path recording switched on: every chained superblock the Step executes
+// crossing the threshold the next dispatch runs on the block engine with
+// path recording switched on: every chained superblock it executes
 // is noted (in mapped mode the recording resolves each successor through
 // the translation, as the next block entry would). The recorded path —
 // the actual hot route through the code, taken branches included — is
@@ -46,7 +46,7 @@ type tracePoint struct {
 }
 
 // traceRec is the in-flight path recording, switched on for a single
-// Step by stepTraces, with the translation context the Step started
+// chain by stepTraces, with the translation context the chain started
 // under (the formed trace's key). Fixed capacity: recording never
 // allocates.
 type traceRec struct {
@@ -106,9 +106,10 @@ func (c *CPU) traceable() bool {
 }
 
 // stepTraces is the trace-tier dispatcher. It returns true when it
-// executed something (a compiled trace, or a recorded Step on the block
-// engine); false falls through to the superblock tier untouched.
-func (c *CPU) stepTraces() bool {
+// executed something (a compiled trace, or a recorded chain on the block
+// engine) within left steps; false falls through to the superblock tier
+// untouched.
+func (c *CPU) stepTraces(left uint64) bool {
 	pc := c.pcq[0]
 	ctx := c.Bus.MMU.Context(c.Mapped())
 	if !c.traceable() {
@@ -127,15 +128,15 @@ func (c *CPU) stepTraces() bool {
 			c.Trans.TraceDeoptInterrupt++
 			return false
 		}
+		// A ticker could change what the trace sees before it ends, or the
+		// run end inside it: the lower tiers go word by word up to either.
 		horizon := c.Bus.horizon()
-		if uint64(tr.words) > horizon {
-			// A ticker could change what the trace sees before it ends:
-			// the lower tiers tick word by word up to the horizon.
-			c.Trans.TraceDeoptEnvironment++
+		if w := uint64(tr.words); w > min(horizon, left) {
+			c.standDown(w, horizon)
 			return false
 		}
 		i0, exc0 := c.Stats.Instructions, c.excSeq
-		c.runTrace(tr, &ctx, horizon)
+		c.runTrace(tr, &ctx, horizon, left)
 		n := c.Stats.Instructions - i0
 		if n == 0 {
 			// The first word left a device reference to the lower tiers,
@@ -157,15 +158,15 @@ func (c *CPU) stepTraces() bool {
 	if !c.heatBump(pc) {
 		return false
 	}
-	// Threshold crossed: run this Step on the block engine with path
+	// Threshold crossed: run this chain on the block engine with path
 	// recording on, then form a trace from what actually executed. The
-	// recorded Step retires on the block engine, so residency charges
+	// recorded chain retires on the block engine, so residency charges
 	// the blocks tier.
 	c.trec.active = true
 	c.trec.n = 0
 	c.trec.ctx = ctx
 	i0 := c.Stats.Instructions
-	ok := c.stepBlocks()
+	ok := c.stepBlocks(left)
 	c.Trans.TierInstrs[TierBlocks] += c.Stats.Instructions - i0
 	c.trec.active = false
 	if ok {
@@ -228,10 +229,10 @@ func (c *CPU) heatIn(pc uint32) uint32 {
 }
 
 // traceYield reports whether the block chain should end at npc and hand
-// control back to the Step dispatcher: a compiled trace is installed
+// control back to the dispatcher: a compiled trace is installed
 // there under ctx, or npc's heat just crossed the formation threshold.
 // Crossing re-arms the counter one bump below the entry's effective
-// threshold so the dispatcher's own bump starts the recording Step
+// threshold so the dispatcher's own bump starts the recording chain
 // immediately.
 func (c *CPU) traceYield(npc uint32, ctx *mem.Context) bool {
 	if c.traceAt(npc, ctx) != nil {
@@ -385,10 +386,10 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 	if len(pts) < 2 || pts[0].pc != entry {
 		// A short path is usually transient — the block engine has not
 		// chained through this entry yet, or an interrupt cut the
-		// recording Step — so the entry backs off instead of poisoning:
+		// recording chain — so the entry backs off instead of poisoning:
 		// each failure doubles the threshold the next retry must re-earn.
 		// Recording is allocation-free up to this point, so retries cost
-		// only the recorded Step itself. Structural failures (validation
+		// only the recorded chain itself. Structural failures (validation
 		// refusing the first block, compilation failing) still poison.
 		c.refuseTrace(RefusalShortPath, entry, heat)
 		c.heatBackoff(entry)

@@ -54,9 +54,7 @@ func firstRecording(t *testing.T, c *CPU) TraceRecording {
 		}
 	})
 	for i := 0; i < 10_000 && c.Trans.TraceCompiled == 0; i++ {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
+		c.RunSteps(1000)
 	}
 	c.SetJITHook(nil)
 	if c.Trans.TraceCompiled == 0 {
@@ -141,7 +139,7 @@ func cloneWord(in isa.Instr) isa.Instr {
 
 // TestTraceReformAliasing repeatedly drops and re-forms the traces, side
 // stubs, and inline-cache stubs of the LFSR indirect-jump workload on one
-// CPU. At Step boundaries picked by a second LFSR, a word of the loop is
+// CPU. At instruction counts picked by a second LFSR, a word of the loop is
 // replaced by an identical clone (rewrite IMem and Poke the physical
 // word, so the write barrier drops everything covering it), and the tier
 // re-forms from live memory. Because every patch is architecturally
@@ -159,10 +157,8 @@ func TestTraceReformAliasing(t *testing.T) {
 		next := uint64(0)
 		patches := 0
 		for !c.Halted {
-			if err := c.Step(); err != nil {
-				t.Fatal(err)
-			}
 			if c.Stats.Instructions < next {
+				c.RunSteps(next - c.Stats.Instructions)
 				continue
 			}
 			// One Galois step of the schedule LFSR picks the gap to the

@@ -290,18 +290,17 @@ func TestInlineCacheLFSRIndirect(t *testing.T) {
 // branch delay slot it compiled — must drop the stub (and its parent)
 // through the write barrier, never replaying stale code, and the stub
 // must re-form from the patched memory once its exit runs hot again.
-// The patch lands only at Step boundaries where the current iteration's
+// The patch lands only at run boundaries where the current iteration's
 // delay slot has not yet executed (PC <= the branch shadow), so the
-// architectural result stays exactly computable.
+// architectural result stays exactly computable. Runs of 97 steps end
+// at every word of the loop in turn.
 func TestSideTracePatchInvalidation(t *testing.T) {
 	const n = 8000
 	c := lfsrBranchCPU(n)
 	patched := false
 	var left uint32
 	for !c.Halted {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
+		c.RunSteps(97)
 		// Wait for a live side stub before patching, so the drop path
 		// under test actually has a stub to drop. Word 9 (the shadow nop
 		// both the parent trace and the stub compiled) becomes an
@@ -316,7 +315,7 @@ func TestSideTracePatchInvalidation(t *testing.T) {
 		}
 	}
 	if !patched {
-		t.Fatal("no Step boundary offered a patch point with a live side stub")
+		t.Fatal("no run boundary offered a patch point with a live side stub")
 	}
 	if want := lfsrBranchR2(n) + 10*left; c.Regs[2] != want {
 		t.Errorf("r2 = %d, want %d (stale side stub executed after patch)", c.Regs[2], want)
@@ -338,21 +337,19 @@ func TestSideTraceZeroAllocSteadyState(t *testing.T) {
 	// Warm until formation, stub builds, and IC installs have all
 	// happened and every heat entry has settled — never during the
 	// measurement.
-	for i := 0; i < 8192; i++ {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; i < 256; i++ {
+		c.RunSteps(1000)
 	}
 	if c.Trans.TraceCompiled == 0 || c.Trans.TraceSideCompiled == 0 || c.Trans.TraceICInstalls == 0 {
 		t.Fatalf("warmup did not reach steady state (compiled=%d side=%d ic=%d); the measurement would be vacuous",
 			c.Trans.TraceCompiled, c.Trans.TraceSideCompiled, c.Trans.TraceICInstalls)
 	}
-	avg := testing.AllocsPerRun(1000, func() {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	d0, r0 := c.Trans.TraceDispatchHits, c.Trans.TraceSideHits+c.Trans.TraceICHits
+	avg := testing.AllocsPerRun(100, func() { c.RunSteps(1000) })
 	if avg != 0 {
-		t.Errorf("steady-state Step with live side stubs/ICs allocates %v allocs/op, want 0", avg)
+		t.Errorf("steady-state run with live side stubs/ICs allocates %v allocs/op, want 0", avg)
+	}
+	if c.Trans.TraceDispatchHits == d0 || c.Trans.TraceSideHits+c.Trans.TraceICHits == r0 {
+		t.Error("the measured runs resolved no guard exit through a side stub or inline cache")
 	}
 }

@@ -94,10 +94,6 @@ func TestTraceSelfModifyStore(t *testing.T) {
 	const iters, base = 280, 286
 	trc := descendingStoreCPU(iters, base)
 	trc.SetEngine(EngineTraces)
-	// Chain depth 1 makes every loop iteration its own Step, so the
-	// heat counter warms in tens of iterations instead of thousands;
-	// chain depth is pure dispatch and never changes architecture.
-	trc.SetChainFollow(1)
 	run(t, trc, 1_000_000)
 
 	fast := descendingStoreCPU(iters, base)
@@ -166,20 +162,21 @@ func TestTraceDMAQuietGuard(t *testing.T) {
 }
 
 // TestTracePatchBetweenSteps is the harness self-modification contract
-// applied to the trace tier: a writer that patches code between Steps
+// applied to the trace tier: a writer that patches code between runs
 // must rewrite IMem and Poke the physical word; the Poke must drop the
 // covering compiled trace so the patch takes effect on the very next
-// Step, even though trace dispatch skips per-entry revalidation.
+// run, even though trace dispatch skips per-entry revalidation.
 func TestTracePatchBetweenSteps(t *testing.T) {
 	const iters = 5000
 	c := tracesCPU(iters)
 	patched := false
 	var left uint32
+	// Two steps reach the loop head; from there each 80-step run is
+	// twenty iterations (words 2..5) and returns to it.
+	c.RunSteps(2)
 	for !c.Halted {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-		// Patch only at a loop-head Step boundary, after the trace tier
+		c.RunSteps(80)
+		// Patch only at a loop-head boundary, after the trace tier
 		// is warm, so the remaining iteration count is exact: switch the
 		// accumulator step from +r3 (5) to +1.
 		if !patched && c.PC() == 2 && c.Trans.TraceDispatchHits > 0 && c.Regs[1] > 0 {
@@ -205,13 +202,12 @@ func TestTracePatchBetweenSteps(t *testing.T) {
 
 // TestTraceEngineToggle switches the trace tier on and off mid-run;
 // machine state is shared with the lower tiers, so execution must
-// continue seamlessly from any Step boundary.
+// continue seamlessly from any run boundary: 67 steps end a run at
+// every word of the four-word loop in turn.
 func TestTraceEngineToggle(t *testing.T) {
 	c := tracesCPU(3000)
 	for !c.Halted {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
+		c.RunSteps(67)
 		if c.Engine() == EngineTraces {
 			c.SetEngine(EngineBlocks)
 		} else {
@@ -223,46 +219,12 @@ func TestTraceEngineToggle(t *testing.T) {
 	}
 }
 
-// TestTraceChainFollowKnob pins the tunable chain-depth limit: depth 1
-// must still execute correctly (every pass returns to the dispatcher),
-// and a deeper limit must reduce the number of Step calls needed for
-// the same work, which is the knob's whole point.
-func TestTraceChainFollowKnob(t *testing.T) {
-	stepsFor := func(follow int) (int, *CPU) {
-		c := tracesCPU(4000)
-		c.SetChainFollow(follow)
-		steps := 0
-		for !c.Halted {
-			if err := c.Step(); err != nil {
-				t.Fatal(err)
-			}
-			steps++
-		}
-		return steps, c
-	}
-	shallowSteps, shallow := stepsFor(1)
-	deepSteps, deep := stepsFor(64)
-	if shallow.Regs != deep.Regs || shallow.Stats != deep.Stats {
-		t.Errorf("chain depth changed architectural state:\n depth1 %+v\n depth64 %+v",
-			shallow.Stats, deep.Stats)
-	}
-	if shallow.Regs[2] != 20000 {
-		t.Errorf("r2 = %d, want 20000", shallow.Regs[2])
-	}
-	if deepSteps >= shallowSteps {
-		t.Errorf("deep chaining took %d steps, shallow %d; the knob has no effect", deepSteps, shallowSteps)
-	}
-	if got := deep.ChainFollow(); got != 64 {
-		t.Errorf("ChainFollow() = %d, want 64", got)
-	}
-}
-
 // TestTraceYieldBackedOffEntry pins the chain-crossing re-arm for an
 // entry whose threshold has backed off: when its heat crosses inside a
 // block chain, the chain yields and the dispatcher's own bump on the
-// very next Step must start the recording. Re-arming against the base
-// threshold instead of the entry's effective one would waste the
-// crossing and leave the next Step unrecorded.
+// very next dispatch must start the recording. Re-arming against the
+// base threshold instead of the entry's effective one would waste the
+// crossing and leave the next run unrecorded.
 func TestTraceYieldBackedOffEntry(t *testing.T) {
 	c := loopCPU(1000)
 	const head = 2 // the loop head, reached by chaining from the block at 0
@@ -276,20 +238,19 @@ func TestTraceYieldBackedOffEntry(t *testing.T) {
 	eff := uint32(heatThreshold << 1)
 	c.heat[head&(heatEntries-1)] = heatEntry{pc: head, n: eff - 1, boff: 1}
 
-	if err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
+	// The block at 0 runs words 0..5 and its chain yields at the head;
+	// the run's last 64 steps go word by word, below the tiers, through
+	// sixteen iterations back to the head.
+	c.RunSteps(70)
 	if c.PC() != head {
-		t.Fatalf("first Step stopped at pc %d, want the chain to yield at %d", c.PC(), head)
+		t.Fatalf("first run stopped at pc %d, want the chain to yield at %d", c.PC(), head)
 	}
 	if len(formed) != 0 {
 		t.Fatalf("recording started before the dispatcher saw the crossing: %+v", formed)
 	}
-	if err := c.Step(); err != nil {
-		t.Fatal(err)
-	}
+	c.RunSteps(80)
 	if len(formed) != 1 || formed[0].PC != head {
-		t.Fatalf("next Step formed %+v, want one recording at pc %d", formed, head)
+		t.Fatalf("next run formed %+v, want one recording at pc %d", formed, head)
 	}
 	if formed[0].Heat != eff {
 		t.Errorf("JITFormed Heat = %d, want the effective threshold %d", formed[0].Heat, eff)

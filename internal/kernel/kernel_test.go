@@ -604,7 +604,7 @@ func TestKernelEncodesToBits(t *testing.T) {
 
 // TestTracedProcessSteadyStateZeroAlloc runs a process's load/store loop
 // on the trace tier under the interval timer: once the loop's traces
-// are compiled, stepping — trace dispatch, TLB probes, the timer's
+// are compiled, running — trace dispatch, TLB probes, the timer's
 // horizon and advance, and the preemptions it raises — allocates
 // nothing.
 func TestTracedProcessSteadyStateZeroAlloc(t *testing.T) {
@@ -625,26 +625,20 @@ loop:	st r5, (r2)
 	}
 	m.CPU.Reset()
 	for i := 0; i < 4096; i++ {
-		if err := m.CPU.Step(); err != nil {
-			t.Fatal(err)
-		}
+		m.CPU.RunSteps(256)
 	}
 	if m.CPU.Trans.TraceCompiled == 0 {
 		t.Fatal("warm-up compiled no trace; the measurement would be vacuous")
 	}
 	hits, switches := m.CPU.Trans.TraceDispatchHits, m.ContextSwitches()
-	avg := testing.AllocsPerRun(1000, func() {
-		if err := m.CPU.Step(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	avg := testing.AllocsPerRun(1000, func() { m.CPU.RunSteps(256) })
 	if avg != 0 {
-		t.Errorf("steady-state Step allocates %v allocs/op, want 0", avg)
+		t.Errorf("steady-state run allocates %v allocs/op, want 0", avg)
 	}
 	if m.CPU.Trans.TraceDispatchHits == hits {
-		t.Error("the measured Steps dispatched no compiled trace")
+		t.Error("the measured runs dispatched no compiled trace")
 	}
 	if m.ContextSwitches() == switches {
-		t.Error("the timer never preempted the measured Steps")
+		t.Error("the timer never preempted the measured runs")
 	}
 }

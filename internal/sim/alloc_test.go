@@ -21,7 +21,8 @@ import (
 // runQuantum call is purely the steady-state hot path.
 func newQuietSpinJob(tb testing.TB, quantum uint64) (*Service, *Job) {
 	tb.Helper()
-	u, err := asm.Parse("\t.entry main\nmain:\tjmp main\n")
+	// Text at 16, codegen.BareTextBase: word 0 holds the monitor's rfe.
+	u, err := asm.Parse("\t.text 16\n\t.entry main\nmain:\tjmp main\n")
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -69,6 +70,7 @@ func TestJobServiceNoTelemetryZeroAlloc(t *testing.T) {
 	if !s.runQuantum(j) {
 		t.Fatal("spin job finished unexpectedly")
 	}
+	hits := j.m.Trans().TraceDispatchHits
 	allocs := testing.AllocsPerRun(20, func() {
 		if !s.runQuantum(j) {
 			t.Fatal("spin job finished unexpectedly")
@@ -76,6 +78,9 @@ func TestJobServiceNoTelemetryZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("job hot path allocated %.1f times per quantum with no telemetry attached; want 0", allocs)
+	}
+	if j.m.Trans().TraceDispatchHits == hits {
+		t.Fatal("the measured quanta dispatched no compiled trace")
 	}
 }
 

@@ -43,7 +43,8 @@ func testPrograms(t *testing.T) map[string]sim.ProgramFunc {
 	}
 	// A program that never halts, for cancellation and backpressure.
 	progs["spin"] = func(bool) (*isa.Image, error) {
-		u, err := asm.Parse("\t.entry main\nmain:\tjmp main\n")
+		// Text at 16, codegen.BareTextBase: word 0 holds the monitor's rfe.
+		u, err := asm.Parse("\t.text 16\n\t.entry main\nmain:\tjmp main\n")
 		if err != nil {
 			return nil, err
 		}

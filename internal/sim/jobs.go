@@ -124,11 +124,11 @@ type ServiceConfig struct {
 	// ErrQueueFull beyond it (default 256). It also bounds the finished
 	// jobs the service keeps answering for.
 	QueueDepth int
-	// Quantum is the scheduler steps a job runs per turn before being
-	// checkpoint-preempted (default 1_000_000).
+	// Quantum is the steps (see Machine.RunSteps) a job runs per turn
+	// before being checkpoint-preempted (default 1_000_000).
 	Quantum uint64
-	// DefaultMaxSteps bounds jobs that do not set MaxSteps (default
-	// 500_000_000).
+	// DefaultMaxSteps bounds the steps of jobs that do not set MaxSteps
+	// (default 500_000_000).
 	DefaultMaxSteps uint64
 	// Metrics, if non-nil, receives the service's jobs.* counters.
 	Metrics *trace.Registry
@@ -164,7 +164,7 @@ type JobSpec struct {
 	// job's first quantum, so heavy setup (compilation, snapshot decode)
 	// never blocks Submit.
 	Build func() (*Machine, error)
-	// MaxSteps bounds the job (0 = the service default).
+	// MaxSteps bounds the steps the job runs (0 = the service default).
 	MaxSteps uint64
 	// Timeout, if nonzero, fails the job when its wall-clock age exceeds
 	// it (checked at quantum boundaries).
@@ -196,7 +196,7 @@ type Job struct {
 	// transition, and loaded without j.mu.
 	rec          atomic.Pointer[jobRecord]
 	instructions atomic.Uint64
-	steps        atomic.Uint64 // quantum budget consumed
+	steps        atomic.Uint64 // steps run: instructions plus exception entries
 	quanta       atomic.Uint64
 
 	// mu is held by the worker for a whole quantum and guards the
@@ -530,8 +530,9 @@ func (s *Service) runQuantum(j *Job) bool {
 	if rem := j.maxSteps - steps; rem < q {
 		q = rem
 	}
+	exc := j.m.Stats().TotalExceptions()
 	executed, halted := j.m.RunSteps(q)
-	steps += q
+	steps += executed + j.m.Stats().TotalExceptions() - exc
 	j.steps.Store(steps)
 	j.instructions.Add(executed)
 	j.quanta.Add(1)

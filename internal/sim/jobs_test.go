@@ -25,7 +25,8 @@ import (
 // backpressure tests.
 func spinImage(t *testing.T) *isa.Image {
 	t.Helper()
-	u, err := asm.Parse("\t.entry main\nmain:\tjmp main\n")
+	// Text at 16, codegen.BareTextBase: word 0 holds the monitor's rfe.
+	u, err := asm.Parse("\t.text 16\n\t.entry main\nmain:\tjmp main\n")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,6 +243,11 @@ func (m *Machine) Load(im *isa.Image) error {
 	if m.loaded > 0 {
 		return errors.New("sim: bare machine already holds an image")
 	}
+	// Word 0 holds the monitor's rfe, and no memory extends past
+	// mem.MaxPhysWords: refuse text outside them before touching either.
+	if end := int64(im.TextBase) + int64(len(im.Words)); im.TextBase < 1 || end > mem.MaxPhysWords {
+		return fmt.Errorf("sim: image text [%d,%d) outside [1,%d)", im.TextBase, end, mem.MaxPhysWords)
+	}
 	if err := m.cpu.LoadImage(im); err != nil {
 		return err
 	}
@@ -288,30 +293,23 @@ func (m *Machine) Template() string { return m.template }
 // for template forks.
 func (m *Machine) COWStats() mem.COWStats { return m.cpu.Bus.MMU.Phys.COWStats() }
 
-// Run executes until the machine halts or the step limit is reached,
-// returning the number of instructions executed. Calling Run again
-// continues where the previous call stopped.
+// Run executes until the machine halts or has run maxSteps steps (see
+// RunSteps), returning the number of instructions executed. Calling Run
+// again continues where the previous call stopped.
 func (m *Machine) Run(maxSteps uint64) (uint64, error) {
 	m.boot()
 	return m.cpu.Run(maxSteps)
 }
 
-// RunSteps executes at most n scheduler steps (a step retires one
-// instruction word, one whole chained superblock run on the Blocks
-// engine, or one whole trace-dispatch pass on the Traces engine) and
-// reports the instructions executed and whether the machine halted.
-// It is the job service's preemption quantum: the machine stops at an
-// instruction boundary, snapshot-safe, and continues with the next
-// call.
+// RunSteps executes at most n steps (a step retires one instruction
+// word or enters one exception, on every engine; see cpu.CPU.RunSteps)
+// and reports the instructions executed and whether the machine halted.
+// It is the job service's preemption quantum: the machine stops at the
+// instruction boundary the reference engine stops at, snapshot-safe,
+// and continues with the next call.
 func (m *Machine) RunSteps(n uint64) (uint64, bool) {
 	m.boot()
-	start := m.cpu.Stats.Instructions
-	for i := uint64(0); i < n; i++ {
-		if m.cpu.Step() != nil {
-			break
-		}
-	}
-	return m.cpu.Stats.Instructions - start, m.cpu.Halted
+	return m.cpu.RunSteps(n)
 }
 
 // Output returns everything the program wrote to the console so far.

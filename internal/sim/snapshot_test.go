@@ -307,18 +307,12 @@ func TestSnapshotRandomPreemptAcrossEngines(t *testing.T) {
 			if err := m.Load(im); err != nil {
 				t.Fatal(err)
 			}
-			// Shallow chaining makes a Step fine-grained (one block or
-			// one trace pass), so heat counters — derived state every
-			// restore rebuilds from zero — re-cross the formation
-			// threshold within a quantum. Chain depth is pure dispatch
-			// and never changes architecture.
-			m.CPU().SetChainFollow(2)
 			var dispatches uint64 // summed per hop: a restore starts Trans at zero
 			for hop := 0; !m.Halted(); hop++ {
 				if hop > 100_000 {
 					t.Fatal("run did not finish; preemption made no progress")
 				}
-				_, halted := m.RunSteps(uint64(1 + r.Intn(200)))
+				_, halted := m.RunSteps(uint64(1 + r.Intn(2000)))
 				dispatches += m.Trans().TraceDispatchHits
 				if halted {
 					break
@@ -332,7 +326,6 @@ func TestSnapshotRandomPreemptAcrossEngines(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				m.CPU().SetChainFollow(2)
 			}
 			if dispatches == 0 {
 				t.Error("no preemption quantum dispatched through a compiled trace; the schedule never checkpointed a warm trace tier")

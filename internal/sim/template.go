@@ -134,11 +134,11 @@ func (p *TemplatePool) Put(name string, snapshot []byte) (*Template, error) {
 	return t, nil
 }
 
-// Capture boots the machine, optionally runs a warm-up step budget,
-// snapshots it, and stores the result under name. Translation caches
-// and their counters stay behind: forks start cold on both.
-// The machine is consumed as the template master and should not be
-// run afterwards.
+// Capture boots the machine, optionally runs warmupSteps steps (see
+// Machine.RunSteps), snapshots it, and stores the result under name.
+// Translation caches and their counters stay behind: forks start cold
+// on both. The machine is consumed as the template master and should
+// not be run afterwards.
 func (p *TemplatePool) Capture(name string, m *Machine, warmupSteps uint64) (*Template, error) {
 	m.Boot()
 	if warmupSteps > 0 {

@@ -27,9 +27,8 @@ import (
 func bakeTemplate(t *testing.T, warmup uint64) (*sim.TemplatePool, *sim.Template) {
 	t.Helper()
 	im := compileCorpus(t, "fib", false)
-	// The master runs warm-up on the exact per-instruction engine so a
-	// step budget counts instructions; snapshots are engine-agnostic, so
-	// forks still run on any engine.
+	// The master runs warm-up on the reference engine; snapshots are
+	// engine-agnostic, so forks still run on any engine.
 	master, err := sim.New(sim.WithEngine(sim.Reference))
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +422,8 @@ func TestForkAndRestoreStartCold(t *testing.T) {
 	if err := master.Load(im); err != nil {
 		t.Fatal(err)
 	}
-	tpl, err := sim.NewTemplatePool().Capture("fib", master, 60)
+	// 1,324 steps form six traces, long before fib halts.
+	tpl, err := sim.NewTemplatePool().Capture("fib", master, 1324)
 	if err != nil {
 		t.Fatal(err)
 	}

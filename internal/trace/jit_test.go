@@ -101,11 +101,7 @@ func TestJITLogAttachObservesMachine(t *testing.T) {
 	c.SetEngine(cpu.EngineTraces)
 	l := NewJITLog(0)
 	l.Attach(c)
-	for i := 0; i < 1_000_000 && !c.Halted; i++ {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c.RunSteps(1_000_000)
 	var kinds [8]int
 	for _, e := range l.Events() {
 		kinds[e.Kind]++
@@ -175,11 +171,7 @@ func TestCollectJITSites(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetEngine(cpu.EngineTraces)
-	for i := 0; i < 1_000_000 && !c.Halted; i++ {
-		if err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	c.RunSteps(1_000_000)
 	sites := CollectJITSites(c, nil)
 	if len(sites.Traces) == 0 {
 		t.Fatal("no trace sites on a traced loop")

@@ -109,7 +109,7 @@ func RegisterTranslation(r *Registry, prefix string, ts *cpu.TranslationStats) e
 	}
 	c("trace.deopt.environment", "trace dispatches refused by DMA, devices while unmapped, a short tick horizon, or a device reference", &ts.TraceDeoptEnvironment)
 	c("trace.deopt.interrupt", "trace dispatches refused by a pending interrupt", &ts.TraceDeoptInterrupt)
-	c("trace.deopt.chain_budget", "trace chains cut by the chain-follow budget with a successor trace ready", &ts.TraceDeoptChainBudget)
+	c("trace.deopt.chain_budget", "ready traces left unentered because the run had fewer steps left than the trace has words", &ts.TraceDeoptChainBudget)
 	for reason := cpu.FormRefusal(0); reason < cpu.NumFormRefusals; reason++ {
 		c("trace.refuse."+reason.String(),
 			"trace recordings refused or truncated: "+reason.String(),

@@ -31,6 +31,11 @@ field() { # field <name> <file>
     sed -n "s/.*\"$1\": *\"\\([^\"]*\\)\".*/\\1/p" "$2" | head -1
 }
 
+# Pull a numeric field out of a one-object JSON response.
+num() { # num <name> <file>
+    sed -n "s/.*\"$1\": *\([0-9]*\).*/\1/p" "$2" | head -1
+}
+
 echo "==> build mipsd"
 go build -o "$TMP/mipsd" ./cmd/mipsd
 
@@ -138,6 +143,32 @@ if ! cmp -s "$TMP/out1" "$TMP/out2"; then
     diff "$TMP/out1" "$TMP/out2" >&2 || true
     exit 1
 fi
+
+echo "==> max_steps counts instructions on every engine"
+# A step is one retired instruction or one exception entry, so a bare
+# fib job limited to 5000 steps fails at the same instruction on the
+# reference engine and on the trace tier.
+LIMIT_INSTRS=""
+for eng in reference traces; do
+    curl -fsS -X POST -H 'Content-Type: application/json' \
+        -d "{\"program\":\"fib\",\"engine\":\"$eng\",\"max_steps\":5000}" \
+        "$BASE/v1/jobs" >"$TMP/submit_max.json"
+    IDM=$(field id "$TMP/submit_max.json")
+    [ -n "$IDM" ] || { echo "no job id for the $eng max_steps job" >&2; cat "$TMP/submit_max.json" >&2; exit 1; }
+    STATEM=$(wait_done "$IDM")
+    ERRM=$(field error "$TMP/status.json")
+    if [ "$STATEM" != "failed" ] || [ "$ERRM" != "step limit 5000 exceeded" ]; then
+        echo "$eng job $IDM with max_steps 5000 ended $STATEM ($ERRM), want failed at the step limit" >&2
+        cat "$TMP/status.json" >&2
+        exit 1
+    fi
+    INSTRS=$(num instructions "$TMP/status.json")
+    if [ -n "$LIMIT_INSTRS" ] && [ "$INSTRS" != "$LIMIT_INSTRS" ]; then
+        echo "max_steps 5000: $eng ran $INSTRS instructions, reference $LIMIT_INSTRS" >&2
+        exit 1
+    fi
+    LIMIT_INSTRS=$INSTRS
+done
 
 echo "==> templates: create -> fork -> output -> delete"
 curl -fsS -X PUT -H 'Content-Type: application/json' \
