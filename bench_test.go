@@ -442,7 +442,7 @@ func BenchmarkFreeCycleDMA(b *testing.B) {
 		if err := c.LoadImage(im); err != nil {
 			b.Fatal(err)
 		}
-		c.IMem.Set(0, isa.Word(isa.RFE()))
+		c.WriteCode(0, []isa.Instr{isa.Word(isa.RFE())})
 		c.SetPC(uint32(im.Entry))
 		if _, err := c.Run(100_000_000); err != nil {
 			b.Fatal(err)

@@ -69,6 +69,7 @@ import (
 	"mips/internal/reorg"
 	"mips/internal/sim"
 	"mips/internal/telemetry"
+	"mips/internal/telemetry/fleet"
 	"mips/internal/trace"
 )
 
@@ -245,7 +246,7 @@ func main() {
 	}
 	if profiler != nil && *flameOut != "" {
 		if err := writeFile(*flameOut, func(w io.Writer) error {
-			return telemetry.WriteFolded(w, profiler)
+			return fleet.WriteFolded(w, profiler.Folded())
 		}); err != nil {
 			fatal(err)
 		}

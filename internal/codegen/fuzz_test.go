@@ -271,19 +271,19 @@ func rewriteWord(in isa.Instr) isa.Instr {
 // path). A step hook would force the exact engine, so the mutation
 // schedule rides the exception hook instead — it fires on every monitor
 // trap (writeint), which all engines deliver at identical points. Each
-// mutation follows the harness self-modification contract: rewrite the
-// IMem word (what the CPU executes and validates) AND touch the
-// physical word (what fires the write barrier). Chained block entries
-// and compiled traces skip per-entry revalidation by design, so an
-// engine that misses a barrier invalidation replays a stale
-// translation and diverges — on the traces engine the mutation lands
-// in code the trace tier has compiled, exercising the
-// store-into-own-trace invalidation path.
+// mutation rewrites words through CPU.WriteCode, which must drop every
+// block and trace caching them: chained block entries and compiled
+// traces never reread their words, and on the traces engine the
+// mutation lands in code the trace tier has compiled. The rewrites are
+// semantic no-ops, so the run also requires that they dropped
+// translations at all.
 func TestFuzzBlocksSelfModify(t *testing.T) {
 	seeds := 12
 	if testing.Short() {
 		seeds = 4
 	}
+	// Blocks dropped on the blocks engine, and traces on the traces one.
+	var blocksDropped, tracesDropped uint64
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		src := generate(seed)
 		prog, err := lang.Parse(src)
@@ -301,23 +301,20 @@ func TestFuzzBlocksSelfModify(t *testing.T) {
 
 		run := func(engine sim.Engine) RunResult {
 			var excs uint64
+			var m *cpu.CPU
 			res, err := RunMIPSWith(im, 200_000_000, RunOptions{
 				Engine: engine,
 				Attach: func(c *cpu.CPU) {
+					m = c
 					c.SetExcHook(func(pc uint32, primary, secondary isa.Cause, trapCode uint16) {
 						excs++
 						if excs%2 != 0 {
 							return
 						}
-						phys := c.Bus.MMU.Phys
 						for off := uint32(0); off < 6; off++ {
 							a := pc + off
 							if a < c.IMem.Len() {
-								c.IMem.Set(a, rewriteWord(c.IMem.At(a)))
-								// Barrier-only touch: same value back, so
-								// data memory is unchanged but every block
-								// and trace caching this word is dropped.
-								phys.Poke(a, phys.Peek(a))
+								c.WriteCode(a, []isa.Instr{rewriteWord(c.IMem.At(a))})
 							}
 						}
 					})
@@ -325,6 +322,12 @@ func TestFuzzBlocksSelfModify(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatalf("seed %d (%v): run: %v\n%s", seed, engine, err, src)
+			}
+			switch engine {
+			case sim.Blocks:
+				blocksDropped += m.Trans.BlockInvalidations
+			case sim.Traces:
+				tracesDropped += m.Trans.TraceInvalidations
 			}
 			return res
 		}
@@ -351,6 +354,9 @@ func TestFuzzBlocksSelfModify(t *testing.T) {
 			t.Fatalf("seed %d: stats diverge under self-modification\n traces %+v\n blocks %+v\n%s",
 				seed, trc.Stats, blk.Stats, src)
 		}
+	}
+	if blocksDropped == 0 || tracesDropped == 0 {
+		t.Errorf("the code writes dropped %d blocks and %d traces; want both nonzero", blocksDropped, tracesDropped)
 	}
 }
 
@@ -398,7 +404,7 @@ func TestFuzzSelfModifyDifferential(t *testing.T) {
 						for off := uint32(0); off < 4; off++ {
 							a := pc + off
 							if a < c.IMem.Len() {
-								c.IMem.Set(a, rewriteWord(c.IMem.At(a)))
+								c.WriteCode(a, []isa.Instr{rewriteWord(c.IMem.At(a))})
 							}
 						}
 					})

@@ -200,9 +200,9 @@ func (c *CPU) runBody(b *block, pc uint32, mapped bool, pmGen uint64) bool {
 	// to, no ticker to advance, unmapped, no memory hook, and no
 	// interrupt pending. Nothing can then raise the line or remap
 	// mid-body, so the per-word environmental work is dead and nop
-	// runs retire in bulk; only stores (which can invalidate this
-	// block or hit a halt device) and exact-executor words can end
-	// the body early.
+	// runs retire in bulk; only stores (which can hit a halt device, or
+	// start a disk transfer that replaces this block's code) and
+	// exact-executor words can end the body early.
 	intOK := c.Sur.InterruptsEnabled() && !c.Sur.Supervisor()
 	env := bus.DMA != nil || len(bus.tickers) > 0 || mapped || c.onMem != nil || c.intLine && intOK
 	n := b.n
@@ -259,8 +259,9 @@ func (c *CPU) runBody(b *block, pc uint32, mapped bool, pmGen uint64) bool {
 			bus.Tick()
 		}
 		// A store hitting the halt device ends the block after its
-		// word; a store, DMA move, or device tick may have
-		// invalidated this very block or remapped the address space.
+		// word; a store to the disk's go register replaces a page of
+		// code synchronously, which may drop this very block; and a
+		// store or device tick may have remapped the address space.
 		// All end it at an exact instruction boundary.
 		if c.Halted || !b.valid || mapped && bus.MMU.Map.Generation() != pmGen {
 			c.pcq[0], c.pcn = vpc+1, 1
@@ -339,17 +340,6 @@ func (c *CPU) runBlocks(left uint64) (*block, bool) {
 		} else {
 			b = c.translateBlock(pa)
 		}
-		// Per-word identity validation against live instruction
-		// memory, the same rule a per-instruction fetch obeys by
-		// reading it. The write barrier already catches
-		// physical-memory writers; this catches direct IMem rewriting
-		// (harnesses, image loaders). Chain-followed entries skip it:
-		// a chain edge is only followed while the barrier holds the
-		// target valid, and every chain is entered through a validated
-		// cache lookup first.
-		if !c.blockCurrent(b) {
-			b = c.translateBlock(b.pa)
-		}
 		if prev != nil && prev.valid && !mapped {
 			prev.recordChain(pc, b)
 		}
@@ -391,7 +381,7 @@ func (c *CPU) runBlocks(left uint64) (*block, bool) {
 		}
 
 		// The terminator runs from its cached record when one was decoded
-		// (skipping re-fetch: its identity was validated with the body),
+		// (skipping re-fetch: the body left the block valid),
 		// then the delay slots of a taken transfer drain — from their
 		// cached records while those stay coherent, else on the exact
 		// engine — until the fetch queue is sequential again. The queue is
@@ -498,42 +488,16 @@ func (c *CPU) recordSuccessor(b *block, npc uint32, mapped bool) *block {
 	} else {
 		nb = c.translateBlock(pa)
 	}
-	if !c.blockCurrent(nb) {
-		nb = c.translateBlock(nb.pa)
-	}
 	if b.valid && !mapped {
 		b.recordChain(npc, nb)
 	}
 	return nb
 }
 
-// blockCurrent reports whether every word a block caches — body,
-// terminator, delay slots — still matches live instruction memory.
-func (c *CPU) blockCurrent(b *block) bool {
-	for i := uint32(0); i < b.n; i++ {
-		if c.IMem.At(b.pa+i) != b.code[i].src {
-			return false
-		}
-	}
-	if b.hasTerm {
-		if c.IMem.At(b.pa+b.n) != b.term.src {
-			return false
-		}
-		for j := uint32(0); j < uint32(b.dsN); j++ {
-			if c.IMem.At(b.pa+b.n+1+j) != b.ds[j].src {
-				return false
-			}
-		}
-	} else if b.n == 0 && c.IMem.At(b.pa) != b.entrySrc {
-		return false
-	}
-	return true
-}
-
 // dsStep executes one word at the head of the fetch queue from a cached
 // record: the full preamble and exact queue maintenance of step, minus
-// the fetch (the caller validated the record's identity at block entry
-// and keeps it coherent through the write barrier). Nop,
+// the fetch (a code write drops the block before its records can go
+// stale, and the caller checks the block is still valid). Nop,
 // ALU, load and store records run through leanWord and control records
 // inline; anything else goes through the exact executor.
 func (c *CPU) dsStep(d *decoded) {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"mips/internal/isa"
-	"mips/internal/mem"
 )
 
 // TestBlocksLoopMatchesFastAndReference runs the standard counted loop
@@ -42,92 +41,10 @@ func TestBlocksLoopMatchesFastAndReference(t *testing.T) {
 	}
 }
 
-// selfModifyCPU builds a looped straight-line run of `body` add words
-// (long enough to span a block boundary when body > blockMaxWords)
-// whose tail stores r3 into the physical word at storeTarget — text
-// territory — every iteration.
-func selfModifyCPU(iters int32, body int, storeTarget int32) *CPU {
-	words := []isa.Instr{
-		w(isa.LoadImm32(1, iters)),
-		w(isa.Mov(3, isa.Imm(7))),
-	}
-	for i := 0; i < body; i++ {
-		words = append(words, w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1))))
-	}
-	br := isa.Branch(isa.CmpNE, isa.R(1), isa.Imm(0), "")
-	br.Target = 2
-	words = append(words,
-		w(isa.StoreAbs(3, storeTarget)),
-		w(isa.ALU(isa.OpSub, 1, isa.R(1), isa.Imm(1))),
-		w(br),
-		w(isa.Nop()),
-		halt,
-	)
-	return newTestCPU(words...)
-}
-
-// TestBlockSelfModifyStore covers the write-barrier coherence rule for
-// stores into cached text. Instruction memory itself is untouched (the
-// machine executes from IMem), so architectural results must match the
-// per-instruction fast path exactly; what the barrier buys is that the
-// affected blocks are dropped and rebuilt instead of executing stale.
-func TestBlockSelfModifyStore(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		body        int
-		storeTarget int32
-	}{
-		// The store lives past the first block boundary (body spans
-		// blockMaxWords) and hits a word cached by the first block:
-		// invalidation crosses the boundary between blocks.
-		{"across-boundary", blockMaxWords + 8, 4},
-		// The store hits a later word of its own still-running block:
-		// the engine must bail at the store's exact instruction
-		// boundary and rebuild.
-		{"own-block", 16, 10},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const iters = 50
-			blk := selfModifyCPU(iters, tc.body, tc.storeTarget)
-			blk.SetEngine(EngineBlocks)
-			run(t, blk, 1_000_000)
-
-			fast := selfModifyCPU(iters, tc.body, tc.storeTarget)
-			fast.SetEngine(EngineFast)
-			run(t, fast, 1_000_000)
-
-			if blk.Regs != fast.Regs {
-				t.Errorf("registers diverge:\n blocks %v\n   fast %v", blk.Regs, fast.Regs)
-			}
-			if blk.Stats != fast.Stats {
-				t.Errorf("stats diverge:\n blocks %+v\n   fast %+v", blk.Stats, fast.Stats)
-			}
-			if want := uint32(iters * tc.body); blk.Regs[2] != want {
-				t.Errorf("r2 = %d, want %d", blk.Regs[2], want)
-			}
-			if blk.Trans.BlockInvalidations == 0 {
-				t.Error("self-modifying store never tripped the write barrier")
-			}
-			if tc.name == "own-block" && blk.Trans.BlockBails == 0 {
-				t.Error("store into the running block did not bail at an instruction boundary")
-			}
-			// Every invalidation forces a rebuild on the next entry; a
-			// translation count no higher than a clean run's would mean
-			// stale blocks kept executing.
-			if blk.Trans.BlockTranslations <= uint64(blk.Trans.BlockInvalidations) {
-				t.Errorf("translations %d should exceed invalidations %d (rebuild per drop plus initial builds)",
-					blk.Trans.BlockTranslations, blk.Trans.BlockInvalidations)
-			}
-		})
-	}
-}
-
-// TestBlockPatchBetweenSteps is the harness self-modification contract:
-// a writer that changes code must rewrite IMem (what the CPU executes
-// and validates against) and write the physical word (what fires the
-// barrier, as the kernel pager does). Chained blocks skip per-entry
-// revalidation, so the Poke is what guarantees the patch takes effect
-// on the very next run.
+// TestBlockPatchBetweenSteps patches code between runs through
+// WriteCode. Chained blocks skip any per-entry check of their words, so
+// the write itself must drop the covering blocks for the patch to take
+// effect on the very next run.
 func TestBlockPatchBetweenSteps(t *testing.T) {
 	const iters = 1000
 	c := loopCPU(iters)
@@ -145,8 +62,7 @@ func TestBlockPatchBetweenSteps(t *testing.T) {
 		if !patched && c.PC() == 2 && c.Regs[1] <= iters/2 && c.Regs[1] > 0 {
 			patched = true
 			left = c.Regs[1]
-			c.IMem.Set(2, w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1))))
-			c.Bus.MMU.Phys.Poke(2, 0)
+			c.WriteCode(2, []isa.Instr{w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)))})
 		}
 	}
 	if !patched {
@@ -159,49 +75,7 @@ func TestBlockPatchBetweenSteps(t *testing.T) {
 		t.Error("loop ran without chaining; the chain-trust path was not exercised")
 	}
 	if c.Trans.BlockInvalidations == 0 {
-		t.Error("Poke into cached text never tripped the write barrier")
-	}
-}
-
-// TestBlockDMAInvalidation has the DMA engine overwrite the loop's own
-// text words on stolen free cycles while the loop is hot and chained.
-// Each DMA word-write must drop the covering block mid-loop; execution
-// continues exactly (IMem is untouched) and matches the fast path with
-// the identical DMA schedule.
-func TestBlockDMAInvalidation(t *testing.T) {
-	build := func() *CPU {
-		c := loopCPU(5000)
-		c.SetEngine(EngineBlocks)
-		dma := mem.NewDMA(c.Bus.MMU.Phys)
-		c.Bus.DMA = dma
-		// Dst 0 overwrites physical words 0..7: the loop's text range.
-		dma.Queue(mem.Transfer{Src: 0x4000, Dst: 0, Words: 8})
-		return c
-	}
-	blk := build()
-	run(t, blk, 1_000_000)
-
-	fast := build()
-	fast.SetEngine(EngineFast)
-	run(t, fast, 1_000_000)
-
-	if blk.Regs != fast.Regs {
-		t.Errorf("registers diverge:\n blocks %v\n   fast %v", blk.Regs, fast.Regs)
-	}
-	if blk.Stats != fast.Stats {
-		t.Errorf("stats diverge:\n blocks %+v\n   fast %+v", blk.Stats, fast.Stats)
-	}
-	if blk.Regs[2] != 25000 {
-		t.Errorf("r2 = %d, want 25000", blk.Regs[2])
-	}
-	if blk.Stats.DMACycles == 0 {
-		t.Fatal("DMA consumed no free cycles; the mid-loop case was not exercised")
-	}
-	if blk.Trans.BlockChained == 0 {
-		t.Error("loop ran without chaining")
-	}
-	if blk.Trans.BlockInvalidations == 0 {
-		t.Error("DMA writes into cached text never tripped the write barrier")
+		t.Error("the code write dropped no block")
 	}
 }
 

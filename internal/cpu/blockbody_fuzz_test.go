@@ -267,8 +267,8 @@ func newBBMachine(env uint8, prog []byte, loop bool) *bbMachine {
 		code = append(code, halt, halt)
 	}
 	c := m.c
-	c.IMem.Write(0, []isa.Instr{halt})
-	c.IMem.Write(bbEntry-1, code)
+	c.WriteCode(0, []isa.Instr{halt})
+	c.WriteCode(bbEntry-1, code)
 	for a := uint32(2 * mem.PageWords); a < bbMemTop; a++ {
 		c.Bus.MMU.Phys.Poke(a, a*2654435761)
 	}
@@ -288,7 +288,7 @@ func newBBMachine(env uint8, prog []byte, loop bool) *bbMachine {
 	if env&bbDMA != 0 {
 		dst := 2*mem.PageWords + uint32(g.byte())
 		if g.byte()&1 != 0 {
-			dst = bbEntry + uint32(g.byte())%n // the block's own text
+			dst = bbEntry + uint32(g.byte())%n // data at the block's text addresses
 		}
 		dma := mem.NewDMA(c.Bus.MMU.Phys)
 		dma.Queue(mem.Transfer{Src: 3 * mem.PageWords, Dst: dst, Words: 1 + uint32(g.byte()%16)})
@@ -372,8 +372,9 @@ func FuzzBlockBody(f *testing.F) {
 
 // blockBodySeeds are FuzzBlockBody's committed inputs: one seed per
 // environment bit, plus the quiet configuration. Each program was
-// picked to reach its bit's mechanism: DMA moves into the block's own
-// text mid-body, the timer fires mid-body, eight memory references, a
+// picked to reach its bit's mechanism: DMA moves into the data words at
+// the block's text addresses mid-body (data only: the block stays
+// live), the timer fires mid-body, eight memory references, a
 // page fault deep in a mapped body, a hazard on the load in flight at
 // entry, and an overflow trap mid-body.
 var blockBodySeeds = []struct {

@@ -8,13 +8,12 @@ package cpu
 //   - translateBlock scans instruction memory from a block entry point
 //     up to the next control transfer and builds the flat block record;
 //   - a direct-mapped cache keyed by physical entry address holds the
-//     blocks, validated by identity (stepBlocks compares every cached
-//     source word against live instruction memory on entry);
-//   - a write barrier installed on physical memory invalidates every
-//     block whose body overlaps a written word — CPU stores, DMA moves,
-//     and device pokes included — so paging traffic and self-modifying
-//     stores can never leave a stale translation executable. A coverage
-//     bitmap keeps the barrier to one bit test on the store fast path.
+//     blocks;
+//   - the code writers (CPU.WriteCode, CPU.ReplaceCode) invalidate every
+//     block whose cached words meet the written range, so a page-in or
+//     a patched word can never leave a stale translation executable.
+//     Data writes — CPU stores, DMA moves, device pokes — reach only
+//     physical memory, never the instruction memory blocks cache.
 
 import (
 	"fmt"
@@ -61,18 +60,15 @@ type block struct {
 	n  uint32 // body length in words (0: the entry word is a terminator)
 
 	// code holds the flat executable records of the body words, in
-	// execution order; code[i] was decoded from IMem[pa+i] and carries
-	// the source identity for entry validation. entrySrc is the same
-	// identity for n == 0 blocks, which cache no body.
-	code     []decoded
-	entrySrc isa.Instr
+	// execution order; code[i] was decoded from IMem[pa+i].
+	code []decoded
 
 	// term is the cached record of the terminating word at pa+n, when
 	// that word decodes (hasTerm), and ds the records of up to two
 	// delay-slot words after it; all execute via dsStep, which skips
-	// re-fetch because their identity is validated at block entry.
-	// cover is the number of words from pa the write barrier must
-	// watch (body, terminator, delay slots).
+	// re-fetch because a code write drops the block first. cover is the
+	// number of words from pa the block depends on (body, terminator,
+	// delay slots; the entry word of a block that caches none).
 	term    decoded
 	ds      [2]decoded
 	dsN     uint8
@@ -110,8 +106,8 @@ type TranslationStats struct {
 	BlockHits         uint64
 	BlockChained      uint64
 	BlockTranslations uint64
-	// BlockInvalidations counts blocks dropped by the memory write
-	// barrier (self-modifying stores, DMA, paging traffic).
+	// BlockInvalidations counts blocks dropped by a code write
+	// (a page-in, or a patch through CPU.WriteCode).
 	BlockInvalidations uint64
 	// BlockBails counts mid-block falls back to the exact
 	// per-instruction engine: faults, traps, interrupts, halts, and
@@ -126,11 +122,10 @@ type TranslationStats struct {
 	TraceFormed   uint64
 	TraceCompiled uint64
 	// TraceGuardExits counts early trace exits of every kind — branch
-	// direction guards, faults, self-invalidating stores — all of which
+	// direction guards, faults, halts — all of which
 	// leave the machine at an exact instruction boundary.
 	TraceGuardExits uint64
-	// TraceInvalidations counts traces dropped by the memory write
-	// barrier.
+	// TraceInvalidations counts traces dropped by a code write.
 	TraceInvalidations uint64
 	// TraceDispatchHits counts trace executions started (cache entry
 	// and trace-to-trace chaining alike).
@@ -197,14 +192,14 @@ type TranslationStats struct {
 // append after it and new fields must keep appending, never reorder.
 func (t *TranslationStats) String() string {
 	return fmt.Sprintf("blocks hit=%d chain=%d xlate=%d inval=%d bail=%d | traces formed=%d compiled=%d hit=%d exit=%d inval=%d"+
-		" | deopt dir=%d ind=%d shape=%d fault=%d inval=%d halt=%d env=%d int=%d budget=%d"+
+		" | deopt dir=%d ind=%d shape=%d fault=%d halt=%d env=%d int=%d budget=%d"+
 		" | refuse priv=%d shadow=%d jind=%d ds=%d block=%d short=%d ops=%d poison=%d"+
 		" | tier ref=%d fast=%d blocks=%d traces=%d"+
 		" | side hit=%d ichit=%d comp=%d icinst=%d heatevict=%d",
 		t.BlockHits, t.BlockChained, t.BlockTranslations, t.BlockInvalidations, t.BlockBails,
 		t.TraceFormed, t.TraceCompiled, t.TraceDispatchHits, t.TraceGuardExits, t.TraceInvalidations,
 		t.TraceDeopts[DeoptBranchDirection], t.TraceDeopts[DeoptIndirectTarget], t.TraceDeopts[DeoptQueueShape],
-		t.TraceDeopts[DeoptFault], t.TraceDeopts[DeoptInvalidation], t.TraceDeopts[DeoptHalt],
+		t.TraceDeopts[DeoptFault], t.TraceDeopts[DeoptHalt],
 		t.TraceDeoptEnvironment, t.TraceDeoptInterrupt, t.TraceDeoptChainBudget,
 		t.TraceFormRefusals[RefusalPrivileged], t.TraceFormRefusals[RefusalShadowBranch],
 		t.TraceFormRefusals[RefusalJumpInd], t.TraceFormRefusals[RefusalDelaySlot],
@@ -376,7 +371,6 @@ func (c *CPU) translateBlock(pa uint32) *block {
 	}
 	if b.n == 0 {
 		b.termless = false
-		b.entrySrc = c.IMem.At(pa)
 	}
 	// Eager-load marking. Without hardware interlocks a load's delayed
 	// commit is observable only through its one-word hazard window: the
@@ -433,12 +427,12 @@ func (c *CPU) translateBlock(pa uint32) *block {
 			b.dsN++
 		}
 	}
-	// The barrier must watch the whole cached range: body stores, DMA
-	// moves on later free cycles, and device ticks can all rewrite a
-	// word this block would execute from its cache.
-	b.cover = b.n
+	// A code write into any word this block would execute from its
+	// cache drops it. A block that caches no word still stands for its
+	// entry word being unprogrammed.
+	b.cover = max(b.n, 1)
 	if b.hasTerm {
-		b.cover += 1 + uint32(b.dsN)
+		b.cover = b.n + 1 + uint32(b.dsN)
 	}
 
 	slot := c.blockSlot(pa)
@@ -450,10 +444,6 @@ func (c *CPU) translateBlock(pa uint32) *block {
 	b.liveIdx = len(c.liveBlocks)
 	c.liveBlocks = append(c.liveBlocks, b)
 	c.unlockTraces()
-	if b.cover > 0 {
-		c.coverWords(pa, b.cover)
-		c.armBarrier()
-	}
 	return b
 }
 
@@ -471,45 +461,15 @@ func (c *CPU) dropBlock(b *block) {
 	c.liveBlocks = c.liveBlocks[:last]
 }
 
-// coverWords marks the body words of a block in the coverage bitmap the
-// write barrier prefilters against. Bits stay set after invalidation
-// (conservative: a stale bit costs one live-list walk, never a stale
-// execution).
-func (c *CPU) coverWords(pa, n uint32) {
-	if need := int((pa+n-1)>>6) + 1; need > len(c.codeBits) {
-		c.codeBits = append(c.codeBits, make([]uint64, need-len(c.codeBits))...)
-	}
-	for w := pa; w < pa+n; w++ {
-		c.codeBits[w>>6] |= 1 << (w & 63)
-	}
-}
-
-// armBarrier installs the physical-memory write barrier once the first
-// block with a body exists. Reference-only and block-free runs never pay
-// for it.
-func (c *CPU) armBarrier() {
-	if c.barrierOn {
-		return
-	}
-	c.barrierOn = true
-	c.Bus.MMU.Phys.SetWriteBarrier(c.writeBarrier)
-}
-
-// writeBarrier invalidates every translated block whose body covers the
-// written physical word, and every compiled trace whose span list does.
-// It runs on every store, DMA move, and device poke, so the common case
-// — a write outside any code range — must be one bounds check and one
-// bit test.
-func (c *CPU) writeBarrier(addr uint32) {
-	w := addr >> 6
-	if w >= uint32(len(c.codeBits)) || c.codeBits[w]&(1<<(addr&63)) == 0 {
-		return
-	}
+// codeWritten drops every translated block whose cached words meet the
+// n instruction-memory words at pa, and every compiled trace whose spans
+// do. Only the code writers call it.
+func (c *CPU) codeWritten(pa, n uint32) {
 	c.lockTraces()
 	defer c.unlockTraces()
 	for i := 0; i < len(c.liveBlocks); {
 		b := c.liveBlocks[i]
-		if addr-b.pa < b.cover {
+		if b.pa < pa+n && pa < b.pa+b.cover {
 			c.Trans.BlockInvalidations++
 			c.dropBlock(b)
 			continue // dropBlock swapped a new block into slot i
@@ -518,7 +478,7 @@ func (c *CPU) writeBarrier(addr uint32) {
 	}
 	for i := 0; i < len(c.liveTraces); {
 		tr := c.liveTraces[i]
-		if tr.covers(addr) {
+		if tr.covers(pa, n) {
 			c.Trans.TraceInvalidations++
 			c.dropTrace(tr)
 			continue // dropTrace swapped a new trace into slot i
@@ -527,11 +487,8 @@ func (c *CPU) writeBarrier(addr uint32) {
 	}
 }
 
-// InvalidateBlocks drops every translated block. Entry validation
-// already keeps the cache coherent word by word; this exists so
-// whole-image reloads and cache regrowth release translations eagerly.
-// Live traces keep their own coverage, so the bitmap is rebuilt from
-// their spans after the clear.
+// InvalidateBlocks drops every translated block, for state restores
+// and cache regrowth.
 func (c *CPU) InvalidateBlocks() {
 	c.lockTraces()
 	for _, b := range c.liveBlocks {
@@ -543,13 +500,5 @@ func (c *CPU) InvalidateBlocks() {
 	for i := range c.bc {
 		c.bc[i] = nil
 	}
-	for i := range c.codeBits {
-		c.codeBits[i] = 0
-	}
 	c.lastBlk = nil
-	for _, tr := range c.liveTraces {
-		for _, sp := range tr.spans {
-			c.coverWords(sp.pa, sp.n)
-		}
-	}
 }

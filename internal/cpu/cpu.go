@@ -113,24 +113,21 @@ type CPU struct {
 	engine Engine
 
 	// bc is the superblock engine's direct-mapped cache of translated
-	// blocks (block.go), liveBlocks the dense list the write barrier
-	// walks, codeBits the coverage bitmap the barrier prefilters with,
-	// lastBlk the chain source for the next block entry, and barrierOn
-	// records that the physical-memory write barrier has been installed.
+	// blocks (block.go), liveBlocks the dense list a code write walks
+	// (codeWritten), and lastBlk the chain source for the next block
+	// entry.
 	bc         []*block
 	bcMask     uint32
 	liveBlocks []*block
-	codeBits   []uint64
 	lastBlk    *block
-	barrierOn  bool
 
 	// tc is the trace tier's direct-mapped cache of compiled traces
 	// (trace_form.go, trace_compile.go, tracecache.go), liveTraces the
-	// dense list the write barrier walks, heat the per-entry-PC hotness
+	// dense list a code write walks, heat the per-entry-PC hotness
 	// counters that trigger formation, trec the in-flight path
 	// recording. trOvfOn is the overflow-enable latch the dispatch loop
 	// sets for the compiled ops, and trCur the trace running them (whose
-	// valid flag a self-invalidating store checks).
+	// context tells the memory handlers whether to translate).
 	tc         []*trace
 	liveTraces []*trace
 	heat       []heatEntry
@@ -321,12 +318,10 @@ func (c *CPU) LoadImage(im *isa.Image) error {
 	if err := im.Validate(); err != nil {
 		return err
 	}
-	c.IMem.Write(uint32(im.TextBase), im.Words)
+	c.WriteCode(uint32(im.TextBase), im.Words)
 	for addr, val := range im.Data {
 		c.Bus.MMU.Phys.Poke(uint32(addr), val)
 	}
-	c.InvalidateTraces()
-	c.InvalidateBlocks()
 	c.SetPC(uint32(im.Entry))
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 func newTestCPU(words ...isa.Instr) *CPU {
 	phys := mem.NewPhysical(1 << 16)
 	c := New(NewBus(phys))
-	c.IMem.Write(0, words)
+	c.WriteCode(0, words)
 	c.SetTrapHook(func(code uint16) {
 		if code == 0 {
 			c.Halt()
@@ -605,7 +605,7 @@ func TestMappedExecution(t *testing.T) {
 		w(isa.Nop()),
 		halt,
 	}
-	c.IMem.Replace(base, 2<<mem.PageBits, text)
+	c.ReplaceCode(base, 2<<mem.PageBits, text)
 	c.Bus.MMU.Seg = mem.NewSegUnit(1, 16)
 	// System virtual page for PID 1, page 0 -> frame 4 (text+data).
 	sysPage := uint32(1) << 16 >> mem.PageBits
@@ -627,8 +627,8 @@ func TestFetchFaultOnUnmappedPage(t *testing.T) {
 	c := New(NewBus(phys))
 	// 16 words, so pc 5 lies inside the length: only the MMU can
 	// page-fault the fetch there.
-	c.IMem.Write(0, make([]isa.Instr, 16))
-	c.IMem.Set(0, halt) // handler
+	c.WriteCode(0, make([]isa.Instr, 16))
+	c.WriteCode(0, []isa.Instr{halt}) // handler
 	c.SetTrapHook(func(code uint16) {
 		if code == 0 {
 			c.Halt()

@@ -17,7 +17,7 @@ import (
 // A fork (GoldenCode.fork) starts on an immutable golden image's page
 // table, allocating nothing. Any write into a shared page copies that
 // one page first (and the table, the first time); dropping a shared
-// page (Replace) only drops the reference. Restoring over a fork ends
+// page (replace) only drops the reference. Restoring over a fork ends
 // the sharing wholesale.
 
 // imemPageBits sizes an instruction-memory page: 256 words (4 KB). A
@@ -36,9 +36,9 @@ var _ = [1]struct{}{}[mem.PageWords%imemPageWords] // a frame is whole pages
 type imemPage [imemPageWords]isa.Instr
 
 // InstrMem is the instruction memory, indexed by physical word address.
-// Harnesses read it with At and write it with Set or Write; direct
-// rewriting of code must also Poke the physical word (see tracecache.go)
-// so the translation caches notice.
+// Anyone may read it with At and Len. Only the CPU writes it: through
+// WriteCode and ReplaceCode, which drop the translations of the words
+// they change, and through a restore, which drops every translation.
 type InstrMem struct {
 	// n is the length in words. pages has one entry per page below n; a
 	// nil page reads as empty words, and every word at or past n is
@@ -64,12 +64,9 @@ func (m *InstrMem) At(pa uint32) isa.Instr {
 	return isa.Instr{}
 }
 
-// Set writes one word, growing the memory to cover pa.
-func (m *InstrMem) Set(pa uint32, in isa.Instr) { m.Write(pa, []isa.Instr{in}) }
-
-// Write copies words into memory starting at pa, growing it to cover
+// write copies words into memory starting at pa, growing it to cover
 // them. Only pages that hold, or receive, a non-empty word get storage.
-func (m *InstrMem) Write(pa uint32, words []isa.Instr) {
+func (m *InstrMem) write(pa uint32, words []isa.Instr) {
 	m.grow(pa + uint32(len(words)))
 	for len(words) > 0 {
 		i, off := pa>>imemPageBits, pa&imemPageMask
@@ -81,14 +78,32 @@ func (m *InstrMem) Write(pa uint32, words []isa.Instr) {
 	}
 }
 
-// Replace sets the n words at pa to words followed by empty words,
+// replace sets the n words at pa to words followed by empty words,
 // growing the memory to cover them; pa and n must be whole pages. The
 // pages are dropped first, so only those that receive code get storage.
-func (m *InstrMem) Replace(pa, n uint32, words []isa.Instr) {
+func (m *InstrMem) replace(pa, n uint32, words []isa.Instr) {
 	m.grow(pa + n)
 	m.ownTable()
 	clear(m.pages[pa>>imemPageBits : (pa+n)>>imemPageBits])
-	m.Write(pa, words[:min(uint32(len(words)), n)])
+	m.write(pa, words[:min(uint32(len(words)), n)])
+}
+
+// WriteCode copies words into instruction memory starting at pa,
+// growing it to cover them, and drops every translated block and trace
+// whose cached words meet the written range. Data memory writes never
+// reach instruction memory, so this and ReplaceCode are the only ways
+// to change the code of a running machine.
+func (c *CPU) WriteCode(pa uint32, words []isa.Instr) {
+	c.IMem.write(pa, words)
+	c.codeWritten(pa, uint32(len(words)))
+}
+
+// ReplaceCode sets the n words at pa to words followed by empty words,
+// as a page-in does, and drops the translations that meet them; pa and
+// n must be whole pages.
+func (c *CPU) ReplaceCode(pa, n uint32, words []isa.Instr) {
+	c.IMem.replace(pa, n, words)
+	c.codeWritten(pa, n)
 }
 
 func nonEmpty(in isa.Instr) bool { return in.ALU != nil || in.Mem != nil }
@@ -146,7 +161,7 @@ func (m *InstrMem) flatten() []isa.Instr {
 // Only pages that hold code get storage.
 func (m *InstrMem) restore(words []isa.Instr) {
 	*m = InstrMem{}
-	m.Write(0, words)
+	m.write(0, words)
 }
 
 // GoldenCode is an immutable instruction-memory image that forks share

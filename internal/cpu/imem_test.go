@@ -37,11 +37,11 @@ func privatePages(m *InstrMem) int {
 func TestInstrMemPagedLength(t *testing.T) {
 	c := newTestCPU()
 	add := w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)))
-	c.IMem.Set(5000, add)
+	c.WriteCode(5000, []isa.Instr{add})
 	if c.IMem.Len() != 5001 || storedPages(&c.IMem) != 1 {
-		t.Fatalf("Set(5000): len %d with %d pages, want 5001 with 1", c.IMem.Len(), storedPages(&c.IMem))
+		t.Fatalf("WriteCode(5000): len %d with %d pages, want 5001 with 1", c.IMem.Len(), storedPages(&c.IMem))
 	}
-	c.IMem.Write(6000, make([]isa.Instr, 3000))
+	c.WriteCode(6000, make([]isa.Instr, 3000))
 	if c.IMem.Len() != 9000 || storedPages(&c.IMem) != 1 {
 		t.Fatalf("writing empty words: len %d with %d pages, want 9000 with 1", c.IMem.Len(), storedPages(&c.IMem))
 	}
@@ -54,7 +54,7 @@ func TestInstrMemPagedLength(t *testing.T) {
 	if _, f := c.fetch(9000); f == nil || f.Cause != isa.CausePageFault {
 		t.Errorf("fetch at the length: fault %v, want page fault", f)
 	}
-	c.IMem.Replace(4*mem.PageWords, mem.PageWords, []isa.Instr{add})
+	c.ReplaceCode(4*mem.PageWords, mem.PageWords, []isa.Instr{add})
 	if c.IMem.Len() != 9000 || storedPages(&c.IMem) != 1 || c.IMem.At(5000) != (isa.Instr{}) {
 		t.Errorf("Replace of the frame: len %d with %d pages, At(5000) = %v; want the old page dropped",
 			c.IMem.Len(), storedPages(&c.IMem), c.IMem.At(5000))
@@ -102,12 +102,12 @@ func TestGoldenCodeForkCopyOnWrite(t *testing.T) {
 	}
 
 	pa := uint32(2*imemPageWords + 7)
-	a.Set(pa, sub)
+	a.write(pa, []isa.Instr{sub})
 	copied := a.pages[2]
 	if n := privatePages(&a); n != 1 || copied == g.pages[2] {
 		t.Errorf("after one write: %d private pages, want that one page copied", n)
 	}
-	a.Set(pa+1, sub)
+	a.write(pa+1, []isa.Instr{sub})
 	if n := privatePages(&a); n != 1 || a.pages[2] != copied {
 		t.Errorf("second write into the copied page: %d private pages, want no further copy", n)
 	}
@@ -118,14 +118,14 @@ func TestGoldenCodeForkCopyOnWrite(t *testing.T) {
 		t.Error("the write leaked into the golden image or a sibling fork")
 	}
 
-	b.Replace(0, imemPageWords, nil)
+	b.replace(0, imemPageWords, nil)
 	if n := privatePages(&b); n != 0 || b.pages[0] != nil {
 		t.Errorf("dropping a shared page: %d private pages, want no copy", n)
 	}
 	if b.At(0) != (isa.Instr{}) || g.pages[0][0] != add {
-		t.Error("Replace did not drop the page, or wrote through to the golden image")
+		t.Error("replace did not drop the page, or wrote through to the golden image")
 	}
-	b.Set(imemPageWords+3, add)
+	b.write(imemPageWords+3, []isa.Instr{add})
 	if n := privatePages(&b); n != 1 || b.pages[2] != g.pages[2] || b.pages[3] != g.pages[3] {
 		t.Errorf("first write into a page the image has no storage for: %d private pages, want only that one", n)
 	}
@@ -172,7 +172,7 @@ func TestTranslateBlockAllocsConstant(t *testing.T) {
 }
 
 // TestInvalidationDropsTranslationRefs pins that dropped blocks and
-// traces become unreachable: after a write-barrier drop, InvalidateBlocks
+// traces become unreachable: after a code write's drop, InvalidateBlocks
 // and InvalidateTraces, no slot past the live lists' lengths and no
 // trace recording entry still points at one.
 func TestInvalidationDropsTranslationRefs(t *testing.T) {
@@ -197,11 +197,11 @@ func TestInvalidationDropsTranslationRefs(t *testing.T) {
 	}
 	stepUntil(func() bool { return c.Trans.TraceDispatchHits > 0 && c.PC() == 2 })
 	check("after trace formation")
-	c.Bus.MMU.Phys.Poke(2, 0) // the word is unchanged in IMem: only the barrier fires
+	c.WriteCode(2, []isa.Instr{c.IMem.At(2)}) // the same word: only the drop is seen
 	if c.Trans.TraceInvalidations == 0 {
-		t.Fatal("the Poke dropped no trace; the test is vacuous")
+		t.Fatal("the code write dropped no trace; the test is vacuous")
 	}
-	check("after a write-barrier drop")
+	check("after a code write's drop")
 	hits := c.Trans.TraceDispatchHits
 	stepUntil(func() bool { return c.Trans.TraceDispatchHits > hits && c.PC() == 2 })
 	if len(c.liveBlocks) == 0 || len(c.liveTraces) == 0 {

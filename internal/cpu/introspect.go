@@ -46,9 +46,6 @@ const (
 	// arithmetic overflow, trap — and the trace exited through the
 	// exact fault-restart queue.
 	DeoptFault
-	// DeoptInvalidation: a store inside the trace hit the trace's own
-	// code and the write barrier invalidated it mid-run.
-	DeoptInvalidation
 	// DeoptHalt: a store hit the halt device and stopped the machine
 	// mid-trace.
 	DeoptHalt
@@ -60,7 +57,7 @@ const (
 // deoptNames are the metric/JSON suffixes, aligned with the constants.
 var deoptNames = [NumDeoptReasons]string{
 	"branch_direction", "indirect_target", "queue_shape",
-	"fault", "invalidation", "halt",
+	"fault", "halt",
 }
 
 func (r DeoptReason) String() string {
@@ -182,7 +179,7 @@ const (
 	JITDispatchCold
 	// JITGuardExit: an early trace exit; Reason is the DeoptReason.
 	JITGuardExit
-	// JITInvalidated: a compiled trace dropped (write barrier, slot
+	// JITInvalidated: a compiled trace dropped (code write, slot
 	// eviction, or bulk invalidation).
 	JITInvalidated
 	// JITRefused: formation truncated at a refusing block; Reason is

@@ -124,23 +124,6 @@ func TestDeoptTaxonomyPartition(t *testing.T) {
 	}
 }
 
-// TestDeoptInvalidationReason: the store-into-own-trace exit classifies
-// as an invalidation deopt, not any other reason.
-func TestDeoptInvalidationReason(t *testing.T) {
-	c := descendingStoreCPU(280, 286)
-	c.SetEngine(EngineTraces)
-	run(t, c, 1_000_000)
-	if c.Trans.TraceInvalidations == 0 {
-		t.Fatal("write barrier never fired; the case is not exercised")
-	}
-	if c.Trans.TraceDeopts[DeoptInvalidation] == 0 {
-		t.Error("self-invalidating store never counted as an invalidation deopt")
-	}
-	if got, want := c.Trans.GuardExitReasonTotal(), c.Trans.TraceGuardExits; got != want {
-		t.Errorf("deopt reasons sum to %d, want TraceGuardExits %d", got, want)
-	}
-}
-
 // TestTierResidency pins the residency partition per engine: every
 // retired instruction charges exactly one tier, and single-engine runs
 // charge only their own tier.
@@ -248,7 +231,7 @@ func TestBlockSitesHeatmap(t *testing.T) {
 // TestReasonNames pins the metric suffixes: exporters build family
 // names from these, so a rename is a breaking change.
 func TestReasonNames(t *testing.T) {
-	wantDeopt := []string{"branch_direction", "indirect_target", "queue_shape", "fault", "invalidation", "halt"}
+	wantDeopt := []string{"branch_direction", "indirect_target", "queue_shape", "fault", "halt"}
 	for r, want := range wantDeopt {
 		if got := DeoptReason(r).String(); got != want {
 			t.Errorf("DeoptReason(%d) = %q, want %q", r, got, want)

@@ -15,9 +15,10 @@ package cpu
 // for every fetch translation, the tickers' horizon covers the whole
 // trace so none can raise the interrupt line mid-trace, privilege,
 // overflow enable and the page map can only change through words a
-// trace refuses to contain or device references it exits before, and
-// the write barrier reports the one store hazard that remains (a store
-// into the trace's own code) through tr.valid. Under a mapped context
+// trace refuses to contain or device references it exits before. No
+// store inside a trace can change code: stores reach data memory only,
+// and the one store that rewrites instruction memory (the kernel disk's
+// go register) is a device reference. Under a mapped context
 // the memory handlers translate each data reference (trLoadM, trStoreM,
 // and the packed handlers' mapped path); the unmapped handlers use the
 // deviceless bus fast path.
@@ -25,9 +26,8 @@ package cpu
 // Exits are exact. Each record carries the statistics prefix of the
 // words before it, and the precise fetch-queue image for each way it
 // can leave: the fault-restart queue an exception saves as return
-// addresses, the completion queue after a finished word, and the
-// redirect queues of a mispredicted branch direction or indirect-jump
-// target. An exiting handler accounts the prefix plus its own word's
+// addresses and the redirect queues of a mispredicted branch direction
+// or indirect-jump target. An exiting handler accounts the prefix plus its own word's
 // partial contribution. A trace therefore abandons execution at an
 // exact instruction boundary with the machine indistinguishable from
 // the block engine having run the same prefix — the tier-bail ladder
@@ -248,7 +248,7 @@ func (c *CPU) sideResolve(tr *trace, xi int, r DeoptReason, ctx *mem.Context, ro
 			tr.sideHits++
 			return st
 		}
-		s.br = nil // dropped by the barrier: rebuild from live memory
+		s.br = nil // dropped by a code write: rebuild from live memory
 		if s.hot == sideNever {
 			return nil
 		}
@@ -327,7 +327,7 @@ func (c *CPU) standDown(w, horizon uint64) {
 
 // buildSideStub compiles the minimal continuation of a guard exit: the
 // dsN delay-slot words still in flight (starting at dsPC), flattened
-// with the exact fault-restart and completion queues of a drain toward
+// with the exact fault-restart queues of a drain toward
 // control target x, ending at x. After a clean stub pass the queue is
 // [x] and the ordinary chain loop picks up the trace there — so the
 // stub stitches the parent to the cold path's own trace, forming a
@@ -339,8 +339,8 @@ func (c *CPU) standDown(w, horizon uint64) {
 // address translates first, exactly as the lower tiers' fetch of it next
 // would; a word that does not translate builds no stub. The stub runs
 // only from its parent's side slot, so only under the parent's context,
-// which it shares. Stubs are derived state like every trace — the write
-// barrier drops them, validity is checked at every use, and a dropped
+// which it shares. Stubs are derived state like every trace — a code
+// write drops them, validity is checked at every use, and a dropped
 // stub re-forms from memory on the next hot exit.
 func (c *CPU) buildSideStub(ctx *mem.Context, dsPC uint32, dsN int, x uint32) *trace {
 	var ds [2]decoded
@@ -620,8 +620,7 @@ func trNopsG(c *CPU, in *traceInst) bool {
 // trGeneral runs an unpacked body word with no lean class through the
 // exact executor, exactly as the block engine's body loop runs one:
 // the word accounts its own statistics live, and any redirect, halt,
-// fault, or self-invalidation exits the trace at the boundary the
-// executor left.
+// or fault exits the trace at the boundary the executor left.
 func trGeneral(c *CPU, in *traceInst) bool {
 	c.seq++
 	if c.pendN != 0 {
@@ -642,12 +641,6 @@ func trGeneral(c *CPU, in *traceInst) bool {
 			c.deopt = DeoptQueueShape
 		}
 		c.charge(in, traceCost{})
-		return false
-	}
-	if !c.trCur.valid {
-		c.deopt = DeoptInvalidation
-		c.charge(in, traceCost{})
-		c.pcq[0], c.pcn = vpc+1, 1
 		return false
 	}
 	return true
@@ -796,21 +789,14 @@ func trPackedStore(c *CPU, in *traceInst) bool {
 		c.onMem(vpc, addr, true)
 	}
 	if ovf {
-		// The store hit memory (and may have invalidated this very
-		// trace); the register write is suppressed and the word restarts
-		// through the exception.
+		// The store hit memory; the register write is suppressed and the
+		// word restarts through the exception.
 		c.charge(in, wcPackedStore)
 		c.traceFault(in.faultQueue(), isa.CauseOverflow)
 		return false
 	}
 	c.Regs[d.aluDst] = aluV
 	c.lastWrite[d.aluDst] = c.seq
-	if !c.trCur.valid {
-		c.deopt = DeoptInvalidation
-		c.charge(in, wcPackedStore)
-		c.resumeAfter(in)
-		return false
-	}
 	return true
 }
 
@@ -1084,23 +1070,11 @@ func trLoad(c *CPU, in *traceInst) bool {
 	return true
 }
 
-// The store handlers write through the deviceless unmapped bus fast
-// path, whose physical write barrier is the one mechanism that can
-// invalidate this very trace mid-run: they check tr.valid after the
-// write and exit at the completed word's boundary with the exact
-// remaining queue.
-
-// storeDone finishes a completed store: the memory hook, then the
-// self-invalidation exit.
+// storeDone finishes a completed store: it runs the memory hook and
+// continues the trace.
 func (c *CPU) storeDone(in *traceInst, addr uint32) bool {
 	if c.onMem != nil {
 		c.onMem(in.vpc, addr, true)
-	}
-	if !c.trCur.valid {
-		c.deopt = DeoptInvalidation
-		c.charge(in, wcStore)
-		c.resumeAfter(in)
-		return false
 	}
 	return true
 }

@@ -68,7 +68,7 @@ func (c *CPU) recTracePoint(b *block, pc uint32) {
 // traceWord is one flattened word of a formable path: its decoded
 // record plus everything the compiler needs to build its op — the
 // exit-queue shape and control target that fix its exact fault-restart
-// and completion queues, and the recorded control direction for
+// queue, and the recorded control direction for
 // terminators. d points at the recorded block's own (immutable) record:
 // flattening copies no decoded words, and compileTrace copies out
 // whatever the trace keeps.

@@ -140,8 +140,8 @@ func cloneWord(in isa.Instr) isa.Instr {
 // TestTraceReformAliasing repeatedly drops and re-forms the traces, side
 // stubs, and inline-cache stubs of the LFSR indirect-jump workload on one
 // CPU. At instruction counts picked by a second LFSR, a word of the loop is
-// replaced by an identical clone (rewrite IMem and Poke the physical
-// word, so the write barrier drops everything covering it), and the tier
+// replaced by an identical clone through WriteCode, which drops
+// everything covering it, and the tier
 // re-forms from live memory. Because every patch is architecturally
 // invisible, the run must match a blocks-engine run with the same patch
 // schedule event for event: a record shared between a dropped trace and
@@ -165,8 +165,7 @@ func TestTraceReformAliasing(t *testing.T) {
 			// next patch and the loop word (3..37) to clone.
 			sched = sched>>1 ^ lfsrTaps&-(sched&1)
 			pa := 3 + sched%35
-			c.IMem.Set(pa, cloneWord(c.IMem.At(pa)))
-			c.Bus.MMU.Phys.Poke(pa, 0)
+			c.WriteCode(pa, []isa.Instr{cloneWord(c.IMem.At(pa))})
 			next = c.Stats.Instructions + 4000 + uint64(sched>>8%16000)
 			patches++
 		}

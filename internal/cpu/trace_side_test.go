@@ -288,7 +288,7 @@ func TestInlineCacheLFSRIndirect(t *testing.T) {
 // TestSideTracePatchInvalidation is the self-modification contract
 // applied to a side stub: a patch into the stub's covered word — the
 // branch delay slot it compiled — must drop the stub (and its parent)
-// through the write barrier, never replaying stale code, and the stub
+// through the code write, never replaying stale code, and the stub
 // must re-form from the patched memory once its exit runs hot again.
 // The patch lands only at run boundaries where the current iteration's
 // delay slot has not yet executed (PC <= the branch shadow), so the
@@ -305,13 +305,11 @@ func TestSideTracePatchInvalidation(t *testing.T) {
 		// under test actually has a stub to drop. Word 9 (the shadow nop
 		// both the parent trace and the stub compiled) becomes an
 		// accumulator bump; it executes exactly once per remaining
-		// iteration regardless of branch direction. Rewrite IMem AND
-		// Poke physical — the harness contract.
+		// iteration regardless of branch direction.
 		if !patched && c.Trans.TraceSideCompiled > 0 && c.PC() <= 9 && c.Regs[1] > 0 {
 			patched = true
 			left = c.Regs[1]
-			c.IMem.Set(9, w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(10))))
-			c.Bus.MMU.Phys.Poke(9, 0)
+			c.WriteCode(9, []isa.Instr{w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(10)))})
 		}
 	}
 	if !patched {
@@ -321,7 +319,7 @@ func TestSideTracePatchInvalidation(t *testing.T) {
 		t.Errorf("r2 = %d, want %d (stale side stub executed after patch)", c.Regs[2], want)
 	}
 	if c.Trans.TraceInvalidations == 0 {
-		t.Error("patch into side-stub text never tripped the write barrier")
+		t.Error("the patch into side-stub text dropped no trace")
 	}
 	if c.Trans.TraceSideCompiled < 2 {
 		t.Errorf("side stub compiled %d times, want >= 2 (initial build plus post-patch rebuild)",

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"mips/internal/isa"
@@ -63,9 +64,9 @@ func TestTracesLoopMatchesBlocks(t *testing.T) {
 
 // descendingStoreCPU builds a loop whose store pointer r4 walks down
 // one word per iteration from base: the store lands in plain data until
-// r4 crosses into the loop's own text, at which point the write barrier
-// fires from inside the loop's own store. Choose base so the crossing
-// happens long after the trace tier is warm.
+// r4 crosses into the physical words at the loop's own text addresses.
+// Choose base so the crossing happens long after the trace tier is
+// warm.
 func descendingStoreCPU(iters, base int32) *CPU {
 	br := isa.Branch(isa.CmpNE, isa.R(1), isa.Imm(0), "")
 	br.Target = 2
@@ -82,50 +83,201 @@ func descendingStoreCPU(iters, base int32) *CPU {
 	)
 }
 
-// TestTraceSelfModifyStore covers the store-into-own-trace invalidation
-// path. The loop runs clean long enough for the trace tier to compile
-// its path, then the descending store pointer crosses into the loop's
-// own text: the write barrier drops the trace from inside its own store
-// op, which must notice tr.valid going false and exit at the
-// store's exact instruction boundary. Instruction memory is untouched,
-// so architectural results must match the fast path exactly; no stale
-// trace may ever replay.
-func TestTraceSelfModifyStore(t *testing.T) {
-	const iters, base = 280, 286
-	trc := descendingStoreCPU(iters, base)
-	trc.SetEngine(EngineTraces)
-	run(t, trc, 1_000_000)
+// TestDataWritesKeepTranslations pins the split between instruction
+// and data memory: a CPU store, a DMA move and a Poke into the physical
+// words at text addresses change data only, so every block and trace
+// stays live, and the run still matches the reference engine.
+func TestDataWritesKeepTranslations(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() *CPU
+		poke  bool // Poke words 0-7 once the tiers are warm
+	}{
+		// The last stores land on words 8, 7 and 6: the loop's halt,
+		// delay slot and branch.
+		{"store", func() *CPU { return descendingStoreCPU(280, 286) }, false},
+		{"dma", func() *CPU {
+			c := loopCPU(5000)
+			dma := mem.NewDMA(c.Bus.MMU.Phys)
+			c.Bus.DMA = dma
+			for a := uint32(0); a < 8; a++ {
+				c.Bus.MMU.Phys.Poke(0x4000+a, 0xD0+a)
+			}
+			dma.Queue(mem.Transfer{Src: 0x4000, Dst: 0, Words: 8})
+			return c
+		}, false},
+		{"poke", func() *CPU { return loopCPU(5000) }, true},
+	} {
+		for _, e := range []Engine{EngineBlocks, EngineTraces} {
+			run := func(e Engine) *CPU {
+				c := tc.build()
+				c.SetEngine(e)
+				poked := false
+				for !c.Halted {
+					c.RunSteps(500)
+					if tc.poke && !poked && c.Stats.Instructions > 5000 {
+						poked = true
+						blocks, traces := len(c.liveBlocks), len(c.liveTraces)
+						for a := uint32(0); a < 8; a++ {
+							c.Bus.MMU.Phys.Poke(a, 0xBAD0+a)
+						}
+						if len(c.liveBlocks) != blocks || len(c.liveTraces) != traces {
+							t.Errorf("%s/%v: the poke dropped translations: %d -> %d blocks, %d -> %d traces",
+								tc.name, e, blocks, len(c.liveBlocks), traces, len(c.liveTraces))
+						}
+					}
+				}
+				return c
+			}
+			got, ref := run(e), run(EngineReference)
+			if got.Regs != ref.Regs || got.Stats != ref.Stats {
+				t.Errorf("%s/%v: diverges from the reference:\n got %v %+v\n ref %v %+v",
+					tc.name, e, got.Regs, got.Stats, ref.Regs, ref.Stats)
+			}
+			if got.Trans.BlockInvalidations != 0 || got.Trans.TraceInvalidations != 0 {
+				t.Errorf("%s/%v: data writes dropped %d blocks and %d traces, want none",
+					tc.name, e, got.Trans.BlockInvalidations, got.Trans.TraceInvalidations)
+			}
+			if got.Trans.BlockChained == 0 {
+				t.Errorf("%s/%v: no block chained; the block tier never ran", tc.name, e)
+			}
+			if e == EngineTraces && tc.name != "dma" && got.Trans.TraceDispatchHits == 0 {
+				t.Errorf("%s: no trace dispatched; the trace tier never ran", tc.name)
+			}
+			if got.Bus.MMU.Phys.Peek(6) == 0 || got.Bus.MMU.Phys.Peek(7) == 0 {
+				t.Errorf("%s/%v: no data reached the text addresses", tc.name, e)
+			}
+		}
+	}
+}
 
-	fast := descendingStoreCPU(iters, base)
-	fast.SetEngine(EngineFast)
-	run(t, fast, 1_000_000)
+// twoLoopCPU builds an outer loop of k passes over two inner loops of n
+// iterations each: loop A (words 3-6) adds r3 to r2, loop B (words 8-11)
+// counts in r7. Each loop is its own blocks and traces, so a write into
+// one loop's text leaves the other's translations alone.
+func twoLoopCPU(k, n int32) *CPU {
+	back := func(r isa.Reg, target int32) isa.Instr {
+		br := isa.Branch(isa.CmpNE, isa.R(r), isa.Imm(0), "")
+		br.Target = target
+		return w(br)
+	}
+	return newTestCPU(
+		w(isa.LoadImm32(6, k)),                         // 0
+		w(isa.Mov(3, isa.Imm(5))),                      // 1
+		w(isa.LoadImm32(1, n)),                         // 2: outer loop
+		w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.R(3))),   // 3: loop A
+		w(isa.ALU(isa.OpSub, 1, isa.R(1), isa.Imm(1))), // 4
+		back(1, 3),             // 5
+		w(isa.LoadImm32(5, n)), // 6: delay slot
+		w(isa.Nop()),           // 7
+		w(isa.ALU(isa.OpAdd, 7, isa.R(7), isa.Imm(1))), // 8: loop B
+		w(isa.ALU(isa.OpSub, 5, isa.R(5), isa.Imm(1))), // 9
+		back(5, 8),   // 10
+		w(isa.Nop()), // 11: delay slot
+		w(isa.ALU(isa.OpSub, 6, isa.R(6), isa.Imm(1))), // 12
+		back(6, 2),   // 13
+		w(isa.Nop()), // 14: delay slot
+		halt,         // 15
+	)
+}
 
-	if trc.Regs != fast.Regs {
-		t.Errorf("registers diverge:\n traces %v\n   fast %v", trc.Regs, fast.Regs)
+// TestCodeWriteDropsTranslations patches loop A's body word while loop
+// B runs, on the block and trace tiers. The write must drop exactly the
+// blocks and traces whose cached words include the patched one, keep
+// every other translation live, and leave the run identical to the
+// reference engine's under the same patch: loop A runs the new word on
+// its next pass.
+func TestCodeWriteDropsTranslations(t *testing.T) {
+	const pa = 3
+	patch := w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)))
+	meetsBlock := func(b *block) bool {
+		end := b.pa + b.n
+		if b.hasTerm {
+			end += 1 + uint32(b.dsN)
+		}
+		return b.pa <= pa && pa < end
 	}
-	if trc.Stats != fast.Stats {
-		t.Errorf("stats diverge:\n traces %+v\n   fast %+v", trc.Stats, fast.Stats)
+	meetsTrace := func(tr *trace) bool {
+		for _, sp := range tr.spans {
+			if sp.pa <= pa && pa < sp.pa+sp.n {
+				return true
+			}
+		}
+		return false
 	}
-	if want := uint32(iters); trc.Regs[2] != want {
-		t.Errorf("r2 = %d, want %d", trc.Regs[2], want)
-	}
-	if trc.Trans.TraceCompiled == 0 {
-		t.Fatal("loop never compiled a trace; the case is not exercised")
-	}
-	if trc.Trans.TraceInvalidations == 0 {
-		t.Error("store into compiled trace text never tripped the write barrier")
-	}
-	if trc.Trans.TraceGuardExits == 0 {
-		t.Error("no trace exited early; the store-into-own-trace exit never ran")
+	for _, e := range []Engine{EngineBlocks, EngineTraces} {
+		run := func(e Engine) *CPU {
+			c := twoLoopCPU(6, 200)
+			c.SetEngine(e)
+			patched := false
+			for !c.Halted {
+				c.RunSteps(500)
+				if patched || c.Regs[6] > 3 || c.PC() < 8 || c.PC() > 11 {
+					continue
+				}
+				patched = true
+				blocks := slices.Clone(c.liveBlocks)
+				traces := slices.Clone(c.liveTraces)
+				b0, t0 := c.Trans.BlockInvalidations, c.Trans.TraceInvalidations
+				c.WriteCode(pa, []isa.Instr{patch})
+				var droppedB, keptB, droppedT, keptT uint64
+				for _, b := range blocks {
+					if meetsBlock(b) == b.valid {
+						t.Errorf("%v: block at %d (valid %v) after a write to word %d", e, b.pa, b.valid, pa)
+					}
+					if b.valid {
+						keptB++
+					} else {
+						droppedB++
+					}
+				}
+				for _, tr := range traces {
+					if meetsTrace(tr) == tr.valid {
+						t.Errorf("%v: trace at %d (valid %v) after a write to word %d", e, tr.pc, tr.valid, pa)
+					}
+					if tr.valid {
+						keptT++
+					} else {
+						droppedT++
+					}
+				}
+				if d := c.Trans.BlockInvalidations - b0; d != droppedB {
+					t.Errorf("%v: %d block invalidations counted, %d blocks dropped", e, d, droppedB)
+				}
+				if d := c.Trans.TraceInvalidations - t0; d != droppedT {
+					t.Errorf("%v: %d trace invalidations counted, %d traces dropped", e, d, droppedT)
+				}
+				if e == EngineReference {
+					continue
+				}
+				if droppedB == 0 || keptB == 0 {
+					t.Errorf("%v: the write dropped %d blocks and kept %d; want some of each", e, droppedB, keptB)
+				}
+				if e == EngineTraces && (droppedT == 0 || keptT == 0) {
+					t.Errorf("traces: the write dropped %d traces and kept %d; want some of each", droppedT, keptT)
+				}
+			}
+			if !patched {
+				t.Fatalf("%v: no run boundary fell in loop B of a late pass", e)
+			}
+			return c
+		}
+		got, ref := run(e), run(EngineReference)
+		if got.Regs != ref.Regs || got.Stats != ref.Stats {
+			t.Errorf("%v: diverges from the reference after the patch:\n got %v %+v\n ref %v %+v",
+				e, got.Regs, got.Stats, ref.Regs, ref.Stats)
+		}
+		if ref.Regs[2] == 6*200*5 {
+			t.Error("the patch never took effect: loop A ran no pass after it")
+		}
 	}
 }
 
 // TestTraceDMAQuietGuard pins the trace tier's quiet-environment rule:
-// a machine with a DMA engine attached must never form a trace (DMA
-// writes can land between any two instructions, including into trace
-// text mid-pass), degrading to the superblock engine whose per-write
-// barrier handles the invalidation. Results must match the fast path
-// with the identical DMA schedule.
+// a machine with a DMA engine attached must never form a trace (the
+// engine claims free cycles word by word, which a compiled trace does
+// not model), degrading to the superblock engine. Results must match
+// the fast path with the identical DMA schedule.
 func TestTraceDMAQuietGuard(t *testing.T) {
 	build := func() *CPU {
 		c := loopCPU(5000)
@@ -161,11 +313,10 @@ func TestTraceDMAQuietGuard(t *testing.T) {
 	}
 }
 
-// TestTracePatchBetweenSteps is the harness self-modification contract
-// applied to the trace tier: a writer that patches code between runs
-// must rewrite IMem and Poke the physical word; the Poke must drop the
-// covering compiled trace so the patch takes effect on the very next
-// run, even though trace dispatch skips per-entry revalidation.
+// TestTracePatchBetweenSteps patches code between runs through
+// WriteCode on the trace tier: the write must drop the covering
+// compiled trace so the patch takes effect on the very next run, since
+// trace dispatch never rereads its words.
 func TestTracePatchBetweenSteps(t *testing.T) {
 	const iters = 5000
 	c := tracesCPU(iters)
@@ -182,8 +333,7 @@ func TestTracePatchBetweenSteps(t *testing.T) {
 		if !patched && c.PC() == 2 && c.Trans.TraceDispatchHits > 0 && c.Regs[1] > 0 {
 			patched = true
 			left = c.Regs[1]
-			c.IMem.Set(2, w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1))))
-			c.Bus.MMU.Phys.Poke(2, 0)
+			c.WriteCode(2, []isa.Instr{w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)))})
 		}
 	}
 	if !patched {
@@ -196,7 +346,7 @@ func TestTracePatchBetweenSteps(t *testing.T) {
 		t.Error("loop never dispatched through a compiled trace")
 	}
 	if c.Trans.TraceInvalidations == 0 {
-		t.Error("Poke into compiled trace text never dropped the trace")
+		t.Error("the code write dropped no trace")
 	}
 }
 

@@ -14,14 +14,13 @@ package cpu
 // mapped flag, the segmentation registers, the page map's identity and
 // generation). A matching context at dispatch proves every fetch
 // translation and referenced bit the recording saw still holds, so a
-// trace never translates its own words. Coherence reuses the superblock
-// write barrier: a trace keeps the span list of the physical words it
-// compiled from, marks them in the coverage bitmap, and writeBarrier
-// drops any trace whose span covers a written physical word. Like
-// chain edges, traces trust the barrier rather than
-// revalidating every word per dispatch — the same harness contract as
-// PR 4: rewrite IMem AND Poke physical. Traces are derived state:
-// snapshots exclude them, and LoadImage/RestoreState drop them.
+// trace never translates its own words. Coherence is the superblock
+// engine's: a trace keeps the span list of the instruction-memory words
+// it compiled from, and a code write (CPU.WriteCode, CPU.ReplaceCode)
+// drops every trace whose spans meet the written range. Code changes
+// only through those writers, so neither a trace nor a chain edge
+// revalidates its words at dispatch. Traces are derived state:
+// snapshots exclude them, and RestoreState drops them.
 
 import (
 	"mips/internal/isa"
@@ -103,14 +102,12 @@ type traceInst struct {
 }
 
 // Exit queue shapes of a trace word at vpc, with x the control target
-// of a delay-slot drain. A shape fixes both queues an exit can leave:
-// the fault-restart queue (the three return addresses an exception at
-// the word saves) and the completion queue (what remains once the word
-// finishes, for an exit at the following boundary).
+// of a delay-slot drain. A shape fixes the fault-restart queue: the
+// three return addresses an exception at the word saves.
 const (
-	qSeq   uint8 = iota // body word or terminator: fault [vpc, vpc+1, vpc+2], completion [vpc+1]
-	qFirst              // first of two delay slots: fault [vpc, vpc+1, x], completion [vpc+1, x]
-	qLast               // last delay slot: fault [vpc, x, x+1], completion [x]
+	qSeq   uint8 = iota // body word or terminator: [vpc, vpc+1, vpc+2]
+	qFirst              // first of two delay slots: [vpc, vpc+1, x]
+	qLast               // last delay slot: [vpc, x, x+1]
 )
 
 // faultQueue returns the fetch queue a fault at in restarts with.
@@ -122,19 +119,6 @@ func (in *traceInst) faultQueue() [3]uint32 {
 		return [3]uint32{in.vpc, in.target, in.target + 1}
 	}
 	return [3]uint32{in.vpc, in.vpc + 1, in.vpc + 2}
-}
-
-// resumeAfter leaves the fetch queue as it stands once in has
-// completed.
-func (c *CPU) resumeAfter(in *traceInst) {
-	switch in.shape {
-	case qFirst:
-		c.pcq[0], c.pcq[1], c.pcn = in.vpc+1, in.target, 2
-	case qLast:
-		c.pcq[0], c.pcq[1], c.pcn = in.target, 0, 1
-	default:
-		c.pcq[0], c.pcq[1], c.pcn = in.vpc+1, 0, 1
-	}
 }
 
 // traceCost is the happy-path statistics of a run of trace words,
@@ -241,10 +225,10 @@ type trace struct {
 	deopts   [NumDeoptReasons]uint64
 }
 
-// covers reports whether a physical word address falls inside any span.
-func (tr *trace) covers(addr uint32) bool {
+// covers reports whether any span meets the n words at pa.
+func (tr *trace) covers(pa, n uint32) bool {
 	for _, sp := range tr.spans {
-		if addr-sp.pa < sp.n {
+		if sp.pa < pa+n && pa < sp.pa+sp.n {
 			return true
 		}
 	}
@@ -303,8 +287,8 @@ func (c *CPU) traceAt(pc uint32, ctx *mem.Context) *trace {
 	return nil
 }
 
-// installTrace places a compiled trace in the cache, evicting any slot
-// occupant, and arms the write barrier over its spans.
+// installTrace places a compiled trace in the cache and the live list,
+// evicting any slot occupant.
 func (c *CPU) installTrace(tr *trace) {
 	c.lockTraces()
 	slot := c.traceSlot(tr.pc, &tr.ctx)
@@ -316,14 +300,10 @@ func (c *CPU) installTrace(tr *trace) {
 	tr.liveIdx = len(c.liveTraces)
 	c.liveTraces = append(c.liveTraces, tr)
 	c.unlockTraces()
-	for _, sp := range tr.spans {
-		c.coverWords(sp.pa, sp.n)
-	}
-	c.armBarrier()
 }
 
-// installSideTrace registers a side stub with the live list and the
-// write barrier but not the trace cache: a stub's entry is reached with
+// installSideTrace registers a side stub with the live list, which
+// code writes walk, but not the trace cache: a stub's entry is reached with
 // a non-sequential fetch queue (mid delay-slot drain), so it must never
 // be found by a plain head-of-queue lookup — only by the exit-to-entry
 // wiring in its parent's side slot.
@@ -333,14 +313,10 @@ func (c *CPU) installSideTrace(tr *trace) {
 	tr.liveIdx = len(c.liveTraces)
 	c.liveTraces = append(c.liveTraces, tr)
 	c.unlockTraces()
-	for _, sp := range tr.spans {
-		c.coverWords(sp.pa, sp.n)
-	}
-	c.armBarrier()
 }
 
 // dropTrace invalidates a trace and removes it from the live list.
-// Callers under ShareTraces hold the trace mutex (install, barrier,
+// Callers under ShareTraces hold the trace mutex (install, code write,
 // bulk invalidation all lock before dropping).
 func (c *CPU) dropTrace(tr *trace) {
 	if !tr.valid {
@@ -359,9 +335,8 @@ func (c *CPU) dropTrace(tr *trace) {
 }
 
 // InvalidateTraces drops every compiled trace and resets the heat
-// table. Whole-image reloads and state restores call it so traces never
-// outlive the code they were compiled from; the write barrier handles
-// everything in between.
+// table. State restores call it so traces never outlive the code they
+// were compiled from; the code writers handle everything in between.
 func (c *CPU) InvalidateTraces() {
 	c.lockTraces()
 	emit := c.onJIT != nil

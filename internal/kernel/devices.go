@@ -237,8 +237,9 @@ func (dk *disk) transfer(m *Machine) {
 	dk.reads++
 	pg := dk.page(dk.vpage)
 	m.Phys.FillPage(dk.frame, pg.Data)
-	// Instruction memory is physically indexed alongside data memory.
-	m.CPU.IMem.Replace(dk.frame<<mem.PageBits, mem.PageWords, pg.Code)
+	// Instruction memory is physically indexed alongside data memory;
+	// replacing the frame's code drops the translations of its old code.
+	m.CPU.ReplaceCode(dk.frame<<mem.PageBits, mem.PageWords, pg.Code)
 }
 
 // writeBack copies the selected frame's contents out to backing store,

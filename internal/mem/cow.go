@@ -7,8 +7,7 @@ import "slices"
 // Physical whose table starts as a reference to the golden's: every
 // page reads the golden frame until the first store that changes a word
 // of it, which copies that one frame (mem.go, Physical.own) before the
-// store lands; the write barrier fires exactly as for any store. A fork
-// therefore costs O(pages-touched), never O(memory): its only
+// store lands. A fork therefore costs O(pages-touched), never O(memory): its only
 // allocations are its 64-entry top level, one chunk per 64 pages it
 // writes into, and one frame per page it writes.
 //

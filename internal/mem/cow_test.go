@@ -54,15 +54,9 @@ func TestCOWFirstWritePrivatizesOnePage(t *testing.T) {
 	g := goldenFixture(t, words, 0)
 	f := g.Fork()
 
-	var barrierAddrs []uint32
-	f.SetWriteBarrier(func(addr uint32) { barrierAddrs = append(barrierAddrs, addr) })
-
 	addr := uint32(PageWords + 3) // page 1
 	if fault := f.Write(addr, 12345); fault != nil {
 		t.Fatalf("Write fault: %v", fault)
-	}
-	if len(barrierAddrs) != 1 || barrierAddrs[0] != addr {
-		t.Fatalf("barrier fired for %v, want exactly [%#x]", barrierAddrs, addr)
 	}
 	st := f.COWStats()
 	if st.PrivatePages != 1 || st.Faults != 1 {
@@ -253,7 +247,7 @@ func TestCOWNonPageMultipleSize(t *testing.T) {
 
 // TestFillPageMatchesPokes holds the page-granular fill to what
 // PageWords zero Pokes followed by one Poke per data word leave: the
-// frame's contents, the barrier addresses in order, and COWStats, on a
+// frame's contents and COWStats, on a
 // fork (shared page, private page) and on a plain memory.
 func TestFillPageMatchesPokes(t *testing.T) {
 	g := goldenFixture(t, 4*PageWords, 0)
@@ -273,9 +267,6 @@ func TestFillPageMatchesPokes(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pokes, fill := tc.mk(), tc.mk()
-			var pokeAddrs, fillAddrs []uint32
-			pokes.SetWriteBarrier(func(a uint32) { pokeAddrs = append(pokeAddrs, a) })
-			fill.SetWriteBarrier(func(a uint32) { fillAddrs = append(fillAddrs, a) })
 			base := uint32(2 * PageWords)
 			for i := uint32(0); i < PageWords; i++ {
 				pokes.Poke(base+i, 0)
@@ -289,14 +280,6 @@ func TestFillPageMatchesPokes(t *testing.T) {
 					t.Fatalf("word %#x: pokes %d, fill %d", a, pokes.Peek(a), fill.Peek(a))
 				}
 			}
-			if len(pokeAddrs) != len(fillAddrs) {
-				t.Fatalf("barrier fired %d times, want %d", len(fillAddrs), len(pokeAddrs))
-			}
-			for i := range pokeAddrs {
-				if pokeAddrs[i] != fillAddrs[i] {
-					t.Fatalf("barrier call %d at %#x, want %#x", i, fillAddrs[i], pokeAddrs[i])
-				}
-			}
 			if ps, fs := pokes.COWStats(), fill.COWStats(); ps != fs {
 				t.Fatalf("COWStats %+v, want %+v", fs, ps)
 			}
@@ -305,19 +288,17 @@ func TestFillPageMatchesPokes(t *testing.T) {
 }
 
 // TestCOWSilentStoreKeepsSharing pins that a store leaving its word as
-// it was copies no frame (the barrier still fires), while a store that
+// it was copies no frame, while a store that
 // changes a word copies the page as before.
 func TestCOWSilentStoreKeepsSharing(t *testing.T) {
 	g := goldenFixture(t, 4*PageWords, 0)
 	f := g.Fork()
-	fired := 0
-	f.SetWriteBarrier(func(uint32) { fired++ })
 	addr := uint32(PageWords + 3)
 	if fault := f.Write(addr, addr*3+7); fault != nil {
 		t.Fatal(fault)
 	}
-	if st := f.COWStats(); st.PrivatePages != 0 || st.Faults != 0 || fired != 1 {
-		t.Fatalf("silent store: %+v, barrier fired %d times; want no copy, one barrier call", st, fired)
+	if st := f.COWStats(); st.PrivatePages != 0 || st.Faults != 0 {
+		t.Fatalf("silent store: %+v; want no copy", st)
 	}
 	if fault := f.Write(addr, 1); fault != nil {
 		t.Fatal(fault)

@@ -54,13 +54,6 @@ type Physical struct {
 	// cowFaults counts the frames a fork copied on first write.
 	forked    bool
 	cowFaults uint64
-
-	// barrier, when set, observes every successful word write — CPU
-	// stores, DMA moves, and device/loader pokes alike. The CPU's
-	// superblock engine uses it to invalidate translated blocks whose
-	// code range overlaps the written address (self-modifying code and
-	// paging traffic must never execute stale translations).
-	barrier func(addr uint32)
 }
 
 // chunkBits sizes the second level of the page-frame table: each chunk
@@ -99,11 +92,6 @@ var (
 		return t
 	}()
 )
-
-// SetWriteBarrier installs a write observer invoked after every
-// successful Write and Poke with the physical word address. Pass nil to
-// disable. The barrier must not write memory itself.
-func (p *Physical) SetWriteBarrier(fn func(addr uint32)) { p.barrier = fn }
 
 // NewPhysical returns a zeroed physical memory of the given size in
 // words. No page has storage until it is written. It panics if words is
@@ -145,9 +133,9 @@ func (p *Physical) Read(addr uint32) (uint32, *Fault) {
 // Write stores a word at a physical address. Writing sealed ROM is a
 // fault: the dispatch routine must always be resident and intact. The
 // first store to a page that changes a word gives the memory its own
-// frame for it; the write barrier then fires for the stored word exactly
-// as for any store (the new frame holds the contents of the one it
-// replaces, so no other invalidation is due).
+// frame for it. Physical memory is the data half of the machine's
+// separate instruction and data interfaces: no write here changes an
+// instruction the processor fetches.
 func (p *Physical) Write(addr, val uint32) *Fault {
 	if addr >= p.size || addr < p.romLimit {
 		return &Fault{Cause: isa.CausePageFault, Addr: addr, Write: true}
@@ -164,31 +152,24 @@ func (p *Physical) Write(addr, val uint32) *Fault {
 		// backing frame.
 		p.own(addr >> PageBits)[off] = val
 	}
-	if p.barrier != nil {
-		p.barrier(addr)
-	}
 	return nil
 }
 
 // Poke writes a word ignoring ROM protection; used only by loaders and
 // devices. Out-of-range pokes are dropped (a device writing past the end
-// of installed memory). Pokes make frames and fire the barrier as Write
-// does.
+// of installed memory). Pokes make frames as Write does, and like it
+// never change code.
 func (p *Physical) Poke(addr, val uint32) {
 	if addr >= p.size {
 		return
 	}
 	p.writable(addr >> PageBits)[addr&(PageWords-1)] = val
-	if p.barrier != nil {
-		p.barrier(addr)
-	}
 }
 
 // FillPage sets a page to data followed by zeros, ignoring ROM
 // protection like Poke. It leaves what PageWords zero Pokes followed by
 // one Poke per data word would: the same contents, the same frames and
-// copy-on-write counts, and the same barrier calls in the same order.
-// Words past the end of memory are dropped; data longer than a page is
+// copy-on-write counts. Words past the end of memory are dropped; data longer than a page is
 // cut at the page's end.
 func (p *Physical) FillPage(page uint32, data []uint32) {
 	base := page << PageBits
@@ -200,15 +181,6 @@ func (p *Physical) FillPage(page uint32, data []uint32) {
 	clear(fr[:n])
 	data = data[:min(uint32(len(data)), n)]
 	copy(fr[:], data)
-	if p.barrier == nil {
-		return
-	}
-	for i := range n {
-		p.barrier(base + i)
-	}
-	for i := range data {
-		p.barrier(base + uint32(i))
-	}
 }
 
 // writable returns the page's frame, first giving the memory its own

@@ -109,9 +109,7 @@ func (p *Physical) load(runs []PhysRun) {
 }
 
 // RestoreState replaces memory contents with a previous capture. The
-// memory must have been constructed at the captured size. The write
-// barrier is not invoked: restore accompanies a cache invalidation on
-// the CPU side, which is the only barrier consumer. Restoring over a
+// memory must have been constructed at the captured size. Restoring over a
 // COW fork drops the golden sharing; only the pages the capture's runs
 // cover get frames.
 func (p *Physical) RestoreState(st PhysState) error {

@@ -277,12 +277,12 @@ func TestTemplateForkSharesInstructionPages(t *testing.T) {
 	fork := bytesPerRun(20, func() { _, _ = tpl.Fork() })
 	once := bytesPerRun(20, func() {
 		f, _ := tpl.Fork()
-		f.CPU().IMem.Set(pa, nop)
+		f.CPU().WriteCode(pa, []isa.Instr{nop})
 	}) - fork
 	twice := bytesPerRun(20, func() {
 		f, _ := tpl.Fork()
-		f.CPU().IMem.Set(pa, nop)
-		f.CPU().IMem.Set(pa+1, nop)
+		f.CPU().WriteCode(pa, []isa.Instr{nop})
+		f.CPU().WriteCode(pa+1, []isa.Instr{nop})
 	}) - fork
 	if once < float64(page) || once >= 2*float64(page) {
 		t.Errorf("a fork's first instruction write allocates %.0f B; want one %d B page copy", once, page)
@@ -290,7 +290,7 @@ func TestTemplateForkSharesInstructionPages(t *testing.T) {
 	if twice-once > float64(page)/4 {
 		t.Errorf("a second write into the copied page allocates %.0f B more; want no further copy", twice-once)
 	}
-	writer.CPU().IMem.Set(pa, nop)
+	writer.CPU().WriteCode(pa, []isa.Instr{nop})
 	if writer.CPU().IMem.At(pa) != nop {
 		t.Fatal("the writer lost its write")
 	}

@@ -2,13 +2,10 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
-	"mips/internal/trace"
+	"mips/internal/telemetry/fleet"
 )
 
 // The /profile endpoints render the cycle-attribution profiler live.
@@ -38,29 +35,7 @@ func (s *Server) handleFlame(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	WriteFolded(w, p)
-}
-
-// WriteFolded writes the profiler's flat profile as folded-stack
-// flamegraph text, heaviest symbol first (trace.Profiler.Flat order).
-func WriteFolded(w io.Writer, p *trace.Profiler) error {
-	for _, row := range p.Flat() {
-		space := "user"
-		if row.Kernel {
-			space = "kernel"
-		}
-		if _, err := fmt.Fprintf(w, "%s;%s %d\n", space, foldedFrame(row.Name), row.Cycles); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// foldedFrame sanitizes a symbol for the folded format, whose frame
-// separator is ';' and whose count separator is ' '.
-func foldedFrame(name string) string {
-	name = strings.ReplaceAll(name, ";", "_")
-	return strings.ReplaceAll(name, " ", "_")
+	fleet.WriteFolded(w, p.Folded())
 }
 
 // TopEntry is one /profile/top row, a JSON rendering of

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,12 +12,12 @@ import (
 )
 
 // TestFoldedRoundTrip pins the folded flamegraph format: rendering the
-// profile of a real run and parsing it back recovers every symbol's
+// profile of a real run and parsing it back recovers every stack's
 // exact cycle weight, and the weights sum to the run's total cycles.
 func TestFoldedRoundTrip(t *testing.T) {
 	_, _, profiler, res := runCorpus(t, "calc")
 	var buf bytes.Buffer
-	if err := WriteFolded(&buf, profiler); err != nil {
+	if err := fleet.WriteFolded(&buf, profiler.Folded()); err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := fleet.ParseFolded(&buf)
@@ -36,13 +37,16 @@ func TestFoldedRoundTrip(t *testing.T) {
 	if sum != res.Stats.Cycles {
 		t.Errorf("folded weights sum to %d, Stats.Cycles = %d", sum, res.Stats.Cycles)
 	}
-	// Cross-check one symbol against the flat profile.
+	if want := profiler.Folded(); !maps.Equal(parsed, want) {
+		t.Errorf("parsed %v, want %v", parsed, want)
+	}
+	// Cross-check every symbol against the flat profile.
 	for _, row := range profiler.Flat() {
 		space := "user"
 		if row.Kernel {
 			space = "kernel"
 		}
-		if got := parsed[space+";"+foldedFrame(row.Name)]; got != row.Cycles {
+		if got := parsed[space+";"+row.Name]; got != row.Cycles {
 			t.Errorf("symbol %s: folded %d, flat %d", row.Name, got, row.Cycles)
 		}
 	}

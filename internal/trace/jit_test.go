@@ -31,7 +31,7 @@ func buildLoopCPU(n int32) (*cpu.CPU, error) {
 	}
 	c := cpu.New(cpu.NewBus(mem.NewPhysical(1 << 16)))
 	for i, p := range words {
-		c.IMem.Set(uint32(i), isa.Word(p))
+		c.WriteCode(uint32(i), []isa.Instr{isa.Word(p)})
 	}
 	c.SetTrapHook(func(code uint16) {
 		if code == 0 {
