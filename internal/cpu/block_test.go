@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mips/internal/isa"
+	"mips/internal/mem"
 )
 
 // TestBlocksLoopMatchesFastAndReference runs the standard counted loop
@@ -38,6 +39,82 @@ func TestBlocksLoopMatchesFastAndReference(t *testing.T) {
 	}
 	if blk.Trans.BlockChained == 0 {
 		t.Error("loop executed without a single chained block entry")
+	}
+}
+
+// selfModifyCPU builds a looped straight-line run of `body` add words
+// (long enough to span a block boundary when body > blockMaxWords)
+// whose tail stores r3 into the physical word at storeTarget every
+// iteration.
+func selfModifyCPU(iters int32, body int, storeTarget int32) *CPU {
+	words := []isa.Instr{
+		w(isa.LoadImm32(1, iters)),
+		w(isa.Mov(3, isa.Imm(7))),
+	}
+	for i := 0; i < body; i++ {
+		words = append(words, w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1))))
+	}
+	br := isa.Branch(isa.CmpNE, isa.R(1), isa.Imm(0), "")
+	br.Target = 2
+	words = append(words,
+		w(isa.StoreAbs(3, storeTarget)),
+		w(isa.ALU(isa.OpSub, 1, isa.R(1), isa.Imm(1))),
+		w(br),
+		w(isa.Nop()),
+		halt,
+	)
+	return newTestCPU(words...)
+}
+
+// TestBlockSelfModifyStore stores into the physical words at the
+// loop's own text addresses every iteration. Fetch reads instruction
+// memory, so the store changes data only: results match the fast path,
+// and the block tier translates, chains and bails exactly as it does
+// when the same loop stores into plain data.
+func TestBlockSelfModifyStore(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		body        int
+		storeTarget int32
+	}{
+		// The store lives past the first block boundary (body spans
+		// blockMaxWords) and hits a word cached by the first block.
+		{"across-boundary", blockMaxWords + 8, 4},
+		// The store hits a later word of its own still-running block.
+		{"own-block", 16, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const iters = 50
+			build := func(e Engine, target int32) *CPU {
+				c := selfModifyCPU(iters, tc.body, target)
+				c.SetEngine(e)
+				run(t, c, 1_000_000)
+				return c
+			}
+			blk := build(EngineBlocks, tc.storeTarget)
+			fast := build(EngineFast, tc.storeTarget)
+			data := build(EngineBlocks, 0x4000)
+
+			if blk.Regs != fast.Regs {
+				t.Errorf("registers diverge:\n blocks %v\n   fast %v", blk.Regs, fast.Regs)
+			}
+			if blk.Stats != fast.Stats {
+				t.Errorf("stats diverge:\n blocks %+v\n   fast %+v", blk.Stats, fast.Stats)
+			}
+			if want := uint32(iters * tc.body); blk.Regs[2] != want {
+				t.Errorf("r2 = %d, want %d", blk.Regs[2], want)
+			}
+			if blk.Bus.MMU.Phys.Peek(uint32(tc.storeTarget)) != 7 {
+				t.Error("the store never reached the text address")
+			}
+			if blk.Trans.BlockInvalidations != 0 {
+				t.Errorf("a data store dropped %d blocks, want none", blk.Trans.BlockInvalidations)
+			}
+			if blk.Trans != data.Trans {
+				t.Errorf("storing into text translates differently from storing into data:\n text %+v\n data %+v",
+					blk.Trans, data.Trans)
+			}
+		})
 	}
 }
 
@@ -76,6 +153,57 @@ func TestBlockPatchBetweenSteps(t *testing.T) {
 	}
 	if c.Trans.BlockInvalidations == 0 {
 		t.Error("the code write dropped no block")
+	}
+}
+
+// TestBlockDMAInvalidation has the DMA engine overwrite the physical
+// words at the loop's text addresses on stolen free cycles while the
+// loop is hot and chained. DMA moves data only: execution matches the
+// fast path with the identical DMA schedule, and the block tier drops
+// nothing and translates exactly as it does when the same move lands
+// in plain data.
+func TestBlockDMAInvalidation(t *testing.T) {
+	build := func(e Engine, dst uint32) *CPU {
+		c := loopCPU(5000)
+		c.SetEngine(e)
+		dma := mem.NewDMA(c.Bus.MMU.Phys)
+		c.Bus.DMA = dma
+		for a := uint32(0); a < 8; a++ {
+			c.Bus.MMU.Phys.Poke(0x4000+a, 0xD0+a)
+		}
+		dma.Queue(mem.Transfer{Src: 0x4000, Dst: dst, Words: 8})
+		run(t, c, 1_000_000)
+		return c
+	}
+	// Dst 0 overwrites physical words 0..7: the loop's text range.
+	blk := build(EngineBlocks, 0)
+	fast := build(EngineFast, 0)
+	data := build(EngineBlocks, 0x5000)
+
+	if blk.Regs != fast.Regs {
+		t.Errorf("registers diverge:\n blocks %v\n   fast %v", blk.Regs, fast.Regs)
+	}
+	if blk.Stats != fast.Stats {
+		t.Errorf("stats diverge:\n blocks %+v\n   fast %+v", blk.Stats, fast.Stats)
+	}
+	if blk.Regs[2] != 25000 {
+		t.Errorf("r2 = %d, want 25000", blk.Regs[2])
+	}
+	if blk.Stats.DMACycles == 0 {
+		t.Fatal("DMA consumed no free cycles; the mid-loop case was not exercised")
+	}
+	if blk.Bus.MMU.Phys.Peek(7) != 0xD7 {
+		t.Error("the DMA move never reached the text addresses")
+	}
+	if blk.Trans.BlockChained == 0 {
+		t.Error("loop ran without chaining")
+	}
+	if blk.Trans.BlockInvalidations != 0 {
+		t.Errorf("DMA writes dropped %d blocks, want none", blk.Trans.BlockInvalidations)
+	}
+	if blk.Trans != data.Trans {
+		t.Errorf("a DMA move into text translates differently from one into data:\n text %+v\n data %+v",
+			blk.Trans, data.Trans)
 	}
 }
 

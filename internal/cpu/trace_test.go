@@ -83,6 +83,51 @@ func descendingStoreCPU(iters, base int32) *CPU {
 	)
 }
 
+// TestTraceSelfModifyStore runs a store into the loop's own text
+// addresses from inside its compiled trace. The loop runs clean long
+// enough for the trace tier to compile its path, then the descending
+// store pointer crosses into the physical words at the loop's text.
+// Fetch reads instruction memory, so the store changes data only: the
+// trace keeps running without an early exit, results match the fast
+// path, and the tiers translate exactly as they do when the pointer
+// walks plain data.
+func TestTraceSelfModifyStore(t *testing.T) {
+	const iters, base = 280, 286
+	build := func(e Engine, base int32) *CPU {
+		c := descendingStoreCPU(iters, base)
+		c.SetEngine(e)
+		run(t, c, 1_000_000)
+		return c
+	}
+	trc := build(EngineTraces, base)
+	fast := build(EngineFast, base)
+	data := build(EngineTraces, 0x4000+base)
+
+	if trc.Regs != fast.Regs {
+		t.Errorf("registers diverge:\n traces %v\n   fast %v", trc.Regs, fast.Regs)
+	}
+	if trc.Stats != fast.Stats {
+		t.Errorf("stats diverge:\n traces %+v\n   fast %+v", trc.Stats, fast.Stats)
+	}
+	if want := uint32(iters); trc.Regs[2] != want {
+		t.Errorf("r2 = %d, want %d", trc.Regs[2], want)
+	}
+	if trc.Trans.TraceCompiled == 0 {
+		t.Fatal("loop never compiled a trace; the case is not exercised")
+	}
+	if trc.Bus.MMU.Phys.Peek(6) == 0 {
+		t.Error("the store never reached the loop's text addresses")
+	}
+	if trc.Trans.TraceInvalidations != 0 || trc.Trans.BlockInvalidations != 0 {
+		t.Errorf("data stores dropped %d traces and %d blocks, want none",
+			trc.Trans.TraceInvalidations, trc.Trans.BlockInvalidations)
+	}
+	if trc.Trans != data.Trans {
+		t.Errorf("storing into text translates differently from storing into data:\n text %+v\n data %+v",
+			trc.Trans, data.Trans)
+	}
+}
+
 // TestDataWritesKeepTranslations pins the split between instruction
 // and data memory: a CPU store, a DMA move and a Poke into the physical
 // words at text addresses change data only, so every block and trace
