@@ -4,6 +4,7 @@
 // Usage:
 //
 //	benchdiff [-threshold PCT] [-q] old.json new.json
+//	benchdiff runs.jsonl
 //
 // It prints a per-benchmark delta table for cycles, nop fraction, and
 // free-bandwidth fraction — plus informational (never gated) sections
@@ -13,12 +14,23 @@
 // identical code yields byte-identical artifacts and any delta is a
 // real behavioral change; CI runs this against the committed baseline
 // (scripts/benchgate.sh).
+//
+// Given one .jsonl file instead, it renders the paired wall-clock runs
+// scripts/pairs.sh writes: for each workload and each end-to-end metric
+// of BENCHMARK.json in the working directory, each side's median and
+// quartiles, the change in median, the pairs the change won, the
+// parent's spread (IQR over median) and a verdict — "gain" (at least 9
+// of 10 pairs won and a median gap larger than the parent's IQR),
+// "worse than bound", "unresolved" (the parent's spread exceeds the
+// metric's bound) or "within bound" — then each workload's failed
+// operations per side.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"mips/internal/tables"
 )
@@ -27,8 +39,12 @@ func main() {
 	threshold := flag.Float64("threshold", 2.0, "max allowed cycle growth in percent")
 	quiet := flag.Bool("q", false, "suppress the delta table; print only regressions")
 	flag.Parse()
+	if flag.NArg() == 1 && strings.HasSuffix(flag.Arg(0), ".jsonl") {
+		pairsMain(flag.Arg(0))
+		return
+	}
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold PCT] old.json new.json")
+		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold PCT] old.json new.json | benchdiff runs.jsonl")
 		os.Exit(2)
 	}
 	old, err := readArtifact(flag.Arg(0))

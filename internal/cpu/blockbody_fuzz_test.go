@@ -25,14 +25,16 @@ const (
 // vector and halts; the block starts at bbEntry, one word after the
 // entry preamble. Page 1 holds the code, pages 2 and 3 data; when
 // mapped, virtual pages 1 and 2 map to the same frames and page 3 stays
-// unmapped, so data references there page-fault.
+// unmapped, so data references there page-fault. A looped program's
+// mapped virtual page 4 maps to frame bbDevFrame, which a device claims.
 const (
-	bbEntry   = mem.PageWords + 16
-	bbMemTop  = 4 * mem.PageWords
-	bbTimerIO = 1 << 20
-	bbJumpReg = isa.Reg(isa.NumRegs - 1) // holds the indirect-jump target; never written
-	bbLoopReg = isa.Reg(isa.NumRegs - 2) // a looped program's counter; never written by the block
-	bbLoops   = 48                       // iterations of a looped program
+	bbEntry    = mem.PageWords + 16
+	bbMemTop   = 4 * mem.PageWords
+	bbTimerIO  = 1 << 20
+	bbDevFrame = 8
+	bbJumpReg  = isa.Reg(isa.NumRegs - 1) // holds the indirect-jump target; never written
+	bbLoopReg  = isa.Reg(isa.NumRegs - 2) // a looped program's counter; never written by the block
+	bbLoops    = 48                       // iterations of a looped program
 )
 
 // bbTimer is an interval timer: it raises the interrupt line on the
@@ -59,6 +61,30 @@ func (d *bbTimer) Tick() {
 			d.c.Interrupt(true)
 		}
 	}
+}
+
+// bbDevice claims frame bbDevFrame and logs every access to it. A read
+// returns a value no memory word of the layout holds.
+type bbDevice struct {
+	log []devRef
+}
+
+type devRef struct {
+	pa, val uint32
+	store   bool
+}
+
+func (d *bbDevice) Window() (lo, hi uint32) {
+	return bbDevFrame * mem.PageWords, (bbDevFrame + 1) * mem.PageWords
+}
+
+func (d *bbDevice) ReadWord(pa uint32) uint32 {
+	d.log = append(d.log, devRef{pa: pa, val: ^pa})
+	return ^pa
+}
+
+func (d *bbDevice) WriteWord(pa, val uint32) {
+	d.log = append(d.log, devRef{pa: pa, val: val, store: true})
 }
 
 // bbGen draws program choices from the fuzz input; an exhausted input
@@ -225,6 +251,7 @@ func (g *bbGen) terminator(target uint32) isa.Instr {
 type bbMachine struct {
 	c        *CPU
 	timer    *bbTimer
+	dev      *bbDevice // a looped mapped program's device
 	refs     []memRef
 	audits   []Hazard
 	maxSteps uint64 // steps run allows before it reports a hang
@@ -310,6 +337,12 @@ func newBBMachine(env uint8, prog []byte, loop bool) *bbMachine {
 		for vp := uint32(1); vp <= 2; vp++ {
 			sys, _ := mmu.Seg.Translate(vp << mem.PageBits)
 			mmu.Map.Map(sys>>mem.PageBits, vp, true)
+		}
+		if loop {
+			sys, _ := mmu.Seg.Translate(4 << mem.PageBits)
+			mmu.Map.Map(sys>>mem.PageBits, bbDevFrame, true)
+			m.dev = &bbDevice{}
+			c.Bus.Attach(m.dev)
 		}
 		c.Sur = c.Sur.SetMapping(true)
 	}
@@ -411,8 +444,8 @@ func bbSeed(k uint32) []byte {
 
 // requireSame fails t unless m, run on the engine called name, left the
 // architectural state ref left: registers, Lo, the status word, return
-// addresses, memory, statistics, the fetch queue, and what the hooks
-// and the timer saw.
+// addresses, memory, statistics, the fetch queue, and what the hooks,
+// the device and the timer saw.
 func (m *bbMachine) requireSame(t *testing.T, name string, ref *bbMachine) {
 	t.Helper()
 	mc, rc := m.c, ref.c
@@ -438,6 +471,9 @@ func (m *bbMachine) requireSame(t *testing.T, name string, ref *bbMachine) {
 	}
 	if !slices.Equal(m.audits, ref.audits) {
 		t.Errorf("hazard audit diverges:\n %6s %v\n    ref %v", name, m.audits, ref.audits)
+	}
+	if m.dev != nil && !slices.Equal(m.dev.log, ref.dev.log) {
+		t.Errorf("device accesses diverge:\n %6s %v\n    ref %v", name, m.dev.log, ref.dev.log)
 	}
 	if m.timer != nil && m.timer.ticks != ref.timer.ticks {
 		t.Errorf("timer ticks diverge: %s %d, ref %d", name, m.timer.ticks, ref.timer.ticks)

@@ -4,10 +4,17 @@ package cpu
 // tier. A validated flat path (trace_form.go) compiles to one contiguous
 // array of op records — threaded code, one record per instruction word
 // (consecutive nops collapse into one) — each naming a static handler
-// chosen at compile time for the word's class, operand shape, and hazard
-// position. Dispatch runs the array with no per-word fetch, no queue
-// maintenance, no environmental checks, and no statistics updates: a
-// clean pass bulk-adds the precomputed cost of the whole trace.
+// chosen at compile time for the word's class and operand shape. Dispatch
+// runs the array with no per-word fetch, no queue maintenance, no
+// environmental checks, and no statistics updates: a clean pass bulk-adds
+// the precomputed cost of the whole trace.
+//
+// A pending load is a run-time test, not a handler: every handler that
+// can meet one commits it when c.pendN != 0 and reads through the
+// audited lean path, which with nothing pending is a register-file load.
+// Formation marks each position a pending load can reach (trace_form.go);
+// only unmarked positions take the check-free specializations (trAdd,
+// trSub, trOr, trMov, trLoadDisp, trStoreDisp).
 //
 // Every check a handler would repeat per word is hoisted to dispatch
 // entry, where stepTraces has already discharged it: no DMA engine
@@ -18,10 +25,11 @@ package cpu
 // trace refuses to contain or device references it exits before. No
 // store inside a trace can change code: stores reach data memory only,
 // and the one store that rewrites instruction memory (the kernel disk's
-// go register) is a device reference. Under a mapped context
-// the memory handlers translate each data reference (trLoadM, trStoreM,
-// and the packed handlers' mapped path); the unmapped handlers use the
-// deviceless bus fast path.
+// go register) is a device reference. Every memory handler reads and
+// writes physical memory directly: under a mapped context it first
+// translates the reference and exits before one a device claims, and an
+// unmapped trace runs only on a deviceless bus (traceable), where the
+// address is physical.
 //
 // Exits are exact. Each record carries the statistics prefix of the
 // words before it, and the precise fetch-queue image for each way it
@@ -60,22 +68,13 @@ var (
 	wcPackedMemFault = wordCost{instr: 1, pieces: 2, data: 1}.pack()
 )
 
-// rdOp reads a predecoded operand on the unguarded path: no load can be
-// pending at this position, so the register file is current.
+// rdOp reads a predecoded operand for a check-free specialization: no
+// load can be pending at its position, so the register file is current.
 func rdOp(c *CPU, o fastOp) uint32 {
 	if o.imm {
 		return o.val
 	}
 	return c.Regs[o.reg]
-}
-
-// rdOpG reads a predecoded operand on the guarded path, through the
-// exact hazard-audited read.
-func rdOpG(c *CPU, o fastOp, vpc uint32) uint32 {
-	if o.imm {
-		return o.val
-	}
-	return c.leanRead(o.reg, vpc)
 }
 
 // charge accounts an early exit at in: the prefix of the ops before it
@@ -370,7 +369,7 @@ func (c *CPU) buildSideStub(ctx *mem.Context, dsPC uint32, dsN int, x uint32) *t
 			return nil
 		}
 		// Entry state is unknown (a load may be pending from the
-		// parent): every stub word runs the guarded variant.
+		// parent): no stub word takes a check-free specialization.
 		words[k] = traceWord{d: d, vpc: vpc, x: x, shape: qFirst, hazard: true}
 		if ns > 0 && spans[ns-1].pa+spans[ns-1].n == pa {
 			spans[ns-1].n++
@@ -405,9 +404,9 @@ func sideGuard(d *decoded) bool {
 // side slots exactly, so compilation makes a constant number of
 // allocations whatever the trace's length. The trace keeps nothing of
 // words, whose decoded pointers reach into the recorded blocks or a
-// side stub's stack. Under a mapped ctx, memory words take the mapped
-// handlers; no word the exact executor runs references memory, so none
-// can reach a device mid-trace.
+// side stub's stack. Under a mapped ctx, memory words take the handlers
+// that translate (no check-free specialization does); no word the exact
+// executor runs references memory, so none can reach a device mid-trace.
 func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uint32, spans []traceSpan) *trace {
 	n, ng, ns := 0, 0, 0
 	for i := 0; i < len(words); i++ {
@@ -446,22 +445,18 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 		if w.d.bclass == bcNop {
 			// Collapse the run of consecutive nops (crossing block
 			// boundaries in the flattened path) into one op.
-			run, guarded := 1, w.hazard
+			run := 1
 			for i+run < len(words) && words[i+run].d.bclass == bcNop {
-				guarded = guarded || words[i+run].hazard
 				run++
 			}
 			in.fn, in.imm = trNops, uint32(run)
-			if guarded {
-				in.fn = trNopsG
-			}
 			for j := 0; j < run; j++ {
 				pre = pre.plus(wcNop)
 			}
 			i += run
 			continue
 		}
-		in.target, in.shape, in.guarded = w.x, w.shape, w.hazard
+		in.target, in.shape = w.x, w.shape
 		if sideGuard(w.d) {
 			in.sx = sx
 			sx++
@@ -527,21 +522,18 @@ func compileGeneral(in *traceInst) traceCost {
 	return traceCost{}
 }
 
-// compileALU picks the handler of a single-ALU-piece word. Guarded
-// positions take the exact generic variants; unguarded ones specialize
-// the dominant ops and fall back to the shared evaluator for the rest.
+// compileALU picks the handler of a single-ALU-piece word. Positions a
+// pending load cannot reach specialize the dominant ops; every other
+// word takes the generic handler of its kind.
 func compileALU(in *traceInst, w *traceWord) traceCost {
 	d := w.d
 	in.a, in.b, in.dst = d.a1, d.a2, d.aluDst
 	in.op, in.cmp, in.unary, in.dstRead = d.aluOp, d.aluCmp, d.aluUnary, d.aluDstRead
-	setCond := d.aluKind == isa.PieceSetCond
 	switch {
-	case w.hazard && setCond:
-		in.fn = trSetCondG
-	case w.hazard:
-		in.fn = trALUG
-	case setCond:
+	case d.aluKind == isa.PieceSetCond:
 		in.fn = trSetCond
+	case w.hazard:
+		in.fn = trALU
 	case d.aluOp == isa.OpMov:
 		in.fn = trMov
 	case d.aluOp == isa.OpAdd:
@@ -557,9 +549,9 @@ func compileALU(in *traceInst, w *traceWord) traceCost {
 }
 
 // compileLoad picks the handler of a load word: long immediates never
-// touch the data port; real loads take the mapped handler under a mapped
-// context and otherwise specialize on the addressing mode when
-// unguarded.
+// touch the data port; a displacement load in an unmapped trace, at a
+// position a pending load cannot reach, takes the check-free
+// specialization; every other load takes trLoad.
 func compileLoad(in *traceInst, w *traceWord, mapped bool) traceCost {
 	d := w.d
 	in.data, in.base, in.index, in.shift = d.data, d.base, d.index, d.shift
@@ -568,11 +560,7 @@ func compileLoad(in *traceInst, w *traceWord, mapped bool) traceCost {
 	case d.mode == isa.AModeLongImm:
 		in.fn = trLoadImm
 		return wcLoadImm
-	case mapped:
-		in.fn = trLoadM
-	case w.hazard:
-		in.fn = trLoadG
-	case d.mode == isa.AModeDisp:
+	case !mapped && !w.hazard && d.mode == isa.AModeDisp:
 		in.fn = trLoadDisp
 	default:
 		in.fn = trLoad
@@ -580,40 +568,29 @@ func compileLoad(in *traceInst, w *traceWord, mapped bool) traceCost {
 	return wcLoad
 }
 
-// compileStore picks the handler of a store word.
+// compileStore picks the handler of a store word, as compileLoad does.
 func compileStore(in *traceInst, w *traceWord, mapped bool) traceCost {
 	d := w.d
 	in.data, in.base, in.index, in.shift = d.data, d.base, d.index, d.shift
 	in.mode, in.imm = d.mode, uint32(d.disp)
-	switch {
-	case mapped:
-		in.fn = trStoreM
-	case w.hazard:
-		in.fn = trStoreG
-	case d.mode == isa.AModeDisp:
+	if !mapped && !w.hazard && d.mode == isa.AModeDisp {
 		in.fn = trStoreDisp
-	default:
+	} else {
 		in.fn = trStore
 	}
 	return wcStore
 }
 
-// trNops runs a collapsed nop run at an unguarded position: the whole
-// run is one sequence-counter bump.
+// trNops runs a collapsed nop run. Pending-load commits drain at each
+// word exactly as per-word stepping would; once nothing is pending, the
+// rest of the run is one sequence-counter bump.
 func trNops(c *CPU, in *traceInst) bool {
-	c.seq += uint64(in.imm)
-	return true
-}
-
-// trNopsG runs a nop run at a guarded position: pending-load commits
-// drain at each word exactly as per-word stepping would.
-func trNopsG(c *CPU, in *traceInst) bool {
-	for j := uint32(0); j < in.imm; j++ {
+	n := in.imm
+	for ; n != 0 && c.pendN != 0; n-- {
 		c.seq++
-		if c.pendN != 0 {
-			c.commitLoads()
-		}
+		c.commitLoads()
 	}
+	c.seq += uint64(n)
 	return true
 }
 
@@ -651,38 +628,21 @@ func trGeneral(c *CPU, in *traceInst) bool {
 // dispatch-latched trap enable. It returns the value to commit to the
 // ALU destination and whether an enabled overflow occurred; the caller
 // owns commit order and the overflow exit.
-func (c *CPU) packedALU(d *decoded, vpc uint32, guarded bool) (v uint32, ovf bool) {
-	var a, b uint32
-	if guarded {
-		a = rdOpG(c, d.a1, vpc)
-	} else {
-		a = rdOp(c, d.a1)
-	}
+func (c *CPU) packedALU(d *decoded, vpc uint32) (v uint32, ovf bool) {
+	a := c.leanOperand(d.a1, vpc)
+	var b uint32
 	if d.aluKind == isa.PieceSetCond {
-		if guarded {
-			b = rdOpG(c, d.a2, vpc)
-		} else {
-			b = rdOp(c, d.a2)
-		}
-		if d.aluCmp.Eval(a, b) {
+		if d.aluCmp.Eval(a, c.leanOperand(d.a2, vpc)) {
 			v = 1
 		}
 		return v, false
 	}
 	if !d.aluUnary {
-		if guarded {
-			b = rdOpG(c, d.a2, vpc)
-		} else {
-			b = rdOp(c, d.a2)
-		}
+		b = c.leanOperand(d.a2, vpc)
 	}
 	var dstVal uint32
 	if d.aluDstRead {
-		if guarded {
-			dstVal = c.leanRead(d.aluDst, vpc)
-		} else {
-			dstVal = c.Regs[d.aluDst]
-		}
+		dstVal = c.leanRead(d.aluDst, vpc)
 	}
 	v, _, o := aluEval(d.aluOp, a, b, dstVal, c.Lo)
 	return v, o && c.trOvfOn
@@ -711,7 +671,7 @@ func (c *CPU) packedALU(d *decoded, vpc uint32, guarded bool) (v uint32, ovf boo
 func trPackedLoad(c *CPU, in *traceInst) bool {
 	d, vpc := in.d, in.vpc
 	c.seq++
-	if in.guarded && c.pendN != 0 {
+	if c.pendN != 0 {
 		c.commitLoads()
 	}
 	addr := c.Regs[d.base] + uint32(d.disp)
@@ -723,7 +683,7 @@ func trPackedLoad(c *CPU, in *traceInst) bool {
 			return c.deviceExit(in)
 		}
 	}
-	aluV, ovf := c.packedALU(d, vpc, in.guarded)
+	aluV, ovf := c.packedALU(d, vpc)
 	c.leanRead(d.base, vpc) // the audited address read
 	var v uint32
 	if f == nil {
@@ -757,7 +717,7 @@ func trPackedLoad(c *CPU, in *traceInst) bool {
 func trPackedStore(c *CPU, in *traceInst) bool {
 	d, vpc := in.d, in.vpc
 	c.seq++
-	if in.guarded && c.pendN != 0 {
+	if c.pendN != 0 {
 		c.commitLoads()
 	}
 	addr := c.Regs[d.base] + uint32(d.disp)
@@ -769,7 +729,7 @@ func trPackedStore(c *CPU, in *traceInst) bool {
 			return c.deviceExit(in)
 		}
 	}
-	aluV, ovf := c.packedALU(d, vpc, in.guarded)
+	aluV, ovf := c.packedALU(d, vpc)
 	val := c.Regs[d.data]
 	c.leanRead(d.base, vpc) // the audited address and data reads
 	c.leanRead(d.data, vpc)
@@ -806,10 +766,10 @@ func trPackedStore(c *CPU, in *traceInst) bool {
 func trPackedJump(c *CPU, in *traceInst) bool {
 	d, vpc := in.d, in.vpc
 	c.seq++
-	if in.guarded && c.pendN != 0 {
+	if c.pendN != 0 {
 		c.commitLoads()
 	}
-	aluV, ovf := c.packedALU(d, vpc, in.guarded)
+	aluV, ovf := c.packedALU(d, vpc)
 	if c.onBranch != nil {
 		c.onBranch(vpc, d.target, true)
 	}
@@ -828,59 +788,14 @@ func trPackedJump(c *CPU, in *traceInst) bool {
 // accounting the full word; everything else is pure compute and
 // writeback.
 
-// trSetCondG runs a set-condition word at a guarded position.
-func trSetCondG(c *CPU, in *traceInst) bool {
-	c.seq++
-	if c.pendN != 0 {
-		c.commitLoads()
-	}
-	a := rdOpG(c, in.a, in.vpc)
-	b := rdOpG(c, in.b, in.vpc)
-	var v uint32
-	if in.cmp.Eval(a, b) {
-		v = 1
-	}
-	c.Regs[in.dst] = v
-	c.lastWrite[in.dst] = c.seq
-	return true
-}
-
-// trALUG runs any ALU word at a guarded position: exact reads, per-word
-// commit drain.
-func trALUG(c *CPU, in *traceInst) bool {
-	c.seq++
-	if c.pendN != 0 {
-		c.commitLoads()
-	}
-	a := rdOpG(c, in.a, in.vpc)
-	var b uint32
-	if !in.unary {
-		b = rdOpG(c, in.b, in.vpc)
-	}
-	var dstVal uint32
-	if in.dstRead {
-		dstVal = c.leanRead(in.dst, in.vpc)
-	}
-	v, lo, ovf := aluEval(in.op, a, b, dstVal, c.Lo)
-	if ovf && c.trOvfOn {
-		c.charge(in, wcALU)
-		c.traceFault(in.faultQueue(), isa.CauseOverflow)
-		return false
-	}
-	if in.op == isa.OpMovLo {
-		c.Lo = lo
-		return true
-	}
-	c.Regs[in.dst] = v
-	c.lastWrite[in.dst] = c.seq
-	return true
-}
-
-// trSetCond runs a set-condition word at an unguarded position.
+// trSetCond runs a set-condition word.
 func trSetCond(c *CPU, in *traceInst) bool {
 	c.seq++
+	if c.pendN != 0 {
+		c.commitLoads()
+	}
 	var v uint32
-	if in.cmp.Eval(rdOp(c, in.a), rdOp(c, in.b)) {
+	if in.cmp.Eval(c.leanOperand(in.a, in.vpc), c.leanOperand(in.b, in.vpc)) {
 		v = 1
 	}
 	c.Regs[in.dst] = v
@@ -930,18 +845,20 @@ func trMov(c *CPU, in *traceInst) bool {
 	return true
 }
 
-// trALU runs any other ALU word at an unguarded position through the
-// shared evaluator.
+// trALU runs any ALU word through the shared evaluator.
 func trALU(c *CPU, in *traceInst) bool {
 	c.seq++
-	a := rdOp(c, in.a)
+	if c.pendN != 0 {
+		c.commitLoads()
+	}
+	a := c.leanOperand(in.a, in.vpc)
 	var b uint32
 	if !in.unary {
-		b = rdOp(c, in.b)
+		b = c.leanOperand(in.b, in.vpc)
 	}
 	var dstVal uint32
 	if in.dstRead {
-		dstVal = c.Regs[in.dst]
+		dstVal = c.leanRead(in.dst, in.vpc)
 	}
 	v, lo, ovf := aluEval(in.op, a, b, dstVal, c.Lo)
 	if ovf && c.trOvfOn {
@@ -958,16 +875,22 @@ func trALU(c *CPU, in *traceInst) bool {
 	return true
 }
 
-// The load handlers read through the deviceless unmapped bus fast path,
-// fire the memory hook, and commit eagerly when the flattened successor
-// proves the delay window unobservable, else through the exact
-// delayed-commit machinery.
+// The memory handlers compute the effective address straight from the
+// register file. In a mapped trace they translate it through the MMU
+// (its TLB first), the fault latched exactly as the bus latches one; a
+// physical address a device claims exits before the access, with nothing
+// of the word done, so the lower tiers run the device reference — and
+// tick for it — exactly. Only then does a pending load's audited read
+// repeat the register reads, in the executor's order. A load fires the
+// memory hook and commits eagerly when the flattened successor proves
+// the delay window unobservable, else through the exact delayed-commit
+// machinery.
 
 // trLoadImm runs a long-immediate load, which never touches the data
 // port.
 func trLoadImm(c *CPU, in *traceInst) bool {
 	c.seq++
-	if in.guarded && c.pendN != 0 {
+	if c.pendN != 0 {
 		c.commitLoads()
 	}
 	c.Regs[in.data] = in.imm
@@ -975,58 +898,95 @@ func trLoadImm(c *CPU, in *traceInst) bool {
 	return true
 }
 
-// traceAddrG computes a load/store effective address at a guarded
-// position, reading registers through the exact audit path in the same
-// order as effectiveAddr.
-func (c *CPU) traceAddrG(in *traceInst) uint32 {
+// traceAddr computes a load/store effective address from the register
+// file, with no hazard audit.
+func (c *CPU) traceAddr(in *traceInst) uint32 {
 	switch in.mode {
 	case isa.AModeAbs:
 		return in.imm
 	case isa.AModeDisp:
-		return c.leanRead(in.base, in.vpc) + in.imm
+		return c.Regs[in.base] + in.imm
 	case isa.AModeIndex:
-		return c.leanRead(in.base, in.vpc) + c.leanRead(in.index, in.vpc)
-	case isa.AModeShift:
-		return c.leanRead(in.base, in.vpc) + c.leanRead(in.index, in.vpc)>>in.shift
+		return c.Regs[in.base] + c.Regs[in.index]
 	}
-	return 0
+	return c.Regs[in.base] + c.Regs[in.index]>>in.shift
 }
 
-// trLoadG runs a load at a guarded position.
-func trLoadG(c *CPU, in *traceInst) bool {
+// auditAddr repeats an effective address's register reads through the
+// hazard-audited path, in effectiveAddr's order. Callers run it only
+// with a load pending.
+func (c *CPU) auditAddr(in *traceInst) {
+	switch in.mode {
+	case isa.AModeDisp:
+		c.readReg(in.base, in.vpc)
+	case isa.AModeIndex, isa.AModeShift:
+		c.readReg(in.base, in.vpc)
+		c.readReg(in.index, in.vpc)
+	}
+}
+
+// deviceExit leaves a mapped trace before a device reference at in. The
+// word has not started: the sequence counter steps back and the fetch
+// queue holds the word's restart image. Pending-load commits it drained
+// were due at this word either way, so the replay finds the same
+// register file.
+func (c *CPU) deviceExit(in *traceInst) bool {
+	c.seq--
+	c.deopt = deoptDevice
+	in.pre.add(&c.Stats)
+	q := in.faultQueue()
+	c.pcq[0], c.pcq[1], c.pcq[2] = q[0], q[1], q[2]
+	c.pcn = 3
+	return false
+}
+
+// trLoad runs a load of any addressing mode.
+func trLoad(c *CPU, in *traceInst) bool {
 	c.seq++
 	if c.pendN != 0 {
 		c.commitLoads()
 	}
-	addr := c.traceAddrG(in)
-	v, f := c.Bus.Read(addr, false)
+	addr := c.traceAddr(in)
+	pa := addr
+	var f *mem.Fault
+	if c.trCur.ctx.Mapped {
+		var dev bool
+		if pa, dev, f = c.Bus.translateUser(addr, false); dev {
+			return c.deviceExit(in)
+		}
+	}
+	if c.pendN != 0 {
+		c.auditAddr(in)
+	}
+	var v uint32
+	if f == nil {
+		v, f = c.Bus.MMU.Phys.Read(pa)
+	}
 	if f != nil {
 		c.charge(in, wcMemFault)
 		c.traceFault(in.faultQueue(), f.Cause)
 		return false
 	}
-	if c.onMem != nil {
-		c.onMem(in.vpc, addr, false)
-	}
-	if in.eager {
-		c.Regs[in.data] = v
-		c.lastWrite[in.data] = c.seq
-	} else {
-		c.writeLoad(in.data, v)
-	}
-	return true
+	return c.loadDone(in, addr, v)
 }
 
-// trLoadDisp runs a base+displacement load at an unguarded position.
+// trLoadDisp runs a base+displacement load in an unmapped trace, at a
+// position a pending load cannot reach.
 func trLoadDisp(c *CPU, in *traceInst) bool {
 	c.seq++
 	addr := c.Regs[in.base] + in.imm
-	v, f := c.Bus.Read(addr, false)
+	v, f := c.Bus.MMU.Phys.Read(addr)
 	if f != nil {
 		c.charge(in, wcMemFault)
 		c.traceFault(in.faultQueue(), f.Cause)
 		return false
 	}
+	return c.loadDone(in, addr, v)
+}
+
+// loadDone finishes a completed load: it runs the memory hook and
+// writes the destination, at once or after the load delay.
+func (c *CPU) loadDone(in *traceInst, addr, v uint32) bool {
 	if c.onMem != nil {
 		c.onMem(in.vpc, addr, false)
 	}
@@ -1039,35 +999,48 @@ func trLoadDisp(c *CPU, in *traceInst) bool {
 	return true
 }
 
-// trLoad runs an absolute, indexed, or shifted-index load at an
-// unguarded position.
-func trLoad(c *CPU, in *traceInst) bool {
+// trStore runs a store of any addressing mode.
+func trStore(c *CPU, in *traceInst) bool {
 	c.seq++
-	var addr uint32
-	switch in.mode {
-	case isa.AModeAbs:
-		addr = in.imm
-	case isa.AModeIndex:
-		addr = c.Regs[in.base] + c.Regs[in.index]
-	default:
-		addr = c.Regs[in.base] + c.Regs[in.index]>>in.shift
+	if c.pendN != 0 {
+		c.commitLoads()
 	}
-	v, f := c.Bus.Read(addr, false)
+	addr := c.traceAddr(in)
+	pa := addr
+	var f *mem.Fault
+	if c.trCur.ctx.Mapped {
+		var dev bool
+		if pa, dev, f = c.Bus.translateUser(addr, true); dev {
+			return c.deviceExit(in)
+		}
+	}
+	val := c.Regs[in.data]
+	if c.pendN != 0 {
+		c.auditAddr(in)
+		c.readReg(in.data, in.vpc)
+	}
+	if f == nil {
+		f = c.Bus.MMU.Phys.Write(pa, val)
+	}
 	if f != nil {
 		c.charge(in, wcMemFault)
 		c.traceFault(in.faultQueue(), f.Cause)
 		return false
 	}
-	if c.onMem != nil {
-		c.onMem(in.vpc, addr, false)
+	return c.storeDone(in, addr)
+}
+
+// trStoreDisp runs a base+displacement store in an unmapped trace, at a
+// position a pending load cannot reach.
+func trStoreDisp(c *CPU, in *traceInst) bool {
+	c.seq++
+	addr := c.Regs[in.base] + in.imm
+	if f := c.Bus.MMU.Phys.Write(addr, c.Regs[in.data]); f != nil {
+		c.charge(in, wcMemFault)
+		c.traceFault(in.faultQueue(), f.Cause)
+		return false
 	}
-	if in.eager {
-		c.Regs[in.data] = v
-		c.lastWrite[in.data] = c.seq
-	} else {
-		c.writeLoad(in.data, v)
-	}
-	return true
+	return c.storeDone(in, addr)
 }
 
 // storeDone finishes a completed store: it runs the memory hook and
@@ -1079,55 +1052,6 @@ func (c *CPU) storeDone(in *traceInst, addr uint32) bool {
 	return true
 }
 
-// trStoreG runs a store at a guarded position.
-func trStoreG(c *CPU, in *traceInst) bool {
-	c.seq++
-	if c.pendN != 0 {
-		c.commitLoads()
-	}
-	addr := c.traceAddrG(in)
-	val := c.leanRead(in.data, in.vpc)
-	if f := c.Bus.Write(addr, val, false); f != nil {
-		c.charge(in, wcMemFault)
-		c.traceFault(in.faultQueue(), f.Cause)
-		return false
-	}
-	return c.storeDone(in, addr)
-}
-
-// trStoreDisp runs a base+displacement store at an unguarded position.
-func trStoreDisp(c *CPU, in *traceInst) bool {
-	c.seq++
-	addr := c.Regs[in.base] + in.imm
-	if f := c.Bus.Write(addr, c.Regs[in.data], false); f != nil {
-		c.charge(in, wcMemFault)
-		c.traceFault(in.faultQueue(), f.Cause)
-		return false
-	}
-	return c.storeDone(in, addr)
-}
-
-// trStore runs an absolute, indexed, or shifted-index store at an
-// unguarded position.
-func trStore(c *CPU, in *traceInst) bool {
-	c.seq++
-	var addr uint32
-	switch in.mode {
-	case isa.AModeAbs:
-		addr = in.imm
-	case isa.AModeIndex:
-		addr = c.Regs[in.base] + c.Regs[in.index]
-	default:
-		addr = c.Regs[in.base] + c.Regs[in.index]>>in.shift
-	}
-	if f := c.Bus.Write(addr, c.Regs[in.data], false); f != nil {
-		c.charge(in, wcMemFault)
-		c.traceFault(in.faultQueue(), f.Cause)
-		return false
-	}
-	return c.storeDone(in, addr)
-}
-
 // The control handlers. A conditional branch carries its recorded
 // direction as the guard: the actual condition is evaluated exactly,
 // and when it disagrees the handler fires the branch hook for the real
@@ -1136,13 +1060,10 @@ func trStore(c *CPU, in *traceInst) bool {
 
 // branchCond evaluates a branch's condition at its position.
 func (c *CPU) branchCond(in *traceInst) bool {
-	if in.guarded {
-		if c.pendN != 0 {
-			c.commitLoads()
-		}
-		return in.cmp.Eval(rdOpG(c, in.a, in.vpc), rdOpG(c, in.b, in.vpc))
+	if c.pendN != 0 {
+		c.commitLoads()
 	}
-	return in.cmp.Eval(rdOp(c, in.a), rdOp(c, in.b))
+	return in.cmp.Eval(c.leanOperand(in.a, in.vpc), c.leanOperand(in.b, in.vpc))
 }
 
 // trBranchTaken runs a branch recorded taken.
@@ -1182,7 +1103,7 @@ func trBranchNotTaken(c *CPU, in *traceInst) bool {
 // exit — the flattening already placed the target's words next.
 func trJump(c *CPU, in *traceInst) bool {
 	c.seq++
-	if in.guarded && c.pendN != 0 {
+	if c.pendN != 0 {
 		c.commitLoads()
 	}
 	if c.onBranch != nil {
@@ -1196,7 +1117,7 @@ func trJump(c *CPU, in *traceInst) bool {
 // path.
 func trCall(c *CPU, in *traceInst) bool {
 	c.seq++
-	if in.guarded && c.pendN != 0 {
+	if c.pendN != 0 {
 		c.commitLoads()
 	}
 	if c.onBranch != nil {
@@ -1213,15 +1134,10 @@ func trCall(c *CPU, in *traceInst) bool {
 // exits.
 func trJumpInd(c *CPU, in *traceInst) bool {
 	c.seq++
-	if in.guarded && c.pendN != 0 {
+	if c.pendN != 0 {
 		c.commitLoads()
 	}
-	var t uint32
-	if in.guarded {
-		t = rdOpG(c, in.a, in.vpc)
-	} else {
-		t = rdOp(c, in.a)
-	}
+	t := c.leanOperand(in.a, in.vpc)
 	if c.onBranch != nil {
 		c.onBranch(in.vpc, t, true)
 	}
@@ -1233,107 +1149,4 @@ func trJumpInd(c *CPU, in *traceInst) bool {
 		return false
 	}
 	return true
-}
-
-// The mapped memory handlers serve traces formed under a mapped
-// context. Each computes its effective address straight from the
-// register file and translates it through the MMU (its TLB first), the
-// fault latched exactly as the bus latches one. A physical address a
-// device claims exits before the access: nothing of the word has
-// happened, so the lower tiers run the device reference — and tick for
-// it — exactly. Otherwise a position with a pending load repeats its
-// reads through the audited path for the hazard auditor, in the
-// executor's order, and the word completes as on the unmapped handlers.
-
-// traceAddr computes a load/store effective address from the register
-// file, with no hazard audit.
-func (c *CPU) traceAddr(in *traceInst) uint32 {
-	switch in.mode {
-	case isa.AModeAbs:
-		return in.imm
-	case isa.AModeDisp:
-		return c.Regs[in.base] + in.imm
-	case isa.AModeIndex:
-		return c.Regs[in.base] + c.Regs[in.index]
-	}
-	return c.Regs[in.base] + c.Regs[in.index]>>in.shift
-}
-
-// deviceExit leaves a mapped trace before a device reference at in. The
-// word has not started: the sequence counter steps back and the fetch
-// queue holds the word's restart image. Pending-load commits it drained
-// were due at this word either way, so the replay finds the same
-// register file.
-func (c *CPU) deviceExit(in *traceInst) bool {
-	c.seq--
-	c.deopt = deoptDevice
-	in.pre.add(&c.Stats)
-	q := in.faultQueue()
-	c.pcq[0], c.pcq[1], c.pcq[2] = q[0], q[1], q[2]
-	c.pcn = 3
-	return false
-}
-
-// trLoadM runs a load (any addressing mode, any position) in a mapped
-// trace.
-func trLoadM(c *CPU, in *traceInst) bool {
-	c.seq++
-	if in.guarded && c.pendN != 0 {
-		c.commitLoads()
-	}
-	addr := c.traceAddr(in)
-	pa, dev, f := c.Bus.translateUser(addr, false)
-	if dev {
-		return c.deviceExit(in)
-	}
-	if c.pendN != 0 {
-		c.traceAddrG(in)
-	}
-	var v uint32
-	if f == nil {
-		v, f = c.Bus.MMU.Phys.Read(pa)
-	}
-	if f != nil {
-		c.charge(in, wcMemFault)
-		c.traceFault(in.faultQueue(), f.Cause)
-		return false
-	}
-	if c.onMem != nil {
-		c.onMem(in.vpc, addr, false)
-	}
-	if in.eager {
-		c.Regs[in.data] = v
-		c.lastWrite[in.data] = c.seq
-	} else {
-		c.writeLoad(in.data, v)
-	}
-	return true
-}
-
-// trStoreM runs a store (any addressing mode, any position) in a mapped
-// trace.
-func trStoreM(c *CPU, in *traceInst) bool {
-	c.seq++
-	if in.guarded && c.pendN != 0 {
-		c.commitLoads()
-	}
-	addr := c.traceAddr(in)
-	pa, dev, f := c.Bus.translateUser(addr, true)
-	if dev {
-		return c.deviceExit(in)
-	}
-	val := c.Regs[in.data]
-	if c.pendN != 0 {
-		c.traceAddrG(in)
-		c.leanRead(in.data, in.vpc)
-	}
-	if f == nil {
-		f = c.Bus.MMU.Phys.Write(pa, val)
-	}
-	if f != nil {
-		c.charge(in, wcMemFault)
-		c.traceFault(in.faultQueue(), f.Cause)
-		return false
-	}
-	return c.storeDone(in, addr)
 }

@@ -83,9 +83,10 @@ type traceWord struct {
 	shape uint8
 	// taken is the recorded direction of a bcBranch terminator.
 	taken bool
-	// hazard marks words that must run the guarded variant: a pending
-	// load may exist at this position, so reads go through the exact
-	// audit path and commits drain per word.
+	// hazard marks a position a pending load may reach. Every handler
+	// tests for one at run time; hazard only keeps the word off the
+	// check-free specializations, which read the register file unaudited
+	// and drain no commit.
 	hazard bool
 	// eager marks a load whose delayed commit is unobservable inside
 	// the trace (the next word never reads the destination), committed
@@ -190,57 +191,31 @@ func (c *CPU) heatBump(pc uint32) bool {
 			// (or poisoned): its accumulated heat is lost to aliasing.
 			c.Trans.TraceHeatEvicted++
 		}
-		h.pc, h.n, h.boff = pc, 1, 0
+		h.pc, h.n = pc, 1
 		return false
 	}
 	if h.n == heatNever {
 		return false
 	}
 	h.n++
-	if h.n >= h.threshold() {
+	if h.n >= heatThreshold {
 		h.n = 0
 		return true
 	}
 	return false
 }
 
-// heatBackoff doubles an entry's effective formation threshold after a
-// transient (short-path) refusal: the retry stays possible but each
-// failure makes the next attempt rarer, bounding steady-state recording
-// cost without the permanence of poisoning.
-func (c *CPU) heatBackoff(pc uint32) {
-	if c.heat == nil {
-		return
-	}
-	if h := &c.heat[pc&(heatEntries-1)]; h.pc == pc && h.boff < heatBoffMax {
-		h.boff++
-	}
-}
-
-// heatIn returns the formation threshold in effect for entry pc: the
-// base threshold shifted by the entry's backoff exponent.
-func (c *CPU) heatIn(pc uint32) uint32 {
-	if c.heat != nil {
-		if h := &c.heat[pc&(heatEntries-1)]; h.pc == pc {
-			return h.threshold()
-		}
-	}
-	return heatThreshold
-}
-
 // traceYield reports whether the block chain should end at npc and hand
 // control back to the dispatcher: a compiled trace is installed
 // there under ctx, or npc's heat just crossed the formation threshold.
-// Crossing re-arms the counter one bump below the entry's effective
-// threshold so the dispatcher's own bump starts the recording chain
-// immediately.
+// Crossing re-arms the counter one bump below the threshold so the
+// dispatcher's own bump starts the recording chain immediately.
 func (c *CPU) traceYield(npc uint32, ctx *mem.Context) bool {
 	if c.traceAt(npc, ctx) != nil {
 		return true
 	}
 	if c.heatBump(npc) {
-		h := &c.heat[npc&(heatEntries-1)]
-		h.n = h.threshold() - 1
+		c.heat[npc&(heatEntries-1)].n = heatThreshold - 1
 		return true
 	}
 	return false
@@ -251,14 +226,14 @@ func (c *CPU) traceYield(npc uint32, ctx *mem.Context) bool {
 // happens at most once per entry PC (a poisoned entry never crosses the
 // heat threshold again), so TracePoisoned counts distinct poisoned
 // entries until the next InvalidateTraces.
-func (c *CPU) markNeverTrace(pc, heat uint32) {
+func (c *CPU) markNeverTrace(pc uint32) {
 	if c.heat == nil {
 		return
 	}
 	c.heat[pc&(heatEntries-1)] = heatEntry{pc: pc, n: heatNever}
 	c.Trans.TracePoisoned++
 	if c.onJIT != nil {
-		c.emitJIT(JITEvent{Kind: JITPoisoned, PC: pc, Heat: heat})
+		c.emitJIT(JITEvent{Kind: JITPoisoned, PC: pc, Heat: heatThreshold})
 	}
 }
 
@@ -382,17 +357,15 @@ func validateTraceBlock(b *block, pc, nextPC uint32) (ok, taken bool, dsCount ui
 // trace words, compiles, and installs. entry is the recorded entry PC.
 func (c *CPU) finishTraceRecording(entry uint32) {
 	pts := c.trec.pts[:c.trec.n]
-	heat := c.heatIn(entry) // the threshold this recording crossed
 	if len(pts) < 2 || pts[0].pc != entry {
 		// A short path is usually transient — the block engine has not
 		// chained through this entry yet, or an interrupt cut the
-		// recording chain — so the entry backs off instead of poisoning:
-		// each failure doubles the threshold the next retry must re-earn.
-		// Recording is allocation-free up to this point, so retries cost
-		// only the recorded chain itself. Structural failures (validation
-		// refusing the first block, compilation failing) still poison.
-		c.refuseTrace(RefusalShortPath, entry, heat)
-		c.heatBackoff(entry)
+		// recording chain — so the entry is not poisoned: it re-earns the
+		// threshold. Recording is allocation-free up to this point, so
+		// retries cost only the recorded chain itself. Structural
+		// failures (validation refusing the first block, compilation
+		// failing) still poison.
+		c.refuseTrace(RefusalShortPath, entry)
 		return
 	}
 	// A path that revisits its entry closes into a loop trace; an open
@@ -423,20 +396,20 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 		if !ok {
 			// At most one refusal counts per recording: the first block
 			// that truncates the path.
-			c.refuseTrace(why, pts[j].pc, heat)
+			c.refuseTrace(why, pts[j].pc)
 			lim, closed = j, false
 			break
 		}
 		ops += int(pts[j].b.n) + 1 + int(dc)
 		if ops > traceMaxOps {
-			c.refuseTrace(RefusalOpBudget, pts[j].pc, heat)
+			c.refuseTrace(RefusalOpBudget, pts[j].pc)
 			lim, closed = j, false
 			break
 		}
 		taken[j], dsCount[j] = tk, dc
 	}
 	if lim < 1 {
-		c.markNeverTrace(entry, heat)
+		c.markNeverTrace(entry)
 		return
 	}
 	endPC := pts[lim].pc
@@ -445,7 +418,7 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 	}
 	c.Trans.TraceFormed++
 	if c.onJIT != nil {
-		c.emitJIT(JITEvent{Kind: JITFormed, PC: entry, Len: uint32(lim), Heat: heat})
+		c.emitJIT(JITEvent{Kind: JITFormed, PC: entry, Len: uint32(lim), Heat: heatThreshold})
 	}
 
 	// Pass 2: flatten to trace words with exact per-word exit queues.
@@ -501,8 +474,8 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 	}
 	// Hazard positions: loads pending at entry drain within the first
 	// two words; a delayed in-trace commit lands two words after its
-	// (non-eager) load. Those positions read through the exact audit
-	// path and drain commits per word.
+	// (non-eager) load. Those are the only positions a pending load can
+	// reach, so no other position needs the run-time test.
 	for i := range words {
 		if i < 2 {
 			words[i].hazard = true
@@ -512,7 +485,7 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 			(d.bclass == bcGeneral && d.memKind == isa.PieceLoad) {
 			// A non-eager load's commit lands two words later, and a
 			// packed load (always delayed) leaves the same window; no
-			// other shape pends a write. The window drains per word.
+			// other shape pends a write.
 			for k := i + 1; k <= i+2 && k < len(words); k++ {
 				words[k].hazard = true
 			}
@@ -521,22 +494,21 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 
 	tr := c.compileTrace(words, &c.trec.ctx, entry, endPC, spans)
 	if tr == nil {
-		c.markNeverTrace(entry, heat)
+		c.markNeverTrace(entry)
 		return
 	}
 	c.installTrace(tr)
 	c.Trans.TraceCompiled++
 	if c.onJIT != nil {
-		c.emitJIT(JITEvent{Kind: JITCompiled, PC: entry, Len: uint32(len(tr.ins)), Heat: heat})
+		c.emitJIT(JITEvent{Kind: JITCompiled, PC: entry, Len: uint32(len(tr.ins)), Heat: heatThreshold})
 	}
 }
 
 // refuseTrace accounts one formation refusal: the taxonomy counter and,
-// when a hook is attached, the event with the refusing block's PC and
-// the threshold the recording crossed.
-func (c *CPU) refuseTrace(why FormRefusal, pc, heat uint32) {
+// when a hook is attached, the event with the refusing block's PC.
+func (c *CPU) refuseTrace(why FormRefusal, pc uint32) {
 	c.Trans.TraceFormRefusals[why]++
 	if c.onJIT != nil {
-		c.emitJIT(JITEvent{Kind: JITRefused, Reason: uint8(why), PC: pc, Heat: heat})
+		c.emitJIT(JITEvent{Kind: JITRefused, Reason: uint8(why), PC: pc, Heat: heatThreshold})
 	}
 }

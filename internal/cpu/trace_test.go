@@ -414,13 +414,12 @@ func TestTraceEngineToggle(t *testing.T) {
 	}
 }
 
-// TestTraceYieldBackedOffEntry pins the chain-crossing re-arm for an
-// entry whose threshold has backed off: when its heat crosses inside a
-// block chain, the chain yields and the dispatcher's own bump on the
-// very next dispatch must start the recording. Re-arming against the
-// base threshold instead of the entry's effective one would waste the
-// crossing and leave the next run unrecorded.
-func TestTraceYieldBackedOffEntry(t *testing.T) {
+// TestTraceYieldRearmsAtThreshold pins the chain-crossing re-arm: when
+// an entry's heat crosses the formation threshold inside a block chain,
+// the chain yields and the dispatcher's own bump on the very next
+// dispatch must start the recording. Re-arming below threshold-1 would
+// waste the crossing and leave the next run unrecorded.
+func TestTraceYieldRearmsAtThreshold(t *testing.T) {
 	c := loopCPU(1000)
 	const head = 2 // the loop head, reached by chaining from the block at 0
 	var formed []JITEvent
@@ -430,8 +429,7 @@ func TestTraceYieldBackedOffEntry(t *testing.T) {
 		}
 	})
 	c.heat = make([]heatEntry, heatEntries)
-	eff := uint32(heatThreshold << 1)
-	c.heat[head&(heatEntries-1)] = heatEntry{pc: head, n: eff - 1, boff: 1}
+	c.heat[head&(heatEntries-1)] = heatEntry{pc: head, n: heatThreshold - 1}
 
 	// The block at 0 runs words 0..5 and its chain yields at the head;
 	// the run's last 64 steps go word by word, below the tiers, through
@@ -447,8 +445,8 @@ func TestTraceYieldBackedOffEntry(t *testing.T) {
 	if len(formed) != 1 || formed[0].PC != head {
 		t.Fatalf("next run formed %+v, want one recording at pc %d", formed, head)
 	}
-	if formed[0].Heat != eff {
-		t.Errorf("JITFormed Heat = %d, want the effective threshold %d", formed[0].Heat, eff)
+	if formed[0].Heat != heatThreshold {
+		t.Errorf("JITFormed Heat = %d, want the threshold %d", formed[0].Heat, heatThreshold)
 	}
 }
 

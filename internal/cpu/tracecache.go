@@ -37,8 +37,8 @@ const (
 	// before a path recording triggers. The threshold can sit this low
 	// because recordings no longer depend on how deeply the block
 	// engine has chained (the recording loop resolves successors
-	// through the block cache itself) and a transiently short path
-	// backs off instead of poisoning, so early recording costs little
+	// through the block cache itself) and a transiently short path is
+	// retried instead of poisoned, so early recording costs little
 	// and short programs reach the trace tier while they still matter.
 	heatEntries   = 1 << 9
 	heatThreshold = 8
@@ -98,7 +98,6 @@ type traceInst struct {
 	unary, dstRead    bool
 	taken             bool // a branch's recorded direction
 	eager             bool // a load's commit is unobservable: write at once
-	guarded           bool // a pending load may exist here: exact reads, per-word drain
 }
 
 // Exit queue shapes of a trace word at vpc, with x the control target
@@ -235,25 +234,12 @@ func (tr *trace) covers(pa, n uint32) bool {
 	return false
 }
 
-// heatEntry is one slot of the direct-mapped heat table. boff is the
-// entry's backoff exponent: a short-path refusal doubles the effective
-// threshold instead of poisoning, so transient failures (the block
-// engine had not chained through the entry yet) retry cheaply while
-// persistent ones decay toward never without a permanent mark.
+// heatEntry is one slot of the direct-mapped heat table: the entry PC
+// it counts misses for and the count (heatNever once poisoned).
 type heatEntry struct {
-	pc   uint32
-	n    uint32
-	boff uint8
+	pc uint32
+	n  uint32
 }
-
-// threshold is the entry's effective formation threshold: the base
-// threshold doubled once per backoff step.
-func (h *heatEntry) threshold() uint32 { return heatThreshold << h.boff }
-
-// heatBoffMax caps the backoff exponent: 4<<10 = 4096 misses between
-// retries is close enough to never while still self-healing if the
-// code around the entry changes shape.
-const heatBoffMax = 10
 
 // traceIndex is the trace-cache slot of an entry PC under a context.
 // Under mapping the segmentation PID register salts it, so processes

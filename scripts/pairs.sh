@@ -16,7 +16,9 @@
 #    "op_ms_min":1.2,"rss_mb":34.5,"setup_s":0.7}
 #
 # side is "parent" for REV and "change" for this checkout. A run whose
-# benchmark exits non-zero stops the script.
+# benchmark exits non-zero stops the script. `go run ./cmd/benchdiff
+# OUT` renders the file: medians, quartiles, wins and a verdict per
+# workload and end-to-end metric of BENCHMARK.json.
 set -eu
 if [ $# -ne 4 ]; then
     echo "usage: sh scripts/pairs.sh REV WORKLOAD N OUT" >&2
