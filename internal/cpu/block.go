@@ -28,27 +28,6 @@ func (c *CPU) queueSequential() bool {
 	return true
 }
 
-// recordChain notes that this block was followed by the block s at
-// virtual entry vpc. Two edges cover the common shapes (a loop back
-// edge plus a fall-through or exit); further successors churn the
-// second slot so pathological indirect fan-out stays bounded.
-func (lb *block) recordChain(vpc uint32, s *block) {
-	for i := 0; i < lb.succN; i++ {
-		if lb.succVPC[i] == vpc {
-			lb.succ[i] = s
-			return
-		}
-	}
-	if lb.succN < len(lb.succ) {
-		lb.succVPC[lb.succN] = vpc
-		lb.succ[lb.succN] = s
-		lb.succN++
-		return
-	}
-	lb.succVPC[1] = vpc
-	lb.succ[1] = s
-}
-
 // leanRead reads a register on the lean block path. With no pending
 // load the read has no architectural side effects (the hazard auditor
 // only ever fires against a pending load), so it collapses to a
@@ -282,6 +261,29 @@ func (c *CPU) bailFault(vpc uint32, cause isa.Cause) {
 	c.Trans.BlockBails++
 }
 
+// blockAt resolves the block entered at pc: through the fetch
+// translation when mapped, then the cache, translating a block on a
+// miss. It returns nil when pc does not resolve to instruction memory,
+// leaving the exact fault to the per-instruction path.
+func (c *CPU) blockAt(pc uint32, mapped bool) *block {
+	pa := pc
+	if mapped {
+		p, f := c.Bus.MMU.Translate(pc, false, true)
+		if f != nil {
+			return nil
+		}
+		pa = p
+	}
+	if pa >= c.IMem.n {
+		return nil
+	}
+	if b := *c.blockSlot(pa); b != nil && b.valid && b.pa == pa {
+		c.Trans.BlockHits++
+		return b
+	}
+	return c.translateBlock(pa)
+}
+
 // stepBlocks executes a chain of superblocks (body, terminator, and the
 // terminator's delay slots) starting at the head of the fetch queue,
 // within left steps, which must exceed blockMaxWords. It returns false,
@@ -289,60 +291,11 @@ func (c *CPU) bailFault(vpc uint32, cause isa.Cause) {
 // instruction memory — the caller then takes the exact path, which
 // raises the fetch fault with reference semantics.
 func (c *CPU) stepBlocks(left uint64) bool {
-	b, ok := c.runBlocks(left)
-	// The chain anchor is written once per chain, not once per chained
-	// block: the hot chain loop alternating between two blocks would
-	// otherwise emit a GC pointer-write barrier every iteration.
-	if b != nil && c.lastBlk != b {
-		c.lastBlk = b
-	}
-	return ok
-}
-
-// runBlocks resolves the entry block and executes the chain, returning
-// the last block that ran so the caller can anchor the next chain
-// lookup on it.
-func (c *CPU) runBlocks(left uint64) (*block, bool) {
 	pc := c.pcq[0]
 	mapped := c.Mapped()
-	prev := c.lastBlk
-
-	// Resolve the entry to a block: through a chain edge when one
-	// matches (mapping off only — a chained pointer bakes in a
-	// virtual-to-physical identity), else through the cache.
-	var b *block
-	if prev != nil && !mapped {
-		for i := 0; i < prev.succN; i++ {
-			if prev.succVPC[i] == pc {
-				if s := prev.succ[i]; s.valid && s.pa == pc {
-					b = s
-					c.Trans.BlockChained++
-				}
-				break
-			}
-		}
-	}
+	b := c.blockAt(pc, mapped)
 	if b == nil {
-		pa := pc
-		if mapped {
-			p, f := c.Bus.MMU.Translate(pc, false, true)
-			if f != nil {
-				return nil, false
-			}
-			pa = p
-		}
-		if pa >= c.IMem.n {
-			return nil, false
-		}
-		if cached := *c.blockSlot(pa); cached != nil && cached.valid && cached.pa == pa {
-			b = cached
-			c.Trans.BlockHits++
-		} else {
-			b = c.translateBlock(pa)
-		}
-		if prev != nil && prev.valid && !mapped {
-			prev.recordChain(pc, b)
-		}
+		return false
 	}
 	// An exception ends the chain, so until then a step is an
 	// instruction: end bounds the chain in retired instructions.
@@ -377,7 +330,7 @@ func (c *CPU) runBlocks(left uint64) (*block, bool) {
 		exc0 := c.excSeq
 
 		if !c.runBody(b, pc, mapped, pmGen) {
-			return b, true
+			return true
 		}
 
 		// The terminator runs from its cached record when one was decoded
@@ -390,7 +343,7 @@ func (c *CPU) runBlocks(left uint64) (*block, bool) {
 		c.pcq[0], c.pcq[1], c.pcq[2] = t, t+1, t+2
 		c.pcn = 3
 		if b.termless {
-			return b, true
+			return true
 		}
 		// Chaining may continue only through exits proven lean: a
 		// cached control-class terminator and cached lean delay slots.
@@ -422,76 +375,26 @@ func (c *CPU) runBlocks(left uint64) (*block, bool) {
 			}
 		}
 		if !chainable || c.Halted || c.excSeq != exc0 || !c.queueSequential() {
-			return b, true
+			return true
 		}
 		if c.trec.active && c.trec.n > traceMaxBlocks {
 			// The recording buffer is full: chaining further retires
 			// instructions the recording cannot use (formation truncates
 			// at traceMaxBlocks anyway), charging the block tier for
 			// nothing. End the recording chain at this exact boundary.
-			return b, true
+			return true
 		}
 		npc := c.pcq[0]
 		if traceTier && c.traceYield(npc, &ctx) {
-			return b, true
+			return true
 		}
-		var nb *block
-		for i := 0; i < b.succN; i++ {
-			if b.succVPC[i] == npc {
-				if s := b.succ[i]; s.valid && s.pa == npc {
-					nb = s
-					c.Trans.BlockChained++
-				}
-				break
-			}
-		}
-		if nb == nil && c.trec.active && c.traceable() {
-			// A recording must capture the whole hot path, but chain
-			// edges toward trace-covered entries are never built (trace
-			// dispatch intercepts those entries before the block engine
-			// sees them), and mapped code keeps no edges at all. Resolve
-			// through the cache exactly as dispatch entry does, fetch
-			// translation included — translation cost is formation-time,
-			// paid once.
-			nb = c.recordSuccessor(b, npc, mapped)
-		}
+		nb := c.blockAt(npc, mapped)
 		if nb == nil || c.Stats.Instructions+uint64(nb.n) >= end {
-			return b, true
+			return true
 		}
+		c.Trans.BlockChained++
 		b, pc = nb, npc
 	}
-}
-
-// recordSuccessor resolves a recording's next block at npc the way
-// runBlocks resolves its entry: translated when mapped (the same fetch
-// translation the next dispatch's entry would make), then through the
-// block cache. It returns nil when npc does not resolve, leaving the
-// exact fault to the next dispatch. Unmapped successors also become
-// chain edges; mapped ones cannot, since an edge bakes in the address
-// identity.
-func (c *CPU) recordSuccessor(b *block, npc uint32, mapped bool) *block {
-	pa := npc
-	if mapped {
-		p, f := c.Bus.MMU.Translate(npc, false, true)
-		if f != nil {
-			return nil
-		}
-		pa = p
-	}
-	if pa >= c.IMem.n {
-		return nil
-	}
-	var nb *block
-	if cached := *c.blockSlot(pa); cached != nil && cached.valid && cached.pa == pa {
-		nb = cached
-		c.Trans.BlockHits++
-	} else {
-		nb = c.translateBlock(pa)
-	}
-	if b.valid && !mapped {
-		b.recordChain(npc, nb)
-	}
-	return nb
 }
 
 // dsStep executes one word at the head of the fetch queue from a cached

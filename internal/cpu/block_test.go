@@ -11,8 +11,8 @@ import (
 // on all three engines — superblocks, per-instruction fast path, and
 // the reference interpreter — and requires strictly identical
 // architectural state and statistics. The block engine must also have
-// actually chained: a loop that never takes a chain edge is not
-// exercising the tentpole.
+// actually chained: a loop that never enters one block from another
+// without returning to dispatch is not exercising the engine.
 func TestBlocksLoopMatchesFastAndReference(t *testing.T) {
 	blk := loopCPU(200)
 	blk.SetEngine(EngineBlocks)

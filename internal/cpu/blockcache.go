@@ -54,7 +54,7 @@ const (
 
 // block is one translated superblock: a straight-line run of body words
 // (everything up to, but not including, the next control transfer) plus
-// its exit records and chain slots to successor blocks.
+// its exit records.
 type block struct {
 	pa uint32 // physical address of the first body word
 	n  uint32 // body length in words (0: the entry word is a terminator)
@@ -79,18 +79,10 @@ type block struct {
 	valid    bool
 	liveIdx  int // index in CPU.liveBlocks, for swap-removal
 
-	// execs counts block-engine entries (lookup and chain alike),
+	// execs counts block-engine entries (dispatch and chain alike),
 	// written by the CPU goroutine and read by BlockSites via atomic
 	// loads for the per-PC tier heatmap.
 	execs uint64
-
-	// Chain slots: the last two observed successor entry points, so hot
-	// block-to-block transfers skip the cache lookup entirely. Chains
-	// are recorded and followed only with mapping disabled, where the
-	// virtual entry address is the physical one.
-	succVPC [2]uint32
-	succ    [2]*block
-	succN   int
 }
 
 // TranslationStats counts translation-layer behavior: the superblock
@@ -100,9 +92,9 @@ type block struct {
 // engine itself.
 type TranslationStats struct {
 	// BlockHits counts block-cache lookups served by a valid block;
-	// BlockChained counts entries that skipped the lookup through a
-	// chain slot; BlockTranslations counts blocks built (first sight
-	// and retranslation after invalidation alike).
+	// BlockChained counts the blocks a chain enters after its first,
+	// without returning to dispatch; BlockTranslations counts blocks
+	// built (first sight and retranslation after invalidation alike).
 	BlockHits         uint64
 	BlockChained      uint64
 	BlockTranslations uint64
@@ -192,14 +184,13 @@ type TranslationStats struct {
 // append after it and new fields must keep appending, never reorder.
 func (t *TranslationStats) String() string {
 	return fmt.Sprintf("blocks hit=%d chain=%d xlate=%d inval=%d bail=%d | traces formed=%d compiled=%d hit=%d exit=%d inval=%d"+
-		" | deopt dir=%d ind=%d shape=%d fault=%d halt=%d env=%d int=%d budget=%d"+
+		" | deopt dir=%d ind=%d fault=%d env=%d int=%d budget=%d"+
 		" | refuse priv=%d shadow=%d jind=%d ds=%d block=%d short=%d ops=%d poison=%d"+
 		" | tier ref=%d fast=%d blocks=%d traces=%d"+
 		" | side hit=%d ichit=%d comp=%d icinst=%d heatevict=%d",
 		t.BlockHits, t.BlockChained, t.BlockTranslations, t.BlockInvalidations, t.BlockBails,
 		t.TraceFormed, t.TraceCompiled, t.TraceDispatchHits, t.TraceGuardExits, t.TraceInvalidations,
-		t.TraceDeopts[DeoptBranchDirection], t.TraceDeopts[DeoptIndirectTarget], t.TraceDeopts[DeoptQueueShape],
-		t.TraceDeopts[DeoptFault], t.TraceDeopts[DeoptHalt],
+		t.TraceDeopts[DeoptBranchDirection], t.TraceDeopts[DeoptIndirectTarget], t.TraceDeopts[DeoptFault],
 		t.TraceDeoptEnvironment, t.TraceDeoptInterrupt, t.TraceDeoptChainBudget,
 		t.TraceFormRefusals[RefusalPrivileged], t.TraceFormRefusals[RefusalShadowBranch],
 		t.TraceFormRefusals[RefusalJumpInd], t.TraceFormRefusals[RefusalDelaySlot],
@@ -500,5 +491,4 @@ func (c *CPU) InvalidateBlocks() {
 	for i := range c.bc {
 		c.bc[i] = nil
 	}
-	c.lastBlk = nil
 }

@@ -113,13 +113,11 @@ type CPU struct {
 	engine Engine
 
 	// bc is the superblock engine's direct-mapped cache of translated
-	// blocks (block.go), liveBlocks the dense list a code write walks
-	// (codeWritten), and lastBlk the chain source for the next block
-	// entry.
+	// blocks (block.go), and liveBlocks the dense list a code write
+	// walks (codeWritten).
 	bc         []*block
 	bcMask     uint32
 	liveBlocks []*block
-	lastBlk    *block
 
 	// tc is the trace tier's direct-mapped cache of compiled traces
 	// (trace_form.go, trace_compile.go, tracecache.go), liveTraces the

@@ -38,17 +38,10 @@ const (
 	// DeoptIndirectTarget: an indirect jump resolved to a target other
 	// than the recorded one.
 	DeoptIndirectTarget
-	// DeoptQueueShape: a word the exact executor ran inside the trace
-	// left the fetch queue in a shape the flattening did not bake in
-	// (the queue-shape guard of trGeneral).
-	DeoptQueueShape
-	// DeoptFault: the word raised an exception — memory fault,
-	// arithmetic overflow, trap — and the trace exited through the
-	// exact fault-restart queue.
+	// DeoptFault: the word raised an exception — memory fault or
+	// arithmetic overflow — and the trace exited through the exact
+	// fault-restart queue.
 	DeoptFault
-	// DeoptHalt: a store hit the halt device and stopped the machine
-	// mid-trace.
-	DeoptHalt
 
 	// NumDeoptReasons bounds the guard-exit reason space.
 	NumDeoptReasons
@@ -56,8 +49,7 @@ const (
 
 // deoptNames are the metric/JSON suffixes, aligned with the constants.
 var deoptNames = [NumDeoptReasons]string{
-	"branch_direction", "indirect_target", "queue_shape",
-	"fault", "halt",
+	"branch_direction", "indirect_target", "fault",
 }
 
 func (r DeoptReason) String() string {

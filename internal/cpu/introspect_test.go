@@ -231,7 +231,7 @@ func TestBlockSitesHeatmap(t *testing.T) {
 // TestReasonNames pins the metric suffixes: exporters build family
 // names from these, so a rename is a breaking change.
 func TestReasonNames(t *testing.T) {
-	wantDeopt := []string{"branch_direction", "indirect_target", "queue_shape", "fault", "halt"}
+	wantDeopt := []string{"branch_direction", "indirect_target", "fault"}
 	for r, want := range wantDeopt {
 		if got := DeoptReason(r).String(); got != want {
 			t.Errorf("DeoptReason(%d) = %q, want %q", r, got, want)

@@ -189,13 +189,7 @@ func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) {
 				return
 			}
 		}
-		// A loop trace re-enters itself: under the same context, in the
-		// same slot, so the lookup would return it (side stubs never sit
-		// in the cache, so they always look up).
-		nt := tr
-		if c.pcq[0] != tr.pc || !tr.valid || tr.side {
-			nt = c.traceAt(c.pcq[0], ctx)
-		}
+		nt := c.traceAt(c.pcq[0], ctx)
 		if nt == nil {
 			return
 		}
@@ -213,12 +207,11 @@ func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) {
 //
 //   - a sequential queue (the cold arm starts at the next word, no
 //     delay slot in flight) chains into a compiled trace there;
-//   - a branch redirect queue [ds, target] chains into the op's side
-//     stub — the flattened delay slot ending at the target — compiling
-//     it once the exit crosses sideThreshold;
-//   - an indirect redirect queue [ds0, ds1, target] looks the target up
-//     in the op's inline cache (MRU first), installing a new stub on a
-//     hot miss.
+//   - a redirect queue — [ds, target] after a branch, [ds0, ds1, target]
+//     after an indirect jump — looks the target up in the op's side slot
+//     (MRU first) and chains into the stub there, the flattened delay
+//     slots ending at the target; a miss compiles and installs one once
+//     the op's exits cross sideThreshold.
 //
 // room is what is left of the tickers' horizon and the run's steps: a
 // continuation longer than that stays unresolved. A successful
@@ -237,55 +230,24 @@ func (c *CPU) sideResolve(tr *trace, xi int, r DeoptReason, ctx *mem.Context, ro
 	if tr.sides == nil || room < 2 {
 		return nil
 	}
-	s := &tr.sides[tr.ins[xi].sx]
-	if r == DeoptBranchDirection {
-		if c.pcn != 2 {
-			return nil
-		}
-		if st := s.br; st != nil && st.valid {
-			c.Trans.TraceSideHits++
-			tr.sideHits++
-			return st
-		}
-		s.br = nil // dropped by a code write: rebuild from live memory
-		if s.hot == sideNever {
-			return nil
-		}
-		s.hot++
-		if s.hot < sideThreshold {
-			return nil
-		}
-		st := c.buildSideStub(ctx, c.pcq[0], 1, c.pcq[1])
-		if st == nil {
-			s.hot = sideNever
-			return nil
-		}
-		s.hot = 0
-		s.br = st
-		c.Trans.TraceSideCompiled++
-		if c.onJIT != nil {
-			c.emitJIT(JITEvent{Kind: JITSideCompiled, PC: st.pc, Len: uint32(len(st.ins))})
-		}
-		c.Trans.TraceSideHits++
-		tr.sideHits++
-		return st
+	dsN := 1
+	if r == DeoptIndirectTarget {
+		dsN = 2
 	}
-	// DeoptIndirectTarget: queue is [vpc+1, vpc+2, target].
-	if c.pcn != 3 {
+	if c.pcn != dsN+1 {
 		return nil
 	}
-	t := c.pcq[2]
-	if st := s.ic[0]; st != nil && st.valid && s.icTgt[0] == t {
-		c.Trans.TraceICHits++
-		tr.icHits++
-		return st
-	}
-	if st := s.ic[1]; st != nil && st.valid && s.icTgt[1] == t {
-		s.ic[0], s.ic[1] = s.ic[1], s.ic[0]
-		s.icTgt[0], s.icTgt[1] = s.icTgt[1], s.icTgt[0]
-		c.Trans.TraceICHits++
-		tr.icHits++
-		return st
+	t := c.pcq[dsN]
+	s := &tr.sides[tr.ins[xi].sx]
+	for k, st := range s.stub {
+		if st != nil && st.valid && s.tgt[k] == t {
+			if k == 1 {
+				s.tgt[0], s.tgt[1] = s.tgt[1], s.tgt[0]
+				s.stub[0], s.stub[1] = s.stub[1], s.stub[0]
+			}
+			c.sideHit(tr, r)
+			return st
+		}
 	}
 	if s.hot == sideNever {
 		return nil
@@ -294,7 +256,7 @@ func (c *CPU) sideResolve(tr *trace, xi int, r DeoptReason, ctx *mem.Context, ro
 	if s.hot < sideThreshold {
 		return nil
 	}
-	st := c.buildSideStub(ctx, c.pcq[0], 2, t)
+	st := c.buildSideStub(ctx, c.pcq[0], dsN, t)
 	if st == nil {
 		// Compilability depends only on the delay-slot words, which are
 		// the same for every target: poison the whole slot.
@@ -302,15 +264,30 @@ func (c *CPU) sideResolve(tr *trace, xi int, r DeoptReason, ctx *mem.Context, ro
 		return nil
 	}
 	s.hot = 0
-	s.ic[1], s.icTgt[1] = s.ic[0], s.icTgt[0]
-	s.ic[0], s.icTgt[0] = st, t
-	c.Trans.TraceICInstalls++
+	s.tgt[1], s.stub[1] = s.tgt[0], s.stub[0]
+	s.tgt[0], s.stub[0] = t, st
+	if r == DeoptBranchDirection {
+		c.Trans.TraceSideCompiled++
+	} else {
+		c.Trans.TraceICInstalls++
+	}
 	if c.onJIT != nil {
 		c.emitJIT(JITEvent{Kind: JITSideCompiled, PC: st.pc, Len: uint32(len(st.ins))})
 	}
-	c.Trans.TraceICHits++
-	tr.icHits++
+	c.sideHit(tr, r)
 	return st
+}
+
+// sideHit counts an exit resolved through a side slot: a side hit for a
+// branch direction, an inline-cache hit for an indirect target.
+func (c *CPU) sideHit(tr *trace, r DeoptReason) {
+	if r == DeoptBranchDirection {
+		c.Trans.TraceSideHits++
+		tr.sideHits++
+	} else {
+		c.Trans.TraceICHits++
+		tr.icHits++
+	}
 }
 
 // standDown counts a ready trace of w words too long to enter: lost trace
@@ -400,13 +377,12 @@ func sideGuard(d *decoded) bool {
 // total over validated words: formation already refused everything the
 // handlers cannot specialize, so a nil return means an internal
 // inconsistency and the path is simply not installed. A counting pass
-// sizes the records, the decoded copies of bcGeneral words, and the
+// sizes the records, the decoded copies of packed words, and the
 // side slots exactly, so compilation makes a constant number of
 // allocations whatever the trace's length. The trace keeps nothing of
 // words, whose decoded pointers reach into the recorded blocks or a
 // side stub's stack. Under a mapped ctx, memory words take the handlers
-// that translate (no check-free specialization does); no word the exact
-// executor runs references memory, so none can reach a device mid-trace.
+// that translate (no check-free specialization does).
 func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uint32, spans []traceSpan) *trace {
 	n, ng, ns := 0, 0, 0
 	for i := 0; i < len(words); i++ {
@@ -464,11 +440,22 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 		var happy traceCost
 		switch w.d.bclass {
 		case bcGeneral:
-			// The cap was sized by the counting pass: append never moves
-			// the table, so earlier records' pointers stay valid.
+			// Formation admits only the packed shapes the ISA encodes
+			// (packedShape), each with its own handler. The cap was sized
+			// by the counting pass: append never moves the table, so
+			// earlier records' pointers stay valid.
 			tr.dec = append(tr.dec, *w.d)
 			in.d = &tr.dec[len(tr.dec)-1]
-			happy = compileGeneral(in)
+			switch w.d.memKind {
+			case isa.PieceLoad:
+				in.fn, happy = trPackedLoad, wcPackedLoad
+			case isa.PieceStore:
+				in.fn, happy = trPackedStore, wcPackedStore
+			case isa.PieceJump:
+				in.fn, happy = trPackedJump, wcPackedTaken
+			default:
+				return nil
+			}
 		case bcALU:
 			happy = compileALU(in, w)
 		case bcLoad:
@@ -496,30 +483,6 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 	}
 	tr.cost = pre
 	return tr
-}
-
-// compileGeneral picks the handler of a packed or otherwise unclassified
-// word (in.d already holds its decoded copy) and returns its happy-path
-// cost. Formation admits only the packed shapes the ISA encodes
-// (packedShape): an ALU or set-condition piece with a displacement load,
-// a displacement store, or a direct jump, each with its own handler.
-// Every other general word has no memory piece and runs through the
-// exact executor, accounting its own statistics live (so it contributes
-// nothing to the trace's bulk cost or to later exit prefixes).
-func compileGeneral(in *traceInst) traceCost {
-	switch in.d.memKind {
-	case isa.PieceLoad:
-		in.fn = trPackedLoad
-		return wcPackedLoad
-	case isa.PieceStore:
-		in.fn = trPackedStore
-		return wcPackedStore
-	case isa.PieceJump:
-		in.fn = trPackedJump
-		return wcPackedTaken
-	}
-	in.fn = trGeneral
-	return traceCost{}
 }
 
 // compileALU picks the handler of a single-ALU-piece word. Positions a
@@ -594,35 +557,6 @@ func trNops(c *CPU, in *traceInst) bool {
 	return true
 }
 
-// trGeneral runs an unpacked body word with no lean class through the
-// exact executor, exactly as the block engine's body loop runs one:
-// the word accounts its own statistics live, and any redirect, halt,
-// or fault exits the trace at the boundary the executor left.
-func trGeneral(c *CPU, in *traceInst) bool {
-	c.seq++
-	if c.pendN != 0 {
-		c.commitLoads()
-	}
-	vpc := in.vpc
-	e0 := c.excSeq
-	c.pcq[0], c.pcq[1] = vpc+1, vpc+2
-	c.pcn = 2
-	c.execWord(in.d.src, vpc)
-	if c.Halted || c.pcn != 2 || c.pcq[0] != vpc+1 {
-		switch {
-		case c.Halted:
-			c.deopt = DeoptHalt
-		case c.excSeq != e0:
-			c.deopt = DeoptFault
-		default:
-			c.deopt = DeoptQueueShape
-		}
-		c.charge(in, traceCost{})
-		return false
-	}
-	return true
-}
-
 // packedALU evaluates the computation piece of a packed word: operand
 // reads in the exact executor's order, overflow latched against the
 // dispatch-latched trap enable. It returns the value to commit to the
@@ -658,14 +592,14 @@ func (c *CPU) packedALU(d *decoded, vpc uint32) (v uint32, ovf bool) {
 // register writes are suppressed), overflow primary over a memory fault,
 // and the staged commit order (ALU write, then the load's delayed
 // write). Position exactness comes from the flattened queues, so packed
-// words compile anywhere in a trace — body, delay slot, terminator —
-// unlike trGeneral's fixed sequential shape. The memory handlers serve
-// mapped and unmapped traces alike: they compute the address straight
-// from the register file and, in a mapped trace, translate it before
-// any audited read, so a reference a device claims exits with nothing
-// of the word done (an unmapped trace runs only on a deviceless bus,
-// so its addresses are physical); the base read repeats through the
-// audited path after the ALU piece's operands, in the executor's order.
+// words compile anywhere in a trace — body, delay slot, terminator.
+// The memory handlers serve mapped and unmapped traces alike: they
+// compute the address straight from the register file and, in a mapped
+// trace, translate it before any audited read, so a reference a device
+// claims exits with nothing of the word done (an unmapped trace runs
+// only on a deviceless bus, so its addresses are physical); the base
+// read repeats through the audited path after the ALU piece's operands,
+// in the executor's order.
 
 // trPackedLoad runs a packed ALU + load word.
 func trPackedLoad(c *CPU, in *traceInst) bool {

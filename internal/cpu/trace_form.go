@@ -11,8 +11,8 @@ package cpu
 // horizon. Otherwise a per-entry-PC heat counter accumulates, and on
 // crossing the threshold the next dispatch runs on the block engine with
 // path recording switched on: every chained superblock it executes
-// is noted (in mapped mode the recording resolves each successor through
-// the translation, as the next block entry would). The recorded path —
+// is noted (in mapped mode each successor resolves through the fetch
+// translation, as a block entry does). The recorded path —
 // the actual hot route through the code, taken branches included — is
 // then validated and flattened into one trace: body words, terminators,
 // and delay slots of all recorded blocks in execution order, with the
@@ -287,15 +287,14 @@ func validateTraceBlock(b *block, pc, nextPC uint32) (ok, taken bool, dsCount ui
 	}
 	// Every body class compiles but a packed word outside the shapes
 	// the ISA encodes (packedShape): the lean classes and the packed
-	// shapes specialize, and unpacked general words run through the
-	// exact executor inside the trace, just as the block engine's body
-	// loop runs them. Privileged pieces refuse — they can change what
-	// dispatch latched — but translation already ends a block's body
-	// before any privileged word, so only the terminator needs the
-	// check.
+	// shapes specialize, and translation keeps every other general word
+	// (traps, specials) out of a block's body. Privileged pieces refuse —
+	// they can change what dispatch latched — but translation also ends
+	// a block's body before any privileged word, so only the terminator
+	// needs the check.
 	for i := range b.code[:b.n] {
 		d := &b.code[i]
-		if d.bclass == bcGeneral && d.aluKind != isa.PieceNop && !packedShape(d) {
+		if d.bclass == bcGeneral && !packedShape(d) {
 			return false, false, 0, RefusalBlock
 		}
 	}
@@ -358,13 +357,12 @@ func validateTraceBlock(b *block, pc, nextPC uint32) (ok, taken bool, dsCount ui
 func (c *CPU) finishTraceRecording(entry uint32) {
 	pts := c.trec.pts[:c.trec.n]
 	if len(pts) < 2 || pts[0].pc != entry {
-		// A short path is usually transient — the block engine has not
-		// chained through this entry yet, or an interrupt cut the
-		// recording chain — so the entry is not poisoned: it re-earns the
-		// threshold. Recording is allocation-free up to this point, so
-		// retries cost only the recorded chain itself. Structural
-		// failures (validation refusing the first block, compilation
-		// failing) still poison.
+		// A short path is usually transient — the run's step budget or
+		// an interrupt cut the recording chain — so the entry is not
+		// poisoned: it re-earns the threshold. Recording is
+		// allocation-free up to this point, so retries cost only the
+		// recorded chain itself. Structural failures (validation
+		// refusing the first block, compilation failing) still poison.
 		c.refuseTrace(RefusalShortPath, entry)
 		return
 	}

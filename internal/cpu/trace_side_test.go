@@ -335,7 +335,7 @@ func TestSideTraceZeroAllocSteadyState(t *testing.T) {
 	// Warm until formation, stub builds, and IC installs have all
 	// happened and every heat entry has settled — never during the
 	// measurement.
-	for i := 0; i < 256; i++ {
+	for i := 0; i < 1024; i++ {
 		c.RunSteps(1000)
 	}
 	if c.Trans.TraceCompiled == 0 || c.Trans.TraceSideCompiled == 0 || c.Trans.TraceICInstalls == 0 {

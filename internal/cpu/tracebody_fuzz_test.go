@@ -14,7 +14,8 @@ import "testing"
 // of the generic and check-free handlers: a load pending at a mapped
 // trace's nops, set-condition, long-immediate, load and store words,
 // the fault exits of trLoad, trStore, trLoadDisp and trStoreDisp, and
-// trALU's overflow exit.
+// trALU's overflow exit. The last reaches a mapped taken branch with a
+// load pending.
 var traceBodySeeds = []struct {
 	env uint8
 	k   uint32
@@ -23,13 +24,13 @@ var traceBodySeeds = []struct {
 	{0, 85722, false}, {0, 5633, false}, {0, 85870, false},
 	{bbMapped, 123869, false}, {bbMapped, 98452, false}, {bbMapped, 129403, false},
 	{bbMapped | bbPendingLoad, 9607, false},
-	{bbOverflow, 84544, false}, {bbOverflow, 12328, false}, {bbOverflow, 98526, false},
-	{bbOverflow | bbMapped, 280053, false}, {bbOverflow | bbMapped, 264570, false}, {bbOverflow | bbMapped, 394747, false},
+	{bbOverflow, 365827, false}, {bbOverflow, 12328, false}, {bbOverflow, 111976, false},
+	{bbOverflow | bbMapped, 280053, false}, {bbOverflow | bbMapped, 970137, false}, {bbOverflow | bbMapped, 394747, false},
 	{bbMapped, 369, true}, {bbMapped, 359, true}, {bbMapped, 863, true}, {bbMapped, 960, true},
 	{0, 145, false}, {bbMapped, 6979, false},
 	{bbMapped, 8157, false}, {bbMapped, 6521, false}, {bbMapped, 5, false}, {bbMapped, 13805, false},
 	{0, 3940, false}, {0, 7800, false}, {0, 1896, false}, {0, 9178, false},
-	{bbOverflow | bbPendingLoad, 12467, false},
+	{bbOverflow | bbPendingLoad, 12467, false}, {bbMapped | bbPendingLoad, 1360, false},
 }
 
 // FuzzTraceBody runs one random superblock on the trace tier and on the

@@ -18,9 +18,9 @@ package cpu
 // engine's: a trace keeps the span list of the instruction-memory words
 // it compiled from, and a code write (CPU.WriteCode, CPU.ReplaceCode)
 // drops every trace whose spans meet the written range. Code changes
-// only through those writers, so neither a trace nor a chain edge
-// revalidates its words at dispatch. Traces are derived state:
-// snapshots exclude them, and RestoreState drops them.
+// only through those writers, so no trace revalidates its words at
+// dispatch. Traces are derived state: snapshots exclude them, and
+// RestoreState drops them.
 
 import (
 	"mips/internal/isa"
@@ -35,9 +35,9 @@ const (
 	// heatEntries sizes the direct-mapped heat table; heatThreshold is
 	// how many trace-tier dispatch misses an entry PC accumulates
 	// before a path recording triggers. The threshold can sit this low
-	// because recordings no longer depend on how deeply the block
-	// engine has chained (the recording loop resolves successors
-	// through the block cache itself) and a transiently short path is
+	// because recordings do not depend on how deeply the block engine
+	// has chained before (every chain step resolves its successor
+	// through the block cache) and a transiently short path is
 	// retried instead of poisoned, so early recording costs little
 	// and short programs reach the trace tier while they still matter.
 	heatEntries   = 1 << 9
@@ -69,8 +69,8 @@ type traceFn func(c *CPU, in *traceInst) bool
 // uses depends on its handler.
 type traceInst struct {
 	fn traceFn
-	// d is the op's decoded word, for packed and unclassified words
-	// (bclass bcGeneral) only: it points into the trace's own dec table.
+	// d is the op's decoded word, for packed words (bclass bcGeneral)
+	// only: it points into the trace's own dec table.
 	d *decoded
 	// a and b are the ALU operands, or the compare operands of a branch
 	// (a alone: the target register of an indirect jump).
@@ -173,15 +173,15 @@ type traceSpan struct {
 }
 
 // sideSlot is one compiled op's side-exit state: how hot its guard
-// exits run, the side stub compiled for a branch guard's cold arm, and
-// the small inline target cache of an indirect guard (MRU entry first).
+// exits run, and the side stubs compiled for them, keyed by the target
+// the exit's redirect queue heads to (MRU entry first): a branch guard's
+// cold arm has one target, an indirect guard's inline cache two.
 // All of it is derived state rebuilt on demand: validity is checked on
 // every use, and a dropped stub re-forms from live instruction memory.
 type sideSlot struct {
-	hot   uint32 // exits observed since the last build (sideNever: poisoned)
-	br    *trace // cold-arm stub of a branch-direction guard
-	icTgt [2]uint32
-	ic    [2]*trace // indirect-target stubs keyed by icTgt
+	hot  uint32 // exits observed since the last build (sideNever: poisoned)
+	tgt  [2]uint32
+	stub [2]*trace
 }
 
 // sideNever poisons a side slot whose continuation cannot compile, so

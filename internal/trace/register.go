@@ -93,13 +93,13 @@ func RegisterTranslation(r *Registry, prefix string, ts *cpu.TranslationStats) e
 		g.counter(prefix+name, help, func() uint64 { return atomic.LoadUint64(p) })
 	}
 	c("block_hits", "superblock cache lookups served by a valid block", &ts.BlockHits)
-	c("block_chained", "superblock entries through a chain slot, skipping the lookup", &ts.BlockChained)
+	c("block_chained", "superblocks a chain entered after its first, without returning to dispatch", &ts.BlockChained)
 	c("block_translations", "superblocks built (first sight and retranslation alike)", &ts.BlockTranslations)
 	c("block_invalidations", "superblocks dropped by a code write", &ts.BlockInvalidations)
 	c("block_bails", "mid-block falls back to the exact per-instruction engine", &ts.BlockBails)
 	c("trace.formed", "hot-path recordings that produced a formable multi-block trace", &ts.TraceFormed)
 	c("trace.compiled", "traces compiled to op record arrays and installed", &ts.TraceCompiled)
-	c("trace.guard_exits", "early trace exits: direction guards, faults, self-invalidating stores", &ts.TraceGuardExits)
+	c("trace.guard_exits", "early trace exits: direction and indirect-target guards, faults", &ts.TraceGuardExits)
 	c("trace.invalidations", "compiled traces dropped by a code write", &ts.TraceInvalidations)
 	c("trace.dispatch_hits", "trace executions started (cache entry and trace-to-trace chaining)", &ts.TraceDispatchHits)
 	for reason := cpu.DeoptReason(0); reason < cpu.NumDeoptReasons; reason++ {

@@ -6,10 +6,11 @@
 #
 # REV is the commit to compare against (usually the parent), WORKLOAD
 # one of bench/run.sh's workloads, N the number of pairs. REV is
-# extracted with git archive under .bench_build/pairs/, and both
-# benchmarks are built once, each in its own tree as bench/run.sh builds
-# it. Pair i runs both sides with seed i+1 and the benchmark's default
-# duration; REV goes first in even pairs, this checkout in odd ones.
+# extracted with git archive under .bench_build/pairs/ once per REV,
+# and both benchmarks are built once per call, each in its own tree as
+# bench/run.sh builds it. Pair i runs both sides with seed i+1 and the
+# benchmark's default duration; REV goes first in even pairs, this
+# checkout in odd ones.
 # Each run appends one JSON line to OUT:
 #
 #   {"pair":0,"side":"parent","workload":"paper","attempted":12,"failed":0,
@@ -29,9 +30,15 @@ cd "$(dirname "$0")/.."
 change=$(pwd)
 case "$out" in /*) ;; *) out="$change/$out" ;; esac
 parent="$change/.bench_build/pairs/$(git rev-parse --short "$rev")"
-rm -rf "$parent"
-mkdir -p "$parent"
-git archive "$rev" | tar -x -C "$parent"
+# The tree is keyed by its commit, so its contents never change: it is
+# extracted only when no earlier call finished extracting it, and the
+# parent's build cache inside it stays warm from call to call.
+if [ ! -f "$parent/.pairs-extracted" ]; then
+    rm -rf "$parent"
+    mkdir -p "$parent"
+    git archive "$rev" | tar -x -C "$parent"
+    touch "$parent/.pairs-extracted"
+fi
 
 # env_for TREE sets the environment bench/run.sh gives the benchmark,
 # which builds cmd/mipsd with it.
