@@ -262,8 +262,8 @@ func (c *CPU) bailFault(vpc uint32, cause isa.Cause) {
 }
 
 // blockAt resolves the block entered at pc: through the fetch
-// translation when mapped, then the cache, translating a block on a
-// miss. It returns nil when pc does not resolve to instruction memory,
+// translation when mapped, then the block table, translating a block on
+// a miss. It returns nil when pc does not resolve to instruction memory,
 // leaving the exact fault to the per-instruction path.
 func (c *CPU) blockAt(pc uint32, mapped bool) *block {
 	pa := pc
@@ -277,31 +277,27 @@ func (c *CPU) blockAt(pc uint32, mapped bool) *block {
 	if pa >= c.IMem.n {
 		return nil
 	}
-	if b := *c.blockSlot(pa); b != nil && b.valid && b.pa == pa {
-		c.Trans.BlockHits++
-		return b
+	if i := pa >> imemPageBits; i < uint32(len(c.blocks)) && c.blocks[i] != nil {
+		if b := c.blocks[i][pa&imemPageMask]; b != nil {
+			c.Trans.BlockHits++
+			return b
+		}
 	}
 	return c.translateBlock(pa)
 }
 
 // stepBlocks executes a chain of superblocks (body, terminator, and the
-// terminator's delay slots) starting at the head of the fetch queue,
-// within left steps, which must exceed blockMaxWords. It returns false,
-// with no architectural effect, if the entry cannot be resolved to
-// instruction memory — the caller then takes the exact path, which
-// raises the fetch fault with reference semantics.
-func (c *CPU) stepBlocks(left uint64) bool {
+// terminator's delay slots) from b, the block blockAt resolved at the
+// head of the fetch queue, within left steps, which must exceed
+// blockMaxWords.
+func (c *CPU) stepBlocks(b *block, left uint64) {
 	pc := c.pcq[0]
 	mapped := c.Mapped()
-	b := c.blockAt(pc, mapped)
-	if b == nil {
-		return false
-	}
 	// An exception ends the chain, so until then a step is an
 	// instruction: end bounds the chain in retired instructions.
 	end := c.Stats.Instructions + left
 	bus := c.Bus
-	// With the trace tier live here, chained entries feed the tier's
+	// With the trace tier live here, chained blocks feed the tier's
 	// heat profile and yield to compiled traces: dispatch entry is the
 	// only point the trace dispatcher sees, and a long chain would
 	// otherwise starve it of both heat and dispatches (the chain's exit
@@ -330,7 +326,7 @@ func (c *CPU) stepBlocks(left uint64) bool {
 		exc0 := c.excSeq
 
 		if !c.runBody(b, pc, mapped, pmGen) {
-			return true
+			return
 		}
 
 		// The terminator runs from its cached record when one was decoded
@@ -343,7 +339,7 @@ func (c *CPU) stepBlocks(left uint64) bool {
 		c.pcq[0], c.pcq[1], c.pcq[2] = t, t+1, t+2
 		c.pcn = 3
 		if b.termless {
-			return true
+			return
 		}
 		// Chaining may continue only through exits proven lean: a
 		// cached control-class terminator and cached lean delay slots.
@@ -375,22 +371,25 @@ func (c *CPU) stepBlocks(left uint64) bool {
 			}
 		}
 		if !chainable || c.Halted || c.excSeq != exc0 || !c.queueSequential() {
-			return true
+			return
 		}
 		if c.trec.active && c.trec.n > traceMaxBlocks {
 			// The recording buffer is full: chaining further retires
 			// instructions the recording cannot use (formation truncates
 			// at traceMaxBlocks anyway), charging the block tier for
 			// nothing. End the recording chain at this exact boundary.
-			return true
+			return
 		}
 		npc := c.pcq[0]
-		if traceTier && c.traceYield(npc, &ctx) {
-			return true
+		if traceTier && c.traceAt(npc, &ctx) != nil {
+			return
 		}
+		// A block whose heat reaches the threshold here ends the chain
+		// with its count left there, so the dispatcher's own bump starts
+		// the recording at once.
 		nb := c.blockAt(npc, mapped)
-		if nb == nil || c.Stats.Instructions+uint64(nb.n) >= end {
-			return true
+		if nb == nil || traceTier && nb.heatBump() || c.Stats.Instructions+uint64(nb.n) >= end {
+			return
 		}
 		c.Trans.BlockChained++
 		b, pc = nb, npc

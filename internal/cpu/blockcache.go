@@ -7,8 +7,10 @@ package cpu
 //
 //   - translateBlock scans instruction memory from a block entry point
 //     up to the next control transfer and builds the flat block record;
-//   - a direct-mapped cache keyed by physical entry address holds the
-//     blocks;
+//   - an exact table indexed the way instruction memory is (one page of
+//     block pointers per instruction-memory page a block was entered
+//     in) holds each block at its physical entry word, with the trace
+//     tier's heat count for that entry;
 //   - the code writers (CPU.WriteCode, CPU.ReplaceCode) invalidate every
 //     block whose cached words meet the written range, so a page-in or
 //     a patched word can never leave a stale translation executable.
@@ -26,11 +28,11 @@ const (
 	// blockMaxWords caps a block's body; longer straight-line runs
 	// split into chained blocks.
 	blockMaxWords = 64
-	// bcMinEntries/bcMaxEntries bound the direct-mapped block cache,
-	// grown on demand. Both are powers of two.
-	bcMinEntries = 1 << 8
-	bcMaxEntries = 1 << 13
 )
+
+// blockPage holds the blocks entered in one instruction-memory page,
+// each at its entry word's offset.
+type blockPage [imemPageWords]*block
 
 // Lean execution classes, assigned per body word at translation time.
 // The block engine runs bcNop, bcALU, bcLoad and bcStore words through
@@ -79,6 +81,11 @@ type block struct {
 	valid    bool
 	liveIdx  int // index in CPU.liveBlocks, for swap-removal
 
+	// heat counts the trace tier's dispatch misses at this entry toward
+	// the formation threshold (heatNever once poisoned). It lives and
+	// dies with the block: a code write that drops the block drops it.
+	heat uint32
+
 	// execs counts block-engine entries (dispatch and chain alike),
 	// written by the CPU goroutine and read by BlockSites via atomic
 	// loads for the per-PC tier heatmap.
@@ -91,7 +98,7 @@ type block struct {
 // strict equality, while these counters intentionally describe the
 // engine itself.
 type TranslationStats struct {
-	// BlockHits counts block-cache lookups served by a valid block;
+	// BlockHits counts block-table lookups served by a block;
 	// BlockChained counts the blocks a chain enters after its first,
 	// without returning to dispatch; BlockTranslations counts blocks
 	// built (first sight and retranslation after invalidation alike).
@@ -165,11 +172,6 @@ type TranslationStats struct {
 	TraceSideCompiled uint64
 	TraceICInstalls   uint64
 
-	// TraceHeatEvicted counts direct-mapped heat-table slots reclaimed
-	// by a colliding entry PC while still warming (or poisoned) — the
-	// aliasing that silently stalls trace formation on large corpora.
-	TraceHeatEvicted uint64
-
 	// TierInstrs attributes every retired instruction to the engine
 	// tier that retired it (per-instruction stepping on the reference
 	// engine or beneath a translation tier, superblock engine, trace
@@ -187,7 +189,7 @@ func (t *TranslationStats) String() string {
 		" | deopt dir=%d ind=%d fault=%d env=%d int=%d budget=%d"+
 		" | refuse priv=%d shadow=%d jind=%d ds=%d block=%d short=%d ops=%d poison=%d"+
 		" | tier ref=%d fast=%d blocks=%d traces=%d"+
-		" | side hit=%d ichit=%d comp=%d icinst=%d heatevict=%d",
+		" | side hit=%d ichit=%d comp=%d icinst=%d",
 		t.BlockHits, t.BlockChained, t.BlockTranslations, t.BlockInvalidations, t.BlockBails,
 		t.TraceFormed, t.TraceCompiled, t.TraceDispatchHits, t.TraceGuardExits, t.TraceInvalidations,
 		t.TraceDeopts[DeoptBranchDirection], t.TraceDeopts[DeoptIndirectTarget], t.TraceDeopts[DeoptFault],
@@ -197,7 +199,7 @@ func (t *TranslationStats) String() string {
 		t.TraceFormRefusals[RefusalBlock], t.TraceFormRefusals[RefusalShortPath],
 		t.TraceFormRefusals[RefusalOpBudget], t.TracePoisoned,
 		t.TierInstrs[TierReference], t.TierInstrs[TierFast], t.TierInstrs[TierBlocks], t.TierInstrs[TierTraces],
-		t.TraceSideHits, t.TraceICHits, t.TraceSideCompiled, t.TraceICInstalls, t.TraceHeatEvicted)
+		t.TraceSideHits, t.TraceICHits, t.TraceSideCompiled, t.TraceICInstalls)
 }
 
 // bodyKind reports whether a memory/control slot kind may appear inside
@@ -297,30 +299,9 @@ func readsReg(d *decoded, r isa.Reg) bool {
 	return false
 }
 
-// blockSlot returns the cache slot for a block entry address, building
-// the cache lazily and growing it (up to bcMaxEntries) when the
-// program's footprint exceeds it. Growth drops all blocks: the mask
-// changes, so existing slot assignments are meaningless.
-func (c *CPU) blockSlot(pa uint32) **block {
-	if c.bc == nil {
-		c.bc = make([]*block, bcMinEntries)
-		c.bcMask = bcMinEntries - 1
-	}
-	if pa >= uint32(len(c.bc)) && len(c.bc) < bcMaxEntries {
-		size := len(c.bc)
-		for size < bcMaxEntries && uint32(size) <= pa {
-			size *= 2
-		}
-		c.InvalidateBlocks()
-		c.bc = make([]*block, size)
-		c.bcMask = uint32(size - 1)
-	}
-	return &c.bc[pa&c.bcMask]
-}
-
 // translateBlock scans the straight-line run of instruction words at pa,
-// builds the block record, and installs it in the cache (evicting any
-// previous occupant of the slot).
+// builds the block record, and installs it in the table, whose slot for
+// pa is empty.
 func (c *CPU) translateBlock(pa uint32) *block {
 	c.Trans.BlockTranslations++
 	// Never cross a page boundary: page-granular translation guarantees
@@ -426,24 +407,30 @@ func (c *CPU) translateBlock(pa uint32) *block {
 		b.cover = b.n + 1 + uint32(b.dsN)
 	}
 
-	slot := c.blockSlot(pa)
-	c.lockTraces()
-	if old := *slot; old != nil {
-		c.dropBlock(old)
+	// The table only grows: no block is dropped to make room for another.
+	i := pa >> imemPageBits
+	if need := int(i) + 1; need > len(c.blocks) {
+		c.blocks = append(c.blocks, make([]*blockPage, need-len(c.blocks))...)
 	}
-	*slot = b
+	if c.blocks[i] == nil {
+		c.blocks[i] = new(blockPage)
+	}
+	c.blocks[i][pa&imemPageMask] = b
+	c.lockTraces()
 	b.liveIdx = len(c.liveBlocks)
 	c.liveBlocks = append(c.liveBlocks, b)
 	c.unlockTraces()
 	return b
 }
 
-// dropBlock invalidates a block and removes it from the live list.
+// dropBlock invalidates a block and removes it from its table slot and
+// the live list.
 func (c *CPU) dropBlock(b *block) {
 	if !b.valid {
 		return
 	}
 	b.valid = false
+	c.blocks[b.pa>>imemPageBits][b.pa&imemPageMask] = nil
 	last := len(c.liveBlocks) - 1
 	moved := c.liveBlocks[last]
 	c.liveBlocks[b.liveIdx] = moved
@@ -478,17 +465,30 @@ func (c *CPU) codeWritten(pa, n uint32) {
 	}
 }
 
-// InvalidateBlocks drops every translated block, for state restores
-// and cache regrowth.
-func (c *CPU) InvalidateBlocks() {
+// dropTranslations drops every translated block (and with it its heat),
+// every compiled trace and any recording in flight. A restore calls it,
+// so translations never outlive the code they were built from; the code
+// writers handle everything in between.
+func (c *CPU) dropTranslations() {
 	c.lockTraces()
 	for _, b := range c.liveBlocks {
 		b.valid = false
 	}
 	clear(c.liveBlocks)
 	c.liveBlocks = c.liveBlocks[:0]
-	c.unlockTraces()
-	for i := range c.bc {
-		c.bc[i] = nil
+	clear(c.blocks)
+	emit := c.onJIT != nil
+	for _, tr := range c.liveTraces {
+		tr.valid = false
+		if emit {
+			c.emitJIT(JITEvent{Kind: JITInvalidated, PC: tr.pc, Len: uint32(len(tr.ins))})
+		}
 	}
+	clear(c.liveTraces)
+	c.liveTraces = c.liveTraces[:0]
+	clear(c.tc)
+	c.unlockTraces()
+	c.trec.active = false
+	c.trec.n = 0
+	clear(c.trec.pts[:])
 }

@@ -112,23 +112,21 @@ type CPU struct {
 	// engine selects the execution engine (SetEngine).
 	engine Engine
 
-	// bc is the superblock engine's direct-mapped cache of translated
-	// blocks (block.go), and liveBlocks the dense list a code write
-	// walks (codeWritten).
-	bc         []*block
-	bcMask     uint32
+	// blocks is the superblock engine's table of translated blocks
+	// (block.go), one page of block pointers per instruction-memory page
+	// a block was entered in, indexed like IMem; liveBlocks is the dense
+	// list a code write walks (codeWritten).
+	blocks     []*blockPage
 	liveBlocks []*block
 
 	// tc is the trace tier's direct-mapped cache of compiled traces
 	// (trace_form.go, trace_compile.go, tracecache.go), liveTraces the
-	// dense list a code write walks, heat the per-entry-PC hotness
-	// counters that trigger formation, trec the in-flight path
-	// recording. trOvfOn is the overflow-enable latch the dispatch loop
-	// sets for the compiled ops, and trCur the trace running them (whose
-	// context tells the memory handlers whether to translate).
+	// dense list a code write walks, trec the in-flight path recording.
+	// trOvfOn is the overflow-enable latch the dispatch loop sets for
+	// the compiled ops, and trCur the trace running them (whose context
+	// tells the memory handlers whether to translate).
 	tc         []*trace
 	liveTraces []*trace
-	heat       []heatEntry
 	trec       traceRec
 	trOvfOn    bool
 	trCur      *trace
@@ -529,13 +527,14 @@ func (c *CPU) RunSteps(n uint64) (uint64, bool) {
 func (c *CPU) dispatch(left uint64) {
 	if c.engine >= EngineBlocks && left > blockMaxWords && !c.Interlocked &&
 		c.onStep == nil && c.queueSequential() {
-		if c.engine == EngineTraces && c.stepTraces(left) {
-			return
-		}
-		i0 := c.Stats.Instructions
-		ok := c.stepBlocks(left)
-		c.Trans.TierInstrs[TierBlocks] += c.Stats.Instructions - i0
-		if ok {
+		if c.engine == EngineTraces {
+			if c.stepTraces(left) {
+				return
+			}
+		} else if b := c.blockAt(c.pcq[0], c.Mapped()); b != nil {
+			i0 := c.Stats.Instructions
+			c.stepBlocks(b, left)
+			c.Trans.TierInstrs[TierBlocks] += c.Stats.Instructions - i0
 			return
 		}
 	}

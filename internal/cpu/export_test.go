@@ -49,11 +49,21 @@ func (c *CPU) FormTrace(r TraceRecording) int {
 }
 
 // staleTranslationRefs counts the pointers the live block and trace
-// lists hold past their lengths, plus every block pointer left in the
-// trace recording buffer: references that keep dropped translations
-// reachable.
+// lists hold past their lengths, the block-table slots that point at a
+// dropped block, and every block pointer left in the trace recording
+// buffer: references that keep dropped translations reachable.
 func (c *CPU) staleTranslationRefs() int {
 	n := 0
+	for _, pg := range c.blocks {
+		if pg == nil {
+			continue
+		}
+		for _, b := range pg {
+			if b != nil && !b.valid {
+				n++
+			}
+		}
+	}
 	for _, b := range c.liveBlocks[len(c.liveBlocks):cap(c.liveBlocks)] {
 		if b != nil {
 			n++

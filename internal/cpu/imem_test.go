@@ -172,9 +172,9 @@ func TestTranslateBlockAllocsConstant(t *testing.T) {
 }
 
 // TestInvalidationDropsTranslationRefs pins that dropped blocks and
-// traces become unreachable: after a code write's drop, InvalidateBlocks
-// and InvalidateTraces, no slot past the live lists' lengths and no
-// trace recording entry still points at one.
+// traces become unreachable: after a code write's drop and after
+// dropTranslations, no block-table slot, no slot past the live lists'
+// lengths and no trace recording entry still points at one.
 func TestInvalidationDropsTranslationRefs(t *testing.T) {
 	c := tracesCPU(5000)
 	check := func(when string) {
@@ -207,10 +207,8 @@ func TestInvalidationDropsTranslationRefs(t *testing.T) {
 	if len(c.liveBlocks) == 0 || len(c.liveTraces) == 0 {
 		t.Fatal("nothing translated; the test is vacuous")
 	}
-	c.InvalidateBlocks()
-	check("after InvalidateBlocks")
-	c.InvalidateTraces()
-	check("after InvalidateTraces")
+	c.dropTranslations()
+	check("after dropTranslations")
 	run(t, c, 1_000_000)
 	if c.Regs[2] != 25000 {
 		t.Errorf("r2 = %d, want 25000", c.Regs[2])

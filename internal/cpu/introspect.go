@@ -177,8 +177,8 @@ const (
 	// JITRefused: formation truncated at a refusing block; Reason is
 	// the FormRefusal.
 	JITRefused
-	// JITPoisoned: an entry PC marked never-hot (heatNever) after its
-	// path failed to form.
+	// JITPoisoned: an entry block marked never-hot (heatNever) after
+	// its path failed to form.
 	JITPoisoned
 	// JITSideCompiled: a side stub compiled for a hot guard exit — the
 	// cold arm of a branch-direction guard or an indirect-target miss —
@@ -200,16 +200,14 @@ func (k JITEventKind) String() string {
 
 // JITEvent is one fixed-size trace-JIT lifecycle event, delivered to
 // the SetJITHook callback. PC is the trace entry PC; Len the compiled
-// op count (or fused block count for JITFormed); Heat the formation
-// threshold in effect; Reason a DeoptReason (guard exits) or a
-// FormRefusal (refusals/poisonings).
+// op count (or fused block count for JITFormed); Reason a DeoptReason
+// (guard exits) or a FormRefusal (refusals).
 type JITEvent struct {
 	Kind   JITEventKind
 	Reason uint8
 	Cycle  uint64
 	PC     uint32
 	Len    uint32
-	Heat   uint32
 }
 
 // SetJITHook installs an observer invoked on every trace-JIT lifecycle

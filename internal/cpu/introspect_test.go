@@ -44,10 +44,10 @@ func TestHeatNeverShadowBranchPoisoning(t *testing.T) {
 		t.Fatal("refused entry was never poisoned")
 	}
 	// The loop entry (word 2) records a path whose first block is the
-	// shadow branch's: the whole recording refuses and the entry must
-	// be heatNever.
-	if h := c.heat[2&(heatEntries-1)]; h.pc != 2 || h.n != heatNever {
-		t.Fatalf("loop entry not poisoned: heat slot %+v", h)
+	// shadow branch's: the whole recording refuses and the entry's
+	// block must be heatNever.
+	if h := c.blockAt(2, false).heat; h != heatNever {
+		t.Fatalf("loop entry not poisoned: block heat %d", h)
 	}
 
 	refusals := c.Trans.TraceFormRefusals

@@ -134,8 +134,7 @@ func (c *CPU) restore(st *State, code *GoldenCode) error {
 		fc := *st.LastFault
 		c.Bus.LastFault = &fc
 	}
-	c.InvalidateTraces()
-	c.InvalidateBlocks()
+	c.dropTranslations()
 	c.Trans = TranslationStats{}
 	return nil
 }

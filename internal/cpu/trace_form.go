@@ -8,11 +8,12 @@ package cpu
 // code), the head of the queue under the current translation context is
 // a trace entry candidate. A compiled trace there executes directly
 // (trace_compile.go) when its longest clean pass fits the tickers'
-// horizon. Otherwise a per-entry-PC heat counter accumulates, and on
-// crossing the threshold the next dispatch runs on the block engine with
-// path recording switched on: every chained superblock it executes
-// is noted (in mapped mode each successor resolves through the fetch
-// translation, as a block entry does). The recorded path —
+// horizon. Otherwise the heat count of the entry's block accumulates
+// (block chains count the blocks they enter too), and on reaching the
+// threshold the dispatch runs the block engine with path recording
+// switched on: every chained superblock it executes is noted (in mapped
+// mode each successor resolves through the fetch translation, as a
+// block entry does). The recorded path —
 // the actual hot route through the code, taken branches included — is
 // then validated and flattened into one trace: body words, terminators,
 // and delay slots of all recorded blocks in execution order, with the
@@ -23,7 +24,7 @@ package cpu
 // privileged terminator), a terminator whose direction cannot be
 // derived from the recorded successor, or a degenerate branch whose
 // target falls inside its own shadow truncates the path at the last
-// whole block; paths that truncate to nothing mark the entry PC
+// whole block; paths that truncate to nothing mark the entry block
 // never-hot so steady state stops re-recording (and re-allocating). A
 // path that closes back on its own entry becomes a self-looping trace —
 // the ideal case, re-entered by the dispatch chain loop without leaving
@@ -34,8 +35,9 @@ import (
 	"mips/internal/mem"
 )
 
-// heatNever marks an entry PC whose path failed to form a trace; the
-// heat counter never triggers again for it (InvalidateTraces resets).
+// heatNever marks a block whose entry's path failed to form a trace;
+// its heat never triggers a recording again (until a code write or a
+// restore drops the block).
 const heatNever = ^uint32(0)
 
 // tracePoint is one recorded step of a hot path: a superblock and the
@@ -106,134 +108,111 @@ func (c *CPU) traceable() bool {
 	return c.Bus.DMA == nil && (len(c.Bus.devices) == 0 || c.Mapped())
 }
 
-// stepTraces is the trace-tier dispatcher. It returns true when it
-// executed something (a compiled trace, or a recorded chain on the block
-// engine) within left steps; false falls through to the superblock tier
-// untouched.
+// stepTraces is the trace tier's dispatch. It runs the compiled trace
+// at the head of the fetch queue when one may run there within left
+// steps. Otherwise it resolves the entry block, counts its heat when no
+// trace is ready, and runs the block engine from it, with path
+// recording on when the heat reaches the formation threshold. It
+// returns false, with no architectural effect, only when the entry does
+// not resolve to instruction memory.
 func (c *CPU) stepTraces(left uint64) bool {
 	pc := c.pcq[0]
-	ctx := c.Bus.MMU.Context(c.Mapped())
-	if !c.traceable() {
-		// Count the deopt only when a compiled trace was actually ready
-		// here — traceAt's own nil-cache check keeps machines that never
-		// compiled a trace free of the bookkeeping.
-		if c.traceAt(pc, &ctx) != nil {
-			c.Trans.TraceDeoptEnvironment++
-		}
-		return false
-	}
-	if tr := c.traceAt(pc, &ctx); tr != nil {
-		if c.intLine && c.Sur.InterruptsEnabled() && !c.Sur.Supervisor() {
-			// A pending interrupt must be taken before the next word;
-			// the lower tiers do that exactly.
-			c.Trans.TraceDeoptInterrupt++
-			return false
-		}
-		// A ticker could change what the trace sees before it ends, or the
-		// run end inside it: the lower tiers go word by word up to either.
-		horizon := c.Bus.horizon()
-		if w := uint64(tr.words); w > min(horizon, left) {
-			c.standDown(w, horizon)
-			return false
-		}
-		i0, exc0 := c.Stats.Instructions, c.excSeq
-		c.runTrace(tr, &ctx, horizon, left)
-		n := c.Stats.Instructions - i0
-		if n == 0 {
-			// The first word left a device reference to the lower tiers,
-			// which run it in this same Step.
-			return false
-		}
-		c.Trans.TierInstrs[TierTraces] += n
-		if len(c.Bus.tickers) != 0 {
-			// Every retired word ran at user level except one that raised
-			// an exception: the lower tiers tick that word only after
-			// exception entry, when the timer no longer counts.
-			if c.excSeq != exc0 {
-				n--
-			}
-			c.Bus.advance(n)
-		}
+	mapped := c.Mapped()
+	ctx := c.Bus.MMU.Context(mapped)
+	tr := c.traceAt(pc, &ctx)
+	if tr != nil && c.enterTrace(tr, &ctx, left) {
 		return true
 	}
-	if !c.heatBump(pc) {
+	b := c.blockAt(pc, mapped)
+	if b == nil {
 		return false
 	}
-	// Threshold crossed: run this chain on the block engine with path
-	// recording on, then form a trace from what actually executed. The
-	// recorded chain retires on the block engine, so residency charges
-	// the blocks tier.
-	c.trec.active = true
-	c.trec.n = 0
-	c.trec.ctx = ctx
+	// At the threshold, this chain runs with path recording on, and a
+	// trace forms from what actually executed. The recorded chain
+	// retires on the block engine, so residency charges the blocks
+	// tier.
+	record := tr == nil && c.traceable() && b.heatBump()
+	if record {
+		b.heat = 0
+		c.trec.active = true
+		c.trec.n = 0
+		c.trec.ctx = ctx
+	}
 	i0 := c.Stats.Instructions
-	ok := c.stepBlocks(left)
+	c.stepBlocks(b, left)
 	c.Trans.TierInstrs[TierBlocks] += c.Stats.Instructions - i0
-	c.trec.active = false
-	if ok {
+	if record {
+		c.trec.active = false
 		c.finishTraceRecording(pc)
+		clear(c.trec.pts[:c.trec.n]) // hold no block past its recording
+		c.trec.n = 0
 	}
-	clear(c.trec.pts[:c.trec.n]) // hold no block past its recording
-	c.trec.n = 0
-	return ok
+	return true
 }
 
-// heatBump accumulates heat for a trace-cache miss at pc and reports
-// whether the formation threshold was crossed.
-func (c *CPU) heatBump(pc uint32) bool {
-	if c.heat == nil {
-		c.heat = make([]heatEntry, heatEntries)
+// enterTrace runs tr, the compiled trace ready at the head of the fetch
+// queue under ctx, unless the machine's state keeps it from running
+// here within left steps. It returns false when tr retired nothing,
+// leaving the head to the lower tiers, which run it in this same Step.
+func (c *CPU) enterTrace(tr *trace, ctx *mem.Context, left uint64) bool {
+	if !c.traceable() {
+		c.Trans.TraceDeoptEnvironment++
+		return false
 	}
-	h := &c.heat[pc&(heatEntries-1)]
-	if h.pc != pc {
-		if h.n != 0 {
-			// The direct-mapped slot held another entry PC still warming
-			// (or poisoned): its accumulated heat is lost to aliasing.
-			c.Trans.TraceHeatEvicted++
+	if c.intLine && c.Sur.InterruptsEnabled() && !c.Sur.Supervisor() {
+		// A pending interrupt must be taken before the next word; the
+		// lower tiers do that exactly.
+		c.Trans.TraceDeoptInterrupt++
+		return false
+	}
+	// A ticker could change what the trace sees before it ends, or the
+	// run end inside it: the lower tiers go word by word up to either.
+	horizon := c.Bus.horizon()
+	if w := uint64(tr.words); w > min(horizon, left) {
+		c.standDown(w, horizon)
+		return false
+	}
+	i0, exc0 := c.Stats.Instructions, c.excSeq
+	c.runTrace(tr, ctx, horizon, left)
+	n := c.Stats.Instructions - i0
+	if n == 0 {
+		// The first word left a device reference to the lower tiers.
+		return false
+	}
+	c.Trans.TierInstrs[TierTraces] += n
+	if len(c.Bus.tickers) != 0 {
+		// Every retired word ran at user level except one that raised
+		// an exception: the lower tiers tick that word only after
+		// exception entry, when the timer no longer counts.
+		if c.excSeq != exc0 {
+			n--
 		}
-		h.pc, h.n = pc, 1
-		return false
+		c.Bus.advance(n)
 	}
-	if h.n == heatNever {
-		return false
-	}
-	h.n++
-	if h.n >= heatThreshold {
-		h.n = 0
-		return true
-	}
-	return false
+	return true
 }
 
-// traceYield reports whether the block chain should end at npc and hand
-// control back to the dispatcher: a compiled trace is installed
-// there under ctx, or npc's heat just crossed the formation threshold.
-// Crossing re-arms the counter one bump below the threshold so the
-// dispatcher's own bump starts the recording chain immediately.
-func (c *CPU) traceYield(npc uint32, ctx *mem.Context) bool {
-	if c.traceAt(npc, ctx) != nil {
-		return true
+// heatBump counts one trace-tier miss at the block's entry and reports
+// whether the count has reached the formation threshold. A poisoned
+// block never does. Only starting a recording resets the count.
+func (b *block) heatBump() bool {
+	if b.heat == heatNever {
+		return false
 	}
-	if c.heatBump(npc) {
-		c.heat[npc&(heatEntries-1)].n = heatThreshold - 1
-		return true
-	}
-	return false
+	b.heat++
+	return b.heat >= heatThreshold
 }
 
-// markNeverTrace records that paths from pc do not form: stop paying
-// for recordings (and their allocations) in steady state. Poisoning
-// happens at most once per entry PC (a poisoned entry never crosses the
-// heat threshold again), so TracePoisoned counts distinct poisoned
-// entries until the next InvalidateTraces.
-func (c *CPU) markNeverTrace(pc uint32) {
-	if c.heat == nil {
-		return
-	}
-	c.heat[pc&(heatEntries-1)] = heatEntry{pc: pc, n: heatNever}
+// markNeverTrace records that paths from the recording's entry do not
+// form: stop paying for recordings (and their allocations) in steady
+// state. Poisoning happens at most once per entry block (a poisoned
+// block never reaches the heat threshold again), so TracePoisoned
+// counts distinct poisoned entries until their blocks are dropped.
+func (c *CPU) markNeverTrace(entry tracePoint) {
+	entry.b.heat = heatNever
 	c.Trans.TracePoisoned++
 	if c.onJIT != nil {
-		c.emitJIT(JITEvent{Kind: JITPoisoned, PC: pc, Heat: heatThreshold})
+		c.emitJIT(JITEvent{Kind: JITPoisoned, PC: entry.pc})
 	}
 }
 
@@ -407,7 +386,7 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 		taken[j], dsCount[j] = tk, dc
 	}
 	if lim < 1 {
-		c.markNeverTrace(entry)
+		c.markNeverTrace(pts[0])
 		return
 	}
 	endPC := pts[lim].pc
@@ -416,7 +395,7 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 	}
 	c.Trans.TraceFormed++
 	if c.onJIT != nil {
-		c.emitJIT(JITEvent{Kind: JITFormed, PC: entry, Len: uint32(lim), Heat: heatThreshold})
+		c.emitJIT(JITEvent{Kind: JITFormed, PC: entry, Len: uint32(lim)})
 	}
 
 	// Pass 2: flatten to trace words with exact per-word exit queues.
@@ -492,13 +471,13 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 
 	tr := c.compileTrace(words, &c.trec.ctx, entry, endPC, spans)
 	if tr == nil {
-		c.markNeverTrace(entry)
+		c.markNeverTrace(pts[0])
 		return
 	}
 	c.installTrace(tr)
 	c.Trans.TraceCompiled++
 	if c.onJIT != nil {
-		c.emitJIT(JITEvent{Kind: JITCompiled, PC: entry, Len: uint32(len(tr.ins)), Heat: heatThreshold})
+		c.emitJIT(JITEvent{Kind: JITCompiled, PC: entry, Len: uint32(len(tr.ins))})
 	}
 }
 
@@ -507,6 +486,6 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 func (c *CPU) refuseTrace(why FormRefusal, pc uint32) {
 	c.Trans.TraceFormRefusals[why]++
 	if c.onJIT != nil {
-		c.emitJIT(JITEvent{Kind: JITRefused, Reason: uint8(why), PC: pc, Heat: heatThreshold})
+		c.emitJIT(JITEvent{Kind: JITRefused, Reason: uint8(why), PC: pc})
 	}
 }

@@ -417,8 +417,8 @@ func TestTraceEngineToggle(t *testing.T) {
 // TestTraceYieldRearmsAtThreshold pins the chain-crossing re-arm: when
 // an entry's heat crosses the formation threshold inside a block chain,
 // the chain yields and the dispatcher's own bump on the very next
-// dispatch must start the recording. Re-arming below threshold-1 would
-// waste the crossing and leave the next run unrecorded.
+// dispatch must start the recording. A chain that reset the count at
+// the crossing would waste it and leave the next run unrecorded.
 func TestTraceYieldRearmsAtThreshold(t *testing.T) {
 	c := loopCPU(1000)
 	const head = 2 // the loop head, reached by chaining from the block at 0
@@ -428,8 +428,7 @@ func TestTraceYieldRearmsAtThreshold(t *testing.T) {
 			formed = append(formed, e)
 		}
 	})
-	c.heat = make([]heatEntry, heatEntries)
-	c.heat[head&(heatEntries-1)] = heatEntry{pc: head, n: heatThreshold - 1}
+	c.blockAt(head, false).heat = heatThreshold - 1
 
 	// The block at 0 runs words 0..5 and its chain yields at the head;
 	// the run's last 64 steps go word by word, below the tiers, through
@@ -445,8 +444,88 @@ func TestTraceYieldRearmsAtThreshold(t *testing.T) {
 	if len(formed) != 1 || formed[0].PC != head {
 		t.Fatalf("next run formed %+v, want one recording at pc %d", formed, head)
 	}
-	if formed[0].Heat != heatThreshold {
-		t.Errorf("JITFormed Heat = %d, want the threshold %d", formed[0].Heat, heatThreshold)
+}
+
+// TestRecordingTranslatesFarBlock pins that a recording whose chain
+// first translates a block far above the code translated so far forms
+// its trace: translating a block never drops the blocks the recording
+// holds. The loop runs between words 2 and 6; on one pass, inside the
+// recording chain that starts once the entry at word 4 is hot, its
+// branch takes the far arm at word 300, whose block nothing has
+// translated before.
+func TestRecordingTranslatesFarBlock(t *testing.T) {
+	const n, farPass = 2000, 1988 // r1 on the pass that takes the far arm
+	toFar := isa.Branch(isa.CmpEQ, isa.R(1), isa.Imm(farPass), "")
+	toFar.Target = 300
+	back := isa.Branch(isa.CmpNE, isa.R(1), isa.Imm(0), "")
+	back.Target = 2
+	toLoop := isa.Jump("")
+	toLoop.Target = 4
+	c := newTestCPU(
+		w(isa.LoadImm32(1, n)), // 0
+		w(isa.Nop()),           // 1
+		w(isa.ALU(isa.OpSub, 1, isa.R(1), isa.Imm(1))), // 2: loop
+		w(toFar),     // 3: beq r1, #farPass, 300
+		w(isa.Nop()), // 4: delay slot, and the fall-through entry
+		w(back),      // 5: bne r1, #0, 2
+		w(isa.Nop()), // 6: branch delay
+		halt,         // 7
+	)
+	c.WriteCode(300, []isa.Instr{
+		w(isa.ALU(isa.OpAdd, 4, isa.R(4), isa.Imm(1))), // 300
+		w(toLoop),    // 301: jmp 4
+		w(isa.Nop()), // 302
+	})
+	c.SetEngine(EngineTraces)
+	farAtForm := -1
+	c.SetJITHook(func(e JITEvent) {
+		if e.Kind == JITFormed && farAtForm < 0 {
+			farAtForm = int(c.Regs[4])
+		}
+	})
+	run(t, c, 1_000_000)
+	if farAtForm != 1 {
+		t.Fatalf("far arm ran %d times before the first trace formed, want 1: the recording window moved", farAtForm)
+	}
+	tr := &c.Trans
+	if tr.TraceFormRefusals[RefusalBlock] != 0 || tr.TracePoisoned != 0 || tr.TraceFormed == 0 {
+		t.Errorf("refuse.block = %d, poisoned = %d, formed = %d; want 0, 0 and a trace",
+			tr.TraceFormRefusals[RefusalBlock], tr.TracePoisoned, tr.TraceFormed)
+	}
+	if c.Regs[1] != 0 || c.Regs[4] != 1 {
+		t.Errorf("r1 = %d, r4 = %d; want 0 and 1", c.Regs[1], c.Regs[4])
+	}
+}
+
+// TestHeatEntriesFarApart pins that entries far apart keep their own
+// heat: a two-block loop whose entries sit 512 words apart (words 2 and
+// 514) forms a trace and retires most of its instructions in it.
+func TestHeatEntriesFarApart(t *testing.T) {
+	back := isa.Branch(isa.CmpNE, isa.R(1), isa.Imm(0), "")
+	back.Target = 2
+	toFar := isa.Jump("")
+	toFar.Target = 514
+	c := newTestCPU(
+		w(isa.LoadImm32(1, 6000)), // 0
+		w(isa.Nop()),              // 1
+		w(isa.ALU(isa.OpSub, 1, isa.R(1), isa.Imm(1))), // 2: loop
+		w(toFar),     // 3: jmp 514
+		w(isa.Nop()), // 4
+	)
+	c.WriteCode(514, []isa.Instr{
+		w(back),      // 514: bne r1, #0, 2
+		w(isa.Nop()), // 515
+		halt,         // 516
+	})
+	c.SetEngine(EngineTraces)
+	run(t, c, 1_000_000)
+	if c.Regs[1] != 0 {
+		t.Fatalf("r1 = %d, want 0", c.Regs[1])
+	}
+	traced, all := c.Trans.TierInstrs[TierTraces], c.Stats.Instructions
+	if c.Trans.TraceFormed == 0 || traced*10 < all*9 {
+		t.Errorf("formed %d traces, %d of %d instructions in traces; want most of them",
+			c.Trans.TraceFormed, traced, all)
 	}
 }
 

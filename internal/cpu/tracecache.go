@@ -5,9 +5,9 @@ package cpu
 // words, terminators, and delay slots of several superblocks, fused
 // across taken branches — compiled to one flat array of op records,
 // each naming a static handler (trace_compile.go). Formation is
-// profile-guided: per-entry-PC heat counters trigger a one-Step path
-// recording through the block engine, and the recorded path compiles
-// if every word on it can be specialized (trace_form.go).
+// profile-guided: a heat count on each block (block.heat) triggers a
+// one-Step path recording through the block engine, and the recorded
+// path compiles if every word on it can be specialized (trace_form.go).
 //
 // A trace is keyed by its entry PC as fetched — virtual when mapped —
 // and the translation context it was formed under (mem.Context: the
@@ -32,15 +32,14 @@ const (
 	// Trace entry points are far sparser than block entries.
 	tcEntries = 1 << 8
 
-	// heatEntries sizes the direct-mapped heat table; heatThreshold is
-	// how many trace-tier dispatch misses an entry PC accumulates
-	// before a path recording triggers. The threshold can sit this low
-	// because recordings do not depend on how deeply the block engine
-	// has chained before (every chain step resolves its successor
-	// through the block cache) and a transiently short path is
-	// retried instead of poisoned, so early recording costs little
-	// and short programs reach the trace tier while they still matter.
-	heatEntries   = 1 << 9
+	// heatThreshold is how many trace-tier dispatch misses a block's
+	// entry accumulates (block.heat) before a path recording triggers.
+	// The threshold can sit this low because recordings do not depend
+	// on how deeply the block engine has chained before (every chain
+	// step resolves its successor through the block table) and a
+	// transiently short path is retried instead of poisoned, so early
+	// recording costs little and short programs reach the trace tier
+	// while they still matter.
 	heatThreshold = 8
 
 	// traceMaxBlocks bounds how many superblocks one recording may
@@ -234,13 +233,6 @@ func (tr *trace) covers(pa, n uint32) bool {
 	return false
 }
 
-// heatEntry is one slot of the direct-mapped heat table: the entry PC
-// it counts misses for and the count (heatNever once poisoned).
-type heatEntry struct {
-	pc uint32
-	n  uint32
-}
-
 // traceIndex is the trace-cache slot of an entry PC under a context.
 // Under mapping the segmentation PID register salts it, so processes
 // running the same virtual code keep their traces in different slots.
@@ -318,30 +310,4 @@ func (c *CPU) dropTrace(tr *trace) {
 	if c.onJIT != nil {
 		c.emitJIT(JITEvent{Kind: JITInvalidated, PC: tr.pc, Len: uint32(len(tr.ins))})
 	}
-}
-
-// InvalidateTraces drops every compiled trace and resets the heat
-// table. State restores call it so traces never outlive the code they
-// were compiled from; the code writers handle everything in between.
-func (c *CPU) InvalidateTraces() {
-	c.lockTraces()
-	emit := c.onJIT != nil
-	for _, tr := range c.liveTraces {
-		tr.valid = false
-		if emit {
-			c.emitJIT(JITEvent{Kind: JITInvalidated, PC: tr.pc, Len: uint32(len(tr.ins))})
-		}
-	}
-	clear(c.liveTraces)
-	c.liveTraces = c.liveTraces[:0]
-	for i := range c.tc {
-		c.tc[i] = nil
-	}
-	c.unlockTraces()
-	for i := range c.heat {
-		c.heat[i] = heatEntry{}
-	}
-	c.trec.active = false
-	c.trec.n = 0
-	clear(c.trec.pts[:])
 }

@@ -175,7 +175,6 @@ type JITEventJSON struct {
 	Reason string `json:"reason,omitempty"`
 	PC     uint32 `json:"pc"`
 	Len    uint32 `json:"len,omitempty"`
-	Heat   uint32 `json:"heat,omitempty"`
 }
 
 // MarshalJITEvent converts a cpu.JITEvent to its wire shape, decoding
@@ -187,7 +186,6 @@ func MarshalJITEvent(e cpu.JITEvent) JITEventJSON {
 		Reason: jitReason(e),
 		PC:     e.PC,
 		Len:    e.Len,
-		Heat:   e.Heat,
 	}
 }
 
@@ -246,9 +244,6 @@ func WriteJITChromeJSON(w io.Writer, events []cpu.JITEvent) error {
 		args := map[string]any{"pc": e.PC}
 		if e.Len != 0 {
 			args["len"] = e.Len
-		}
-		if e.Heat != 0 {
-			args["heat"] = e.Heat
 		}
 		switch e.Kind {
 		case cpu.JITGuardExit:

@@ -92,7 +92,7 @@ func RegisterTranslation(r *Registry, prefix string, ts *cpu.TranslationStats) e
 	c := func(name, help string, p *uint64) {
 		g.counter(prefix+name, help, func() uint64 { return atomic.LoadUint64(p) })
 	}
-	c("block_hits", "superblock cache lookups served by a valid block", &ts.BlockHits)
+	c("block_hits", "superblock table lookups served by a translated block", &ts.BlockHits)
 	c("block_chained", "superblocks a chain entered after its first, without returning to dispatch", &ts.BlockChained)
 	c("block_translations", "superblocks built (first sight and retranslation alike)", &ts.BlockTranslations)
 	c("block_invalidations", "superblocks dropped by a code write", &ts.BlockInvalidations)
@@ -115,12 +115,11 @@ func RegisterTranslation(r *Registry, prefix string, ts *cpu.TranslationStats) e
 			"trace recordings refused or truncated: "+reason.String(),
 			&ts.TraceFormRefusals[reason])
 	}
-	c("trace.poisoned", "entry PCs poisoned (heatNever) after an unformable recording", &ts.TracePoisoned)
+	c("trace.poisoned", "entry blocks poisoned (heatNever) after an unformable recording", &ts.TracePoisoned)
 	c("trace.side_hits", "branch-direction guard exits resolved by a side stub, never leaving the trace tier", &ts.TraceSideHits)
 	c("trace.ic_hits", "indirect-target guard exits resolved by an inline target cache", &ts.TraceICHits)
 	c("trace.side_compiled", "side stubs compiled for hot branch-direction exits", &ts.TraceSideCompiled)
 	c("trace.ic_installs", "inline-cache entries installed for indirect-target exits", &ts.TraceICInstalls)
-	c("trace.heat_evicted", "heat-table entries displaced by an aliasing entry PC before reaching threshold", &ts.TraceHeatEvicted)
 	for tier := cpu.Tier(0); tier < cpu.NumTiers; tier++ {
 		c("tier."+tier.String(),
 			"instructions retired in the "+tier.String()+" engine tier (partitions cpu.instructions)",
