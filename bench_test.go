@@ -412,6 +412,55 @@ func BenchmarkSnapshotRoundTripKernel(b *testing.B) {
 	}
 }
 
+// haltedKernelFib forks a kernel machine from the fib template and runs
+// it to completion: the machine a finished mipsd job snapshots.
+func haltedKernelFib(b *testing.B) *sim.Machine {
+	b.Helper()
+	m, err := admissionTemplate(b, admissionImage(b)).Fork()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := m.Run(10_000_000); err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
+// BenchmarkSnapshotEncodeKernel measures the snapshot half of
+// BenchmarkSnapshotRoundTripKernel: encoding a halted kernel fib
+// machine, the terminal snapshot every finished mipsd job takes. It
+// reports the snapshot's size as snap-bytes.
+func BenchmarkSnapshotEncodeKernel(b *testing.B) {
+	m := haltedKernelFib(b)
+	var snap []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if snap, err = m.SnapshotBytes(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(snap)), "snap-bytes")
+}
+
+// BenchmarkSnapshotRestoreKernel measures the restore half of
+// BenchmarkSnapshotRoundTripKernel: decoding that snapshot into a
+// machine on the fast engine.
+func BenchmarkSnapshotRestoreKernel(b *testing.B) {
+	snap, err := haltedKernelFib(b).SnapshotBytes()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Restore(bytes.NewReader(snap), sim.WithEngine(sim.FastPath)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFreeCycleDMA measures how much block-copy bandwidth the DMA
 // engine extracts from the free memory cycles of a running program —
 // the §3.1 "these cycles can be used for DMA" claim made concrete.

@@ -39,8 +39,10 @@
 // template_missing). Only the /v1 paths serve jobs; unversioned /jobs
 // paths answer 404.
 //
-// Submittable programs are the built-in corpus; the telemetry surface
-// serves the job service's counters plus the fleet rollup:
+// Submittable programs are the built-in corpus. Each compiles once per
+// target (bare or kernel), on first use, and every later job or
+// template of that program and target shares the image. The telemetry
+// surface serves the job service's counters plus the fleet rollup:
 //
 //	GET  /metrics                     Prometheus exposition: jobs.* and
 //	                                  xlate.* counters, per-tenant
@@ -74,6 +76,7 @@ import (
 	"os/signal"
 	"sort"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -213,21 +216,40 @@ func writeTenantActive(w io.Writer, svc *sim.Service) error {
 }
 
 // corpusPrograms exposes every built-in corpus program to the job
-// service, compiled on demand for the requested machine layout.
+// service. Each program compiles once per target, on the first job or
+// template that asks for it; every later one shares that image.
 func corpusPrograms() map[string]sim.ProgramFunc {
-	progs := map[string]sim.ProgramFunc{}
-	for _, p := range corpus.All() {
-		p := p
-		progs[p.Name] = func(kernelTarget bool) (*isa.Image, error) {
-			mopt := codegen.MIPSOptions{}
+	return programFuncs(corpus.All(), compileCorpus)
+}
+
+// programFuncs makes each program's ProgramFunc, compiling it with
+// compile at most once per target, errors included.
+func programFuncs(progs []corpus.Program, compile func(src string, kernelTarget bool) (*isa.Image, error)) map[string]sim.ProgramFunc {
+	funcs := map[string]sim.ProgramFunc{}
+	for _, p := range progs {
+		once := func(kernelTarget bool) func() (*isa.Image, error) {
+			return sync.OnceValues(func() (*isa.Image, error) { return compile(p.Source, kernelTarget) })
+		}
+		bare, kern := once(false), once(true)
+		funcs[p.Name] = func(kernelTarget bool) (*isa.Image, error) {
 			if kernelTarget {
-				mopt.StackTop = codegen.KernelStackTop
+				return kern()
 			}
-			im, _, err := codegen.CompileMIPS(p.Source, mopt, reorg.All())
-			return im, err
+			return bare()
 		}
 	}
-	return progs
+	return funcs
+}
+
+// compileCorpus compiles a corpus program for the bare machine or, with
+// kernelTarget, for a kernel process's memory layout.
+func compileCorpus(src string, kernelTarget bool) (*isa.Image, error) {
+	mopt := codegen.MIPSOptions{}
+	if kernelTarget {
+		mopt.StackTop = codegen.KernelStackTop
+	}
+	im, _, err := codegen.CompileMIPS(src, mopt, reorg.All())
+	return im, err
 }
 
 // displayURL renders a bound address as a clickable URL, mapping

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"slices"
 
 	"mips/internal/isa"
@@ -145,23 +146,68 @@ func (m *InstrMem) ownTable() {
 	}
 }
 
-// flatten returns the memory as one physically indexed slice of Len
-// words, sharing nothing with it.
-func (m *InstrMem) flatten() []isa.Instr {
-	out := make([]isa.Instr, m.n)
-	for i, pg := range m.pages {
-		if pg != nil {
-			copy(out[i<<imemPageBits:], pg[:])
-		}
-	}
-	return out
+// CodeRun is one maximal run of non-empty words in a capture of
+// instruction memory: Words[i] is the word at physical address Base+i.
+type CodeRun struct {
+	Base  uint32
+	Words []isa.Instr
 }
 
-// restore replaces the memory with a flat capture, ending any sharing.
-// Only pages that hold code get storage.
-func (m *InstrMem) restore(words []isa.Instr) {
+// capture returns the memory's code as its maximal runs of non-empty
+// words, in address order, sharing nothing with it. It reads only the
+// pages that have storage.
+func (m *InstrMem) capture() []CodeRun {
+	var runs []CodeRun
+	for i, pg := range m.pages {
+		if pg == nil {
+			continue
+		}
+		base := uint32(i) << imemPageBits
+		for k, in := range pg {
+			if !nonEmpty(in) {
+				continue
+			}
+			pa := base + uint32(k)
+			if n := len(runs); n > 0 && runs[n-1].Base+uint32(len(runs[n-1].Words)) == pa {
+				runs[n-1].Words = append(runs[n-1].Words, in)
+			} else {
+				runs = append(runs, CodeRun{Base: pa, Words: []isa.Instr{in}})
+			}
+		}
+	}
+	return runs
+}
+
+// restore replaces the memory with a capture of n words holding runs,
+// ending any sharing. Only pages that hold code get storage. The runs
+// must lie inside the n words (State.ValidateIMem).
+func (m *InstrMem) restore(n uint32, runs []CodeRun) {
 	*m = InstrMem{}
-	m.write(0, words)
+	m.grow(n)
+	for _, r := range runs {
+		m.write(r.Base, r.Words)
+	}
+}
+
+// ValidateIMem checks that the capture's instruction memory is at most
+// mem.MaxPhysWords long and that its runs are in address order, do not
+// overlap, and lie inside it. It does not look at the words.
+func (st *State) ValidateIMem() error {
+	if st.IMemLen > mem.MaxPhysWords {
+		return fmt.Errorf("instruction memory of %d words exceeds the %d-word limit", st.IMemLen, mem.MaxPhysWords)
+	}
+	next := uint64(0)
+	for _, r := range st.IMem {
+		end := uint64(r.Base) + uint64(len(r.Words))
+		switch {
+		case uint64(r.Base) < next:
+			return fmt.Errorf("code run at %d is out of order or overlaps the run before it", r.Base)
+		case end > uint64(st.IMemLen):
+			return fmt.Errorf("code run at %d (%d words) exceeds the %d-word instruction memory", r.Base, len(r.Words), st.IMemLen)
+		}
+		next = end
+	}
+	return nil
 }
 
 // GoldenCode is an immutable instruction-memory image that forks share
@@ -178,7 +224,7 @@ type GoldenCode struct {
 // It shares nothing with the capture.
 func GoldenCodeFromState(st *State) *GoldenCode {
 	var m InstrMem
-	m.restore(st.IMem)
+	m.restore(st.IMemLen, st.IMem)
 	return &GoldenCode{n: m.n, pages: m.pages}
 }
 

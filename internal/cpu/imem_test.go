@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"mips/internal/isa"
@@ -64,8 +66,9 @@ func TestInstrMemPagedLength(t *testing.T) {
 	}
 
 	st := c.CaptureState()
-	if len(st.IMem) != 9000 || st.IMem[4*mem.PageWords] != add {
-		t.Fatalf("capture flattened %d words", len(st.IMem))
+	if st.IMemLen != 9000 || len(st.IMem) != 1 || st.IMem[0].Base != 4*mem.PageWords ||
+		len(st.IMem[0].Words) != 1 || st.IMem[0].Words[0] != add {
+		t.Fatalf("capture of %d words holds runs %v, want one word at %d", st.IMemLen, st.IMem, 4*mem.PageWords)
 	}
 	r := newTestCPU()
 	if err := r.RestoreState(st); err != nil {
@@ -73,6 +76,76 @@ func TestInstrMemPagedLength(t *testing.T) {
 	}
 	if r.IMem.Len() != 9000 || storedPages(&r.IMem) != 1 || r.IMem.At(4*mem.PageWords) != add {
 		t.Errorf("restore: len %d with %d pages", r.IMem.Len(), storedPages(&r.IMem))
+	}
+}
+
+// TestCaptureCodeRuns pins the capture of instruction memory: the
+// maximal runs of non-empty words in address order, a run crossing a
+// page boundary staying whole and an empty word ending one. A restore
+// rebuilds the same memory, storing only the pages that hold code.
+func TestCaptureCodeRuns(t *testing.T) {
+	add := w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)))
+	sub := w(isa.ALU(isa.OpSub, 2, isa.R(2), isa.Imm(1)))
+	c := newTestCPU()
+	c.WriteCode(0, []isa.Instr{add})
+	c.WriteCode(imemPageWords-1, []isa.Instr{add, sub})        // crosses into page 1
+	c.WriteCode(imemPageWords+2, []isa.Instr{sub})             // after one empty word
+	c.WriteCode(4*imemPageWords+7, []isa.Instr{add, add, sub}) // pages 2 and 3 hold nothing
+	c.WriteCode(5*imemPageWords, make([]isa.Instr, 40))        // empty words only grow it
+	st := c.CaptureState()
+	want := []CodeRun{
+		{Base: 0, Words: []isa.Instr{add}},
+		{Base: imemPageWords - 1, Words: []isa.Instr{add, sub}},
+		{Base: imemPageWords + 2, Words: []isa.Instr{sub}},
+		{Base: 4*imemPageWords + 7, Words: []isa.Instr{add, add, sub}},
+	}
+	if st.IMemLen != 5*imemPageWords+40 || !reflect.DeepEqual(st.IMem, want) {
+		t.Fatalf("capture: %d words, runs %v; want %d words, runs %v", st.IMemLen, st.IMem, 5*imemPageWords+40, want)
+	}
+	if err := st.ValidateIMem(); err != nil {
+		t.Fatalf("a capture fails its own validation: %v", err)
+	}
+	r := newTestCPU()
+	if err := r.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if r.IMem.Len() != st.IMemLen || storedPages(&r.IMem) != 3 {
+		t.Errorf("restore: %d words with %d stored pages, want %d with 3", r.IMem.Len(), storedPages(&r.IMem), st.IMemLen)
+	}
+	for pa := uint32(0); pa < st.IMemLen; pa++ {
+		if r.IMem.At(pa) != c.IMem.At(pa) {
+			t.Fatalf("restored word %d = %v, want %v", pa, r.IMem.At(pa), c.IMem.At(pa))
+		}
+	}
+}
+
+// TestValidateIMemRejectsMalformedRuns pins the run rules a restore
+// holds a capture to: a length within mem.MaxPhysWords, runs inside it,
+// in address order and disjoint.
+func TestValidateIMemRejectsMalformedRuns(t *testing.T) {
+	add := w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)))
+	two := []isa.Instr{add, add}
+	for name, c := range map[string]struct {
+		n    uint32
+		runs []CodeRun
+		want string
+	}{
+		"over-max":        {mem.MaxPhysWords + 1, nil, "limit"},
+		"run-past-end":    {100, []CodeRun{{Base: 99, Words: two}}, "exceeds"},
+		"run-base-wraps":  {100, []CodeRun{{Base: 1<<32 - 1, Words: two}}, "exceeds"},
+		"unsorted":        {100, []CodeRun{{Base: 50, Words: two}, {Base: 10, Words: two}}, "order"},
+		"overlapping":     {100, []CodeRun{{Base: 10, Words: two}, {Base: 11, Words: two}}, "overlaps"},
+		"duplicated-base": {100, []CodeRun{{Base: 10, Words: two}, {Base: 10, Words: two}}, "overlaps"},
+	} {
+		st := newTestCPU().CaptureState()
+		st.IMemLen, st.IMem = c.n, c.runs
+		err := st.ValidateIMem()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ValidateIMem = %v, want an error saying %q", name, err, c.want)
+		}
+		if err := newTestCPU().RestoreState(st); err == nil {
+			t.Errorf("%s: RestoreState accepted the capture", name)
+		}
 	}
 }
 
@@ -85,9 +158,11 @@ func TestGoldenCodeForkCopyOnWrite(t *testing.T) {
 	add := w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)))
 	sub := w(isa.ALU(isa.OpSub, 2, isa.R(2), isa.Imm(1)))
 	st := newTestCPU().CaptureState()
-	st.IMem = make([]isa.Instr, 3*imemPageWords+10)
-	for _, pa := range []int{0, 1, 2*imemPageWords + 5, 3*imemPageWords + 9} {
-		st.IMem[pa] = add
+	st.IMemLen = 3*imemPageWords + 10
+	st.IMem = []CodeRun{
+		{Base: 0, Words: []isa.Instr{add, add}},
+		{Base: 2*imemPageWords + 5, Words: []isa.Instr{add}},
+		{Base: 3*imemPageWords + 9, Words: []isa.Instr{add}},
 	}
 	g := GoldenCodeFromState(&st)
 	if n := storedPages(&InstrMem{pages: g.pages}); n != 3 {
@@ -134,8 +209,8 @@ func TestGoldenCodeForkCopyOnWrite(t *testing.T) {
 	if err := c.RestoreFork(&st, g); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.CaptureState().IMem; len(got) != len(st.IMem) || got[2*imemPageWords+5] != add || got[imemPageWords] != (isa.Instr{}) {
-		t.Error("a fork's capture differs from the capture it was forked from")
+	if got := c.CaptureState(); got.IMemLen != st.IMemLen || !reflect.DeepEqual(got.IMem, st.IMem) {
+		t.Errorf("a fork's capture (%d words, runs %v) differs from the capture it was forked from", got.IMemLen, got.IMem)
 	}
 	if err := c.RestoreState(st); err != nil {
 		t.Fatal(err)

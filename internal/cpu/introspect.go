@@ -178,7 +178,8 @@ const (
 	// the FormRefusal.
 	JITRefused
 	// JITPoisoned: an entry block marked never-hot (heatNever) after
-	// its path failed to form.
+	// its path failed to form; Reason is the FormRefusal that truncated
+	// the path at its entry, or RefusalBlock when compilation failed.
 	JITPoisoned
 	// JITSideCompiled: a side stub compiled for a hot guard exit — the
 	// cold arm of a branch-direction guard or an indirect-target miss —

@@ -35,8 +35,22 @@ func shadowBranchCPU(n int32) *CPU {
 // machine leaves every formation counter exactly where it was.
 func TestHeatNeverShadowBranchPoisoning(t *testing.T) {
 	c := shadowBranchCPU(3000)
+	var poisonings []JITEvent
+	c.SetJITHook(func(e JITEvent) {
+		if e.Kind == JITPoisoned {
+			poisonings = append(poisonings, e)
+		}
+	})
 	run(t, c, 1_000_000)
 
+	if len(poisonings) == 0 {
+		t.Fatal("no poisoned JIT event")
+	}
+	for _, e := range poisonings {
+		if why := FormRefusal(e.Reason); why != RefusalShadowBranch {
+			t.Errorf("entry %d poisoned with reason %v, want %v", e.PC, why, RefusalShadowBranch)
+		}
+	}
 	if c.Trans.TraceFormRefusals[RefusalShadowBranch] == 0 {
 		t.Fatal("shadow-target branch never refused formation")
 	}

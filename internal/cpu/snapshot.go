@@ -37,8 +37,11 @@ type State struct {
 
 	Stats Stats
 
-	// IMem is the full instruction memory, physically indexed.
-	IMem []isa.Instr
+	// IMemLen is instruction memory's length in words, and IMem its
+	// code: the maximal runs of non-empty words, in address order. Every
+	// word below IMemLen outside the runs is empty.
+	IMemLen uint32
+	IMem    []CodeRun
 	// LastFault is the external mapping unit's fault latch.
 	LastFault *mem.Fault
 }
@@ -76,7 +79,7 @@ func (c *CPU) CaptureState() State {
 			Reg: w.reg, Val: w.val, IssuedAt: w.issuedAt, CommitAt: w.commitAt,
 		})
 	}
-	st.IMem = c.IMem.flatten()
+	st.IMemLen, st.IMem = c.IMem.n, c.IMem.capture()
 	if f := c.Bus.LastFault; f != nil {
 		fc := *f
 		st.LastFault = &fc
@@ -106,6 +109,11 @@ func (c *CPU) restore(st *State, code *GoldenCode) error {
 	if len(st.Pend) > len(c.pend) {
 		return fmt.Errorf("cpu: restore: %d pending loads exceed capacity %d", len(st.Pend), len(c.pend))
 	}
+	if code == nil {
+		if err := st.ValidateIMem(); err != nil {
+			return fmt.Errorf("cpu: restore: %w", err)
+		}
+	}
 	c.Regs = st.Regs
 	c.Lo = st.Lo
 	c.Sur = st.Sur
@@ -127,7 +135,7 @@ func (c *CPU) restore(st *State, code *GoldenCode) error {
 	if code != nil {
 		c.IMem = code.fork()
 	} else {
-		c.IMem.restore(st.IMem)
+		c.IMem.restore(st.IMemLen, st.IMem)
 	}
 	c.Bus.LastFault = nil
 	if st.LastFault != nil {

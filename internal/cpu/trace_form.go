@@ -204,15 +204,16 @@ func (b *block) heatBump() bool {
 }
 
 // markNeverTrace records that paths from the recording's entry do not
-// form: stop paying for recordings (and their allocations) in steady
-// state. Poisoning happens at most once per entry block (a poisoned
-// block never reaches the heat threshold again), so TracePoisoned
-// counts distinct poisoned entries until their blocks are dropped.
-func (c *CPU) markNeverTrace(entry tracePoint) {
+// form, for the reason why: stop paying for recordings (and their
+// allocations) in steady state. Poisoning happens at most once per
+// entry block (a poisoned block never reaches the heat threshold
+// again), so TracePoisoned counts distinct poisoned entries until their
+// blocks are dropped.
+func (c *CPU) markNeverTrace(entry tracePoint, why FormRefusal) {
 	entry.b.heat = heatNever
 	c.Trans.TracePoisoned++
 	if c.onJIT != nil {
-		c.emitJIT(JITEvent{Kind: JITPoisoned, PC: entry.pc})
+		c.emitJIT(JITEvent{Kind: JITPoisoned, Reason: uint8(why), PC: entry.pc})
 	}
 }
 
@@ -361,6 +362,7 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 	// block that cannot compile.
 	var taken [traceMaxBlocks]bool
 	var dsCount [traceMaxBlocks]uint8
+	var cut FormRefusal // why the path was truncated, if it was
 	ops := 0
 	for j := 0; j < lim; j++ {
 		nextPC := pts[lim].pc
@@ -374,19 +376,19 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 			// At most one refusal counts per recording: the first block
 			// that truncates the path.
 			c.refuseTrace(why, pts[j].pc)
-			lim, closed = j, false
+			lim, closed, cut = j, false, why
 			break
 		}
 		ops += int(pts[j].b.n) + 1 + int(dc)
 		if ops > traceMaxOps {
 			c.refuseTrace(RefusalOpBudget, pts[j].pc)
-			lim, closed = j, false
+			lim, closed, cut = j, false, RefusalOpBudget
 			break
 		}
 		taken[j], dsCount[j] = tk, dc
 	}
 	if lim < 1 {
-		c.markNeverTrace(pts[0])
+		c.markNeverTrace(pts[0], cut)
 		return
 	}
 	endPC := pts[lim].pc
@@ -471,7 +473,7 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 
 	tr := c.compileTrace(words, &c.trec.ctx, entry, endPC, spans)
 	if tr == nil {
-		c.markNeverTrace(pts[0])
+		c.markNeverTrace(pts[0], RefusalBlock)
 		return
 	}
 	c.installTrace(tr)

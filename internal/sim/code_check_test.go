@@ -38,8 +38,15 @@ func craftedCode(t *testing.T) map[string][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.CPU.IMem[w.CPU.PCQ[0]] = in
-		return encodeCrafted(t, w)
+		pc := w.CPU.PCQ[0]
+		for _, r := range w.CPU.IMem {
+			if r.Base <= pc && pc-r.Base < uint32(len(r.Words)) {
+				r.Words[pc-r.Base] = in
+				return encodeCrafted(t, w)
+			}
+		}
+		t.Fatalf("no code run holds the PC %d", pc)
+		return nil
 	}
 	add := isa.ALU(isa.OpAdd, 200, isa.R(1), isa.R(2))
 	alu := isa.ALU(isa.OpAdd, 1, isa.R(1), isa.R(2))

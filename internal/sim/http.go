@@ -46,7 +46,10 @@ import (
 
 // ProgramFunc compiles a named program; kernelTarget selects the
 // kernel-process memory layout. cmd/mipsd supplies the corpus this way
-// so the sim package stays free of the compiler.
+// so the sim package stays free of the compiler. The image it returns
+// may be shared across jobs, concurrent ones included (cmd/mipsd
+// returns one image per program and target): Load, and every machine
+// built from it, only reads the image.
 type ProgramFunc func(kernelTarget bool) (*isa.Image, error)
 
 // HTTPConfig assembles the job HTTP handler.

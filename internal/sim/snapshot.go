@@ -14,7 +14,7 @@ import (
 	"mips/internal/mem"
 )
 
-// Snapshot wire format, version 6:
+// Snapshot wire format, version 7:
 //
 //	offset  size  field
 //	0       8     magic "MIPSSNAP"
@@ -38,9 +38,11 @@ const (
 	// 2-4 grew the translation-layer counters the capture then carried;
 	// version 5 added the template provenance label (warm-fork
 	// admission); version 6 dropped the translation-layer counters,
-	// which describe caches the capture never held. Each changes the
-	// gob payload.
-	SnapshotVersion = 6
+	// which describe caches the capture never held; version 7 writes
+	// instruction memory as its length and its runs of code
+	// (cpu.CodeRun) instead of every word up to that length. Each
+	// changes the gob payload.
+	SnapshotVersion = 7
 	snapshotHeader  = 24
 	// maxSnapshotPayload bounds how much Restore will read: a corrupt
 	// length field must not become an allocation bomb. 1 GiB is far
@@ -134,12 +136,14 @@ func (m *Machine) SnapshotBytes() ([]byte, error) {
 }
 
 // decodeWire validates the container, decodes the payload, and checks
-// the memory it describes: a size within mem.MaxPhysWords (and one a
-// kernel machine can run on, for kernel snapshots) with every run inside
-// it, and instruction words, in memory and on the kernel's disk, that
-// isa.Instr.Validate accepts. Every path that builds from snapshot bytes
-// comes through here, so no later step allocates by a size the bytes
-// claim or executes a word no program can hold. Malformed input of any
+// the memory it describes: physical and instruction memory sizes within
+// mem.MaxPhysWords (and a physical size a kernel machine can run on,
+// for kernel snapshots), every run inside its memory and instruction
+// memory's runs in address order without overlap, and instruction
+// words, in memory and on the kernel's disk, that isa.Instr.Validate
+// accepts. Every path that builds from snapshot bytes comes through
+// here, so no later step allocates by a size the bytes claim or
+// executes a word no program can hold. Malformed input of any
 // kind — truncated, wrong magic or version, bad checksum, corrupt gob,
 // impossible memory, illegal code — returns an error wrapping
 // ErrSnapshotFormat; it never panics (the fuzz tests pin this).
@@ -177,8 +181,13 @@ func decodeWire(r io.Reader) (*snapshotWire, error) {
 			return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
 		}
 	}
-	if err := checkCode("instruction memory", wire.CPU.IMem); err != nil {
-		return nil, err
+	if err := wire.CPU.ValidateIMem(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrSnapshotFormat, err)
+	}
+	for _, r := range wire.CPU.IMem {
+		if err := checkCode(fmt.Sprintf("code run at %d", r.Base), r.Words); err != nil {
+			return nil, err
+		}
 	}
 	if wire.Kern != nil {
 		for _, pg := range wire.Kern.DiskPages {

@@ -14,6 +14,8 @@ import (
 	"runtime"
 	"testing"
 
+	"mips/internal/cpu"
+	"mips/internal/isa"
 	"mips/internal/kernel"
 	"mips/internal/mem"
 )
@@ -21,6 +23,14 @@ import (
 // craftedWires are payloads whose memory no machine can have.
 func craftedWires() map[string]*snapshotWire {
 	run := func(base uint32) []mem.PhysRun { return []mem.PhysRun{{Base: base, Words: []uint32{1, 2}}} }
+	add := isa.Word(isa.ALU(isa.OpAdd, 1, isa.R(1), isa.Imm(1)))
+	code := func(n uint32, bases ...uint32) *snapshotWire {
+		w := &snapshotWire{Phys: mem.PhysState{Size: 1 << 16}, CPU: cpu.State{IMemLen: n}}
+		for _, b := range bases {
+			w.CPU.IMem = append(w.CPU.IMem, cpu.CodeRun{Base: b, Words: []isa.Instr{add, add}})
+		}
+		return w
+	}
 	return map[string]*snapshotWire{
 		"bare-size-2^32-1":     {Phys: mem.PhysState{Size: 1<<32 - 1}},
 		"bare-over-max":        {Phys: mem.PhysState{Size: mem.MaxPhysWords + 1}},
@@ -29,6 +39,12 @@ func craftedWires() map[string]*snapshotWire {
 		"kernel-no-user-frame": {Kernel: true, Kern: &kernel.State{}, Phys: mem.PhysState{Size: 1 << 12}},
 		"run-past-end":         {Phys: mem.PhysState{Size: 1 << 16, Runs: run(1<<16 - 1)}},
 		"run-base-wraps":       {Phys: mem.PhysState{Size: 1 << 16, Runs: run(1<<32 - 1)}},
+		"imem-size-2^32-1":     code(1<<32 - 1),
+		"imem-over-max":        code(mem.MaxPhysWords+1, 16),
+		"code-run-past-end":    code(1<<12, 1<<12-1),
+		"code-run-base-wraps":  code(1<<12, 1<<32-1),
+		"code-runs-unsorted":   code(1<<12, 100, 16),
+		"code-runs-overlap":    code(1<<12, 16, 17),
 	}
 }
 

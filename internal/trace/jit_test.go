@@ -139,6 +139,26 @@ func TestJITWriteJSONL(t *testing.T) {
 	}
 }
 
+// TestMarshalJITEventReasons pins the reason axis per kind: a
+// poisoning reads the refusal that poisoned it, and a kind without a
+// reason axis reads "".
+func TestMarshalJITEventReasons(t *testing.T) {
+	for _, c := range []struct {
+		e    cpu.JITEvent
+		want string
+	}{
+		{cpu.JITEvent{Kind: cpu.JITPoisoned, Reason: uint8(cpu.RefusalShadowBranch)}, "shadow_branch"},
+		{cpu.JITEvent{Kind: cpu.JITPoisoned, Reason: uint8(cpu.RefusalBlock)}, "block"},
+		{cpu.JITEvent{Kind: cpu.JITRefused, Reason: uint8(cpu.RefusalOpBudget)}, "op_budget"},
+		{cpu.JITEvent{Kind: cpu.JITGuardExit, Reason: uint8(cpu.DeoptFault)}, cpu.DeoptFault.String()},
+		{cpu.JITEvent{Kind: cpu.JITCompiled, Reason: 3}, ""},
+	} {
+		if got := MarshalJITEvent(c.e); got.Kind != c.e.Kind.String() || got.Reason != c.want {
+			t.Errorf("MarshalJITEvent(%+v) = kind %q reason %q, want %q %q", c.e, got.Kind, got.Reason, c.e.Kind.String(), c.want)
+		}
+	}
+}
+
 func TestJITWriteChromeJSON(t *testing.T) {
 	l := NewJITLog(16)
 	l.Record(cpu.JITEvent{Kind: cpu.JITFormed, Cycle: 1, PC: 2, Len: 3})

@@ -38,6 +38,9 @@ go test -run 'TestAdmissionForkSpeedup|TestKernelJobAllocs' -count=1 -v .
 go test -run '^$' -bench 'AdmissionColdBoot|AdmissionTemplateFork|SnapshotRoundTripKernel' \
     -benchmem -benchtime 1s .
 
+echo "==> snapshot of a halted kernel fib machine, split: encode (with its size, snap-bytes) and restore"
+go test -run '^$' -bench 'SnapshotEncodeKernel|SnapshotRestoreKernel' -benchmem -benchtime 1s .
+
 echo "==> physical memory: per-access load/store cost"
 go test ./internal/mem/ -run '^$' -bench PhysicalLoadStore -benchtime 1s
 

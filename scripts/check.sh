@@ -25,12 +25,17 @@ echo "==> go test ./..."
 go test ./...
 
 # Time-boxed runs of the block engine's and the trace tier's
-# differential fuzz targets, beyond their committed seeds (which go test
-# ./... above already ran).
+# differential fuzz targets and of the snapshot decoder's, beyond their
+# committed seeds (which go test ./... above already ran).
 echo "==> go test -fuzz FuzzBlockBody (10s)"
 go test -run '^$' -fuzz '^FuzzBlockBody$' -fuzztime 10s ./internal/cpu
 echo "==> go test -fuzz FuzzTraceBody (10s)"
 go test -run '^$' -fuzz '^FuzzTraceBody$' -fuzztime 10s ./internal/cpu
+# Snapshot decoding against mutated code: instruction memory's length
+# and runs, and the kernel's backing-store code, re-encoded with a valid
+# checksum.
+echo "==> go test -fuzz FuzzRestoreWire (10s)"
+go test -run '^$' -fuzz '^FuzzRestoreWire$' -fuzztime 10s ./internal/sim
 
 # bench/ is a module of its own (it builds against this checkout through
 # a replace directive), so ./... above does not reach it.
