@@ -18,6 +18,7 @@ const (
 	bbPendingLoad                   // a load is in flight at block entry
 	bbInterrupt                     // the interrupt line is high at block entry
 	bbOverflow                      // arithmetic overflow traps
+	bbJumpMove                      // a looped program moves its indirect-jump target every pass
 	bbEnvBits     = iota
 )
 
@@ -32,7 +33,7 @@ const (
 	bbMemTop   = 4 * mem.PageWords
 	bbTimerIO  = 1 << 20
 	bbDevFrame = 8
-	bbJumpReg  = isa.Reg(isa.NumRegs - 1) // holds the indirect-jump target; never written
+	bbJumpReg  = isa.Reg(isa.NumRegs - 1) // holds the indirect-jump target; the block never writes it
 	bbLoopReg  = isa.Reg(isa.NumRegs - 2) // a looped program's counter; never written by the block
 	bbLoops    = 48                       // iterations of a looped program
 )
@@ -268,6 +269,10 @@ type memRef struct {
 // a halt at the transfer target. A looped program instead runs both
 // paths into a tail at the transfer target that counts bbLoopReg down
 // from bbLoops and branches back to bbEntry until it reaches zero.
+// Under bbJumpMove the tail first flips bit 0 of bbJumpReg, so an
+// indirect-jump terminator alternates between the target and its
+// neighbour, the word before or after it, and each runs into the same
+// count-down.
 func newBBMachine(env uint8, prog []byte, loop bool) *bbMachine {
 	g := &bbGen{in: prog, loop: loop}
 	n := 1 + uint32(g.byte()%48)
@@ -286,8 +291,13 @@ func newBBMachine(env uint8, prog []byte, loop bool) *bbMachine {
 	if loop {
 		back := isa.Branch(isa.CmpNE, isa.R(bbLoopReg), isa.Imm(0), "")
 		back.Target = bbEntry
-		code = append(code, isa.NopWord(),
-			w(isa.ALU(isa.OpSub, bbLoopReg, isa.R(bbLoopReg), isa.Imm(1))), // the target
+		code = append(code, isa.NopWord())
+		if env&bbJumpMove != 0 {
+			code = append(code, isa.NopWord(), // the target
+				w(isa.ALU(isa.OpXor, bbJumpReg, isa.R(bbJumpReg), isa.Imm(1))))
+		}
+		code = append(code,
+			w(isa.ALU(isa.OpSub, bbLoopReg, isa.R(bbLoopReg), isa.Imm(1))), // the target without bbJumpMove
 			w(back), isa.NopWord(), halt)
 		m.maxSteps = uint64(bbLoops * len(code))
 	} else {

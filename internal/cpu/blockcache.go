@@ -158,20 +158,6 @@ type TranslationStats struct {
 	TraceFormRefusals [NumFormRefusals]uint64
 	TracePoisoned     uint64
 
-	// Side-exit resolution. TraceSideHits counts branch-direction guard
-	// exits resolved inside the trace tier — the exit chained straight
-	// into the trace or side stub covering the other direction instead
-	// of falling back to dispatch; TraceICHits the same for
-	// indirect-target exits resolved through a trace word's inline
-	// target cache. Together with TraceGuardExits they partition every
-	// op-level trace exit: each exit counts exactly one of the three.
-	// TraceSideCompiled counts side stubs compiled for hot branch arms,
-	// TraceICInstalls stubs installed into inline-cache entries.
-	TraceSideHits     uint64
-	TraceICHits       uint64
-	TraceSideCompiled uint64
-	TraceICInstalls   uint64
-
 	// TierInstrs attributes every retired instruction to the engine
 	// tier that retired it (per-instruction stepping on the reference
 	// engine or beneath a translation tier, superblock engine, trace
@@ -188,8 +174,7 @@ func (t *TranslationStats) String() string {
 	return fmt.Sprintf("blocks hit=%d chain=%d xlate=%d inval=%d bail=%d | traces formed=%d compiled=%d hit=%d exit=%d inval=%d"+
 		" | deopt dir=%d ind=%d fault=%d env=%d int=%d budget=%d"+
 		" | refuse priv=%d shadow=%d jind=%d ds=%d block=%d short=%d ops=%d poison=%d"+
-		" | tier ref=%d fast=%d blocks=%d traces=%d"+
-		" | side hit=%d ichit=%d comp=%d icinst=%d",
+		" | tier ref=%d fast=%d blocks=%d traces=%d",
 		t.BlockHits, t.BlockChained, t.BlockTranslations, t.BlockInvalidations, t.BlockBails,
 		t.TraceFormed, t.TraceCompiled, t.TraceDispatchHits, t.TraceGuardExits, t.TraceInvalidations,
 		t.TraceDeopts[DeoptBranchDirection], t.TraceDeopts[DeoptIndirectTarget], t.TraceDeopts[DeoptFault],
@@ -198,8 +183,7 @@ func (t *TranslationStats) String() string {
 		t.TraceFormRefusals[RefusalJumpInd], t.TraceFormRefusals[RefusalDelaySlot],
 		t.TraceFormRefusals[RefusalBlock], t.TraceFormRefusals[RefusalShortPath],
 		t.TraceFormRefusals[RefusalOpBudget], t.TracePoisoned,
-		t.TierInstrs[TierReference], t.TierInstrs[TierFast], t.TierInstrs[TierBlocks], t.TierInstrs[TierTraces],
-		t.TraceSideHits, t.TraceICHits, t.TraceSideCompiled, t.TraceICInstalls)
+		t.TierInstrs[TierReference], t.TierInstrs[TierFast], t.TierInstrs[TierBlocks], t.TierInstrs[TierTraces])
 }
 
 // bodyKind reports whether a memory/control slot kind may appear inside

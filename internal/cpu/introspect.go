@@ -181,15 +181,11 @@ const (
 	// its path failed to form; Reason is the FormRefusal that truncated
 	// the path at its entry, or RefusalBlock when compilation failed.
 	JITPoisoned
-	// JITSideCompiled: a side stub compiled for a hot guard exit — the
-	// cold arm of a branch-direction guard or an indirect-target miss —
-	// and wired exit-to-entry into the trace tree.
-	JITSideCompiled
 )
 
 var jitKindNames = [...]string{
 	"formed", "compiled", "dispatch_cold", "guard_exit",
-	"invalidated", "refused", "poisoned", "side_compiled",
+	"invalidated", "refused", "poisoned",
 }
 
 func (k JITEventKind) String() string {
@@ -250,17 +246,14 @@ func (c *CPU) unlockTraces() {
 // TraceSite is the per-entry-PC introspection view of one live compiled
 // trace: identity, shape, and its dispatch/retirement/deopt history.
 type TraceSite struct {
-	EntryPC  uint32
-	EndPC    uint32
-	Ops      int    // compiled op count (a nop run is one op)
-	Blocks   int    // superblocks fused
-	Words    uint32 // instruction-memory words covered (span total)
-	Side     bool   // a side stub (guard-exit continuation), not a heat-formed entry
-	Hits     uint64 // dispatches (cache entry and chaining alike)
-	Instrs   uint64 // instructions retired inside this trace
-	SideHits uint64 // branch-direction exits here resolved in-tier
-	ICHits   uint64 // indirect-target exits here resolved through the ICs
-	Deopts   [NumDeoptReasons]uint64
+	EntryPC uint32
+	EndPC   uint32
+	Ops     int    // compiled op count (a nop run is one op)
+	Blocks  int    // superblocks fused
+	Words   uint32 // instruction-memory words covered (span total)
+	Hits    uint64 // dispatches (cache entry and chaining alike)
+	Instrs  uint64 // instructions retired inside this trace
+	Deopts  [NumDeoptReasons]uint64
 }
 
 // TraceSites returns the introspection view of every live compiled
@@ -273,15 +266,12 @@ func (c *CPU) TraceSites() []TraceSite {
 	out := make([]TraceSite, 0, len(c.liveTraces))
 	for _, tr := range c.liveTraces {
 		s := TraceSite{
-			EntryPC:  tr.pc,
-			EndPC:    tr.endPC,
-			Ops:      len(tr.ins),
-			Blocks:   len(tr.spans),
-			Side:     tr.side,
-			Hits:     atomic.LoadUint64(&tr.hits),
-			Instrs:   atomic.LoadUint64(&tr.instrs),
-			SideHits: atomic.LoadUint64(&tr.sideHits),
-			ICHits:   atomic.LoadUint64(&tr.icHits),
+			EntryPC: tr.pc,
+			EndPC:   tr.endPC,
+			Ops:     len(tr.ins),
+			Blocks:  len(tr.spans),
+			Hits:    atomic.LoadUint64(&tr.hits),
+			Instrs:  atomic.LoadUint64(&tr.instrs),
 		}
 		for _, sp := range tr.spans {
 			s.Words += sp.n

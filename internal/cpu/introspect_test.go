@@ -106,13 +106,11 @@ func TestDeoptTaxonomyPartition(t *testing.T) {
 	if len(sites) == 0 {
 		t.Fatal("no live trace sites after a traced run")
 	}
-	var hits, instrs, sideHits, icHits uint64
+	var hits, instrs uint64
 	var perSite [NumDeoptReasons]uint64
 	for _, s := range sites {
 		hits += s.Hits
 		instrs += s.Instrs
-		sideHits += s.SideHits
-		icHits += s.ICHits
 		for r, v := range s.Deopts {
 			perSite[r] += v
 		}
@@ -127,14 +125,6 @@ func TestDeoptTaxonomyPartition(t *testing.T) {
 	}
 	if instrs == 0 || instrs != c.Trans.TierInstrs[TierTraces] {
 		t.Errorf("site instrs sum to %d, want trace-tier residency %d", instrs, c.Trans.TierInstrs[TierTraces])
-	}
-	// The in-tier resolution counters partition per-site exactly like the
-	// guard exits: every side/IC hit is attributed to the exiting trace.
-	if sideHits != c.Trans.TraceSideHits {
-		t.Errorf("site side hits sum to %d, want global %d", sideHits, c.Trans.TraceSideHits)
-	}
-	if icHits != c.Trans.TraceICHits {
-		t.Errorf("site IC hits sum to %d, want global %d", icHits, c.Trans.TraceICHits)
 	}
 }
 
@@ -191,11 +181,8 @@ func TestJITEventHook(t *testing.T) {
 	if got, want := byKind[JITCompiled], int(c.Trans.TraceCompiled); got != want {
 		t.Errorf("compiled events %d, want counter %d", got, want)
 	}
-	if got, want := byKind[JITDispatchCold], int(c.Trans.TraceCompiled+c.Trans.TraceSideCompiled); got != want {
-		t.Errorf("dispatch-cold events %d, want one per compiled trace and side stub (%d)", got, want)
-	}
-	if got, want := byKind[JITSideCompiled], int(c.Trans.TraceSideCompiled); got != want {
-		t.Errorf("side-compiled events %d, want counter %d", got, want)
+	if got, want := byKind[JITDispatchCold], int(c.Trans.TraceCompiled); got != want {
+		t.Errorf("dispatch-cold events %d, want one per compiled trace (%d)", got, want)
 	}
 	if got, want := byKind[JITGuardExit], int(c.Trans.TraceGuardExits); got != want {
 		t.Errorf("guard-exit events %d, want counter %d", got, want)
@@ -264,7 +251,7 @@ func TestReasonNames(t *testing.T) {
 		}
 	}
 	wantKind := []string{"formed", "compiled", "dispatch_cold", "guard_exit",
-		"invalidated", "refused", "poisoned", "side_compiled"}
+		"invalidated", "refused", "poisoned"}
 	for k, want := range wantKind {
 		if got := JITEventKind(k).String(); got != want {
 			t.Errorf("JITEventKind(%d) = %q, want %q", k, got, want)

@@ -112,19 +112,23 @@ func (c *CPU) traceFault2(q [3]uint32, primary, secondary isa.Cause) {
 // runTrace executes a compiled trace from its entry, then chains
 // trace-to-trace through the cache (a loop trace chains to itself)
 // while each trace entered fits the steps left of the run. A guard exit
-// chains too when it left a single-entry (hence sequential) queue and
-// raised no exception: a mispredicted direction frequently lands at the
-// entry of the trace covering the other path, and bouncing through the
-// lower tiers for one dispatch would forfeit the trace. The dispatch
-// guards hold for the whole chain: nothing inside a trace can change the
-// translation context ctx or what stepTraces checked (privilege,
-// overflow enable and the page map only change through words a trace
-// refuses to contain or through devices, whose references exit before
-// the access), so the TLB, synced here, serves the mapped handlers'
-// probes. The tickers are advanced only afterwards, so each trace
-// entered must fit what is left of their horizon and of the run's steps
-// (until the exception that ends the chain, each step is an instruction).
-func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) {
+// that raised no exception chains too: a mispredicted direction or
+// indirect target first drains the delay slots it left in flight on the
+// exact executor, and the queue it leaves is then sequential, often at
+// the entry of the trace covering the path execution actually took.
+// Bouncing through the lower tiers for those words would forfeit the
+// trace. The dispatch guards hold for the whole chain: nothing inside a
+// trace can change the translation context ctx or what stepTraces
+// checked (privilege, overflow enable and the page map only change
+// through words a trace refuses to contain or through devices, whose
+// references exit before the access, and drainable keeps both from the
+// drain), so the TLB, synced here, serves the mapped handlers' probes.
+// The tickers are advanced only afterwards, so each trace entered must
+// fit what is left of their horizon and of the run's steps (until the
+// exception that ends the chain, each step is an instruction), and the
+// drain stops at the same bound. It returns how many instructions the
+// drain retired: the exact executor ticked those itself.
+func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) (drained uint64) {
 	c.trOvfOn = c.Sur.OverflowEnabled()
 	if ctx.Mapped {
 		c.Bus.MMU.SyncTLB()
@@ -156,28 +160,17 @@ func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) {
 		if clean {
 			tr.cost.add(&c.Stats)
 			c.pcq[0], c.pcn = tr.endPC, 1
-			tr.instrs += c.Stats.Instructions - t0
-		} else {
-			tr.instrs += c.Stats.Instructions - t0
+		}
+		tr.instrs += c.Stats.Instructions - t0
+		if !clean {
 			// The handler set c.deopt immediately before returning
 			// false. A device reference left the word to the lower
-			// tiers: that is the environment, not a guard. Mispredicted
-			// directions and indirect targets first try to resolve
-			// inside the tier — chain straight into the trace or side
-			// stub covering where execution actually went — and only an
-			// unresolved exit counts as a guard exit, so the per-reason
-			// slots stay an exact partition of the total and every op
-			// exit counts exactly one of guard-exit, side-hit, or IC-hit.
+			// tiers: that is the environment, not a guard. Every other
+			// exit counts one guard exit by reason.
 			r := c.deopt
 			if r == deoptDevice {
 				c.Trans.TraceDeoptEnvironment++
-				return
-			}
-			if (r == DeoptBranchDirection || r == DeoptIndirectTarget) && c.excSeq == exc0 {
-				if nt := c.sideResolve(tr, xi, r, ctx, end-c.Stats.Instructions); nt != nil {
-					tr = nt
-					continue
-				}
+				return drained
 			}
 			c.Trans.TraceGuardExits++
 			c.Trans.TraceDeopts[r]++
@@ -185,109 +178,59 @@ func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) {
 			if c.onJIT != nil {
 				c.emitJIT(JITEvent{Kind: JITGuardExit, Reason: uint8(r), PC: tr.pc, Len: uint32(xi)})
 			}
-			if c.Halted || c.excSeq != exc0 || c.pcn != 1 {
-				return
+			for !c.Halted && c.excSeq == exc0 && !c.queueSequential() {
+				if c.Stats.Instructions >= end || !c.drainable() {
+					return drained
+				}
+				i := c.Stats.Instructions
+				c.step()
+				drained += c.Stats.Instructions - i
+			}
+			if c.Halted || c.excSeq != exc0 {
+				return drained
 			}
 		}
 		nt := c.traceAt(c.pcq[0], ctx)
 		if nt == nil {
-			return
+			return drained
 		}
 		if c.Stats.Instructions+uint64(nt.words) > end {
 			c.standDown(uint64(nt.words), horizon-(c.Stats.Instructions-i0))
-			return
+			return drained
 		}
 		tr = nt
 	}
 }
 
-// sideResolve tries to keep a mispredicted-direction or wrong-target
-// exit inside the trace tier. The exiting op left the exact
-// architectural fetch queue, which is all the classification needs:
-//
-//   - a sequential queue (the cold arm starts at the next word, no
-//     delay slot in flight) chains into a compiled trace there;
-//   - a redirect queue — [ds, target] after a branch, [ds0, ds1, target]
-//     after an indirect jump — looks the target up in the op's side slot
-//     (MRU first) and chains into the stub there, the flattened delay
-//     slots ending at the target; a miss compiles and installs one once
-//     the op's exits cross sideThreshold.
-//
-// room is what is left of the tickers' horizon and the run's steps: a
-// continuation longer than that stays unresolved. A successful
-// resolution returns the trace to continue in, having counted a side/IC
-// hit; nil falls back to the guard-exit path.
-func (c *CPU) sideResolve(tr *trace, xi int, r DeoptReason, ctx *mem.Context, room uint64) *trace {
-	if c.pcn == 1 || (c.pcn == 2 && c.pcq[1] == c.pcq[0]+1) {
-		if nt := c.traceAt(c.pcq[0], ctx); nt != nil && uint64(nt.words) <= room {
-			c.Trans.TraceSideHits++
-			tr.sideHits++
-			return nt
-		}
-		return nil
+// drainable reports whether the delay-slot word at the head of the
+// fetch queue may run inside a trace chain without changing what
+// dispatch latched for it or seeing the tickers before they advance: a
+// privileged word could change privilege, overflow enable or the
+// address map, and a device reference could do anything. Only a mapped
+// trace runs on a bus with devices, so a load or store there
+// translates its address first, as the word itself is about to; one
+// whose address reads a load still in flight does not drain. A word
+// that faults before touching a device drains: the fault ends the chain
+// exactly.
+func (c *CPU) drainable() bool {
+	pc := c.pcq[0]
+	in, f := c.fetch(pc)
+	if f != nil {
+		return true
 	}
-	// A stub is at most two words.
-	if tr.sides == nil || room < 2 {
-		return nil
+	if privileged(in) {
+		return false
 	}
-	dsN := 1
-	if r == DeoptIndirectTarget {
-		dsN = 2
+	m := in.Mem
+	if len(c.Bus.devices) == 0 || m == nil || m.Kind == isa.PieceLoad && m.Mode == isa.AModeLongImm ||
+		m.Kind != isa.PieceLoad && m.Kind != isa.PieceStore {
+		return true
 	}
-	if c.pcn != dsN+1 {
-		return nil
+	if c.pendN != 0 {
+		return false
 	}
-	t := c.pcq[dsN]
-	s := &tr.sides[tr.ins[xi].sx]
-	for k, st := range s.stub {
-		if st != nil && st.valid && s.tgt[k] == t {
-			if k == 1 {
-				s.tgt[0], s.tgt[1] = s.tgt[1], s.tgt[0]
-				s.stub[0], s.stub[1] = s.stub[1], s.stub[0]
-			}
-			c.sideHit(tr, r)
-			return st
-		}
-	}
-	if s.hot == sideNever {
-		return nil
-	}
-	s.hot++
-	if s.hot < sideThreshold {
-		return nil
-	}
-	st := c.buildSideStub(ctx, c.pcq[0], dsN, t)
-	if st == nil {
-		// Compilability depends only on the delay-slot words, which are
-		// the same for every target: poison the whole slot.
-		s.hot = sideNever
-		return nil
-	}
-	s.hot = 0
-	s.tgt[1], s.stub[1] = s.tgt[0], s.stub[0]
-	s.tgt[0], s.stub[0] = t, st
-	if r == DeoptBranchDirection {
-		c.Trans.TraceSideCompiled++
-	} else {
-		c.Trans.TraceICInstalls++
-	}
-	if c.onJIT != nil {
-		c.emitJIT(JITEvent{Kind: JITSideCompiled, PC: st.pc, Len: uint32(len(st.ins))})
-	}
-	c.sideHit(tr, r)
-	return st
-}
-
-// sideHit counts an exit resolved through a side slot: a side hit for a
-// branch direction, an inline-cache hit for an indirect target.
-func (c *CPU) sideHit(tr *trace, r DeoptReason) {
-	if r == DeoptBranchDirection {
-		c.Trans.TraceSideHits++
-		tr.sideHits++
-	} else {
-		c.Trans.TraceICHits++
-		tr.icHits++
-	}
+	pa, f := c.Bus.MMU.Translate(c.effectiveAddr(m, pc), m.Kind == isa.PieceStore, true)
+	return f != nil || c.Bus.device(pa) == nil
 }
 
 // standDown counts a ready trace of w words too long to enter: lost trace
@@ -301,102 +244,26 @@ func (c *CPU) standDown(w, horizon uint64) {
 	}
 }
 
-// buildSideStub compiles the minimal continuation of a guard exit: the
-// dsN delay-slot words still in flight (starting at dsPC), flattened
-// with the exact fault-restart queues of a drain toward
-// control target x, ending at x. After a clean stub pass the queue is
-// [x] and the ordinary chain loop picks up the trace there — so the
-// stub stitches the parent to the cold path's own trace, forming a
-// trace tree, without ever returning to dispatch.
-//
-// The words come fresh from live instruction memory, never from the
-// parent's recording: a stub built after self-modification must reflect
-// what the lower tiers would fetch. Under a mapped context each word's
-// address translates first, exactly as the lower tiers' fetch of it next
-// would; a word that does not translate builds no stub. The stub runs
-// only from its parent's side slot, so only under the parent's context,
-// which it shares. Stubs are derived state like every trace — a code
-// write drops them, validity is checked at every use, and a dropped
-// stub re-forms from memory on the next hot exit.
-func (c *CPU) buildSideStub(ctx *mem.Context, dsPC uint32, dsN int, x uint32) *trace {
-	var ds [2]decoded
-	var words [2]traceWord
-	var spans [2]traceSpan
-	ns := 0
-	for k := 0; k < dsN; k++ {
-		vpc := dsPC + uint32(k)
-		pa := vpc
-		if ctx.Mapped {
-			var f *mem.Fault
-			if pa, f = c.Bus.MMU.Translate(vpc, false, true); f != nil {
-				return nil
-			}
-		}
-		if pa >= c.IMem.n {
-			return nil
-		}
-		in := c.IMem.At(pa)
-		if in.ALU == nil && in.Mem == nil {
-			return nil
-		}
-		d := &ds[k]
-		decodeWord(d, in)
-		classifyLean(d)
-		if !dsCompilable(d) {
-			return nil
-		}
-		// Entry state is unknown (a load may be pending from the
-		// parent): no stub word takes a check-free specialization.
-		words[k] = traceWord{d: d, vpc: vpc, x: x, shape: qFirst, hazard: true}
-		if ns > 0 && spans[ns-1].pa+spans[ns-1].n == pa {
-			spans[ns-1].n++
-		} else {
-			spans[ns] = traceSpan{pa: pa, n: 1}
-			ns++
-		}
-	}
-	words[dsN-1].shape = qLast
-	tr := c.compileTrace(words[:dsN], ctx, dsPC, x, append([]traceSpan(nil), spans[:ns]...))
-	if tr == nil {
-		return nil
-	}
-	tr.side = true
-	c.installSideTrace(tr)
-	return tr
-}
-
-// sideGuard reports whether a word compiles to an op whose guard can
-// exit toward a resolvable continuation (a branch direction or an
-// indirect target), and so needs a side slot. No packed word the ISA
-// encodes carries such a guard.
-func sideGuard(d *decoded) bool {
-	return d.bclass == bcBranch || d.bclass == bcJumpInd
-}
-
 // compileTrace builds the op record array for a flattened path. It is
 // total over validated words: formation already refused everything the
 // handlers cannot specialize, so a nil return means an internal
 // inconsistency and the path is simply not installed. A counting pass
-// sizes the records, the decoded copies of packed words, and the
-// side slots exactly, so compilation makes a constant number of
-// allocations whatever the trace's length. The trace keeps nothing of
-// words, whose decoded pointers reach into the recorded blocks or a
-// side stub's stack. Under a mapped ctx, memory words take the handlers
-// that translate (no check-free specialization does).
+// sizes the records and the decoded copies of packed words exactly, so
+// compilation makes a constant number of allocations whatever the
+// trace's length. The trace keeps nothing of words, whose decoded
+// pointers reach into the recorded blocks. Under a mapped ctx, memory
+// words take the handlers that translate (no check-free specialization
+// does).
 func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uint32, spans []traceSpan) *trace {
-	n, ng, ns := 0, 0, 0
+	n, ng := 0, 0
 	for i := 0; i < len(words); i++ {
-		d := words[i].d
-		switch {
-		case d.bclass == bcNop:
+		switch words[i].d.bclass {
+		case bcNop:
 			for i+1 < len(words) && words[i+1].d.bclass == bcNop {
 				i++
 			}
-		case d.bclass == bcGeneral:
+		case bcGeneral:
 			ng++
-		}
-		if sideGuard(d) {
-			ns++
 		}
 		n++
 	}
@@ -409,11 +276,7 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 	if ng > 0 {
 		tr.dec = make([]decoded, 0, ng)
 	}
-	if ns > 0 {
-		tr.sides = make([]sideSlot, ns)
-	}
 	var pre traceCost
-	sx := uint8(0)
 	for i, k := 0, 0; i < len(words); k++ {
 		w := &words[i]
 		in := &tr.ins[k]
@@ -433,10 +296,6 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 			continue
 		}
 		in.target, in.shape = w.x, w.shape
-		if sideGuard(w.d) {
-			in.sx = sx
-			sx++
-		}
 		var happy traceCost
 		switch w.d.bclass {
 		case bcGeneral:

@@ -173,18 +173,24 @@ func (c *CPU) enterTrace(tr *trace, ctx *mem.Context, left uint64) bool {
 		return false
 	}
 	i0, exc0 := c.Stats.Instructions, c.excSeq
-	c.runTrace(tr, ctx, horizon, left)
+	drained := c.runTrace(tr, ctx, horizon, left)
 	n := c.Stats.Instructions - i0
 	if n == 0 {
 		// The first word left a device reference to the lower tiers.
 		return false
 	}
+	// The drained delay slots ran, and ticked, on the exact executor.
+	n -= drained
 	c.Trans.TierInstrs[TierTraces] += n
+	c.Trans.TierInstrs[TierFast] += drained
 	if len(c.Bus.tickers) != 0 {
-		// Every retired word ran at user level except one that raised
-		// an exception: the lower tiers tick that word only after
-		// exception entry, when the timer no longer counts.
-		if c.excSeq != exc0 {
+		// Every word a handler retired ran at user level except one
+		// that raised an exception: the lower tiers tick that word only
+		// after exception entry, when the timer no longer counts. That
+		// handler exits DeoptFault and ends the chain; an exception a
+		// drained word raised follows a direction or indirect-target
+		// exit, and the exact executor ticked that word itself.
+		if c.excSeq != exc0 && c.deopt == DeoptFault {
 			n--
 		}
 		c.Bus.advance(n)

@@ -14,8 +14,14 @@ import "testing"
 // of the generic and check-free handlers: a load pending at a mapped
 // trace's nops, set-condition, long-immediate, load and store words,
 // the fault exits of trLoad, trStore, trLoadDisp and trStoreDisp, and
-// trALU's overflow exit. The last reaches a mapped taken branch with a
-// load pending.
+// trALU's overflow exit. The next reaches a mapped taken branch with a
+// load pending. Then, in order: guard exits of trBranchNotTaken, whose
+// queue drains the delay slot in the chain, unmapped and mapped; guard
+// exits of trJumpInd with a load pending, unmapped and mapped, which
+// need bbJumpMove (without it the jump always goes where the trace
+// recorded); the overflow exits of trAdd and of trSub; and a load
+// pending at a trLoad, which a trLoad that skips its pending-load
+// commit gets wrong.
 var traceBodySeeds = []struct {
 	env uint8
 	k   uint32
@@ -31,13 +37,17 @@ var traceBodySeeds = []struct {
 	{bbMapped, 8157, false}, {bbMapped, 6521, false}, {bbMapped, 5, false}, {bbMapped, 13805, false},
 	{0, 3940, false}, {0, 7800, false}, {0, 1896, false}, {0, 9178, false},
 	{bbOverflow | bbPendingLoad, 12467, false}, {bbMapped | bbPendingLoad, 1360, false},
+	{0, 2064, false}, {bbMapped | bbPendingLoad, 19921, false},
+	{bbJumpMove, 1887, false}, {bbJumpMove | bbMapped | bbPendingLoad, 5532, false},
+	{bbOverflow, 105303, false}, {bbOverflow, 27714, false},
+	{bbPendingLoad, 1807, false},
 }
 
 // FuzzTraceBody runs one random superblock on the trace tier and on the
 // reference interpreter and requires the state FuzzBlockBody compares
 // to agree. The block loops back to its entry bbLoops times under a
 // reserved counter, so it runs hot enough to form, compile and dispatch
-// a trace, and its exits reach side stubs and inline caches.
+// a trace, and its guard exits drain their delay slots in the chain.
 func FuzzTraceBody(f *testing.F) {
 	for _, s := range traceBodySeeds {
 		f.Add(s.env, bbSeed(s.k))

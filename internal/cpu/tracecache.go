@@ -46,12 +46,6 @@ const (
 	// fuse; traceMaxOps bounds the compiled op count.
 	traceMaxBlocks = 16
 	traceMaxOps    = 256
-
-	// sideThreshold is how many times one op's guard must exit toward
-	// the same unresolved continuation before a side stub is compiled
-	// for it. Lower than heatThreshold: the parent trace being hot is
-	// already established, only the exit's own heat is in question.
-	sideThreshold = 16
 )
 
 // traceFn is a compiled op's handler: a static, non-capturing function
@@ -93,7 +87,6 @@ type traceInst struct {
 	op                isa.ALUOp
 	cmp               isa.Cmp // ALU set-condition or branch compare
 	shape             uint8   // exit queue shape: qSeq, qFirst, or qLast
-	sx                uint8   // side slot index, for direction and indirect guards
 	unary, dstRead    bool
 	taken             bool // a branch's recorded direction
 	eager             bool // a load's commit is unobservable: write at once
@@ -171,23 +164,6 @@ type traceSpan struct {
 	n  uint32
 }
 
-// sideSlot is one compiled op's side-exit state: how hot its guard
-// exits run, and the side stubs compiled for them, keyed by the target
-// the exit's redirect queue heads to (MRU entry first): a branch guard's
-// cold arm has one target, an indirect guard's inline cache two.
-// All of it is derived state rebuilt on demand: validity is checked on
-// every use, and a dropped stub re-forms from live instruction memory.
-type sideSlot struct {
-	hot  uint32 // exits observed since the last build (sideNever: poisoned)
-	tgt  [2]uint32
-	stub [2]*trace
-}
-
-// sideNever poisons a side slot whose continuation cannot compile, so
-// steady state stops re-attempting (and re-allocating) the build. A
-// rebuilt parent trace allocates fresh slots.
-const sideNever = ^uint32(0)
-
 // trace is one compiled trace: its key (entry PC and translation
 // context), the flat op record array, the bulk cost of a clean pass, the
 // resume point after it, and the coherence spans.
@@ -203,24 +179,14 @@ type trace struct {
 
 	valid   bool
 	warm    bool // dispatched at least once (gates the dispatch-cold event)
-	side    bool // a side stub: reached by exit-to-entry chaining, not the cache
 	liveIdx int  // index in CPU.liveTraces, for swap-removal
-
-	// sides holds the side-exit state of the ops with a direction or
-	// indirect-target guard, indexed by their sx. Allocated at compile
-	// time so the dispatch path never allocates; nil when no op has such
-	// a guard (side stubs never do).
-	sides []sideSlot
 
 	// Per-site introspection history, written by the CPU goroutine and
 	// read by TraceSites via atomic loads: dispatches, instructions
-	// retired inside this trace, guard exits by reason, and exits
-	// resolved in-tier (side stubs and inline caches).
-	hits     uint64
-	instrs   uint64
-	sideHits uint64
-	icHits   uint64
-	deopts   [NumDeoptReasons]uint64
+	// retired inside this trace, and guard exits by reason.
+	hits   uint64
+	instrs uint64
+	deopts [NumDeoptReasons]uint64
 }
 
 // covers reports whether any span meets the n words at pa.
@@ -274,19 +240,6 @@ func (c *CPU) installTrace(tr *trace) {
 		c.dropTrace(old)
 	}
 	*slot = tr
-	tr.valid = true
-	tr.liveIdx = len(c.liveTraces)
-	c.liveTraces = append(c.liveTraces, tr)
-	c.unlockTraces()
-}
-
-// installSideTrace registers a side stub with the live list, which
-// code writes walk, but not the trace cache: a stub's entry is reached with
-// a non-sequential fetch queue (mid delay-slot drain), so it must never
-// be found by a plain head-of-queue lookup — only by the exit-to-entry
-// wiring in its parent's side slot.
-func (c *CPU) installSideTrace(tr *trace) {
-	c.lockTraces()
 	tr.valid = true
 	tr.liveIdx = len(c.liveTraces)
 	c.liveTraces = append(c.liveTraces, tr)

@@ -290,8 +290,8 @@ func TestSnapshotRandomPreemptAcrossEngines(t *testing.T) {
 	if a.Trans().TraceDispatchHits == 0 {
 		t.Fatal("uninterrupted traces run never dispatched a trace; the test is vacuous")
 	}
-	if a.Trans().TraceSideHits+a.Trans().TraceICHits == 0 {
-		t.Fatal("uninterrupted traces run never resolved a side exit in-tier; the mid-side-trace preemption property is vacuous")
+	if tr := a.Trans(); tr.TraceDeopts[cpu.DeoptBranchDirection]+tr.TraceDeopts[cpu.DeoptIndirectTarget] == 0 {
+		t.Fatal("uninterrupted traces run took no direction or indirect-target guard exit; preemption mid-drain is vacuous")
 	}
 
 	rotation := []sim.Engine{sim.Traces, sim.Blocks, sim.Traces, sim.FastPath, sim.Traces, sim.Reference}

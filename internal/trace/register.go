@@ -116,10 +116,6 @@ func RegisterTranslation(r *Registry, prefix string, ts *cpu.TranslationStats) e
 			&ts.TraceFormRefusals[reason])
 	}
 	c("trace.poisoned", "entry blocks poisoned (heatNever) after an unformable recording", &ts.TracePoisoned)
-	c("trace.side_hits", "branch-direction guard exits resolved by a side stub, never leaving the trace tier", &ts.TraceSideHits)
-	c("trace.ic_hits", "indirect-target guard exits resolved by an inline target cache", &ts.TraceICHits)
-	c("trace.side_compiled", "side stubs compiled for hot branch-direction exits", &ts.TraceSideCompiled)
-	c("trace.ic_installs", "inline-cache entries installed for indirect-target exits", &ts.TraceICInstalls)
 	for tier := cpu.Tier(0); tier < cpu.NumTiers; tier++ {
 		c("tier."+tier.String(),
 			"instructions retired in the "+tier.String()+" engine tier (partitions cpu.instructions)",
