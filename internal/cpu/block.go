@@ -261,34 +261,40 @@ func (c *CPU) bailFault(vpc uint32, cause isa.Cause) {
 	c.Trans.BlockBails++
 }
 
-// blockAt resolves the block entered at pc: through the fetch
-// translation when mapped, then the block table, translating a block on
-// a miss. It returns nil when pc does not resolve to instruction memory,
-// leaving the exact fault to the per-instruction path.
-func (c *CPU) blockAt(pc uint32, mapped bool) *block {
-	pa := pc
+// blockAt resolves an entry word as fetched: through the fetch
+// translation when mapped, to its instruction-memory word pa, and there
+// to the block in the table, which also holds the compiled trace
+// entered at pa. b is nil when no block is entered at pa yet; ok is
+// false when pc does not resolve to instruction memory, leaving the
+// exact fault to the per-instruction path.
+func (c *CPU) blockAt(pc uint32, mapped bool) (b *block, pa uint32, ok bool) {
+	pa = pc
 	if mapped {
 		p, f := c.Bus.MMU.Translate(pc, false, true)
 		if f != nil {
-			return nil
+			return nil, 0, false
 		}
 		pa = p
 	}
 	if pa >= c.IMem.n {
-		return nil
+		return nil, 0, false
 	}
-	if i := pa >> imemPageBits; i < uint32(len(c.blocks)) && c.blocks[i] != nil {
-		if b := c.blocks[i][pa&imemPageMask]; b != nil {
-			c.Trans.BlockHits++
-			return b
-		}
+	return c.blockIn(pa), pa, true
+}
+
+// useBlock returns the block the block engine runs at pa: b, the table's
+// block there (a hit), or a new translation when b is nil.
+func (c *CPU) useBlock(b *block, pa uint32) *block {
+	if b == nil {
+		return c.translateBlock(pa)
 	}
-	return c.translateBlock(pa)
+	c.Trans.BlockHits++
+	return b
 }
 
 // stepBlocks executes a chain of superblocks (body, terminator, and the
-// terminator's delay slots) from b, the block blockAt resolved at the
-// head of the fetch queue, within left steps, which must exceed
+// terminator's delay slots) from b, the block entered at the head of
+// the fetch queue, within left steps, which must exceed
 // blockMaxWords.
 func (c *CPU) stepBlocks(b *block, left uint64) {
 	pc := c.pcq[0]
@@ -380,15 +386,18 @@ func (c *CPU) stepBlocks(b *block, left uint64) {
 			// nothing. End the recording chain at this exact boundary.
 			return
 		}
+		// The next entry's table slot answers both questions: whether a
+		// trace is ready there (the dispatcher runs it) and which block
+		// to chain to. A block whose heat reaches the threshold here ends
+		// the chain with its count left there, so the dispatcher's own
+		// bump starts the recording at once.
 		npc := c.pcq[0]
-		if traceTier && c.traceAt(npc, &ctx) != nil {
+		nb, pa, ok := c.blockAt(npc, mapped)
+		if !ok || traceTier && nb.traceFor(npc, &ctx) != nil {
 			return
 		}
-		// A block whose heat reaches the threshold here ends the chain
-		// with its count left there, so the dispatcher's own bump starts
-		// the recording at once.
-		nb := c.blockAt(npc, mapped)
-		if nb == nil || traceTier && nb.heatBump() || c.Stats.Instructions+uint64(nb.n) >= end {
+		nb = c.useBlock(nb, pa)
+		if traceTier && nb.heatBump() || c.Stats.Instructions+uint64(nb.n) >= end {
 			return
 		}
 		c.Trans.BlockChained++

@@ -10,7 +10,8 @@ package cpu
 //   - an exact table indexed the way instruction memory is (one page of
 //     block pointers per instruction-memory page a block was entered
 //     in) holds each block at its physical entry word, with the trace
-//     tier's heat count for that entry;
+//     tier's heat count for that entry and the compiled trace entered
+//     there: the one table every translation lives in;
 //   - the code writers (CPU.WriteCode, CPU.ReplaceCode) invalidate every
 //     block whose cached words meet the written range, so a page-in or
 //     a patched word can never leave a stale translation executable.
@@ -79,7 +80,12 @@ type block struct {
 
 	termless bool // the scan hit a size/page limit, not a real terminator
 	valid    bool
-	liveIdx  int // index in CPU.liveBlocks, for swap-removal
+
+	// tr is the compiled trace entered at this block's entry word, kept
+	// for the entry PC and translation context it was formed under
+	// (tr.pc, tr.ctx). Its first span is this block's cover, so a code
+	// write that drops the block drops the trace with it.
+	tr *trace
 
 	// heat counts the trace tier's dispatch misses at this entry toward
 	// the formation threshold (heatNever once poisoned). It lives and
@@ -392,6 +398,7 @@ func (c *CPU) translateBlock(pa uint32) *block {
 	}
 
 	// The table only grows: no block is dropped to make room for another.
+	c.lockTraces()
 	i := pa >> imemPageBits
 	if need := int(i) + 1; need > len(c.blocks) {
 		c.blocks = append(c.blocks, make([]*blockPage, need-len(c.blocks))...)
@@ -400,27 +407,34 @@ func (c *CPU) translateBlock(pa uint32) *block {
 		c.blocks[i] = new(blockPage)
 	}
 	c.blocks[i][pa&imemPageMask] = b
-	c.lockTraces()
-	b.liveIdx = len(c.liveBlocks)
-	c.liveBlocks = append(c.liveBlocks, b)
 	c.unlockTraces()
 	return b
 }
 
-// dropBlock invalidates a block and removes it from its table slot and
-// the live list.
-func (c *CPU) dropBlock(b *block) {
-	if !b.valid {
-		return
+// blockIn returns the block entered at instruction-memory word pa, or
+// nil: the one read of the block table.
+func (c *CPU) blockIn(pa uint32) *block {
+	if i := pa >> imemPageBits; i < uint32(len(c.blocks)) {
+		if pg := c.blocks[i]; pg != nil {
+			return pg[pa&imemPageMask]
+		}
 	}
-	b.valid = false
-	c.blocks[b.pa>>imemPageBits][b.pa&imemPageMask] = nil
-	last := len(c.liveBlocks) - 1
-	moved := c.liveBlocks[last]
-	c.liveBlocks[b.liveIdx] = moved
-	moved.liveIdx = b.liveIdx
-	c.liveBlocks[last] = nil
-	c.liveBlocks = c.liveBlocks[:last]
+	return nil
+}
+
+// eachBlock calls fn for every block in the table, in entry-word order.
+// fn may clear the slot of the block it is given.
+func (c *CPU) eachBlock(fn func(b *block)) {
+	for _, pg := range c.blocks {
+		if pg == nil {
+			continue
+		}
+		for _, b := range pg {
+			if b != nil {
+				fn(b)
+			}
+		}
+	}
 }
 
 // codeWritten drops every translated block whose cached words meet the
@@ -429,24 +443,17 @@ func (c *CPU) dropBlock(b *block) {
 func (c *CPU) codeWritten(pa, n uint32) {
 	c.lockTraces()
 	defer c.unlockTraces()
-	for i := 0; i < len(c.liveBlocks); {
-		b := c.liveBlocks[i]
+	c.eachBlock(func(b *block) {
+		if b.tr != nil && b.tr.covers(pa, n) {
+			c.Trans.TraceInvalidations++
+			c.dropTrace(b)
+		}
 		if b.pa < pa+n && pa < b.pa+b.cover {
 			c.Trans.BlockInvalidations++
-			c.dropBlock(b)
-			continue // dropBlock swapped a new block into slot i
+			b.valid = false
+			c.blocks[b.pa>>imemPageBits][b.pa&imemPageMask] = nil
 		}
-		i++
-	}
-	for i := 0; i < len(c.liveTraces); {
-		tr := c.liveTraces[i]
-		if tr.covers(pa, n) {
-			c.Trans.TraceInvalidations++
-			c.dropTrace(tr)
-			continue // dropTrace swapped a new trace into slot i
-		}
-		i++
-	}
+	})
 }
 
 // dropTranslations drops every translated block (and with it its heat),
@@ -455,22 +462,13 @@ func (c *CPU) codeWritten(pa, n uint32) {
 // writers handle everything in between.
 func (c *CPU) dropTranslations() {
 	c.lockTraces()
-	for _, b := range c.liveBlocks {
+	c.eachBlock(func(b *block) {
 		b.valid = false
-	}
-	clear(c.liveBlocks)
-	c.liveBlocks = c.liveBlocks[:0]
-	clear(c.blocks)
-	emit := c.onJIT != nil
-	for _, tr := range c.liveTraces {
-		tr.valid = false
-		if emit {
-			c.emitJIT(JITEvent{Kind: JITInvalidated, PC: tr.pc, Len: uint32(len(tr.ins))})
+		if b.tr != nil {
+			c.dropTrace(b)
 		}
-	}
-	clear(c.liveTraces)
-	c.liveTraces = c.liveTraces[:0]
-	clear(c.tc)
+	})
+	clear(c.blocks)
 	c.unlockTraces()
 	c.trec.active = false
 	c.trec.n = 0

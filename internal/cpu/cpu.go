@@ -112,24 +112,18 @@ type CPU struct {
 	// engine selects the execution engine (SetEngine).
 	engine Engine
 
-	// blocks is the superblock engine's table of translated blocks
-	// (block.go), one page of block pointers per instruction-memory page
-	// a block was entered in, indexed like IMem; liveBlocks is the dense
-	// list a code write walks (codeWritten).
-	blocks     []*blockPage
-	liveBlocks []*block
-
-	// tc is the trace tier's direct-mapped cache of compiled traces
-	// (trace_form.go, trace_compile.go, tracecache.go), liveTraces the
-	// dense list a code write walks, trec the in-flight path recording.
-	// trOvfOn is the overflow-enable latch the dispatch loop sets for
-	// the compiled ops, and trCur the trace running them (whose context
-	// tells the memory handlers whether to translate).
-	tc         []*trace
-	liveTraces []*trace
-	trec       traceRec
-	trOvfOn    bool
-	trCur      *trace
+	// blocks is the table of translations (blockcache.go): one page of
+	// block pointers per instruction-memory page a block was entered in,
+	// indexed like IMem. Each block carries the trace tier's heat for its
+	// entry word and the compiled trace entered there (trace_form.go,
+	// trace_compile.go, tracecache.go). trec is the in-flight path
+	// recording. trOvfOn is the overflow-enable latch the dispatch loop
+	// sets for the compiled ops, and trCur the trace running them (whose
+	// context tells the memory handlers whether to translate).
+	blocks  []*blockPage
+	trec    traceRec
+	trOvfOn bool
+	trCur   *trace
 
 	// Trans counts translation-layer behavior (superblock and trace
 	// caches, tier residency) since the CPU was built or last restored.
@@ -146,8 +140,8 @@ type CPU struct {
 	deopt DeoptReason
 
 	// trMu, when non-nil (ShareTraces), guards structural mutation of
-	// the live block/trace lists so TraceSites/BlockSites can run while
-	// the machine does.
+	// the block table (slot writes, growth, trace installs and drops) so
+	// TraceSites/BlockSites can run while the machine does.
 	trMu *sync.Mutex
 
 	audit    func(Hazard)
@@ -531,9 +525,9 @@ func (c *CPU) dispatch(left uint64) {
 			if c.stepTraces(left) {
 				return
 			}
-		} else if b := c.blockAt(c.pcq[0], c.Mapped()); b != nil {
+		} else if b, pa, ok := c.blockAt(c.pcq[0], c.Mapped()); ok {
 			i0 := c.Stats.Instructions
-			c.stepBlocks(b, left)
+			c.stepBlocks(c.useBlock(b, pa), left)
 			c.Trans.TierInstrs[TierBlocks] += c.Stats.Instructions - i0
 			return
 		}

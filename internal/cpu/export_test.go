@@ -4,6 +4,8 @@ package cpu
 // formation_bench_test.go, which needs compiled corpus images (and so
 // the codegen package, which imports this one).
 
+import "mips/internal/mem"
+
 // TraceRecording is one captured hot-path recording: the entry PC and
 // the recorded block path, replayable through formation.
 type TraceRecording struct {
@@ -48,8 +50,32 @@ func (c *CPU) FormTrace(r TraceRecording) int {
 	return 0
 }
 
-// staleTranslationRefs counts the pointers the live block and trace
-// lists hold past their lengths, the block-table slots that point at a
+// traceAt returns the compiled trace entered at pc under ctx, or nil.
+func (c *CPU) traceAt(pc uint32, ctx *mem.Context) *trace {
+	b, _, _ := c.blockAt(pc, ctx.Mapped)
+	return b.traceFor(pc, ctx)
+}
+
+// liveBlocks lists the blocks in the block table, in entry-word order.
+func (c *CPU) liveBlocks() []*block {
+	var bs []*block
+	c.eachBlock(func(b *block) { bs = append(bs, b) })
+	return bs
+}
+
+// liveTraces lists the traces the table's blocks hold, in the order of
+// their entry blocks.
+func (c *CPU) liveTraces() []*trace {
+	var trs []*trace
+	c.eachBlock(func(b *block) {
+		if b.tr != nil {
+			trs = append(trs, b.tr)
+		}
+	})
+	return trs
+}
+
+// staleTranslationRefs counts the block-table slots that point at a
 // dropped block, and every block pointer left in the trace recording
 // buffer: references that keep dropped translations reachable.
 func (c *CPU) staleTranslationRefs() int {
@@ -62,16 +88,6 @@ func (c *CPU) staleTranslationRefs() int {
 			if b != nil && !b.valid {
 				n++
 			}
-		}
-	}
-	for _, b := range c.liveBlocks[len(c.liveBlocks):cap(c.liveBlocks)] {
-		if b != nil {
-			n++
-		}
-	}
-	for _, tr := range c.liveTraces[len(c.liveTraces):cap(c.liveTraces)] {
-		if tr != nil {
-			n++
 		}
 	}
 	for _, pt := range c.trec.pts {

@@ -279,7 +279,7 @@ func TestInvalidationDropsTranslationRefs(t *testing.T) {
 	check("after a code write's drop")
 	hits := c.Trans.TraceDispatchHits
 	stepUntil(func() bool { return c.Trans.TraceDispatchHits > hits && c.PC() == 2 })
-	if len(c.liveBlocks) == 0 || len(c.liveTraces) == 0 {
+	if len(c.liveBlocks()) == 0 || len(c.liveTraces()) == 0 {
 		t.Fatal("nothing translated; the test is vacuous")
 	}
 	c.dropTranslations()

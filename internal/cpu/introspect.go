@@ -220,11 +220,12 @@ func (c *CPU) emitJIT(e JITEvent) {
 	c.onJIT(e)
 }
 
-// ShareTraces switches the trace cache's structural mutations
-// (install, drop, bulk invalidation) behind a mutex so TraceSites and
-// BlockSites may be called while the machine runs — the telemetry
-// server's live /jit/traces view. Those operations are rare (compile
-// and invalidation time only), so sharing costs the hot path nothing.
+// ShareTraces switches the block table's structural mutations (slot
+// writes and growth, trace installs and drops, bulk invalidation)
+// behind a mutex so TraceSites and BlockSites may be called while the
+// machine runs — the telemetry server's live /jit/traces view. Those
+// operations are rare (translation, compile and invalidation time
+// only), so sharing costs the hot path nothing.
 func (c *CPU) ShareTraces() {
 	if c.trMu == nil {
 		c.trMu = &sync.Mutex{}
@@ -257,14 +258,18 @@ type TraceSite struct {
 }
 
 // TraceSites returns the introspection view of every live compiled
-// trace, unordered. Safe while the machine runs once ShareTraces was
-// called (counters are read with atomic loads; the live list is
-// guarded by the shared mutex).
+// trace, in the order of their entry blocks' physical words. Safe while
+// the machine runs once ShareTraces was called (counters are read with
+// atomic loads; the block table is guarded by the shared mutex).
 func (c *CPU) TraceSites() []TraceSite {
 	c.lockTraces()
 	defer c.unlockTraces()
-	out := make([]TraceSite, 0, len(c.liveTraces))
-	for _, tr := range c.liveTraces {
+	var out []TraceSite
+	c.eachBlock(func(b *block) {
+		tr := b.tr
+		if tr == nil {
+			return
+		}
 		s := TraceSite{
 			EntryPC: tr.pc,
 			EndPC:   tr.endPC,
@@ -280,7 +285,7 @@ func (c *CPU) TraceSites() []TraceSite {
 			s.Deopts[r] = atomic.LoadUint64(&tr.deopts[r])
 		}
 		out = append(out, s)
-	}
+	})
 	return out
 }
 
@@ -294,17 +299,17 @@ type BlockSite struct {
 }
 
 // BlockSites returns the per-entry-PC view of every live superblock,
-// unordered, under the same sharing rules as TraceSites.
+// in entry-word order, under the same sharing rules as TraceSites.
 func (c *CPU) BlockSites() []BlockSite {
 	c.lockTraces()
 	defer c.unlockTraces()
-	out := make([]BlockSite, 0, len(c.liveBlocks))
-	for _, b := range c.liveBlocks {
+	var out []BlockSite
+	c.eachBlock(func(b *block) {
 		out = append(out, BlockSite{
 			EntryPC: b.pa,
 			Words:   b.cover,
 			Execs:   atomic.LoadUint64(&b.execs),
 		})
-	}
+	})
 	return out
 }

@@ -60,8 +60,8 @@ func TestHeatNeverShadowBranchPoisoning(t *testing.T) {
 	// The loop entry (word 2) records a path whose first block is the
 	// shadow branch's: the whole recording refuses and the entry's
 	// block must be heatNever.
-	if h := c.blockAt(2, false).heat; h != heatNever {
-		t.Fatalf("loop entry not poisoned: block heat %d", h)
+	if b, _, _ := c.blockAt(2, false); b.heat != heatNever {
+		t.Fatalf("loop entry not poisoned: block heat %d", b.heat)
 	}
 
 	refusals := c.Trans.TraceFormRefusals

@@ -88,7 +88,7 @@ func (c *CPU) CaptureState() State {
 }
 
 // RestoreState replaces the processor's architectural state with a
-// previous capture. The superblock and trace caches are dropped — they
+// previous capture. The translated blocks and traces are dropped — they
 // rebuild against the restored instruction memory — so the restored
 // machine produces the exact event stream the original would have. The
 // translation-layer counters (Trans) restart from zero with the caches

@@ -110,7 +110,7 @@ func (c *CPU) traceFault2(q [3]uint32, primary, secondary isa.Cause) {
 }
 
 // runTrace executes a compiled trace from its entry, then chains
-// trace-to-trace through the cache (a loop trace chains to itself)
+// trace-to-trace through the block table (a loop trace chains to itself)
 // while each trace entered fits the steps left of the run. A guard exit
 // that raised no exception chains too: a mispredicted direction or
 // indirect target first drains the delay slots it left in flight on the
@@ -190,7 +190,8 @@ func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) (drain
 				return drained
 			}
 		}
-		nt := c.traceAt(c.pcq[0], ctx)
+		b, _, _ := c.blockAt(c.pcq[0], ctx.Mapped)
+		nt := b.traceFor(c.pcq[0], ctx)
 		if nt == nil {
 			return drained
 		}

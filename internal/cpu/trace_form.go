@@ -108,25 +108,27 @@ func (c *CPU) traceable() bool {
 	return c.Bus.DMA == nil && (len(c.Bus.devices) == 0 || c.Mapped())
 }
 
-// stepTraces is the trace tier's dispatch. It runs the compiled trace
-// at the head of the fetch queue when one may run there within left
-// steps. Otherwise it resolves the entry block, counts its heat when no
-// trace is ready, and runs the block engine from it, with path
-// recording on when the heat reaches the formation threshold. It
-// returns false, with no architectural effect, only when the entry does
-// not resolve to instruction memory.
+// stepTraces is the trace tier's dispatch. It resolves the entry block
+// at the head of the fetch queue and runs the compiled trace the block
+// holds when one may run there within left steps. Otherwise it counts
+// the block's heat when no trace is ready and runs the block engine
+// from it (translating it first if need be), with path recording on
+// when the heat reaches the formation threshold. It returns false, with
+// no architectural effect, only when the entry does not resolve to
+// instruction memory.
 func (c *CPU) stepTraces(left uint64) bool {
 	pc := c.pcq[0]
 	mapped := c.Mapped()
+	b, pa, ok := c.blockAt(pc, mapped)
+	if !ok {
+		return false
+	}
 	ctx := c.Bus.MMU.Context(mapped)
-	tr := c.traceAt(pc, &ctx)
+	tr := b.traceFor(pc, &ctx)
 	if tr != nil && c.enterTrace(tr, &ctx, left) {
 		return true
 	}
-	b := c.blockAt(pc, mapped)
-	if b == nil {
-		return false
-	}
+	b = c.useBlock(b, pa)
 	// At the threshold, this chain runs with path recording on, and a
 	// trace forms from what actually executed. The recorded chain
 	// retires on the block engine, so residency charges the blocks
@@ -482,7 +484,7 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 		c.markNeverTrace(pts[0], RefusalBlock)
 		return
 	}
-	c.installTrace(tr)
+	c.installTrace(pts[0].b, tr)
 	c.Trans.TraceCompiled++
 	if c.onJIT != nil {
 		c.emitJIT(JITEvent{Kind: JITCompiled, PC: entry, Len: uint32(len(tr.ins))})

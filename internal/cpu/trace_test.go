@@ -162,13 +162,13 @@ func TestDataWritesKeepTranslations(t *testing.T) {
 					c.RunSteps(500)
 					if tc.poke && !poked && c.Stats.Instructions > 5000 {
 						poked = true
-						blocks, traces := len(c.liveBlocks), len(c.liveTraces)
+						blocks, traces := len(c.liveBlocks()), len(c.liveTraces())
 						for a := uint32(0); a < 8; a++ {
 							c.Bus.MMU.Phys.Poke(a, 0xBAD0+a)
 						}
-						if len(c.liveBlocks) != blocks || len(c.liveTraces) != traces {
+						if len(c.liveBlocks()) != blocks || len(c.liveTraces()) != traces {
 							t.Errorf("%s/%v: the poke dropped translations: %d -> %d blocks, %d -> %d traces",
-								tc.name, e, blocks, len(c.liveBlocks), traces, len(c.liveTraces))
+								tc.name, e, blocks, len(c.liveBlocks()), traces, len(c.liveTraces()))
 						}
 					}
 				}
@@ -261,8 +261,8 @@ func TestCodeWriteDropsTranslations(t *testing.T) {
 					continue
 				}
 				patched = true
-				blocks := slices.Clone(c.liveBlocks)
-				traces := slices.Clone(c.liveTraces)
+				blocks := c.liveBlocks()
+				traces := c.liveTraces()
 				b0, t0 := c.Trans.BlockInvalidations, c.Trans.TraceInvalidations
 				c.WriteCode(pa, []isa.Instr{patch})
 				var droppedB, keptB, droppedT, keptT uint64
@@ -276,11 +276,13 @@ func TestCodeWriteDropsTranslations(t *testing.T) {
 						droppedB++
 					}
 				}
+				live := c.liveTraces()
 				for _, tr := range traces {
-					if meetsTrace(tr) == tr.valid {
-						t.Errorf("%v: trace at %d (valid %v) after a write to word %d", e, tr.pc, tr.valid, pa)
+					valid := slices.Contains(live, tr)
+					if meetsTrace(tr) == valid {
+						t.Errorf("%v: trace at %d (valid %v) after a write to word %d", e, tr.pc, valid, pa)
 					}
-					if tr.valid {
+					if valid {
 						keptT++
 					} else {
 						droppedT++
@@ -428,7 +430,7 @@ func TestTraceYieldRearmsAtThreshold(t *testing.T) {
 			formed = append(formed, e)
 		}
 	})
-	c.blockAt(head, false).heat = heatThreshold - 1
+	c.translateBlock(head).heat = heatThreshold - 1
 
 	// The block at 0 runs words 0..5 and its chain yields at the head;
 	// the run's last 64 steps go word by word, below the tiers, through
@@ -526,6 +528,117 @@ func TestHeatEntriesFarApart(t *testing.T) {
 	if c.Trans.TraceFormed == 0 || traced*10 < all*9 {
 		t.Errorf("formed %d traces, %d of %d instructions in traces; want most of them",
 			c.Trans.TraceFormed, traced, all)
+	}
+}
+
+// TestCodeWriteDropsTraceByLaterSpan patches a word only a later span
+// of a trace covers. The two-block loop of TestHeatEntriesFarApart runs
+// as a trace entered at word 2 that continues through the block at 514;
+// a write to 515, the loop branch's delay slot, leaves the entry block
+// in place but must drop the trace, so the next pass runs the new word
+// as the reference engine does.
+func TestCodeWriteDropsTraceByLaterSpan(t *testing.T) {
+	back := isa.Branch(isa.CmpNE, isa.R(1), isa.Imm(0), "")
+	back.Target = 2
+	toFar := isa.Jump("")
+	toFar.Target = 514
+	patch := w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)))
+	runOn := func(e Engine) *CPU {
+		c := newTestCPU(
+			w(isa.LoadImm32(1, 6000)), // 0
+			w(isa.Nop()),              // 1
+			w(isa.ALU(isa.OpSub, 1, isa.R(1), isa.Imm(1))), // 2: loop
+			w(toFar),     // 3: jmp 514
+			w(isa.Nop()), // 4
+		)
+		c.WriteCode(514, []isa.Instr{
+			w(back),      // 514: bne r1, #0, 2
+			w(isa.Nop()), // 515
+			halt,         // 516
+		})
+		c.SetEngine(e)
+		c.RunSteps(10_000)
+		var tr *trace
+		if e == EngineTraces {
+			if tr = c.traceAt(2, &mem.Context{}); tr == nil || len(tr.spans) < 2 {
+				t.Fatal("no trace entered at word 2 runs through the block at 514")
+			}
+		}
+		c.WriteCode(515, []isa.Instr{patch})
+		if tr != nil {
+			if b, _, _ := c.blockAt(2, false); b == nil || b.tr != nil {
+				t.Errorf("after the write: entry block kept %v, its trace kept %v", b != nil, b != nil && b.tr != nil)
+			}
+		}
+		run(t, c, 1_000_000)
+		return c
+	}
+	got, ref := runOn(EngineTraces), runOn(EngineReference)
+	if got.Regs != ref.Regs || got.Stats != ref.Stats {
+		t.Errorf("diverges from the reference after the patch:\n got %v %+v\n ref %v %+v",
+			got.Regs, got.Stats, ref.Regs, ref.Stats)
+	}
+	if ref.Regs[2] == 0 {
+		t.Error("the patch never ran")
+	}
+}
+
+// TestTraceKeyedByContext remaps a page of a mapped loop's code after
+// its trace formed. The loop's first block sits on virtual page 0,
+// whose mapping stays; its branch and delay slot sit on page 1, which
+// moves to a frame holding a different delay slot. The entry block
+// still holds the trace, but it was formed under the old page map
+// generation, so it must not run: the next pass fetches the new frame's
+// words, as the reference engine does.
+func TestTraceKeyedByContext(t *testing.T) {
+	back := isa.Branch(isa.CmpNE, isa.R(1), isa.Imm(0), "")
+	back.Target = 2
+	toPage1 := isa.Jump("")
+	toPage1.Target = mem.PageWords
+	runOn := func(e Engine) *CPU {
+		c := newTestCPU()
+		c.ReplaceCode(2*mem.PageWords, mem.PageWords, []isa.Instr{
+			w(isa.LoadImm32(1, 6000)), // 0
+			w(isa.Nop()),              // 1
+			w(isa.ALU(isa.OpSub, 1, isa.R(1), isa.Imm(1))), // 2: loop
+			w(toPage1),   // 3: jmp page 1
+			w(isa.Nop()), // 4
+		})
+		for frame, slot := range map[uint32]isa.Instr{4: w(isa.Nop()), 5: w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)))} {
+			c.ReplaceCode(frame*mem.PageWords, mem.PageWords, []isa.Instr{
+				w(back), // bne r1, #0, 2
+				slot,
+				halt,
+			})
+		}
+		mmu := c.Bus.MMU
+		mmu.Seg = mem.NewSegUnit(1, mem.MinSpaceBits)
+		mapPage := func(vp, frame uint32) {
+			sys, _ := mmu.Seg.Translate(vp << mem.PageBits)
+			mmu.Map.Map(sys>>mem.PageBits, frame, true)
+		}
+		mapPage(0, 2)
+		mapPage(1, 4)
+		c.Sur = c.Sur.SetSupervisor(false).SetMapping(true)
+		c.SetEngine(e)
+		c.RunSteps(10_000)
+		if e == EngineTraces {
+			ctx := mmu.Context(true)
+			if tr := c.traceAt(2, &ctx); tr == nil || len(tr.spans) < 2 {
+				t.Fatal("no trace entered at word 2 runs through page 1 before the remap")
+			}
+		}
+		mapPage(1, 5)
+		run(t, c, 1_000_000)
+		return c
+	}
+	got, ref := runOn(EngineTraces), runOn(EngineReference)
+	if got.Regs != ref.Regs || got.Stats != ref.Stats {
+		t.Errorf("diverges from the reference after the remap:\n got %v %+v\n ref %v %+v",
+			got.Regs, got.Stats, ref.Regs, ref.Stats)
+	}
+	if ref.Regs[2] == 0 {
+		t.Error("the remapped delay slot never ran")
 	}
 }
 

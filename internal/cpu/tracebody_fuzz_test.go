@@ -19,9 +19,10 @@ import "testing"
 // queue drains the delay slot in the chain, unmapped and mapped; guard
 // exits of trJumpInd with a load pending, unmapped and mapped, which
 // need bbJumpMove (without it the jump always goes where the trace
-// recorded); the overflow exits of trAdd and of trSub; and a load
-// pending at a trLoad, which a trLoad that skips its pending-load
-// commit gets wrong.
+// recorded); the overflow exits of trAdd and of trSub; a load pending
+// at a trLoad, which a trLoad that skips its pending-load commit gets
+// wrong; and, all mapped with a load pending at entry, a trOr, a load
+// pending at a trCall, and trStore's fault exit.
 var traceBodySeeds = []struct {
 	env uint8
 	k   uint32
@@ -41,6 +42,7 @@ var traceBodySeeds = []struct {
 	{bbJumpMove, 1887, false}, {bbJumpMove | bbMapped | bbPendingLoad, 5532, false},
 	{bbOverflow, 105303, false}, {bbOverflow, 27714, false},
 	{bbPendingLoad, 1807, false},
+	{bbMapped | bbPendingLoad, 409, false}, {bbMapped | bbPendingLoad, 3464, false}, {bbMapped | bbPendingLoad, 21100, false},
 }
 
 // FuzzTraceBody runs one random superblock on the trace tier and on the

@@ -1,18 +1,23 @@
 package cpu
 
-// The trace cache: the fourth execution tier's data structures and
-// their coherence machinery. A trace is a hot multi-block path — body
-// words, terminators, and delay slots of several superblocks, fused
-// across taken branches — compiled to one flat array of op records,
-// each naming a static handler (trace_compile.go). Formation is
-// profile-guided: a heat count on each block (block.heat) triggers a
-// one-Step path recording through the block engine, and the recorded
-// path compiles if every word on it can be specialized (trace_form.go).
+// The trace tier's data structures and their coherence machinery. A
+// trace is a hot multi-block path — body words, terminators, and delay
+// slots of several superblocks, fused across taken branches — compiled
+// to one flat array of op records, each naming a static handler
+// (trace_compile.go). Formation is profile-guided: a heat count on each
+// block (block.heat) triggers a one-Step path recording through the
+// block engine, and the recorded path compiles if every word on it can
+// be specialized (trace_form.go).
 //
-// A trace is keyed by its entry PC as fetched — virtual when mapped —
-// and the translation context it was formed under (mem.Context: the
-// mapped flag, the segmentation registers, the page map's identity and
-// generation). A matching context at dispatch proves every fetch
+// A trace lives on its entry block (block.tr) in the one table of
+// translations, so finding it costs what finding the block does: the
+// entry's fetch translation when mapped, then one table read. Each
+// block holds at most one trace, keyed by its entry PC as fetched —
+// virtual when mapped — and the translation context it was formed under
+// (mem.Context: the mapped flag, the segmentation registers, the page
+// map's identity and generation). Processes running the same virtual
+// code from distinct frames enter distinct blocks, so each keeps its
+// own traces. A matching context at dispatch proves every fetch
 // translation and referenced bit the recording saw still holds, so a
 // trace never translates its own words. Coherence is the superblock
 // engine's: a trace keeps the span list of the instruction-memory words
@@ -28,10 +33,6 @@ import (
 )
 
 const (
-	// tcEntries is the trace cache size, direct-mapped by entry PC.
-	// Trace entry points are far sparser than block entries.
-	tcEntries = 1 << 8
-
 	// heatThreshold is how many trace-tier dispatch misses a block's
 	// entry accumulates (block.heat) before a path recording triggers.
 	// The threshold can sit this low because recordings do not depend
@@ -177,9 +178,7 @@ type trace struct {
 	endPC uint32 // sequential resume point after a clean pass
 	spans []traceSpan
 
-	valid   bool
-	warm    bool // dispatched at least once (gates the dispatch-cold event)
-	liveIdx int  // index in CPU.liveTraces, for swap-removal
+	warm bool // dispatched at least once (gates the dispatch-cold event)
 
 	// Per-site introspection history, written by the CPU goroutine and
 	// read by TraceSites via atomic loads: dispatches, instructions
@@ -199,68 +198,35 @@ func (tr *trace) covers(pa, n uint32) bool {
 	return false
 }
 
-// traceIndex is the trace-cache slot of an entry PC under a context.
-// Under mapping the segmentation PID register salts it, so processes
-// running the same virtual code keep their traces in different slots.
-func traceIndex(pc uint32, ctx *mem.Context) uint32 {
-	if ctx.Mapped {
-		pid, _ := ctx.Seg.Registers()
-		pc ^= pid * 0x9E3779B1 >> 24
-	}
-	return pc & (tcEntries - 1)
-}
-
-// traceSlot returns the trace-cache slot for an entry PC and context,
-// building the cache lazily.
-func (c *CPU) traceSlot(pc uint32, ctx *mem.Context) **trace {
-	if c.tc == nil {
-		c.tc = make([]*trace, tcEntries)
-	}
-	return &c.tc[traceIndex(pc, ctx)]
-}
-
-// traceAt returns the valid compiled trace entered at pc under ctx, or
-// nil.
-func (c *CPU) traceAt(pc uint32, ctx *mem.Context) *trace {
-	if c.tc == nil {
+// traceFor returns the compiled trace entered at pc under ctx, if b, the
+// block (or nil) blockAt resolved pc to, holds one.
+func (b *block) traceFor(pc uint32, ctx *mem.Context) *trace {
+	if b == nil {
 		return nil
 	}
-	if tr := c.tc[traceIndex(pc, ctx)]; tr != nil && tr.valid && tr.pc == pc && tr.ctx == *ctx {
+	if tr := b.tr; tr != nil && tr.pc == pc && tr.ctx == *ctx {
 		return tr
 	}
 	return nil
 }
 
-// installTrace places a compiled trace in the cache and the live list,
-// evicting any slot occupant.
-func (c *CPU) installTrace(tr *trace) {
+// installTrace hangs a compiled trace on its entry block, replacing the
+// trace the block held before.
+func (c *CPU) installTrace(b *block, tr *trace) {
 	c.lockTraces()
-	slot := c.traceSlot(tr.pc, &tr.ctx)
-	if old := *slot; old != nil {
-		c.dropTrace(old)
+	if b.tr != nil {
+		c.dropTrace(b)
 	}
-	*slot = tr
-	tr.valid = true
-	tr.liveIdx = len(c.liveTraces)
-	c.liveTraces = append(c.liveTraces, tr)
+	b.tr = tr
 	c.unlockTraces()
 }
 
-// dropTrace invalidates a trace and removes it from the live list.
-// Callers under ShareTraces hold the trace mutex (install, code write,
-// bulk invalidation all lock before dropping).
-func (c *CPU) dropTrace(tr *trace) {
-	if !tr.valid {
-		return
-	}
-	tr.valid = false
-	last := len(c.liveTraces) - 1
-	moved := c.liveTraces[last]
-	c.liveTraces[tr.liveIdx] = moved
-	moved.liveIdx = tr.liveIdx
-	c.liveTraces[last] = nil
-	c.liveTraces = c.liveTraces[:last]
+// dropTrace takes the compiled trace off b, which holds one. Callers
+// under ShareTraces hold the trace mutex (install, code write, bulk
+// invalidation all lock before dropping).
+func (c *CPU) dropTrace(b *block) {
 	if c.onJIT != nil {
-		c.emitJIT(JITEvent{Kind: JITInvalidated, PC: tr.pc, Len: uint32(len(tr.ins))})
+		c.emitJIT(JITEvent{Kind: JITInvalidated, PC: b.tr.pc, Len: uint32(len(b.tr.ins))})
 	}
+	b.tr = nil
 }

@@ -60,17 +60,16 @@ func (e Engine) String() string {
 
 // ParseEngine converts a CLI/API engine name. It accepts the String
 // forms ("reference", "fast", "blocks", "traces", "default") and the
-// aliases "interp" and "ref" (Reference), "fastpath" (FastPath),
-// "block" (Blocks), "trace" (Traces), and "" (Default).
+// aliases "fastpath" (FastPath) and "" (Default).
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "reference", "interp", "ref":
+	case "reference":
 		return Reference, nil
 	case "fast", "fastpath":
 		return FastPath, nil
-	case "blocks", "block":
+	case "blocks":
 		return Blocks, nil
-	case "traces", "trace":
+	case "traces":
 		return Traces, nil
 	case "", "default":
 		return Default, nil

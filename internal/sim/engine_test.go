@@ -7,16 +7,17 @@ import (
 )
 
 // TestParseEngine pins every engine name ParseEngine accepts, the
-// round trip through String, and the error for an unknown name.
+// round trip through String, and the error for an unknown name or a
+// retired alias.
 func TestParseEngine(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		want sim.Engine
 	}{
-		{"reference", sim.Reference}, {"interp", sim.Reference}, {"ref", sim.Reference},
+		{"reference", sim.Reference},
 		{"fast", sim.FastPath}, {"fastpath", sim.FastPath},
-		{"blocks", sim.Blocks}, {"block", sim.Blocks},
-		{"traces", sim.Traces}, {"trace", sim.Traces},
+		{"blocks", sim.Blocks},
+		{"traces", sim.Traces},
 		{"default", sim.Default}, {"", sim.Default},
 	} {
 		got, err := sim.ParseEngine(c.name)
@@ -29,7 +30,9 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v", e.String(), got, err, e)
 		}
 	}
-	if _, err := sim.ParseEngine("jit"); err == nil {
-		t.Error(`ParseEngine("jit") accepted an unknown engine name`)
+	for _, name := range []string{"jit", "interp", "ref", "block", "trace"} {
+		if _, err := sim.ParseEngine(name); err == nil {
+			t.Errorf("ParseEngine(%q) accepted an unknown engine name", name)
+		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 //	GET    /v1/jobs/{id}             one job's status (a finished job keeps
 //	                                 its status, output and snapshot until
 //	                                 QueueDepth later jobs have finished)
-//	GET    /v1/jobs/{id}/status      alias of the above
 //	GET    /v1/jobs/{id}/output      console output so far (text)
 //	GET    /v1/jobs/{id}/profile     folded cycle stacks (text; profile: true jobs)
 //	GET    /v1/jobs/{id}/snapshot    checkpoint download (binary, resumable)
@@ -135,7 +134,6 @@ func (s *Service) Handler(cfg HTTPConfig) http.Handler {
 	mux.HandleFunc("GET /v1/jobs", h.list)
 	mux.HandleFunc("GET /v1/jobs/{$}", h.list)
 	mux.HandleFunc("GET /v1/jobs/{id}", h.status)
-	mux.HandleFunc("GET /v1/jobs/{id}/status", h.status)
 	mux.HandleFunc("GET /v1/jobs/{id}/output", h.output)
 	mux.HandleFunc("GET /v1/jobs/{id}/profile", h.profile)
 	mux.HandleFunc("GET /v1/jobs/{id}/snapshot", h.snapshot)

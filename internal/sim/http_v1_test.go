@@ -320,8 +320,8 @@ func TestHTTPListFilterPagination(t *testing.T) {
 	}
 
 	resp, _ = h.get("/v1/jobs/" + ids[0] + "/status")
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/v1 status alias: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/jobs/{id}/status: status %d, want 404 (the alias is gone)", resp.StatusCode)
 	}
 	resp, _ = h.get("/v1/jobs/" + ids[0] + "/output")
 	if resp.StatusCode != http.StatusOK {

@@ -217,7 +217,7 @@ func TestServiceEvictsFinishedJobs(t *testing.T) {
 			t.Errorf("Job(%s): err = %v, want ErrJobNotFound", id, err)
 		}
 	}
-	for _, path := range []string{"", "/status", "/output", "/snapshot", "/profile"} {
+	for _, path := range []string{"", "/output", "/snapshot", "/profile"} {
 		resp, body := h.get("/v1/jobs/" + ids[1] + path)
 		if resp.StatusCode != http.StatusGone || h.errCode(body) != sim.CodeEvicted {
 			t.Errorf("GET evicted%s: status %d code %q, want 410 %q", path, resp.StatusCode, h.errCode(body), sim.CodeEvicted)

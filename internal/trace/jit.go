@@ -292,7 +292,7 @@ type JITBlockSite struct {
 }
 
 // JITSites is the per-PC tier heatmap served by /jit/traces: the live
-// trace and block caches with residency counters, plus the global tier
+// traces and blocks with residency counters, plus the global tier
 // split so a reader can tell how much execution the listed sites cover.
 type JITSites struct {
 	Traces []JITTraceSite    `json:"traces"`
@@ -300,7 +300,7 @@ type JITSites struct {
 	Tiers  map[string]uint64 `json:"tiers"`
 }
 
-// CollectJITSites snapshots the CPU's live trace/block caches into the
+// CollectJITSites snapshots the CPU's live traces and blocks into the
 // wire shape, sorted hottest-first. The profiler is optional; when
 // present, entry PCs gain "symbol+offset" names (user image first, then
 // kernel). Reading a running CPU requires cpu.ShareTraces, same as the
