@@ -58,7 +58,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"sync/atomic"
+	"sync"
 	"syscall"
 
 	"mips/internal/codegen"
@@ -163,10 +163,9 @@ func main() {
 
 	// The JIT event log rides along whenever a jitlog export is asked
 	// for; with -serve it also backs /jit/events, /jit/traces and the
-	// jit SSE source. The machine pointer is published after build so
-	// live /jit/traces reads are well ordered.
+	// jit SSE source, which reads the machine between run quanta.
 	var jitLog *trace.JITLog
-	var liveMachine atomic.Pointer[sim.Machine]
+	var live liveMachine
 	if *jitlogOut != "" || *jitlogChrome != "" {
 		jitLog = trace.NewJITLog(*jitlogBuf)
 	}
@@ -181,11 +180,7 @@ func main() {
 		if jitLog != nil {
 			cfg.JIT = jitLog
 			cfg.JITSites = telemetry.SingleJITSites("machine", func() trace.JITSites {
-				m := liveMachine.Load()
-				if m == nil {
-					return trace.JITSites{}
-				}
-				return trace.CollectJITSites(m.CPU(), profiler)
+				return live.sites(profiler)
 			})
 		}
 		srv = telemetry.New(cfg)
@@ -203,15 +198,7 @@ func main() {
 		opts = append(opts, sim.WithObserver(obs))
 	}
 	if jitLog != nil {
-		shareTraces := srv != nil
-		opts = append(opts, sim.WithAttach(func(c *cpu.CPU) {
-			jitLog.Attach(c)
-			if shareTraces {
-				// /jit/traces reads the live trace/block caches while
-				// the machine runs; share their structural mutations.
-				c.ShareTraces()
-			}
-		}))
+		opts = append(opts, sim.WithAttach(jitLog.Attach))
 	}
 	if *useKernel || *timer > 0 || len(images) > 1 {
 		opts = append(opts, sim.WithKernel(kernel.Config{TimerPeriod: uint32(*timer)}))
@@ -220,13 +207,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	liveMachine.Store(m)
 	for i, im := range images {
 		if err := m.Load(im); err != nil {
 			fatal(fmt.Errorf("%s: %w", imageNames[i], err))
 		}
 	}
-	_, err = m.Run(*maxSteps)
+	live.set(m)
+	quantum := *maxSteps
+	if srv != nil {
+		quantum = liveQuantum
+	}
+	err = live.run(*maxSteps, quantum)
 	fmt.Print(m.Output())
 	if err != nil {
 		fatal(err)
@@ -294,6 +285,51 @@ func main() {
 		cancel()
 		srv.Close()
 	}
+}
+
+// liveQuantum is the most steps the run loop takes between two chances
+// for a live reader, the job service's default quantum.
+const liveQuantum = 1_000_000
+
+// liveMachine is the machine the run loop drives and /jit/traces reads.
+// The loop holds mu across each quantum, so a read lands between two
+// quanta, at a step boundary, as a job service reader's does.
+type liveMachine struct {
+	mu sync.Mutex
+	m  *sim.Machine
+}
+
+func (l *liveMachine) set(m *sim.Machine) {
+	l.mu.Lock()
+	l.m = m
+	l.mu.Unlock()
+}
+
+// run executes at most maxSteps steps in quanta of at most quantum,
+// and fails as Machine.Run does when the machine has not halted by
+// then. With quantum equal to maxSteps it is one call.
+func (l *liveMachine) run(maxSteps, quantum uint64) error {
+	for steps := uint64(0); steps < maxSteps; {
+		l.mu.Lock()
+		exc := l.m.Stats().TotalExceptions()
+		n, halted := l.m.RunSteps(min(quantum, maxSteps-steps))
+		steps += n + l.m.Stats().TotalExceptions() - exc
+		l.mu.Unlock()
+		if halted {
+			return nil
+		}
+	}
+	return fmt.Errorf("cpu: step limit %d exceeded at pc=%d", maxSteps, l.m.CPU().PC())
+}
+
+// sites collects the machine's trace and block sites between quanta.
+func (l *liveMachine) sites(p *trace.Profiler) trace.JITSites {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.m == nil {
+		return trace.JITSites{}
+	}
+	return trace.CollectJITSites(l.m.CPU(), p)
 }
 
 // printDeoptSummary prints the guard-exit taxonomy hottest-first, so

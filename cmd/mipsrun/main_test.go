@@ -1,0 +1,113 @@
+package main
+
+import (
+	"sync/atomic"
+	"testing"
+
+	"mips/internal/codegen"
+	"mips/internal/corpus"
+	"mips/internal/reorg"
+	"mips/internal/sim"
+)
+
+// TestLiveSitesBetweenQuanta reads the machine's trace and block sites,
+// as /jit/traces does, in a loop while the run loop runs queens on the
+// trace tier. Under go test -race any read that overlapped a quantum
+// would report the CPU's plain writes to the site counters and the
+// block table. The reader must land at least once mid-run, and the run
+// must end exactly as one Machine.Run call would.
+func TestLiveSitesBetweenQuanta(t *testing.T) {
+	p, err := corpus.Get("queens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, _, err := codegen.CompileMIPS(p.Source, codegen.MIPSOptions{}, reorg.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	newMachine := func() *sim.Machine {
+		m, err := sim.New(sim.WithEngine(sim.Traces))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Load(im); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	var live liveMachine
+	live.set(newMachine())
+	var done atomic.Bool
+	midRun := make(chan int, 1)
+	go func() {
+		n := 0
+		for !done.Load() {
+			if s := live.sites(nil); len(s.Traces) > 0 && !done.Load() {
+				n++
+			}
+		}
+		midRun <- n
+	}()
+	err = live.run(50_000_000, 1000)
+	done.Store(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := <-midRun; n == 0 {
+		t.Error("no read saw a compiled trace while the run loop ran")
+	}
+
+	ref := newMachine()
+	if _, err := ref.Run(50_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := live.m.Output(), ref.Output(); got != want {
+		t.Errorf("output %q, want %q", got, want)
+	}
+	if got, want := *live.m.Stats(), *ref.Stats(); got != want {
+		t.Errorf("stats %+v, want %+v", got, want)
+	}
+	if s := live.sites(nil); len(s.Traces) == 0 || s.Tiers["traces"] == 0 {
+		t.Errorf("final sites hold no trace: %+v", s)
+	}
+}
+
+// TestLiveRunStepLimit: a run that does not halt within its steps fails
+// as Machine.Run does, whatever the quantum.
+func TestLiveRunStepLimit(t *testing.T) {
+	p, err := corpus.Get("fib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, _, err := codegen.CompileMIPS(p.Source, codegen.MIPSOptions{}, reorg.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, quantum := range []uint64{7, 1000, 5000} {
+		var live liveMachine
+		m, err := sim.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Load(im); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := sim.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Load(im); err != nil {
+			t.Fatal(err)
+		}
+		live.set(m)
+		got := live.run(5000, quantum)
+		_, want := ref.Run(5000)
+		if got == nil || want == nil || got.Error() != want.Error() {
+			t.Errorf("quantum %d: error %v, want %v", quantum, got, want)
+		}
+		if m.Stats().Instructions != ref.Stats().Instructions {
+			t.Errorf("quantum %d: %d instructions, want %d", quantum, m.Stats().Instructions, ref.Stats().Instructions)
+		}
+	}
+}

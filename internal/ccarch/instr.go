@@ -141,9 +141,6 @@ func (in *Instr) SetsCC(p Policy) bool {
 	return false
 }
 
-// ReadsCC reports whether the instruction consumes the condition codes.
-func (in *Instr) ReadsCC() bool { return in.Op == OpBcc || in.Op == OpScc }
-
 func (in *Instr) String() string {
 	switch in.Op {
 	case OpNop, OpRet, OpHalt:

@@ -123,13 +123,6 @@ func (c *CPU) leanWord(d *decoded, vpc uint32) isa.Cause {
 		}
 	case bcLoad:
 		c.Stats.Pieces++
-		if d.mode == isa.AModeLongImm {
-			// The long immediate comes from the instruction stream, not
-			// the data port: no data cycle and no load delay.
-			c.Regs[d.data] = uint32(d.disp)
-			c.lastWrite[d.data] = c.seq
-			break
-		}
 		addr := c.leanAddr(d, vpc)
 		v, f := c.Bus.Read(addr, c.Mapped())
 		if f != nil {

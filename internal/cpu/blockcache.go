@@ -44,7 +44,7 @@ const (
 	bcGeneral uint8 = iota // packed or unclassified: execute via execWord
 	bcNop                  // the word performs no work
 	bcALU                  // single ALU-class piece, no memory piece
-	bcLoad                 // single load piece
+	bcLoad                 // single data-port load piece (a lone long immediate is bcALU)
 	bcStore                // single store piece
 
 	// Control classes appear only in terminator and delay-slot records
@@ -92,9 +92,8 @@ type block struct {
 	// dies with the block: a code write that drops the block drops it.
 	heat uint32
 
-	// execs counts block-engine entries (dispatch and chain alike),
-	// written by the CPU goroutine and read by BlockSites via atomic
-	// loads for the per-PC tier heatmap.
+	// execs counts block-engine entries (dispatch and chain alike), for
+	// BlockSites' per-PC tier heatmap.
 	execs uint64
 }
 
@@ -358,7 +357,7 @@ func (c *CPU) translateBlock(pa uint32) *block {
 	}
 	for i := range b.code {
 		d := &b.code[i]
-		if d.bclass != bcLoad || d.mode == isa.AModeLongImm {
+		if d.bclass != bcLoad {
 			continue
 		}
 		var next *decoded
@@ -398,7 +397,6 @@ func (c *CPU) translateBlock(pa uint32) *block {
 	}
 
 	// The table only grows: no block is dropped to make room for another.
-	c.lockTraces()
 	i := pa >> imemPageBits
 	if need := int(i) + 1; need > len(c.blocks) {
 		c.blocks = append(c.blocks, make([]*blockPage, need-len(c.blocks))...)
@@ -407,7 +405,6 @@ func (c *CPU) translateBlock(pa uint32) *block {
 		c.blocks[i] = new(blockPage)
 	}
 	c.blocks[i][pa&imemPageMask] = b
-	c.unlockTraces()
 	return b
 }
 
@@ -441,8 +438,6 @@ func (c *CPU) eachBlock(fn func(b *block)) {
 // n instruction-memory words at pa, and every compiled trace whose spans
 // do. Only the code writers call it.
 func (c *CPU) codeWritten(pa, n uint32) {
-	c.lockTraces()
-	defer c.unlockTraces()
 	c.eachBlock(func(b *block) {
 		if b.tr != nil && b.tr.covers(pa, n) {
 			c.Trans.TraceInvalidations++
@@ -461,7 +456,6 @@ func (c *CPU) codeWritten(pa, n uint32) {
 // so translations never outlive the code they were built from; the code
 // writers handle everything in between.
 func (c *CPU) dropTranslations() {
-	c.lockTraces()
 	c.eachBlock(func(b *block) {
 		b.valid = false
 		if b.tr != nil {
@@ -469,7 +463,6 @@ func (c *CPU) dropTranslations() {
 		}
 	})
 	clear(c.blocks)
-	c.unlockTraces()
 	c.trec.active = false
 	c.trec.n = 0
 	clear(c.trec.pts[:])

@@ -35,7 +35,6 @@ package cpu
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"mips/internal/isa"
 	"mips/internal/mem"
@@ -138,11 +137,6 @@ type CPU struct {
 	// compiled ops set it immediately before returning false, and
 	// runTrace consumes it at its single guard-exit accounting site.
 	deopt DeoptReason
-
-	// trMu, when non-nil (ShareTraces), guards structural mutation of
-	// the block table (slot writes, growth, trace installs and drops) so
-	// TraceSites/BlockSites can run while the machine does.
-	trMu *sync.Mutex
 
 	audit    func(Hazard)
 	onTrap   func(code uint16)

@@ -21,10 +21,7 @@ package cpu
 // counters, written only by the CPU goroutine and read by observers
 // through atomic loads (the package trace registry convention).
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // DeoptReason classifies why a compiled trace was abandoned at a guard
 // exit. The reasons partition TraceGuardExits: every guard exit
@@ -220,30 +217,6 @@ func (c *CPU) emitJIT(e JITEvent) {
 	c.onJIT(e)
 }
 
-// ShareTraces switches the block table's structural mutations (slot
-// writes and growth, trace installs and drops, bulk invalidation)
-// behind a mutex so TraceSites and BlockSites may be called while the
-// machine runs — the telemetry server's live /jit/traces view. Those
-// operations are rare (translation, compile and invalidation time
-// only), so sharing costs the hot path nothing.
-func (c *CPU) ShareTraces() {
-	if c.trMu == nil {
-		c.trMu = &sync.Mutex{}
-	}
-}
-
-func (c *CPU) lockTraces() {
-	if c.trMu != nil {
-		c.trMu.Lock()
-	}
-}
-
-func (c *CPU) unlockTraces() {
-	if c.trMu != nil {
-		c.trMu.Unlock()
-	}
-}
-
 // TraceSite is the per-entry-PC introspection view of one live compiled
 // trace: identity, shape, and its dispatch/retirement/deopt history.
 type TraceSite struct {
@@ -258,12 +231,10 @@ type TraceSite struct {
 }
 
 // TraceSites returns the introspection view of every live compiled
-// trace, in the order of their entry blocks' physical words. Safe while
-// the machine runs once ShareTraces was called (counters are read with
-// atomic loads; the block table is guarded by the shared mutex).
+// trace, in the order of their entry blocks' physical words. Like every
+// read of the machine's state, it must not overlap a run: a live reader
+// calls it between the run's quanta (Job.JITSites, mipsrun -serve).
 func (c *CPU) TraceSites() []TraceSite {
-	c.lockTraces()
-	defer c.unlockTraces()
 	var out []TraceSite
 	c.eachBlock(func(b *block) {
 		tr := b.tr
@@ -275,14 +246,12 @@ func (c *CPU) TraceSites() []TraceSite {
 			EndPC:   tr.endPC,
 			Ops:     len(tr.ins),
 			Blocks:  len(tr.spans),
-			Hits:    atomic.LoadUint64(&tr.hits),
-			Instrs:  atomic.LoadUint64(&tr.instrs),
+			Hits:    tr.hits,
+			Instrs:  tr.instrs,
+			Deopts:  tr.deopts,
 		}
 		for _, sp := range tr.spans {
 			s.Words += sp.n
-		}
-		for r := range tr.deopts {
-			s.Deopts[r] = atomic.LoadUint64(&tr.deopts[r])
 		}
 		out = append(out, s)
 	})
@@ -299,16 +268,14 @@ type BlockSite struct {
 }
 
 // BlockSites returns the per-entry-PC view of every live superblock,
-// in entry-word order, under the same sharing rules as TraceSites.
+// in entry-word order, under the same rule as TraceSites.
 func (c *CPU) BlockSites() []BlockSite {
-	c.lockTraces()
-	defer c.unlockTraces()
 	var out []BlockSite
 	c.eachBlock(func(b *block) {
 		out = append(out, BlockSite{
 			EntryPC: b.pa,
 			Words:   b.cover,
-			Execs:   atomic.LoadUint64(&b.execs),
+			Execs:   b.execs,
 		})
 	})
 	return out

@@ -166,7 +166,6 @@ func TestTierResidency(t *testing.T) {
 // per trace, and reasoned guard exits, in a causally sensible order.
 func TestJITEventHook(t *testing.T) {
 	c := tracesCPU(6000)
-	c.ShareTraces() // exercise the shared-mutation path under events
 	var events []JITEvent
 	c.SetJITHook(func(e JITEvent) { events = append(events, e) })
 	run(t, c, 1_000_000)

@@ -81,7 +81,9 @@ type decoded struct {
 }
 
 // decodeWord fills d with the flat record for the word in. It mirrors
-// exactly what execWord reads from the pieces.
+// exactly what execWord reads from the pieces, except that a word whose
+// only piece is a long-immediate load is recorded as the ALU move it
+// executes as.
 func decodeWord(d *decoded, in isa.Instr) {
 	*d = decoded{src: in, aluKind: isa.PieceNop, memKind: isa.PieceNop}
 	if in.IsNop() {
@@ -120,5 +122,12 @@ func decodeWord(d *decoded, in isa.Instr) {
 			d.m1 = mkFastOp(p.Src1)
 			d.m2 = mkFastOp(p.Src2)
 		}
+	}
+	if d.memKind == isa.PieceLoad && d.mode == isa.AModeLongImm && d.aluKind == isa.PieceNop {
+		// The constant comes from the instruction stream, not the data
+		// port: no data cycle and no load delay, as for a move.
+		d.memKind = isa.PieceNop
+		d.aluKind, d.aluOp, d.aluUnary, d.aluDst = isa.PieceALU, isa.OpMov, true, d.data
+		d.a1 = fastOp{imm: true, val: uint32(d.disp)}
 	}
 }

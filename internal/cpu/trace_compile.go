@@ -14,7 +14,7 @@ package cpu
 // audited lean path, which with nothing pending is a register-file load.
 // Formation marks each position a pending load can reach (trace_form.go);
 // only unmarked positions take the check-free specializations (trAdd,
-// trSub, trOr, trMov, trLoadDisp, trStoreDisp).
+// trSub, trMov, trLoadDisp, trStoreDisp).
 //
 // Every check a handler would repeat per word is hoisted to dispatch
 // entry, where stepTraces has already discharged it: no DMA engine
@@ -50,13 +50,12 @@ import (
 // Per-class happy-path cost of one word, identical to what the block
 // engine's lean word executor (leanWord) accounts for the same word.
 var (
-	wcNop     = wordCost{instr: 1, nops: 1}.pack()
-	wcALU     = wordCost{instr: 1, pieces: 1}.pack()
-	wcLoadImm = wordCost{instr: 1, pieces: 1}.pack()
-	wcLoad    = wordCost{instr: 1, pieces: 1, loads: 1, data: 1}.pack()
-	wcStore   = wordCost{instr: 1, pieces: 1, stores: 1, data: 1}.pack()
-	wcBranch  = wordCost{instr: 1, pieces: 1, branches: 1}.pack()
-	wcTaken   = wordCost{instr: 1, pieces: 1, branches: 1, taken: 1}.pack()
+	wcNop    = wordCost{instr: 1, nops: 1}.pack()
+	wcALU    = wordCost{instr: 1, pieces: 1}.pack()
+	wcLoad   = wordCost{instr: 1, pieces: 1, loads: 1, data: 1}.pack()
+	wcStore  = wordCost{instr: 1, pieces: 1, stores: 1, data: 1}.pack()
+	wcBranch = wordCost{instr: 1, pieces: 1, branches: 1}.pack()
+	wcTaken  = wordCost{instr: 1, pieces: 1, branches: 1, taken: 1}.pack()
 	// A faulting memory word accounts its data cycle but not the
 	// load/store completion count, exactly like finishWord's fault path.
 	wcMemFault = wordCost{instr: 1, pieces: 1, data: 1}.pack()
@@ -91,18 +90,10 @@ const deoptDevice = NumDeoptReasons
 // traceFault abandons the trace at a faulting word: the word restarts
 // at the head of the restored fetch queue (return address zero),
 // exactly as bailFault leaves it. The caller has already accounted the
-// executed prefix.
-func (c *CPU) traceFault(q [3]uint32, cause isa.Cause) {
-	c.deopt = DeoptFault
-	c.pcq[0], c.pcq[1], c.pcq[2] = q[0], q[1], q[2]
-	c.pcn = 3
-	c.exception(cause, isa.CauseNone, 0)
-}
-
-// traceFault2 is traceFault with a secondary cause: a packed word whose
-// ALU piece overflowed while its memory piece also faulted, ordered by
-// the exception priority rule (overflow primary, mapping secondary).
-func (c *CPU) traceFault2(q [3]uint32, primary, secondary isa.Cause) {
+// executed prefix. Only a packed word whose ALU piece overflowed while
+// its memory piece also faulted has a secondary cause (overflow
+// primary, the memory fault secondary).
+func (c *CPU) traceFault(q [3]uint32, primary, secondary isa.Cause) {
 	c.deopt = DeoptFault
 	c.pcq[0], c.pcq[1], c.pcq[2] = q[0], q[1], q[2]
 	c.pcn = 3
@@ -249,22 +240,19 @@ func (c *CPU) standDown(w, horizon uint64) {
 // total over validated words: formation already refused everything the
 // handlers cannot specialize, so a nil return means an internal
 // inconsistency and the path is simply not installed. A counting pass
-// sizes the records and the decoded copies of packed words exactly, so
-// compilation makes a constant number of allocations whatever the
-// trace's length. The trace keeps nothing of words, whose decoded
-// pointers reach into the recorded blocks. Under a mapped ctx, memory
-// words take the handlers that translate (no check-free specialization
-// does).
+// sizes the records exactly, so compilation makes a constant number of
+// allocations whatever the trace's length. A packed op points at its
+// recorded block's own decoded record: a code write or bulk
+// invalidation that drops any block the trace spans drops the trace
+// too. Under a mapped ctx, memory words take the handlers that
+// translate (no check-free specialization does).
 func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uint32, spans []traceSpan) *trace {
-	n, ng := 0, 0
+	n := 0
 	for i := 0; i < len(words); i++ {
-		switch words[i].d.bclass {
-		case bcNop:
+		if words[i].d.bclass == bcNop {
 			for i+1 < len(words) && words[i+1].d.bclass == bcNop {
 				i++
 			}
-		case bcGeneral:
-			ng++
 		}
 		n++
 	}
@@ -274,9 +262,6 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 	tr := &trace{pc: entry, ctx: *ctx, words: uint32(len(words)), endPC: endPC,
 		spans: spans, ins: make([]traceInst, n)}
 	mapped := ctx.Mapped
-	if ng > 0 {
-		tr.dec = make([]decoded, 0, ng)
-	}
 	var pre traceCost
 	for i, k := 0, 0; i < len(words); k++ {
 		w := &words[i]
@@ -301,16 +286,13 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 		switch w.d.bclass {
 		case bcGeneral:
 			// Formation admits only the packed shapes the ISA encodes
-			// (packedShape), each with its own handler. The cap was sized
-			// by the counting pass: append never moves the table, so
-			// earlier records' pointers stay valid.
-			tr.dec = append(tr.dec, *w.d)
-			in.d = &tr.dec[len(tr.dec)-1]
+			// (packedShape).
+			in.d = w.d
 			switch w.d.memKind {
 			case isa.PieceLoad:
-				in.fn, happy = trPackedLoad, wcPackedLoad
+				in.fn, happy = trPackedMem, wcPackedLoad
 			case isa.PieceStore:
-				in.fn, happy = trPackedStore, wcPackedStore
+				in.fn, happy = trPackedMem, wcPackedStore
 			case isa.PieceJump:
 				in.fn, happy = trPackedJump, wcPackedTaken
 			default:
@@ -318,16 +300,13 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 			}
 		case bcALU:
 			happy = compileALU(in, w)
-		case bcLoad:
-			happy = compileLoad(in, w, mapped)
-		case bcStore:
-			happy = compileStore(in, w, mapped)
+		case bcLoad, bcStore:
+			happy = compileMem(in, w, mapped)
 		case bcBranch:
 			in.a, in.b, in.cmp, in.target = w.d.m1, w.d.m2, w.d.memCmp, w.d.target
-			in.taken = w.taken
-			in.fn, happy = trBranchNotTaken, wcBranch
+			in.fn, in.taken, happy = trBranch, w.taken, wcBranch
 			if w.taken {
-				in.fn, happy = trBranchTaken, wcTaken
+				happy = wcTaken
 			}
 		case bcJump:
 			in.fn, in.target, happy = trJump, w.d.target, wcTaken
@@ -363,45 +342,33 @@ func compileALU(in *traceInst, w *traceWord) traceCost {
 		in.fn = trAdd
 	case d.aluOp == isa.OpSub:
 		in.fn = trSub
-	case d.aluOp == isa.OpOr:
-		in.fn = trOr
 	default:
 		in.fn = trALU
 	}
 	return wcALU
 }
 
-// compileLoad picks the handler of a load word: long immediates never
-// touch the data port; a displacement load in an unmapped trace, at a
-// position a pending load cannot reach, takes the check-free
-// specialization; every other load takes trLoad.
-func compileLoad(in *traceInst, w *traceWord, mapped bool) traceCost {
+// compileMem picks the handler of a load or store word: a displacement
+// reference in an unmapped trace, at a position a pending load cannot
+// reach, takes the check-free specialization; every other takes trLoad
+// or trStore.
+func compileMem(in *traceInst, w *traceWord, mapped bool) traceCost {
 	d := w.d
 	in.data, in.base, in.index, in.shift = d.data, d.base, d.index, d.shift
 	in.mode, in.imm, in.eager = d.mode, uint32(d.disp), w.eager
-	switch {
-	case d.mode == isa.AModeLongImm:
-		in.fn = trLoadImm
-		return wcLoadImm
-	case !mapped && !w.hazard && d.mode == isa.AModeDisp:
+	lean := !mapped && !w.hazard && d.mode == isa.AModeDisp
+	if d.bclass == bcStore {
+		in.fn = trStore
+		if lean {
+			in.fn = trStoreDisp
+		}
+		return wcStore
+	}
+	in.fn = trLoad
+	if lean {
 		in.fn = trLoadDisp
-	default:
-		in.fn = trLoad
 	}
 	return wcLoad
-}
-
-// compileStore picks the handler of a store word, as compileLoad does.
-func compileStore(in *traceInst, w *traceWord, mapped bool) traceCost {
-	d := w.d
-	in.data, in.base, in.index, in.shift = d.data, d.base, d.index, d.shift
-	in.mode, in.imm = d.mode, uint32(d.disp)
-	if !mapped && !w.hazard && d.mode == isa.AModeDisp {
-		in.fn = trStoreDisp
-	} else {
-		in.fn = trStore
-	}
-	return wcStore
 }
 
 // trNops runs a collapsed nop run. Pending-load commits drain at each
@@ -453,17 +420,17 @@ func (c *CPU) packedALU(d *decoded, vpc uint32) (v uint32, ovf bool) {
 // and the staged commit order (ALU write, then the load's delayed
 // write). Position exactness comes from the flattened queues, so packed
 // words compile anywhere in a trace — body, delay slot, terminator.
-// The memory handlers serve mapped and unmapped traces alike: they
-// compute the address straight from the register file and, in a mapped
-// trace, translate it before any audited read, so a reference a device
-// claims exits with nothing of the word done (an unmapped trace runs
-// only on a deviceless bus, so its addresses are physical); the base
-// read repeats through the audited path after the ALU piece's operands,
-// in the executor's order.
 
-// trPackedLoad runs a packed ALU + load word.
-func trPackedLoad(c *CPU, in *traceInst) bool {
+// trPackedMem runs a packed ALU + load or store word, in mapped and
+// unmapped traces alike. It computes the address straight from the
+// register file and, in a mapped trace, translates it before any
+// audited read, so a reference a device claims exits with nothing of
+// the word done (an unmapped trace runs only on a deviceless bus, so its
+// addresses are physical). The base and data reads repeat through the
+// audited path after the ALU piece's operands, in the executor's order.
+func trPackedMem(c *CPU, in *traceInst) bool {
 	d, vpc := in.d, in.vpc
+	store := d.memKind == isa.PieceStore
 	c.seq++
 	if c.pendN != 0 {
 		c.commitLoads()
@@ -473,84 +440,50 @@ func trPackedLoad(c *CPU, in *traceInst) bool {
 	var f *mem.Fault
 	if c.trCur.ctx.Mapped {
 		var dev bool
-		if pa, dev, f = c.Bus.translateUser(addr, false); dev {
+		if pa, dev, f = c.Bus.translateUser(addr, store); dev {
 			return c.deviceExit(in)
 		}
 	}
 	aluV, ovf := c.packedALU(d, vpc)
-	c.leanRead(d.base, vpc) // the audited address read
+	c.leanRead(d.base, vpc)
 	var v uint32
-	if f == nil {
+	if store {
+		val := c.Regs[d.data]
+		c.leanRead(d.data, vpc)
+		if f == nil {
+			f = c.Bus.MMU.Phys.Write(pa, val)
+		}
+	} else if f == nil {
 		v, f = c.Bus.MMU.Phys.Read(pa)
 	}
 	if f != nil {
 		c.charge(in, wcPackedMemFault)
 		if ovf {
-			c.traceFault2(in.faultQueue(), isa.CauseOverflow, f.Cause)
+			c.traceFault(in.faultQueue(), isa.CauseOverflow, f.Cause)
 		} else {
-			c.traceFault(in.faultQueue(), f.Cause)
+			c.traceFault(in.faultQueue(), f.Cause, isa.CauseNone)
 		}
 		return false
 	}
 	if c.onMem != nil {
-		c.onMem(vpc, addr, false)
+		c.onMem(vpc, addr, store)
 	}
 	if ovf {
-		// The load completed and counts; only the writes are suppressed.
-		c.charge(in, wcPackedLoad)
-		c.traceFault(in.faultQueue(), isa.CauseOverflow)
+		// The reference completed and counts; only the register writes
+		// are suppressed, and the word restarts through the exception.
+		w := wcPackedLoad
+		if store {
+			w = wcPackedStore
+		}
+		c.charge(in, w)
+		c.traceFault(in.faultQueue(), isa.CauseOverflow, isa.CauseNone)
 		return false
 	}
 	c.Regs[d.aluDst] = aluV
 	c.lastWrite[d.aluDst] = c.seq
-	c.writeLoad(d.data, v)
-	return true
-}
-
-// trPackedStore runs a packed ALU + store word.
-func trPackedStore(c *CPU, in *traceInst) bool {
-	d, vpc := in.d, in.vpc
-	c.seq++
-	if c.pendN != 0 {
-		c.commitLoads()
+	if !store {
+		c.writeLoad(d.data, v)
 	}
-	addr := c.Regs[d.base] + uint32(d.disp)
-	pa := addr
-	var f *mem.Fault
-	if c.trCur.ctx.Mapped {
-		var dev bool
-		if pa, dev, f = c.Bus.translateUser(addr, true); dev {
-			return c.deviceExit(in)
-		}
-	}
-	aluV, ovf := c.packedALU(d, vpc)
-	val := c.Regs[d.data]
-	c.leanRead(d.base, vpc) // the audited address and data reads
-	c.leanRead(d.data, vpc)
-	if f == nil {
-		f = c.Bus.MMU.Phys.Write(pa, val)
-	}
-	if f != nil {
-		c.charge(in, wcPackedMemFault)
-		if ovf {
-			c.traceFault2(in.faultQueue(), isa.CauseOverflow, f.Cause)
-		} else {
-			c.traceFault(in.faultQueue(), f.Cause)
-		}
-		return false
-	}
-	if c.onMem != nil {
-		c.onMem(vpc, addr, true)
-	}
-	if ovf {
-		// The store hit memory; the register write is suppressed and the
-		// word restarts through the exception.
-		c.charge(in, wcPackedStore)
-		c.traceFault(in.faultQueue(), isa.CauseOverflow)
-		return false
-	}
-	c.Regs[d.aluDst] = aluV
-	c.lastWrite[d.aluDst] = c.seq
 	return true
 }
 
@@ -569,7 +502,7 @@ func trPackedJump(c *CPU, in *traceInst) bool {
 	}
 	if ovf {
 		c.charge(in, wcPackedTaken)
-		c.traceFault([3]uint32{vpc, vpc + 1, d.target}, isa.CauseOverflow)
+		c.traceFault([3]uint32{vpc, vpc + 1, d.target}, isa.CauseOverflow, isa.CauseNone)
 		return false
 	}
 	c.Regs[d.aluDst] = aluV
@@ -603,7 +536,7 @@ func trAdd(c *CPU, in *traceInst) bool {
 	v := a + b
 	if c.trOvfOn && addOverflows(a, b, v) {
 		c.charge(in, wcALU)
-		c.traceFault(in.faultQueue(), isa.CauseOverflow)
+		c.traceFault(in.faultQueue(), isa.CauseOverflow, isa.CauseNone)
 		return false
 	}
 	c.Regs[in.dst] = v
@@ -617,17 +550,10 @@ func trSub(c *CPU, in *traceInst) bool {
 	v := a - b
 	if c.trOvfOn && subOverflows(a, b, v) {
 		c.charge(in, wcALU)
-		c.traceFault(in.faultQueue(), isa.CauseOverflow)
+		c.traceFault(in.faultQueue(), isa.CauseOverflow, isa.CauseNone)
 		return false
 	}
 	c.Regs[in.dst] = v
-	c.lastWrite[in.dst] = c.seq
-	return true
-}
-
-func trOr(c *CPU, in *traceInst) bool {
-	c.seq++
-	c.Regs[in.dst] = rdOp(c, in.a) | rdOp(c, in.b)
 	c.lastWrite[in.dst] = c.seq
 	return true
 }
@@ -657,7 +583,7 @@ func trALU(c *CPU, in *traceInst) bool {
 	v, lo, ovf := aluEval(in.op, a, b, dstVal, c.Lo)
 	if ovf && c.trOvfOn {
 		c.charge(in, wcALU)
-		c.traceFault(in.faultQueue(), isa.CauseOverflow)
+		c.traceFault(in.faultQueue(), isa.CauseOverflow, isa.CauseNone)
 		return false
 	}
 	if in.op == isa.OpMovLo {
@@ -679,18 +605,6 @@ func trALU(c *CPU, in *traceInst) bool {
 // memory hook and commits eagerly when the flattened successor proves
 // the delay window unobservable, else through the exact delayed-commit
 // machinery.
-
-// trLoadImm runs a long-immediate load, which never touches the data
-// port.
-func trLoadImm(c *CPU, in *traceInst) bool {
-	c.seq++
-	if c.pendN != 0 {
-		c.commitLoads()
-	}
-	c.Regs[in.data] = in.imm
-	c.lastWrite[in.data] = c.seq
-	return true
-}
 
 // traceAddr computes a load/store effective address from the register
 // file, with no hazard audit.
@@ -758,7 +672,7 @@ func trLoad(c *CPU, in *traceInst) bool {
 	}
 	if f != nil {
 		c.charge(in, wcMemFault)
-		c.traceFault(in.faultQueue(), f.Cause)
+		c.traceFault(in.faultQueue(), f.Cause, isa.CauseNone)
 		return false
 	}
 	return c.loadDone(in, addr, v)
@@ -772,7 +686,7 @@ func trLoadDisp(c *CPU, in *traceInst) bool {
 	v, f := c.Bus.MMU.Phys.Read(addr)
 	if f != nil {
 		c.charge(in, wcMemFault)
-		c.traceFault(in.faultQueue(), f.Cause)
+		c.traceFault(in.faultQueue(), f.Cause, isa.CauseNone)
 		return false
 	}
 	return c.loadDone(in, addr, v)
@@ -818,7 +732,7 @@ func trStore(c *CPU, in *traceInst) bool {
 	}
 	if f != nil {
 		c.charge(in, wcMemFault)
-		c.traceFault(in.faultQueue(), f.Cause)
+		c.traceFault(in.faultQueue(), f.Cause, isa.CauseNone)
 		return false
 	}
 	return c.storeDone(in, addr)
@@ -831,7 +745,7 @@ func trStoreDisp(c *CPU, in *traceInst) bool {
 	addr := c.Regs[in.base] + in.imm
 	if f := c.Bus.MMU.Phys.Write(addr, c.Regs[in.data]); f != nil {
 		c.charge(in, wcMemFault)
-		c.traceFault(in.faultQueue(), f.Cause)
+		c.traceFault(in.faultQueue(), f.Cause, isa.CauseNone)
 		return false
 	}
 	return c.storeDone(in, addr)
@@ -852,45 +766,29 @@ func (c *CPU) storeDone(in *traceInst, addr uint32) bool {
 // outcome, accounts the word, restores the queue the real direction
 // produces, and exits.
 
-// branchCond evaluates a branch's condition at its position.
-func (c *CPU) branchCond(in *traceInst) bool {
+// trBranch runs a conditional branch recorded in direction in.taken.
+func trBranch(c *CPU, in *traceInst) bool {
+	c.seq++
 	if c.pendN != 0 {
 		c.commitLoads()
 	}
-	return in.cmp.Eval(c.leanOperand(in.a, in.vpc), c.leanOperand(in.b, in.vpc))
-}
-
-// trBranchTaken runs a branch recorded taken.
-func trBranchTaken(c *CPU, in *traceInst) bool {
-	c.seq++
-	t := c.branchCond(in)
+	t := in.cmp.Eval(c.leanOperand(in.a, in.vpc), c.leanOperand(in.b, in.vpc))
 	if c.onBranch != nil {
 		c.onBranch(in.vpc, in.target, t)
 	}
-	if !t {
-		c.deopt = DeoptBranchDirection
-		c.charge(in, wcBranch) // the not-taken exit never counts a taken branch
-		c.pcq[0], c.pcn = in.vpc+1, 1
-		return false
+	if t == in.taken {
+		return true
 	}
-	return true
-}
-
-// trBranchNotTaken runs a branch recorded not taken.
-func trBranchNotTaken(c *CPU, in *traceInst) bool {
-	c.seq++
-	t := c.branchCond(in)
-	if c.onBranch != nil {
-		c.onBranch(in.vpc, in.target, t)
-	}
+	c.deopt = DeoptBranchDirection
 	if t {
-		c.deopt = DeoptBranchDirection
 		c.charge(in, wcTaken)
 		c.pcq[0], c.pcq[1] = in.vpc+1, in.target
 		c.pcn = 2
-		return false
+	} else {
+		c.charge(in, wcBranch) // the not-taken exit never counts a taken branch
+		c.pcq[0], c.pcn = in.vpc+1, 1
 	}
-	return true
+	return false
 }
 
 // trJump runs an unconditional direct jump: always taken, no guard, no

@@ -451,7 +451,7 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 	// its load keeps the delayed commit.
 	for i := range words {
 		w := &words[i]
-		if w.d.bclass != bcLoad || w.d.mode == isa.AModeLongImm {
+		if w.d.bclass != bcLoad {
 			continue
 		}
 		if i+1 < len(words) && words[i+1].d.bclass != bcGeneral &&
@@ -468,7 +468,7 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 			words[i].hazard = true
 		}
 		d := words[i].d
-		if (d.bclass == bcLoad && !words[i].eager && d.mode != isa.AModeLongImm) ||
+		if (d.bclass == bcLoad && !words[i].eager) ||
 			(d.bclass == bcGeneral && d.memKind == isa.PieceLoad) {
 			// A non-eager load's commit lands two words later, and a
 			// packed load (always delayed) leaves the same window; no

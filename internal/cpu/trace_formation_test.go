@@ -16,8 +16,10 @@ import (
 // segments of per ALU words, each ended by a jump to the next segment
 // (the last by the backward branch), so one recording fuses segs blocks
 // into a single closed trace of segs*(per+2) ops: per ALU ops, the
-// terminator, and its delay-slot nop. The loop starts at word 1.
-func formationLoopCPU(segs, per int) *CPU {
+// terminator, and its delay-slot nop. With packed, every odd ALU word
+// also loads a data word into r8, a packed word. The loop starts at
+// word 1.
+func formationLoopCPU(segs, per int, packed bool) *CPU {
 	words := []isa.Instr{w(isa.LoadImm32(1, 1<<20))} // 0
 	for s := 0; s < segs; s++ {
 		for i := 0; i < per; i++ {
@@ -26,7 +28,16 @@ func formationLoopCPU(segs, per int) *CPU {
 				continue
 			}
 			r := isa.Reg(2 + i%6)
-			words = append(words, w(isa.ALU(isa.OpAdd, r, isa.R(r), isa.Imm(1))))
+			add := isa.ALU(isa.OpAdd, r, isa.R(r), isa.Imm(1))
+			if packed && i%2 == 1 {
+				pw, ok := isa.Pack(add, isa.LoadDisp(8, 9, 2))
+				if !ok {
+					panic("pack failed")
+				}
+				words = append(words, pw)
+				continue
+			}
+			words = append(words, w(add))
 		}
 		if s < segs-1 {
 			// Jump over one never-executed pad word: a target right
@@ -66,14 +77,19 @@ func firstRecording(t *testing.T, c *CPU) TraceRecording {
 // TestTraceFormationAllocs pins formation's allocation count: re-forming
 // a recorded path — validation, flattening, compilation, installation —
 // allocates the trace, its op records and its spans, the same three
-// objects for a 10-op trace as for a 200-op one.
+// objects for a 10-op trace as for a 200-op one, and for a loop of
+// packed words, whose ops point at their blocks' own decoded records.
 func TestTraceFormationAllocs(t *testing.T) {
 	const want = 3
-	for _, tc := range []struct{ segs, per, ops int }{
+	for _, tc := range []struct {
+		segs, per, ops int
+		packed         bool
+	}{
 		{segs: 1, per: 8, ops: 10},
 		{segs: 4, per: 48, ops: 200},
+		{segs: 2, per: 16, ops: 36, packed: true},
 	} {
-		c := formationLoopCPU(tc.segs, tc.per)
+		c := formationLoopCPU(tc.segs, tc.per, tc.packed)
 		rec := firstRecording(t, c)
 		compiled := c.Trans.TraceCompiled
 		allocs := testing.AllocsPerRun(100, func() { c.replayRecording(rec) })

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -698,5 +699,64 @@ func TestTracePackedShapes(t *testing.T) {
 			t.Errorf("%s: compiled %d traces, %d block refusals; want a block refusal and no trace",
 				c.name, trc.Trans.TraceCompiled, refused)
 		}
+	}
+}
+
+// TestMappedPackedStoreWriteProtect walks a packed store through a
+// mapped trace from a writable page onto a read-only one: the trace must
+// translate the store as a write and take the protection fault at the
+// word, return addresses and statistics the reference engine does. A
+// store translated as a read would run on to the unmapped page after.
+func TestMappedPackedStoreWriteProtect(t *testing.T) {
+	st, ok := isa.Pack(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)), isa.StoreDisp(2, 5, 0))
+	if !ok {
+		t.Fatal("pack failed")
+	}
+	br := isa.Branch(isa.CmpNE, isa.R(5), isa.Imm(0), "")
+	br.Target = 2
+	code := []isa.Instr{
+		w(isa.LoadImm32(5, 2*mem.PageWords-200)), // 0: 200 words before read-only page 2
+		w(isa.Nop()),                             // 1
+		st,                                       // 2: loop
+		w(isa.ALU(isa.OpAdd, 5, isa.R(5), isa.Imm(1))), // 3
+		w(br),        // 4: bne r5, #0, 2 (always taken)
+		w(isa.Nop()), // 5: branch delay
+	}
+	type result struct {
+		regs  [isa.NumRegs]uint32
+		stats Stats
+		ret   [3]uint32
+		sur   isa.Surprise
+		mmu   mem.MMUState
+		hash  uint64
+	}
+	runOn := func(e Engine) (result, TranslationStats) {
+		c := newTestCPU(halt)
+		c.WriteCode(2*mem.PageWords, code)
+		mmu := c.Bus.MMU
+		mmu.Seg = mem.NewSegUnit(1, mem.MinSpaceBits)
+		for vp, pg := range []struct {
+			frame    uint32
+			writable bool
+		}{{2, true}, {3, true}, {4, false}} {
+			sys, _ := mmu.Seg.Translate(uint32(vp) << mem.PageBits)
+			mmu.Map.Map(sys>>mem.PageBits, pg.frame, pg.writable)
+		}
+		c.Sur = c.Sur.SetSupervisor(false).SetMapping(true)
+		c.SetEngine(e)
+		h := attachEventHash(c)
+		run(t, c, 10_000)
+		return result{c.Regs, c.Stats, c.Ret, c.Sur, c.Bus.MMU.CaptureState(), h.sum.Sum64()}, c.Trans
+	}
+	ref, _ := runOn(EngineReference)
+	if p, _ := ref.sur.Causes(); p == isa.CauseNone || ref.ret[0] != 2 || ref.regs[5] != 2*mem.PageWords {
+		t.Fatalf("reference: cause %s at %d, r5 %d: want a fault at the packed store on page 2", p, ref.ret[0], ref.regs[5])
+	}
+	got, trans := runOn(EngineTraces)
+	if !reflect.DeepEqual(got, ref) {
+		t.Errorf("traces diverge:\n got %+v\n ref %+v", got, ref)
+	}
+	if trans.TraceDeopts[DeoptFault] == 0 {
+		t.Errorf("no trace took the fault: %s", &trans)
 	}
 }

@@ -6,23 +6,25 @@ import "testing"
 // and a bbSeed key. Together they reach each packed handler mapped and
 // unmapped, with and without a load pending, and through each of its
 // exits (overflow and memory fault). The seeds marked dev load from and
-// store to the looped layout's device page, through trLoad, trStore,
-// trPackedLoad and trPackedStore in turn, and so leave their mapped
-// traces through the device exit. The next two, unmapped and mapped,
-// run trALU words that read a load's destination in its delay slot,
-// which the hazard audit must see. The rest reach what the others miss
-// of the generic and check-free handlers: a load pending at a mapped
-// trace's nops, set-condition, long-immediate, load and store words,
-// the fault exits of trLoad, trStore, trLoadDisp and trStoreDisp, and
-// trALU's overflow exit. The next reaches a mapped taken branch with a
-// load pending. Then, in order: guard exits of trBranchNotTaken, whose
-// queue drains the delay slot in the chain, unmapped and mapped; guard
-// exits of trJumpInd with a load pending, unmapped and mapped, which
-// need bbJumpMove (without it the jump always goes where the trace
-// recorded); the overflow exits of trAdd and of trSub; a load pending
-// at a trLoad, which a trLoad that skips its pending-load commit gets
-// wrong; and, all mapped with a load pending at entry, a trOr, a load
-// pending at a trCall, and trStore's fault exit.
+// store to the looped layout's device page, through trLoad, trStore and
+// trPackedMem (a packed load, then a packed store), and so leave their
+// mapped traces through the device exit. The next two, unmapped and
+// mapped, run trALU words that read a load's destination in its delay
+// slot, which the hazard audit must see. The rest reach what the others
+// miss of the generic and check-free handlers: a load pending at a
+// mapped trace's nops, set-condition, long-immediate (trALU), load and
+// store words, the fault exits of trLoad, trStore, trLoadDisp and
+// trStoreDisp, and trALU's overflow exit. The next reaches a mapped
+// branch recorded taken with a load pending. Then, in order: guard
+// exits of a trBranch recorded not taken, whose queue drains the delay
+// slot in the chain, unmapped and mapped; guard exits of trJumpInd with
+// a load pending, unmapped and mapped, which need bbJumpMove (without
+// it the jump always goes where the trace recorded); the overflow exits
+// of trAdd and of trSub; a load pending at a trLoad, which a trLoad
+// that skips its pending-load commit gets wrong; all mapped with a load
+// pending at entry, an or (trALU), a load pending at a trCall, and
+// trStore's fault exit; and, mapped, the overflow exits of trAdd, trSub
+// and trALU.
 var traceBodySeeds = []struct {
 	env uint8
 	k   uint32
@@ -43,6 +45,7 @@ var traceBodySeeds = []struct {
 	{bbOverflow, 105303, false}, {bbOverflow, 27714, false},
 	{bbPendingLoad, 1807, false},
 	{bbMapped | bbPendingLoad, 409, false}, {bbMapped | bbPendingLoad, 3464, false}, {bbMapped | bbPendingLoad, 21100, false},
+	{bbOverflow | bbMapped, 395650, false}, {bbOverflow | bbMapped, 44354, false}, {bbOverflow | bbMapped | bbPendingLoad, 49456, false},
 }
 
 // FuzzTraceBody runs one random superblock on the trace tier and on the

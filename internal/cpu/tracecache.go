@@ -64,7 +64,8 @@ type traceFn func(c *CPU, in *traceInst) bool
 type traceInst struct {
 	fn traceFn
 	// d is the op's decoded word, for packed words (bclass bcGeneral)
-	// only: it points into the trace's own dec table.
+	// only: the recorded block's own record, which a code write drops
+	// together with the trace.
 	d *decoded
 	// a and b are the ALU operands, or the compare operands of a branch
 	// (a alone: the target register of an indirect jump).
@@ -77,8 +78,8 @@ type traceInst struct {
 	// indirect jump, or, for a delay-slot word, the control target its
 	// drain heads to (which its exit queues end at).
 	target uint32
-	// imm is a load/store displacement, absolute address, or long
-	// immediate; for a nop run, its length.
+	// imm is a load/store displacement or absolute address; for a nop
+	// run, its length.
 	imm uint32
 
 	dst               isa.Reg // ALU destination, or a call's link register
@@ -172,7 +173,6 @@ type trace struct {
 	pc    uint32      // entry PC as fetched (virtual when ctx is mapped)
 	ctx   mem.Context // translation context the trace was formed under
 	ins   []traceInst
-	dec   []decoded // decoded copies of the bcGeneral words ins point at
 	cost  traceCost
 	words uint32 // instruction words in a clean pass: the most one pass retires
 	endPC uint32 // sequential resume point after a clean pass
@@ -180,9 +180,8 @@ type trace struct {
 
 	warm bool // dispatched at least once (gates the dispatch-cold event)
 
-	// Per-site introspection history, written by the CPU goroutine and
-	// read by TraceSites via atomic loads: dispatches, instructions
-	// retired inside this trace, and guard exits by reason.
+	// Per-site introspection history, for TraceSites: dispatches,
+	// instructions retired inside this trace, and guard exits by reason.
 	hits   uint64
 	instrs uint64
 	deopts [NumDeoptReasons]uint64
@@ -213,17 +212,13 @@ func (b *block) traceFor(pc uint32, ctx *mem.Context) *trace {
 // installTrace hangs a compiled trace on its entry block, replacing the
 // trace the block held before.
 func (c *CPU) installTrace(b *block, tr *trace) {
-	c.lockTraces()
 	if b.tr != nil {
 		c.dropTrace(b)
 	}
 	b.tr = tr
-	c.unlockTraces()
 }
 
-// dropTrace takes the compiled trace off b, which holds one. Callers
-// under ShareTraces hold the trace mutex (install, code write, bulk
-// invalidation all lock before dropping).
+// dropTrace takes the compiled trace off b, which holds one.
 func (c *CPU) dropTrace(b *block) {
 	if c.onJIT != nil {
 		c.emitJIT(JITEvent{Kind: JITInvalidated, PC: b.tr.pc, Len: uint32(len(b.tr.ins))})

@@ -31,12 +31,6 @@ func NewImage() *Image {
 	return &Image{Data: make(map[int32]uint32), Symbols: make(map[string]int32)}
 }
 
-// Lookup returns the address of a symbol.
-func (im *Image) Lookup(name string) (int32, bool) {
-	a, ok := im.Symbols[name]
-	return a, ok
-}
-
 // StaticCounts summarizes the image for the paper's static measurements.
 type StaticCounts struct {
 	Words    int // instruction words (what Table 11 counts)

@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Instr is one 32-bit instruction word. A word holds up to two pieces:
 // an ALU-class piece (ALU operation or set-conditionally) and a
@@ -243,14 +240,4 @@ func (in Instr) String() string {
 		return in.Mem.String()
 	}
 	return "<empty>"
-}
-
-// FormatProgram renders an instruction sequence with word addresses,
-// for traces and golden tests.
-func FormatProgram(words []Instr) string {
-	var b strings.Builder
-	for i, w := range words {
-		fmt.Fprintf(&b, "%4d: %s\n", i, w)
-	}
-	return b.String()
 }

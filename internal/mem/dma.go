@@ -21,12 +21,7 @@ type DMA struct {
 	moved   uint64
 	offered uint64
 	half    bool // a read half-cycle has been consumed
-	onMove  func(src, dst uint32)
 }
-
-// SetMoveHook installs an observer invoked after every word moved, with
-// the source and destination physical addresses. Pass nil to disable.
-func (d *DMA) SetMoveHook(fn func(src, dst uint32)) { d.onMove = fn }
 
 // NewDMA returns a DMA engine over the given physical memory.
 func NewDMA(phys *Physical) *DMA {
@@ -77,9 +72,6 @@ func (d *DMA) OfferFreeCycle() bool {
 	d.moved++
 	if t.done == t.Words {
 		d.queue = d.queue[1:]
-	}
-	if d.onMove != nil {
-		d.onMove(src, dst)
 	}
 	return true
 }

@@ -709,7 +709,7 @@ func (s *Service) sampleLocked(j *Job, r *jobRecord) JobSample {
 // JITSites snapshots the job's trace/block caches — the per-PC tier
 // heatmap — symbolized against its profiler when one is attached. A
 // running job's are read at a quantum boundary, so the machine is idle
-// for the read and no cpu.ShareTraces is needed. A finished job answers
+// for the read. A finished job answers
 // with the sites collected as it finished, which it keeps only when the
 // service has a JIT log (ServiceConfig.JIT).
 func (j *Job) JITSites() (trace.JITSites, bool) {

@@ -72,10 +72,10 @@ type Config struct {
 	// the bounded JIT event log the machine records into.
 	JIT *trace.JITLog
 	// JITSites, if non-nil, backs /jit/traces: a per-job-label snapshot
-	// of the live trace/block caches (the per-PC tier heatmap). mipsrun
-	// closes over its one machine (cpu.ShareTraces makes the live read
-	// safe — see SingleJITSites); mipsd collects each job's sites at
-	// quantum boundaries.
+	// of the live trace/block caches (the per-PC tier heatmap). Both
+	// collect at quantum boundaries: mipsrun closes over its one machine
+	// (see SingleJITSites) and reads it between its run loop's quanta;
+	// mipsd reads each job's between the job's quanta.
 	JITSites func() map[string]trace.JITSites
 
 	// SampleInterval is the /status rate-sampler period (default 1s).

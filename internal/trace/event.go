@@ -46,6 +46,8 @@ const (
 	KindPageFault
 	// KindDMA is one word moved by the DMA engine on a free memory
 	// cycle; Arg holds the source and Addr the destination address.
+	// Nothing records it any more; it keeps its value so the kinds after
+	// it keep theirs.
 	KindDMA
 	// KindSwitch is a kernel context switch; Arg holds the incoming PID.
 	KindSwitch

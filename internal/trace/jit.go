@@ -303,8 +303,9 @@ type JITSites struct {
 // CollectJITSites snapshots the CPU's live traces and blocks into the
 // wire shape, sorted hottest-first. The profiler is optional; when
 // present, entry PCs gain "symbol+offset" names (user image first, then
-// kernel). Reading a running CPU requires cpu.ShareTraces, same as the
-// telemetry server's other live reads.
+// kernel). A live reader calls it between a run's quanta, never while
+// the CPU runs: the job service under a job's mutex, mipsrun -serve
+// under its run loop's.
 func CollectJITSites(c *cpu.CPU, p *Profiler) JITSites {
 	sites := JITSites{Tiers: make(map[string]uint64, int(cpu.NumTiers))}
 	for t := cpu.Tier(0); t < cpu.NumTiers; t++ {

@@ -4,11 +4,10 @@ import (
 	"mips/internal/cpu"
 	"mips/internal/isa"
 	"mips/internal/kernel"
-	"mips/internal/mem"
 )
 
 // Observer binds a Tracer and/or a Profiler to one simulated machine by
-// installing the cpu/mem hook points. Either part may be nil; the hooks
+// installing the cpu hook points. Either part may be nil; the hooks
 // fan events out to whichever parts are present. Detaching restores the
 // hook-free (zero-overhead) fast path.
 type Observer struct {
@@ -53,16 +52,6 @@ func (o *Observer) AttachMachine(m *kernel.Machine) {
 	if p := o.Profiler; p != nil {
 		p.AddKernelImage(m.KernelImage())
 	}
-}
-
-// AttachDMA makes the observer record a KindDMA event for every word
-// the engine moves on a stolen free cycle.
-func (o *Observer) AttachDMA(d *mem.DMA) {
-	d.SetMoveHook(func(src, dst uint32) {
-		if t := o.Tracer; t != nil {
-			t.Emit(Event{Kind: KindDMA, Cycle: o.cycle(), PID: o.curPID, Addr: dst, Arg: src})
-		}
-	})
 }
 
 // Detach clears every hook the observer installed, restoring the

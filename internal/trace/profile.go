@@ -113,11 +113,6 @@ func (p *Profiler) AddKernelImage(im *isa.Image) {
 	p.ksyms = addImageSymbols(p.ksyms, im)
 }
 
-// AddSymbol registers one user-space symbolization entry.
-func (p *Profiler) AddSymbol(name string, addr uint32) {
-	p.syms = insertSymbol(p.syms, Symbol{Name: name, Addr: addr})
-}
-
 func addImageSymbols(syms []Symbol, im *isa.Image) []Symbol {
 	lo, hi := im.TextBase, im.TextBase+int32(len(im.Words))
 	for name, addr := range im.Symbols {

@@ -151,52 +151,3 @@ func (t *Tracer) retire(pid uint16, cycle uint64, pc uint32, in isa.Instr) {
 		t.streamed++
 	}
 }
-
-// WriteText dumps the retained events as human-readable text, one event
-// per line, oldest first.
-func (t *Tracer) WriteText(w io.Writer) error {
-	for _, e := range t.Events() {
-		if err := writeEventText(w, e); err != nil {
-			return err
-		}
-	}
-	if d := t.ring.Dropped(); d > 0 {
-		if _, err := fmt.Fprintf(w, "... %d earlier events dropped (ring capacity %d)\n", d, t.ring.Cap()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeEventText(w io.Writer, e Event) error {
-	var err error
-	switch e.Kind {
-	case KindRetire:
-		_, err = fmt.Fprintf(w, "%10d cyc=%-10d pid=%-2d retire     pc=%d\n", e.Seq, e.Cycle, e.PID, e.PC)
-	case KindLoad, KindStore:
-		_, err = fmt.Fprintf(w, "%10d cyc=%-10d pid=%-2d %-10s pc=%d addr=%#x\n", e.Seq, e.Cycle, e.PID, e.Kind, e.PC, e.Addr)
-	case KindBranch:
-		taken := "not-taken"
-		if e.Arg != 0 {
-			taken = "taken"
-		}
-		_, err = fmt.Fprintf(w, "%10d cyc=%-10d pid=%-2d branch     pc=%d target=%d %s\n", e.Seq, e.Cycle, e.PID, e.PC, e.Addr, taken)
-	case KindExcEnter:
-		prim, sec, code := e.ExcCauses()
-		_, err = fmt.Fprintf(w, "%10d cyc=%-10d pid=%-2d exc-enter  ret=%d cause=%s/%s code=%d\n",
-			e.Seq, e.Cycle, e.PID, e.PC, isa.Cause(prim), isa.Cause(sec), code)
-	case KindExcExit:
-		_, err = fmt.Fprintf(w, "%10d cyc=%-10d pid=%-2d exc-exit   resume=%d\n", e.Seq, e.Cycle, e.PID, e.PC)
-	case KindPageFault:
-		_, err = fmt.Fprintf(w, "%10d cyc=%-10d pid=%-2d page-fault pc=%d addr=%#x\n", e.Seq, e.Cycle, e.PID, e.PC, e.Addr)
-	case KindDMA:
-		_, err = fmt.Fprintf(w, "%10d cyc=%-10d pid=%-2d dma        src=%#x dst=%#x\n", e.Seq, e.Cycle, e.PID, e.Arg, e.Addr)
-	case KindSwitch:
-		_, err = fmt.Fprintf(w, "%10d cyc=%-10d pid=%-2d switch     -> pid %d\n", e.Seq, e.Cycle, e.PID, e.Arg)
-	case KindSyscall:
-		_, err = fmt.Fprintf(w, "%10d cyc=%-10d pid=%-2d syscall    pc=%d code=%d\n", e.Seq, e.Cycle, e.PID, e.PC, e.Arg)
-	default:
-		_, err = fmt.Fprintf(w, "%10d cyc=%-10d pid=%-2d %s pc=%d addr=%#x arg=%d\n", e.Seq, e.Cycle, e.PID, e.Kind, e.PC, e.Addr, e.Arg)
-	}
-	return err
-}
