@@ -183,8 +183,7 @@ func main() {
 				return live.sites(profiler)
 			})
 		}
-		srv = telemetry.New(cfg)
-		srv.AddSource("", registry)
+		srv = live.server(cfg, registry)
 		addr, err := srv.Start(*serve)
 		if err != nil {
 			fatal(err)
@@ -291,9 +290,10 @@ func main() {
 // for a live reader, the job service's default quantum.
 const liveQuantum = 1_000_000
 
-// liveMachine is the machine the run loop drives and /jit/traces reads.
-// The loop holds mu across each quantum, so a read lands between two
-// quanta, at a step boundary, as a job service reader's does.
+// liveMachine is the machine the run loop drives and /jit/traces,
+// /metrics and /status read. The loop holds mu across each quantum, so a
+// read lands between two quanta, at a step boundary, as a job service
+// reader's does.
 type liveMachine struct {
 	mu sync.Mutex
 	m  *sim.Machine
@@ -320,6 +320,17 @@ func (l *liveMachine) run(maxSteps, quantum uint64) error {
 		}
 	}
 	return fmt.Errorf("cpu: step limit %d exceeded at pc=%d", maxSteps, l.m.CPU().PC())
+}
+
+// server builds the -serve telemetry server over registry, the one the
+// machine's counters register into. /metrics, /status and the rate
+// sampler read the registry only between quanta, as /jit/traces reads
+// the sites, so no sample overlaps the CPU's plain counter writes.
+func (l *liveMachine) server(cfg telemetry.Config, registry *trace.Registry) *telemetry.Server {
+	registry.Guard(&l.mu)
+	srv := telemetry.New(cfg)
+	srv.AddSource("", registry)
+	return srv
 }
 
 // sites collects the machine's trace and block sites between quanta.

@@ -171,10 +171,10 @@ func (c *CPU) runBody(b *block, pc uint32, mapped bool, pmGen uint64) bool {
 	// env is false in the quiet configuration: no DMA to offer cycles
 	// to, no ticker to advance, unmapped, no memory hook, and no
 	// interrupt pending. Nothing can then raise the line or remap
-	// mid-body, so the per-word environmental work is dead and nop
-	// runs retire in bulk; only stores (which can hit a halt device, or
-	// start a disk transfer that replaces this block's code) and
-	// exact-executor words can end the body early.
+	// mid-body, so the per-word environmental work is dead; only stores
+	// (which can hit a halt device, or start a disk transfer that
+	// replaces this block's code) and exact-executor words can end the
+	// body early.
 	intOK := c.Sur.InterruptsEnabled() && !c.Sur.Supervisor()
 	env := bus.DMA != nil || len(bus.tickers) > 0 || mapped || c.onMem != nil || c.intLine && intOK
 	n := b.n
@@ -191,21 +191,7 @@ func (c *CPU) runBody(b *block, pc uint32, mapped bool, pmGen uint64) bool {
 			c.Trans.BlockBails++
 			return false
 		}
-		switch {
-		case d.bclass == bcNop && !env && c.pendN == 0:
-			// A run of nops (nopRun is set on every body nop) retires
-			// in bulk: nops cannot fault, write, or invalidate
-			// anything, and with no pending load nothing commits
-			// mid-run.
-			k := uint64(d.nopRun)
-			c.seq += k - 1
-			c.Stats.Instructions += k
-			c.Stats.Cycles += k
-			c.Stats.Nops += k
-			c.Stats.FreeCycles += k
-			i += uint32(k) - 1
-			continue
-		case d.bclass == bcGeneral:
+		if d.bclass == bcGeneral {
 			// Packed words run through the exact executor with the
 			// fetch queue set to what per-word stepping would hold:
 			// the two sequential successors.
@@ -219,7 +205,7 @@ func (c *CPU) runBody(b *block, pc uint32, mapped bool, pmGen uint64) bool {
 				c.Trans.BlockBails++
 				return false
 			}
-		default:
+		} else {
 			if cause := c.leanWord(d, vpc); cause != isa.CauseNone {
 				c.bailFault(vpc, cause)
 				bus.Tick()

@@ -344,17 +344,6 @@ func (c *CPU) translateBlock(pa uint32) *block {
 	// can stop the machine without an exception — a store hitting a
 	// halt device, or anything routed through the exact executor — so
 	// those keep the delayed-commit machinery.
-	run := uint8(0)
-	for i := len(b.code) - 1; i >= 0; i-- {
-		if b.code[i].bclass == bcNop {
-			if run < 255 {
-				run++
-			}
-			b.code[i].nopRun = run
-		} else {
-			run = 0
-		}
-	}
 	for i := range b.code {
 		d := &b.code[i]
 		if d.bclass != bcLoad {

@@ -222,7 +222,7 @@ func (c *CPU) emitJIT(e JITEvent) {
 type TraceSite struct {
 	EntryPC uint32
 	EndPC   uint32
-	Ops     int    // compiled op count (a nop run is one op)
+	Ops     int    // compiled op count: one op per word of a clean pass
 	Blocks  int    // superblocks fused
 	Words   uint32 // instruction-memory words covered (span total)
 	Hits    uint64 // dispatches (cache entry and chaining alike)

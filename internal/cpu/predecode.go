@@ -51,11 +51,6 @@ type decoded struct {
 	// at block translation (blockcache.go); bcGeneral, which runs the
 	// word through execWord, is always safe.
 	bclass uint8
-	// nopRun is the length of the consecutive nop run starting at this
-	// word, set only on block-body records: the block engine retires a
-	// whole run with bulk accounting when nothing can observe the
-	// intermediate cycles.
-	nopRun uint8
 
 	// ALU slot (PieceALU or PieceSetCond); PieceNop when absent.
 	aluKind    isa.PieceKind

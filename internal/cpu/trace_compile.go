@@ -2,12 +2,12 @@ package cpu
 
 // Trace compilation and dispatch: the execution half of the trace JIT
 // tier. A validated flat path (trace_form.go) compiles to one contiguous
-// array of op records — threaded code, one record per instruction word
-// (consecutive nops collapse into one) — each naming a static handler
-// chosen at compile time for the word's class and operand shape. Dispatch
-// runs the array with no per-word fetch, no queue maintenance, no
-// environmental checks, and no statistics updates: a clean pass bulk-adds
-// the precomputed cost of the whole trace.
+// array of op records — threaded code, one record per instruction word —
+// each naming a static handler chosen at compile time for the word's
+// class and operand shape. Dispatch runs the array with no per-word
+// fetch, no queue maintenance, no environmental checks, and no
+// statistics updates: a clean pass bulk-adds the precomputed cost of the
+// whole trace.
 //
 // A pending load is a run-time test, not a handler: every handler that
 // can meet one commits it when c.pendN != 0 and reads through the
@@ -103,23 +103,21 @@ func (c *CPU) traceFault(q [3]uint32, primary, secondary isa.Cause) {
 // runTrace executes a compiled trace from its entry, then chains
 // trace-to-trace through the block table (a loop trace chains to itself)
 // while each trace entered fits the steps left of the run. A guard exit
-// that raised no exception chains too: a mispredicted direction or
-// indirect target first drains the delay slots it left in flight on the
-// exact executor, and the queue it leaves is then sequential, often at
-// the entry of the trace covering the path execution actually took.
-// Bouncing through the lower tiers for those words would forfeit the
-// trace. The dispatch guards hold for the whole chain: nothing inside a
-// trace can change the translation context ctx or what stepTraces
-// checked (privilege, overflow enable and the page map only change
-// through words a trace refuses to contain or through devices, whose
-// references exit before the access, and drainable keeps both from the
-// drain), so the TLB, synced here, serves the mapped handlers' probes.
-// The tickers are advanced only afterwards, so each trace entered must
-// fit what is left of their horizon and of the run's steps (until the
-// exception that ends the chain, each step is an instruction), and the
-// drain stops at the same bound. It returns how many instructions the
-// drain retired: the exact executor ticked those itself.
-func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) (drained uint64) {
+// that raised no exception and left the fetch queue sequential (a
+// branch recorded taken that fell through) chains too. One that left
+// delay slots in flight ends the chain: dispatch steps them on the
+// exact executor, and the queue they leave is then sequential, often at
+// the entry of the trace covering the path execution actually took. The
+// dispatch guards hold for the whole chain: nothing inside a trace can
+// change the translation context ctx or what stepTraces checked
+// (privilege, overflow enable and the page map only change through
+// words a trace refuses to contain or through devices, whose references
+// exit before the access), so the TLB, synced here, serves the mapped
+// handlers' probes. The tickers are advanced only afterwards, so each
+// trace entered must fit what is left of their horizon and of the run's
+// steps (until the exception that ends the chain, each step is an
+// instruction).
+func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) {
 	c.trOvfOn = c.Sur.OverflowEnabled()
 	if ctx.Mapped {
 		c.Bus.MMU.SyncTLB()
@@ -161,7 +159,7 @@ func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) (drain
 			r := c.deopt
 			if r == deoptDevice {
 				c.Trans.TraceDeoptEnvironment++
-				return drained
+				return
 			}
 			c.Trans.TraceGuardExits++
 			c.Trans.TraceDeopts[r]++
@@ -169,60 +167,21 @@ func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) (drain
 			if c.onJIT != nil {
 				c.emitJIT(JITEvent{Kind: JITGuardExit, Reason: uint8(r), PC: tr.pc, Len: uint32(xi)})
 			}
-			for !c.Halted && c.excSeq == exc0 && !c.queueSequential() {
-				if c.Stats.Instructions >= end || !c.drainable() {
-					return drained
-				}
-				i := c.Stats.Instructions
-				c.step()
-				drained += c.Stats.Instructions - i
-			}
-			if c.Halted || c.excSeq != exc0 {
-				return drained
+			if c.excSeq != exc0 || !c.queueSequential() {
+				return
 			}
 		}
 		b, _, _ := c.blockAt(c.pcq[0], ctx.Mapped)
 		nt := b.traceFor(c.pcq[0], ctx)
 		if nt == nil {
-			return drained
+			return
 		}
-		if c.Stats.Instructions+uint64(nt.words) > end {
-			c.standDown(uint64(nt.words), horizon-(c.Stats.Instructions-i0))
-			return drained
+		if w := uint64(len(nt.ins)); c.Stats.Instructions+w > end {
+			c.standDown(w, horizon-(c.Stats.Instructions-i0))
+			return
 		}
 		tr = nt
 	}
-}
-
-// drainable reports whether the delay-slot word at the head of the
-// fetch queue may run inside a trace chain without changing what
-// dispatch latched for it or seeing the tickers before they advance: a
-// privileged word could change privilege, overflow enable or the
-// address map, and a device reference could do anything. Only a mapped
-// trace runs on a bus with devices, so a load or store there
-// translates its address first, as the word itself is about to; one
-// whose address reads a load still in flight does not drain. A word
-// that faults before touching a device drains: the fault ends the chain
-// exactly.
-func (c *CPU) drainable() bool {
-	pc := c.pcq[0]
-	in, f := c.fetch(pc)
-	if f != nil {
-		return true
-	}
-	if privileged(in) {
-		return false
-	}
-	m := in.Mem
-	if len(c.Bus.devices) == 0 || m == nil || m.Kind == isa.PieceLoad && m.Mode == isa.AModeLongImm ||
-		m.Kind != isa.PieceLoad && m.Kind != isa.PieceStore {
-		return true
-	}
-	if c.pendN != 0 {
-		return false
-	}
-	pa, f := c.Bus.MMU.Translate(c.effectiveAddr(m, pc), m.Kind == isa.PieceStore, true)
-	return f != nil || c.Bus.device(pa) == nil
 }
 
 // standDown counts a ready trace of w words too long to enter: lost trace
@@ -236,54 +195,31 @@ func (c *CPU) standDown(w, horizon uint64) {
 	}
 }
 
-// compileTrace builds the op record array for a flattened path. It is
-// total over validated words: formation already refused everything the
-// handlers cannot specialize, so a nil return means an internal
-// inconsistency and the path is simply not installed. A counting pass
-// sizes the records exactly, so compilation makes a constant number of
-// allocations whatever the trace's length. A packed op points at its
-// recorded block's own decoded record: a code write or bulk
-// invalidation that drops any block the trace spans drops the trace
-// too. Under a mapped ctx, memory words take the handlers that
-// translate (no check-free specialization does).
+// compileTrace builds the op record array for a flattened path, one
+// record per word. It is total over validated words: formation already
+// refused everything the handlers cannot specialize, so a nil return
+// means an internal inconsistency and the path is simply not installed.
+// Compilation makes a constant number of allocations whatever the
+// trace's length. A packed op points at its recorded block's own
+// decoded record: a code write or bulk invalidation that drops any block
+// the trace spans drops the trace too. Under a mapped ctx, memory words
+// take the handlers that translate (no check-free specialization does).
 func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uint32, spans []traceSpan) *trace {
-	n := 0
-	for i := 0; i < len(words); i++ {
-		if words[i].d.bclass == bcNop {
-			for i+1 < len(words) && words[i+1].d.bclass == bcNop {
-				i++
-			}
-		}
-		n++
-	}
-	if n == 0 {
+	if len(words) == 0 {
 		return nil
 	}
-	tr := &trace{pc: entry, ctx: *ctx, words: uint32(len(words)), endPC: endPC,
-		spans: spans, ins: make([]traceInst, n)}
+	tr := &trace{pc: entry, ctx: *ctx, endPC: endPC, spans: spans, ins: make([]traceInst, len(words))}
 	mapped := ctx.Mapped
 	var pre traceCost
-	for i, k := 0, 0; i < len(words); k++ {
+	for i := range words {
 		w := &words[i]
-		in := &tr.ins[k]
+		in := &tr.ins[i]
 		in.vpc, in.pre = w.vpc, pre
-		if w.d.bclass == bcNop {
-			// Collapse the run of consecutive nops (crossing block
-			// boundaries in the flattened path) into one op.
-			run := 1
-			for i+run < len(words) && words[i+run].d.bclass == bcNop {
-				run++
-			}
-			in.fn, in.imm = trNops, uint32(run)
-			for j := 0; j < run; j++ {
-				pre = pre.plus(wcNop)
-			}
-			i += run
-			continue
-		}
 		in.target, in.shape = w.x, w.shape
 		var happy traceCost
 		switch w.d.bclass {
+		case bcNop:
+			in.fn, happy = trNop, wcNop
 		case bcGeneral:
 			// Formation admits only the packed shapes the ISA encodes
 			// (packedShape).
@@ -318,7 +254,6 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 			return nil
 		}
 		pre = pre.plus(happy)
-		i++
 	}
 	tr.cost = pre
 	return tr
@@ -371,16 +306,12 @@ func compileMem(in *traceInst, w *traceWord, mapped bool) traceCost {
 	return wcLoad
 }
 
-// trNops runs a collapsed nop run. Pending-load commits drain at each
-// word exactly as per-word stepping would; once nothing is pending, the
-// rest of the run is one sequence-counter bump.
-func trNops(c *CPU, in *traceInst) bool {
-	n := in.imm
-	for ; n != 0 && c.pendN != 0; n-- {
-		c.seq++
+// trNop runs a nop word: it only commits a load that falls due.
+func trNop(c *CPU, in *traceInst) bool {
+	c.seq++
+	if c.pendN != 0 {
 		c.commitLoads()
 	}
-	c.seq += uint64(n)
 	return true
 }
 

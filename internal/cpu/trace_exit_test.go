@@ -1,20 +1,21 @@
 package cpu
 
 // Guard exits that leave delay slots in flight: a branch recorded not
-// taken that was taken leaves [ds, target], an indirect jump to a target
-// the trace did not record leaves [ds0, ds1, target], and the chain
-// drains those words on the exact executor before it looks up the next
-// trace. A periodic direction pattern is no test — multi-block recording
-// absorbs any period that fits in traceMaxBlocks and the trace runs
-// clean — so these workloads derive branch directions and indirect
-// targets from a branchless Galois LFSR, which no finite recording can
-// predict. The tests pin that (a) the machine stays architecturally
-// identical to the lower tiers under ~50% guard misprediction, (b) both
-// guard kinds exit and their drains stay inside the chain, (c) a code
-// write into a drained delay slot drops the trace and never runs stale
-// code, (d) draining allocates nothing, and (e) with a timer attached,
-// a drained word that faults leaves the timer exactly where the
-// reference engine leaves it.
+// taken that was taken leaves [ds, target], and an indirect jump to a
+// target the trace did not record leaves [ds0, ds1, target]. The chain
+// ends there, and the lower tiers run those words on the exact executor
+// before dispatch looks up the next trace. A periodic direction pattern
+// is no test — multi-block recording absorbs any period that fits in
+// traceMaxBlocks and the trace runs clean — so these workloads derive
+// branch directions and indirect targets from a branchless Galois LFSR,
+// which no finite recording can predict. The tests pin that (a) the
+// machine stays architecturally identical to the lower tiers under ~50%
+// guard misprediction, (b) both guard kinds exit and every retired
+// instruction is charged to exactly one tier, (c) a code write into a
+// delay slot a guard exit leaves in flight drops the trace and never
+// runs stale code, (d) those exits allocate nothing, and (e) with a
+// timer attached, a delay slot the lower tiers run into a fault leaves
+// the timer exactly where the reference engine leaves it.
 
 import (
 	"testing"
@@ -32,8 +33,8 @@ var (
 // output bit: r4 steps one Galois round per iteration (branchlessly, so
 // the only data-dependent branch is the one under test) and the bit
 // picks the +3 or +2 arm. Any compiled trace records one direction at
-// word 8 and mispredicts about half of all passes; a taken exit drains
-// word 9, the delay slot.
+// word 8 and mispredicts about half of all passes; a taken exit leaves
+// word 9, the delay slot, to the lower tiers.
 func lfsrBranchCPU(n int32) *CPU {
 	pick := isa.Branch(isa.CmpNE, isa.R(5), isa.Imm(0), "")
 	pick.Target = 13
@@ -106,8 +107,8 @@ func runEveryEngine(t *testing.T, build func() *CPU) *CPU {
 
 // requireGuardExits fails t unless the traces run c exited guards of
 // reason r, the reasons partition the guard exits, and every retired
-// instruction is charged to one tier, the drained delay slots to the
-// per-instruction one.
+// instruction is charged to one tier, the delay slots a guard exit left
+// in flight to the one that ran them.
 func requireGuardExits(t *testing.T, c *CPU, r DeoptReason) {
 	t.Helper()
 	if c.Trans.TraceCompiled == 0 {
@@ -133,10 +134,10 @@ func requireGuardExits(t *testing.T, c *CPU, r DeoptReason) {
 	}
 }
 
-// TestTraceExitDrainLFSRBranch pins direction exits on the
+// TestTraceExitLFSRBranch pins direction exits on the
 // unpredictable-direction workload, differentially against the other
 // three engines.
-func TestTraceExitDrainLFSRBranch(t *testing.T) {
+func TestTraceExitLFSRBranch(t *testing.T) {
 	const n = 4000
 	trc := runEveryEngine(t, func() *CPU { return lfsrBranchCPU(n) })
 	if want := lfsrBranchR2(n); trc.Regs[2] != want {
@@ -150,8 +151,8 @@ func TestTraceExitDrainLFSRBranch(t *testing.T) {
 // three landing sites A/B/C — so the indirect guard itself, not an
 // earlier direction guard, is what catches the divergence. The compiled
 // trace bakes one target in as the expected continuation; an exit to B
-// or C drains both delay slots, and one to A (word 16, right after them)
-// leaves a sequential queue. After the arms converge, a second branch on
+// or C leaves both delay slots in flight, and one to A (word 16, right
+// after them) leaves a sequential queue. After the arms converge, a second branch on
 // the LFSR bit adds a ~50% mispredicting direction guard, so one
 // workload exercises both guard kinds together.
 func lfsrIndirectCPU(n int32) *CPU {
@@ -226,10 +227,10 @@ func lfsrIndirectR2(n int32) uint32 {
 	return r2
 }
 
-// TestTraceExitDrainLFSRIndirect pins indirect-target exits, which
-// drain two delay slots, together with the direction exits of the same
-// loop, differentially against the other three engines.
-func TestTraceExitDrainLFSRIndirect(t *testing.T) {
+// TestTraceExitLFSRIndirect pins indirect-target exits, which leave two
+// delay slots to the lower tiers, together with the direction exits of
+// the same loop, differentially against the other three engines.
+func TestTraceExitLFSRIndirect(t *testing.T) {
 	const n = 4000
 	trc := runEveryEngine(t, func() *CPU { return lfsrIndirectCPU(n) })
 	if want := lfsrIndirectR2(n); trc.Regs[2] != want {
@@ -239,16 +240,17 @@ func TestTraceExitDrainLFSRIndirect(t *testing.T) {
 	requireGuardExits(t, trc, DeoptBranchDirection)
 }
 
-// TestTraceExitDrainPatch is the self-modification contract applied to
-// a drained delay slot: a patch into word 9 — the branch's delay slot,
-// which a taken exit drains — must drop the trace covering it through
-// the code write, never replaying stale code, and the trace must
-// re-form from the patched memory and keep draining the new word. The
+// TestTraceExitPatch is the self-modification contract applied to a
+// delay slot a guard exit leaves in flight: a patch into word 9 — the
+// branch's delay slot, which the lower tiers run after a taken exit —
+// must drop the trace covering it through the code write, never
+// replaying stale code, and the trace must re-form from the patched
+// memory and keep exiting before the new word. The
 // patch lands only at run boundaries where the current iteration's
 // delay slot has not yet executed (PC <= the branch shadow), so the
 // architectural result stays exactly computable. Runs of 97 steps end
 // at every word of the loop in turn.
-func TestTraceExitDrainPatch(t *testing.T) {
+func TestTraceExitPatch(t *testing.T) {
 	const n = 8000
 	c := lfsrBranchCPU(n)
 	patched := false
@@ -282,10 +284,11 @@ func TestTraceExitDrainPatch(t *testing.T) {
 	}
 }
 
-// TestTraceExitDrainZeroAlloc extends the steady-state allocation
-// contract to draining exits: once the traces exist, exits that drain
-// their delay slots and chain on must not allocate.
-func TestTraceExitDrainZeroAlloc(t *testing.T) {
+// TestTraceExitZeroAlloc extends the steady-state allocation contract
+// to guard exits: once the traces exist, exits that leave delay slots
+// to the lower tiers, and the dispatch back into a trace after them,
+// must not allocate.
+func TestTraceExitZeroAlloc(t *testing.T) {
 	c := lfsrIndirectCPU(2_000_000)
 	// Warm until formation has happened and every heat entry has
 	// settled — never during the measurement.
@@ -298,7 +301,7 @@ func TestTraceExitDrainZeroAlloc(t *testing.T) {
 	d0, x0 := c.Trans.TraceDispatchHits, c.Trans.TraceDeopts
 	avg := testing.AllocsPerRun(100, func() { c.RunSteps(1000) })
 	if avg != 0 {
-		t.Errorf("steady-state run with draining exits allocates %v allocs/op, want 0", avg)
+		t.Errorf("steady-state run with guard exits allocates %v allocs/op, want 0", avg)
 	}
 	x := c.Trans.TraceDeopts
 	if c.Trans.TraceDispatchHits == d0 || x[DeoptBranchDirection] == x0[DeoptBranchDirection] ||
@@ -327,7 +330,7 @@ func (d *userTimer) Tick() {
 	}
 }
 
-// Layout of drainTimerCPU: block A is the last four words of virtual
+// Layout of exitTimerCPU: block A is the last four words of virtual
 // page 0 and ends in a branch on r9, which the program never sets, so
 // every recording takes it not taken. Its delay slot is the first word
 // of a termless block B that fills blockMaxWords, and block C jumps
@@ -335,31 +338,31 @@ func (d *userTimer) Tick() {
 // terminator), so every trace holding A's branch ends at it: the delay
 // slot sits outside every trace, and a code write to it drops none.
 const (
-	drainA  = mem.PageWords - 4
-	drainDS = mem.PageWords // A's delay slot, a load through r8
-	drainC  = drainDS + blockMaxWords
+	exitA  = mem.PageWords - 4
+	exitDS = mem.PageWords // A's delay slot, a load through r8
+	exitC  = exitDS + blockMaxWords
 )
 
-// drainTimerCPU builds the mapped loop of A, B and C at user level on a
+// exitTimerCPU builds the mapped loop of A, B and C at user level on a
 // bus with a userTimer attached. Virtual pages 0 and 1 (the code) map to
 // frames 2 and 3, page 2 (the data) to frame 4, and page 3 to the
 // timer's frame. The exception vector, physical word 0, halts.
-func drainTimerCPU() (*CPU, *userTimer) {
-	code := make([]isa.Instr, drainC+2)
+func exitTimerCPU() (*CPU, *userTimer) {
+	code := make([]isa.Instr, exitC+2)
 	for i := range code {
 		code[i] = w(isa.Nop())
 	}
 	toA := isa.Jump("")
-	toA.Target = drainA
+	toA.Target = exitA
 	code[0], code[1] = w(isa.LoadImm32(8, 2*mem.PageWords)), w(toA)
 	br := isa.Branch(isa.CmpNE, isa.R(9), isa.Imm(0), "")
-	br.Target = drainC
-	code[drainA] = w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)))
-	code[drainA+1] = w(isa.ALU(isa.OpAdd, 3, isa.R(3), isa.R(2)))
-	code[drainA+3] = w(br)
-	code[drainDS] = w(isa.LoadDisp(4, 8, 0))
-	code[drainDS+1] = w(isa.ALU(isa.OpAdd, 5, isa.R(5), isa.Imm(1)))
-	code[drainC] = w(toA)
+	br.Target = exitC
+	code[exitA] = w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)))
+	code[exitA+1] = w(isa.ALU(isa.OpAdd, 3, isa.R(3), isa.R(2)))
+	code[exitA+3] = w(br)
+	code[exitDS] = w(isa.LoadDisp(4, 8, 0))
+	code[exitDS+1] = w(isa.ALU(isa.OpAdd, 5, isa.R(5), isa.Imm(1)))
+	code[exitC] = w(toA)
 	c := newTestCPU(halt)
 	c.WriteCode(2*mem.PageWords, code)
 	tm := &userTimer{c: c}
@@ -374,20 +377,20 @@ func drainTimerCPU() (*CPU, *userTimer) {
 	return c, tm
 }
 
-// TestTraceExitDrainTimer runs a drained delay slot into a fault with a
-// timer attached: a data fault (the load's base moved to an unmapped
-// page) and, under mapping, a fetch fault (the word erased to
-// unprogrammed memory). A third case moves the load's base onto the
-// timer, which the drain must leave to the lower tiers: read inside the
-// chain, the timer would not yet count the handlers' words. The
-// machines run the same number of steps into the loop, take the same
-// perturbation at A's entry, and run on (to the halt the exception
-// vector holds, when the word faults). The trace tier must leave the
-// reference engine's event stream, registers, statistics and return
-// addresses, and its timer count: the handlers' words advance the
-// timer after the chain, the drained words tick themselves, and only a
-// handler's own exception withholds a tick.
-func TestTraceExitDrainTimer(t *testing.T) {
+// TestTraceExitTimer runs the delay slot a direction exit leaves in
+// flight into a fault with a timer attached: a data fault (the load's
+// base moved to an unmapped page) and, under mapping, a fetch fault (the
+// word erased to unprogrammed memory). A third case moves the load's
+// base onto the timer: read before the chain's words advanced it, the
+// timer would not yet count the handlers' words. The machines run the
+// same number of steps into the loop, take the same perturbation at A's
+// entry, and run on (to the halt the exception vector holds, when the
+// word faults). The trace tier must leave the reference engine's event
+// stream, registers, statistics and return addresses, and its timer
+// count: the handlers' words advance the timer after the chain, the
+// lower tiers' words tick themselves, and only a handler's own
+// exception withholds a tick.
+func TestTraceExitTimer(t *testing.T) {
 	// Three loop iterations of A, B and C after the two-word preamble
 	// and its delay slot leave every machine at A's entry.
 	const iter = 4 + blockMaxWords + 2
@@ -410,10 +413,10 @@ func TestTraceExitDrainTimer(t *testing.T) {
 				ticks  uint64
 			}
 			runOn := func(e Engine) (result, TranslationStats) {
-				c, tm := drainTimerCPU()
+				c, tm := exitTimerCPU()
 				c.SetEngine(e)
 				h := attachEventHash(c)
-				if _, halted := c.RunSteps(3 + 200*iter); halted || c.PC() != drainA {
+				if _, halted := c.RunSteps(3 + 200*iter); halted || c.PC() != exitA {
 					t.Fatalf("engine %d: warm-up stopped at pc %d, halted %v", e, c.PC(), halted)
 				}
 				c.Regs[9] = 1

@@ -77,9 +77,9 @@ func (c *CPU) recTracePoint(b *block, pc uint32) {
 type traceWord struct {
 	d   *decoded
 	vpc uint32
-	// x is a control target: where a delay slot's drain heads (its exit
-	// queues end there), or the recorded target of an indirect-jump
-	// terminator.
+	// x is a control target: where a delay slot's fetch queue heads
+	// (its exit queues end there), or the recorded target of an
+	// indirect-jump terminator.
 	x uint32
 	// shape selects the word's exit queues (qSeq, qFirst, qLast).
 	shape uint8
@@ -170,29 +170,24 @@ func (c *CPU) enterTrace(tr *trace, ctx *mem.Context, left uint64) bool {
 	// A ticker could change what the trace sees before it ends, or the
 	// run end inside it: the lower tiers go word by word up to either.
 	horizon := c.Bus.horizon()
-	if w := uint64(tr.words); w > min(horizon, left) {
+	if w := uint64(len(tr.ins)); w > min(horizon, left) {
 		c.standDown(w, horizon)
 		return false
 	}
 	i0, exc0 := c.Stats.Instructions, c.excSeq
-	drained := c.runTrace(tr, ctx, horizon, left)
+	c.runTrace(tr, ctx, horizon, left)
 	n := c.Stats.Instructions - i0
 	if n == 0 {
 		// The first word left a device reference to the lower tiers.
 		return false
 	}
-	// The drained delay slots ran, and ticked, on the exact executor.
-	n -= drained
 	c.Trans.TierInstrs[TierTraces] += n
-	c.Trans.TierInstrs[TierFast] += drained
 	if len(c.Bus.tickers) != 0 {
-		// Every word a handler retired ran at user level except one
-		// that raised an exception: the lower tiers tick that word only
-		// after exception entry, when the timer no longer counts. That
-		// handler exits DeoptFault and ends the chain; an exception a
-		// drained word raised follows a direction or indirect-target
-		// exit, and the exact executor ticked that word itself.
-		if c.excSeq != exc0 && c.deopt == DeoptFault {
+		// Every word the chain retired ran at user level except one
+		// that raised an exception, which ends the chain: the lower
+		// tiers tick that word only after exception entry, when the
+		// timer no longer counts.
+		if c.excSeq != exc0 {
 			n--
 		}
 		c.Bus.advance(n)

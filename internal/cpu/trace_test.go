@@ -760,3 +760,45 @@ func TestMappedPackedStoreWriteProtect(t *testing.T) {
 		t.Errorf("no trace took the fault: %s", &trans)
 	}
 }
+
+// TestTraceNopCommitsDueLoad runs a loop in which a load's delayed
+// commit falls due at a nop. The word after the load reads the stale
+// destination, so the load is not eager, and the word after the nop
+// sits where no pending load can reach, so it compiles to a check-free
+// handler that reads the register file unaudited: it must see the
+// loaded value. The loop stores a new value each pass, so the stale and
+// loaded values differ.
+func TestTraceNopCommitsDueLoad(t *testing.T) {
+	const n = 300
+	back := isa.Branch(isa.CmpNE, isa.R(1), isa.Imm(0), "")
+	back.Target = 3
+	build := func() *CPU {
+		return newTestCPU(
+			w(isa.LoadImm32(1, n)),                         // 0
+			w(isa.LoadImm32(8, 64)),                        // 1: data address
+			w(isa.Nop()),                                   // 2
+			w(isa.LoadDisp(5, 8, 0)),                       // 3: entry: r5 = mem[64]
+			w(isa.ALU(isa.OpAdd, 7, isa.R(5), isa.Imm(0))), // 4: reads the stale r5
+			w(isa.Nop()),                                   // 5: the commit falls due
+			w(isa.ALU(isa.OpAdd, 6, isa.R(5), isa.Imm(1))), // 6: check-free, reads the loaded r5
+			w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.R(6))),   // 7
+			w(isa.ALU(isa.OpAdd, 9, isa.R(9), isa.Imm(3))), // 8
+			w(isa.StoreDisp(9, 8, 0)),                      // 9: mem[64] = r9
+			w(isa.ALU(isa.OpSub, 1, isa.R(1), isa.Imm(1))), // 10
+			w(back),      // 11: bne r1, #0, 3
+			w(isa.Nop()), // 12: delay slot
+			halt,         // 13
+		)
+	}
+	trc := runEveryEngine(t, build)
+	if trc.Trans.TierInstrs[TierTraces] == 0 {
+		t.Fatal("the loop never ran in a trace")
+	}
+	var want uint32 // pass i loads 3*i, which the store of pass i-1 left
+	for i := uint32(0); i < n; i++ {
+		want += 3*i + 1
+	}
+	if trc.Regs[2] != want {
+		t.Errorf("r2 = %d, want %d", trc.Regs[2], want)
+	}
+}

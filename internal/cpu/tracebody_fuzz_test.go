@@ -16,8 +16,8 @@ import "testing"
 // store words, the fault exits of trLoad, trStore, trLoadDisp and
 // trStoreDisp, and trALU's overflow exit. The next reaches a mapped
 // branch recorded taken with a load pending. Then, in order: guard
-// exits of a trBranch recorded not taken, whose queue drains the delay
-// slot in the chain, unmapped and mapped; guard exits of trJumpInd with
+// exits of a trBranch recorded not taken, whose delay slot the lower
+// tiers then run, unmapped and mapped; guard exits of trJumpInd with
 // a load pending, unmapped and mapped, which need bbJumpMove (without
 // it the jump always goes where the trace recorded); the overflow exits
 // of trAdd and of trSub; a load pending at a trLoad, which a trLoad
@@ -52,7 +52,8 @@ var traceBodySeeds = []struct {
 // reference interpreter and requires the state FuzzBlockBody compares
 // to agree. The block loops back to its entry bbLoops times under a
 // reserved counter, so it runs hot enough to form, compile and dispatch
-// a trace, and its guard exits drain their delay slots in the chain.
+// a trace, and the lower tiers run the delay slots its guard exits
+// leave in flight.
 func FuzzTraceBody(f *testing.F) {
 	for _, s := range traceBodySeeds {
 		f.Add(s.env, bbSeed(s.k))

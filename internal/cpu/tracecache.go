@@ -76,10 +76,9 @@ type traceInst struct {
 	vpc uint32
 	// target is a direct control target, the recorded target of an
 	// indirect jump, or, for a delay-slot word, the control target its
-	// drain heads to (which its exit queues end at).
+	// fetch queue heads to (which its exit queues end at).
 	target uint32
-	// imm is a load/store displacement or absolute address; for a nop
-	// run, its length.
+	// imm is a load/store displacement or absolute address.
 	imm uint32
 
 	dst               isa.Reg // ALU destination, or a call's link register
@@ -95,8 +94,8 @@ type traceInst struct {
 }
 
 // Exit queue shapes of a trace word at vpc, with x the control target
-// of a delay-slot drain. A shape fixes the fault-restart queue: the
-// three return addresses an exception at the word saves.
+// a delay slot's fetch queue heads to. A shape fixes the fault-restart
+// queue: the three return addresses an exception at the word saves.
 const (
 	qSeq   uint8 = iota // body word or terminator: [vpc, vpc+1, vpc+2]
 	qFirst              // first of two delay slots: [vpc, vpc+1, x]
@@ -170,11 +169,12 @@ type traceSpan struct {
 // context), the flat op record array, the bulk cost of a clean pass, the
 // resume point after it, and the coherence spans.
 type trace struct {
-	pc    uint32      // entry PC as fetched (virtual when ctx is mapped)
-	ctx   mem.Context // translation context the trace was formed under
+	pc  uint32      // entry PC as fetched (virtual when ctx is mapped)
+	ctx mem.Context // translation context the trace was formed under
+	// ins holds one op per word of a clean pass, so its length is the
+	// most one pass retires.
 	ins   []traceInst
 	cost  traceCost
-	words uint32 // instruction words in a clean pass: the most one pass retires
 	endPC uint32 // sequential resume point after a clean pass
 	spans []traceSpan
 

@@ -291,7 +291,7 @@ func TestSnapshotRandomPreemptAcrossEngines(t *testing.T) {
 		t.Fatal("uninterrupted traces run never dispatched a trace; the test is vacuous")
 	}
 	if tr := a.Trans(); tr.TraceDeopts[cpu.DeoptBranchDirection]+tr.TraceDeopts[cpu.DeoptIndirectTarget] == 0 {
-		t.Fatal("uninterrupted traces run took no direction or indirect-target guard exit; preemption mid-drain is vacuous")
+		t.Fatal("uninterrupted traces run took no direction or indirect-target guard exit; preemption between a guard exit and its delay slots is vacuous")
 	}
 
 	rotation := []sim.Engine{sim.Traces, sim.Blocks, sim.Traces, sim.FastPath, sim.Traces, sim.Reference}

@@ -51,9 +51,13 @@ type metricSource struct {
 // gauges registered by RegisterCPUStats read their fields with atomic
 // loads, so concurrent samples are never torn. Gauges that sample
 // through accessor methods (the kernel counters) are best-effort when
-// read mid-run: values are monotonic but may lag by an update.
+// read mid-run: values are monotonic but may lag by an update. A
+// registry whose reader must never overlap the writer (the race
+// detector counts an atomic load against a plain write) is guarded by
+// the lock the writer holds while it runs (Guard).
 type Registry struct {
 	mu      sync.Mutex
+	guard   sync.Locker
 	sources map[string]metricSource
 }
 
@@ -184,8 +188,18 @@ func (r *Registry) Names() []string {
 	return names
 }
 
+// Guard makes every Snapshot hold l while it samples. A writer that
+// holds l while the measured machine runs (mipsrun -serve's run loop,
+// across each quantum) then has every sample land between its runs, at
+// a step boundary. Call it before the registry is shared.
+func (r *Registry) Guard(l sync.Locker) { r.guard = l }
+
 // Snapshot samples every metric.
 func (r *Registry) Snapshot() Snapshot {
+	if r.guard != nil {
+		r.guard.Lock()
+		defer r.guard.Unlock()
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := make(Snapshot, len(r.sources))

@@ -14,8 +14,8 @@ echo "==> steady-state allocation check (must be 0 allocs/op)"
 go test ./internal/cpu/ -run TestSteadyStateZeroAlloc -count=1 -v
 go test ./internal/kernel/ -run TestTracedProcessSteadyStateZeroAlloc -count=1 -v
 
-echo "==> guard exits that drain their delay slots in the chain (must be 0 allocs/op)"
-go test ./internal/cpu/ -run TestTraceExitDrainZeroAlloc -count=1 -v
+echo "==> guard exits that leave delay slots to the lower tiers (must be 0 allocs/op)"
+go test ./internal/cpu/ -run TestTraceExitZeroAlloc -count=1 -v
 
 echo "==> trace formation: a constant allocation count per trace, whatever its length"
 go test ./internal/cpu/ -run TestTraceFormationAllocs -count=1 -v
