@@ -177,10 +177,10 @@ func (c *CPU) runBody(b *block, pc uint32, mapped bool, pmGen uint64) bool {
 	// body early.
 	intOK := c.Sur.InterruptsEnabled() && !c.Sur.Supervisor()
 	env := bus.DMA != nil || len(bus.tickers) > 0 || mapped || c.onMem != nil || c.intLine && intOK
-	n := b.n
-	for i := uint32(0); i < n; i++ {
-		vpc := pc + i
-		d := &b.code[i]
+	code := b.code
+	for i := range code {
+		vpc := pc + uint32(i)
+		d := &code[i]
 		c.seq++
 		if c.pendN != 0 {
 			c.commitLoads()
@@ -240,32 +240,33 @@ func (c *CPU) bailFault(vpc uint32, cause isa.Cause) {
 	c.Trans.BlockBails++
 }
 
-// blockAt resolves an entry word as fetched: through the fetch
-// translation when mapped, to its instruction-memory word pa, and there
-// to the block in the table, which also holds the compiled trace
-// entered at pa. b is nil when no block is entered at pa yet; ok is
-// false when pc does not resolve to instruction memory, leaving the
-// exact fault to the per-instruction path.
-func (c *CPU) blockAt(pc uint32, mapped bool) (b *block, pa uint32, ok bool) {
-	pa = pc
+// entryPA resolves an entry word as fetched to its instruction-memory
+// word pa: through the fetch translation when mapped. ok is false when
+// pc does not resolve to instruction memory, leaving the exact fault to
+// the per-instruction path. The block table's slot for pa (blockIn)
+// holds the block entered there and the compiled trace it carries. The
+// unmapped resolution inlines; the mapped one is a call.
+func (c *CPU) entryPA(pc uint32, mapped bool) (pa uint32, ok bool) {
 	if mapped {
-		p, f := c.Bus.MMU.Translate(pc, false, true)
-		if f != nil {
-			return nil, 0, false
-		}
-		pa = p
+		return c.mappedEntryPA(pc)
 	}
-	if pa >= c.IMem.n {
-		return nil, 0, false
-	}
-	return c.blockIn(pa), pa, true
+	return pc, pc < c.IMem.n
+}
+
+// mappedEntryPA is entryPA for a mapped entry word, kept out of line so
+// that entryPA inlines.
+//
+//go:noinline
+func (c *CPU) mappedEntryPA(pc uint32) (pa uint32, ok bool) {
+	pa, f := c.Bus.MMU.Translate(pc, false, true)
+	return pa, f == nil && pa < c.IMem.n
 }
 
 // useBlock returns the block the block engine runs at pa: b, the table's
-// block there (a hit), or a new translation when b is nil.
+// block there (a hit), or, when b is nil, the block missBlock supplies.
 func (c *CPU) useBlock(b *block, pa uint32) *block {
 	if b == nil {
-		return c.translateBlock(pa)
+		return c.missBlock(pa)
 	}
 	c.Trans.BlockHits++
 	return b
@@ -371,11 +372,21 @@ func (c *CPU) stepBlocks(b *block, left uint64) {
 		// the chain with its count left there, so the dispatcher's own
 		// bump starts the recording at once.
 		npc := c.pcq[0]
-		nb, pa, ok := c.blockAt(npc, mapped)
-		if !ok || traceTier && nb.traceFor(npc, &ctx) != nil {
+		pa, ok := c.entryPA(npc, mapped)
+		if !ok {
 			return
 		}
-		nb = c.useBlock(nb, pa)
+		nb := c.blockIn(pa)
+		hit := nb != nil
+		if !hit {
+			nb = c.missBlock(pa)
+		}
+		if traceTier && nb.traceFor(npc, &ctx) != nil {
+			return
+		}
+		if hit {
+			c.Trans.BlockHits++
+		}
 		if traceTier && nb.heatBump() || c.Stats.Instructions+uint64(nb.n) >= end {
 			return
 		}

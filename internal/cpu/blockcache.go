@@ -16,7 +16,11 @@ package cpu
 //     block whose cached words meet the written range, so a page-in or
 //     a patched word can never leave a stale translation executable.
 //     Data writes — CPU stores, DMA moves, device pokes — reach only
-//     physical memory, never the instruction memory blocks cache.
+//     physical memory, never the instruction memory blocks cache;
+//   - a block's immutable part (blockCode) is shared: a machine that
+//     loaded golden code (CPU.LoadCode) publishes what it translates
+//     there, and on a miss adopts what another machine published
+//     (missBlock), until a code write or a restore detaches it.
 
 import (
 	"fmt"
@@ -55,10 +59,13 @@ const (
 	bcJumpInd
 )
 
-// block is one translated superblock: a straight-line run of body words
-// (everything up to, but not including, the next control transfer) plus
-// its exit records.
-type block struct {
+// blockCode is a translated superblock's immutable part: a straight-line
+// run of body words (everything up to, but not including, the next
+// control transfer) plus its exit records. It is decoded from
+// instruction memory alone and never written once built, so every
+// machine running the same golden code may share it (GoldenCode's
+// published table).
+type blockCode struct {
 	pa uint32 // physical address of the first body word
 	n  uint32 // body length in words (0: the entry word is a terminator)
 
@@ -79,7 +86,14 @@ type block struct {
 	cover   uint32
 
 	termless bool // the scan hit a size/page limit, not a real terminator
-	valid    bool
+}
+
+// block is one machine's entry in its table of translations: the shared
+// immutable blockCode plus the state only this machine writes.
+type block struct {
+	*blockCode
+
+	valid bool
 
 	// tr is the compiled trace entered at this block's entry word, kept
 	// for the entry PC and translation context it was formed under
@@ -163,6 +177,14 @@ type TranslationStats struct {
 	TraceFormRefusals [NumFormRefusals]uint64
 	TracePoisoned     uint64
 
+	// BlockAdoptions counts blocks taken from the published table of
+	// the golden code a machine loaded (GoldenCode) on an own-table miss,
+	// instead of translated; TraceAdoptions counts the published traces
+	// taken with them. Both stay zero on the machine that first runs an
+	// image, and on every machine not loaded from golden code.
+	BlockAdoptions uint64
+	TraceAdoptions uint64
+
 	// TierInstrs attributes every retired instruction to the engine
 	// tier that retired it (per-instruction stepping on the reference
 	// engine or beneath a translation tier, superblock engine, trace
@@ -179,7 +201,8 @@ func (t *TranslationStats) String() string {
 	return fmt.Sprintf("blocks hit=%d chain=%d xlate=%d inval=%d bail=%d | traces formed=%d compiled=%d hit=%d exit=%d inval=%d"+
 		" | deopt dir=%d ind=%d fault=%d env=%d int=%d budget=%d"+
 		" | refuse priv=%d shadow=%d jind=%d ds=%d block=%d short=%d ops=%d poison=%d"+
-		" | tier ref=%d fast=%d blocks=%d traces=%d",
+		" | tier ref=%d fast=%d blocks=%d traces=%d"+
+		" | adopt blocks=%d traces=%d",
 		t.BlockHits, t.BlockChained, t.BlockTranslations, t.BlockInvalidations, t.BlockBails,
 		t.TraceFormed, t.TraceCompiled, t.TraceDispatchHits, t.TraceGuardExits, t.TraceInvalidations,
 		t.TraceDeopts[DeoptBranchDirection], t.TraceDeopts[DeoptIndirectTarget], t.TraceDeopts[DeoptFault],
@@ -188,7 +211,8 @@ func (t *TranslationStats) String() string {
 		t.TraceFormRefusals[RefusalJumpInd], t.TraceFormRefusals[RefusalDelaySlot],
 		t.TraceFormRefusals[RefusalBlock], t.TraceFormRefusals[RefusalShortPath],
 		t.TraceFormRefusals[RefusalOpBudget], t.TracePoisoned,
-		t.TierInstrs[TierReference], t.TierInstrs[TierFast], t.TierInstrs[TierBlocks], t.TierInstrs[TierTraces])
+		t.TierInstrs[TierReference], t.TierInstrs[TierFast], t.TierInstrs[TierBlocks], t.TierInstrs[TierTraces],
+		t.BlockAdoptions, t.TraceAdoptions)
 }
 
 // bodyKind reports whether a memory/control slot kind may appear inside
@@ -288,10 +312,9 @@ func readsReg(d *decoded, r isa.Reg) bool {
 	return false
 }
 
-// translateBlock scans the straight-line run of instruction words at pa,
-// builds the block record, and installs it in the table, whose slot for
-// pa is empty.
-func (c *CPU) translateBlock(pa uint32) *block {
+// translateBlock scans the straight-line run of instruction words at pa
+// and builds the block's immutable record in b.
+func (c *CPU) translateBlock(b *blockCode, pa uint32) {
 	c.Trans.BlockTranslations++
 	// Never cross a page boundary: page-granular translation guarantees
 	// that virtual and physical in-page offsets agree, so cached words
@@ -306,7 +329,7 @@ func (c *CPU) translateBlock(pa uint32) *block {
 	if capEnd := pa + blockMaxWords; capEnd < limit {
 		limit = capEnd
 	}
-	b := &block{pa: pa, valid: true, termless: true}
+	*b = blockCode{pa: pa, termless: true}
 	// Count the body first so it is allocated once, at its exact length.
 	for b.n < limit-pa && bodyWord(c.IMem.At(pa+b.n)) {
 		b.n++
@@ -384,16 +407,59 @@ func (c *CPU) translateBlock(pa uint32) *block {
 	if b.hasTerm {
 		b.cover = b.n + 1 + uint32(b.dsN)
 	}
+}
 
-	// The table only grows: no block is dropped to make room for another.
-	i := pa >> imemPageBits
+// missBlock supplies the block entered at pa when the machine's table
+// has none: the golden code's published block while the machine is
+// attached to it (with its published trace on the trace tier), else a
+// new translation, which an attached machine publishes. Either way the
+// block goes into the table. It stays out of line, so the table hit
+// inlines.
+func (c *CPU) missBlock(pa uint32) *block {
+	g := c.shared
+	var bc *blockCode
+	var tc *traceCode
+	if g != nil {
+		bc, tc = g.published(pa)
+	}
+	if bc == nil {
+		// A block translated here and its code are one allocation; a
+		// published code keeps the small record of this machine alive.
+		f := new(struct {
+			block
+			code blockCode
+		})
+		c.translateBlock(&f.code, pa)
+		f.block = block{blockCode: &f.code, valid: true}
+		if g != nil {
+			g.publishBlock(&f.code)
+		}
+		return c.installBlock(&f.block)
+	}
+	c.Trans.BlockAdoptions++
+	b := c.installBlock(&block{blockCode: bc, valid: true})
+	if tc != nil && c.engine == EngineTraces {
+		b.tr = &trace{traceCode: tc, adopted: true}
+		c.Trans.TraceAdoptions++
+		if c.onJIT != nil {
+			c.emitJIT(JITEvent{Kind: JITAdopted, PC: tc.pc, Len: uint32(len(tc.ins))})
+		}
+	}
+	return b
+}
+
+// installBlock enters b in the table, whose slot for b.pa is empty, and
+// returns it. The table only grows: no block is dropped to make room
+// for another.
+func (c *CPU) installBlock(b *block) *block {
+	i := b.pa >> imemPageBits
 	if need := int(i) + 1; need > len(c.blocks) {
 		c.blocks = append(c.blocks, make([]*blockPage, need-len(c.blocks))...)
 	}
 	if c.blocks[i] == nil {
 		c.blocks[i] = new(blockPage)
 	}
-	c.blocks[i][pa&imemPageMask] = b
+	c.blocks[i][b.pa&imemPageMask] = b
 	return b
 }
 
@@ -425,8 +491,11 @@ func (c *CPU) eachBlock(fn func(b *block)) {
 
 // codeWritten drops every translated block whose cached words meet the
 // n instruction-memory words at pa, and every compiled trace whose spans
-// do. Only the code writers call it.
+// do. Only the code writers call it. The machine's code no longer is the
+// golden code it loaded, so it detaches from the published table: it
+// adopts nothing more, and what it adopted it drops like its own.
 func (c *CPU) codeWritten(pa, n uint32) {
+	c.shared = nil
 	c.eachBlock(func(b *block) {
 		if b.tr != nil && b.tr.covers(pa, n) {
 			c.Trans.TraceInvalidations++
@@ -441,10 +510,12 @@ func (c *CPU) codeWritten(pa, n uint32) {
 }
 
 // dropTranslations drops every translated block (and with it its heat),
-// every compiled trace and any recording in flight. A restore calls it,
-// so translations never outlive the code they were built from; the code
+// every compiled trace and any recording in flight, and detaches the
+// machine from the golden code it loaded. A restore calls it, so
+// translations never outlive the code they were built from; the code
 // writers handle everything in between.
 func (c *CPU) dropTranslations() {
+	c.shared = nil
 	c.eachBlock(func(b *block) {
 		b.valid = false
 		if b.tr != nil {

@@ -117,12 +117,16 @@ type CPU struct {
 	// entry word and the compiled trace entered there (trace_form.go,
 	// trace_compile.go, tracecache.go). trec is the in-flight path
 	// recording. trOvfOn is the overflow-enable latch the dispatch loop
-	// sets for the compiled ops, and trCur the trace running them (whose
-	// context tells the memory handlers whether to translate).
-	blocks  []*blockPage
-	trec    traceRec
-	trOvfOn bool
-	trCur   *trace
+	// sets for the compiled ops, and trMapped the mapped flag of the
+	// context they run under (whether the memory handlers translate).
+	// shared is the golden code the machine loaded while it is attached
+	// to its published translations (GoldenCode.published); a code write
+	// or a restore detaches it for good.
+	blocks   []*blockPage
+	trec     traceRec
+	trOvfOn  bool
+	trMapped bool
+	shared   *GoldenCode
 
 	// Trans counts translation-layer behavior (superblock and trace
 	// caches, tier residency) since the CPU was built or last restored.
@@ -519,9 +523,9 @@ func (c *CPU) dispatch(left uint64) {
 			if c.stepTraces(left) {
 				return
 			}
-		} else if b, pa, ok := c.blockAt(c.pcq[0], c.Mapped()); ok {
+		} else if pa, ok := c.entryPA(c.pcq[0], c.Mapped()); ok {
 			i0 := c.Stats.Instructions
-			c.stepBlocks(c.useBlock(b, pa), left)
+			c.stepBlocks(c.useBlock(c.blockIn(pa), pa), left)
 			c.Trans.TierInstrs[TierBlocks] += c.Stats.Instructions - i0
 			return
 		}

@@ -52,8 +52,8 @@ func (c *CPU) FormTrace(r TraceRecording) int {
 
 // traceAt returns the compiled trace entered at pc under ctx, or nil.
 func (c *CPU) traceAt(pc uint32, ctx *mem.Context) *trace {
-	b, _, _ := c.blockAt(pc, ctx.Mapped)
-	return b.traceFor(pc, ctx)
+	pa, _ := c.entryPA(pc, ctx.Mapped)
+	return c.blockIn(pa).traceFor(pc, ctx)
 }
 
 // liveBlocks lists the blocks in the block table, in entry-word order.

@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"mips/internal/isa"
 	"mips/internal/mem"
@@ -214,22 +215,106 @@ func (st *State) ValidateIMem() error {
 // copy-on-write, the instruction half of mem.Golden. Its pages are
 // never written after construction, so any number of forks may read
 // them from any number of goroutines.
+//
+// It also carries the translations published for its code: per entry
+// word, the immutable part of the block translated there (blockCode)
+// and of the unmapped trace formed there (traceCode), each built from
+// these pages alone. A machine attached to the golden code (LoadCode)
+// publishes what it builds and adopts what it finds on a miss in its
+// own table; its heat, execution counts and trace history stay its own.
+// Entries are set once, first publisher wins, and never change or go
+// away: they die with the golden code.
 type GoldenCode struct {
 	n     uint32
 	pages []*imemPage
+
+	mu  sync.Mutex
+	pub []*pubPage // indexed like pages; guarded by mu
+}
+
+// pubPage holds the translations published for one instruction-memory
+// page, each at its entry word's offset.
+type pubPage [imemPageWords]pubEntry
+
+// pubEntry is what is published at one entry word.
+type pubEntry struct {
+	b  *blockCode
+	tr *traceCode
+}
+
+// NewGoldenCode builds the golden image of an instruction memory of n
+// words holding runs, with storage only for the pages that hold code.
+// The runs must be in address order, must not overlap and must lie
+// inside the n words (State.ValidateIMem). It shares nothing with them.
+func NewGoldenCode(n uint32, runs []CodeRun) *GoldenCode {
+	var m InstrMem
+	m.restore(n, runs)
+	return &GoldenCode{n: m.n, pages: m.pages, pub: make([]*pubPage, len(m.pages))}
 }
 
 // GoldenCodeFromState builds the golden image of a capture's
-// instruction memory, with storage only for the pages that hold code.
-// It shares nothing with the capture.
-func GoldenCodeFromState(st *State) *GoldenCode {
-	var m InstrMem
-	m.restore(st.IMemLen, st.IMem)
-	return &GoldenCode{n: m.n, pages: m.pages}
-}
+// instruction memory (NewGoldenCode).
+func GoldenCodeFromState(st *State) *GoldenCode { return NewGoldenCode(st.IMemLen, st.IMem) }
 
 // fork returns an instruction memory sharing the image's page table and
 // every page in it.
 func (g *GoldenCode) fork() InstrMem {
 	return InstrMem{n: g.n, pages: g.pages[:len(g.pages):len(g.pages)], base: g.pages}
+}
+
+// published returns the block and the unmapped trace published at
+// entry word pa, either nil if none is.
+func (g *GoldenCode) published(pa uint32) (*blockCode, *traceCode) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if pg := g.pub[pa>>imemPageBits]; pg != nil {
+		e := &pg[pa&imemPageMask]
+		return e.b, e.tr
+	}
+	return nil, nil
+}
+
+// publishBlock publishes bc at its entry word unless a block is
+// published there already.
+func (g *GoldenCode) publishBlock(bc *blockCode) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if e := g.entry(bc.pa); e.b == nil {
+		e.b = bc
+	}
+}
+
+// publishTrace publishes tc, an unmapped trace entered at word pa,
+// unless a trace is published there already.
+func (g *GoldenCode) publishTrace(pa uint32, tc *traceCode) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if e := g.entry(pa); e.tr == nil {
+		e.tr = tc
+	}
+}
+
+// entry returns the published slot of word pa, which lies below g.n;
+// g.mu is held.
+func (g *GoldenCode) entry(pa uint32) *pubEntry {
+	i := pa >> imemPageBits
+	if g.pub[i] == nil {
+		g.pub[i] = new(pubPage)
+	}
+	return &g.pub[i][pa&imemPageMask]
+}
+
+// LoadCode makes instruction memory a copy-on-write fork of code,
+// dropping any translations the machine held. With attach, the machine
+// also attaches to the translations published on code: until a code
+// write or a restore detaches it, a block-table miss adopts the
+// published block (and, on the trace tier, the trace entered there)
+// instead of translating, and what the machine translates or forms
+// unmapped it publishes.
+func (c *CPU) LoadCode(code *GoldenCode, attach bool) {
+	c.dropTranslations()
+	c.IMem = code.fork()
+	if attach {
+		c.shared = code
+	}
 }

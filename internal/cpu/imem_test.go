@@ -233,8 +233,8 @@ func TestTranslateBlockAllocsConstant(t *testing.T) {
 			words[k] = w(isa.ALU(isa.OpAdd, 2, isa.R(2), isa.Imm(1)))
 		}
 		c := newTestCPU(append(words, halt)...)
-		var b *block
-		got := testing.AllocsPerRun(20, func() { b = c.translateBlock(0) })
+		var b blockCode
+		got := testing.AllocsPerRun(20, func() { c.translateBlock(&b, 0) })
 		if b.n != uint32(n) || !b.hasTerm {
 			t.Fatalf("%d-word body: translated n=%d hasTerm=%v", n, b.n, b.hasTerm)
 		}

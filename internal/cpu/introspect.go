@@ -178,11 +178,14 @@ const (
 	// its path failed to form; Reason is the FormRefusal that truncated
 	// the path at its entry, or RefusalBlock when compilation failed.
 	JITPoisoned
+	// JITAdopted: a machine took a trace published on the golden code
+	// it loaded instead of forming one (Len counts the trace's ops).
+	JITAdopted
 )
 
 var jitKindNames = [...]string{
 	"formed", "compiled", "dispatch_cold", "guard_exit",
-	"invalidated", "refused", "poisoned",
+	"invalidated", "refused", "poisoned", "adopted",
 }
 
 func (k JITEventKind) String() string {
@@ -205,8 +208,8 @@ type JITEvent struct {
 }
 
 // SetJITHook installs an observer invoked on every trace-JIT lifecycle
-// event: formation, compilation, first dispatch, guard exits (with
-// their deopt reason), refusals, poisonings, and invalidations. Pass
+// event: formation, compilation, adoption, first dispatch, guard exits
+// (with their deopt reason), refusals, poisonings, and invalidations. Pass
 // nil to disable; with no hook the tier pays only nil checks.
 func (c *CPU) SetJITHook(fn func(JITEvent)) { c.onJIT = fn }
 
@@ -228,6 +231,9 @@ type TraceSite struct {
 	Hits    uint64 // dispatches (cache entry and chaining alike)
 	Instrs  uint64 // instructions retired inside this trace
 	Deopts  [NumDeoptReasons]uint64
+	// Adopted is set when the machine took the trace from the golden
+	// code it loaded (GoldenCode) instead of forming it.
+	Adopted bool
 }
 
 // TraceSites returns the introspection view of every live compiled
@@ -249,6 +255,7 @@ func (c *CPU) TraceSites() []TraceSite {
 			Hits:    tr.hits,
 			Instrs:  tr.instrs,
 			Deopts:  tr.deopts,
+			Adopted: tr.adopted,
 		}
 		for _, sp := range tr.spans {
 			s.Words += sp.n

@@ -60,7 +60,7 @@ func TestHeatNeverShadowBranchPoisoning(t *testing.T) {
 	// The loop entry (word 2) records a path whose first block is the
 	// shadow branch's: the whole recording refuses and the entry's
 	// block must be heatNever.
-	if b, _, _ := c.blockAt(2, false); b.heat != heatNever {
+	if b := c.blockIn(2); b.heat != heatNever {
 		t.Fatalf("loop entry not poisoned: block heat %d", b.heat)
 	}
 
@@ -250,7 +250,7 @@ func TestReasonNames(t *testing.T) {
 		}
 	}
 	wantKind := []string{"formed", "compiled", "dispatch_cold", "guard_exit",
-		"invalidated", "refused", "poisoned"}
+		"invalidated", "refused", "poisoned", "adopted"}
 	for k, want := range wantKind {
 		if got := JITEventKind(k).String(); got != want {
 			t.Errorf("JITEventKind(%d) = %q, want %q", k, got, want)

@@ -118,7 +118,7 @@ func (c *CPU) traceFault(q [3]uint32, primary, secondary isa.Cause) {
 // steps (until the exception that ends the chain, each step is an
 // instruction).
 func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) {
-	c.trOvfOn = c.Sur.OverflowEnabled()
+	c.trOvfOn, c.trMapped = c.Sur.OverflowEnabled(), ctx.Mapped
 	if ctx.Mapped {
 		c.Bus.MMU.SyncTLB()
 	}
@@ -134,7 +134,6 @@ func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) {
 				c.emitJIT(JITEvent{Kind: JITDispatchCold, PC: tr.pc, Len: uint32(len(tr.ins))})
 			}
 		}
-		c.trCur = tr
 		ins := tr.ins
 		clean := true
 		xi := 0
@@ -171,8 +170,11 @@ func (c *CPU) runTrace(tr *trace, ctx *mem.Context, horizon, left uint64) {
 				return
 			}
 		}
-		b, _, _ := c.blockAt(c.pcq[0], ctx.Mapped)
-		nt := b.traceFor(c.pcq[0], ctx)
+		pa, ok := c.entryPA(c.pcq[0], ctx.Mapped)
+		if !ok {
+			return
+		}
+		nt := c.blockIn(pa).traceFor(c.pcq[0], ctx)
 		if nt == nil {
 			return
 		}
@@ -208,7 +210,15 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 	if len(words) == 0 {
 		return nil
 	}
-	tr := &trace{pc: entry, ctx: *ctx, endPC: endPC, spans: spans, ins: make([]traceInst, len(words))}
+	// The machine's trace and its code are one allocation; a published
+	// code keeps the small record of the machine that formed it alive.
+	f := new(struct {
+		trace
+		code traceCode
+	})
+	f.code = traceCode{pc: entry, ctx: *ctx, endPC: endPC, spans: spans, ins: make([]traceInst, len(words))}
+	f.traceCode = &f.code
+	tr := &f.trace
 	mapped := ctx.Mapped
 	var pre traceCost
 	for i := range words {
@@ -369,7 +379,7 @@ func trPackedMem(c *CPU, in *traceInst) bool {
 	addr := c.Regs[d.base] + uint32(d.disp)
 	pa := addr
 	var f *mem.Fault
-	if c.trCur.ctx.Mapped {
+	if c.trMapped {
 		var dev bool
 		if pa, dev, f = c.Bus.translateUser(addr, store); dev {
 			return c.deviceExit(in)
@@ -588,7 +598,7 @@ func trLoad(c *CPU, in *traceInst) bool {
 	addr := c.traceAddr(in)
 	pa := addr
 	var f *mem.Fault
-	if c.trCur.ctx.Mapped {
+	if c.trMapped {
 		var dev bool
 		if pa, dev, f = c.Bus.translateUser(addr, false); dev {
 			return c.deviceExit(in)
@@ -647,7 +657,7 @@ func trStore(c *CPU, in *traceInst) bool {
 	addr := c.traceAddr(in)
 	pa := addr
 	var f *mem.Fault
-	if c.trCur.ctx.Mapped {
+	if c.trMapped {
 		var dev bool
 		if pa, dev, f = c.Bus.translateUser(addr, true); dev {
 			return c.deviceExit(in)

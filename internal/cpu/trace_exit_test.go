@@ -435,3 +435,64 @@ func TestTraceExitTimer(t *testing.T) {
 		})
 	}
 }
+
+// handlerTraceCPU builds a user loop whose trace overflows every 64th
+// pass, under an exception handler at the vector that spins a short
+// loop, clears the accumulator and returns: both form traces under the
+// same (unmapped) context, so after a fault the fetch queue is
+// sequential at the entry of the handler's trace.
+func handlerTraceCPU() *CPU {
+	spin := isa.Branch(isa.CmpNE, isa.R(11), isa.Imm(0), "")
+	spin.Target = 1
+	back := isa.Branch(isa.CmpNE, isa.R(3), isa.Imm(0), "")
+	back.Target = 16
+	code := []isa.Instr{
+		w(isa.Mov(11, isa.Imm(3))),                       // 0: handler
+		w(isa.ALU(isa.OpSub, 11, isa.R(11), isa.Imm(1))), // 1
+		w(spin),                   // 2: bne r11, #0, 1
+		w(isa.Nop()),              // 3
+		w(isa.Mov(1, isa.Imm(0))), // 4: clear the accumulator
+		w(isa.RFE()),              // 5
+	}
+	code = append(code, make([]isa.Instr, 10)...)
+	code = append(code,
+		w(isa.ALU(isa.OpAdd, 1, isa.R(1), isa.R(2))),   // 16: overflows every 64th pass
+		w(isa.ALU(isa.OpSub, 3, isa.R(3), isa.Imm(1))), // 17
+		w(back),      // 18: bne r3, #0, 16
+		w(isa.Nop()), // 19
+		halt,         // 20
+	)
+	c := newTestCPU(code...)
+	c.Regs[2], c.Regs[3] = 0x02000000, 1200
+	c.Sur = c.Sur.SetOverflow(true)
+	c.SetPC(16)
+	return c
+}
+
+// TestTraceChainStopsAtException runs a trace that faults into a vector
+// whose own trace is ready, in quanta of every size from just above the
+// tiers' minimum, against the reference engine. The exception ends the
+// chain: the handler's trace must wait for the next dispatch, which
+// checks it against the steps left. A chain that went on from the
+// vector would count the handler's words against an instruction budget
+// that forgot the exception's step, and overrun some quantum by one.
+func TestTraceChainStopsAtException(t *testing.T) {
+	c := runEveryEngine(t, handlerTraceCPU)
+	requireGuardExits(t, c, DeoptFault)
+	if c.traceAt(0, &mem.Context{}) == nil {
+		t.Fatal("the handler formed no trace; the test is vacuous")
+	}
+	for q := uint64(blockMaxWords + 1); q < 2*blockMaxWords+8; q++ {
+		trc, ref := handlerTraceCPU(), handlerTraceCPU()
+		trc.SetEngine(EngineTraces)
+		ref.SetEngine(EngineReference)
+		for !ref.Halted {
+			trc.RunSteps(q)
+			ref.RunSteps(q)
+			if trc.Stats != ref.Stats || trc.Regs != ref.Regs || trc.PC() != ref.PC() {
+				t.Fatalf("quantum %d: traces at pc %d after %d instructions and %d exceptions, reference at pc %d after %d and %d",
+					q, trc.PC(), trc.Stats.Instructions, trc.excSeq, ref.PC(), ref.Stats.Instructions, ref.excSeq)
+			}
+		}
+	}
+}

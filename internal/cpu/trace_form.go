@@ -109,26 +109,33 @@ func (c *CPU) traceable() bool {
 }
 
 // stepTraces is the trace tier's dispatch. It resolves the entry block
-// at the head of the fetch queue and runs the compiled trace the block
-// holds when one may run there within left steps. Otherwise it counts
-// the block's heat when no trace is ready and runs the block engine
-// from it (translating it first if need be), with path recording on
-// when the heat reaches the formation threshold. It returns false, with
+// at the head of the fetch queue (adopting or translating it first if
+// need be) and runs the compiled trace the block holds when one may run
+// there within left steps. Otherwise it counts the block's heat when no
+// trace is ready and runs the block engine from it, with path recording
+// on when the heat reaches the formation threshold. It returns false, with
 // no architectural effect, only when the entry does not resolve to
 // instruction memory.
 func (c *CPU) stepTraces(left uint64) bool {
 	pc := c.pcq[0]
 	mapped := c.Mapped()
-	b, pa, ok := c.blockAt(pc, mapped)
+	pa, ok := c.entryPA(pc, mapped)
 	if !ok {
 		return false
+	}
+	b := c.blockIn(pa)
+	hit := b != nil
+	if !hit {
+		b = c.missBlock(pa)
 	}
 	ctx := c.Bus.MMU.Context(mapped)
 	tr := b.traceFor(pc, &ctx)
 	if tr != nil && c.enterTrace(tr, &ctx, left) {
 		return true
 	}
-	b = c.useBlock(b, pa)
+	if hit {
+		c.Trans.BlockHits++
+	}
 	// At the threshold, this chain runs with path recording on, and a
 	// trace forms from what actually executed. The recorded chain
 	// retires on the block engine, so residency charges the blocks
@@ -480,6 +487,9 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 		return
 	}
 	c.installTrace(pts[0].b, tr)
+	if g := c.shared; g != nil && !tr.ctx.Mapped {
+		g.publishTrace(pts[0].b.pa, tr.traceCode)
+	}
 	c.Trans.TraceCompiled++
 	if c.onJIT != nil {
 		c.emitJIT(JITEvent{Kind: JITCompiled, PC: entry, Len: uint32(len(tr.ins))})

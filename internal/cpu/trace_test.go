@@ -431,7 +431,7 @@ func TestTraceYieldRearmsAtThreshold(t *testing.T) {
 			formed = append(formed, e)
 		}
 	})
-	c.translateBlock(head).heat = heatThreshold - 1
+	c.missBlock(head).heat = heatThreshold - 1
 
 	// The block at 0 runs words 0..5 and its chain yields at the head;
 	// the run's last 64 steps go word by word, below the tiers, through
@@ -567,7 +567,7 @@ func TestCodeWriteDropsTraceByLaterSpan(t *testing.T) {
 		}
 		c.WriteCode(515, []isa.Instr{patch})
 		if tr != nil {
-			if b, _, _ := c.blockAt(2, false); b == nil || b.tr != nil {
+			if b := c.blockIn(2); b == nil || b.tr != nil {
 				t.Errorf("after the write: entry block kept %v, its trace kept %v", b != nil, b != nil && b.tr != nil)
 			}
 		}

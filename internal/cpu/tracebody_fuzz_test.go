@@ -1,6 +1,10 @@
 package cpu
 
-import "testing"
+import (
+	"testing"
+
+	"mips/internal/mem"
+)
 
 // traceBodySeeds are FuzzTraceBody's committed inputs: an environment
 // and a bbSeed key. Together they reach each packed handler mapped and
@@ -48,6 +52,30 @@ var traceBodySeeds = []struct {
 	{bbOverflow | bbMapped, 395650, false}, {bbOverflow | bbMapped, 44354, false}, {bbOverflow | bbMapped | bbPendingLoad, 49456, false},
 }
 
+// traceBodyProgs are FuzzTraceBody inputs written out byte by byte, for
+// shapes the generator's keys practically never build. The first is a
+// looped body in which a load's delayed commit falls due at a nop and
+// the next word, a check-free add, reads the loaded register: trNop must
+// commit the load. The load address moves every pass, so the stale and
+// the loaded values differ.
+var traceBodyProgs = []struct {
+	env  uint8
+	prog []byte
+}{
+	{0, []byte{
+		5,                   // six body words
+		1, 1, 0, 4, 8, 4, 3, // add r4, r4, #1
+		0,                // nop
+		3, 3, 0, 1, 0, 4, // ld r3, 0(r4)
+		1, 1, 0, 6, 6, 3, 1, // add r6, r3, #0: reads the stale r3, so the load is not eager
+		0,                        // nop: the load's commit falls due
+		1, 1, 0, 5, 10, 5, 12, 3, // add r5, r5, r3: check-free, reads the loaded r3
+		5, 0, 0, // jump to the tail, with nops in the delay slots
+		// Registers r0-r3 hold PageWords, r4 the first data word.
+		0, 0, 0, 0, 0, 0, 0, 0, mem.PageWords >> 4, 0,
+	}},
+}
+
 // FuzzTraceBody runs one random superblock on the trace tier and on the
 // reference interpreter and requires the state FuzzBlockBody compares
 // to agree. The block loops back to its entry bbLoops times under a
@@ -57,6 +85,9 @@ var traceBodySeeds = []struct {
 func FuzzTraceBody(f *testing.F) {
 	for _, s := range traceBodySeeds {
 		f.Add(s.env, bbSeed(s.k))
+	}
+	for _, s := range traceBodyProgs {
+		f.Add(s.env, s.prog)
 	}
 	f.Fuzz(func(t *testing.T, env uint8, prog []byte) {
 		trc := newBBMachine(env, prog, true)
@@ -81,6 +112,13 @@ func TestTraceBodySeedsDispatch(t *testing.T) {
 		}
 		if s.dev && (m.timer != nil || m.c.Trans.TraceDeoptEnvironment == 0) {
 			t.Errorf("seed {%#x, %d} took no device exit", s.env, s.k)
+		}
+	}
+	for i, s := range traceBodyProgs {
+		m := newBBMachine(s.env, s.prog, true)
+		m.run(t, s.env, EngineTraces)
+		if m.c.Trans.TraceDispatchHits == 0 {
+			t.Errorf("written-out input %d never dispatched a trace", i)
 		}
 	}
 }

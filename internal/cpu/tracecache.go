@@ -25,7 +25,9 @@ package cpu
 // drops every trace whose spans meet the written range. Code changes
 // only through those writers, so no trace revalidates its words at
 // dispatch. Traces are derived state: snapshots exclude them, and
-// RestoreState drops them.
+// RestoreState drops them. An unmapped trace depends on code alone, so
+// a machine attached to golden code publishes its immutable part
+// (traceCode) there for the others to adopt with the entry's block.
 
 import (
 	"mips/internal/isa"
@@ -165,10 +167,13 @@ type traceSpan struct {
 	n  uint32
 }
 
-// trace is one compiled trace: its key (entry PC and translation
-// context), the flat op record array, the bulk cost of a clean pass, the
-// resume point after it, and the coherence spans.
-type trace struct {
+// traceCode is a compiled trace's immutable part: its key (entry PC and
+// translation context), the flat op record array, the bulk cost of a
+// clean pass, the resume point after it, and the coherence spans. An
+// unmapped trace is built from code alone, so a machine attached to the
+// golden code it was formed on may adopt it (GoldenCode's published
+// table).
+type traceCode struct {
 	pc  uint32      // entry PC as fetched (virtual when ctx is mapped)
 	ctx mem.Context // translation context the trace was formed under
 	// ins holds one op per word of a clean pass, so its length is the
@@ -177,8 +182,15 @@ type trace struct {
 	cost  traceCost
 	endPC uint32 // sequential resume point after a clean pass
 	spans []traceSpan
+}
 
-	warm bool // dispatched at least once (gates the dispatch-cold event)
+// trace is one machine's compiled trace: the shared traceCode plus the
+// history only this machine writes.
+type trace struct {
+	*traceCode
+
+	warm    bool // dispatched at least once (gates the dispatch-cold event)
+	adopted bool // taken from the published table, not formed here
 
 	// Per-site introspection history, for TraceSites: dispatches,
 	// instructions retired inside this trace, and guard exits by reason.
@@ -188,7 +200,7 @@ type trace struct {
 }
 
 // covers reports whether any span meets the n words at pa.
-func (tr *trace) covers(pa, n uint32) bool {
+func (tr *traceCode) covers(pa, n uint32) bool {
 	for _, sp := range tr.spans {
 		if sp.pa < pa+n && pa < sp.pa+sp.n {
 			return true
@@ -198,7 +210,7 @@ func (tr *trace) covers(pa, n uint32) bool {
 }
 
 // traceFor returns the compiled trace entered at pc under ctx, if b, the
-// block (or nil) blockAt resolved pc to, holds one.
+// block (or nil) in pc's table slot, holds one.
 func (b *block) traceFor(pc uint32, ctx *mem.Context) *trace {
 	if b == nil {
 		return nil

@@ -12,6 +12,11 @@ import (
 // symbol table, initialized data, and the entry point. It is the
 // interchange format between the assembler, the compiler's backend, and
 // the simulator, and the on-disk format of the cmd tools.
+//
+// An image is immutable once loaded: only its construction writes it
+// (the assembler, the code generator, UnmarshalBinary). The simulator
+// builds the code of a bare machine once per image and shares it, with
+// its translations, among every machine loaded with the image.
 type Image struct {
 	// Words are the instruction words, loaded at word address TextBase.
 	Words []Instr

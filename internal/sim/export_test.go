@@ -3,6 +3,9 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"weak"
+
+	"mips/internal/isa"
 )
 
 // RestoreOver restores a bare machine's snapshot onto m in place: m
@@ -29,4 +32,13 @@ func RestoreOver(m *Machine, snap []byte) error {
 	m.out.WriteString(wire.Output)
 	m.hazards = append(m.hazards[:0], wire.Hazards...)
 	return nil
+}
+
+// BareCodePublished reports whether the image wp points to has a bare
+// machine's golden code in the table.
+func BareCodePublished(wp weak.Pointer[isa.Image]) bool {
+	bareCodes.Lock()
+	defer bareCodes.Unlock()
+	_, ok := bareCodes.m[wp]
+	return ok
 }

@@ -686,6 +686,8 @@ func (s *Service) sampleLocked(j *Job, r *jobRecord) JobSample {
 			"xlate.trace.invalidations":      ts.TraceInvalidations,
 			"xlate.trace.dispatch_hits":      ts.TraceDispatchHits,
 			"xlate.trace.poisoned":           ts.TracePoisoned,
+			"xlate.block_adoptions":          ts.BlockAdoptions,
+			"xlate.trace.adopted":            ts.TraceAdoptions,
 			"xlate.trace.deopt.environment":  ts.TraceDeoptEnvironment,
 			"xlate.trace.deopt.interrupt":    ts.TraceDeoptInterrupt,
 			"xlate.trace.deopt.chain_budget": ts.TraceDeoptChainBudget,

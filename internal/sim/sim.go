@@ -230,7 +230,9 @@ func (m *Machine) attachObservers(cfg *config) error {
 
 // Load loads an image: onto the bare machine directly (one image only),
 // or as a new process of the kernel machine. May be called repeatedly
-// on kernel machines to load several processes.
+// on kernel machines to load several processes. Bare machines loaded
+// with the same image share its code, and from its second load on its
+// translations (barecode.go), so the image must not change once loaded.
 func (m *Machine) Load(im *isa.Image) error {
 	if m.kern != nil {
 		_, err := m.kern.AddProcess(im, m.spaceBits)
@@ -248,13 +250,14 @@ func (m *Machine) Load(im *isa.Image) error {
 	if end := int64(im.TextBase) + int64(len(im.Words)); im.TextBase < 1 || end > mem.MaxPhysWords {
 		return fmt.Errorf("sim: image text [%d,%d) outside [1,%d)", im.TextBase, end, mem.MaxPhysWords)
 	}
-	if err := m.cpu.LoadImage(im); err != nil {
+	code, again, err := bareGoldenCode(im)
+	if err != nil {
 		return err
 	}
-	// Monitor calls vector through the exception path to physical
-	// address zero; one rfe resumes after the trap (the host hook
-	// already did the work). Images start above it (BareTextBase).
-	m.cpu.WriteCode(0, []isa.Instr{isa.Word(isa.RFE())})
+	m.cpu.LoadCode(code, again)
+	for addr, val := range im.Data {
+		m.cpu.Bus.MMU.Phys.Poke(uint32(addr), val)
+	}
 	m.cpu.SetPC(uint32(im.Entry))
 	m.loaded++
 	m.images = append(m.images, im)

@@ -445,11 +445,13 @@ func TestForkAndRestoreStartCold(t *testing.T) {
 		}
 	}
 
+	// A machine loaded with master's image adopts master's traces, so
+	// the cold machine gets an image of its own.
 	cold, err := sim.New(sim.WithEngine(sim.Traces))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cold.Load(im); err != nil {
+	if err := cold.Load(compileCorpus(t, "fib", false)); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range []*sim.Machine{f, cold} {

@@ -47,15 +47,12 @@ func admissionBench(engine sim.Engine, sink func(name string, reg *trace.Registr
 	if err != nil {
 		return CoreBenchEntry{}, fmt.Errorf("%s: %w", name, err)
 	}
-	reg := trace.NewRegistry()
-	if sink != nil {
-		sink(name, reg)
-	}
+	reg, run := coreRegistry(name, sink)
 	m, err := tpl.Fork(sim.WithEngine(engine), sim.WithTelemetry(reg))
 	if err != nil {
 		return CoreBenchEntry{}, fmt.Errorf("%s: %w", name, err)
 	}
-	if _, err := m.Run(500_000_000); err != nil {
+	if err := run(m); err != nil {
 		return CoreBenchEntry{}, fmt.Errorf("%s: %w", name, err)
 	}
 	if p.Output != "" && m.Output() != p.Output {

@@ -292,3 +292,34 @@ func TestCoreBenchRunSink(t *testing.T) {
 		}
 	}
 }
+
+// TestCoreBenchLiveReader samples every corebench registry in a loop
+// from the moment the sink receives it, as paperbench -serve does,
+// while the programs run. Under -race it fails if a sample can overlap
+// a run's plain writes to the counters.
+func TestCoreBenchLiveReader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full corpus")
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	_, err := CoreBenchRun(2, sim.Default, func(name string, reg *trace.Registry) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					reg.Snapshot()
+				}
+			}
+		}()
+	})
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"mips/internal/codegen"
 	"mips/internal/corpus"
@@ -75,10 +76,7 @@ func coreBenchOne(p corpus.Program, engine sim.Engine, sink func(name string, re
 	if err != nil {
 		return CoreBenchEntry{}, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	reg := trace.NewRegistry()
-	if sink != nil {
-		sink(p.Name, reg)
-	}
+	reg, run := coreRegistry(p.Name, sink)
 	m, err := sim.New(sim.WithEngine(engine), sim.WithTelemetry(reg))
 	if err != nil {
 		return CoreBenchEntry{}, fmt.Errorf("%s: %w", p.Name, err)
@@ -86,7 +84,7 @@ func coreBenchOne(p corpus.Program, engine sim.Engine, sink func(name string, re
 	if err := m.Load(im); err != nil {
 		return CoreBenchEntry{}, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	if _, err := m.Run(500_000_000); err != nil {
+	if err := run(m); err != nil {
 		return CoreBenchEntry{}, fmt.Errorf("%s: %w", p.Name, err)
 	}
 	if p.Output != "" && m.Output() != p.Output {
@@ -102,6 +100,27 @@ func coreBenchOne(p corpus.Program, engine sim.Engine, sink func(name string, re
 		NopFraction:           nopFrac,
 		FreeBandwidthFraction: m.Stats().FreeBandwidthFraction(),
 	}, nil
+}
+
+// coreRegistry returns the registry of one corebench program, handed to
+// sink (a live reader: paperbench -serve) before any machine writes it,
+// and the function that runs the program's machine to halt. The run
+// holds the lock the registry's samples take, so a reader samples the
+// counters before or after the run, never while the machine writes
+// them.
+func coreRegistry(name string, sink func(name string, reg *trace.Registry)) (*trace.Registry, func(*sim.Machine) error) {
+	reg := trace.NewRegistry()
+	var mu sync.Mutex
+	reg.Guard(&mu)
+	if sink != nil {
+		sink(name, reg)
+	}
+	return reg, func(m *sim.Machine) error {
+		mu.Lock()
+		defer mu.Unlock()
+		_, err := m.Run(500_000_000)
+		return err
+	}
 }
 
 // WriteCoreBench writes the CoreBench result as indented JSON with

@@ -280,6 +280,9 @@ type JITTraceSite struct {
 	Hits    uint64            `json:"hits"`
 	Instrs  uint64            `json:"instrs"`
 	Deopts  map[string]uint64 `json:"deopts,omitempty"`
+	// Adopted is true for a trace the machine took from the golden code
+	// it loaded, false for one it formed itself.
+	Adopted bool `json:"adopted"`
 }
 
 // JITBlockSite is the block-tier counterpart: one live superblock's
@@ -315,7 +318,7 @@ func CollectJITSites(c *cpu.CPU, p *Profiler) JITSites {
 		js := JITTraceSite{
 			EntryPC: s.EntryPC, EndPC: s.EndPC, Symbol: symbolize(p, s.EntryPC),
 			Ops: s.Ops, Blocks: s.Blocks, Words: s.Words,
-			Hits: s.Hits, Instrs: s.Instrs,
+			Hits: s.Hits, Instrs: s.Instrs, Adopted: s.Adopted,
 		}
 		for r := cpu.DeoptReason(0); r < cpu.NumDeoptReasons; r++ {
 			if n := s.Deopts[r]; n != 0 {

@@ -116,6 +116,8 @@ func RegisterTranslation(r *Registry, prefix string, ts *cpu.TranslationStats) e
 			&ts.TraceFormRefusals[reason])
 	}
 	c("trace.poisoned", "entry blocks poisoned (heatNever) after an unformable recording", &ts.TracePoisoned)
+	c("block_adoptions", "superblocks adopted from the golden code's published translations instead of translated", &ts.BlockAdoptions)
+	c("trace.adopted", "traces adopted from the golden code's published translations instead of formed", &ts.TraceAdoptions)
 	for tier := cpu.Tier(0); tier < cpu.NumTiers; tier++ {
 		c("tier."+tier.String(),
 			"instructions retired in the "+tier.String()+" engine tier (partitions cpu.instructions)",

@@ -3,8 +3,10 @@
 # Starts mipsd, submits a job over HTTP, polls it to completion, downloads
 # its snapshot (twice: a finished job serves the same bytes each time),
 # resubmits the snapshot as a new job, and checks that both jobs produced
-# identical output. Exercises the same loop as the Go HTTP tests, but
-# against the real binary over a real socket.
+# identical output. Among the later checks: a third bare job on the same
+# program adopts the translations the second published. Exercises the same
+# loop as the Go HTTP tests, but against the real binary over a real
+# socket.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -278,6 +280,48 @@ for want in \
         exit 1
     }
 done
+
+echo "==> shared translations: a third bare calc job adopts what the second published"
+# mipsd compiles each program once, so every bare calc job loads the
+# same image. The image's first job keeps its translations to itself,
+# the second publishes its blocks and traces, and the third adopts them.
+# Each job runs under its own tenant, so the per-tenant xlate.* rollups
+# tell them apart.
+CALC_OUT=""
+for tenant in adopt-1 adopt-2 adopt-3; do
+    curl -fsS -X POST -H 'Content-Type: application/json' \
+        -d "{\"program\":\"calc\",\"engine\":\"traces\",\"tenant\":\"$tenant\"}" \
+        "$BASE/v1/jobs" >"$TMP/submit_calc.json"
+    IDC=$(field id "$TMP/submit_calc.json")
+    [ -n "$IDC" ] || { echo "no job id for the $tenant calc job" >&2; cat "$TMP/submit_calc.json" >&2; exit 1; }
+    STATEC=$(wait_done "$IDC")
+    if [ "$STATEC" != "done" ]; then
+        echo "$tenant calc job $IDC ended in state $STATEC" >&2
+        cat "$TMP/status.json" >&2
+        exit 1
+    fi
+    curl -fsS "$BASE/v1/jobs/$IDC/output" >"$TMP/calc_$tenant"
+    [ -s "$TMP/calc_$tenant" ] || { echo "$tenant calc job printed nothing" >&2; exit 1; }
+    if [ -n "$CALC_OUT" ] && ! cmp -s "$CALC_OUT" "$TMP/calc_$tenant"; then
+        echo "the $tenant calc job's output differs from the first's:" >&2
+        diff "$CALC_OUT" "$TMP/calc_$tenant" >&2 || true
+        exit 1
+    fi
+    CALC_OUT="$TMP/calc_adopt-1"
+done
+curl -fsS "$BASE/metrics" >"$TMP/metrics3.txt"
+adopted() { # adopted <tenant> -> the tenant's xlate.trace.adopted total
+    sed -n "s/^xlate_trace_adopted{tenant=\"$1\",[^}]*} \([0-9]*\)\$/\1/p" "$TMP/metrics3.txt" | head -1
+}
+A1=$(adopted adopt-1)
+A2=$(adopted adopt-2)
+A3=$(adopted adopt-3)
+if [ "$A1" != "0" ] || [ "$A2" != "0" ] || [ -z "$A3" ] || [ "$A3" -eq 0 ]; then
+    echo "adopted traces by calc job: '$A1' '$A2' '$A3' (want 0, 0 and more than 0)" >&2
+    grep '^xlate_trace_adopted' "$TMP/metrics3.txt" >&2 || true
+    exit 1
+fi
+echo "    third job adopted $A3 traces"
 
 echo "==> fleet observability: merged flamegraph"
 curl -fsS "$BASE/profile/flame?scope=fleet" >"$TMP/fleet.folded"
