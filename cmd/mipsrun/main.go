@@ -57,8 +57,10 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"syscall"
 
 	"mips/internal/codegen"
@@ -293,16 +295,30 @@ const liveQuantum = 1_000_000
 // liveMachine is the machine the run loop drives and /jit/traces,
 // /metrics and /status read. The loop holds mu across each quantum, so a
 // read lands between two quanta, at a step boundary, as a job service
-// reader's does.
+// reader's does. Readers take mu through Lock, which counts them as
+// waiting until they hold it, and the loop hands mu to every waiting
+// reader before its next quantum: a mutex the loop re-locked at once
+// would let a whole run pass by a reader.
 type liveMachine struct {
-	mu sync.Mutex
-	m  *sim.Machine
+	mu      sync.Mutex
+	waiting atomic.Int32
+	m       *sim.Machine
 }
 
-func (l *liveMachine) set(m *sim.Machine) {
+// Lock takes the machine for a reader between two quanta.
+func (l *liveMachine) Lock() {
+	l.waiting.Add(1)
 	l.mu.Lock()
+	l.waiting.Add(-1)
+}
+
+// Unlock releases the machine after a reader's Lock.
+func (l *liveMachine) Unlock() { l.mu.Unlock() }
+
+func (l *liveMachine) set(m *sim.Machine) {
+	l.Lock()
 	l.m = m
-	l.mu.Unlock()
+	l.Unlock()
 }
 
 // run executes at most maxSteps steps in quanta of at most quantum,
@@ -315,6 +331,14 @@ func (l *liveMachine) run(maxSteps, quantum uint64) error {
 		n, halted := l.m.RunSteps(min(quantum, maxSteps-steps))
 		steps += n + l.m.Stats().TotalExceptions() - exc
 		l.mu.Unlock()
+		// Yield at least once, so a reader not yet running gets its
+		// chance, then until every waiting reader holds the machine.
+		for {
+			runtime.Gosched()
+			if l.waiting.Load() == 0 {
+				break
+			}
+		}
 		if halted {
 			return nil
 		}
@@ -327,7 +351,7 @@ func (l *liveMachine) run(maxSteps, quantum uint64) error {
 // sampler read the registry only between quanta, as /jit/traces reads
 // the sites, so no sample overlaps the CPU's plain counter writes.
 func (l *liveMachine) server(cfg telemetry.Config, registry *trace.Registry) *telemetry.Server {
-	registry.Guard(&l.mu)
+	registry.Guard(l)
 	srv := telemetry.New(cfg)
 	srv.AddSource("", registry)
 	return srv
@@ -335,8 +359,8 @@ func (l *liveMachine) server(cfg telemetry.Config, registry *trace.Registry) *te
 
 // sites collects the machine's trace and block sites between quanta.
 func (l *liveMachine) sites(p *trace.Profiler) trace.JITSites {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.Lock()
+	defer l.Unlock()
 	if l.m == nil {
 		return trace.JITSites{}
 	}

@@ -384,6 +384,15 @@ func (c *CPU) stepBlocks(b *block, left uint64) {
 		if traceTier && nb.traceFor(npc, &ctx) != nil {
 			return
 		}
+		if c.trec.active && nb.pub != nil && (nb.tr == nil || nb.tr.adopted) && nb.pub.tr.Load() != nil {
+			// A recording ends where another machine published a trace:
+			// the trace formed here runs into that one instead of
+			// copying its ops. The machine's own traces do not end it,
+			// so the traces an image's publisher forms take the shapes
+			// one machine's profile gives them.
+			c.recTracePoint(nb, npc)
+			return
+		}
 		if hit {
 			c.Trans.BlockHits++
 		}

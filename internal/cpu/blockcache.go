@@ -104,7 +104,12 @@ type block struct {
 	// heat counts the trace tier's dispatch misses at this entry toward
 	// the formation threshold (heatNever once poisoned). It lives and
 	// dies with the block: a code write that drops the block drops it.
+	// While the machine is attached to golden code, pub is the entry
+	// published for this block's entry word, and the count that matters
+	// is the image's there (pubEntry.heat); heat then only marks a
+	// poisoning this machine keeps to itself.
 	heat uint32
+	pub  *pubEntry
 
 	// execs counts block-engine entries (dispatch and chain alike), for
 	// BlockSites' per-PC tier heatmap.
@@ -413,39 +418,37 @@ func (c *CPU) translateBlock(b *blockCode, pa uint32) {
 // has none: the golden code's published block while the machine is
 // attached to it (with its published trace on the trace tier), else a
 // new translation, which an attached machine publishes. Either way the
-// block goes into the table. It stays out of line, so the table hit
-// inlines.
+// block goes into the table, tied to its published entry while the
+// machine is attached. It stays out of line, so the table hit inlines.
 func (c *CPU) missBlock(pa uint32) *block {
-	g := c.shared
-	var bc *blockCode
-	var tc *traceCode
-	if g != nil {
-		bc, tc = g.published(pa)
-	}
-	if bc == nil {
-		// A block translated here and its code are one allocation; a
-		// published code keeps the small record of this machine alive.
-		f := new(struct {
-			block
-			code blockCode
-		})
-		c.translateBlock(&f.code, pa)
-		f.block = block{blockCode: &f.code, valid: true}
-		if g != nil {
-			g.publishBlock(&f.code)
-		}
-		return c.installBlock(&f.block)
-	}
-	c.Trans.BlockAdoptions++
-	b := c.installBlock(&block{blockCode: bc, valid: true})
-	if tc != nil && c.engine == EngineTraces {
-		b.tr = &trace{traceCode: tc, adopted: true}
-		c.Trans.TraceAdoptions++
-		if c.onJIT != nil {
-			c.emitJIT(JITEvent{Kind: JITAdopted, PC: tc.pc, Len: uint32(len(tc.ins))})
+	var e *pubEntry
+	if g := c.shared; g != nil {
+		e = g.entry(pa)
+		if bc := e.b.Load(); bc != nil {
+			c.Trans.BlockAdoptions++
+			b := c.installBlock(&block{blockCode: bc, valid: true, pub: e})
+			if tc := e.tr.Load(); tc != nil && c.engine == EngineTraces {
+				b.tr = &trace{traceCode: tc, adopted: true}
+				c.Trans.TraceAdoptions++
+				if c.onJIT != nil {
+					c.emitJIT(JITEvent{Kind: JITAdopted, PC: tc.pc, Len: uint32(len(tc.ins))})
+				}
+			}
+			return b
 		}
 	}
-	return b
+	// A block translated here and its code are one allocation; a
+	// published code keeps the small record of this machine alive.
+	f := new(struct {
+		block
+		code blockCode
+	})
+	c.translateBlock(&f.code, pa)
+	f.block = block{blockCode: &f.code, valid: true, pub: e}
+	if e != nil {
+		e.b.CompareAndSwap(nil, &f.code)
+	}
+	return c.installBlock(&f.block)
 }
 
 // installBlock enters b in the table, whose slot for b.pa is empty, and
@@ -493,10 +496,12 @@ func (c *CPU) eachBlock(fn func(b *block)) {
 // n instruction-memory words at pa, and every compiled trace whose spans
 // do. Only the code writers call it. The machine's code no longer is the
 // golden code it loaded, so it detaches from the published table: it
-// adopts nothing more, and what it adopted it drops like its own.
+// adopts and publishes nothing more, its blocks count their own heat
+// from here on, and what it adopted it drops like its own.
 func (c *CPU) codeWritten(pa, n uint32) {
 	c.shared = nil
 	c.eachBlock(func(b *block) {
+		b.pub = nil
 		if b.tr != nil && b.tr.covers(pa, n) {
 			c.Trans.TraceInvalidations++
 			c.dropTrace(b)

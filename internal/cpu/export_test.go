@@ -1,7 +1,8 @@
 package cpu
 
-// Test-only access to trace formation for the external benchmark in
-// formation_bench_test.go, which needs compiled corpus images (and so
+// Test-only access to trace formation and to published translations
+// for the external tests in formation_bench_test.go and
+// published_census_test.go, which need compiled corpus images (and so
 // the codegen package, which imports this one).
 
 import "mips/internal/mem"
@@ -96,4 +97,38 @@ func (c *CPU) staleTranslationRefs() int {
 		}
 	}
 	return n
+}
+
+// SharedCode returns the golden code c is attached to, or nil.
+func SharedCode(c *CPU) *GoldenCode { return c.shared }
+
+// TraceCensus counts the unmapped traces published on the image, their
+// compiled ops in all, and the distinct instruction-memory words their
+// spans cover: ops over words is how much the published traces repeat
+// one another. It may run while machines publish.
+func (g *GoldenCode) TraceCensus() (traces, ops, words int) {
+	covered := make([]bool, g.n)
+	for i := range g.pub {
+		pg := g.pub[i].Load()
+		if pg == nil {
+			continue
+		}
+		for k := range pg {
+			tc := pg[k].tr.Load()
+			if tc == nil {
+				continue
+			}
+			traces++
+			ops += len(tc.ins)
+			for _, sp := range tc.spans {
+				for pa := sp.pa; pa < sp.pa+sp.n; pa++ {
+					if !covered[pa] {
+						covered[pa] = true
+						words++
+					}
+				}
+			}
+		}
+	}
+	return traces, ops, words
 }

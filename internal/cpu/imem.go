@@ -3,7 +3,7 @@ package cpu
 import (
 	"fmt"
 	"slices"
-	"sync"
+	"sync/atomic"
 
 	"mips/internal/isa"
 	"mips/internal/mem"
@@ -216,30 +216,38 @@ func (st *State) ValidateIMem() error {
 // never written after construction, so any number of forks may read
 // them from any number of goroutines.
 //
-// It also carries the translations published for its code: per entry
-// word, the immutable part of the block translated there (blockCode)
-// and of the unmapped trace formed there (traceCode), each built from
-// these pages alone. A machine attached to the golden code (LoadCode)
-// publishes what it builds and adopts what it finds on a miss in its
-// own table; its heat, execution counts and trace history stay its own.
-// Entries are set once, first publisher wins, and never change or go
-// away: they die with the golden code.
+// It also carries what the machines attached to it (LoadCode) learn
+// about its code, per entry word (pubEntry): the immutable part of the
+// block translated there (blockCode), of the unmapped trace formed
+// there (traceCode), each built from these pages alone, and the trace
+// tier's heat there. An attached machine publishes what it builds,
+// adopts what it finds on a miss in its own table, and counts its
+// trace-tier misses into the image's heat, so code that every run
+// executes only a few times still reaches the formation threshold, once
+// for the image. Its execution counts and trace history stay its own.
+// Translations are set once, first publisher wins, and never change or
+// go away: they die with the golden code. Every field of an entry is
+// atomic, and so are the page slots, so no lock is held.
 type GoldenCode struct {
 	n     uint32
 	pages []*imemPage
-
-	mu  sync.Mutex
-	pub []*pubPage // indexed like pages; guarded by mu
+	pub   []atomic.Pointer[pubPage] // indexed like pages
 }
 
-// pubPage holds the translations published for one instruction-memory
-// page, each at its entry word's offset.
+// pubPage holds the entries published for one instruction-memory page,
+// each at its entry word's offset.
 type pubPage [imemPageWords]pubEntry
 
 // pubEntry is what is published at one entry word.
 type pubEntry struct {
-	b  *blockCode
-	tr *traceCode
+	b  atomic.Pointer[blockCode]
+	tr atomic.Pointer[traceCode]
+	// heat counts the trace-tier misses of every attached machine at
+	// this entry toward the formation threshold (heatNever once a
+	// recording from here failed to form). Starting a recording resets
+	// it, so the other machines count afresh while the recording's
+	// trace is published.
+	heat atomic.Uint32
 }
 
 // NewGoldenCode builds the golden image of an instruction memory of n
@@ -249,7 +257,7 @@ type pubEntry struct {
 func NewGoldenCode(n uint32, runs []CodeRun) *GoldenCode {
 	var m InstrMem
 	m.restore(n, runs)
-	return &GoldenCode{n: m.n, pages: m.pages, pub: make([]*pubPage, len(m.pages))}
+	return &GoldenCode{n: m.n, pages: m.pages, pub: make([]atomic.Pointer[pubPage], len(m.pages))}
 }
 
 // GoldenCodeFromState builds the golden image of a capture's
@@ -262,46 +270,38 @@ func (g *GoldenCode) fork() InstrMem {
 	return InstrMem{n: g.n, pages: g.pages[:len(g.pages):len(g.pages)], base: g.pages}
 }
 
-// published returns the block and the unmapped trace published at
-// entry word pa, either nil if none is.
-func (g *GoldenCode) published(pa uint32) (*blockCode, *traceCode) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if pg := g.pub[pa>>imemPageBits]; pg != nil {
-		e := &pg[pa&imemPageMask]
-		return e.b, e.tr
-	}
-	return nil, nil
-}
-
-// publishBlock publishes bc at its entry word unless a block is
-// published there already.
-func (g *GoldenCode) publishBlock(bc *blockCode) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if e := g.entry(bc.pa); e.b == nil {
-		e.b = bc
-	}
-}
-
-// publishTrace publishes tc, an unmapped trace entered at word pa,
-// unless a trace is published there already.
-func (g *GoldenCode) publishTrace(pa uint32, tc *traceCode) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if e := g.entry(pa); e.tr == nil {
-		e.tr = tc
-	}
-}
-
-// entry returns the published slot of word pa, which lies below g.n;
-// g.mu is held.
+// entry returns the published entry of word pa, which lies below g.n,
+// adding its page on first use (first adder wins).
 func (g *GoldenCode) entry(pa uint32) *pubEntry {
-	i := pa >> imemPageBits
-	if g.pub[i] == nil {
-		g.pub[i] = new(pubPage)
+	slot := &g.pub[pa>>imemPageBits]
+	pg := slot.Load()
+	if pg == nil {
+		if pg = new(pubPage); !slot.CompareAndSwap(nil, pg) {
+			pg = slot.Load()
+		}
 	}
-	return &g.pub[i][pa&imemPageMask]
+	return &pg[pa&imemPageMask]
+}
+
+// bump counts one trace-tier miss at the entry for the whole image and
+// reports whether the count has reached the formation threshold. A
+// poisoned entry never does.
+func (e *pubEntry) bump() bool {
+	for {
+		h := e.heat.Load()
+		if h == heatNever {
+			return false
+		}
+		if e.heat.CompareAndSwap(h, h+1) {
+			return h+1 >= heatThreshold
+		}
+	}
+}
+
+// cool restarts the entry's count, unless it is poisoned.
+func (e *pubEntry) cool() {
+	for h := e.heat.Load(); h != heatNever && !e.heat.CompareAndSwap(h, 0); h = e.heat.Load() {
+	}
 }
 
 // LoadCode makes instruction memory a copy-on-write fork of code,
@@ -309,8 +309,8 @@ func (g *GoldenCode) entry(pa uint32) *pubEntry {
 // also attaches to the translations published on code: until a code
 // write or a restore detaches it, a block-table miss adopts the
 // published block (and, on the trace tier, the trace entered there)
-// instead of translating, and what the machine translates or forms
-// unmapped it publishes.
+// instead of translating, what the machine translates or forms
+// unmapped it publishes, and its trace-tier heat is the image's.
 func (c *CPU) LoadCode(code *GoldenCode, attach bool) {
 	c.dropTranslations()
 	c.IMem = code.fork()

@@ -11,12 +11,15 @@ import (
 // on every engine, but trace formation must refuse the block — the
 // recorded successor cannot disambiguate the branch direction — and
 // poison the entry so steady state stops re-recording.
-func shadowBranchCPU(n int32) *CPU {
+func shadowBranchCPU(n int32) *CPU { return newTestCPU(shadowBranchWords(n)...) }
+
+// shadowBranchWords is shadowBranchCPU's program.
+func shadowBranchWords(n int32) []isa.Instr {
 	shadow := isa.Branch(isa.CmpNE, isa.R(1), isa.Imm(0), "")
 	shadow.Target = 4 // own shadow: branch PC 3, delay slot 4
 	back := isa.Branch(isa.CmpNE, isa.R(1), isa.Imm(0), "")
 	back.Target = 2
-	return newTestCPU(
+	return []isa.Instr{
 		w(isa.LoadImm32(1, n)), // 0
 		w(isa.Nop()),           // 1
 		w(isa.ALU(isa.OpSub, 1, isa.R(1), isa.Imm(1))), // 2: loop entry
@@ -25,7 +28,7 @@ func shadowBranchCPU(n int32) *CPU {
 		w(back),      // 5: bne r1, #0, 2
 		w(isa.Nop()), // 6: branch delay
 		halt,         // 7
-	)
+	}
 }
 
 // TestHeatNeverShadowBranchPoisoning covers the heatNever path: a hot

@@ -1,0 +1,64 @@
+package cpu_test
+
+import (
+	"testing"
+
+	"mips/internal/codegen"
+	"mips/internal/corpus"
+	"mips/internal/cpu"
+	"mips/internal/reorg"
+	"mips/internal/sim"
+)
+
+// publishedOpsPerWord bounds the compiled ops of a settled image's
+// published traces per distinct instruction-memory word they cover.
+// Traces overlap by design (a loop entered from several places is
+// copied into each path that reaches it), but a recording on an
+// attached machine ends where another machine published a trace, so
+// the copies stay few. Without that rule the short programs read 6.3
+// to 9.2 ops per word; with it, at most 4.2 (tokenizer).
+const publishedOpsPerWord = 5
+
+// TestPublishedTraceOpsBounded loads each short program twenty-one
+// times over one image — the first load keeps its translations, the
+// others attach and pool their heat — and bounds the ops the image's
+// published traces hold per word they cover. Published traces live as
+// long as their image, so this is memory per image, not per job.
+func TestPublishedTraceOpsBounded(t *testing.T) {
+	for _, name := range shortCorpus {
+		t.Run(name, func(t *testing.T) {
+			p, err := corpus.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			im, _, err := codegen.CompileMIPS(p.Source, codegen.MIPSOptions{}, reorg.All())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var code *cpu.GoldenCode
+			for range 21 {
+				m, err := sim.New(sim.WithEngine(sim.Traces))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Load(im); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Run(10_000_000); err != nil {
+					t.Fatal(err)
+				}
+				if g := cpu.SharedCode(m.CPU()); g != nil {
+					code = g
+				}
+			}
+			if code == nil {
+				t.Fatal("no machine attached to the image")
+			}
+			traces, ops, words := code.TraceCensus()
+			t.Logf("%d published traces: %d ops over %d words (%.2f per word)", traces, ops, words, float64(ops)/float64(words))
+			if words == 0 || ops > publishedOpsPerWord*words {
+				t.Errorf("published traces hold %d ops over %d words, want at most %d per word", ops, words, publishedOpsPerWord)
+			}
+		})
+	}
+}

@@ -202,10 +202,10 @@ func (c *CPU) standDown(w, horizon uint64) {
 // refused everything the handlers cannot specialize, so a nil return
 // means an internal inconsistency and the path is simply not installed.
 // Compilation makes a constant number of allocations whatever the
-// trace's length. A packed op points at its recorded block's own
-// decoded record: a code write or bulk invalidation that drops any block
-// the trace spans drops the trace too. Under a mapped ctx, memory words
-// take the handlers that translate (no check-free specialization does).
+// trace's length, and every op keeps its operands itself: a trace holds
+// no pointer into the blocks it was formed from. Under a mapped ctx,
+// memory words take the handlers that translate (no check-free
+// specialization does).
 func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uint32, spans []traceSpan) *trace {
 	if len(words) == 0 {
 		return nil
@@ -225,7 +225,7 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 		w := &words[i]
 		in := &tr.ins[i]
 		in.vpc, in.pre = w.vpc, pre
-		in.target, in.shape = w.x, w.shape
+		in.target, in.flags = w.x, w.shape
 		var happy traceCost
 		switch w.d.bclass {
 		case bcNop:
@@ -233,14 +233,17 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 		case bcGeneral:
 			// Formation admits only the packed shapes the ISA encodes
 			// (packedShape).
-			in.d = w.d
-			switch w.d.memKind {
+			d := w.d
+			aluFields(in, d)
+			in.data, in.base, in.imm = d.data, d.base, uint32(d.disp)
+			switch d.memKind {
 			case isa.PieceLoad:
 				in.fn, happy = trPackedMem, wcPackedLoad
 			case isa.PieceStore:
 				in.fn, happy = trPackedMem, wcPackedStore
+				in.flags |= tfStore
 			case isa.PieceJump:
-				in.fn, happy = trPackedJump, wcPackedTaken
+				in.fn, in.target, happy = trPackedJump, d.target, wcPackedTaken
 			default:
 				return nil
 			}
@@ -250,8 +253,9 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 			happy = compileMem(in, w, mapped)
 		case bcBranch:
 			in.a, in.b, in.cmp, in.target = w.d.m1, w.d.m2, w.d.memCmp, w.d.target
-			in.fn, in.taken, happy = trBranch, w.taken, wcBranch
+			in.fn, happy = trBranch, wcBranch
 			if w.taken {
+				in.flags |= tfTaken
 				happy = wcTaken
 			}
 		case bcJump:
@@ -274,8 +278,7 @@ func (c *CPU) compileTrace(words []traceWord, ctx *mem.Context, entry, endPC uin
 // word takes the generic handler of its kind.
 func compileALU(in *traceInst, w *traceWord) traceCost {
 	d := w.d
-	in.a, in.b, in.dst = d.a1, d.a2, d.aluDst
-	in.op, in.cmp, in.unary, in.dstRead = d.aluOp, d.aluCmp, d.aluUnary, d.aluDstRead
+	aluFields(in, d)
 	switch {
 	case d.aluKind == isa.PieceSetCond:
 		in.fn = trSetCond
@@ -293,6 +296,13 @@ func compileALU(in *traceInst, w *traceWord) traceCost {
 	return wcALU
 }
 
+// aluFields copies a word's computation piece into in.
+func aluFields(in *traceInst, d *decoded) {
+	in.a, in.b, in.dst, in.op, in.cmp = d.a1, d.a2, d.aluDst, d.aluOp, d.aluCmp
+	in.flags |= flagIf(d.aluUnary, tfUnary) | flagIf(d.aluDstRead, tfDstRead) |
+		flagIf(d.aluKind == isa.PieceSetCond, tfSetCond)
+}
+
 // compileMem picks the handler of a load or store word: a displacement
 // reference in an unmapped trace, at a position a pending load cannot
 // reach, takes the check-free specialization; every other takes trLoad
@@ -300,7 +310,8 @@ func compileALU(in *traceInst, w *traceWord) traceCost {
 func compileMem(in *traceInst, w *traceWord, mapped bool) traceCost {
 	d := w.d
 	in.data, in.base, in.index, in.shift = d.data, d.base, d.index, d.shift
-	in.mode, in.imm, in.eager = d.mode, uint32(d.disp), w.eager
+	in.mode, in.imm = d.mode, uint32(d.disp)
+	in.flags |= flagIf(w.eager, tfEager)
 	lean := !mapped && !w.hazard && d.mode == isa.AModeDisp
 	if d.bclass == bcStore {
 		in.fn = trStore
@@ -330,23 +341,24 @@ func trNop(c *CPU, in *traceInst) bool {
 // dispatch-latched trap enable. It returns the value to commit to the
 // ALU destination and whether an enabled overflow occurred; the caller
 // owns commit order and the overflow exit.
-func (c *CPU) packedALU(d *decoded, vpc uint32) (v uint32, ovf bool) {
-	a := c.leanOperand(d.a1, vpc)
+func (c *CPU) packedALU(in *traceInst) (v uint32, ovf bool) {
+	vpc := in.vpc
+	a := c.leanOperand(in.a, vpc)
 	var b uint32
-	if d.aluKind == isa.PieceSetCond {
-		if d.aluCmp.Eval(a, c.leanOperand(d.a2, vpc)) {
+	if in.flags&tfSetCond != 0 {
+		if in.cmp.Eval(a, c.leanOperand(in.b, vpc)) {
 			v = 1
 		}
 		return v, false
 	}
-	if !d.aluUnary {
-		b = c.leanOperand(d.a2, vpc)
+	if in.flags&tfUnary == 0 {
+		b = c.leanOperand(in.b, vpc)
 	}
 	var dstVal uint32
-	if d.aluDstRead {
-		dstVal = c.leanRead(d.aluDst, vpc)
+	if in.flags&tfDstRead != 0 {
+		dstVal = c.leanRead(in.dst, vpc)
 	}
-	v, _, o := aluEval(d.aluOp, a, b, dstVal, c.Lo)
+	v, _, o := aluEval(in.op, a, b, dstVal, c.Lo)
 	return v, o && c.trOvfOn
 }
 
@@ -370,13 +382,13 @@ func (c *CPU) packedALU(d *decoded, vpc uint32) (v uint32, ovf bool) {
 // addresses are physical). The base and data reads repeat through the
 // audited path after the ALU piece's operands, in the executor's order.
 func trPackedMem(c *CPU, in *traceInst) bool {
-	d, vpc := in.d, in.vpc
-	store := d.memKind == isa.PieceStore
+	vpc := in.vpc
+	store := in.flags&tfStore != 0
 	c.seq++
 	if c.pendN != 0 {
 		c.commitLoads()
 	}
-	addr := c.Regs[d.base] + uint32(d.disp)
+	addr := c.Regs[in.base] + in.imm
 	pa := addr
 	var f *mem.Fault
 	if c.trMapped {
@@ -385,12 +397,12 @@ func trPackedMem(c *CPU, in *traceInst) bool {
 			return c.deviceExit(in)
 		}
 	}
-	aluV, ovf := c.packedALU(d, vpc)
-	c.leanRead(d.base, vpc)
+	aluV, ovf := c.packedALU(in)
+	c.leanRead(in.base, vpc)
 	var v uint32
 	if store {
-		val := c.Regs[d.data]
-		c.leanRead(d.data, vpc)
+		val := c.Regs[in.data]
+		c.leanRead(in.data, vpc)
 		if f == nil {
 			f = c.Bus.MMU.Phys.Write(pa, val)
 		}
@@ -420,10 +432,10 @@ func trPackedMem(c *CPU, in *traceInst) bool {
 		c.traceFault(in.faultQueue(), isa.CauseOverflow, isa.CauseNone)
 		return false
 	}
-	c.Regs[d.aluDst] = aluV
-	c.lastWrite[d.aluDst] = c.seq
+	c.Regs[in.dst] = aluV
+	c.lastWrite[in.dst] = c.seq
 	if !store {
-		c.writeLoad(d.data, v)
+		c.writeLoad(in.data, v)
 	}
 	return true
 }
@@ -432,22 +444,22 @@ func trPackedMem(c *CPU, in *traceInst) bool {
 // so the only exit is overflow. The word is accounted with its jump,
 // then restarts through the exact fault queue its redirect leaves.
 func trPackedJump(c *CPU, in *traceInst) bool {
-	d, vpc := in.d, in.vpc
+	vpc := in.vpc
 	c.seq++
 	if c.pendN != 0 {
 		c.commitLoads()
 	}
-	aluV, ovf := c.packedALU(d, vpc)
+	aluV, ovf := c.packedALU(in)
 	if c.onBranch != nil {
-		c.onBranch(vpc, d.target, true)
+		c.onBranch(vpc, in.target, true)
 	}
 	if ovf {
 		c.charge(in, wcPackedTaken)
-		c.traceFault([3]uint32{vpc, vpc + 1, d.target}, isa.CauseOverflow, isa.CauseNone)
+		c.traceFault([3]uint32{vpc, vpc + 1, in.target}, isa.CauseOverflow, isa.CauseNone)
 		return false
 	}
-	c.Regs[d.aluDst] = aluV
-	c.lastWrite[d.aluDst] = c.seq
+	c.Regs[in.dst] = aluV
+	c.lastWrite[in.dst] = c.seq
 	return true
 }
 
@@ -514,11 +526,11 @@ func trALU(c *CPU, in *traceInst) bool {
 	}
 	a := c.leanOperand(in.a, in.vpc)
 	var b uint32
-	if !in.unary {
+	if in.flags&tfUnary == 0 {
 		b = c.leanOperand(in.b, in.vpc)
 	}
 	var dstVal uint32
-	if in.dstRead {
+	if in.flags&tfDstRead != 0 {
 		dstVal = c.leanRead(in.dst, in.vpc)
 	}
 	v, lo, ovf := aluEval(in.op, a, b, dstVal, c.Lo)
@@ -639,7 +651,7 @@ func (c *CPU) loadDone(in *traceInst, addr, v uint32) bool {
 	if c.onMem != nil {
 		c.onMem(in.vpc, addr, false)
 	}
-	if in.eager {
+	if in.flags&tfEager != 0 {
 		c.Regs[in.data] = v
 		c.lastWrite[in.data] = c.seq
 	} else {
@@ -707,7 +719,8 @@ func (c *CPU) storeDone(in *traceInst, addr uint32) bool {
 // outcome, accounts the word, restores the queue the real direction
 // produces, and exits.
 
-// trBranch runs a conditional branch recorded in direction in.taken.
+// trBranch runs a conditional branch recorded in the direction tfTaken
+// holds.
 func trBranch(c *CPU, in *traceInst) bool {
 	c.seq++
 	if c.pendN != 0 {
@@ -717,7 +730,7 @@ func trBranch(c *CPU, in *traceInst) bool {
 	if c.onBranch != nil {
 		c.onBranch(in.vpc, in.target, t)
 	}
-	if t == in.taken {
+	if t == (in.flags&tfTaken != 0) {
 		return true
 	}
 	c.deopt = DeoptBranchDirection

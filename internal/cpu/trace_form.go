@@ -142,7 +142,7 @@ func (c *CPU) stepTraces(left uint64) bool {
 	// tier.
 	record := tr == nil && c.traceable() && b.heatBump()
 	if record {
-		b.heat = 0
+		b.cool()
 		c.trec.active = true
 		c.trec.n = 0
 		c.trec.ctx = ctx
@@ -203,14 +203,28 @@ func (c *CPU) enterTrace(tr *trace, ctx *mem.Context, left uint64) bool {
 }
 
 // heatBump counts one trace-tier miss at the block's entry and reports
-// whether the count has reached the formation threshold. A poisoned
-// block never does. Only starting a recording resets the count.
+// whether the count has reached the formation threshold: the image's
+// count while the machine is attached to golden code, else the block's
+// own. A poisoned block or entry never does. Only starting a recording
+// resets the count (cool).
 func (b *block) heatBump() bool {
 	if b.heat == heatNever {
 		return false
 	}
+	if e := b.pub; e != nil {
+		return e.bump()
+	}
 	b.heat++
 	return b.heat >= heatThreshold
+}
+
+// cool restarts the count heatBump advances.
+func (b *block) cool() {
+	if e := b.pub; e != nil {
+		e.cool()
+		return
+	}
+	b.heat = 0
 }
 
 // markNeverTrace records that paths from the recording's entry do not
@@ -218,9 +232,14 @@ func (b *block) heatBump() bool {
 // allocations) in steady state. Poisoning happens at most once per
 // entry block (a poisoned block never reaches the heat threshold
 // again), so TracePoisoned counts distinct poisoned entries until their
-// blocks are dropped.
+// blocks are dropped. An attached machine that recorded unmapped
+// publishes the poisoning with the entry's heat, so no machine of the
+// image records there again.
 func (c *CPU) markNeverTrace(entry tracePoint, why FormRefusal) {
 	entry.b.heat = heatNever
+	if e := entry.b.pub; e != nil && !c.trec.ctx.Mapped {
+		e.heat.Store(heatNever)
+	}
 	c.Trans.TracePoisoned++
 	if c.onJIT != nil {
 		c.emitJIT(JITEvent{Kind: JITPoisoned, Reason: uint8(why), PC: entry.pc})
@@ -487,8 +506,8 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 		return
 	}
 	c.installTrace(pts[0].b, tr)
-	if g := c.shared; g != nil && !tr.ctx.Mapped {
-		g.publishTrace(pts[0].b.pa, tr.traceCode)
+	if e := pts[0].b.pub; e != nil && !tr.ctx.Mapped {
+		e.tr.CompareAndSwap(nil, tr.traceCode)
 	}
 	c.Trans.TraceCompiled++
 	if c.onJIT != nil {

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"testing"
+	"unsafe"
 
 	"mips/internal/isa"
 )
@@ -103,6 +104,15 @@ func TestTraceFormationAllocs(t *testing.T) {
 		if allocs != want {
 			t.Errorf("%d-op trace: formation makes %v allocations, want %d", tc.ops, allocs, want)
 		}
+	}
+}
+
+// TestTraceInstSize pins a compiled op at 64 bytes or less: published
+// traces live as long as their image, and every op of every trace is
+// one record.
+func TestTraceInstSize(t *testing.T) {
+	if n := unsafe.Sizeof(traceInst{}); n > 64 {
+		t.Errorf("a compiled trace op takes %d bytes, want at most 64", n)
 	}
 }
 

@@ -65,10 +65,6 @@ type traceFn func(c *CPU, in *traceInst) bool
 // uses depends on its handler.
 type traceInst struct {
 	fn traceFn
-	// d is the op's decoded word, for packed words (bclass bcGeneral)
-	// only: the recorded block's own record, which a code write drops
-	// together with the trace.
-	d *decoded
 	// a and b are the ALU operands, or the compare operands of a branch
 	// (a alone: the target register of an indirect jump).
 	a, b fastOp
@@ -89,10 +85,12 @@ type traceInst struct {
 	mode              isa.AddrMode
 	op                isa.ALUOp
 	cmp               isa.Cmp // ALU set-condition or branch compare
-	shape             uint8   // exit queue shape: qSeq, qFirst, or qLast
-	unary, dstRead    bool
-	taken             bool // a branch's recorded direction
-	eager             bool // a load's commit is unobservable: write at once
+	// flags holds the exit queue shape (qSeq, qFirst or qLast) in its
+	// low bits and the tf* attributes above them. A packed word keeps
+	// both its pieces in the fields above: its computation piece where
+	// an ALU word keeps one, its memory piece where a load or store
+	// does.
+	flags uint8
 }
 
 // Exit queue shapes of a trace word at vpc, with x the control target
@@ -102,11 +100,31 @@ const (
 	qSeq   uint8 = iota // body word or terminator: [vpc, vpc+1, vpc+2]
 	qFirst              // first of two delay slots: [vpc, vpc+1, x]
 	qLast               // last delay slot: [vpc, x, x+1]
+
+	qShapeMask = 3
 )
+
+// The attribute bits of traceInst.flags.
+const (
+	tfUnary   uint8 = 1 << (2 + iota) // the ALU op reads one operand
+	tfDstRead                         // the ALU op reads its destination (multiply and divide steps)
+	tfTaken                           // a branch's recorded direction
+	tfEager                           // a load's commit is unobservable: write at once
+	tfStore                           // a packed word's memory piece stores
+	tfSetCond                         // a packed word's computation piece is a set-condition
+)
+
+// flagIf returns f when on holds, else no bits.
+func flagIf(on bool, f uint8) uint8 {
+	if on {
+		return f
+	}
+	return 0
+}
 
 // faultQueue returns the fetch queue a fault at in restarts with.
 func (in *traceInst) faultQueue() [3]uint32 {
-	switch in.shape {
+	switch in.flags & qShapeMask {
 	case qFirst:
 		return [3]uint32{in.vpc, in.vpc + 1, in.target}
 	case qLast:

@@ -4,7 +4,8 @@
 # its snapshot (twice: a finished job serves the same bytes each time),
 # resubmits the snapshot as a new job, and checks that both jobs produced
 # identical output. Among the later checks: a third bare job on the same
-# program adopts the translations the second published. Exercises the same
+# program adopts the translations the second published, and twelve more
+# leave less to the blocks tier than the second did. Exercises the same
 # loop as the Go HTTP tests, but against the real binary over a real
 # socket.
 set -eu
@@ -286,9 +287,14 @@ echo "==> shared translations: a third bare calc job adopts what the second publ
 # same image. The image's first job keeps its translations to itself,
 # the second publishes its blocks and traces, and the third adopts them.
 # Each job runs under its own tenant, so the per-tenant xlate.* rollups
-# tell them apart.
+# tell them apart. Twelve more jobs follow the three. The image's heat
+# is pooled, so code each run executes only a few times is traced once
+# for the image, and the last job leaves less to the blocks tier than
+# the second and the third did. With heat counted per machine every
+# adopting job, the third on, would retire the same number there.
+SETTLE=$(seq -f 'settle-%g' 1 12)
 CALC_OUT=""
-for tenant in adopt-1 adopt-2 adopt-3; do
+for tenant in adopt-1 adopt-2 adopt-3 $SETTLE; do
     curl -fsS -X POST -H 'Content-Type: application/json' \
         -d "{\"program\":\"calc\",\"engine\":\"traces\",\"tenant\":\"$tenant\"}" \
         "$BASE/v1/jobs" >"$TMP/submit_calc.json"
@@ -322,6 +328,18 @@ if [ "$A1" != "0" ] || [ "$A2" != "0" ] || [ -z "$A3" ] || [ "$A3" -eq 0 ]; then
     exit 1
 fi
 echo "    third job adopted $A3 traces"
+tier_blocks() { # tier_blocks <tenant> -> the tenant's xlate.tier.blocks total
+    sed -n "s/^xlate_tier_blocks{tenant=\"$1\",[^}]*} \([0-9]*\)\$/\1/p" "$TMP/metrics3.txt" | head -1
+}
+B2=$(tier_blocks adopt-2)
+B3=$(tier_blocks adopt-3)
+BLAST=$(tier_blocks settle-12)
+if [ -z "$B2" ] || [ -z "$B3" ] || [ -z "$BLAST" ] || [ "$BLAST" -ge "$B2" ] || [ "$BLAST" -ge "$B3" ]; then
+    echo "blocks-tier instructions of the second, third and last calc job: '$B2' '$B3' '$BLAST' (want the last below both)" >&2
+    grep '^xlate_tier_blocks' "$TMP/metrics3.txt" >&2 || true
+    exit 1
+fi
+echo "    blocks-tier instructions: second job $B2, third $B3, last $BLAST"
 
 echo "==> fleet observability: merged flamegraph"
 curl -fsS "$BASE/profile/flame?scope=fleet" >"$TMP/fleet.folded"
