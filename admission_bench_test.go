@@ -18,6 +18,7 @@ import (
 	"mips/internal/kernel"
 	"mips/internal/reorg"
 	"mips/internal/sim"
+	"mips/internal/tables"
 )
 
 // admissionImage compiles the pipeline workload (fib) for the kernel
@@ -203,5 +204,35 @@ func TestKernelJobAllocs(t *testing.T) {
 	job() // the kernel image assembly cache fills outside the measurement
 	if b := bytesPerOp(5, job); b > kernelJobMaxBytes {
 		t.Errorf("boot plus fib to halt allocates %d B/op, ceiling %d", b, kernelJobMaxBytes)
+	}
+}
+
+// evaluationPassMaxBytes bounds what one evaluation pass allocates:
+// every experiment on one shared pass, then corebench, as
+// BenchmarkEvaluationPass runs them. A pass parses each source once and
+// reuses one CC memory per worker; losing either sharing breaks it.
+const evaluationPassMaxBytes = 26 << 20
+
+// TestEvaluationPassAllocs is the allocation gate on a whole evaluation
+// pass.
+func TestEvaluationPassAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole evaluation three times")
+	}
+	pass := func() {
+		for _, r := range tables.RunAllWith(tables.All(), 1, sim.Default, nil) {
+			if r.Err != nil {
+				t.Fatalf("%s: %v", r.Name, r.Err)
+			}
+		}
+		if _, err := tables.CoreBenchRun(1, sim.Default, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass() // process-wide caches (the kernel image) fill outside the measurement
+	if b := bytesPerOp(2, pass); b > evaluationPassMaxBytes {
+		t.Errorf("one evaluation pass allocates %d B/op, ceiling %d", b, evaluationPassMaxBytes)
+	} else {
+		t.Logf("one evaluation pass allocates %d B/op, ceiling %d", b, evaluationPassMaxBytes)
 	}
 }

@@ -298,11 +298,20 @@ const liveQuantum = 1_000_000
 // reader's does. Readers take mu through Lock, which counts them as
 // waiting until they hold it, and the loop hands mu to every waiting
 // reader before its next quantum: a mutex the loop re-locked at once
-// would let a whole run pass by a reader.
+// would let a whole run pass by a reader. A reader the host has not
+// scheduled yet is not waiting, though; one that must see the run
+// mid-way registers first with watch.
 type liveMachine struct {
 	mu      sync.Mutex
 	waiting atomic.Int32
 	m       *sim.Machine
+
+	// quanta counts the quanta run (guarded by mu), readAt holds its
+	// value at the last reader's Lock, and watchers counts the readers
+	// registered with watch.
+	quanta   uint64
+	readAt   atomic.Uint64
+	watchers atomic.Int32
 }
 
 // Lock takes the machine for a reader between two quanta.
@@ -310,6 +319,17 @@ func (l *liveMachine) Lock() {
 	l.waiting.Add(1)
 	l.mu.Lock()
 	l.waiting.Add(-1)
+	l.readAt.Store(l.quanta)
+}
+
+// watch registers a standing reader until the returned stop is called:
+// after every quantum, the last included, the loop waits until a reader
+// has taken the machine. A reader registered before the run starts
+// therefore meets the run loop at every quantum boundary, however the
+// host schedules its goroutine.
+func (l *liveMachine) watch() (stop func()) {
+	l.watchers.Add(1)
+	return func() { l.watchers.Add(-1) }
 }
 
 // Unlock releases the machine after a reader's Lock.
@@ -330,12 +350,15 @@ func (l *liveMachine) run(maxSteps, quantum uint64) error {
 		exc := l.m.Stats().TotalExceptions()
 		n, halted := l.m.RunSteps(min(quantum, maxSteps-steps))
 		steps += n + l.m.Stats().TotalExceptions() - exc
+		l.quanta++
+		quanta := l.quanta
 		l.mu.Unlock()
 		// Yield at least once, so a reader not yet running gets its
-		// chance, then until every waiting reader holds the machine.
+		// chance, then until every waiting reader holds the machine and,
+		// while a reader watches, until a reader has read this quantum.
 		for {
 			runtime.Gosched()
-			if l.waiting.Load() == 0 {
+			if l.waiting.Load() == 0 && (l.watchers.Load() == 0 || l.readAt.Load() == quanta) {
 				break
 			}
 		}

@@ -20,8 +20,10 @@ import (
 // as /jit/traces does, in a loop while the run loop runs queens on the
 // trace tier. Under go test -race any read that overlapped a quantum
 // would report the CPU's plain writes to the site counters and the
-// block table. The reader must land at least once mid-run, and the run
-// must end exactly as one Machine.Run call would.
+// block table. The reader watches from before the run starts until it
+// has landed once mid-run, so it does not depend on when the host
+// schedules it, and the run must end exactly as one Machine.Run call
+// would.
 func TestLiveSitesBetweenQuanta(t *testing.T) {
 	p, err := corpus.Get("queens")
 	if err != nil {
@@ -46,11 +48,14 @@ func TestLiveSitesBetweenQuanta(t *testing.T) {
 	live.set(newMachine())
 	var done atomic.Bool
 	midRun := make(chan int, 1)
+	stop := live.watch()
 	go func() {
 		n := 0
 		for !done.Load() {
 			if s := live.sites(nil); len(s.Traces) > 0 && !done.Load() {
-				n++
+				if n++; n == 1 {
+					stop()
+				}
 			}
 		}
 		midRun <- n
@@ -87,8 +92,9 @@ var tracesRetired = regexp.MustCompile(`(?m)^xlate_tier_traces (\d+)$`)
 // queens on the trace tier in small quanta. The machine's counters
 // register into the served registry and the CPU writes them plainly, so
 // under go test -race a sample that overlapped a quantum would report a
-// race. A scrape must see the trace tier mid-run, and the last one the
-// run's final count.
+// race. A scrape must see the trace tier mid-run (the scraper watches
+// from before the run starts until it has), and the last one the run's
+// final count.
 func TestLiveMetricsBetweenQuanta(t *testing.T) {
 	p, err := corpus.Get("queens")
 	if err != nil {
@@ -128,12 +134,15 @@ func TestLiveMetricsBetweenQuanta(t *testing.T) {
 
 	var done atomic.Bool
 	midRun := make(chan int, 1)
+	stop := live.watch()
 	go func() {
 		n := 0
 		for !done.Load() {
 			scrape("/status")
 			if retired(scrape("/metrics")) > 0 && !done.Load() {
-				n++
+				if n++; n == 1 {
+					stop()
+				}
 			}
 		}
 		midRun <- n

@@ -82,9 +82,23 @@ func GenCC(p *lang.Program, opt CCOptions) (res CCResult, err error) {
 	return res, nil
 }
 
+// CCMemWords is the CC machine's memory size in words.
+const CCMemWords = 1 << 16
+
 // RunCC executes a compiled CC program with its initial data image.
 func RunCC(res CCResult, policy ccarch.Policy, maxSteps uint64) (string, ccarch.Stats, error) {
-	m := ccarch.NewMachine(policy, 1<<16)
+	return RunCCIn(make([]uint32, CCMemWords), res, policy, maxSteps)
+}
+
+// RunCCIn is RunCC on mem, a memory of CCMemWords words that it clears
+// first: a caller that runs many programs reuses one memory instead of
+// allocating a new one per run.
+func RunCCIn(mem []uint32, res CCResult, policy ccarch.Policy, maxSteps uint64) (string, ccarch.Stats, error) {
+	if len(mem) != CCMemWords {
+		return "", ccarch.Stats{}, fmt.Errorf("codegen: CC memory of %d words, want %d", len(mem), CCMemWords)
+	}
+	clear(mem)
+	m := &ccarch.Machine{Policy: policy, Mem: mem}
 	for addr, val := range res.Init {
 		m.Mem[addr] = val
 	}

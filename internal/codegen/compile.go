@@ -19,6 +19,12 @@ func CompileMIPS(src string, mopt MIPSOptions, ropt reorg.Options) (*isa.Image, 
 	if err != nil {
 		return nil, reorg.Stats{}, err
 	}
+	return CompileProgram(prog, mopt, ropt)
+}
+
+// CompileProgram is CompileMIPS from a parsed program, which it only
+// reads: one AST may feed many compiles, concurrently.
+func CompileProgram(prog *lang.Program, mopt MIPSOptions, ropt reorg.Options) (*isa.Image, reorg.Stats, error) {
 	unit, err := GenMIPS(prog, mopt)
 	if err != nil {
 		return nil, reorg.Stats{}, err

@@ -42,6 +42,11 @@ type Object struct {
 	// Owner is the declaring procedure (nil for globals and global
 	// constants).
 	Owner *ProcDecl
+	// Slot is the object's storage index, assigned by the parser: a
+	// global's index in Program.Globals; a parameter's, local's or
+	// result object's index in its procedure's activation, which has
+	// Owner.Slots() of them. Constants have none.
+	Slot int
 
 	// Constant value (Kind == ObjConst): a scalar or a string.
 	ConstVal int32
@@ -61,6 +66,16 @@ type ProcDecl struct {
 	// ResultObj is the pseudo-local holding the function result
 	// (assigned by Pascal's "name := expr" idiom).
 	ResultObj *Object
+}
+
+// Slots returns the number of storage slots of an activation: one per
+// parameter, local and result object.
+func (d *ProcDecl) Slots() int {
+	n := len(d.Params) + len(d.Locals)
+	if d.ResultObj != nil {
+		n++
+	}
+	return n
 }
 
 // Stmt is a statement node.

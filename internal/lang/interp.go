@@ -30,15 +30,28 @@ type Interp struct {
 	Mode AllocMode
 	// OnRef, if set, observes every data reference.
 	OnRef func(RefEvent)
-	// Fuel bounds execution steps (0 means a default of 50 million).
+	// Fuel bounds execution steps (0 means a default of 50 million);
+	// zeroing 256 cells of new storage counts as one step.
 	Fuel int64
 
 	out  strings.Builder
 	prog *Program
 
-	globals map[*Object]*value
+	globals []value // by Object.Slot
 	fuel    int64
+	// live counts the composite cells held by the globals and every
+	// activation; depth counts activations.
+	live, depth int
 }
+
+// The interpreter bounds what a program holds, as the machines' 64K-word
+// memory does: maxLiveCells of composite storage over the globals and
+// every activation, and maxDepth activations (a machine frame takes at
+// least the 12 spill slots). Neither binds a program the machines run.
+const (
+	maxLiveCells = 1 << 20
+	maxDepth     = 1 << 14
+)
 
 // value is a variable's storage: a scalar cell or a flattened composite.
 type value struct {
@@ -69,25 +82,26 @@ func (s slot) set(v int32) {
 	}
 }
 
-// frame is a procedure activation.
+// frame is a procedure activation. Both slices are indexed by
+// Object.Slot; refs is nil when the procedure has no var parameter.
 type frame struct {
-	proc   *ProcDecl
-	vars   map[*Object]*value
-	refs   map[*Object]slot // var-parameter aliases
-	result int32
+	proc *ProcDecl
+	vars []value
+	refs []slot // var-parameter aliases
 }
 
 // Run interprets the program and returns its console output.
 func (ip *Interp) Run(p *Program) (string, error) {
 	ip.prog = p
 	ip.out.Reset()
-	ip.globals = make(map[*Object]*value, len(p.Globals))
-	for _, g := range p.Globals {
-		ip.globals[g] = newValue(g.Type)
-	}
 	ip.fuel = ip.Fuel
 	if ip.fuel == 0 {
 		ip.fuel = 50_000_000
+	}
+	ip.globals = make([]value, len(p.Globals))
+	ip.live, ip.depth = 0, 0
+	if err := ip.allocate(ip.globals, p.Globals); err != nil {
+		return "", err
 	}
 	err := ip.stmts(nil, p.Body)
 	if errors.Is(err, errHalt) {
@@ -99,11 +113,27 @@ func (ip *Interp) Run(p *Program) (string, error) {
 // Output returns the output accumulated so far (useful after an error).
 func (ip *Interp) Output() string { return ip.out.String() }
 
-func newValue(t *Type) *value {
-	if t.Scalar() {
-		return &value{}
+// allocate gives each composite object of objs its storage in vars, at
+// its slot. It counts the cells against maxLiveCells and charges the
+// fuel one step per 256 cells: zeroing storage is work, and without the
+// charge a short loop of calls could zero gigabytes within its fuel.
+func (ip *Interp) allocate(vars []value, objs []*Object) error {
+	start := ip.live
+	for _, o := range objs {
+		if o.Type.Scalar() {
+			continue
+		}
+		n := cellCount(o.Type)
+		if ip.live += int(n); ip.live > maxLiveCells {
+			return fmt.Errorf("lang: live storage exceeds %d cells", maxLiveCells)
+		}
+		vars[o.Slot].comp = make([]int32, n)
 	}
-	return &value{comp: make([]int32, cellCount(t))}
+	ip.fuel -= int64(ip.live-start) >> 8
+	if ip.fuel <= 0 {
+		return ErrFuel
+	}
+	return nil
 }
 
 // cellCount flattens composites to logical cells (one per scalar
@@ -342,23 +372,18 @@ func (ip *Interp) objSlot(fr *frame, o *Object) (slot, error) {
 		return slot{}, fmt.Errorf("lang: constant %s is not addressable", o.Name)
 	}
 	if o.Owner == nil {
-		v := ip.globals[o]
-		if v == nil {
+		if o.Slot >= len(ip.globals) || ip.prog.Globals[o.Slot] != o {
 			return slot{}, fmt.Errorf("lang: no storage for global %s", o.Name)
 		}
-		return scalarSlot(v, o.Type), nil
+		return scalarSlot(&ip.globals[o.Slot], o.Type), nil
 	}
 	if fr == nil || fr.proc != o.Owner {
 		return slot{}, fmt.Errorf("lang: %s referenced outside its procedure", o.Name)
 	}
-	if ref, ok := fr.refs[o]; ok {
-		return ref, nil
+	if o.ByRef {
+		return fr.refs[o.Slot], nil
 	}
-	v := fr.vars[o]
-	if v == nil {
-		return slot{}, fmt.Errorf("lang: no storage for %s", o.Name)
-	}
-	return scalarSlot(v, o.Type), nil
+	return scalarSlot(&fr.vars[o.Slot], o.Type), nil
 }
 
 func scalarSlot(v *value, t *Type) slot {
@@ -505,11 +530,10 @@ func (ip *Interp) call(fr *frame, c *CallExpr) (int32, error) {
 	}
 
 	proc := c.Proc
-	nf := &frame{
-		proc: proc,
-		vars: make(map[*Object]*value, len(proc.Locals)+len(proc.Params)),
-		refs: make(map[*Object]slot),
+	if ip.depth == maxDepth {
+		return 0, fmt.Errorf("lang: %s: calls nest deeper than %d", c.ExprPos(), maxDepth)
 	}
+	nf := &frame{proc: proc, vars: make([]value, proc.Slots())}
 	for i, param := range proc.Params {
 		arg := c.Args[i]
 		if param.ByRef {
@@ -517,30 +541,34 @@ func (ip *Interp) call(fr *frame, c *CallExpr) (int32, error) {
 			if err != nil {
 				return 0, err
 			}
-			nf.refs[param] = sl
+			if nf.refs == nil {
+				nf.refs = make([]slot, len(proc.Params))
+			}
+			nf.refs[param.Slot] = sl
 			continue
 		}
 		v, err := ip.eval(fr, arg)
 		if err != nil {
 			return 0, err
 		}
-		pv := newValue(param.Type)
-		pv.scalar = v
-		nf.vars[param] = pv
+		// Value parameters are scalars (the parser makes composites var).
+		nf.vars[param.Slot].scalar = v
 		// Storing the argument into the parameter slot is a data store.
 		ip.noteRef(true, param.Type, false)
 	}
-	for _, l := range proc.Locals {
-		nf.vars[l] = newValue(l.Type)
+	live := ip.live
+	if err := ip.allocate(nf.vars, proc.Locals); err != nil {
+		return 0, err
 	}
-	if proc.ResultObj != nil {
-		nf.vars[proc.ResultObj] = newValue(proc.Result)
-	}
-	if err := ip.stmts(nf, proc.Body); err != nil {
+	ip.depth++
+	err := ip.stmts(nf, proc.Body)
+	ip.depth--
+	ip.live = live
+	if err != nil {
 		return 0, err
 	}
 	if proc.ResultObj != nil {
-		return nf.vars[proc.ResultObj].scalar, nil
+		return nf.vars[proc.ResultObj.Slot].scalar, nil
 	}
 	return 0, nil
 }

@@ -298,11 +298,15 @@ func (p *Parser) parseType() (*Type, error) {
 		if err != nil {
 			return nil, err
 		}
+		if n := (int64(hi) - int64(lo) + 1) * int64(cellCount(elem)); n > MaxCells {
+			return nil, errf(t.Pos, "array of %d cells exceeds %d", n, MaxCells)
+		}
 		return &Type{Kind: TArray, Lo: lo, Hi: hi, Elem: elem, Packed: packed}, nil
 
 	case KwRecord:
 		p.next()
 		rec := &Type{Kind: TRecord}
+		var cells int64
 		for p.tok().Kind == Ident {
 			names := []Token{p.next()}
 			for p.accept(Comma) {
@@ -324,6 +328,9 @@ func (p *Parser) parseType() (*Type, error) {
 					return nil, errf(n.Pos, "duplicate field %s", n.Text)
 				}
 				rec.Fields = append(rec.Fields, Field{Name: n.Text, Type: ft})
+				if cells += int64(cellCount(ft)); cells > MaxCells {
+					return nil, errf(t.Pos, "record of %d cells exceeds %d", cells, MaxCells)
+				}
 			}
 			if !p.accept(Semi) {
 				break
@@ -365,8 +372,10 @@ func (p *Parser) parseVarSection() error {
 				return err
 			}
 			if p.cur != nil {
+				o.Slot = p.cur.Slots()
 				p.cur.Locals = append(p.cur.Locals, o)
 			} else {
+				o.Slot = len(p.prog.Globals)
 				p.prog.Globals = append(p.prog.Globals, o)
 			}
 		}
@@ -430,6 +439,7 @@ func (p *Parser) parseProcDecl() error {
 				if err := p.declare(o); err != nil {
 					return err
 				}
+				o.Slot = proc.Slots()
 				proc.Params = append(proc.Params, o)
 			}
 			if !p.accept(Semi) {
@@ -453,7 +463,7 @@ func (p *Parser) parseProcDecl() error {
 			return errf(name.Pos, "function result must be scalar")
 		}
 		proc.Result = rt
-		proc.ResultObj = &Object{Name: proc.Name, Kind: ObjLocal, Type: rt, Owner: proc}
+		proc.ResultObj = &Object{Name: proc.Name, Kind: ObjLocal, Type: rt, Owner: proc, Slot: proc.Slots()}
 	}
 	if _, err := p.expect(Semi); err != nil {
 		return err

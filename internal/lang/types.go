@@ -36,6 +36,11 @@ type Field struct {
 	Type *Type
 }
 
+// MaxCells bounds the cells (scalar elements) of one type. The code
+// generators place all data below a stack top of 64K words, so no
+// larger object runs on any machine; the parser rejects it.
+const MaxCells = 1 << 16
+
 // The basic types.
 var (
 	IntType  = &Type{Kind: TInt}

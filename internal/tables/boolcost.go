@@ -6,7 +6,6 @@ import (
 	"mips/internal/ccarch"
 	"mips/internal/codegen"
 	"mips/internal/isa"
-	"mips/internal/lang"
 	"mips/internal/reorg"
 )
 
@@ -50,7 +49,7 @@ func (c classCounts) String() string {
 // mipsCounts compiles for MIPS and tallies naive pieces (static) plus a
 // dynamic run.
 func mipsCounts(p *pass, src string, noSetCond bool) (classCounts, classCounts, error) {
-	prog, err := lang.Parse(src)
+	prog, err := p.parse(src)
 	if err != nil {
 		return classCounts{}, classCounts{}, err
 	}
@@ -101,8 +100,8 @@ func addPieceClass(c *classCounts, p *isa.Piece) {
 }
 
 // ccCounts compiles for the CC machine and tallies classes.
-func ccCounts(src string, pol ccarch.Policy, strat codegen.BoolStrategy) (classCounts, classCounts, error) {
-	prog, err := lang.Parse(src)
+func ccCounts(p *pass, src string, pol ccarch.Policy, strat codegen.BoolStrategy) (classCounts, classCounts, error) {
+	prog, err := p.parse(src)
 	if err != nil {
 		return classCounts{}, classCounts{}, err
 	}
@@ -123,7 +122,7 @@ func ccCounts(src string, pol ccarch.Policy, strat codegen.BoolStrategy) (classC
 			static.Mem++
 		}
 	}
-	_, st, err := codegen.RunCC(res, pol, 50_000_000)
+	_, st, err := p.runCC(res, pol, 50_000_000)
 	if err != nil {
 		return classCounts{}, classCounts{}, err
 	}
@@ -150,21 +149,21 @@ func boolSupports(p *pass) []boolSupport {
 			name:  "CC and conditional set (M68000)",
 			paper: "2/3/0",
 			counts: func(src string) (classCounts, classCounts, error) {
-				return ccCounts(src, ccarch.PolicyM68000, codegen.BoolCondSet)
+				return ccCounts(p, src, ccarch.PolicyM68000, codegen.BoolCondSet)
 			},
 		},
 		{
 			name:  "CC and branch, full evaluation",
 			paper: "2/2/2",
 			counts: func(src string) (classCounts, classCounts, error) {
-				return ccCounts(src, ccarch.PolicyVAX, codegen.BoolFullEval)
+				return ccCounts(p, src, ccarch.PolicyVAX, codegen.BoolFullEval)
 			},
 		},
 		{
 			name:  "CC and branch, early-out",
 			paper: "2/0/2 (dyn 2/0/1.5)",
 			counts: func(src string) (classCounts, classCounts, error) {
-				return ccCounts(src, ccarch.PolicyVAX, codegen.BoolEarlyOut)
+				return ccCounts(p, src, ccarch.PolicyVAX, codegen.BoolEarlyOut)
 			},
 		},
 	}

@@ -5,7 +5,6 @@ import (
 
 	"mips/internal/ccarch"
 	"mips/internal/codegen"
-	"mips/internal/lang"
 	"mips/internal/reorg"
 )
 
@@ -43,7 +42,7 @@ begin
   writeint(count)
 end.
 `
-	prog, err := lang.Parse(src)
+	prog, err := p.parse(src)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +74,7 @@ end.
 		if err != nil {
 			return nil, err
 		}
-		out, st, err := codegen.RunCC(res, pr.pol, 200_000_000)
+		out, st, err := p.runCC(res, pr.pol, 200_000_000)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", pr.pol.Name, pr.strat, err)
 		}

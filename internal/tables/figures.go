@@ -3,7 +3,6 @@ package tables
 import (
 	"mips/internal/ccarch"
 	"mips/internal/codegen"
-	"mips/internal/lang"
 	"mips/internal/reorg"
 )
 
@@ -31,9 +30,9 @@ end.
 
 // figureCC measures the boolean assignment's static/dynamic instruction
 // and branch counts on the CC machine under a strategy.
-func figureCC(pol ccarch.Policy, strat codegen.BoolStrategy) (static, dynamic, branches float64, err error) {
+func figureCC(p *pass, pol ccarch.Policy, strat codegen.BoolStrategy) (static, dynamic, branches float64, err error) {
 	count := func(src string) (float64, float64, float64, error) {
-		prog, err := lang.Parse(src)
+		prog, err := p.parse(src)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -41,7 +40,7 @@ func figureCC(pol ccarch.Policy, strat codegen.BoolStrategy) (static, dynamic, b
 		if err != nil {
 			return 0, 0, 0, err
 		}
-		_, st, err := codegen.RunCC(res, pol, 1_000_000)
+		_, st, err := p.runCC(res, pol, 1_000_000)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -58,9 +57,9 @@ func figureCC(pol ccarch.Policy, strat codegen.BoolStrategy) (static, dynamic, b
 	return se - sb, de - db, be - bb, nil
 }
 
-func figureTable(id, title string, pol ccarch.Policy, strat codegen.BoolStrategy,
+func figureTable(p *pass, id, title string, pol ccarch.Policy, strat codegen.BoolStrategy,
 	paperStatic, paperDyn, paperBranch string) (*Table, error) {
-	s, d, br, err := figureCC(pol, strat)
+	s, d, br, err := figureCC(p, pol, strat)
 	if err != nil {
 		return nil, err
 	}
@@ -79,14 +78,14 @@ func figureTable(id, title string, pol ccarch.Policy, strat codegen.BoolStrategy
 // example. Paper: full evaluation 8 static / 7 average dynamic, always
 // 2 branches; early-out 6 static / 4.25 average dynamic, 1 branch on
 // average.
-func figure1(*pass) (*Table, error) {
-	full, err := figureTable("Figure 1 (full)",
+func figure1(p *pass) (*Table, error) {
+	full, err := figureTable(p, "Figure 1 (full)",
 		"Boolean evaluation with condition codes, full evaluation (VAX)",
 		ccarch.PolicyVAX, codegen.BoolFullEval, "8", "7 (avg)", "2")
 	if err != nil {
 		return nil, err
 	}
-	early, err := figureTable("Figure 1 (early-out)",
+	early, err := figureTable(p, "Figure 1 (early-out)",
 		"Boolean evaluation with condition codes, early-out (VAX)",
 		ccarch.PolicyVAX, codegen.BoolEarlyOut, "6", "4.25 (avg)", "1 (avg)")
 	if err != nil {
@@ -101,8 +100,8 @@ func figure1(*pass) (*Table, error) {
 
 // figure2 measures the conditional-set version. Paper: 5 static and
 // dynamic instructions, no branches.
-func figure2(*pass) (*Table, error) {
-	return figureTable("Figure 2",
+func figure2(p *pass) (*Table, error) {
+	return figureTable(p, "Figure 2",
 		"Boolean expression evaluation using conditional set (M68000)",
 		ccarch.PolicyM68000, codegen.BoolCondSet, "5", "5", "0")
 }
@@ -111,7 +110,7 @@ func figure2(*pass) (*Table, error) {
 // and dynamic instructions, no branches.
 func figure3(p *pass) (*Table, error) {
 	count := func(src string) (float64, float64, float64, error) {
-		prog, err := lang.Parse(src)
+		prog, err := p.parse(src)
 		if err != nil {
 			return 0, 0, 0, err
 		}

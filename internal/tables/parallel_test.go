@@ -2,11 +2,13 @@ package tables
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"mips/internal/cpu"
+	"mips/internal/lang"
 	"mips/internal/sim"
 )
 
@@ -138,6 +140,9 @@ func passProbe(got **pass) Experiment {
 // does: each distinct corpus artifact exactly once, whatever the worker
 // count, and all of it again on the next pass, since no pass is reused.
 //
+//	parses:          17 distinct sources (the 11 corpus programs, three
+//	                 Table 5/6 programs, the cross-product's queens and
+//	                 the two Figure 1-3 programs)
 //	reference mixes: 11 programs x 2 allocation modes (Tables 7, 8, 10
 //	                 and the byte-overhead sweep each ask for both)
 //	compiles:        27 distinct (source, options) keys
@@ -146,7 +151,7 @@ func TestPassComputesEachArtifactOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
 	}
-	const interpretations, compiles, runs = 22, 27, 27
+	const parses, interpretations, compiles, runs = 17, 22, 27, 27
 	// Two passes at four workers: the second must redo everything.
 	for _, workers := range []int{1, 4, 4} {
 		var p *pass
@@ -156,9 +161,37 @@ func TestPassComputesEachArtifactOnce(t *testing.T) {
 				t.Fatalf("workers=%d: %s: %v", workers, r.Name, r.Err)
 			}
 		}
-		got := [3]int64{p.interpretations.Load(), p.compiles.Load(), p.runs.Load()}
-		if want := [3]int64{interpretations, compiles, runs}; got != want {
-			t.Errorf("workers=%d: interpretations/compiles/runs = %v, want %v", workers, got, want)
+		got := [4]int64{p.parses.Load(), p.interpretations.Load(), p.compiles.Load(), p.runs.Load()}
+		if want := [4]int64{parses, interpretations, compiles, runs}; got != want {
+			t.Errorf("workers=%d: parses/interpretations/compiles/runs = %v, want %v", workers, got, want)
+		}
+	}
+}
+
+// TestPassSharesASTsReadOnly runs a whole pass at four workers, so
+// experiments read each AST concurrently, then checks that every AST
+// the pass shared still equals a fresh parse of its source: no code
+// generator, analysis or interpreter run wrote to it.
+func TestPassSharesASTsReadOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real experiments")
+	}
+	var p *pass
+	for _, r := range RunAll(append(All(), passProbe(&p)), 4) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Name, r.Err)
+		}
+	}
+	if len(p.asts) == 0 {
+		t.Fatal("the pass shared no AST")
+	}
+	for src, m := range p.asts {
+		fresh, err := lang.Parse(src)
+		if err != nil || m.err != nil {
+			t.Fatalf("parse errors: shared %v, fresh %v", m.err, err)
+		}
+		if !reflect.DeepEqual(m.val, fresh) {
+			t.Errorf("program %s: the shared AST differs from a fresh parse after the pass", fresh.Name)
 		}
 	}
 }

@@ -1,11 +1,14 @@
 package tables
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"mips/internal/analysis"
+	"mips/internal/ccarch"
 	"mips/internal/codegen"
+	"mips/internal/corpus"
 	"mips/internal/cpu"
 	"mips/internal/isa"
 	"mips/internal/lang"
@@ -20,6 +23,7 @@ import (
 // corpus with the full reorganizer — so the pass computes each artifact
 // once, on first request, and hands every later asker the same value:
 //
+//   - the checked AST per source program;
 //   - the corpus reference mix per allocation mode;
 //   - the image and reorganizer statistics per (source, code-generator
 //     options, reorganizer options);
@@ -27,8 +31,10 @@ import (
 //
 // Every artifact is deterministic, so sharing changes no output byte,
 // and errors are kept with the value they replace. Shared values are
-// read-only: loading an image copies its words, and the experiments
-// only read results, statistics and mixes. A pass lives for one RunAll
+// read-only: an AST is complete when its memo publishes it, and the
+// code generators, the analyses and the interpreter only read it;
+// loading an image copies its words, and the experiments only read
+// results, statistics and mixes. A pass lives for one RunAll
 // (or one Experiment.Run) and is then dropped; nothing outlives it.
 type pass struct {
 	// engine runs every machine the experiments build.
@@ -37,13 +43,16 @@ type pass struct {
 	attach func(*cpu.CPU)
 
 	mu      sync.Mutex
+	asts    map[string]*memo[*lang.Program]
 	mixes   map[lang.AllocMode]*memo[analysis.RefMix]
 	images  map[compileKey]*memo[compiledImage]
 	results map[runKey]*memo[codegen.RunResult]
+	// ccMems are CC machine memories free for the next runCC.
+	ccMems [][]uint32
 
-	// Work actually done: program interpretations, compiles and bare
-	// runs. A shared artifact adds nothing.
-	interpretations, compiles, runs atomic.Int64
+	// Work actually done: parses, program interpretations, compiles
+	// and bare runs. A shared artifact adds nothing.
+	parses, interpretations, compiles, runs atomic.Int64
 }
 
 // compileKey names one compile of a source program.
@@ -76,6 +85,7 @@ type memo[V any] struct {
 func newPass(engine sim.Engine) *pass {
 	return &pass{
 		engine:  engine,
+		asts:    map[string]*memo[*lang.Program]{},
 		mixes:   map[lang.AllocMode]*memo[analysis.RefMix]{},
 		images:  map[compileKey]*memo[compiledImage]{},
 		results: map[runKey]*memo[codegen.RunResult]{},
@@ -101,7 +111,7 @@ func share[K comparable, V any](mu *sync.Mutex, m map[K]*memo[V], k K, fn func()
 // reference mixes.
 func (p *pass) corpusRefs(mode lang.AllocMode) (analysis.RefMix, error) {
 	return share(&p.mu, p.mixes, mode, func() (analysis.RefMix, error) {
-		progs, err := parseAll()
+		progs, err := p.parseAll()
 		if err != nil {
 			return analysis.RefMix{}, err
 		}
@@ -118,11 +128,37 @@ func (p *pass) corpusRefs(mode lang.AllocMode) (analysis.RefMix, error) {
 	})
 }
 
-// compile is codegen.CompileMIPS, shared across the pass.
+// parse is lang.Parse, shared across the pass.
+func (p *pass) parse(src string) (*lang.Program, error) {
+	return share(&p.mu, p.asts, src, func() (*lang.Program, error) {
+		p.parses.Add(1)
+		return lang.Parse(src)
+	})
+}
+
+// parseAll parses the whole corpus, in corpus order.
+func (p *pass) parseAll() ([]*lang.Program, error) {
+	var out []*lang.Program
+	for _, c := range corpus.All() {
+		prog, err := p.parse(c.Source)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.Name, err)
+		}
+		out = append(out, prog)
+	}
+	return out, nil
+}
+
+// compile is codegen.CompileMIPS on the pass's AST, shared across the
+// pass.
 func (p *pass) compile(src string, mopt codegen.MIPSOptions, ropt reorg.Options) (*isa.Image, reorg.Stats, error) {
 	c, err := share(&p.mu, p.images, compileKey{src, mopt, ropt}, func() (compiledImage, error) {
+		prog, err := p.parse(src)
+		if err != nil {
+			return compiledImage{}, err
+		}
 		p.compiles.Add(1)
-		im, st, err := codegen.CompileMIPS(src, mopt, ropt)
+		im, st, err := codegen.CompileProgram(prog, mopt, ropt)
 		return compiledImage{im, st}, err
 	})
 	return c.im, c.st, err
@@ -142,6 +178,27 @@ func (p *pass) run(src string, mopt codegen.MIPSOptions, ropt reorg.Options, max
 			Interlocked: interlocked, Engine: p.engine, Attach: p.attach,
 		})
 	})
+}
+
+// runCC is codegen.RunCC on a memory the pass reuses: a run takes a
+// free one, or allocates one when every memory is in a concurrent run,
+// and hands it back when done. A pass therefore allocates one CC memory
+// per worker, not one per run.
+func (p *pass) runCC(res codegen.CCResult, pol ccarch.Policy, maxSteps uint64) (string, ccarch.Stats, error) {
+	p.mu.Lock()
+	var mem []uint32
+	if n := len(p.ccMems); n > 0 {
+		mem, p.ccMems = p.ccMems[n-1], p.ccMems[:n-1]
+	} else {
+		mem = make([]uint32, codegen.CCMemWords)
+	}
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.ccMems = append(p.ccMems, mem)
+		p.mu.Unlock()
+	}()
+	return codegen.RunCCIn(mem, res, pol, maxSteps)
 }
 
 // simOptions carries the pass's engine (and test hook) into a machine

@@ -4,7 +4,6 @@ import (
 	"mips/internal/asm"
 	"mips/internal/codegen"
 	"mips/internal/corpus"
-	"mips/internal/lang"
 	"mips/internal/reorg"
 )
 
@@ -25,7 +24,7 @@ var table11Stages = []struct {
 //
 // Paper: Fibonacci 63→63→55→50 (20.6%), Puzzle0 843→834→776→634
 // (24.8%), Puzzle1 1219→1113→992→791 (35.1%).
-func table11(*pass) (*Table, error) {
+func table11(p *pass) (*Table, error) {
 	t := &Table{
 		ID:    "Table 11",
 		Title: "Cumulative improvements with postpass optimization (static words)",
@@ -40,7 +39,7 @@ func table11(*pass) (*Table, error) {
 	for si, stage := range table11Stages {
 		row := []string{stage.name}
 		for _, b := range benches {
-			prog, err := lang.Parse(b.Source)
+			prog, err := p.parse(b.Source)
 			if err != nil {
 				return nil, err
 			}

@@ -6,37 +6,21 @@ import (
 	"mips/internal/analysis"
 	"mips/internal/ccarch"
 	"mips/internal/codegen"
-	"mips/internal/corpus"
-	"mips/internal/lang"
 )
-
-// parseAll parses the whole corpus.
-func parseAll() ([]*lang.Program, error) {
-	var out []*lang.Program
-	for _, p := range corpus.All() {
-		prog, err := lang.Parse(p.Source)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		prog.Name = p.Name
-		out = append(out, prog)
-	}
-	return out, nil
-}
 
 // table1 regenerates the constant-magnitude distribution.
 //
 // Paper: 0: 24.8%, 1: 19.0%, 2: 4.1%, 3-15: 20.8%, 16-255: 26.8%,
 // >255: 4.5%; a 4-bit constant covers ~70% and the 8-bit move immediate
 // all but ~5%.
-func table1(*pass) (*Table, error) {
-	progs, err := parseAll()
+func table1(p *pass) (*Table, error) {
+	progs, err := p.parseAll()
 	if err != nil {
 		return nil, err
 	}
 	var d analysis.ConstDist
-	for _, p := range progs {
-		c := analysis.Constants(p)
+	for _, prog := range progs {
+		c := analysis.Constants(prog)
 		d.Zero += c.Zero
 		d.One += c.One
 		d.Two += c.Two
@@ -91,14 +75,14 @@ func table2(*pass) (*Table, error) {
 // Paper: 2273 compares; 25 (1.1%) saved when only operators set the
 // codes; 733 saved when moves set them too, but 706 of those are moves
 // executed only to set the codes — net savings 2.1%.
-func table3(*pass) (*Table, error) {
-	progs, err := parseAll()
+func table3(p *pass) (*Table, error) {
+	progs, err := p.parseAll()
 	if err != nil {
 		return nil, err
 	}
 	var ops, moves ccarch.CmpSavings
-	for _, p := range progs {
-		r1, err := codegen.GenCC(p, codegen.CCOptions{
+	for _, prog := range progs {
+		r1, err := codegen.GenCC(prog, codegen.CCOptions{
 			Policy: ccarch.Policy360, Strategy: codegen.BoolEarlyOut, Eliminate: true,
 		})
 		if err != nil {
@@ -108,7 +92,7 @@ func table3(*pass) (*Table, error) {
 		ops.SavedByOps += r1.Savings.SavedByOps
 		ops.SavedByMoves += r1.Savings.SavedByMoves
 
-		r2, err := codegen.GenCC(p, codegen.CCOptions{
+		r2, err := codegen.GenCC(prog, codegen.CCOptions{
 			Policy: ccarch.PolicyVAX, Strategy: codegen.BoolEarlyOut, Eliminate: true,
 		})
 		if err != nil {
@@ -139,14 +123,14 @@ func table3(*pass) (*Table, error) {
 //
 // Paper: 1.66 operators per boolean expression; 80.9% end in jumps,
 // 19.1% in stores.
-func table4(*pass) (*Table, error) {
-	progs, err := parseAll()
+func table4(p *pass) (*Table, error) {
+	progs, err := p.parseAll()
 	if err != nil {
 		return nil, err
 	}
 	var b analysis.BoolStats
-	for _, p := range progs {
-		s := analysis.Booleans(p)
+	for _, prog := range progs {
+		s := analysis.Booleans(prog)
 		b.Expressions += s.Expressions
 		b.Operators += s.Operators
 		b.EndInJump += s.EndInJump

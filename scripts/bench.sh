@@ -48,7 +48,8 @@ echo "==> reorganizer: at most 4 allocations per output word, and the corpus thr
 go test ./internal/reorg/ -run TestReorganizeAllocs -count=1 -v
 go test ./internal/reorg/ -run '^$' -bench BenchmarkReorganize -benchmem -benchtime 1s
 
-echo "==> one evaluation pass: every experiment plus corebench (ms/op, B/op)"
+echo "==> one evaluation pass: every experiment plus corebench (ms/op, B/op; allocates <= 26 MB)"
+go test -run TestEvaluationPassAllocs -count=1 -v .
 go test -run '^$' -bench EvaluationPass -benchmem -benchtime 5x .
 
 echo "==> core microbenchmarks"
