@@ -4,17 +4,14 @@ package cpu
 // fetch queue holds no in-flight branch target: the head of the queue is
 // then a block entry point, and the whole straight-line run up to and
 // including the next control transfer executes as one translated block
-// (blockcache.go) — per-word fetch, queue maintenance, and pipeline
-// bookkeeping replaced by one loop over flat records. Packed words and
-// anything else without a lean form run on the exact per-instruction
-// executor: the reference interpreter remains the oracle, and every
+// (blockcache.go). Every word runs on the reference interpreter
+// (execWord) behind step's own preamble, from the copy the block cached
+// at translation: the fetch is the only per-word work the block saves,
+// besides the dispatch between blocks that chaining skips. Every
 // deviation (fault, trap, interrupt, halt, invalidation, page-map
 // change) abandons the block at a precise instruction boundary.
 
-import (
-	"mips/internal/isa"
-	"mips/internal/mem"
-)
+import "mips/internal/mem"
 
 // queueSequential reports whether the fetch queue holds only the
 // sequential successors of its head — no delayed branch target in
@@ -26,218 +23,6 @@ func (c *CPU) queueSequential() bool {
 		}
 	}
 	return true
-}
-
-// leanRead reads a register on the lean block path. With no pending
-// load the read has no architectural side effects (the hazard auditor
-// only ever fires against a pending load), so it collapses to a
-// register-file load; otherwise it defers to readReg for exact audit
-// behavior.
-func (c *CPU) leanRead(r isa.Reg, vpc uint32) uint32 {
-	if c.pendN != 0 {
-		return c.readReg(r, vpc)
-	}
-	return c.Regs[r]
-}
-
-// leanOperand reads an operand on the lean path. It repeats leanRead's
-// test rather than calling it, which keeps it within the inliner's
-// budget: it runs for every register operand of a lean ALU word or
-// branch.
-func (c *CPU) leanOperand(o fastOp, vpc uint32) uint32 {
-	if o.imm {
-		return o.val
-	}
-	if c.pendN == 0 {
-		return c.Regs[o.reg]
-	}
-	return c.readReg(o.reg, vpc)
-}
-
-// leanAddr computes a load/store effective address, reading registers
-// in the same order as effectiveAddr.
-func (c *CPU) leanAddr(d *decoded, vpc uint32) uint32 {
-	switch d.mode {
-	case isa.AModeAbs:
-		return uint32(d.disp)
-	case isa.AModeDisp:
-		return c.leanRead(d.base, vpc) + uint32(d.disp)
-	case isa.AModeIndex:
-		return c.leanRead(d.base, vpc) + c.leanRead(d.index, vpc)
-	case isa.AModeShift:
-		return c.leanRead(d.base, vpc) + c.leanRead(d.index, vpc)>>d.shift
-	}
-	return 0
-}
-
-// leanWord executes one nop, ALU, load or store record at vpc: the
-// block engine's one copy of those classes' semantics, run by the body
-// loop and the delay-slot drain alike. It counts the word and offers
-// its free data cycle to DMA; ticking, interrupt sampling and the fault
-// restart stay with the caller, whose fetch queues differ. A fault
-// returns its cause with the destination unwritten, exactly like the
-// staged-commit path; a completed word returns isa.CauseNone. The
-// environment is read from the machine, not passed: the call costs
-// less for it, and the body loop runs it once per word.
-func (c *CPU) leanWord(d *decoded, vpc uint32) isa.Cause {
-	c.Stats.Instructions++
-	c.Stats.Cycles++
-	cause := isa.CauseNone
-	switch d.bclass {
-	case bcNop:
-		c.Stats.Nops++
-	case bcALU:
-		c.Stats.Pieces++
-		switch d.aluKind {
-		case isa.PieceALU:
-			a := c.leanOperand(d.a1, vpc)
-			var b uint32
-			if !d.aluUnary {
-				b = c.leanOperand(d.a2, vpc)
-			}
-			var dstVal uint32
-			if d.aluDstRead {
-				dstVal = c.leanRead(d.aluDst, vpc)
-			}
-			v, lo, ovf := aluEval(d.aluOp, a, b, dstVal, c.Lo)
-			switch {
-			case ovf && c.Sur.OverflowEnabled():
-				// As in finishWord, the free data cycle is still
-				// accounted and offered before the word restarts.
-				cause = isa.CauseOverflow
-			case d.aluOp == isa.OpMovLo:
-				c.Lo = lo
-			default:
-				c.Regs[d.aluDst] = v
-				c.lastWrite[d.aluDst] = c.seq
-			}
-		case isa.PieceSetCond:
-			a := c.leanOperand(d.a1, vpc)
-			b := c.leanOperand(d.a2, vpc)
-			var v uint32
-			if d.aluCmp.Eval(a, b) {
-				v = 1
-			}
-			c.Regs[d.aluDst] = v
-			c.lastWrite[d.aluDst] = c.seq
-		}
-	case bcLoad:
-		c.Stats.Pieces++
-		addr := c.leanAddr(d, vpc)
-		v, f := c.Bus.Read(addr, c.Mapped())
-		if f != nil {
-			c.Stats.DataCycles++
-			return f.Cause
-		}
-		c.Stats.Loads++
-		if c.onMem != nil {
-			c.onMem(vpc, addr, false)
-		}
-		c.Stats.DataCycles++
-		if d.flags&fEager != 0 {
-			c.Regs[d.data] = v
-			c.lastWrite[d.data] = c.seq
-		} else {
-			c.writeLoad(d.data, v)
-		}
-		return isa.CauseNone
-	case bcStore:
-		c.Stats.Pieces++
-		addr := c.leanAddr(d, vpc)
-		val := c.leanRead(d.data, vpc)
-		if f := c.Bus.Write(addr, val, c.Mapped()); f != nil {
-			c.Stats.DataCycles++
-			return f.Cause
-		}
-		c.Stats.Stores++
-		if c.onMem != nil {
-			c.onMem(vpc, addr, true)
-		}
-		c.Stats.DataCycles++
-		return isa.CauseNone
-	}
-	c.Stats.FreeCycles++
-	c.Bus.offerFree(&c.Stats)
-	return cause
-}
-
-// runBody executes a block's body words, the one body loop every
-// environment shares. It reports false when the block bailed (fault,
-// interrupt, halt, invalidation, remap, or an exact-executor word that
-// redirected the queue) with the fetch queue already pointing at the
-// resume address.
-func (c *CPU) runBody(b *block, pc uint32, mapped bool, pmGen uint64) bool {
-	bus := c.Bus
-	// env is false in the quiet configuration: no DMA to offer cycles
-	// to, no ticker to advance, unmapped, no memory hook, and no
-	// interrupt pending. Nothing can then raise the line or remap
-	// mid-body, so the per-word environmental work is dead; only stores
-	// (which can hit a halt device, or start a disk transfer that
-	// replaces this block's code) and exact-executor words can end the
-	// body early.
-	intOK := c.Sur.InterruptsEnabled() && !c.Sur.Supervisor()
-	env := bus.DMA != nil || len(bus.tickers) > 0 || mapped || c.onMem != nil || c.intLine && intOK
-	code := b.code
-	for i := range code {
-		vpc := pc + uint32(i)
-		d := &code[i]
-		c.seq++
-		if c.pendN != 0 {
-			c.commitLoads()
-		}
-		if env && c.intLine && intOK {
-			c.pcq[0], c.pcn = vpc, 1
-			c.exception(isa.CauseInterrupt, isa.CauseNone, 0)
-			c.Trans.BlockBails++
-			return false
-		}
-		if d.bclass == bcGeneral {
-			// Packed words run through the exact executor with the
-			// fetch queue set to what per-word stepping would hold:
-			// the two sequential successors.
-			c.pcq[0], c.pcq[1] = vpc+1, vpc+2
-			c.pcn = 2
-			c.execWord(d.src, vpc)
-			bus.Tick()
-			if c.Halted || c.pcn != 2 || c.pcq[0] != vpc+1 {
-				// Halt device, memory fault, or trap: the queue
-				// already points where execution must resume.
-				c.Trans.BlockBails++
-				return false
-			}
-		} else {
-			if cause := c.leanWord(d, vpc); cause != isa.CauseNone {
-				c.bailFault(vpc, cause)
-				bus.Tick()
-				return false
-			}
-			if !env && d.bclass != bcStore {
-				continue
-			}
-			bus.Tick()
-		}
-		// A store hitting the halt device ends the block after its
-		// word; a store to the disk's go register replaces a page of
-		// code synchronously, which may drop this very block; and a
-		// store or device tick may have remapped the address space.
-		// All end it at an exact instruction boundary.
-		if c.Halted || !b.valid || mapped && bus.MMU.Map.Generation() != pmGen {
-			c.pcq[0], c.pcn = vpc+1, 1
-			c.Trans.BlockBails++
-			return false
-		}
-	}
-	return true
-}
-
-// bailFault abandons the block at a faulting word: the word restarts at
-// the head of the refilled fetch queue (return address zero), exactly
-// as finishWord's fault path leaves it.
-func (c *CPU) bailFault(vpc uint32, cause isa.Cause) {
-	c.pcq[0], c.pcq[1], c.pcq[2] = vpc, vpc+1, vpc+2
-	c.pcn = 3
-	c.exception(cause, isa.CauseNone, 0)
-	c.Trans.BlockBails++
 }
 
 // entryPA resolves an entry word as fetched to its instruction-memory
@@ -296,7 +81,7 @@ func (c *CPU) stepBlocks(b *block, left uint64) {
 
 	// Chained blocks execute back to back while nothing needs the
 	// dispatcher: the hot loop never leaves this frame. Chaining stops
-	// at any block whose exit ran outside the lean classes (a special
+	// at any block whose exit ran a word of no plain class (a special
 	// could have changed privilege, overflow enable, or the address
 	// map), at any exception, and at a block that does not fit the
 	// steps left.
@@ -307,28 +92,37 @@ func (c *CPU) stepBlocks(b *block, left uint64) {
 		}
 		var pmGen uint64
 		if mapped {
-			pmGen = c.Bus.MMU.Map.Generation()
+			pmGen = bus.MMU.Map.Generation()
 		}
 		exc0 := c.excSeq
 
-		if !c.runBody(b, pc, mapped, pmGen) {
-			return
+		for i := range b.code {
+			c.stepWord(&b.code[i].src)
+			// An exception (fault, overflow, interrupt) has already
+			// redirected the queue; a store hitting the halt device ends
+			// the block after its word; a store to the disk's go register
+			// replaces a page of code synchronously, which may drop this
+			// very block; and a store or device tick may have remapped the
+			// address space. All end it at an exact instruction boundary.
+			if c.excSeq != exc0 || c.Halted || !b.valid ||
+				mapped && bus.MMU.Map.Generation() != pmGen {
+				c.Trans.BlockBails++
+				return
+			}
 		}
 
-		// The terminator runs from its cached record when one was decoded
-		// (skipping re-fetch: the body left the block valid),
-		// then the delay slots of a taken transfer drain — from their
-		// cached records while those stay coherent, else on the exact
-		// engine — until the fetch queue is sequential again. The queue is
-		// pre-filled so the terminator's pipeline refill is a no-op.
+		// The terminator runs from its cached copy when one was decoded
+		// (skipping re-fetch: the body left the block valid), then the
+		// delay slots of a taken transfer drain — from their cached
+		// copies while those stay coherent, else through step — until
+		// the fetch queue is sequential again.
 		t := pc + b.n
-		c.pcq[0], c.pcq[1], c.pcq[2] = t, t+1, t+2
-		c.pcn = 3
 		if b.termless {
 			return
 		}
-		// Chaining may continue only through exits proven lean: a
-		// cached control-class terminator and cached lean delay slots.
+		// Chaining may continue only through exits of known effect: a
+		// cached control-class terminator and cached delay slots of a
+		// plain class (a bcGeneral word could hold a special).
 		// A path recording may additionally look across an unprivileged
 		// packed terminator (control piece sharing the word with
 		// computation): the drain below still leaves the machine at an
@@ -340,7 +134,7 @@ func (c *CPU) stepBlocks(b *block, left uint64) {
 		chainable := b.hasTerm && (b.term.bclass >= bcBranch ||
 			(c.trec.active && b.term.bclass == bcGeneral && b.term.flags&fPriv == 0))
 		if b.hasTerm {
-			c.dsStep(&b.term)
+			c.stepWord(&b.term.src)
 		} else {
 			c.step()
 		}
@@ -350,7 +144,7 @@ func (c *CPU) stepBlocks(b *block, left uint64) {
 				if b.ds[j].bclass == bcGeneral {
 					chainable = false
 				}
-				c.dsStep(&b.ds[j])
+				c.stepWord(&b.ds[j].src)
 			} else {
 				chainable = false
 				c.step()
@@ -402,82 +196,4 @@ func (c *CPU) stepBlocks(b *block, left uint64) {
 		c.Trans.BlockChained++
 		b, pc = nb, npc
 	}
-}
-
-// dsStep executes one word at the head of the fetch queue from a cached
-// record: the full preamble and exact queue maintenance of step, minus
-// the fetch (a code write drops the block before its records can go
-// stale, and the caller checks the block is still valid). Nop,
-// ALU, load and store records run through leanWord and control records
-// inline; anything else goes through the exact executor.
-func (c *CPU) dsStep(d *decoded) {
-	c.seq++
-	if c.pendN != 0 {
-		c.commitLoads()
-	}
-	c.fill()
-	if c.intLine && c.Sur.InterruptsEnabled() && !c.Sur.Supervisor() {
-		c.exception(isa.CauseInterrupt, isa.CauseNone, 0)
-		return
-	}
-	if d.flags&fPriv != 0 && !c.Sur.Supervisor() {
-		c.exception(isa.CausePrivilege, isa.CauseNone, 0)
-		return
-	}
-	pc := c.popPC()
-	switch d.bclass {
-	case bcGeneral:
-		c.execWord(d.src, pc)
-	case bcNop, bcALU, bcLoad, bcStore:
-		if cause := c.leanWord(d, pc); cause != isa.CauseNone {
-			// The word restarts at the head of the queue, as
-			// finishWord leaves a faulting word.
-			c.pushPC(pc)
-			c.exception(cause, isa.CauseNone, 0)
-		}
-	default:
-		c.Stats.Instructions++
-		c.Stats.Cycles++
-		c.Stats.Pieces++
-		c.Stats.Branches++
-		switch d.bclass {
-		case bcBranch:
-			a := c.leanOperand(d.m1, pc)
-			b := c.leanOperand(d.m2, pc)
-			taken := d.memCmp.Eval(a, b)
-			if taken {
-				c.Stats.TakenBranches++
-				c.scheduleBranch(d.target, isa.BranchDelay)
-			}
-			if c.onBranch != nil {
-				c.onBranch(pc, d.target, taken)
-			}
-		case bcJump:
-			c.Stats.TakenBranches++
-			c.scheduleBranch(d.target, isa.BranchDelay)
-			if c.onBranch != nil {
-				c.onBranch(pc, d.target, true)
-			}
-		case bcCall:
-			c.Stats.TakenBranches++
-			c.scheduleBranch(d.target, isa.BranchDelay)
-			if c.onBranch != nil {
-				c.onBranch(pc, d.target, true)
-			}
-			// The link commit lands after the branch hook, as on the
-			// staged path: the hook observes the pre-call register file.
-			c.Regs[d.linkDst] = pc + 1 + isa.BranchDelay
-			c.lastWrite[d.linkDst] = c.seq
-		case bcJumpInd:
-			c.Stats.TakenBranches++
-			target := c.leanOperand(d.m1, pc)
-			c.scheduleBranch(target, isa.IndirectJumpDelay)
-			if c.onBranch != nil {
-				c.onBranch(pc, target, true)
-			}
-		}
-		c.Stats.FreeCycles++
-		c.Bus.offerFree(&c.Stats)
-	}
-	c.Bus.Tick()
 }

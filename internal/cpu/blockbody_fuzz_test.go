@@ -394,9 +394,9 @@ func (m *bbMachine) queue() [pcqCap]uint32 {
 	return q
 }
 
-// FuzzBlockBody runs one random superblock — lean, long-immediate and
-// packed body words, a control terminator and its delay slots — on the
-// block engine and on the reference interpreter, under the environment
+// FuzzBlockBody runs one random superblock — nop, ALU, load, store,
+// long-immediate and packed body words, a control terminator and its
+// delay slots — on the block engine and on the reference interpreter, under the environment
 // the first argument selects, and requires identical architectural
 // state: registers, Lo, the status word, return addresses, memory,
 // statistics, the fetch queue, and what the hooks and the timer saw.

@@ -1,9 +1,10 @@
 package cpu
 
 // The superblock translation cache: the layer above per-instruction
-// stepping that decodes straight-line runs of instructions once into
-// blocks of flat records (predecode.go; block.go executes them). This
-// file owns the data structures and their coherence machinery:
+// stepping that caches straight-line runs of instructions as blocks,
+// each word with its flat record (predecode.go). block.go runs the
+// cached words; trace formation reads the records. This file owns the
+// data structures and their coherence machinery:
 //
 //   - translateBlock scans instruction memory from a block entry point
 //     up to the next control transfer and builds the flat block record;
@@ -39,13 +40,12 @@ const (
 // each at its entry word's offset.
 type blockPage [imemPageWords]*block
 
-// Lean execution classes, assigned per body word at translation time.
-// The block engine runs bcNop, bcALU, bcLoad and bcStore words through
-// its lean word executor (leanWord) and control words through dsStep;
-// everything else runs through execWord, which is exact for every word
-// kind.
+// Word classes, assigned per cached word at translation time. Every
+// word executes through execWord whatever its class; the classes tell
+// trace formation which handler shape a word compiles to, and the block
+// engine's chain rule which exits have a known effect.
 const (
-	bcGeneral uint8 = iota // packed or unclassified: execute via execWord
+	bcGeneral uint8 = iota // packed or unclassified
 	bcNop                  // the word performs no work
 	bcALU                  // single ALU-class piece, no memory piece
 	bcLoad                 // single data-port load piece (a lone long immediate is bcALU)
@@ -69,16 +69,17 @@ type blockCode struct {
 	pa uint32 // physical address of the first body word
 	n  uint32 // body length in words (0: the entry word is a terminator)
 
-	// code holds the flat executable records of the body words, in
-	// execution order; code[i] was decoded from IMem[pa+i].
+	// code holds the flat records of the body words, in execution
+	// order; code[i] was decoded from IMem[pa+i].
 	code []decoded
 
 	// term is the cached record of the terminating word at pa+n, when
 	// that word decodes (hasTerm), and ds the records of up to two
-	// delay-slot words after it; all execute via dsStep, which skips
-	// re-fetch because a code write drops the block first. cover is the
-	// number of words from pa the block depends on (body, terminator,
-	// delay slots; the entry word of a block that caches none).
+	// delay-slot words after it; all run from their cached words,
+	// skipping re-fetch because a code write drops the block first.
+	// cover is the number of words from pa the block depends on (body,
+	// terminator, delay slots; the entry word of a block that caches
+	// none).
 	term    decoded
 	ds      [2]decoded
 	dsN     uint8
@@ -132,9 +133,9 @@ type TranslationStats struct {
 	// BlockInvalidations counts blocks dropped by a code write
 	// (a page-in, or a patch through CPU.WriteCode).
 	BlockInvalidations uint64
-	// BlockBails counts mid-block falls back to the exact
-	// per-instruction engine: faults, traps, interrupts, halts, and
-	// conservative coherence bails after stores.
+	// BlockBails counts blocks left mid-body for dispatch: faults,
+	// overflows, interrupts, halts, and coherence bails after a word
+	// that dropped the block or changed the page map.
 	BlockBails uint64
 
 	// TraceFormed counts hot-path recordings that finished with a
@@ -240,10 +241,9 @@ func bodyWord(in isa.Instr) bool {
 	return nonEmpty(in)
 }
 
-// classifyLean assigns the lean execution class of one cached word.
-// Packed words (both slots active) always classify bcGeneral and run
-// through the exact executor.
-func classifyLean(d *decoded) {
+// classify assigns the class of one cached word. Packed words (both
+// slots active) always classify bcGeneral.
+func classify(d *decoded) {
 	switch {
 	case d.flags&fNop != 0:
 		d.bclass = bcNop
@@ -266,55 +266,6 @@ func classifyLean(d *decoded) {
 	default:
 		d.bclass = bcGeneral
 	}
-}
-
-// readsReg reports whether executing a decoded word reads register r,
-// conservatively answering true for any piece kind it does not model.
-func readsReg(d *decoded, r isa.Reg) bool {
-	switch d.aluKind {
-	case isa.PieceALU:
-		if !d.a1.imm && d.a1.reg == r {
-			return true
-		}
-		if !d.aluUnary && !d.a2.imm && d.a2.reg == r {
-			return true
-		}
-		if d.aluDstRead && d.aluDst == r {
-			return true
-		}
-	case isa.PieceSetCond:
-		if (!d.a1.imm && d.a1.reg == r) || (!d.a2.imm && d.a2.reg == r) {
-			return true
-		}
-	}
-	switch d.memKind {
-	case isa.PieceNop, isa.PieceJump, isa.PieceCall, isa.PieceTrap:
-	case isa.PieceLoad, isa.PieceStore:
-		if d.memKind == isa.PieceStore && d.data == r {
-			return true
-		}
-		switch d.mode {
-		case isa.AModeDisp:
-			if d.base == r {
-				return true
-			}
-		case isa.AModeIndex, isa.AModeShift:
-			if d.base == r || d.index == r {
-				return true
-			}
-		}
-	case isa.PieceBranch:
-		if (!d.m1.imm && d.m1.reg == r) || (!d.m2.imm && d.m2.reg == r) {
-			return true
-		}
-	case isa.PieceJumpInd:
-		if !d.m1.imm && d.m1.reg == r {
-			return true
-		}
-	default:
-		return true
-	}
-	return false
 }
 
 // translateBlock scans the straight-line run of instruction words at pa
@@ -344,11 +295,11 @@ func (c *CPU) translateBlock(b *blockCode, pa uint32) {
 		// Unprogrammed memory is a real (faulting) terminator, executed
 		// un-cached so the illegal fault stays exact. Any other word
 		// is the block's terminator: cached alongside the body so the
-		// exit skips a re-fetch. Privileged words also land here,
-		// keeping privilege checks out of the body loop.
+		// exit skips a re-fetch. Privileged words also land here, so a
+		// body never holds one (trace formation relies on it).
 		if in := c.IMem.At(wa); nonEmpty(in) {
 			decodeWord(&b.term, in)
-			classifyLean(&b.term)
+			classify(&b.term)
 			b.hasTerm = true
 		}
 	}
@@ -356,43 +307,16 @@ func (c *CPU) translateBlock(b *blockCode, pa uint32) {
 	for i := range b.code {
 		d := &b.code[i]
 		decodeWord(d, c.IMem.At(pa+uint32(i)))
-		classifyLean(d)
+		classify(d)
 	}
 	if b.n == 0 {
 		b.termless = false
 	}
-	// Eager-load marking. Without hardware interlocks a load's delayed
-	// commit is observable only through its one-word hazard window: the
-	// word right after the load sees the stale register (and trips the
-	// hazard auditor). When that statically known next word does not
-	// read the destination, committing immediately is equivalent — any
-	// younger write still lands last, and every path that ends the run
-	// before the commit time (trap, fault, overflow, interrupt) drains
-	// the pipe and commits it anyway. The one exception is a word that
-	// can stop the machine without an exception — a store hitting a
-	// halt device, or anything routed through the exact executor — so
-	// those keep the delayed-commit machinery.
-	for i := range b.code {
-		d := &b.code[i]
-		if d.bclass != bcLoad {
-			continue
-		}
-		var next *decoded
-		if i+1 < len(b.code) {
-			next = &b.code[i+1]
-		} else if b.hasTerm {
-			next = &b.term
-		}
-		if next != nil && next.bclass != bcGeneral &&
-			next.bclass != bcStore && !readsReg(next, d.data) {
-			d.flags |= fEager
-		}
-	}
 	// Cache the delay-slot words after a real terminator: a taken
 	// transfer always executes them, and caching them keeps a hot
 	// loop's tail off the per-instruction fetch path. Any decodable
-	// word qualifies (dsStep checks privilege dynamically and routes
-	// non-lean classes through the exact executor).
+	// word qualifies: privilege is checked when it runs, as for a
+	// fetched word.
 	if b.hasTerm {
 		for wa := pa + b.n + 1; wa < pageLimit && b.dsN < 2; wa++ {
 			in := c.IMem.At(wa)
@@ -401,7 +325,7 @@ func (c *CPU) translateBlock(b *blockCode, pa uint32) {
 			}
 			d := &b.ds[b.dsN]
 			decodeWord(d, in)
-			classifyLean(d)
+			classify(d)
 			b.dsN++
 		}
 	}

@@ -23,11 +23,13 @@
 // One executor runs a single instruction word: the reference interpreter
 // (execWord), which reads the word's pieces directly. Above it sit two
 // translation tiers, selected per CPU by SetEngine: the superblock engine
-// (block.go), which decodes straight-line runs once into flat records
-// (predecode.go) — the paper's own move of hoisting work out of the
-// dynamic hot path, applied to the simulator itself — and the trace tier
-// (trace_form.go) layered on it. Both fall back to per-instruction
-// stepping at an exact instruction boundary. New starts on the trace
+// (block.go), which caches straight-line runs and their flat records
+// (predecode.go) and runs each word through execWord without fetching
+// it, and the trace tier (trace_form.go) layered on it, which compiles
+// hot paths of those records to specialized handlers — the paper's own
+// move of hoisting work out of the dynamic hot path, applied to the
+// simulator itself. Both fall back to per-instruction stepping at an
+// exact instruction boundary. New starts on the trace
 // tier, and the differential tests hold every engine value to identical
 // statistics, memory images, and trace event streams.
 package cpu
@@ -176,8 +178,10 @@ const (
 	// TierFast.
 	EngineFast
 	// EngineBlocks adds the superblock engine above per-instruction
-	// stepping; per-step tracers (SetStepHook) and Interlocked mode
-	// suspend it.
+	// stepping: it runs each word through the reference interpreter
+	// from the block's cached copy, skipping the fetch and, between
+	// chained blocks, the dispatch. Per-step tracers (SetStepHook) and
+	// Interlocked mode suspend it.
 	EngineBlocks
 	// EngineTraces adds the trace tier above the superblock engine.
 	// Traces form and run wherever no DMA engine is attached and either
@@ -544,7 +548,13 @@ func (c *CPU) dispatch(left uint64) {
 // refill, and the interrupt sample. Step falls back to it below the
 // translation tiers, and the superblock engine calls it for the exits
 // and delay slots it has no cached record for.
-func (c *CPU) step() {
+func (c *CPU) step() { c.stepWord(nil) }
+
+// stepWord is step with the fetch done ahead: cached is the superblock
+// engine's copy of the word at the head of the fetch queue (a code
+// write drops the block first, so the copy cannot go stale), or nil to
+// fetch the word. Everything but the fetch runs the same either way.
+func (c *CPU) stepWord(cached *isa.Instr) {
 	c.seq++
 	if c.pendN != 0 {
 		c.commitLoads()
@@ -561,11 +571,16 @@ func (c *CPU) step() {
 	}
 
 	pc := c.pcq[0]
-	in, fault := c.fetch(pc)
-	if fault != nil {
-		c.Bus.LastFault = fault
-		c.exception(fault.Cause, isa.CauseNone, 0)
-		return
+	var in isa.Instr
+	if cached != nil {
+		in = *cached
+	} else {
+		var fault *mem.Fault
+		if in, fault = c.fetch(pc); fault != nil {
+			c.Bus.LastFault = fault
+			c.exception(fault.Cause, isa.CauseNone, 0)
+			return
+		}
 	}
 
 	// Privilege is enforced at decode.

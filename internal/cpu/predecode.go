@@ -5,11 +5,11 @@ package cpu
 // instruction word's pieces — two pointer indirections, a kind switch,
 // operand unwrapping, privilege and nop classification — on every
 // execution. Block translation does that work once per word and keeps
-// the result as a decoded record, so block bodies, delay slots and
-// compiled trace ops run over flat records with no pointer chasing.
-// Every record keeps the word it was decoded from (src): the tiers
-// validate it against live instruction memory, and words with no lean
-// form run from it through execWord, the one per-instruction executor.
+// the result as a decoded record, from which trace compilation picks
+// each word's handler and operands, so compiled trace ops run over flat
+// records with no pointer chasing. Every record keeps the word it was
+// decoded from (src): the block engine runs that copy through execWord,
+// the one per-instruction executor.
 
 import "mips/internal/isa"
 
@@ -17,12 +17,6 @@ import "mips/internal/isa"
 const (
 	fNop  uint8 = 1 << iota // the word performs no work
 	fPriv                   // some piece requires supervisor privilege
-	// fEager marks a block-body load whose delayed commit is
-	// statically unobservable (the next word neither reads the
-	// destination nor can stop the machine), so the block engine
-	// writes the register immediately. Set only on block-body
-	// records.
-	fEager
 )
 
 // fastOp is a predecoded operand: either an immediate value, already
@@ -47,9 +41,9 @@ type decoded struct {
 	src isa.Instr
 
 	flags uint8
-	// bclass is the lean execution class the superblock engine assigns
-	// at block translation (blockcache.go); bcGeneral, which runs the
-	// word through execWord, is always safe.
+	// bclass is the word class block translation assigns
+	// (blockcache.go); bcGeneral claims nothing of the word, so it is
+	// always safe.
 	bclass uint8
 
 	// ALU slot (PieceALU or PieceSetCond); PieceNop when absent.

@@ -11,7 +11,7 @@ package cpu
 //
 // A pending load is a run-time test, not a handler: every handler that
 // can meet one commits it when c.pendN != 0 and reads through the
-// audited lean path, which with nothing pending is a register-file load.
+// audited leanRead, which with nothing pending is a register-file load.
 // Formation marks each position a pending load can reach (trace_form.go);
 // only unmarked positions take the check-free specializations (trAdd,
 // trSub, trMov, trLoadDisp, trStoreDisp).
@@ -47,8 +47,8 @@ import (
 	"mips/internal/mem"
 )
 
-// Per-class happy-path cost of one word, identical to what the block
-// engine's lean word executor (leanWord) accounts for the same word.
+// Per-class happy-path cost of one word, identical to what execWord
+// accounts for the same word.
 var (
 	wcNop    = wordCost{instr: 1, nops: 1}.pack()
 	wcALU    = wordCost{instr: 1, pieces: 1}.pack()
@@ -76,6 +76,32 @@ func rdOp(c *CPU, o fastOp) uint32 {
 	return c.Regs[o.reg]
 }
 
+// leanRead reads a register for a handler that may run with a load
+// pending. With none the read has no architectural side effects (the
+// hazard auditor only ever fires against a pending load), so it
+// collapses to a register-file load; otherwise it defers to readReg for
+// exact audit behavior.
+func (c *CPU) leanRead(r isa.Reg, vpc uint32) uint32 {
+	if c.pendN != 0 {
+		return c.readReg(r, vpc)
+	}
+	return c.Regs[r]
+}
+
+// leanOperand is leanRead for a predecoded operand. It repeats
+// leanRead's test rather than calling it, which keeps it within the
+// inliner's budget: it runs for every register operand of a handler
+// that may meet a pending load.
+func (c *CPU) leanOperand(o fastOp, vpc uint32) uint32 {
+	if o.imm {
+		return o.val
+	}
+	if c.pendN == 0 {
+		return c.Regs[o.reg]
+	}
+	return c.readReg(o.reg, vpc)
+}
+
 // charge accounts an early exit at in: the prefix of the ops before it
 // plus w, the exiting word's own contribution.
 func (c *CPU) charge(in *traceInst, w traceCost) {
@@ -89,8 +115,8 @@ const deoptDevice = NumDeoptReasons
 
 // traceFault abandons the trace at a faulting word: the word restarts
 // at the head of the restored fetch queue (return address zero),
-// exactly as bailFault leaves it. The caller has already accounted the
-// executed prefix. Only a packed word whose ALU piece overflowed while
+// exactly as finishWord's fault path leaves it. The caller has already
+// accounted the executed prefix. Only a packed word whose ALU piece overflowed while
 // its memory piece also faulted has a secondary cause (overflow
 // primary, the memory fault secondary).
 func (c *CPU) traceFault(q [3]uint32, primary, secondary isa.Cause) {

@@ -92,7 +92,7 @@ type traceWord struct {
 	hazard bool
 	// eager marks a load whose delayed commit is unobservable inside
 	// the trace (the next word never reads the destination), committed
-	// immediately like the block engine's fEager.
+	// immediately.
 	eager bool
 }
 
@@ -295,7 +295,7 @@ func validateTraceBlock(b *block, pc, nextPC uint32) (ok, taken bool, dsCount ui
 		return false, false, 0, RefusalBlock
 	}
 	// Every body class compiles but a packed word outside the shapes
-	// the ISA encodes (packedShape): the lean classes and the packed
+	// the ISA encodes (packedShape): the plain classes and the packed
 	// shapes specialize, and translation keeps every other general word
 	// (traps, specials) out of a block's body. Privileged pieces refuse —
 	// they can change what dispatch latched — but translation also ends
@@ -513,6 +513,55 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 	if c.onJIT != nil {
 		c.emitJIT(JITEvent{Kind: JITCompiled, PC: entry, Len: uint32(len(tr.ins))})
 	}
+}
+
+// readsReg reports whether executing a decoded word reads register r,
+// conservatively answering true for any piece kind it does not model.
+func readsReg(d *decoded, r isa.Reg) bool {
+	switch d.aluKind {
+	case isa.PieceALU:
+		if !d.a1.imm && d.a1.reg == r {
+			return true
+		}
+		if !d.aluUnary && !d.a2.imm && d.a2.reg == r {
+			return true
+		}
+		if d.aluDstRead && d.aluDst == r {
+			return true
+		}
+	case isa.PieceSetCond:
+		if (!d.a1.imm && d.a1.reg == r) || (!d.a2.imm && d.a2.reg == r) {
+			return true
+		}
+	}
+	switch d.memKind {
+	case isa.PieceNop, isa.PieceJump, isa.PieceCall, isa.PieceTrap:
+	case isa.PieceLoad, isa.PieceStore:
+		if d.memKind == isa.PieceStore && d.data == r {
+			return true
+		}
+		switch d.mode {
+		case isa.AModeDisp:
+			if d.base == r {
+				return true
+			}
+		case isa.AModeIndex, isa.AModeShift:
+			if d.base == r || d.index == r {
+				return true
+			}
+		}
+	case isa.PieceBranch:
+		if (!d.m1.imm && d.m1.reg == r) || (!d.m2.imm && d.m2.reg == r) {
+			return true
+		}
+	case isa.PieceJumpInd:
+		if !d.m1.imm && d.m1.reg == r {
+			return true
+		}
+	default:
+		return true
+	}
+	return false
 }
 
 // refuseTrace accounts one formation refusal: the taxonomy counter and,

@@ -33,7 +33,8 @@ const (
 	FastPath
 	// Blocks is the superblock translation engine layered on
 	// per-instruction stepping: straight-line runs execute as cached,
-	// chained blocks.
+	// chained blocks, each word on the reference interpreter from the
+	// block's copy of it.
 	Blocks
 	// Traces is the trace JIT tier layered on the superblock engine:
 	// profile-guided multi-block traces, fused across taken branches,

@@ -36,6 +36,13 @@ go test -run '^$' -fuzz '^FuzzTraceBody$' -fuzztime 10s ./internal/cpu
 # checksum.
 echo "==> go test -fuzz FuzzRestoreWire (10s)"
 go test -run '^$' -fuzz '^FuzzRestoreWire$' -fuzztime 10s ./internal/sim
+# The front ends against arbitrary source: Pasqual through parse and
+# both interpreter allocation modes, and assembly through parse,
+# reorganization, assembly and a bare machine's Load.
+echo "==> go test -fuzz FuzzParse (10s)"
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 10s ./internal/lang
+echo "==> go test -fuzz FuzzAssemble (10s)"
+go test -run '^$' -fuzz '^FuzzAssemble$' -fuzztime 10s ./internal/asm
 
 # bench/ is a module of its own (it builds against this checkout through
 # a replace directive), so ./... above does not reach it.
