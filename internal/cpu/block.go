@@ -96,8 +96,9 @@ func (c *CPU) stepBlocks(b *block, left uint64) {
 		}
 		exc0 := c.excSeq
 
-		for i := range b.code {
-			c.stepWord(&b.code[i].src)
+		body := b.words[:b.n]
+		for i := range body {
+			c.stepWord(&body[i])
 			// An exception (fault, overflow, interrupt) has already
 			// redirected the queue; a store hitting the halt device ends
 			// the block after its word; a store to the disk's go register
@@ -111,7 +112,7 @@ func (c *CPU) stepBlocks(b *block, left uint64) {
 			}
 		}
 
-		// The terminator runs from its cached copy when one was decoded
+		// The terminator runs from its cached copy when one was cached
 		// (skipping re-fetch: the body left the block valid), then the
 		// delay slots of a taken transfer drain — from their cached
 		// copies while those stay coherent, else through step — until
@@ -131,20 +132,20 @@ func (c *CPU) stepBlocks(b *block, left uint64) {
 		// the packed word compiles. Without this the hottest loops the
 		// reorganizer packs most aggressively could never record a
 		// multi-block path.
-		chainable := b.hasTerm && (b.term.bclass >= bcBranch ||
-			(c.trec.active && b.term.bclass == bcGeneral && b.term.flags&fPriv == 0))
+		chainable := b.hasTerm && (b.termClass >= bcBranch ||
+			(c.trec.active && b.termClass == bcGeneral && !b.termPriv))
 		if b.hasTerm {
-			c.stepWord(&b.term.src)
+			c.stepWord(&b.words[b.n])
 		} else {
 			c.step()
 		}
 		for k := 0; !c.Halted && !c.queueSequential() && k < pcqCap && c.Stats.Instructions < end; k++ {
 			if j := c.pcq[0] - (t + 1); j < uint32(b.dsN) && b.valid &&
 				(!mapped || bus.MMU.Map.Generation() == pmGen) {
-				if b.ds[j].bclass == bcGeneral {
+				if b.dsGeneral[j] {
 					chainable = false
 				}
-				c.stepWord(&b.ds[j].src)
+				c.stepWord(&b.words[b.n+1+j])
 			} else {
 				chainable = false
 				c.step()

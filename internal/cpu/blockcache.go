@@ -1,13 +1,14 @@
 package cpu
 
 // The superblock translation cache: the layer above per-instruction
-// stepping that caches straight-line runs of instructions as blocks,
-// each word with its flat record (predecode.go). block.go runs the
-// cached words; trace formation reads the records. This file owns the
-// data structures and their coherence machinery:
+// stepping that caches straight-line runs of instructions as blocks of
+// the words they hold. block.go runs the cached words; trace formation
+// decodes them (predecode.go) for the few blocks a recording reaches.
+// This file owns the data structures and their coherence machinery:
 //
 //   - translateBlock scans instruction memory from a block entry point
-//     up to the next control transfer and builds the flat block record;
+//     up to the next control transfer and copies the words it covers,
+//     with the classes of its exit words;
 //   - an exact table indexed the way instruction memory is (one page of
 //     block pointers per instruction-memory page a block was entered
 //     in) holds each block at its physical entry word, with the trace
@@ -40,10 +41,10 @@ const (
 // each at its entry word's offset.
 type blockPage [imemPageWords]*block
 
-// Word classes, assigned per cached word at translation time. Every
-// word executes through execWord whatever its class; the classes tell
-// trace formation which handler shape a word compiles to, and the block
-// engine's chain rule which exits have a known effect.
+// Word classes (wordClass). Every word executes through execWord
+// whatever its class; the classes tell trace formation which handler
+// shape a word compiles to, and the block engine's chain rule which
+// exits have a known effect.
 const (
 	bcGeneral uint8 = iota // packed or unclassified
 	bcNop                  // the word performs no work
@@ -51,8 +52,8 @@ const (
 	bcLoad                 // single data-port load piece (a lone long immediate is bcALU)
 	bcStore                // single store piece
 
-	// Control classes appear only in terminator and delay-slot records
-	// (translation stops a body before any control transfer).
+	// Control classes appear only at a block's terminator and delay
+	// slots (translation stops a body before any control transfer).
 	bcBranch
 	bcJump
 	bcCall
@@ -61,32 +62,34 @@ const (
 
 // blockCode is a translated superblock's immutable part: a straight-line
 // run of body words (everything up to, but not including, the next
-// control transfer) plus its exit records. It is decoded from
+// control transfer) plus the words of its exit. It is copied from
 // instruction memory alone and never written once built, so every
 // machine running the same golden code may share it (GoldenCode's
 // published table).
 type blockCode struct {
 	pa uint32 // physical address of the first body word
 	n  uint32 // body length in words (0: the entry word is a terminator)
-
-	// code holds the flat records of the body words, in execution
-	// order; code[i] was decoded from IMem[pa+i].
-	code []decoded
-
-	// term is the cached record of the terminating word at pa+n, when
-	// that word decodes (hasTerm), and ds the records of up to two
-	// delay-slot words after it; all run from their cached words,
-	// skipping re-fetch because a code write drops the block first.
 	// cover is the number of words from pa the block depends on (body,
 	// terminator, delay slots; the entry word of a block that caches
 	// none).
-	term    decoded
-	ds      [2]decoded
-	dsN     uint8
-	hasTerm bool
-	cover   uint32
+	cover uint32
 
-	termless bool // the scan hit a size/page limit, not a real terminator
+	dsN      uint8 // delay-slot words cached after the terminator
+	hasTerm  bool  // the word at pa+n is cached as the terminator
+	termless bool  // the scan hit a size/page limit, not a real terminator
+
+	// termClass and termPriv are the terminator's class and whether it
+	// is privileged, and dsGeneral whether each delay slot is bcGeneral:
+	// all the block engine's chain rule reads of its exit words.
+	termClass uint8
+	termPriv  bool
+	dsGeneral [2]bool
+
+	// words holds the cached words in address order, words[i] copied
+	// from IMem[pa+i]: the body as words[:n], then the terminator when
+	// hasTerm, then the dsN delay slots. All run from these copies,
+	// skipping re-fetch because a code write drops the block first.
+	words []isa.Instr
 }
 
 // block is one machine's entry in its table of translations: the shared
@@ -241,42 +244,52 @@ func bodyWord(in isa.Instr) bool {
 	return nonEmpty(in)
 }
 
-// classify assigns the class of one cached word. Packed words (both
-// slots active) always classify bcGeneral.
-func classify(d *decoded) {
-	switch {
-	case d.flags&fNop != 0:
-		d.bclass = bcNop
-	case d.memKind == isa.PieceNop && d.aluKind != isa.PieceNop:
-		d.bclass = bcALU
-	case d.aluKind != isa.PieceNop:
-		d.bclass = bcGeneral
-	case d.memKind == isa.PieceLoad:
-		d.bclass = bcLoad
-	case d.memKind == isa.PieceStore:
-		d.bclass = bcStore
-	case d.memKind == isa.PieceBranch:
-		d.bclass = bcBranch
-	case d.memKind == isa.PieceJump:
-		d.bclass = bcJump
-	case d.memKind == isa.PieceCall:
-		d.bclass = bcCall
-	case d.memKind == isa.PieceJumpInd:
-		d.bclass = bcJumpInd
-	default:
-		d.bclass = bcGeneral
+// wordClass returns the class of one instruction word. Packed words
+// (both slots active) are always bcGeneral; a lone long-immediate load
+// is bcALU, the move it executes as.
+func wordClass(in isa.Instr) uint8 {
+	alu, m := isa.PieceNop, isa.PieceNop
+	if in.ALU != nil {
+		alu = in.ALU.Kind
 	}
+	if in.Mem != nil {
+		m = in.Mem.Kind
+	}
+	switch {
+	case in.IsNop():
+		return bcNop
+	case alu == isa.PieceNop && m == isa.PieceLoad && in.Mem.Mode == isa.AModeLongImm:
+		return bcALU
+	case m == isa.PieceNop && alu != isa.PieceNop:
+		return bcALU
+	case alu != isa.PieceNop:
+		return bcGeneral
+	case m == isa.PieceLoad:
+		return bcLoad
+	case m == isa.PieceStore:
+		return bcStore
+	case m == isa.PieceBranch:
+		return bcBranch
+	case m == isa.PieceJump:
+		return bcJump
+	case m == isa.PieceCall:
+		return bcCall
+	case m == isa.PieceJumpInd:
+		return bcJumpInd
+	}
+	return bcGeneral
 }
 
 // translateBlock scans the straight-line run of instruction words at pa
-// and builds the block's immutable record in b.
+// and builds the block's immutable part in b: its cached words and
+// the classes of its exit words.
 func (c *CPU) translateBlock(b *blockCode, pa uint32) {
 	c.Trans.BlockTranslations++
 	// Never cross a page boundary: page-granular translation guarantees
 	// that virtual and physical in-page offsets agree, so cached words
 	// that stay inside the entry's page execute contiguously in both
-	// spaces. pageLimit also bounds the cached terminator/delay-slot
-	// records; the body is additionally capped at blockMaxWords.
+	// spaces. pageLimit also bounds the cached terminator and delay
+	// slots; the body is additionally capped at blockMaxWords.
 	pageLimit := c.IMem.n
 	if pageEnd := pa&^uint32(mem.PageWords-1) + mem.PageWords; pageEnd < pageLimit {
 		pageLimit = pageEnd
@@ -286,7 +299,8 @@ func (c *CPU) translateBlock(b *blockCode, pa uint32) {
 		limit = capEnd
 	}
 	*b = blockCode{pa: pa, termless: true}
-	// Count the body first so it is allocated once, at its exact length.
+	// Count the cached words first so they are allocated once, at their
+	// exact number.
 	for b.n < limit-pa && bodyWord(c.IMem.At(pa+b.n)) {
 		b.n++
 	}
@@ -298,16 +312,9 @@ func (c *CPU) translateBlock(b *blockCode, pa uint32) {
 		// exit skips a re-fetch. Privileged words also land here, so a
 		// body never holds one (trace formation relies on it).
 		if in := c.IMem.At(wa); nonEmpty(in) {
-			decodeWord(&b.term, in)
-			classify(&b.term)
 			b.hasTerm = true
+			b.termClass, b.termPriv = wordClass(in), privileged(in)
 		}
-	}
-	b.code = make([]decoded, b.n)
-	for i := range b.code {
-		d := &b.code[i]
-		decodeWord(d, c.IMem.At(pa+uint32(i)))
-		classify(d)
 	}
 	if b.n == 0 {
 		b.termless = false
@@ -320,12 +327,10 @@ func (c *CPU) translateBlock(b *blockCode, pa uint32) {
 	if b.hasTerm {
 		for wa := pa + b.n + 1; wa < pageLimit && b.dsN < 2; wa++ {
 			in := c.IMem.At(wa)
-			if in.ALU == nil && in.Mem == nil {
+			if !nonEmpty(in) {
 				break
 			}
-			d := &b.ds[b.dsN]
-			decodeWord(d, in)
-			classify(d)
+			b.dsGeneral[b.dsN] = wordClass(in) == bcGeneral
 			b.dsN++
 		}
 	}
@@ -333,8 +338,14 @@ func (c *CPU) translateBlock(b *blockCode, pa uint32) {
 	// cache drops it. A block that caches no word still stands for its
 	// entry word being unprogrammed.
 	b.cover = max(b.n, 1)
+	cached := b.n
 	if b.hasTerm {
-		b.cover = b.n + 1 + uint32(b.dsN)
+		cached = b.n + 1 + uint32(b.dsN)
+		b.cover = cached
+	}
+	b.words = make([]isa.Instr, cached)
+	for i := range b.words {
+		b.words[i] = c.IMem.At(pa + uint32(i))
 	}
 }
 

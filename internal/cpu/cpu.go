@@ -23,10 +23,11 @@
 // One executor runs a single instruction word: the reference interpreter
 // (execWord), which reads the word's pieces directly. Above it sit two
 // translation tiers, selected per CPU by SetEngine: the superblock engine
-// (block.go), which caches straight-line runs and their flat records
-// (predecode.go) and runs each word through execWord without fetching
-// it, and the trace tier (trace_form.go) layered on it, which compiles
-// hot paths of those records to specialized handlers — the paper's own
+// (block.go), which caches the words of straight-line runs and runs
+// each through execWord without fetching it, and the trace tier
+// (trace_form.go) layered on it, which decodes the words of hot paths
+// into flat records (predecode.go) and compiles them to specialized
+// handlers — the paper's own
 // move of hoisting work out of the dynamic hot path, applied to the
 // simulator itself. Both fall back to per-instruction stepping at an
 // exact instruction boundary. New starts on the trace
@@ -547,7 +548,7 @@ func (c *CPU) dispatch(left uint64) {
 // per-instruction path, with the full preamble: load commit, queue
 // refill, and the interrupt sample. Step falls back to it below the
 // translation tiers, and the superblock engine calls it for the exits
-// and delay slots it has no cached record for.
+// and delay slots it has no cached word for.
 func (c *CPU) step() { c.stepWord(nil) }
 
 // stepWord is step with the fetch done ahead: cached is the superblock

@@ -5,7 +5,12 @@ package cpu
 // published_census_test.go, which need compiled corpus images (and so
 // the codegen package, which imports this one).
 
-import "mips/internal/mem"
+import (
+	"unsafe"
+
+	"mips/internal/isa"
+	"mips/internal/mem"
+)
 
 // TraceRecording is one captured hot-path recording: the entry PC and
 // the recorded block path, replayable through formation.
@@ -131,4 +136,16 @@ func (g *GoldenCode) TraceCensus() (traces, ops, words int) {
 		}
 	}
 	return traces, ops, words
+}
+
+// TranslationFootprint counts the blocks in c's table, the words their
+// translations cache, and the bytes those translations hold: each
+// block's immutable part (blockCode) with what it points to.
+func TranslationFootprint(c *CPU) (blocks, words int, bytes uintptr) {
+	c.eachBlock(func(b *block) {
+		blocks++
+		words += int(b.cover)
+		bytes += unsafe.Sizeof(block{}) + unsafe.Sizeof(blockCode{}) + uintptr(cap(b.words))*unsafe.Sizeof(isa.Instr{})
+	})
+	return blocks, words, bytes
 }

@@ -1,15 +1,14 @@
 package cpu
 
-// Predecoded instruction records: the flat format the superblock and
-// trace tiers store. The reference interpreter (execWord) re-examines an
-// instruction word's pieces — two pointer indirections, a kind switch,
-// operand unwrapping, privilege and nop classification — on every
-// execution. Block translation does that work once per word and keeps
-// the result as a decoded record, from which trace compilation picks
-// each word's handler and operands, so compiled trace ops run over flat
-// records with no pointer chasing. Every record keeps the word it was
-// decoded from (src): the block engine runs that copy through execWord,
-// the one per-instruction executor.
+// Predecoded instruction records: the trace compiler's input format.
+// The reference interpreter (execWord) re-examines an instruction
+// word's pieces — two pointer indirections, a kind switch, operand
+// unwrapping, privilege and nop classification — on every execution,
+// and blocks cache the words themselves. Trace formation does that work
+// once per word of a recorded path, decoding the recorded blocks' words
+// into flat records on its own frame, from which compileTrace picks
+// each word's handler and copies its operands, so compiled trace ops
+// run with no pointer chasing. Only formation builds these records.
 
 import "mips/internal/isa"
 
@@ -34,16 +33,12 @@ func mkFastOp(o isa.Operand) fastOp {
 	return fastOp{reg: o.Reg}
 }
 
-// decoded is the flat executable record of one instruction word. src is
-// the word it was decoded from; the rest is everything execution needs,
-// laid out without indirection.
+// decoded is the flat record of one instruction word: everything its
+// compiled op needs, laid out without indirection.
 type decoded struct {
-	src isa.Instr
-
 	flags uint8
-	// bclass is the word class block translation assigns
-	// (blockcache.go); bcGeneral claims nothing of the word, so it is
-	// always safe.
+	// bclass is the word's class (wordClass); bcGeneral claims nothing
+	// of the word, so it is always safe.
 	bclass uint8
 
 	// ALU slot (PieceALU or PieceSetCond); PieceNop when absent.
@@ -74,43 +69,36 @@ type decoded struct {
 // only piece is a long-immediate load is recorded as the ALU move it
 // executes as.
 func decodeWord(d *decoded, in isa.Instr) {
-	*d = decoded{src: in, aluKind: isa.PieceNop, memKind: isa.PieceNop}
+	*d = decoded{bclass: wordClass(in), aluKind: isa.PieceNop, memKind: isa.PieceNop}
 	if in.IsNop() {
 		d.flags |= fNop
 	}
-	if p := in.ALU; p != nil {
-		if p.Privileged() {
-			d.flags |= fPriv
-		}
-		if !p.IsNop() {
-			d.aluKind = p.Kind
-			d.aluOp = p.Op
-			d.aluUnary = p.Op.Unary()
-			d.aluDstRead = p.Op == isa.OpMStep || p.Op == isa.OpDStep
-			d.aluDst = p.Dst
-			d.aluCmp = p.Cmp
-			d.a1 = mkFastOp(p.Src1)
-			d.a2 = mkFastOp(p.Src2)
-		}
+	if privileged(in) {
+		d.flags |= fPriv
 	}
-	if p := in.Mem; p != nil {
-		if p.Privileged() {
-			d.flags |= fPriv
-		}
-		if !p.IsNop() {
-			d.memKind = p.Kind
-			d.mode = p.Mode
-			d.memCmp = p.Cmp
-			d.data = p.Data
-			d.base = p.Base
-			d.index = p.Index
-			d.shift = p.Shift
-			d.linkDst = p.Dst
-			d.disp = p.Disp
-			d.target = uint32(p.Target)
-			d.m1 = mkFastOp(p.Src1)
-			d.m2 = mkFastOp(p.Src2)
-		}
+	if p := in.ALU; p != nil && !p.IsNop() {
+		d.aluKind = p.Kind
+		d.aluOp = p.Op
+		d.aluUnary = p.Op.Unary()
+		d.aluDstRead = p.Op == isa.OpMStep || p.Op == isa.OpDStep
+		d.aluDst = p.Dst
+		d.aluCmp = p.Cmp
+		d.a1 = mkFastOp(p.Src1)
+		d.a2 = mkFastOp(p.Src2)
+	}
+	if p := in.Mem; p != nil && !p.IsNop() {
+		d.memKind = p.Kind
+		d.mode = p.Mode
+		d.memCmp = p.Cmp
+		d.data = p.Data
+		d.base = p.Base
+		d.index = p.Index
+		d.shift = p.Shift
+		d.linkDst = p.Dst
+		d.disp = p.Disp
+		d.target = uint32(p.Target)
+		d.m1 = mkFastOp(p.Src1)
+		d.m2 = mkFastOp(p.Src2)
 	}
 	if d.memKind == isa.PieceLoad && d.mode == isa.AModeLongImm && d.aluKind == isa.PieceNop {
 		// The constant comes from the instruction stream, not the data

@@ -62,3 +62,39 @@ func TestPublishedTraceOpsBounded(t *testing.T) {
 		})
 	}
 }
+
+// blockBytesBound bounds what a fresh machine's translations hold per
+// block: the machine's block record, the block's immutable part and the
+// words it caches. The corpus programs read 190 (fib) to 268 (puzzle0)
+// bytes per block; with a flat decoded record per cached word they read
+// 535 to 871.
+const blockBytesBound = 320
+
+// TestTranslationFootprint runs every corpus program once on a fresh
+// trace-tier machine, over an image compiled for it so that no other
+// machine shares its translations, and bounds the bytes its block table's
+// translations hold per block. It logs one JSON line per program: the
+// blocks translated, the words they cache, and their bytes.
+func TestTranslationFootprint(t *testing.T) {
+	for _, p := range corpus.All() {
+		im, _, err := codegen.CompileMIPS(p.Source, codegen.MIPSOptions{}, reorg.All())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sim.New(sim.WithEngine(sim.Traces))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Load(im); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(10_000_000); err != nil {
+			t.Fatal(err)
+		}
+		blocks, words, bytes := cpu.TranslationFootprint(m.CPU())
+		t.Logf(`{"program":%q,"blocks":%d,"words":%d,"bytes":%d}`, p.Name, blocks, words, bytes)
+		if blocks == 0 || bytes > blockBytesBound*uintptr(blocks) {
+			t.Errorf("%s: %d blocks hold %d bytes, want at most %d per block", p.Name, blocks, bytes, blockBytesBound)
+		}
+	}
+}

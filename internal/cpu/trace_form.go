@@ -70,10 +70,9 @@ func (c *CPU) recTracePoint(b *block, pc uint32) {
 // traceWord is one flattened word of a formable path: its decoded
 // record plus everything the compiler needs to build its op — the
 // exit-queue shape and control target that fix its exact fault-restart
-// queue, and the recorded control direction for
-// terminators. d points at the recorded block's own (immutable) record:
-// flattening copies no decoded words, and compileTrace copies out
-// whatever the trace keeps.
+// queue, and the recorded control direction for terminators. d points
+// into the records formation decoded on its own frame, and compileTrace
+// copies out whatever the trace keeps.
 type traceWord struct {
 	d   *decoded
 	vpc uint32
@@ -287,13 +286,20 @@ func dsCompilable(d *decoded) bool {
 // full — body, terminator, and the delay slots its recorded direction
 // executes — and derives that direction from the recorded successor
 // entry nextPC. pc is the block's entry as fetched, which translation
-// leaves at the block's own in-page offset. It returns ok=false when the
-// block must truncate the path, with why classifying the refusal for the
+// leaves at the block's own in-page offset. It decodes the block's words
+// into recs, which has room for them, in address order: the body, the
+// terminator and the delay slots, so a path's first dsCount delay-slot
+// records follow its terminator's. It returns ok=false when the block
+// must truncate the path, with why classifying the refusal for the
 // formation taxonomy.
-func validateTraceBlock(b *block, pc, nextPC uint32) (ok, taken bool, dsCount uint8, why FormRefusal) {
+func validateTraceBlock(b *block, pc, nextPC uint32, recs []decoded) (ok, taken bool, dsCount uint8, why FormRefusal) {
 	if b == nil || !b.valid || (b.pa^pc)&(mem.PageWords-1) != 0 || !b.hasTerm || b.termless {
 		return false, false, 0, RefusalBlock
 	}
+	for i, in := range b.words {
+		decodeWord(&recs[i], in)
+	}
+	ds := recs[b.n+1 : b.n+1+uint32(b.dsN)]
 	// Every body class compiles but a packed word outside the shapes
 	// the ISA encodes (packedShape): the plain classes and the packed
 	// shapes specialize, and translation keeps every other general word
@@ -301,13 +307,12 @@ func validateTraceBlock(b *block, pc, nextPC uint32) (ok, taken bool, dsCount ui
 	// they can change what dispatch latched — but translation also ends
 	// a block's body before any privileged word, so only the terminator
 	// needs the check.
-	for i := range b.code[:b.n] {
-		d := &b.code[i]
-		if d.bclass == bcGeneral && !packedShape(d) {
+	for i := range recs[:b.n] {
+		if d := &recs[i]; d.bclass == bcGeneral && !packedShape(d) {
 			return false, false, 0, RefusalBlock
 		}
 	}
-	term := &b.term
+	term := &recs[b.n]
 	if term.flags&fPriv != 0 {
 		return false, false, 0, RefusalPrivileged
 	}
@@ -325,11 +330,11 @@ func validateTraceBlock(b *block, pc, nextPC uint32) (ok, taken bool, dsCount ui
 		if nextPC == t+1 {
 			return true, false, 0, 0
 		}
-		if nextPC == term.target && b.dsN >= 1 && dsCompilable(&b.ds[0]) {
+		if nextPC == term.target && len(ds) >= 1 && dsCompilable(&ds[0]) {
 			return true, true, 1, 0
 		}
 	case bcJump, bcCall:
-		if nextPC == term.target && b.dsN >= 1 && dsCompilable(&b.ds[0]) {
+		if nextPC == term.target && len(ds) >= 1 && dsCompilable(&ds[0]) {
 			return true, true, 1, 0
 		}
 	case bcJumpInd:
@@ -339,7 +344,7 @@ func validateTraceBlock(b *block, pc, nextPC uint32) (ok, taken bool, dsCount ui
 		if nextPC == t+1 || nextPC == t+2 || nextPC == t+3 {
 			return false, false, 0, RefusalJumpInd
 		}
-		if b.dsN == 2 && dsCompilable(&b.ds[0]) && dsCompilable(&b.ds[1]) {
+		if len(ds) == 2 && dsCompilable(&ds[0]) && dsCompilable(&ds[1]) {
 			return true, true, 2, 0
 		}
 		why = RefusalJumpInd
@@ -352,7 +357,7 @@ func validateTraceBlock(b *block, pc, nextPC uint32) (ok, taken bool, dsCount ui
 		if term.memKind != isa.PieceJump || !packedShape(term) {
 			return false, false, 0, RefusalBlock
 		}
-		if nextPC == term.target && b.dsN >= 1 && dsCompilable(&b.ds[0]) {
+		if nextPC == term.target && len(ds) >= 1 && dsCompilable(&ds[0]) {
 			return true, true, 1, 0
 		}
 	default:
@@ -388,7 +393,11 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 	}
 
 	// Pass 1: validate without allocating, truncating at the first
-	// block that cannot compile.
+	// block that cannot compile. Each block's words decode into recs
+	// after the records the path keeps so far, so flattened word i's
+	// record is recs[i]; a block may decode up to blockMaxWords+3 words
+	// past the op budget before the budget refuses it.
+	var recs [traceMaxOps + blockMaxWords + 3]decoded
 	var taken [traceMaxBlocks]bool
 	var dsCount [traceMaxBlocks]uint8
 	var cut FormRefusal // why the path was truncated, if it was
@@ -400,7 +409,7 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 		} else if j+1 < lim {
 			nextPC = pts[j+1].pc
 		}
-		ok, tk, dc, why := validateTraceBlock(pts[j].b, pts[j].pc, nextPC)
+		ok, tk, dc, why := validateTraceBlock(pts[j].b, pts[j].pc, nextPC, recs[ops:])
 		if !ok {
 			// At most one refusal counts per recording: the first block
 			// that truncates the path.
@@ -434,18 +443,20 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 	// a fixed array on this frame: flattening allocates nothing, and
 	// compileTrace copies out everything the trace keeps.
 	var buf [traceMaxOps]traceWord
-	words := buf[:0]
+	k := 0 // words flattened so far; word k's record is recs[k]
 	spans := make([]traceSpan, 0, lim)
 	for j := 0; j < lim; j++ {
 		b, pc := pts[j].b, pts[j].pc
 		spans = append(spans, traceSpan{pa: b.pa, n: b.cover})
 		for i := uint32(0); i < b.n; i++ {
-			words = append(words, traceWord{d: &b.code[i], vpc: pc + i})
+			buf[k] = traceWord{d: &recs[k], vpc: pc + i}
+			k++
 		}
 		t := pc + b.n
-		tw := traceWord{d: &b.term, vpc: t, taken: taken[j]}
-		x := b.term.target // control target the recorded direction follows
-		if b.term.bclass == bcJumpInd {
+		term := &recs[k]
+		tw := traceWord{d: term, vpc: t, taken: taken[j]}
+		x := term.target // control target the recorded direction follows
+		if term.bclass == bcJumpInd {
 			x = pts[lim].pc
 			if closed && j == lim-1 {
 				x = entry
@@ -454,16 +465,18 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 			}
 			tw.x = x
 		}
-		words = append(words, tw)
+		buf[k] = tw
+		k++
 		switch dsCount[j] {
 		case 1:
-			words = append(words, traceWord{d: &b.ds[0], vpc: t + 1, x: x, shape: qLast})
+			buf[k] = traceWord{d: &recs[k], vpc: t + 1, x: x, shape: qLast}
 		case 2:
-			words = append(words,
-				traceWord{d: &b.ds[0], vpc: t + 1, x: x, shape: qFirst},
-				traceWord{d: &b.ds[1], vpc: t + 2, x: x, shape: qLast})
+			buf[k] = traceWord{d: &recs[k], vpc: t + 1, x: x, shape: qFirst}
+			buf[k+1] = traceWord{d: &recs[k+1], vpc: t + 2, x: x, shape: qLast}
 		}
+		k += int(dsCount[j])
 	}
+	words := buf[:k]
 
 	// Eager-load marking over the flattened path: the one-word hazard
 	// window is observable only by the immediately following word, and

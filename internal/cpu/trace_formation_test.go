@@ -79,7 +79,8 @@ func firstRecording(t *testing.T, c *CPU) TraceRecording {
 // a recorded path — validation, flattening, compilation, installation —
 // allocates the trace, its op records and its spans, the same three
 // objects for a 10-op trace as for a 200-op one, and for a loop of
-// packed words, whose ops point at their blocks' own decoded records.
+// packed words. The records formation decodes the recorded words into
+// live on its own frame.
 func TestTraceFormationAllocs(t *testing.T) {
 	const want = 3
 	for _, tc := range []struct {
@@ -107,12 +108,16 @@ func TestTraceFormationAllocs(t *testing.T) {
 	}
 }
 
-// TestTraceInstSize pins a compiled op at 64 bytes or less: published
-// traces live as long as their image, and every op of every trace is
-// one record.
+// TestTraceInstSize pins a compiled op at 64 bytes or less and a
+// block's immutable part at 48 bytes or less, besides the words it
+// caches: published translations live as long as their image, every op
+// of every trace is one record, and every block one blockCode.
 func TestTraceInstSize(t *testing.T) {
 	if n := unsafe.Sizeof(traceInst{}); n > 64 {
 		t.Errorf("a compiled trace op takes %d bytes, want at most 64", n)
+	}
+	if n := unsafe.Sizeof(blockCode{}); n > 48 {
+		t.Errorf("a block's immutable part takes %d bytes, want at most 48", n)
 	}
 }
 

@@ -18,7 +18,7 @@ echo "==> guard exits that leave delay slots to the lower tiers (must be 0 alloc
 go test ./internal/cpu/ -run TestTraceExitZeroAlloc -count=1 -v
 
 echo "==> trace formation: a constant allocation count per trace, whatever its length"
-go test ./internal/cpu/ -run TestTraceFormationAllocs -count=1 -v
+go test ./internal/cpu/ -run 'TestTraceFormationAllocs|TestTranslateBlockAllocsConstant|TestTraceInstSize' -count=1 -v
 go test ./internal/cpu/ -run '^$' -bench BenchmarkTraceFormation \
     -benchmem -benchtime 1s
 
