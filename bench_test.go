@@ -461,6 +461,26 @@ func BenchmarkSnapshotRestoreKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkForkRunKernel forks a kernel fib machine from its template
+// and runs it to halt on the trace engine, as a mipsd fork job does.
+// Forks after the first adopt the kernel blocks they run before their
+// first page-in, which moves each to a golden code of its own; B/op
+// counts what that code and its translations allocate.
+func BenchmarkForkRunKernel(b *testing.B) {
+	tpl := admissionTemplate(b, admissionImage(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := tpl.Fork(sim.WithEngine(sim.Traces))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Run(10_000_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFreeCycleDMA measures how much block-copy bandwidth the DMA
 // engine extracts from the free memory cycles of a running program —
 // the §3.1 "these cycles can be used for DMA" claim made concrete.

@@ -179,7 +179,7 @@ func (c *CPU) stepBlocks(b *block, left uint64) {
 		if traceTier && nb.traceFor(npc, &ctx) != nil {
 			return
 		}
-		if c.trec.active && nb.pub != nil && (nb.tr == nil || nb.tr.adopted) && nb.pub.tr.Load() != nil {
+		if c.trec.active && (nb.tr == nil || nb.tr.adopted) && nb.pub.tr.Load() != nil {
 			// A recording ends where another machine published a trace:
 			// the trace formed here runs into that one instead of
 			// copying its ops. The machine's own traces do not end it,
@@ -191,7 +191,7 @@ func (c *CPU) stepBlocks(b *block, left uint64) {
 		if hit {
 			c.Trans.BlockHits++
 		}
-		if traceTier && nb.heatBump() || c.Stats.Instructions+uint64(nb.n) >= end {
+		if traceTier && nb.pub.bump() || c.Stats.Instructions+uint64(nb.n) >= end {
 			return
 		}
 		c.Trans.BlockChained++

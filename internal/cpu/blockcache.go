@@ -11,21 +11,23 @@ package cpu
 //     with the classes of its exit words;
 //   - an exact table indexed the way instruction memory is (one page of
 //     block pointers per instruction-memory page a block was entered
-//     in) holds each block at its physical entry word, with the trace
-//     tier's heat count for that entry and the compiled trace entered
-//     there: the one table every translation lives in;
+//     in) holds each block at its physical entry word, with the
+//     compiled trace entered there: the one table every translation
+//     lives in;
 //   - the code writers (CPU.WriteCode, CPU.ReplaceCode) invalidate every
 //     block whose cached words meet the written range, so a page-in or
 //     a patched word can never leave a stale translation executable.
 //     Data writes — CPU stores, DMA moves, device pokes — reach only
 //     physical memory, never the instruction memory blocks cache;
-//   - a block's immutable part (blockCode) is shared: a machine that
-//     loaded golden code (CPU.LoadCode) publishes what it translates
-//     there, and on a miss adopts what another machine published
-//     (missBlock), until a code write or a restore detaches it.
+//   - a block's immutable part (blockCode) is shared: every machine
+//     publishes what it translates on the golden code it runs on
+//     (CPU.LoadCode), and on a miss adopts what another machine
+//     published there (missBlock). A code write moves the machine to a
+//     code of its own; a restore, to the code it restores.
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"mips/internal/isa"
 	"mips/internal/mem"
@@ -105,15 +107,10 @@ type block struct {
 	// write that drops the block drops the trace with it.
 	tr *trace
 
-	// heat counts the trace tier's dispatch misses at this entry toward
-	// the formation threshold (heatNever once poisoned). It lives and
-	// dies with the block: a code write that drops the block drops it.
-	// While the machine is attached to golden code, pub is the entry
-	// published for this block's entry word, and the count that matters
-	// is the image's there (pubEntry.heat); heat then only marks a
-	// poisoning this machine keeps to itself.
-	heat uint32
-	pub  *pubEntry
+	// pub is the entry for this block's entry word on the machine's
+	// golden code, which holds the trace tier's heat there
+	// (pubEntry.heat).
+	pub *pubEntry
 
 	// execs counts block-engine entries (dispatch and chain alike), for
 	// BlockSites' per-PC tier heatmap.
@@ -187,10 +184,10 @@ type TranslationStats struct {
 	TracePoisoned     uint64
 
 	// BlockAdoptions counts blocks taken from the published table of
-	// the golden code a machine loaded (GoldenCode) on an own-table miss,
-	// instead of translated; TraceAdoptions counts the published traces
-	// taken with them. Both stay zero on the machine that first runs an
-	// image, and on every machine not loaded from golden code.
+	// the golden code a machine runs on (GoldenCode) on an own-table
+	// miss, instead of translated; TraceAdoptions counts the published
+	// traces taken with them. Both stay zero on the first machine to run
+	// a golden code, and on a machine after a code write.
 	BlockAdoptions uint64
 	TraceAdoptions uint64
 
@@ -350,27 +347,23 @@ func (c *CPU) translateBlock(b *blockCode, pa uint32) {
 }
 
 // missBlock supplies the block entered at pa when the machine's table
-// has none: the golden code's published block while the machine is
-// attached to it (with its published trace on the trace tier), else a
-// new translation, which an attached machine publishes. Either way the
-// block goes into the table, tied to its published entry while the
-// machine is attached. It stays out of line, so the table hit inlines.
+// has none: the block published on the machine's golden code (with its
+// published trace on the trace tier), else a new translation, which it
+// publishes there. Either way the block goes into the table, tied to
+// its published entry. It stays out of line, so the table hit inlines.
 func (c *CPU) missBlock(pa uint32) *block {
-	var e *pubEntry
-	if g := c.shared; g != nil {
-		e = g.entry(pa)
-		if bc := e.b.Load(); bc != nil {
-			c.Trans.BlockAdoptions++
-			b := c.installBlock(&block{blockCode: bc, valid: true, pub: e})
-			if tc := e.tr.Load(); tc != nil && c.engine == EngineTraces {
-				b.tr = &trace{traceCode: tc, adopted: true}
-				c.Trans.TraceAdoptions++
-				if c.onJIT != nil {
-					c.emitJIT(JITEvent{Kind: JITAdopted, PC: tc.pc, Len: uint32(len(tc.ins))})
-				}
+	e := c.code.entry(pa)
+	if bc := e.b.Load(); bc != nil {
+		c.Trans.BlockAdoptions++
+		b := c.installBlock(&block{blockCode: bc, valid: true, pub: e})
+		if tc := e.tr.Load(); tc != nil && c.engine == EngineTraces {
+			b.tr = &trace{traceCode: tc, adopted: true}
+			c.Trans.TraceAdoptions++
+			if c.onJIT != nil {
+				c.emitJIT(JITEvent{Kind: JITAdopted, PC: tc.pc, Len: uint32(len(tc.ins))})
 			}
-			return b
 		}
+		return b
 	}
 	// A block translated here and its code are one allocation; a
 	// published code keeps the small record of this machine alive.
@@ -380,9 +373,7 @@ func (c *CPU) missBlock(pa uint32) *block {
 	})
 	c.translateBlock(&f.code, pa)
 	f.block = block{blockCode: &f.code, valid: true, pub: e}
-	if e != nil {
-		e.b.CompareAndSwap(nil, &f.code)
-	}
+	e.b.CompareAndSwap(nil, &f.code)
 	return c.installBlock(&f.block)
 }
 
@@ -429,14 +420,15 @@ func (c *CPU) eachBlock(fn func(b *block)) {
 
 // codeWritten drops every translated block whose cached words meet the
 // n instruction-memory words at pa, and every compiled trace whose spans
-// do. Only the code writers call it. The machine's code no longer is the
-// golden code it loaded, so it detaches from the published table: it
-// adopts and publishes nothing more, its blocks count their own heat
-// from here on, and what it adopted it drops like its own.
+// do. Only the code writers call it. The machine's code no longer is
+// the golden code it ran on, so it moves to a new golden code of its
+// own, covering its instruction memory, which no other machine reads:
+// the surviving blocks move to its entries with their heat (a poisoning
+// included), and from here on the machine adopts only what it publishes
+// itself. The code has no pages: nothing forks it.
 func (c *CPU) codeWritten(pa, n uint32) {
-	c.shared = nil
+	c.code = &GoldenCode{n: c.IMem.n, pub: make([]atomic.Pointer[pubPage], len(c.IMem.pages))}
 	c.eachBlock(func(b *block) {
-		b.pub = nil
 		if b.tr != nil && b.tr.covers(pa, n) {
 			c.Trans.TraceInvalidations++
 			c.dropTrace(b)
@@ -445,17 +437,19 @@ func (c *CPU) codeWritten(pa, n uint32) {
 			c.Trans.BlockInvalidations++
 			b.valid = false
 			c.blocks[b.pa>>imemPageBits][b.pa&imemPageMask] = nil
+			return
 		}
+		e := c.code.entry(b.pa)
+		e.heat.Store(b.pub.heat.Load())
+		b.pub = e
 	})
 }
 
-// dropTranslations drops every translated block (and with it its heat),
-// every compiled trace and any recording in flight, and detaches the
-// machine from the golden code it loaded. A restore calls it, so
-// translations never outlive the code they were built from; the code
-// writers handle everything in between.
+// dropTranslations drops every translated block, every compiled trace
+// and any recording in flight. Loading code calls it, so translations
+// never outlive the code they were built from; the code writers handle
+// everything in between.
 func (c *CPU) dropTranslations() {
-	c.shared = nil
 	c.eachBlock(func(b *block) {
 		b.valid = false
 		if b.tr != nil {

@@ -116,20 +116,20 @@ type CPU struct {
 
 	// blocks is the table of translations (blockcache.go): one page of
 	// block pointers per instruction-memory page a block was entered in,
-	// indexed like IMem. Each block carries the trace tier's heat for its
-	// entry word and the compiled trace entered there (trace_form.go,
-	// trace_compile.go, tracecache.go). trec is the in-flight path
-	// recording. trOvfOn is the overflow-enable latch the dispatch loop
-	// sets for the compiled ops, and trMapped the mapped flag of the
-	// context they run under (whether the memory handlers translate).
-	// shared is the golden code the machine loaded while it is attached
-	// to its published translations (GoldenCode.published); a code write
-	// or a restore detaches it for good.
+	// indexed like IMem. Each block carries the compiled trace entered
+	// at its entry word (trace_form.go, trace_compile.go, tracecache.go).
+	// trec is the in-flight path recording. trOvfOn is the
+	// overflow-enable latch the dispatch loop sets for the compiled ops,
+	// and trMapped the mapped flag of the context they run under
+	// (whether the memory handlers translate). code is the golden code
+	// the machine runs on, never nil: it publishes its translations and
+	// the trace tier's heat there (GoldenCode), and a code write moves
+	// the machine to a code of its own.
 	blocks   []*blockPage
 	trec     traceRec
 	trOvfOn  bool
 	trMapped bool
-	shared   *GoldenCode
+	code     *GoldenCode
 
 	// Trans counts translation-layer behavior (superblock and trace
 	// caches, tier residency) since the CPU was built or last restored.
@@ -195,9 +195,10 @@ const (
 
 // New builds a CPU over the given bus, starting at word address 0 in
 // supervisor state with mapping and interrupts disabled — the power-up
-// reset condition. It starts on EngineTraces.
+// reset condition. It starts on EngineTraces, and on an empty golden
+// code.
 func New(bus *Bus) *CPU {
-	c := &CPU{Bus: bus, engine: EngineTraces}
+	c := &CPU{Bus: bus, engine: EngineTraces, code: NewGoldenCode(0, nil)}
 	c.Sur = c.Sur.SetSupervisor(true)
 	c.pcq[0], c.pcn = 0, 1
 	return c

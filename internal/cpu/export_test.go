@@ -104,8 +104,8 @@ func (c *CPU) staleTranslationRefs() int {
 	return n
 }
 
-// SharedCode returns the golden code c is attached to, or nil.
-func SharedCode(c *CPU) *GoldenCode { return c.shared }
+// Code returns the golden code c runs on.
+func Code(c *CPU) *GoldenCode { return c.code }
 
 // TraceCensus counts the unmapped traces published on the image, their
 // compiled ops in all, and the distinct instruction-memory words their

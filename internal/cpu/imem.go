@@ -19,8 +19,8 @@ import (
 // A fork (GoldenCode.fork) starts on an immutable golden image's page
 // table, allocating nothing. Any write into a shared page copies that
 // one page first (and the table, the first time); dropping a shared
-// page (replace) only drops the reference. Restoring over a fork ends
-// the sharing wholesale.
+// page (replace) only drops the reference. A restore forks the golden
+// image of the capture instead.
 
 // imemPageBits sizes an instruction-memory page: 256 words (4 KB). A
 // data frame spans four, and a page-in allocates only those that hold
@@ -216,18 +216,20 @@ func (st *State) ValidateIMem() error {
 // never written after construction, so any number of forks may read
 // them from any number of goroutines.
 //
-// It also carries what the machines attached to it (LoadCode) learn
-// about its code, per entry word (pubEntry): the immutable part of the
-// block translated there (blockCode), of the unmapped trace formed
-// there (traceCode), each built from these pages alone, and the trace
-// tier's heat there. An attached machine publishes what it builds,
-// adopts what it finds on a miss in its own table, and counts its
-// trace-tier misses into the image's heat, so code that every run
-// executes only a few times still reaches the formation threshold, once
-// for the image. Its execution counts and trace history stay its own.
-// Translations are set once, first publisher wins, and never change or
-// go away: they die with the golden code. Every field of an entry is
-// atomic, and so are the page slots, so no lock is held.
+// It also carries what the machines running on it learn about its
+// code, per entry word (pubEntry): the immutable part of the block
+// translated there (blockCode), of the unmapped trace formed there
+// (traceCode), each built from these pages alone, and the trace tier's
+// heat there. Every machine runs on a golden code (LoadCode) from
+// construction to halt: it publishes what it builds, adopts what it
+// finds on a miss in its own table, and counts its trace-tier misses
+// into the code's heat, so code that every run executes only a few
+// times still reaches the formation threshold, once for the image. Its
+// execution counts and trace history stay its own. A code write moves
+// the machine to a code of its own (codeWritten), which no other
+// machine reads. Translations are set once, first publisher wins, and
+// never change or go away: they die with the golden code. Every field
+// of an entry is atomic, and so are the page slots, so no lock is held.
 type GoldenCode struct {
 	n     uint32
 	pages []*imemPage
@@ -242,7 +244,7 @@ type pubPage [imemPageWords]pubEntry
 type pubEntry struct {
 	b  atomic.Pointer[blockCode]
 	tr atomic.Pointer[traceCode]
-	// heat counts the trace-tier misses of every attached machine at
+	// heat counts the trace-tier misses of every machine on the code at
 	// this entry toward the formation threshold (heatNever once a
 	// recording from here failed to form). Starting a recording resets
 	// it, so the other machines count afresh while the recording's
@@ -304,17 +306,14 @@ func (e *pubEntry) cool() {
 	}
 }
 
-// LoadCode makes instruction memory a copy-on-write fork of code,
-// dropping any translations the machine held. With attach, the machine
-// also attaches to the translations published on code: until a code
-// write or a restore detaches it, a block-table miss adopts the
-// published block (and, on the trace tier, the trace entered there)
-// instead of translating, what the machine translates or forms
-// unmapped it publishes, and its trace-tier heat is the image's.
-func (c *CPU) LoadCode(code *GoldenCode, attach bool) {
+// LoadCode makes instruction memory a copy-on-write fork of code and
+// moves the machine onto code, dropping every translation it held: a
+// block-table miss then adopts the block published on code (and, on
+// the trace tier, the trace entered there) instead of translating, what
+// the machine translates or forms unmapped it publishes there, and its
+// trace-tier heat is the code's.
+func (c *CPU) LoadCode(code *GoldenCode) {
 	c.dropTranslations()
 	c.IMem = code.fork()
-	if attach {
-		c.shared = code
-	}
+	c.code = code
 }

@@ -61,10 +61,10 @@ func TestHeatNeverShadowBranchPoisoning(t *testing.T) {
 		t.Fatal("refused entry was never poisoned")
 	}
 	// The loop entry (word 2) records a path whose first block is the
-	// shadow branch's: the whole recording refuses and the entry's
-	// block must be heatNever.
-	if b := c.blockIn(2); b.heat != heatNever {
-		t.Fatalf("loop entry not poisoned: block heat %d", b.heat)
+	// shadow branch's: the whole recording refuses and the entry must
+	// be heatNever.
+	if h := c.blockIn(2).pub.heat.Load(); h != heatNever {
+		t.Fatalf("loop entry not poisoned: heat %d", h)
 	}
 
 	refusals := c.Trans.TraceFormRefusals

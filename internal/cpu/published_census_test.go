@@ -13,15 +13,14 @@ import (
 // publishedOpsPerWord bounds the compiled ops of a settled image's
 // published traces per distinct instruction-memory word they cover.
 // Traces overlap by design (a loop entered from several places is
-// copied into each path that reaches it), but a recording on an
-// attached machine ends where another machine published a trace, so
-// the copies stay few. Without that rule the short programs read 6.3
+// copied into each path that reaches it), but a recording ends where
+// another machine published a trace, so the copies stay few. Without that rule the short programs read 6.3
 // to 9.2 ops per word; with it, at most 4.2 (tokenizer).
 const publishedOpsPerWord = 5
 
 // TestPublishedTraceOpsBounded loads each short program twenty-one
-// times over one image — the first load keeps its translations, the
-// others attach and pool their heat — and bounds the ops the image's
+// times over one image — every machine publishes on the image's golden
+// code and pools its heat there — and bounds the ops the image's
 // published traces hold per word they cover. Published traces live as
 // long as their image, so this is memory per image, not per job.
 func TestPublishedTraceOpsBounded(t *testing.T) {
@@ -36,7 +35,7 @@ func TestPublishedTraceOpsBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			var code *cpu.GoldenCode
-			for range 21 {
+			for i := range 21 {
 				m, err := sim.New(sim.WithEngine(sim.Traces))
 				if err != nil {
 					t.Fatal(err)
@@ -47,12 +46,11 @@ func TestPublishedTraceOpsBounded(t *testing.T) {
 				if _, err := m.Run(10_000_000); err != nil {
 					t.Fatal(err)
 				}
-				if g := cpu.SharedCode(m.CPU()); g != nil {
-					code = g
+				g := cpu.Code(m.CPU())
+				if i > 0 && g != code {
+					t.Fatalf("machine %d runs on another golden code than machine 1", i+1)
 				}
-			}
-			if code == nil {
-				t.Fatal("no machine attached to the image")
+				code = g
 			}
 			traces, ops, words := code.TraceCensus()
 			t.Logf("%d published traces: %d ops over %d words (%.2f per word)", traces, ops, words, float64(ops)/float64(words))

@@ -88,31 +88,31 @@ func (c *CPU) CaptureState() State {
 }
 
 // RestoreState replaces the processor's architectural state with a
-// previous capture. The translated blocks and traces are dropped — they
-// rebuild against the restored instruction memory — so the restored
-// machine produces the exact event stream the original would have. The
-// translation-layer counters (Trans) restart from zero with the caches
-// they describe. Instruction memory gets storage only for the pages
-// that hold code; restoring over a fork ends its sharing.
-func (c *CPU) RestoreState(st State) error { return c.restore(&st, nil) }
+// previous capture. The machine moves to a new golden code built from
+// the capture's instruction memory (GoldenCodeFromState), which holds
+// storage only for the pages that hold code, and loads it as
+// RestoreFork does.
+func (c *CPU) RestoreState(st State) error {
+	if err := st.ValidateIMem(); err != nil {
+		return fmt.Errorf("cpu: restore: %w", err)
+	}
+	return c.RestoreFork(&st, GoldenCodeFromState(&st))
+}
 
-// RestoreFork restores like RestoreState, except that instruction
-// memory becomes a copy-on-write fork of code, which must be the golden
-// image of st's (GoldenCodeFromState); st.IMem itself is not read,
-// and st is only read.
-func (c *CPU) RestoreFork(st *State, code *GoldenCode) error { return c.restore(st, code) }
-
-func (c *CPU) restore(st *State, code *GoldenCode) error {
+// RestoreFork replaces the processor's architectural state with a
+// previous capture, loading code (LoadCode), which must be the golden
+// image of st's instruction memory (GoldenCodeFromState); st.IMem
+// itself is not read, and st is only read. The translated blocks and
+// traces are dropped, and the machine adopts what other machines on
+// code published, so the restored machine produces the exact event
+// stream the original would have. The translation-layer counters
+// (Trans) restart from zero with the caches they describe.
+func (c *CPU) RestoreFork(st *State, code *GoldenCode) error {
 	if st.PCN < 1 || st.PCN > pcqCap {
 		return fmt.Errorf("cpu: restore: fetch queue depth %d out of range", st.PCN)
 	}
 	if len(st.Pend) > len(c.pend) {
 		return fmt.Errorf("cpu: restore: %d pending loads exceed capacity %d", len(st.Pend), len(c.pend))
-	}
-	if code == nil {
-		if err := st.ValidateIMem(); err != nil {
-			return fmt.Errorf("cpu: restore: %w", err)
-		}
 	}
 	c.Regs = st.Regs
 	c.Lo = st.Lo
@@ -132,17 +132,12 @@ func (c *CPU) restore(st *State, code *GoldenCode) error {
 	c.Interlocked = st.Interlocked
 	c.Stats = st.Stats
 	c.nstage = 0
-	if code != nil {
-		c.IMem = code.fork()
-	} else {
-		c.IMem.restore(st.IMemLen, st.IMem)
-	}
 	c.Bus.LastFault = nil
 	if st.LastFault != nil {
 		fc := *st.LastFault
 		c.Bus.LastFault = &fc
 	}
-	c.dropTranslations()
+	c.LoadCode(code)
 	c.Trans = TranslationStats{}
 	return nil
 }

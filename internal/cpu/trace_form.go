@@ -8,10 +8,10 @@ package cpu
 // code), the head of the queue under the current translation context is
 // a trace entry candidate. A compiled trace there executes directly
 // (trace_compile.go) when its longest clean pass fits the tickers'
-// horizon. Otherwise the heat count of the entry's block accumulates
-// (block chains count the blocks they enter too), and on reaching the
-// threshold the dispatch runs the block engine with path recording
-// switched on: every chained superblock it executes is noted (in mapped
+// horizon. Otherwise the heat count of the entry accumulates on the
+// machine's golden code (pubEntry.heat; block chains count the blocks
+// they enter too), and on reaching the threshold the dispatch runs the
+// block engine with path recording switched on: every chained superblock it executes is noted (in mapped
 // mode each successor resolves through the fetch translation, as a
 // block entry does). The recorded path —
 // the actual hot route through the code, taken branches included — is
@@ -35,9 +35,8 @@ import (
 	"mips/internal/mem"
 )
 
-// heatNever marks a block whose entry's path failed to form a trace;
-// its heat never triggers a recording again (until a code write or a
-// restore drops the block).
+// heatNever marks an entry whose path failed to form a trace; its heat
+// never triggers a recording again on that golden code.
 const heatNever = ^uint32(0)
 
 // tracePoint is one recorded step of a hot path: a superblock and the
@@ -139,9 +138,9 @@ func (c *CPU) stepTraces(left uint64) bool {
 	// trace forms from what actually executed. The recorded chain
 	// retires on the block engine, so residency charges the blocks
 	// tier.
-	record := tr == nil && c.traceable() && b.heatBump()
+	record := tr == nil && c.traceable() && b.pub.bump()
 	if record {
-		b.cool()
+		b.pub.cool()
 		c.trec.active = true
 		c.trec.n = 0
 		c.trec.ctx = ctx
@@ -201,44 +200,16 @@ func (c *CPU) enterTrace(tr *trace, ctx *mem.Context, left uint64) bool {
 	return true
 }
 
-// heatBump counts one trace-tier miss at the block's entry and reports
-// whether the count has reached the formation threshold: the image's
-// count while the machine is attached to golden code, else the block's
-// own. A poisoned block or entry never does. Only starting a recording
-// resets the count (cool).
-func (b *block) heatBump() bool {
-	if b.heat == heatNever {
-		return false
-	}
-	if e := b.pub; e != nil {
-		return e.bump()
-	}
-	b.heat++
-	return b.heat >= heatThreshold
-}
-
-// cool restarts the count heatBump advances.
-func (b *block) cool() {
-	if e := b.pub; e != nil {
-		e.cool()
-		return
-	}
-	b.heat = 0
-}
-
 // markNeverTrace records that paths from the recording's entry do not
 // form, for the reason why: stop paying for recordings (and their
-// allocations) in steady state. Poisoning happens at most once per
-// entry block (a poisoned block never reaches the heat threshold
-// again), so TracePoisoned counts distinct poisoned entries until their
-// blocks are dropped. An attached machine that recorded unmapped
-// publishes the poisoning with the entry's heat, so no machine of the
-// image records there again.
+// allocations) in steady state. The poisoning is published with the
+// entry's heat, whatever the context the recording ran under, so no
+// machine on the code records there again; it stops recordings only
+// and never changes what runs. Poisoning happens at most once per entry
+// (a poisoned entry never reaches the heat threshold again), so
+// TracePoisoned counts distinct poisoned entries.
 func (c *CPU) markNeverTrace(entry tracePoint, why FormRefusal) {
-	entry.b.heat = heatNever
-	if e := entry.b.pub; e != nil && !c.trec.ctx.Mapped {
-		e.heat.Store(heatNever)
-	}
+	entry.b.pub.heat.Store(heatNever)
 	c.Trans.TracePoisoned++
 	if c.onJIT != nil {
 		c.emitJIT(JITEvent{Kind: JITPoisoned, Reason: uint8(why), PC: entry.pc})
@@ -519,8 +490,8 @@ func (c *CPU) finishTraceRecording(entry uint32) {
 		return
 	}
 	c.installTrace(pts[0].b, tr)
-	if e := pts[0].b.pub; e != nil && !tr.ctx.Mapped {
-		e.tr.CompareAndSwap(nil, tr.traceCode)
+	if !tr.ctx.Mapped {
+		pts[0].b.pub.tr.CompareAndSwap(nil, tr.traceCode)
 	}
 	c.Trans.TraceCompiled++
 	if c.onJIT != nil {

@@ -431,7 +431,7 @@ func TestTraceYieldRearmsAtThreshold(t *testing.T) {
 			formed = append(formed, e)
 		}
 	})
-	c.missBlock(head).heat = heatThreshold - 1
+	c.missBlock(head).pub.heat.Store(heatThreshold - 1)
 
 	// The block at 0 runs words 0..5 and its chain yields at the head;
 	// the run's last 64 steps go word by word, below the tiers, through

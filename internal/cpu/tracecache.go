@@ -4,8 +4,8 @@ package cpu
 // trace is a hot multi-block path — body words, terminators, and delay
 // slots of several superblocks, fused across taken branches — compiled
 // to one flat array of op records, each naming a static handler
-// (trace_compile.go). Formation is profile-guided: a heat count on each
-// block (block.heat) triggers a one-Step path recording through the
+// (trace_compile.go). Formation is profile-guided: a heat count at each
+// entry word (pubEntry.heat) triggers a one-Step path recording through the
 // block engine, and the recorded path compiles if every word on it can
 // be specialized (trace_form.go).
 //
@@ -26,8 +26,8 @@ package cpu
 // only through those writers, so no trace revalidates its words at
 // dispatch. Traces are derived state: snapshots exclude them, and
 // RestoreState drops them. An unmapped trace depends on code alone, so
-// a machine attached to golden code publishes its immutable part
-// (traceCode) there for the others to adopt with the entry's block.
+// a machine publishes its immutable part (traceCode) on the golden code
+// it runs on for the others to adopt with the entry's block.
 
 import (
 	"mips/internal/isa"
@@ -35,8 +35,9 @@ import (
 )
 
 const (
-	// heatThreshold is how many trace-tier dispatch misses a block's
-	// entry accumulates (block.heat) before a path recording triggers.
+	// heatThreshold is how many trace-tier dispatch misses an entry
+	// accumulates on a golden code, summed over the machines running on
+	// it (pubEntry.heat), before a path recording triggers.
 	// The threshold can sit this low because recordings do not depend
 	// on how deeply the block engine has chained before (every chain
 	// step resolves its successor through the block table) and a
@@ -188,7 +189,7 @@ type traceSpan struct {
 // traceCode is a compiled trace's immutable part: its key (entry PC and
 // translation context), the flat op record array, the bulk cost of a
 // clean pass, the resume point after it, and the coherence spans. An
-// unmapped trace is built from code alone, so a machine attached to the
+// unmapped trace is built from code alone, so any machine on the
 // golden code it was formed on may adopt it (GoldenCode's published
 // table).
 type traceCode struct {

@@ -1,11 +1,12 @@
 package sim_test
 
-// Bare machines loaded with one image share its code and, from its
-// second load on, the blocks and unmapped traces translated from it
-// (barecode.go): a later machine adopts what an earlier one published. These tests hold adoption to
+// Bare machines loaded with one image share its code and the blocks and
+// unmapped traces translated from it (barecode.go): a later machine
+// adopts what an earlier one published. These tests hold adoption to
 // the architecture: a machine that adopted is indistinguishable from a
-// fresh one, a code write or a restore detaches only the machine it
-// hits, and the published translations die with their image.
+// fresh one, a code write or a restore moves only the machine it hits
+// to a code of its own, and the published translations die with their
+// image.
 
 import (
 	"errors"
@@ -44,7 +45,7 @@ func runImage(t *testing.T, im *isa.Image, eng sim.Engine) (*sim.Machine, machin
 
 // settledBlocksShare bounds the share of a program's instructions a
 // machine loaded after its image settled retires on the blocks tier:
-// attached machines pool the trace tier's formation heat per image
+// machines on an image pool the trace tier's formation heat there
 // (cpu.GoldenCode), so code each run executes only a few times is still
 // traced once per image and adopted by every later machine. Formatter
 // keeps more: every run refuses short paths at entries whose recording
@@ -64,9 +65,9 @@ const settledShortPaths = 25
 
 // TestAdoptingMachinesMatchFirst runs each short program on the
 // reference engine, then on twenty trace-tier machines in turn over the
-// same image. The image's first load keeps its translations to itself;
-// the first trace-tier machine, its second load, publishes, and the
-// later ones adopt. All must reproduce the reference engine's output,
+// same image. The reference engine translates nothing, so the first
+// trace-tier machine publishes, and machine 2 and the later ones adopt
+// from it. All must reproduce the reference engine's output,
 // statistics, memory and event hash. The last machine runs on a settled
 // image: at most settledBlocksShare of its instructions retire on the
 // blocks tier, and at most settledShortPaths of its recordings come up
@@ -203,16 +204,16 @@ func runUntilAdopted(t *testing.T, im *isa.Image, eh *eventHasher) *sim.Machine 
 	return m
 }
 
-// TestCodeWriteDetachesOnlyItsMachine patches one word of an adopted
-// trace on one machine while another machine shares the image. The
-// writer drops its own translations of the word and adopts nothing
-// more; the other machine keeps every trace it adopted, and it and a
-// machine loaded after the write adopt traces identical to what was
-// published before it. All of them print the publisher's output.
-func TestCodeWriteDetachesOnlyItsMachine(t *testing.T) {
+// TestCodeWriteMovesOnlyItsMachineToACodeOfItsOwn patches one word of
+// an adopted trace on one machine while another machine shares the
+// image. The writer drops its own translations of the word, moves to a
+// code of its own and adopts nothing more; the other machine keeps
+// every trace it adopted, and it and a machine loaded after the write
+// adopt traces identical to what was published before it. All of them
+// print the publisher's output.
+func TestCodeWriteMovesOnlyItsMachineToACodeOfItsOwn(t *testing.T) {
 	im := compileCorpus(t, "tokenizer", false)
-	_, want := runImage(t, im, sim.Traces)
-	runImage(t, im, sim.Traces) // the second load publishes
+	_, want := runImage(t, im, sim.Traces) // the first load publishes
 
 	ehOther, ehWriter := newEventHasher(), newEventHasher()
 	other := runUntilAdopted(t, im, ehOther)
@@ -267,14 +268,15 @@ func TestCodeWriteDetachesOnlyItsMachine(t *testing.T) {
 	}
 }
 
-// TestRestoreDetaches restores a capture of the same program over a
-// machine attached to its image: the restored machine must translate
+// TestRestoreMovesToACodeOfItsOwn restores a capture of the same
+// program over a machine on its image's golden code: the restored
+// machine moves to the golden code of the capture, so it must translate
 // and form its own traces, adopting nothing, and still finish exactly
 // like the reference engine.
-func TestRestoreDetaches(t *testing.T) {
+func TestRestoreMovesToACodeOfItsOwn(t *testing.T) {
 	im := compileCorpus(t, "calc", false)
 	_, want := runImage(t, im, sim.Reference)
-	runImage(t, im, sim.Traces) // the second load publishes
+	runImage(t, im, sim.Traces) // publishes on the image's code
 
 	src, err := sim.New()
 	if err != nil {
@@ -299,7 +301,7 @@ func TestRestoreDetaches(t *testing.T) {
 	}
 	m.RunSteps(1000)
 	if m.Trans().TraceAdoptions == 0 {
-		t.Fatal("the attached machine adopted no trace; the test is vacuous")
+		t.Fatal("the machine on the image's code adopted no trace; the test is vacuous")
 	}
 	if err := sim.RestoreOver(m, snap); err != nil {
 		t.Fatal(err)
@@ -325,13 +327,13 @@ func TestRestoreDetaches(t *testing.T) {
 		t.Errorf("restored machine retired %d instructions in all, want %d", got, want.stats.Instructions)
 	}
 	if tr := m.Trans(); tr.BlockAdoptions != 0 || tr.TraceAdoptions != 0 || tr.TraceCompiled == 0 {
-		t.Errorf("restored machine adopted %d blocks and %d traces and compiled %d; want it detached",
+		t.Errorf("restored machine adopted %d blocks and %d traces and compiled %d; want a code of its own",
 			tr.BlockAdoptions, tr.TraceAdoptions, tr.TraceCompiled)
 	}
 }
 
 // TestPublishedCodeDiesWithItsImage loads images that nothing keeps,
-// twice each so their translations are published: once the images are
+// twice each, publishing their translations: once the images are
 // collected, their golden code leaves the table.
 func TestPublishedCodeDiesWithItsImage(t *testing.T) {
 	var images []weak.Pointer[isa.Image]

@@ -12,13 +12,10 @@ import (
 // Every bare machine loaded with the same image runs the same code: the
 // monitor's rfe at word 0 and the image's text at its base. That code is
 // built once per image into one golden code, which each machine forks
-// (allocating no pages). From the image's second load on, the machines
-// also share its translations (cpu.GoldenCode): each publishes what it
+// (allocating no pages). The machines also share its translations
+// (cpu.GoldenCode): each, the image's first included, publishes what it
 // translates and adopts what the others published, so a block is
 // translated and a trace formed about once per image, not once per run.
-// The first machine keeps its translations to itself: most images a
-// paper pass compiles run once, while the pass keeps them all alive,
-// and their translations should die with their one machine.
 //
 // The table holds its images weakly: an entry goes when its image is
 // collected, and its golden code, translations included, goes with the
@@ -51,19 +48,18 @@ func firstWord(im *isa.Image) *isa.Instr {
 }
 
 // bareGoldenCode returns the golden code of a bare machine loaded with
-// im, building and validating it on the image's first load, and whether
-// im was loaded before. The caller has checked that the text lies inside
-// [1, mem.MaxPhysWords).
-func bareGoldenCode(im *isa.Image) (code *cpu.GoldenCode, again bool, err error) {
+// im, building and validating it on the image's first load. The caller
+// has checked that the text lies inside [1, mem.MaxPhysWords).
+func bareGoldenCode(im *isa.Image) (*cpu.GoldenCode, error) {
 	key := weak.Make(im)
 	bareCodes.Lock()
 	defer bareCodes.Unlock()
 	e, known := bareCodes.m[key]
 	if known && e.builtFrom(im) {
-		return e.code, true, nil
+		return e.code, nil
 	}
 	if err := im.Validate(); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	// Monitor calls vector through the exception path to physical
 	// address zero; one rfe resumes after the trap (the host hook
@@ -72,7 +68,7 @@ func bareGoldenCode(im *isa.Image) (code *cpu.GoldenCode, again bool, err error)
 		{Base: 0, Words: []isa.Instr{isa.Word(isa.RFE())}},
 		{Base: uint32(im.TextBase), Words: im.Words},
 	}
-	code = cpu.NewGoldenCode(uint32(im.TextBase)+uint32(len(im.Words)), runs)
+	code := cpu.NewGoldenCode(uint32(im.TextBase)+uint32(len(im.Words)), runs)
 	bareCodes.m[key] = &bareCode{textBase: im.TextBase, entry: im.Entry, words: len(im.Words), first: firstWord(im), code: code}
 	if !known {
 		runtime.AddCleanup(im, func(key weak.Pointer[isa.Image]) {
@@ -81,5 +77,5 @@ func bareGoldenCode(im *isa.Image) (code *cpu.GoldenCode, again bool, err error)
 			bareCodes.Unlock()
 		}, key)
 	}
-	return code, false, nil
+	return code, nil
 }

@@ -231,8 +231,8 @@ func (m *Machine) attachObservers(cfg *config) error {
 // Load loads an image: onto the bare machine directly (one image only),
 // or as a new process of the kernel machine. May be called repeatedly
 // on kernel machines to load several processes. Bare machines loaded
-// with the same image share its code, and from its second load on its
-// translations (barecode.go), so the image must not change once loaded.
+// with the same image share its code and its translations (barecode.go),
+// so the image must not change once loaded.
 func (m *Machine) Load(im *isa.Image) error {
 	if m.kern != nil {
 		_, err := m.kern.AddProcess(im, m.spaceBits)
@@ -250,11 +250,11 @@ func (m *Machine) Load(im *isa.Image) error {
 	if end := int64(im.TextBase) + int64(len(im.Words)); im.TextBase < 1 || end > mem.MaxPhysWords {
 		return fmt.Errorf("sim: image text [%d,%d) outside [1,%d)", im.TextBase, end, mem.MaxPhysWords)
 	}
-	code, again, err := bareGoldenCode(im)
+	code, err := bareGoldenCode(im)
 	if err != nil {
 		return err
 	}
-	m.cpu.LoadCode(code, again)
+	m.cpu.LoadCode(code)
 	for addr, val := range im.Data {
 		m.cpu.Bus.MMU.Phys.Poke(uint32(addr), val)
 	}

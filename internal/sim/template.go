@@ -136,9 +136,11 @@ func (p *TemplatePool) Put(name string, snapshot []byte) (*Template, error) {
 
 // Capture boots the machine, optionally runs warmupSteps steps (see
 // Machine.RunSteps), snapshots it, and stores the result under name.
-// Translation caches and their counters stay behind: forks start cold
-// on both. The machine is consumed as the template master and should
-// not be run afterwards.
+// The machine's translations and their counters stay behind: every fork
+// starts with zero counters and runs on the template's golden code, so
+// the first fork translates and publishes there, and later forks adopt
+// what it published. The machine is consumed as the template master
+// and should not be run afterwards.
 func (p *TemplatePool) Capture(name string, m *Machine, warmupSteps uint64) (*Template, error) {
 	m.Boot()
 	if warmupSteps > 0 {

@@ -38,8 +38,8 @@ go test -run 'TestAdmissionForkSpeedup|TestKernelJobAllocs' -count=1 -v .
 go test -run '^$' -bench 'AdmissionColdBoot|AdmissionTemplateFork|SnapshotRoundTripKernel' \
     -benchmem -benchtime 1s .
 
-echo "==> snapshot of a halted kernel fib machine, split: encode (with its size, snap-bytes) and restore"
-go test -run '^$' -bench 'SnapshotEncodeKernel|SnapshotRestoreKernel' -benchmem -benchtime 1s .
+echo "==> snapshot of a halted kernel fib machine, split: encode (with its size, snap-bytes) and restore; and a kernel fib fork run to halt (B/op)"
+go test -run '^$' -bench 'SnapshotEncodeKernel|SnapshotRestoreKernel|ForkRunKernel' -benchmem -benchtime 1s .
 
 echo "==> physical memory: per-access load/store cost"
 go test ./internal/mem/ -run '^$' -bench PhysicalLoadStore -benchtime 1s

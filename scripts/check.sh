@@ -24,6 +24,12 @@ fi
 echo "==> go test ./..."
 go test ./...
 
+# Machines that share translations through a golden code (publishing,
+# adoption, pooled heat and poisoning, template forks, restores and
+# code writes) under the race detector.
+echo "==> go test -race (translation sharing)"
+go test -race -run 'Adopt|Publish|Poison|Pool|Fork|Template|Restore|CodeWrite' ./internal/cpu ./internal/sim
+
 # Time-boxed runs of the block engine's and the trace tier's
 # differential fuzz targets and of the snapshot decoder's, beyond their
 # committed seeds (which go test ./... above already ran).
